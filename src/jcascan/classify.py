@@ -17,8 +17,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 from .resolve import NATIVE as NATIVE_RESIDUAL
-from .resolve import ResolvedValue, enclosing_method_node
-from .syntax import SyntaxNode
+from .resolve import ResolvedValue
+from .syntax import (SyntaxNode, builder_names, member_facts, method_params,
+                     modifier_words, unit_index)
 
 RESTRICTIVE_LABELS = frozenset({
     "STROP", "TEROP", "ENUM", "ID", "THIS", "METHOD", "STATIC", "NATIVE",
@@ -127,81 +128,31 @@ def _calls(subtree: SyntaxNode):
 
 
 def _unit_native_methods(site: InvocationSite) -> set[str]:
-    names = set()
-    if site.unit is None:
-        return names
-    for node in site.unit.root.walk():
-        if node.kind != "method_declaration":
-            continue
-        mods = next((c.value for c in node.children if c.kind == "modifiers"),
-                    ())
-        if isinstance(mods, tuple) and "native" in mods:
-            name = next((c.value for c in node.children
-                         if c.kind == "identifier"), None)
-            if name:
-                names.add(str(name))
-    return names
+    return unit_index(site.unit).native_methods if site.unit else set()
 
 
 def _unit_method_names(site: InvocationSite) -> set[str]:
-    names = set()
-    if site.unit is None:
-        return names
-    for node in site.unit.root.walk():
-        if node.kind == "method_declaration":
-            name = next((c.value for c in node.children
-                         if c.kind == "identifier"), None)
-            if name:
-                names.add(str(name))
-    return names
+    return unit_index(site.unit).method_names if site.unit else set()
 
 
 def _declared_builders(site: InvocationSite) -> set[str]:
-    """Local/field names declared as StringBuilder/StringBuffer."""
-    names: set[str] = set()
-    scopes: list[SyntaxNode] = []
+    """Local/field names declared as StringBuilder/StringBuffer in the
+    enclosing method or the enclosing class body."""
+    names = set(member_facts(site.unit, site.context).builders)
     if site.unit is not None and site.node is not None:
-        method = enclosing_method_node(site.unit, site.node)
+        method = unit_index(site.unit).enclosing_method(site.node)
         if method is not None:
-            scopes.append(method)
-    scopes.extend(site.context)
-    for scope in scopes:
-        for node in scope.walk():
-            type_node = None
-            if node.kind in ("local_variable_declaration",
-                             "field_declaration"):
-                type_node = next((c for c in node.children
-                                  if c.kind == "type_identifier"), None)
-            if type_node is None:
-                continue
-            if str(type_node.value or "") in ("StringBuilder",
-                                              "StringBuffer"):
-                for decl in node.children:
-                    if decl.kind == "variable_declarator":
-                        names.add(str(decl.children[0].value))
+            names |= builder_names(method)
     return names
 
 
 def _field_modifiers(site: InvocationSite, name: str) -> tuple[str, ...]:
-    for member in site.context:
-        if member.kind != "field_declaration":
-            continue
-        for decl in member.children:
-            if decl.kind == "variable_declarator" \
-                    and str(decl.children[0].value) == name:
-                mods = next((c.value for c in member.children
-                             if c.kind == "modifiers"), ())
-                return mods if isinstance(mods, tuple) else ()
-    return ()
+    return member_facts(site.unit, site.context).field_modifiers.get(name, ())
 
 
 def _is_enum_constant(site: InvocationSite, name: str) -> bool:
-    if site.unit is None:
-        return False
-    for node in site.unit.root.find_all("enum_constant"):
-        if str(node.children[0].value) == name:
-            return True
-    return False
+    return site.unit is not None \
+        and name in unit_index(site.unit).enum_constants
 
 
 # -- restrictive classification ----------------------------------------------
@@ -325,11 +276,7 @@ def _classify_flexible(site: InvocationSite,
                        resolved: ResolvedValue | None) -> set[str]:
     subtree = site.subtree
     if subtree.kind == "no_body":
-        mods = ()
-        if site.node is not None:
-            mods = next((c.value for c in site.node.children
-                         if c.kind == "modifiers"), ())
-        if isinstance(mods, tuple) and "native" in mods:
+        if site.node is not None and "native" in modifier_words(site.node):
             return {"NATIVD"}
         return {"ABS"}
     if not subtree.children:
@@ -339,13 +286,7 @@ def _classify_flexible(site: InvocationSite,
     text = subtree.text
     native_methods = _unit_native_methods(site)
     unit_methods = _unit_method_names(site)
-    params = []
-    if site.node is not None:
-        fp = next((c for c in site.node.children
-                   if c.kind == "formal_parameters"), None)
-        if fp is not None:
-            params = [str(p.children[1].value) for p in fp.children
-                      if p.kind == "formal_parameter" and len(p.children) > 1]
+    params = method_params(site.node) if site.node is not None else []
     auth_param = params[1] if len(params) > 1 else None
 
     for node in _throws_outside_catch(subtree):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .javaparse import parse_unit
-from .syntax import ParseWarning, SourceUnit, SyntaxNode
+from .syntax import (ParseWarning, SourceUnit, SyntaxNode, child_of_kind,
+                     decl_name, method_body, unit_index)
 
 RESTRICTIVE = "restrictive"
 FLEXIBLE = "flexible"
@@ -120,61 +121,20 @@ def load_config(path: str | Path) -> list[CustomApi]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _line_of(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
-
-
 def _no_body_marker(decl: SyntaxNode) -> SyntaxNode:
     return SyntaxNode("no_body", decl.end, decl.end, [], None, decl.source)
 
 
-def _method_parts(decl: SyntaxNode) -> tuple[str | None, SyntaxNode | None,
-                                             SyntaxNode | None,
-                                             tuple[str, ...]]:
-    """(name, formal_parameters, body block or None, modifier words)."""
-    name = None
-    params = None
-    body = None
-    mods: tuple[str, ...] = ()
-    for child in decl.children:
-        if child.kind == "modifiers" and isinstance(child.value, tuple):
-            mods = child.value
-        elif child.kind == "identifier" and name is None:
-            name = child.value
-        elif child.kind == "formal_parameters":
-            params = child
-        elif child.kind == "block":
-            body = child
-    return name, params, body, mods
-
-
-def _param_types(params: SyntaxNode | None) -> list[str]:
+def _param_types(decl: SyntaxNode) -> list[str]:
+    params = child_of_kind(decl, "formal_parameters")
     if params is None:
         return []
-    out = []
-    for p in params.children:
-        if p.kind == "formal_parameter" and p.children:
-            out.append(str(p.children[0].value or ""))
-    return out
+    return [str(p.children[0].value or "") for p in params.children
+            if p.kind == "formal_parameter" and p.children]
 
 
 def _is_cert_array(type_text: str) -> bool:
     return "Certificate" in type_text and type_text.endswith("[]")
-
-
-def _class_stack(root: SyntaxNode) -> list[tuple[SyntaxNode, str, SyntaxNode]]:
-    """All (type declaration, name, body) triples in the unit, any nesting."""
-    out = []
-    for node in root.walk():
-        if node.kind in ("class_declaration", "interface_declaration",
-                         "enum_declaration"):
-            name = next((c.value for c in node.children
-                         if c.kind == "identifier"), "?")
-            body = next((c for c in node.children
-                         if c.kind in ("class_body", "enum_body")), None)
-            if body is not None:
-                out.append((node, str(name), body))
-    return out
 
 
 def extract_sites(unit: SourceUnit,
@@ -186,29 +146,21 @@ def extract_sites(unit: SourceUnit,
         return []
     extras = extras or []
     sites: list[InvocationSite] = []
-    classes = _class_stack(unit.root)
+    index = unit_index(unit)
 
     def enclosing(node: SyntaxNode) -> tuple[str, str | None, list[SyntaxNode]]:
+        # The innermost type body holding the node, named or not; the
+        # innermost method declared directly in a type body whose span
+        # holds the node's start (methods of anonymous classes do not
+        # count).
         cls_name, ctx = "?", []
-        best_span = None
-        for _, name, body in classes:
-            if body.start <= node.start and node.end <= body.end:
-                span = body.end - body.start
-                if best_span is None or span < best_span:
-                    best_span = span
-                    cls_name, ctx = name, body.children
-        method = None
-        best_m = None
-        for _, _, body in classes:
-            for member in body.children:
-                if member.kind in ("method_declaration",
-                                   "constructor_declaration") \
-                        and member.start <= node.start <= member.end:
-                    span = member.end - member.start
-                    if best_m is None or span < best_m:
-                        best_m = span
-                        method, _, _, _ = _method_parts(member)
-        return cls_name, method, ctx
+        body = index.type_bodies.innermost(node.start, node.end)
+        if body is not None:
+            name = index.type_of_body[id(body)][1]
+            cls_name, ctx = "?" if name is None else name, body.children
+        member = index.member_methods.innermost(node.start, node.start)
+        return (cls_name, decl_name(member) if member is not None else None,
+                ctx)
 
     def add(api: ApiKind, node: SyntaxNode, subtree: SyntaxNode,
             receiver: str = "") -> None:
@@ -223,8 +175,8 @@ def extract_sites(unit: SourceUnit,
             unit=unit,
             node=node,
             receiver_text=receiver,
-            start_line=_line_of(unit.text, node.start),
-            end_line=_line_of(unit.text, max(node.start, node.end - 1)),
+            start_line=index.line_of(node.start),
+            end_line=index.line_of(max(node.start, node.end - 1)),
         ))
 
     want_cipher = RESTRICTIVE_CIPHER_GETINSTANCE in apis
@@ -258,8 +210,9 @@ def extract_sites(unit: SourceUnit,
                 add(RESTRICTIVE_SECRETKEYSPEC, node, args,
                     str(type_node.value))
         elif node.kind == "method_declaration":
-            name, params, body, mods = _method_parts(node)
-            types = _param_types(params)
+            name = decl_name(node)
+            types = _param_types(node)
+            body = method_body(node)
             subtree = body if body is not None else _no_body_marker(node)
             if want_cst and name == "checkServerTrusted":
                 add(FLEXIBLE_CHECK_SERVER_TRUSTED, node, subtree)

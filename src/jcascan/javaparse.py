@@ -34,6 +34,13 @@ KEYWORDS = PRIMITIVE_TYPES | MODIFIER_WORDS | {
     "false", "assert",
 }
 
+# Expressions nest at most this deep (each parenthesis, argument list,
+# index or lambda body opens a level). Deeper input becomes a parse_error
+# node instead of exhausting the interpreter's recursion limit: one level
+# costs seven stack frames, so 64 levels stay far below the default limit
+# of 1000 wherever the parser is called from.
+MAX_EXPRESSION_DEPTH = 64
+
 _MULTI_OPS = [">>>=", ">>>", ">>=", "<<=", "->", "::", "++", "--", "&&",
               "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
               "&=", "|=", "^=", "<<", ">>"]
@@ -210,6 +217,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.warnings: list[ParseWarning] = []
+        self.expression_depth = 0
 
     # -- token helpers -------------------------------------------------
 
@@ -943,7 +951,15 @@ class Parser:
     # -- expressions -----------------------------------------------------
 
     def parse_expression(self) -> SyntaxNode:
-        return self._assignment()
+        if self.expression_depth >= MAX_EXPRESSION_DEPTH:
+            raise ParseError("expression nested deeper than "
+                             f"{MAX_EXPRESSION_DEPTH} levels",
+                             self.peek().start)
+        self.expression_depth += 1
+        try:
+            return self._assignment()
+        finally:
+            self.expression_depth -= 1
 
     def _assignment(self) -> SyntaxNode:
         left = self._ternary()
@@ -979,16 +995,23 @@ class Parser:
         ("+", "-"),
         ("*", "/", "%"),
     ]
+    _LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE)
+              for op in ops}
 
     def _binary(self, level: int) -> SyntaxNode:
-        if level >= len(self._PRECEDENCE):
-            return self._unary()
-        ops = self._PRECEDENCE[level]
-        left = self._binary(level + 1)
+        """Binary operators binding at ``level`` or tighter, all
+        left-associative (precedence climbing: one frame per operand
+        instead of one per precedence level)."""
+        left = self._unary()
+        # No operator may bind tighter than the one before it: after
+        # ``x instanceof T`` a shift or additive operator ends the operand.
+        ceiling = len(self._PRECEDENCE)
         while True:
             tok = self.peek()
-            if tok.text not in ops:
+            op_level = self._LEVEL.get(tok.text)
+            if op_level is None or not level <= op_level <= ceiling:
                 return left
+            ceiling = op_level
             if tok.text == "instanceof":
                 self.advance()
                 type_node = self.parse_type()
@@ -1001,7 +1024,7 @@ class Parser:
                                  type_node.end, [left, type_node])
                 continue
             self.advance()
-            right = self._binary(level + 1)
+            right = self._binary(op_level + 1)
             left = self.node("binary_expression", left.start, right.end,
                              [left, right], value=tok.text)
 

@@ -24,7 +24,9 @@ import re
 from dataclasses import dataclass, field
 
 from .ingest import InvocationSite
-from .syntax import SourceUnit, SyntaxNode, string_literals
+from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
+                     member_facts, method_body, method_params,
+                     modifier_words, string_literals, type_body, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -299,77 +301,27 @@ def _decode_bytes(raw: bytes) -> str:
 
 # -- unit-level lookups --------------------------------------------------
 
-def _type_decls(root: SyntaxNode):
-    for node in root.walk():
-        if node.kind in ("class_declaration", "interface_declaration",
-                         "enum_declaration"):
-            name = next((c.value for c in node.children
-                         if c.kind == "identifier"), None)
-            body = next((c for c in node.children
-                         if c.kind in ("class_body", "enum_body")), None)
-            if name and body is not None:
-                yield node, str(name), body
-
-
 def _find_class(unit: SourceUnit, name: str) -> SyntaxNode | None:
-    for decl, cname, _ in _type_decls(unit.root):
-        if cname == name:
-            return decl
-    return None
+    """The first named type declaration called ``name``, in pre-order."""
+    return unit_index(unit).first_type.get(name)
 
 
 def enclosing_method_node(unit: SourceUnit,
                           node: SyntaxNode) -> SyntaxNode | None:
-    best = None
-    for cand in unit.root.walk():
-        if cand.kind in ("method_declaration", "constructor_declaration") \
-                and cand.start <= node.start and node.end <= cand.end:
-            if best is None or (cand.end - cand.start) < (best.end - best.start):
-                best = cand
-    return best
-
-
-def _method_body(decl: SyntaxNode) -> SyntaxNode | None:
-    return next((c for c in decl.children if c.kind == "block"), None)
-
-
-def _method_name(decl: SyntaxNode) -> str | None:
-    val = next((c.value for c in decl.children if c.kind == "identifier"),
-               None)
-    return str(val) if val is not None else None
-
-
-def _method_params(decl: SyntaxNode) -> list[str]:
-    params = next((c for c in decl.children
-                   if c.kind == "formal_parameters"), None)
-    if params is None:
-        return []
-    return [str(p.children[1].value) for p in params.children
-            if p.kind == "formal_parameter" and len(p.children) >= 2]
-
-
-def _modifier_words(decl: SyntaxNode) -> tuple[str, ...]:
-    mods = next((c for c in decl.children if c.kind == "modifiers"), None)
-    return mods.value if mods is not None and isinstance(mods.value, tuple) \
-        else ()
+    """Smallest method or constructor declaration containing ``node``."""
+    return unit_index(unit).enclosing_method(node)
 
 
 def _class_members(unit: SourceUnit, class_body: SyntaxNode):
     """Members of the class plus its direct same-unit superclass."""
     members = list(class_body.children)
-    owner = None
-    for decl, _, body in _type_decls(unit.root):
-        if body is class_body:
-            owner = decl
-            break
+    owner = unit_index(unit).named_owner(class_body)
     if owner is not None:
         supers = [c for c in owner.children if c.kind == "type_identifier"]
         for sup in supers:
             sup_decl = _find_class(unit, str(sup.value).split("<")[0])
             if sup_decl is not None:
-                sup_body = next((c for c in sup_decl.children
-                                 if c.kind in ("class_body", "enum_body")),
-                                None)
+                sup_body = type_body(sup_decl)
                 if sup_body is not None:
                     members.extend(sup_body.children)
     return members
@@ -377,17 +329,16 @@ def _class_members(unit: SourceUnit, class_body: SyntaxNode):
 
 def _enum_model(unit: SourceUnit, enum_decl: SyntaxNode) -> dict[str, EnumConst]:
     """Map constant name → EnumConst with constructor-bound fields."""
-    name = _method_name(enum_decl) or "?"
-    body = next((c for c in enum_decl.children if c.kind == "enum_body"), None)
+    name = decl_name(enum_decl) or "?"
+    body = child_of_kind(enum_decl, "enum_body")
     if body is None:
         return {}
-    ctor = next((m for m in body.children
-                 if m.kind == "constructor_declaration"), None)
-    param_names = _method_params(ctor) if ctor is not None else []
+    ctor = child_of_kind(body, "constructor_declaration")
+    param_names = method_params(ctor) if ctor is not None else []
     # this.field = param assignments in the constructor body.
     field_of_param: dict[str, str] = {}
     if ctor is not None:
-        cbody = _method_body(ctor)
+        cbody = method_body(ctor)
         if cbody is not None:
             for stmt in cbody.find_all("assignment_expression"):
                 lhs, rhs = stmt.children[0], stmt.children[1]
@@ -483,10 +434,10 @@ class _Interp:
                     this_fields: dict[str, object] | None = None):
         if self.call_depth >= self.ctx.budget.max_call_depth:
             raise _NotConcrete
-        body = _method_body(decl)
+        body = method_body(decl)
         if body is None:
             raise _NotConcrete
-        params = _method_params(decl)
+        params = method_params(decl)
         if len(params) != len(args):
             raise _NotConcrete
         env = dict(zip(params, args))
@@ -987,10 +938,7 @@ class _Interp:
         raise _NotConcrete
 
     def _static_field(self, name: str, cls: SyntaxNode | None = None):
-        body = None
-        if cls is not None:
-            body = next((c for c in cls.children
-                         if c.kind in ("class_body", "enum_body")), None)
+        body = type_body(cls) if cls is not None else None
         members = _class_members(self.unit, body) if body is not None else (
             _class_members(self.unit, self.class_body)
             if self.class_body is not None else [])
@@ -1104,10 +1052,7 @@ class _Interp:
                    args_node: SyntaxNode, env: dict, fields: dict,
                    this_fields: dict[str, object] | None = None,
                    evaluated: list | None = None):
-        body = None
-        if cls is not None:
-            body = next((c for c in cls.children
-                         if c.kind in ("class_body", "enum_body")), None)
+        body = type_body(cls) if cls is not None else None
         members = _class_members(self.unit, body) if body is not None else (
             _class_members(self.unit, self.class_body)
             if self.class_body is not None else [])
@@ -1115,13 +1060,13 @@ class _Interp:
         decl = None
         for member in members:
             if member.kind == "method_declaration" \
-                    and _method_name(member) == name \
-                    and len(_method_params(member)) == n_args:
+                    and decl_name(member) == name \
+                    and len(method_params(member)) == n_args:
                 decl = member
                 break
         if decl is None:
             raise _NotConcrete
-        if "native" in _modifier_words(decl) or _method_body(decl) is None:
+        if "native" in modifier_words(decl) or method_body(decl) is None:
             raise _NotConcrete
         self.ctx.touch(decl)
         args = evaluated if evaluated is not None else [
@@ -1279,13 +1224,10 @@ class _Abstract:
             if site.node is not None else None
 
     def _site_class_body(self) -> SyntaxNode | None:
+        """The named type body the site's context members belong to."""
         if not self.site.context:
             return None
-        first = self.site.context[0]
-        for _, _, body in _type_decls(self.unit.root):
-            if any(c is first for c in body.children):
-                return body
-        return None
+        return unit_index(self.unit).member_body.get(id(self.site.context[0]))
 
     # --- top level ---
 
@@ -1310,7 +1252,7 @@ class _Abstract:
         method = enclosing_method_node(self.unit, expr)
         if method is None:
             return _MISSING
-        body = _method_body(method)
+        body = method_body(method)
         if body is None:
             return _MISSING
         saved_steps = self.ctx.steps
@@ -1459,7 +1401,7 @@ class _Abstract:
             return env[name]
         method = enclosing_method_node(self.unit, node)
         if method is not None:
-            if name in _method_params(method):
+            if name in method_params(method):
                 self.ctx.note("external-input", node, name)
                 return _VS.residual(EXTERNAL_INPUT)
             definition = self._last_local_def(method, name, node.start)
@@ -1484,7 +1426,7 @@ class _Abstract:
 
     def _last_local_def(self, method: SyntaxNode, name: str,
                         before: int) -> SyntaxNode | None:
-        body = _method_body(method)
+        body = method_body(method)
         if body is None:
             return None
         best: SyntaxNode | None = None
@@ -1518,7 +1460,10 @@ class _Abstract:
         return None
 
     def _enum_constant(self, name: str) -> EnumConst | None:
-        for decl, _, body in _type_decls(self.unit.root):
+        index = unit_index(self.unit)
+        if name not in index.enum_constants:
+            return None
+        for decl, _, _ in index.named_types:
             if decl.kind != "enum_declaration":
                 continue
             model = _enum_model(self.unit, decl)
@@ -1547,8 +1492,7 @@ class _Abstract:
                     if name in model:
                         self.ctx.note("enum-constant", node, name)
                         return _VS.of(model[name])
-                cbody = next((c for c in cls.children
-                              if c.kind in ("class_body", "enum_body")), None)
+                cbody = type_body(cls)
                 init = self._field_init(name, cbody)
                 if init is not None:
                     if depth >= self.ctx.budget.max_indirection + 1:
@@ -1801,27 +1745,24 @@ class _Abstract:
                            node: SyntaxNode, depth: int,
                            this_fields: dict[str, object] | None = None
                            ) -> _VS:
-        body = None
-        if cls is not None:
-            body = next((c for c in cls.children
-                         if c.kind in ("class_body", "enum_body")), None)
+        body = type_body(cls) if cls is not None else None
         members = _class_members(self.unit, body) if body is not None else (
             _class_members(self.unit, self.class_body)
             if self.class_body is not None else [])
         decl = None
         for member in members:
             if member.kind == "method_declaration" \
-                    and _method_name(member) == name \
-                    and len(_method_params(member)) == len(args_node.children):
+                    and decl_name(member) == name \
+                    and len(method_params(member)) == len(args_node.children):
                 decl = member
                 break
         if decl is None:
             self.ctx.note("unresolved-call", node, name)
             return _VS.residual(UNKNOWN)
-        if "native" in _modifier_words(decl):
+        if "native" in modifier_words(decl):
             self.ctx.note("native-call", node, name)
             return _VS.residual(NATIVE)
-        if _method_body(decl) is None:
+        if method_body(decl) is None:
             return _VS.residual(UNKNOWN)
         self.ctx.touch(decl)
 
@@ -1852,9 +1793,9 @@ class _Abstract:
         if depth >= self.ctx.budget.max_indirection + 1:
             return _VS.residual(DEPTH_EXCEEDED)
         self.ctx.note("method-returns", node, name)
-        params = _method_params(decl)
+        params = method_params(decl)
         env = dict(zip(params, arg_sets))
-        body_block = _method_body(decl)
+        body_block = method_body(decl)
         out = _VS(set(), set())
         for ret in body_block.find_all("return_statement"):
             if not ret.children:
@@ -1920,14 +1861,6 @@ def resolve(expr: SyntaxNode, site: InvocationSite,
     return ResolvedValue(candidates=candidates, residuals=residuals,
                          trace=list(ctx.trace), raw_candidates=raw,
                          touched_literals=set(ctx.visible))
-
-
-def resolve_arguments(site: InvocationSite,
-                      budget: ResolutionBudget | None = None
-                      ) -> list[ResolvedValue]:
-    if site.subtree.kind != "argument_list":
-        return []
-    return [resolve(arg, site, budget) for arg in site.subtree.children]
 
 
 def resolve_site(site: InvocationSite,
@@ -2001,5 +1934,5 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
         method = enclosing_method_node(site.unit, site.node)
         if method is not None and feeds(method):
             return True
-    return any(member.kind == "field_declaration" and feeds(member)
-               for member in site.context)
+    return any(feeds(member)
+               for member in member_facts(site.unit, site.context).fields)

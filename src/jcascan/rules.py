@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 from .classify import LabelSet
 from .ingest import InvocationSite
-from .resolve import (NATIVE, ResolvedValue, _method_body,
-                      enclosing_method_node, has_encrypted_param_pattern,
-                      visible_literals)
-from .syntax import SyntaxNode
+from .resolve import (NATIVE, ResolvedValue, enclosing_method_node,
+                      has_encrypted_param_pattern, visible_literals)
+from .syntax import SyntaxNode, method_body, unit_index
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -285,15 +284,10 @@ def check_key_material(site: InvocationSite,
 
 def _find_unit_method(site: InvocationSite,
                       name: str) -> SyntaxNode | None:
+    """The first method declaration called ``name`` in the site's unit."""
     if site.unit is None:
         return None
-    for node in site.unit.root.walk():
-        if node.kind == "method_declaration":
-            mname = next((c.value for c in node.children
-                          if c.kind == "identifier"), None)
-            if mname == name:
-                return node
-    return None
+    return unit_index(site.unit).first_method.get(name)
 
 
 def _trivially_accepts(body: SyntaxNode | None) -> bool:
@@ -324,7 +318,7 @@ def _delegates_to_noop(site: InvocationSite, hops: int = 2) -> str | None:
                 decl = _find_unit_method(site, name)
                 if decl is None:
                     continue
-                target_body = _method_body(decl)
+                target_body = method_body(decl)
                 if _trivially_accepts(target_body):
                     return name
                 if target_body is not None:

@@ -100,6 +100,23 @@ class TestScan:
         with pytest.raises(SystemExit):
             main(["scan", str(error_corpus), "--apis", "bogus"])
 
+    @pytest.mark.parametrize("depth", [100, 1000])
+    def test_deeply_nested_argument_is_a_warning(self, depth, tmp_path):
+        corpus = tmp_path / "deep"
+        corpus.mkdir()
+        nested = "(" * depth + '"AES"' + ")" * depth
+        (corpus / "Deep.java").write_text(
+            "import javax.crypto.Cipher;\nclass Deep {\n"
+            "    void m() throws Exception {\n"
+            f"        Cipher.getInstance({nested});\n"
+            '        Cipher.getInstance("DES");\n    }\n}\n')
+        out = tmp_path / "r.jsonl"
+        assert main(["scan", str(corpus), "-o", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert records[-1]["summary"]["parse_warnings"] == 1
+        # The rest of the file still parses: the second site is reported.
+        assert [r["findings"][0]["rule_id"] for r in records[:-1]] == ["R1"]
+
 
 class TestSampleAndReport:
     def test_sample_plan_selects_whole_small_stratum(self, error_corpus,

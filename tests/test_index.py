@@ -1,0 +1,472 @@
+"""The per-unit syntax index against the whole-tree walks it replaced, and
+the cost of analyzing a unit as it grows.
+
+The ``ref_*`` functions are the walk-based helpers the analysis used before
+it read whole-unit facts from ``UnitIndex``; every index lookup must return
+what they return.
+"""
+
+from __future__ import annotations
+
+import weakref
+
+import pytest
+
+import conftest
+from jcascan.classify import _declared_builders, _field_modifiers
+from jcascan.ingest import extract_sites
+from jcascan.javaparse import parse_unit
+from jcascan.report import analyze_site
+from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
+                             _Ctx, _enum_model, _find_class,
+                             enclosing_method_node)
+from jcascan.rules import _find_unit_method
+from jcascan.syntax import SyntaxNode, decl_name, member_facts, unit_index
+
+# -- reference implementations (whole-tree walks) ---------------------------
+
+
+def ref_type_decls(root):
+    """Named type declarations with a body, in pre-order (resolve)."""
+    for node in root.walk():
+        if node.kind in ("class_declaration", "interface_declaration",
+                         "enum_declaration"):
+            name = next((c.value for c in node.children
+                         if c.kind == "identifier"), None)
+            body = next((c for c in node.children
+                         if c.kind in ("class_body", "enum_body")), None)
+            if name and body is not None:
+                yield node, str(name), body
+
+
+def ref_class_stack(root):
+    """Every type declaration with a body, nameless ones as "?" (ingest)."""
+    out = []
+    for node in root.walk():
+        if node.kind in ("class_declaration", "interface_declaration",
+                         "enum_declaration"):
+            name = next((c.value for c in node.children
+                         if c.kind == "identifier"), "?")
+            body = next((c for c in node.children
+                         if c.kind in ("class_body", "enum_body")), None)
+            if body is not None:
+                out.append((node, str(name), body))
+    return out
+
+
+def ref_find_class(unit, name):
+    for decl, cname, _ in ref_type_decls(unit.root):
+        if cname == name:
+            return decl
+    return None
+
+
+def ref_enclosing_method_node(unit, node):
+    best = None
+    for cand in unit.root.walk():
+        if cand.kind in ("method_declaration", "constructor_declaration") \
+                and cand.start <= node.start and node.end <= cand.end:
+            if best is None or (cand.end - cand.start) < (best.end - best.start):
+                best = cand
+    return best
+
+
+def ref_ingest_enclosing(unit, node):
+    """(class name, method name, context) as extract_sites computed them."""
+    classes = ref_class_stack(unit.root)
+    cls_name, ctx = "?", []
+    best_span = None
+    for _, name, body in classes:
+        if body.start <= node.start and node.end <= body.end:
+            span = body.end - body.start
+            if best_span is None or span < best_span:
+                best_span = span
+                cls_name, ctx = name, body.children
+    method = None
+    best_m = None
+    for _, _, body in classes:
+        for member in body.children:
+            if member.kind in ("method_declaration",
+                               "constructor_declaration") \
+                    and member.start <= node.start <= member.end:
+                span = member.end - member.start
+                if best_m is None or span < best_m:
+                    best_m = span
+                    method = next((c.value for c in member.children
+                                   if c.kind == "identifier"), None)
+    return cls_name, method, ctx
+
+
+def ref_class_members(unit, class_body):
+    members = list(class_body.children)
+    owner = None
+    for decl, _, body in ref_type_decls(unit.root):
+        if body is class_body:
+            owner = decl
+            break
+    if owner is not None:
+        for sup in (c for c in owner.children if c.kind == "type_identifier"):
+            sup_decl = ref_find_class(unit, str(sup.value).split("<")[0])
+            if sup_decl is not None:
+                sup_body = next((c for c in sup_decl.children
+                                 if c.kind in ("class_body", "enum_body")),
+                                None)
+                if sup_body is not None:
+                    members.extend(sup_body.children)
+    return members
+
+
+def ref_site_class_body(unit, site):
+    if not site.context:
+        return None
+    first = site.context[0]
+    for _, _, body in ref_type_decls(unit.root):
+        if any(c is first for c in body.children):
+            return body
+    return None
+
+
+def ref_enum_constant(unit, name):
+    for decl, _, _ in ref_type_decls(unit.root):
+        if decl.kind != "enum_declaration":
+            continue
+        model = _enum_model(unit, decl)
+        if name in model:
+            return model[name]
+    return None
+
+
+def ref_unit_native_methods(unit):
+    names = set()
+    for node in unit.root.walk():
+        if node.kind != "method_declaration":
+            continue
+        mods = next((c.value for c in node.children if c.kind == "modifiers"),
+                    ())
+        if isinstance(mods, tuple) and "native" in mods:
+            name = next((c.value for c in node.children
+                         if c.kind == "identifier"), None)
+            if name:
+                names.add(str(name))
+    return names
+
+
+def ref_unit_method_names(unit):
+    names = set()
+    for node in unit.root.walk():
+        if node.kind == "method_declaration":
+            name = next((c.value for c in node.children
+                         if c.kind == "identifier"), None)
+            if name:
+                names.add(str(name))
+    return names
+
+
+def ref_enum_constant_names(unit):
+    return {str(n.children[0].value) for n in unit.root.find_all("enum_constant")}
+
+
+def ref_declared_builders(site):
+    names = set()
+    scopes = []
+    if site.unit is not None and site.node is not None:
+        method = ref_enclosing_method_node(site.unit, site.node)
+        if method is not None:
+            scopes.append(method)
+    scopes.extend(site.context)
+    for scope in scopes:
+        for node in scope.walk():
+            type_node = None
+            if node.kind in ("local_variable_declaration",
+                             "field_declaration"):
+                type_node = next((c for c in node.children
+                                  if c.kind == "type_identifier"), None)
+            if type_node is None:
+                continue
+            if str(type_node.value or "") in ("StringBuilder",
+                                              "StringBuffer"):
+                for decl in node.children:
+                    if decl.kind == "variable_declarator":
+                        names.add(str(decl.children[0].value))
+    return names
+
+
+def ref_field_modifiers(site, name):
+    for member in site.context:
+        if member.kind != "field_declaration":
+            continue
+        for decl in member.children:
+            if decl.kind == "variable_declarator" \
+                    and str(decl.children[0].value) == name:
+                mods = next((c.value for c in member.children
+                             if c.kind == "modifiers"), ())
+                return mods if isinstance(mods, tuple) else ()
+    return ()
+
+
+def ref_find_unit_method(unit, name):
+    for node in unit.root.walk():
+        if node.kind == "method_declaration":
+            mname = next((c.value for c in node.children
+                          if c.kind == "identifier"), None)
+            if mname == name:
+                return node
+    return None
+
+
+def ref_line_of(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+
+# -- units ------------------------------------------------------------------
+
+NESTED_SRC = '''
+package p;
+import javax.crypto.Cipher;
+public class Outer extends Base {
+    static final String MODE = "AES/CBC/PKCS5Padding";
+    private StringBuilder log = new StringBuilder();
+    Outer() { this(MODE); }
+    Outer(String m) { StringBuffer sb = new StringBuffer(m); }
+    public native String nat(int k);
+    String pick(int i) { return i > 0 ? "DES" : MODE; }
+    void run() throws Exception {
+        Cipher.getInstance(pick(1));
+        Runnable r = new Runnable() {
+            public void run() {
+                StringBuilder inner = new StringBuilder("x");
+                Cipher.getInstance(inner.toString());
+            }
+        };
+        class Local {
+            String pick(int i) { return "RC4"; }
+            void go() throws Exception { Cipher.getInstance(pick(2)); }
+        }
+    }
+    static class Inner {
+        String pick(int i) { return "AES"; }
+        void run() throws Exception { Cipher.getInstance(Mode.B.name()); }
+        class Deeper {
+            void run() throws Exception { Cipher.getInstance(nat(3)); }
+        }
+    }
+    enum Mode {
+        A("AES"), B("DES");
+        private final String v;
+        Mode(String v) { this.v = v; }
+        String get() { return v; }
+    }
+}
+class Base {
+    static final String BASE = "RC2";
+    String pick(int i) { return BASE; }
+}
+interface Shape { String pick(int i); }
+'''
+
+# Declarations with no whitespace between them: a member's end offset is
+# the next member's start offset.
+TOUCHING_SRC = (
+    "import javax.crypto.Cipher;"
+    "class T{abstract void a();void checkServerTrusted(X509Certificate[] c,"
+    "String s){}native String n();void b(){Cipher.getInstance(n());}}"
+    "class U{void c(){}void d(){Cipher.getInstance(\"DES\");}}")
+
+
+def _generated(n_classes: int) -> str:
+    """Same-named methods in several classes, nested and anonymous."""
+    parts = ["import javax.crypto.Cipher;"]
+    for k in range(n_classes):
+        parts.append(f'''
+class C{k} {{
+    static String KEY = "K{k}";
+    String name() {{ return "AES/ECB/PKCS5Padding"; }}
+    void use() throws Exception {{ Cipher.getInstance(name() + KEY); }}
+    static class S{k} {{
+        String name() {{ return "DES"; }}
+        native String secret();
+        void use() throws Exception {{
+            StringBuilder b = new StringBuilder();
+            Cipher.getInstance(b.append(name()).toString());
+        }}
+    }}
+    Object anon() {{
+        return new Object() {{
+            String name() {{ return "RC4"; }}
+            void use() throws Exception {{ Cipher.getInstance(name()); }}
+        }};
+    }}
+}}
+enum E{k} {{ X{k}, Y{k}; }}''')
+    return "\n".join(parts)
+
+
+def _units():
+    sources = {name: value for name, value in vars(conftest).items()
+               if name.endswith("_SRC") and isinstance(value, str)}
+    sources["NESTED_SRC"] = NESTED_SRC
+    sources["TOUCHING_SRC"] = TOUCHING_SRC
+    sources["GENERATED_SRC"] = _generated(4)
+    return [pytest.param(parse_unit(f"{name}.java", src), id=name)
+            for name, src in sorted(sources.items())]
+
+
+# -- lookups equal their references -----------------------------------------
+
+@pytest.mark.parametrize("unit", _units())
+def test_enclosing_method_matches_reference(unit):
+    for node in unit.root.walk():
+        assert enclosing_method_node(unit, node) \
+            is ref_enclosing_method_node(unit, node)
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_ingest_enclosing_matches_reference(unit):
+    index = unit_index(unit)
+    for node in unit.root.walk():
+        cls_name, method, ctx = ref_ingest_enclosing(unit, node)
+        body = index.type_bodies.innermost(node.start, node.end)
+        if body is None:
+            assert (cls_name, ctx) == ("?", [])
+        else:
+            assert body.children is ctx
+            assert index.type_of_body[id(body)][1] == cls_name
+        member = index.member_methods.innermost(node.start, node.start)
+        assert (None if member is None else decl_name(member)) == method
+    for site in extract_sites(unit):
+        cls_name, method, ctx = ref_ingest_enclosing(unit, site.node)
+        assert (site.enclosing_class, site.enclosing_method) \
+            == (cls_name, method)
+        assert site.context is ctx or (site.context == [] and ctx == [])
+        assert site.start_line == ref_line_of(unit.text, site.node.start)
+        assert site.end_line == ref_line_of(
+            unit.text, max(site.node.start, site.node.end - 1))
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_unit_facts_match_reference(unit):
+    index = unit_index(unit)
+    assert index.method_names == ref_unit_method_names(unit)
+    assert index.native_methods == ref_unit_native_methods(unit)
+    assert index.enum_constants == ref_enum_constant_names(unit)
+    for offset in range(len(unit.text) + 2):
+        assert index.line_of(offset) == ref_line_of(unit.text, offset)
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_name_lookups_match_reference(unit):
+    type_names = {name for _, name, _ in ref_class_stack(unit.root)}
+    for name in sorted(type_names | {"Missing", "?"}):
+        assert _find_class(unit, name) is ref_find_class(unit, name)
+    site = extract_sites(unit)[0]
+    for name in sorted(ref_unit_method_names(unit) | {"missing"}):
+        assert _find_unit_method(site, name) \
+            is ref_find_unit_method(unit, name)
+    for _, _, body in ref_class_stack(unit.root):
+        members = _class_members(unit, body)
+        expected = ref_class_members(unit, body)
+        assert len(members) == len(expected)
+        assert all(a is b for a, b in zip(members, expected))
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_site_lookups_match_reference(unit):
+    for site in extract_sites(unit):
+        engine = _Abstract(_Ctx(ResolutionBudget()), unit, site)
+        assert engine.class_body is ref_site_class_body(unit, site)
+        assert _declared_builders(site) == ref_declared_builders(site)
+        fields = [m for m in site.context if m.kind == "field_declaration"]
+        assert list(member_facts(unit, site.context).fields) == fields
+        names = {str(d.children[0].value) for m in fields
+                 for d in m.children if d.kind == "variable_declarator"}
+        for name in sorted(names | {"missing"}):
+            assert _field_modifiers(site, name) \
+                == ref_field_modifiers(site, name)
+        for name in sorted(ref_enum_constant_names(unit) | {"missing"}):
+            assert engine._enum_constant(name) \
+                == ref_enum_constant(unit, name)
+
+
+def test_bench_corpus_matches_reference(bench_corpus):
+    root, _ = bench_corpus
+    checks = (test_enclosing_method_matches_reference,
+              test_ingest_enclosing_matches_reference,
+              test_unit_facts_match_reference,
+              test_name_lookups_match_reference,
+              test_site_lookups_match_reference)
+    for path in sorted(root.rglob("*.java")):
+        unit = parse_unit(str(path), path.read_text(encoding="utf-8"))
+        for check in checks:
+            check(unit)
+
+
+def test_index_is_dropped_with_its_unit():
+    unit = parse_unit("A.java", NESTED_SRC)
+    index = weakref.ref(unit_index(unit))
+    assert index() is unit_index(unit)
+    del unit
+    assert index() is None
+
+
+def test_index_follows_the_unit_analyzed():
+    first = parse_unit("A.java", NESTED_SRC)
+    second = parse_unit("B.java", TOUCHING_SRC)
+    assert unit_index(first) is unit_index(first)
+    assert "Mode" in unit_index(first).first_type
+    assert "Mode" not in unit_index(second).first_type
+    assert "Mode" in unit_index(first).first_type
+
+
+# -- cost per site stays flat as the unit grows -----------------------------
+
+def _large_unit(n_methods: int) -> str:
+    """One class of ``n_methods`` site-holding methods, in the shapes of a
+    decompiled class: literals, locals, fields, helpers, trust managers."""
+    body = ['    static final String MODE = "AES/CBC/PKCS5Padding";',
+            '    String helper(int k) { return k > 0 ? "DES" : MODE; }']
+    for i in range(n_methods):
+        shape = i % 5
+        if shape == 0:
+            stmt = 'Cipher.getInstance("AES/ECB/PKCS5Padding");'
+        elif shape == 1:
+            stmt = f'String t{i} = "RSA/ECB/PKCS1Padding"; ' \
+                   f'Cipher.getInstance(t{i});'
+        elif shape == 2:
+            stmt = 'Cipher.getInstance(MODE + "");'
+        elif shape == 3:
+            stmt = f'Cipher.getInstance(helper({i}));'
+        else:
+            body.append(f'''    class Tm{i} implements X509TrustManager {{
+        public void checkServerTrusted(X509Certificate[] c, String a) {{
+            Log.d("tm", a);
+        }}
+    }}''')
+            continue
+        body.append(f"    void m{i}() throws Exception {{ {stmt} }}")
+    return ("import javax.crypto.Cipher;\npublic class Big {\n"
+            + "\n".join(body) + "\n}\n")
+
+
+def _walk_visits(n_methods: int, monkeypatch) -> int:
+    unit = parse_unit("Big.java", _large_unit(n_methods))
+    visits = 0
+    original = SyntaxNode.walk
+
+    def counting_walk(self):
+        nonlocal visits
+        for node in original(self):
+            visits += 1
+            yield node
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SyntaxNode, "walk", counting_walk)
+        for site in extract_sites(unit):
+            analyze_site(site)
+    return visits
+
+
+def test_walk_visits_grow_linearly(monkeypatch):
+    small = _walk_visits(50, monkeypatch)
+    large = _walk_visits(200, monkeypatch)
+    # Linear growth gives 4x; one whole-unit walk per site gives ~16x.
+    assert large <= 5 * small, (small, large)

@@ -119,6 +119,53 @@ class TestRecovery:
         unit = parse_unit("Empty.java", "")
         assert unit.parse_failed or not unit.root.children
 
+    def test_nesting_within_limit_parses_without_warning(self):
+        nested = "(" * 60 + '"AES"' + ")" * 60
+        unit = parse_unit("Deep.java", "class A { void m() { "
+                          f"Cipher.getInstance({nested}); }} }}")
+        assert unit.warnings == []
+        assert string_literals(unit.root) == {"AES"}
+
+    def test_nesting_beyond_limit_becomes_parse_error(self):
+        nested = "(" * 100 + "1" + ")" * 100
+        unit = parse_unit("Deep.java", "class A { void m() { x = "
+                          f"{nested}; m(); }} }}")
+        assert len(unit.warnings) == 1
+        assert "nested deeper" in unit.warnings[0].message
+        kinds = [n.kind for n in unit.root.walk()]
+        assert "parse_error" in kinds and "method_invocation" in kinds
+
+
+def _shape(node) -> str:
+    """Binary and instanceof structure of an expression, parenthesized."""
+    if node.kind == "binary_expression":
+        left, right = node.children
+        return f"({_shape(left)} {node.value} {_shape(right)})"
+    if node.kind == "instanceof_expression":
+        return f"({_shape(node.children[0])} instanceof {node.children[1].value})"
+    return node.text
+
+
+class TestOperatorPrecedence:
+    @pytest.mark.parametrize("expr, shape", [
+        ("a + b * c - d", "((a + (b * c)) - d)"),
+        ("a || b && c | d ^ e & f", "(a || (b && (c | (d ^ (e & f)))))"),
+        ("a == b < c << d + e", "(a == (b < (c << (d + e))))"),
+        ("a < b instanceof T == c", "(((a < b) instanceof T) == c)"),
+        ("a && b instanceof T", "(a && (b instanceof T))"),
+        ("a - b - c * d / e", "((a - b) - ((c * d) / e))"),
+    ])
+    def test_binary_tree_shape(self, expr, shape):
+        unit = parse(f"class A {{ void m() {{ x = {expr}; }} }}")
+        assign = unit.root.find_all("assignment_expression")[0]
+        assert _shape(assign.children[1]) == shape
+
+    def test_tighter_operator_after_instanceof_ends_expression(self):
+        # `x instanceof T >> 1` is not Java; the parser must stop at `>>`
+        # rather than bind it to the instanceof operand.
+        unit = parse("class A { void m() { x = y instanceof T >> 1; } }")
+        assert any(n.kind == "parse_error" for n in unit.root.walk())
+
 
 _ident = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 _lit = st.text(alphabet=string.ascii_letters + "/-", min_size=0,
