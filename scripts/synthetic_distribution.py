@@ -17,8 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jcascan.complexity import ranged_key, score, stratify, score_site
-from jcascan.ingest import RESTRICTIVE, scan_corpus
+from jcascan.complexity import score
+from jcascan.ingest import FLEXIBLE, RESTRICTIVE
+from jcascan.report import analyze_corpus, summary_record
 
 SAFE = ["AES/GCM/NoPadding", "RSA/ECB/OAEPWithSHA-256AndMGF1Padding",
         "ChaCha20-Poly1305", "AES/CTR/NoPadding"]
@@ -92,15 +93,12 @@ def generate_synthetic_corpus(outdir: Path, seed: int = 0,
 
 
 def distribution(corpus: Path) -> dict:
-    sites, _ = scan_corpus(corpus)
-    restrictive = [s for s in sites if s.api.category == RESTRICTIVE]
-    flexible = [s for s in sites if s.api.category != RESTRICTIVE]
-    r_strata = stratify(restrictive, [score_site(s) for s in restrictive],
-                        mode="exact")
-    f_strata = stratify(flexible, [score_site(s, "ranged")
-                                   for s in flexible], mode="ranged")
-    return {"restrictive": {st.key: st.population for st in r_strata},
-            "flexible": {st.key: st.population for st in f_strata}}
+    """Stratum populations of the scan summary, per category."""
+    analyses, _ = analyze_corpus(corpus)
+    strata = summary_record(analyses)["summary"]["strata"]
+    return {category: {row["key"]: row["population"]
+                       for row in strata[category]}
+            for category in (RESTRICTIVE, FLEXIBLE)}
 
 
 def main() -> int:

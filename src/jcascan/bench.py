@@ -16,11 +16,10 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import classify
-from .ingest import RESTRICTIVE, FLEXIBLE, InvocationSite, extract_sites
+from .ingest import RESTRICTIVE, FLEXIBLE, extract_sites
 from .javaparse import parse_unit
-from .resolve import resolve_site
-from .rules import ERROR, WARNING, INFO, MisuseFinding, check_site
+from .report import analyze_corpus
+from .rules import ERROR, WARNING, INFO
 
 DETECTED = "DETECTED"
 PARTIAL = "PARTIAL"
@@ -522,26 +521,18 @@ def load_manifest(corpus_dir: str | Path) -> list[BenchmarkCase]:
     return cases
 
 
-def _analyze_site(site: InvocationSite) -> list[MisuseFinding]:
-    resolved = resolve_site(site) if site.api.category == RESTRICTIVE \
-        else None
-    labels = classify(site, resolved)
-    return check_site(site, resolved, labels)
-
-
 def self_report(corpus_dir: str | Path) -> ToolReport:
-    """Run the bundled pipeline over the corpus; rows in file order."""
+    """Run the bundled pipeline (`analyze_corpus`) over the corpus; one
+    row per finding in (path, offset) order, files relative to the corpus
+    root."""
     root = Path(corpus_dir)
+    analyses, _ = analyze_corpus(root)
     rows: list[tuple[str, int, int, str, str]] = []
-    for path in sorted(root.rglob("*.java")):
-        unit = parse_unit(str(path.relative_to(root)),
-                          path.read_text(encoding="utf-8"))
-        if unit.parse_failed:
-            continue
-        for site in extract_sites(unit):
-            for finding in _analyze_site(site):
-                rows.append((unit.path, site.start_line, site.end_line,
-                             finding.rule_id, finding.message))
+    for a in analyses:
+        file = str(Path(a.site.path).relative_to(root))
+        for finding in a.findings:
+            rows.append((file, a.site.start_line, a.site.end_line,
+                         finding.rule_id, finding.message))
     return ToolReport(tool="self", rows=rows)
 
 
@@ -584,7 +575,12 @@ def load_report_csv(path: str | Path) -> ToolReport:
 
 
 def _norm_path(p: str) -> str:
-    return p.replace("\\", "/").lstrip("./")
+    """Forward slashes, without leading ``./`` segments (``.gen/`` is a
+    directory name and stays)."""
+    p = p.replace("\\", "/")
+    while p.startswith("./"):
+        p = p[2:]
+    return p
 
 
 def _same_file(reported: str, expected: str) -> bool:

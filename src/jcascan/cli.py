@@ -10,120 +10,72 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench
-from .ingest import (DEFAULT_APIS, ApiKind, CustomApi, load_config,
-                     scan_corpus)
-from .report import (analyze_site, dumps_line, plan_from_report,
-                     prevalence_csv, read_report, strata_csv,
-                     worst_severity_hit, write_report, FAIL_ON_CHOICES)
+from .ingest import DEFAULT_APIS, load_config
+from .report import (FAIL_ON_CHOICES, analyze_corpus, dumps_line,
+                     plan_from_report, prevalence_csv, read_report,
+                     strata_csv, summary_record, worst_severity_hit,
+                     write_report)
 from .resolve import ResolutionBudget
 
 
-@dataclass
-class ScanConfig:
-    apis: frozenset[ApiKind] = DEFAULT_APIS
-    extras: list[CustomApi] = field(default_factory=list)
-    budget: ResolutionBudget = field(default_factory=ResolutionBudget)
-    confidence: float = 0.95
-    margin: float = 0.05
-    seed: int = 0
-    fail_on: str = "NONE"
-    output: str | None = None
-
-
-def _config_from_args(args) -> ScanConfig:
+def _analyze(args):
+    """`analyze_corpus` over ``args.directory`` with the pipeline flags."""
     apis = DEFAULT_APIS
-    if getattr(args, "apis", None):
+    if args.apis:
         wanted = {name.strip() for name in args.apis.split(",")}
-        apis = frozenset(a for a in DEFAULT_APIS if a.name in wanted)
         unknown = wanted - {a.name for a in DEFAULT_APIS}
         if unknown:
             raise SystemExit(f"unknown API names: {sorted(unknown)}")
-    extras = []
-    if getattr(args, "config", None):
-        extras = load_config(args.config)
-    budget = ResolutionBudget(
-        max_indirection=getattr(args, "max_indirection", 2),
-        max_candidates=getattr(args, "max_candidates", 16),
-    )
-    return ScanConfig(
-        apis=apis,
-        extras=extras,
-        budget=budget,
-        confidence=getattr(args, "confidence", 0.95),
-        margin=getattr(args, "margin", 0.05),
-        seed=getattr(args, "seed", 0),
-        fail_on=getattr(args, "fail_on", "NONE").upper(),
-        output=getattr(args, "output", None),
-    )
+        apis = frozenset(a for a in DEFAULT_APIS if a.name in wanted)
+    extras = load_config(args.config) if args.config else None
+    budget = ResolutionBudget(max_indirection=args.max_indirection,
+                              max_candidates=args.max_candidates)
+    return analyze_corpus(args.directory, apis, extras, budget)
 
 
-def _analyze_dir(config: ScanConfig, directory: str):
-    sites, warnings = scan_corpus(directory, config.apis, config.extras)
-    analyses = [analyze_site(site, config.budget) for site in sites]
-    return analyses, warnings
-
-
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The ``-o`` file, or standard output for none or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 def cmd_scan(args) -> int:
-    config = _config_from_args(args)
-    analyses, warnings = _analyze_dir(config, args.directory)
-    out, close = _open_out(config.output)
-    try:
+    analyses, warnings = _analyze(args)
+    with _output(args.output) as out:
         write_report(analyses, out, warnings)
-    finally:
-        if close:
-            out.close()
-    return 1 if worst_severity_hit(analyses, config.fail_on) else 0
+    return 1 if worst_severity_hit(analyses, args.fail_on.upper()) else 0
 
 
 def cmd_stratify(args) -> int:
-    config = _config_from_args(args)
-    analyses, _ = _analyze_dir(config, args.directory)
-    from .report import summary_record
-    summary = summary_record(analyses)
-    out, close = _open_out(config.output)
-    try:
-        out.write(strata_csv(summary))
-    finally:
-        if close:
-            out.close()
+    analyses, _ = _analyze(args)
+    with _output(args.output) as out:
+        out.write(strata_csv(summary_record(analyses)))
     return 0
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_args(args)
-    analyses, _ = _analyze_dir(config, args.directory)
-    out, close = _open_out(config.output)
-    try:
+    analyses, _ = _analyze(args)
+    with _output(args.output) as out:
         for a in analyses:
             out.write(dumps_line({"id": a.site.id, "labels": a.labels,
                                   "signature": a.signature}) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_sample(args) -> int:
-    config = _config_from_args(args)
     records, _ = read_report(args.report)
-    plan = plan_from_report(records, config.confidence, config.margin,
-                            config.seed)
-    out, close = _open_out(config.output)
-    try:
+    plan = plan_from_report(records, args.confidence, args.margin,
+                            args.seed)
+    with _output(args.output) as out:
         out.write(json.dumps(plan, indent=2, sort_keys=True) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -163,14 +115,19 @@ def cmd_bench_run(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
+    """The corpus directory and the flags `_analyze` reads."""
+    parser.add_argument("directory")
     parser.add_argument("--apis", help="comma-separated ApiKind names")
     parser.add_argument("--config", help="extra-API config file")
-    parser.add_argument("--confidence", type=float, default=0.95)
-    parser.add_argument("--margin", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-indirection", type=int, default=2)
-    parser.add_argument("--max-candidates", type=int, default=16)
+    parser.add_argument("--max-indirection", type=int,
+                        default=ResolutionBudget.max_indirection)
+    parser.add_argument("--max-candidates", type=int,
+                        default=ResolutionBudget.max_candidates)
+    _add_output(parser)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", "-o", help="output path (default stdout)")
 
 
@@ -182,27 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="full pipeline over a directory")
-    p_scan.add_argument("directory")
+    _add_pipeline_options(p_scan)
     p_scan.add_argument("--fail-on", default="NONE",
                         choices=[c.lower() for c in FAIL_ON_CHOICES]
                         + list(FAIL_ON_CHOICES))
-    _add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
     p_strat = sub.add_parser("stratify", help="stratum table for a corpus")
-    p_strat.add_argument("directory")
-    _add_common(p_strat)
+    _add_pipeline_options(p_strat)
     p_strat.set_defaults(func=cmd_stratify)
 
     p_cls = sub.add_parser("classify", help="labels + signatures per site")
-    p_cls.add_argument("directory")
-    _add_common(p_cls)
+    _add_pipeline_options(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_sample = sub.add_parser("sample",
                               help="stratified sample plan from a report")
     p_sample.add_argument("report")
-    _add_common(p_sample)
+    p_sample.add_argument("--confidence", type=float, default=0.95)
+    p_sample.add_argument("--margin", type=float, default=0.05)
+    p_sample.add_argument("--seed", type=int, default=0)
+    _add_output(p_sample)
     p_sample.set_defaults(func=cmd_sample)
 
     p_report = sub.add_parser("report",

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .ingest import InvocationSite
+from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 
 # Ranged-mode key for score = -1 (empty subtree).
 EMPTY_STRATUM_KEY = -1
-
-
-@dataclass(frozen=True)
-class ComplexityScore:
-    """Node count and score for one site."""
-
-    d: int
-    score: float
-    stratum_key: int  # d in exact mode; range index in ranged mode
 
 
 @dataclass
@@ -74,29 +66,26 @@ def ranged_key(s: float) -> int:
     return min(int(s * 10), 9)
 
 
-def score_site(site: InvocationSite, mode: str = "exact") -> ComplexityScore:
-    d = count_d(site)
-    s = score(d)
-    key = d if mode == "exact" else ranged_key(s)
-    return ComplexityScore(d=d, score=s, stratum_key=key)
+def stratify(rows: Iterable[tuple[str, str, int, float]]
+             ) -> dict[str, list[Stratum]]:
+    """Partition ``(id, category, d, score)`` rows into strata per category.
 
-
-def stratify(sites: list[InvocationSite],
-             scores: list[ComplexityScore],
-             mode: str = "exact") -> list[Stratum]:
-    """Partition sites into strata ordered by key.
-
-    ``exact``: one stratum per distinct d. ``ranged``: stratum -1 for
-    score = -1, then score ranges [0, 0.1) ... [0.9, 1.0).
+    Restrictive sites get one stratum per distinct d; flexible sites get
+    stratum -1 for score = -1, then score ranges [0, 0.1) ... [0.9, 1.0).
+    Both categories are always present; strata are ordered by key, member
+    ids sorted. Rows of any other category are ignored.
     """
-    if mode not in ("exact", "ranged"):
-        raise ValueError(f"unknown stratification mode: {mode}")
-    buckets: dict[int, list[str]] = {}
-    for site, sc in zip(sites, scores):
-        key = sc.d if mode == "exact" else ranged_key(sc.score)
-        buckets.setdefault(key, []).append(site.id)
-    return [Stratum(key=key, population=len(ids), member_ids=sorted(ids))
-            for key, ids in sorted(buckets.items())]
+    buckets: dict[str, dict[int, list[str]]] = {RESTRICTIVE: {},
+                                                FLEXIBLE: {}}
+    for site_id, category, d, s in rows:
+        if category not in buckets:
+            continue
+        key = d if category == RESTRICTIVE else ranged_key(s)
+        buckets[category].setdefault(key, []).append(site_id)
+    return {category: [Stratum(key=key, population=len(ids),
+                               member_ids=sorted(ids))
+                       for key, ids in sorted(by_key.items())]
+            for category, by_key in buckets.items()}
 
 
 def sample_size(N: int, confidence: float = 0.95,

@@ -133,10 +133,6 @@ def _param_types(decl: SyntaxNode) -> list[str]:
             if p.kind == "formal_parameter" and p.children]
 
 
-def _is_cert_array(type_text: str) -> bool:
-    return "Certificate" in type_text and type_text.endswith("[]")
-
-
 def extract_sites(unit: SourceUnit,
                   apis: frozenset[ApiKind] | set[ApiKind] = DEFAULT_APIS,
                   extras: list[CustomApi] | None = None

@@ -15,6 +15,7 @@ parses. Only a file with no recoverable declarations at all is flagged
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .syntax import ParseWarning, SourceUnit, SyntaxNode
@@ -34,12 +35,21 @@ KEYWORDS = PRIMITIVE_TYPES | MODIFIER_WORDS | {
     "false", "assert",
 }
 
-# Expressions nest at most this deep (each parenthesis, argument list,
-# index or lambda body opens a level). Deeper input becomes a parse_error
-# node instead of exhausting the interpreter's recursion limit: one level
-# costs seven stack frames, so 64 levels stay far below the default limit
-# of 1000 wherever the parser is called from.
+# Expressions nest at most MAX_EXPRESSION_DEPTH deep: each parenthesis,
+# argument list, index, lambda body, ternary middle operand, prefix
+# operator, cast and nested array initializer opens a level. Statements
+# and class members nest at most MAX_STATEMENT_DEPTH deep. Chains that nest
+# only on the right (`else if`, `c ? a : d ? b : …`, `a = b = …`) are read
+# in loops and cost no level per link, like left-deep operator chains.
+# Deeper input becomes a parse_error node and a warning instead of
+# exhausting the interpreter's recursion limit: both limits reached at
+# once, in the costliest shape (lambda arguments inside nested local
+# classes), take about 810 stack frames in the parser and fewer in every
+# later layer, under the default limit of 1000 (tests/test_cli.py checks
+# that case).
 MAX_EXPRESSION_DEPTH = 64
+MAX_STATEMENT_DEPTH = 48
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
 
 _MULTI_OPS = [">>>=", ">>>", ">>=", "<<=", "->", "::", "++", "--", "&&",
               "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
@@ -218,6 +228,7 @@ class Parser:
         self.pos = 0
         self.warnings: list[ParseWarning] = []
         self.expression_depth = 0
+        self.statement_depth = 0
 
     # -- token helpers -------------------------------------------------
 
@@ -249,8 +260,17 @@ class Parser:
     # -- error recovery ------------------------------------------------
 
     def _recover(self, start: int, message: str,
-                 stop: tuple[str, ...] = (";", "}")) -> SyntaxNode:
+                 skip: Callable[[], None] | None = None) -> SyntaxNode:
+        """A warning and one parse_error node from ``start`` over what
+        ``skip()`` (default: the rest of the statement) passes."""
         self.warnings.append(ParseWarning(self.path, start, message))
+        (skip or self._skip_statement)()
+        end = max(self.peek().start, start)
+        return self.node("parse_error", start, end)
+
+    def _skip_statement(self) -> None:
+        """Skip past the next ``;``, or up to the next ``}``, outside
+        braces."""
         depth = 0
         while True:
             tok = self.peek()
@@ -260,16 +280,19 @@ class Parser:
                 depth += 1
             elif tok.text == "}":
                 if depth == 0:
-                    if "}" in stop:
-                        break
-                else:
-                    depth -= 1
-            elif depth == 0 and tok.text in stop:
+                    break
+                depth -= 1
+            elif depth == 0 and tok.text == ";":
                 self.advance()
                 break
             self.advance()
-        end = max(self.peek().start, start)
-        return self.node("parse_error", start, end)
+
+    def _skip_statement_chain(self) -> None:
+        self._skip_statement()
+        # No statement starts with `else`: the rest of an if-else chain
+        # goes with the skipped statement.
+        while self.at("else"):
+            self._skip_statement()
 
     # -- program -------------------------------------------------------
 
@@ -461,7 +484,7 @@ class Parser:
     def parse_member(self) -> SyntaxNode | None:
         start = self.peek().start
         try:
-            return self._parse_member_inner()
+            return self._nested_statement(self._parse_member_inner)
         except ParseError as exc:
             err = self._recover(start, str(exc))
             if self.peek().start == start and self.peek().kind != "eof":
@@ -650,6 +673,24 @@ class Parser:
         return self.node("block", start, end, children)
 
     def parse_statement(self) -> SyntaxNode | None:
+        return self._nested_statement(self._statement)
+
+    def _nested_statement(self, parse: Callable[[], SyntaxNode | None]
+                          ) -> SyntaxNode | None:
+        """``parse()`` one statement level deeper; past MAX_STATEMENT_DEPTH
+        levels the statement is skipped as one parse_error node."""
+        if self.statement_depth >= MAX_STATEMENT_DEPTH:
+            return self._recover(self.peek().start,
+                                 "statement nested deeper than "
+                                 f"{MAX_STATEMENT_DEPTH} levels",
+                                 self._skip_statement_chain)
+        self.statement_depth += 1
+        try:
+            return parse()
+        finally:
+            self.statement_depth -= 1
+
+    def _statement(self) -> SyntaxNode | None:
         tok = self.peek()
         text = tok.text
         if text == ";":
@@ -784,20 +825,30 @@ class Parser:
             return None
 
     def _if_statement(self) -> SyntaxNode:
-        start = self.expect("if").start
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
-        then = self.parse_statement()
-        children = [cond] + ([then] if then else [])
-        end = then.end if then else cond.end
+        # An `else if` chain is read in a loop, so its length costs no
+        # statement level; its if_statement nodes nest from the last up.
+        branches = []
+        while True:
+            start = self.expect("if").start
+            self.expect("(")
+            cond = self.parse_expression()
+            self.expect(")")
+            branches.append((start, cond, self.parse_statement()))
+            if not (self.at("else") and self.peek(1).text == "if"):
+                break
+            self.advance()
+        other = None
         if self.at("else"):
             self.advance()
             other = self.parse_statement()
+        for start, cond, then in reversed(branches):
+            children = [cond] + ([then] if then else [])
+            end = then.end if then else cond.end
             if other:
                 children.append(other)
                 end = other.end
-        return self.node("if_statement", start, end, children)
+            other = self.node("if_statement", start, end, children)
+        return other
 
     def _for_statement(self) -> SyntaxNode:
         start = self.expect("for").start
@@ -951,37 +1002,51 @@ class Parser:
     # -- expressions -----------------------------------------------------
 
     def parse_expression(self) -> SyntaxNode:
+        # `_nested(self._assignment)`, inlined: this is the common path,
+        # and one frame less per level leaves room for statement nesting.
         if self.expression_depth >= MAX_EXPRESSION_DEPTH:
-            raise ParseError("expression nested deeper than "
-                             f"{MAX_EXPRESSION_DEPTH} levels",
-                             self.peek().start)
+            raise ParseError(_TOO_DEEP, self.peek().start)
         self.expression_depth += 1
         try:
             return self._assignment()
         finally:
             self.expression_depth -= 1
 
-    def _assignment(self) -> SyntaxNode:
-        left = self._ternary()
-        tok = self.peek()
-        if tok.text in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-                        "<<=", ">>=", ">>>="):
-            self.advance()
-            right = self._assignment()
-            return self.node("assignment_expression", left.start, right.end,
-                             [left, right], value=tok.text)
-        return left
+    def _nested(self, parse: Callable[[], SyntaxNode]) -> SyntaxNode:
+        """``parse()`` one expression level deeper; past
+        MAX_EXPRESSION_DEPTH levels a ParseError instead."""
+        if self.expression_depth >= MAX_EXPRESSION_DEPTH:
+            raise ParseError(_TOO_DEEP, self.peek().start)
+        self.expression_depth += 1
+        try:
+            return parse()
+        finally:
+            self.expression_depth -= 1
 
-    def _ternary(self) -> SyntaxNode:
-        cond = self._binary(0)
-        if self.at("?"):
-            self.advance()
-            then = self._assignment()
-            self.expect(":")
-            other = self._assignment()
-            return self.node("ternary_expression", cond.start, other.end,
-                             [cond, then, other])
-        return cond
+    _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+                             "^=", "<<=", ">>=", ">>>="))
+
+    def _assignment(self) -> SyntaxNode:
+        """A right-nested chain of assignments (`a = b = …`) and ternaries
+        (`c ? x : d ? y : …`), read in a loop so that its length costs no
+        expression level; only a ternary's middle operand nests."""
+        links = []
+        while True:
+            left = self._binary(0)
+            if self.at("?"):
+                self.advance()
+                then = self._nested(self._assignment)
+                self.expect(":")
+                links.append(("ternary_expression", [left, then], None))
+            elif self.peek().text in self._ASSIGN_OPS:
+                links.append(("assignment_expression", [left],
+                              self.advance().text))
+            else:
+                break
+        for kind, children, op in reversed(links):
+            left = self.node(kind, children[0].start, left.end,
+                             children + [left], value=op)
+        return left
 
     _PRECEDENCE = [
         ("||",),
@@ -1032,19 +1097,19 @@ class Parser:
         tok = self.peek()
         if tok.text in ("!", "~", "+", "-"):
             self.advance()
-            operand = self._unary()
+            operand = self._nested(self._unary)
             return self.node("unary_expression", tok.start, operand.end,
                              [operand], value=tok.text)
         if tok.text in ("++", "--"):
             self.advance()
-            operand = self._unary()
+            operand = self._nested(self._unary)
             return self.node("update_expression", tok.start, operand.end,
                              [operand], value=tok.text)
         if tok.text == "(" and self._looks_like_cast():
             start = self.advance().start
             type_node = self.parse_type()
             self.expect(")")
-            operand = self._unary()
+            operand = self._nested(self._unary)
             return self.node("cast_expression", start, operand.end,
                              [type_node, operand], value=type_node.value)
         return self._postfix()
@@ -1264,8 +1329,14 @@ class Parser:
         start = self.expect("{").start
         children: list[SyntaxNode] = []
         while not self.at("}") and self.peek().kind != "eof":
-            if self.at("{"):
-                children.append(self._array_initializer())
+            if self.at("{") and self.expression_depth >= MAX_EXPRESSION_DEPTH:
+                # Skipped whole: a ParseError would leave recovery inside
+                # its braces.
+                children.append(self._recover(
+                    self.peek().start, _TOO_DEEP,
+                    lambda: self._skip_balanced("{", "}")))
+            elif self.at("{"):
+                children.append(self._nested(self._array_initializer))
             else:
                 children.append(self.parse_expression())
             if self.at(","):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import classify, signature_of
-from .complexity import Stratum, count_d, draw_sample, ranged_key, score
-from .ingest import RESTRICTIVE, InvocationSite
+from .complexity import count_d, draw_sample, score, stratify
+from .ingest import (DEFAULT_APIS, RESTRICTIVE, ApiKind, CustomApi,
+                     InvocationSite, scan_corpus)
 from .resolve import ResolutionBudget, resolve_site
 from .rules import ERROR, WARNING, INFO, MisuseFinding, check_site
 
@@ -76,6 +77,18 @@ def analyze_site(site: InvocationSite,
     )
 
 
+def analyze_corpus(root: str | Path,
+                   apis: frozenset[ApiKind] | set[ApiKind] = DEFAULT_APIS,
+                   extras: list[CustomApi] | None = None,
+                   budget: ResolutionBudget | None = None
+                   ) -> tuple[list[SiteAnalysis], list]:
+    """The pipeline over a corpus: every site `scan_corpus` finds under
+    ``root``, through `analyze_site`, in (path, offset) order, plus the
+    per-file parse warnings."""
+    sites, warnings = scan_corpus(root, apis, extras)
+    return [analyze_site(site, budget) for site in sites], warnings
+
+
 def site_record(analysis: SiteAnalysis) -> dict:
     site = analysis.site
     return {
@@ -95,21 +108,6 @@ def site_record(analysis: SiteAnalysis) -> dict:
     }
 
 
-def _strata_table(analyses: list[SiteAnalysis]) -> dict:
-    """Stratum populations: exact-d for restrictive, ranged for flexible."""
-    table: dict[str, list[dict]] = {}
-    for category, mode in ((RESTRICTIVE, "exact"), ("flexible", "ranged")):
-        rows: dict[int, int] = {}
-        for a in analyses:
-            if a.site.api.category != category:
-                continue
-            key = a.d if mode == "exact" else ranged_key(a.score)
-            rows[key] = rows.get(key, 0) + 1
-        table[category] = [{"key": k, "population": n}
-                           for k, n in sorted(rows.items())]
-    return table
-
-
 def summary_record(analyses: list[SiteAnalysis],
                    warnings: list | None = None) -> dict:
     by_severity = {ERROR: 0, WARNING: 0, INFO: 0}
@@ -123,7 +121,12 @@ def summary_record(analyses: list[SiteAnalysis],
         "summary": {
             "sites": len(analyses),
             "findings_by_severity": by_severity,
-            "strata": _strata_table(analyses),
+            "strata": {
+                category: [{"key": st.key, "population": st.population}
+                           for st in strata]
+                for category, strata in stratify(
+                    (a.site.id, a.site.api.category, a.d, a.score)
+                    for a in analyses).items()},
             "prevalence": [[k, v] for k, v in sorted(prevalence.items())],
             "parse_warnings": len(warnings or []),
         }
@@ -174,16 +177,9 @@ def plan_from_report(records: list[dict], confidence: float,
                      margin: float, seed: int) -> dict:
     """Recompute strata from report records and draw a sample plan."""
     plans = {}
-    for category, mode in ((RESTRICTIVE, "exact"), ("flexible", "ranged")):
-        buckets: dict[int, list[str]] = {}
-        for rec in records:
-            if rec.get("category") != category:
-                continue
-            key = rec["d"] if mode == "exact" else ranged_key(rec["score"])
-            buckets.setdefault(key, []).append(rec["id"])
-        strata = [Stratum(key=k, population=len(ids),
-                          member_ids=sorted(ids))
-                  for k, ids in sorted(buckets.items())]
+    for category, strata in stratify(
+            (rec["id"], rec.get("category"), rec["d"], rec["score"])
+            for rec in records).items():
         plan = draw_sample(strata, seed, confidence, margin)
         plans[category] = {
             "strata": [{"key": s.key, "population": s.population,

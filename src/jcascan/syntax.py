@@ -26,13 +26,6 @@ ANONYMOUS_KINDS = frozenset(
      "comment", "whitespace"}
 )
 
-# Leaf kinds that carry a value rather than children.
-LITERAL_KINDS = frozenset(
-    {"string_literal", "character_literal", "decimal_integer_literal",
-     "hex_integer_literal", "decimal_floating_point_literal",
-     "true", "false", "null_literal"}
-)
-
 TYPE_DECLARATION_KINDS = ("class_declaration", "interface_declaration",
                           "enum_declaration")
 METHOD_KINDS = ("method_declaration", "constructor_declaration")

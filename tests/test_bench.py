@@ -6,9 +6,13 @@ import csv
 import io
 import json
 
+from pathlib import Path
+
 import pytest
 
 from jcascan import bench
+from jcascan.cli import main
+from jcascan.report import read_report
 from jcascan.ingest import FLEXIBLE, RESTRICTIVE, scan_corpus
 from jcascan.javaparse import parse_unit
 
@@ -142,6 +146,42 @@ class TestGrading:
         verdicts = bench.grade(cases, bench.ToolReport("t", rows=rows))
         verdict = next(v.verdict for v in verdicts if v.case_id == "ID")
         assert verdict == bench.PARTIAL
+
+    def test_latin1_file_still_grades_all_23(self, tmp_path):
+        outdir = tmp_path / "bench"
+        cases = bench.generate_corpus(outdir, seed=3)
+        # A non-UTF-8 source file: self-grading reads it the way a scan
+        # does (undecodable bytes replaced) instead of aborting.
+        (outdir / "Latin1.java").write_bytes(
+            "import javax.crypto.Cipher;\n// Schlüssel für café\n"
+            "class Latin1 { void m() throws Exception {\n"
+            '    Cipher.getInstance("AES/GCM/NoPadding"); } }\n'
+            .encode("latin-1"))
+        verdicts = bench.grade(cases, bench.self_report(outdir))
+        assert all(v.verdict == bench.DETECTED for v in verdicts)
+
+    def test_self_report_rows_are_the_scan_findings(self, bench_corpus,
+                                                    tmp_path):
+        outdir, _ = bench_corpus
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", str(outdir), "-o", str(out)]) == 0
+        records, _ = read_report(out)
+        rows = [(str(Path(r["path"]).relative_to(outdir)), r["start_line"],
+                 r["end_line"], f["rule_id"], f["message"])
+                for r in records for f in r["findings"]]
+        assert rows and bench.self_report(outdir).rows == rows
+
+    @pytest.mark.parametrize("reported,expected,same", [
+        ("gen/B.java", ".gen/B.java", False),
+        (".gen/B.java", "gen/B.java", False),
+        ("../gen/B.java", "gen/B.java", True),
+        ("./gen/B.java", "gen/B.java", True),
+        ("././gen/B.java", "gen/B.java", True),
+        ("out\\gen\\B.java", "gen/B.java", True),
+        ("gen/B.java", "gen/AB.java", False),
+    ])
+    def test_same_file(self, reported, expected, same):
+        assert bench._same_file(reported, expected) is same
 
     def test_tool_error_for_bad_rows(self, bench_corpus):
         _, cases = bench_corpus

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from jcascan.cli import main
+from jcascan.javaparse import MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH
 
 ERROR_SRC = '''
 import javax.crypto.Cipher;
@@ -34,6 +35,24 @@ class Ok {
     }
 }
 '''
+
+
+def _site(argument: str) -> str:
+    return f"Cipher.getInstance({argument});"
+
+
+def _scan_method(tmp_path, body: str) -> list[dict]:
+    """Scan one file whose method holds ``body``; the report records."""
+    corpus = tmp_path / "deep"
+    corpus.mkdir(parents=True)
+    (corpus / "Deep.java").write_text(
+        "import javax.crypto.Cipher;\nclass Deep {\n"
+        '    static String k = "AES";\n'
+        "    static String f(Object o) { return k; }\n"
+        f"    void m() throws Exception {{\n        {body}\n    }}\n}}\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["scan", str(corpus), "-o", str(out)]) == 0
+    return [json.loads(line) for line in out.read_text().splitlines()]
 
 
 @pytest.fixture
@@ -100,22 +119,72 @@ class TestScan:
         with pytest.raises(SystemExit):
             main(["scan", str(error_corpus), "--apis", "bogus"])
 
-    @pytest.mark.parametrize("depth", [100, 1000])
-    def test_deeply_nested_argument_is_a_warning(self, depth, tmp_path):
-        corpus = tmp_path / "deep"
-        corpus.mkdir()
-        nested = "(" * depth + '"AES"' + ")" * depth
-        (corpus / "Deep.java").write_text(
-            "import javax.crypto.Cipher;\nclass Deep {\n"
-            "    void m() throws Exception {\n"
-            f"        Cipher.getInstance({nested});\n"
-            '        Cipher.getInstance("DES");\n    }\n}\n')
-        out = tmp_path / "r.jsonl"
-        assert main(["scan", str(corpus), "-o", str(out)]) == 0
-        records = [json.loads(line) for line in out.read_text().splitlines()]
+    @pytest.mark.parametrize("statement", [
+        pytest.param(_site("(" * 100 + '"AES"' + ")" * 100), id="100"),
+        pytest.param(_site("(" * 1000 + '"AES"' + ")" * 1000), id="1000"),
+        pytest.param("{ " * 500 + _site('"AES"') + " }" * 500,
+                     id="blocks-500"),
+        pytest.param("int z = " + "- " * 1000 + "1;", id="prefix-1000"),
+        pytest.param(_site("(String) " * 1000 + '"AES"'), id="casts-1000"),
+    ])
+    def test_deeply_nested_argument_is_a_warning(self, statement, tmp_path):
+        records = _scan_method(tmp_path, statement + "\n        "
+                               + _site('"DES"'))
         assert records[-1]["summary"]["parse_warnings"] == 1
         # The rest of the file still parses: the second site is reported.
         assert [r["findings"][0]["rule_id"] for r in records[:-1]] == ["R1"]
+
+    @pytest.mark.parametrize("statement,sites,candidates", [
+        pytest.param("".join(f'if (k == "c{i}") ' + _site('"DES"')
+                             + " else " for i in range(450))
+                     + _site('"DES"'), 451, ["DES"], id="else-if-450"),
+        pytest.param(_site('k == null ? "RC4" : ' * 200 + '"DES"'),
+                     1, ["DES", "RC4"], id="ternary-200"),
+        pytest.param("String t; " + "t = " * 200 + '"DES"; ' + _site("t"),
+                     1, ["DES"], id="assignment-200"),
+    ])
+    def test_long_right_nested_chain_scans_in_full(self, statement, sites,
+                                                   candidates, tmp_path):
+        """`else if`, ternary-else and assignment chains cost no nesting
+        level per link: no warning, and every site in them is resolved."""
+        records = _scan_method(tmp_path, statement + "\n        "
+                               + _site('"DES"'))
+        assert records[-1]["summary"]["parse_warnings"] == 0
+        assert len(records[:-1]) == sites + 1
+        assert records[0]["resolved"] == {"candidates": candidates,
+                                          "residuals": []}
+        for record in records[:-1]:
+            assert "R1" in [f["rule_id"] for f in record["findings"]]
+
+    def test_deepest_accepted_nesting_scans(self, tmp_path):
+        """Statements and expressions both at their nesting limits, in the
+        shape that takes the most stack frames (a lambda-argument chain
+        inside local classes), go through resolve, classify and rules
+        under the default recursion limit; one level more is a warning."""
+        def method_body(classes, lambdas):
+            argument = "f(() -> " * lambdas + "k" + ")" * lambdas
+            # Method bodies start at statement level 2 (the method itself
+            # is a class member); each local class adds two levels (its
+            # statement and its member); the argument list opens one
+            # expression level and each lambda argument two.
+            return ("class L { void g() throws Exception { " * classes
+                    + _site(argument) + " } }" * classes
+                    + "\n        " + _site('"DES"'))
+
+        classes = (MAX_STATEMENT_DEPTH - 2) // 2
+        lambdas = (MAX_EXPRESSION_DEPTH - 1) // 2
+        records = _scan_method(tmp_path / "at",
+                               method_body(classes, lambdas))
+        assert records[-1]["summary"]["parse_warnings"] == 0
+        assert len(records[:-1]) == 2
+        for name, deeper in (("statements", method_body(classes + 1,
+                                                        lambdas)),
+                             ("expressions", method_body(classes,
+                                                         lambdas + 1))):
+            records = _scan_method(tmp_path / name, deeper)
+            assert records[-1]["summary"]["parse_warnings"] == 1
+            assert [r["findings"][0]["rule_id"]
+                    for r in records[:-1]] == ["R1"]
 
 
 class TestSampleAndReport:
@@ -166,6 +235,59 @@ class TestClassifyStratify:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("category,")
         assert len(lines) >= 2
+
+
+class TestOptions:
+    """Each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        [command, "corpus", flag, "1"]
+        for command in ("scan", "stratify", "classify")
+        for flag in ("--confidence", "--margin", "--seed")
+    ] + [
+        ["sample", "r.jsonl", flag, "1"]
+        for flag in ("--apis", "--config", "--max-indirection",
+                     "--max-candidates")
+    ])
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,resolved", [
+        ([], [(["DES", "RC4"], []), (["AES", "DES"], [])]),
+        (["--max-indirection", "1"],
+         [([], ["DEPTH_EXCEEDED"]), (["AES", "DES"], [])]),
+        (["--max-candidates", "1"],
+         [(["DES"], ["DEPTH_EXCEEDED"]), (["AES"], ["DEPTH_EXCEEDED"])]),
+    ], ids=["defaults", "max-indirection", "max-candidates"])
+    def test_budget_flags_reach_the_resolver(self, flags, resolved,
+                                             tmp_path):
+        # `f1(p)` is not concrete (p is a parameter), so the resolver
+        # follows the calls abstractly, one indirection per call: three
+        # hops to the two literals in f3.
+        corpus = tmp_path / "budget"
+        corpus.mkdir()
+        (corpus / "B.java").write_text(
+            "import javax.crypto.Cipher;\nclass B {\n"
+            "    static String f3(String s) {\n"
+            '        if (s.isEmpty()) { return "DES"; } return "RC4"; }\n'
+            "    static String f2(String s) { return f3(s); }\n"
+            "    static String f1(String s) { return f2(s); }\n"
+            "    void m(boolean c, String p) throws Exception {\n"
+            "        Cipher.getInstance(f1(p));\n"
+            '        Cipher.getInstance(c ? "AES" : "DES");\n    }\n}\n')
+        out = tmp_path / "r.jsonl"
+        assert main(["scan", str(corpus), "-o", str(out)] + flags) == 0
+        records = [json.loads(line)
+                   for line in out.read_text().splitlines()][:-1]
+        assert [(r["resolved"]["candidates"], r["resolved"]["residuals"])
+                for r in records] == resolved
+
+    def test_budget_flag_values_are_checked(self, error_corpus):
+        with pytest.raises(ValueError):
+            main(["scan", str(error_corpus), "--max-candidates", "0"])
 
 
 class TestBenchCli:

@@ -7,8 +7,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcascan.complexity import (draw_sample, ranged_key, sample_size, score,
-                                score_site, stratify, Stratum)
+from jcascan.complexity import (count_d, draw_sample, ranged_key,
+                                sample_size, score, stratify, Stratum)
+from jcascan.ingest import FLEXIBLE, RESTRICTIVE
 
 from conftest import (CHARAT_SRC, EMPTY_ARGS_SRC, TERNARY_SRC,
                       TRUST_EMPTY_SRC, site_of)
@@ -57,23 +58,29 @@ class TestRangedKey:
         assert ranged_key(s) == key
 
 
+def _row(site) -> tuple[str, str, int, float]:
+    d = count_d(site)
+    return (site.id, site.api.category, d, score(d))
+
+
 class TestSiteScores:
     def test_empty_body_scores_minus_one(self):
-        sc = score_site(site_of(TRUST_EMPTY_SRC), mode="ranged")
-        assert sc.d == 0 and sc.score == -1.0 and sc.stratum_key == -1
+        site = site_of(TRUST_EMPTY_SRC)
+        d = count_d(site)
+        assert d == 0 and score(d) == -1.0 and ranged_key(score(d)) == -1
 
     def test_empty_args_scores_minus_one(self):
-        sc = score_site(site_of(EMPTY_ARGS_SRC))
-        assert sc.d == 0 and sc.score == -1.0
+        d = count_d(site_of(EMPTY_ARGS_SRC))
+        assert d == 0 and score(d) == -1.0
 
     def test_method_call_site(self):
-        sc = score_site(site_of(TERNARY_SRC))
-        assert sc.d == 3
-        assert abs(sc.score - 0.4439) < 5e-5
+        d = count_d(site_of(TERNARY_SRC))
+        assert d == 3
+        assert abs(score(d) - 0.4439) < 5e-5
 
     def test_charat_site_is_complex(self):
-        sc = score_site(site_of(CHARAT_SRC))
-        assert sc.d > 4 and sc.score > 0.5385 - 5e-5
+        d = count_d(site_of(CHARAT_SRC))
+        assert d > 4 and score(d) > 0.5385 - 5e-5
 
 
 class TestSampleSize:
@@ -146,20 +153,27 @@ class TestDrawSample:
 
 class TestStratify:
     def test_exact_mode_keys_are_d(self):
-        sites = [site_of(TERNARY_SRC, "a.java"),
-                 site_of(CHARAT_SRC, "b.java")]
-        scores = [score_site(s) for s in sites]
-        strata = stratify(sites, scores, mode="exact")
-        assert [st_.key for st_ in strata] == sorted(sc.d for sc in scores)
+        rows = [_row(site_of(TERNARY_SRC, "a.java")),
+                _row(site_of(CHARAT_SRC, "b.java"))]
+        strata = stratify(rows)
+        assert [st_.key for st_ in strata[RESTRICTIVE]] == sorted(
+            d for _, _, d, _ in rows)
+        assert strata[FLEXIBLE] == []
 
     def test_ranged_mode_buckets(self):
-        sites = [site_of(TRUST_EMPTY_SRC, "a.java"),
-                 site_of(TERNARY_SRC, "b.java")]
-        scores = [score_site(s, "ranged") for s in sites]
-        strata = stratify(sites, scores, mode="ranged")
-        assert strata[0].key == -1
-        assert strata[1].key == 4
+        rows = [_row(site_of(TRUST_EMPTY_SRC, "a.java")),
+                ("b.java:0", FLEXIBLE, 3, score(3))]
+        strata = stratify(rows)
+        assert [(st_.key, st_.population) for st_ in strata[FLEXIBLE]] == [
+            (-1, 1), (4, 1)]
+        assert strata[RESTRICTIVE] == []
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            stratify([], [], mode="quantile")
+    def test_members_sorted_and_other_categories_ignored(self):
+        rows = [("z", RESTRICTIVE, 1, 0.0), ("a", RESTRICTIVE, 1, 0.0),
+                ("m", FLEXIBLE, 1, 0.0), ("x", "custom", 1, 0.0)]
+        strata = stratify(rows)
+        assert set(strata) == {RESTRICTIVE, FLEXIBLE}
+        assert strata[RESTRICTIVE] == [Stratum(key=1, population=2,
+                                               member_ids=["a", "z"])]
+        assert strata[FLEXIBLE] == [Stratum(key=0, population=1,
+                                            member_ids=["m"])]

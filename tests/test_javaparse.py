@@ -7,7 +7,8 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcascan.javaparse import parse_unit, tokenize
+from jcascan.javaparse import (MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH,
+                               parse_unit, tokenize)
 from jcascan.syntax import ANONYMOUS_KINDS, node_at, string_literals
 
 from conftest import CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse
@@ -134,6 +135,76 @@ class TestRecovery:
         assert "nested deeper" in unit.warnings[0].message
         kinds = [n.kind for n in unit.root.walk()]
         assert "parse_error" in kinds and "method_invocation" in kinds
+
+    # The method is a class member (level 1) and its body's statements
+    # start at level 2, so `x();` inside MAX_STATEMENT_DEPTH - 2 nested
+    # blocks sits at the last accepted level.
+    @pytest.mark.parametrize("blocks,warnings", [
+        (MAX_STATEMENT_DEPTH - 2, 0), (MAX_STATEMENT_DEPTH - 1, 1),
+        (2000, 1)])
+    def test_statement_nesting_limit(self, blocks, warnings):
+        nested = "{ " * blocks + "x(); " + "} " * blocks
+        unit = parse_unit("Deep.java", "class A { void m() { "
+                          f"{nested} m(); }} }}")
+        assert len(unit.warnings) == warnings
+        if warnings:
+            assert "statement nested deeper" in unit.warnings[0].message
+        calls = [n.value for n in unit.root.walk()
+                 if n.kind == "method_invocation"]
+        assert calls == (["x", "m"] if not warnings else ["m"])
+
+    def test_member_nesting_beyond_limit_becomes_parse_error(self):
+        nested = "class B { " * 300 + "} " * 300
+        unit = parse_unit("Deep.java", f"class A {{ {nested} void m() {{ }} }}")
+        assert len(unit.warnings) == 1
+        assert any(n.kind == "method_declaration" for n in unit.root.walk())
+
+    @pytest.mark.parametrize("expression", [
+        "- " * 1000 + "1", "(int) " * 1000 + "1", "! " * 1000 + "b",
+        "++ " * 1000 + "i", "b ? " * 1000 + "1" + " : 2" * 1000,
+    ], ids=["minus", "cast", "not", "increment", "ternary-then"])
+    def test_operator_chains_beyond_limit_become_parse_error(self,
+                                                             expression):
+        unit = parse_unit("Deep.java", "class A { void m() { "
+                          f"x = {expression}; m(); }} }}")
+        assert len(unit.warnings) == 1
+        assert "nested deeper" in unit.warnings[0].message
+        assert any(n.kind == "method_invocation" and n.value == "m"
+                   for n in unit.root.walk())
+
+    @pytest.mark.parametrize("statement,links", [
+        ("x = " + "b ? 1 : " * 1000 + "2;", 1001),
+        ("x = " + "i = " * 1000 + "1;", 1001),
+        ("x = " + "b ? 1 : i = " * 1000 + "2;", 2001),
+        ("if (b) x(); else " * 1000 + "x();", 1000),
+    ], ids=["ternary-else", "assignment", "ternary-assignment", "else-if"])
+    def test_right_nested_chains_parse_in_full(self, statement, links):
+        unit = parse_unit("Chain.java", "class A { void m() { "
+                          f"{statement} m(); }} }}")
+        assert unit.warnings == []
+        nodes = [n for n in unit.root.walk() if n.kind in (
+            "ternary_expression", "assignment_expression", "if_statement")]
+        assert len(nodes) == links
+        # Each link is the last child of the one before it.
+        for outer, inner in zip(nodes, nodes[1:]):
+            assert outer.children[-1] is inner
+            assert outer.end == inner.end
+        assert [n.value for n in unit.root.walk()
+                if n.kind == "method_invocation"].count("m") == 1
+
+    def test_operator_chain_within_limit_parses(self):
+        chain = "- " * (MAX_EXPRESSION_DEPTH - 1) + "1"
+        unit = parse_unit("Deep.java", f"class A {{ int x = {chain}; }}")
+        assert unit.warnings == []
+        assert sum(n.kind == "unary_expression"
+                   for n in unit.root.walk()) == MAX_EXPRESSION_DEPTH - 1
+
+    def test_nested_array_initializer_beyond_limit(self):
+        init = "{" * 1000 + "1" + "}" * 1000
+        unit = parse_unit("Deep.java", "class A { int[] a = "
+                          f"{init}; void m() {{ }} }}")
+        assert len(unit.warnings) == 1
+        assert any(n.kind == "method_declaration" for n in unit.root.walk())
 
 
 def _shape(node) -> str:
