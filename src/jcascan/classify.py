@@ -17,9 +17,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 from .resolve import NATIVE as NATIVE_RESIDUAL
-from .resolve import ResolvedValue
-from .syntax import (SyntaxNode, builder_names, member_facts, method_params,
-                     modifier_words, unit_index)
+from .resolve import (BASE64_DECODE, ENUM_CONSTANT, METHOD_BODY,
+                      METHOD_RETURNS, NATIVE_CALL, STATIC_FIELD,
+                      ResolvedValue)
+from .syntax import (SyntaxNode, member_facts, method_params, modifier_words,
+                     unit_index)
 
 RESTRICTIVE_LABELS = frozenset({
     "STROP", "TEROP", "ENUM", "ID", "THIS", "METHOD", "STATIC", "NATIVE",
@@ -140,9 +142,10 @@ def _declared_builders(site: InvocationSite) -> set[str]:
     enclosing method or the enclosing class body."""
     names = set(member_facts(site.unit, site.context).builders)
     if site.unit is not None and site.node is not None:
-        method = unit_index(site.unit).enclosing_method(site.node)
+        index = unit_index(site.unit)
+        method = index.enclosing_method(site.node)
         if method is not None:
-            names |= builder_names(method)
+            names |= index.method_builders(method)
     return names
 
 
@@ -191,9 +194,9 @@ def _classify_restrictive(site: InvocationSite,
                 labels.add("STATIC")
             if _is_enum_constant(site, name):
                 labels.add("ENUM")
-    if "static-field" in trace_rules:
+    if STATIC_FIELD in trace_rules:
         labels.add("STATIC")
-    if "enum-constant" in trace_rules:
+    if ENUM_CONSTANT in trace_rules:
         labels.add("ENUM")
 
     oid_values = set(s.value for s in literals
@@ -205,13 +208,13 @@ def _classify_restrictive(site: InvocationSite,
     if any(isinstance(s.value, str) and s.value == "/" for s in literals):
         labels.add("SEPRT")
 
-    saw_base64 = "base64-decode" in trace_rules
-    saw_native = "native-call" in trace_rules or (
+    saw_base64 = BASE64_DECODE in trace_rules
+    saw_native = NATIVE_CALL in trace_rules or (
         resolved is not None and NATIVE_RESIDUAL in resolved.residuals)
     saw_strbuf = False
     saw_strop = False
-    saw_method = ("method-body" in trace_rules
-                  or "method-returns" in trace_rules)
+    saw_method = (METHOD_BODY in trace_rules
+                  or METHOD_RETURNS in trace_rules)
 
     for call, name, receiver in _calls(subtree):
         recv_base = receiver.split(".")[-1] if receiver else ""

@@ -19,7 +19,7 @@ the classifier.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .javaparse import parse_unit
@@ -72,11 +72,19 @@ class CustomApi:
 
 @dataclass
 class InvocationSite:
-    """One occurrence of a target API in one file."""
+    """One occurrence of a target API in one file.
+
+    ``path`` and ``offset`` (the start of ``node``) are recorded at
+    extraction, so a `detached` copy keeps its identity and order without
+    the syntax tree.
+    """
 
     id: str
     api: ApiKind
-    subtree: SyntaxNode          # argument_list / block / no_body marker
+    path: str
+    offset: int
+    subtree: SyntaxNode | None   # argument_list / block / no_body marker;
+                                 # None once detached
     enclosing_class: str
     enclosing_method: str | None
     context: list[SyntaxNode] = field(default_factory=list)
@@ -87,8 +95,14 @@ class InvocationSite:
     end_line: int = 0
 
     @property
-    def path(self) -> str:
-        return self.unit.path if self.unit else self.id.rsplit(":", 1)[0]
+    def order(self) -> tuple[str, int]:
+        """Report order: path string, then byte offset."""
+        return self.path, self.offset
+
+    def detached(self) -> InvocationSite:
+        """A copy holding no part of the syntax tree, for results kept
+        after the unit is released."""
+        return replace(self, subtree=None, context=[], unit=None, node=None)
 
 
 def parse_config(text: str) -> list[CustomApi]:
@@ -164,6 +178,8 @@ def extract_sites(unit: SourceUnit,
         sites.append(InvocationSite(
             id=f"{unit.path}:{node.start}",
             api=api,
+            path=unit.path,
+            offset=node.start,
             subtree=subtree,
             enclosing_class=cls_name,
             enclosing_method=method,
@@ -223,8 +239,34 @@ def extract_sites(unit: SourceUnit,
                     add(extra.kind, node, subtree)
                     break
 
-    sites.sort(key=lambda s: (s.unit.path, s.node.start))
+    sites.sort(key=lambda s: s.offset)
     return sites
+
+
+def corpus_files(root_dir: str | Path) -> list[Path]:
+    """Every ``*.java`` under root_dir, in sorted path order."""
+    root = Path(root_dir)
+    if not root.is_dir():
+        raise FileNotFoundError(f"corpus directory not found: {root}")
+    return sorted(root.rglob("*.java"))
+
+
+def scan_file(path: Path, apis: frozenset[ApiKind] | set[ApiKind],
+              extras: list[CustomApi] | None,
+              warnings: list[ParseWarning]) -> list[InvocationSite]:
+    """Read, parse and extract one file. A read or parse failure, and
+    every parse warning, is appended to ``warnings``; nothing raises."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        warnings.append(ParseWarning(str(path), 0, f"unreadable: {exc}"))
+        return []
+    unit = parse_unit(str(path), text)
+    if unit.parse_failed:
+        warnings.append(ParseWarning(str(path), 0, "PARSE_FAILED"))
+        return []
+    warnings.extend(unit.warnings)
+    return extract_sites(unit, apis, extras)
 
 
 def scan_corpus(root_dir: str | Path,
@@ -235,23 +277,11 @@ def scan_corpus(root_dir: str | Path,
 
     Deterministic: files visited in sorted path order, sites sorted by
     (path, offset). Per-file failures become warnings, never aborts.
+    Every site keeps its unit, so every tree stays alive; the pipeline,
+    `report.analyze_corpus`, runs `scan_file` itself, one file at a time.
     """
-    root = Path(root_dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {root}")
-    sites: list[InvocationSite] = []
     warnings: list[ParseWarning] = []
-    for path in sorted(root.rglob("*.java")):
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            warnings.append(ParseWarning(str(path), 0, f"unreadable: {exc}"))
-            continue
-        unit = parse_unit(str(path), text)
-        if unit.parse_failed:
-            warnings.append(ParseWarning(str(path), 0, "PARSE_FAILED"))
-            continue
-        warnings.extend(unit.warnings)
-        sites.extend(extract_sites(unit, apis, extras))
-    sites.sort(key=lambda s: (s.path, s.node.start if s.node else 0))
+    sites = [site for path in corpus_files(root_dir)
+             for site in scan_file(path, apis, extras, warnings)]
+    sites.sort(key=lambda s: s.order)
     return sites, warnings

@@ -17,7 +17,7 @@ from pathlib import Path
 from .classify import classify, signature_of
 from .complexity import count_d, draw_sample, score, stratify
 from .ingest import (DEFAULT_APIS, RESTRICTIVE, ApiKind, CustomApi,
-                     InvocationSite, scan_corpus)
+                     InvocationSite, corpus_files, scan_file)
 from .resolve import ResolutionBudget, resolve_site
 from .rules import ERROR, WARNING, INFO, MisuseFinding, check_site
 
@@ -57,7 +57,8 @@ class SiteAnalysis:
 
 def analyze_site(site: InvocationSite,
                  budget: ResolutionBudget | None = None) -> SiteAnalysis:
-    """Full pipeline for one site: score, resolve, classify, rules."""
+    """Full pipeline for one site: score, resolve, classify, rules. The
+    result keeps the site `InvocationSite.detached` from its tree."""
     d = count_d(site)
     s = score(d)
     resolved = None
@@ -66,7 +67,7 @@ def analyze_site(site: InvocationSite,
     labels = classify(site, resolved)
     findings = check_site(site, resolved, labels)
     return SiteAnalysis(
-        site=site,
+        site=site.detached(),
         d=d,
         score=round(s, 6),
         labels=sorted(labels.labels),
@@ -82,11 +83,23 @@ def analyze_corpus(root: str | Path,
                    extras: list[CustomApi] | None = None,
                    budget: ResolutionBudget | None = None
                    ) -> tuple[list[SiteAnalysis], list]:
-    """The pipeline over a corpus: every site `scan_corpus` finds under
-    ``root``, through `analyze_site`, in (path, offset) order, plus the
-    per-file parse warnings."""
-    sites, warnings = scan_corpus(root, apis, extras)
-    return [analyze_site(site, budget) for site in sites], warnings
+    """The pipeline over a corpus: every site `ingest.scan_corpus` would
+    find under ``root``, through `analyze_site`, in (path string, offset)
+    order, plus the per-file parse warnings.
+
+    Files are read, parsed, extracted and analyzed one at a time, and no
+    result refers to a tree, so each file's tree is released before the
+    next file is parsed: memory is O(largest file + report rows), not
+    O(corpus).
+    """
+    warnings: list = []
+    analyses: list[SiteAnalysis] = []
+    for path in corpus_files(root):
+        analyses += [analyze_site(site, budget)
+                     for site in scan_file(path, apis, extras, warnings)]
+    # Files come in `Path` order, which puts a/b.java before a-c.java.
+    analyses.sort(key=lambda a: a.site.order)
+    return analyses, warnings
 
 
 def site_record(analysis: SiteAnalysis) -> dict:
@@ -140,9 +153,7 @@ def dumps_line(record: dict) -> str:
 def write_report(analyses: list[SiteAnalysis], out,
                  warnings: list | None = None) -> None:
     """JSON-lines: one record per site in (path, offset) order + footer."""
-    ordered = sorted(analyses, key=lambda a: (a.site.path,
-                                              a.site.node.start
-                                              if a.site.node else 0))
+    ordered = sorted(analyses, key=lambda a: a.site.order)
     for a in ordered:
         out.write(dumps_line(site_record(a)) + "\n")
     out.write(dumps_line(summary_record(ordered, warnings)) + "\n")

@@ -35,6 +35,14 @@ NETWORK = "NETWORK"
 EXTERNAL_INPUT = "EXTERNAL_INPUT"
 DEPTH_EXCEEDED = "DEPTH_EXCEEDED"
 
+# Trace-step rule names that classification reads back.
+STATIC_FIELD = "static-field"
+ENUM_CONSTANT = "enum-constant"
+BASE64_DECODE = "base64-decode"
+NATIVE_CALL = "native-call"
+METHOD_BODY = "method-body"
+METHOD_RETURNS = "method-returns"
+
 _NETWORK_METHODS = {"readLine", "getInputStream", "openStream",
                     "openConnection", "getResponseMessage", "getHeaderField"}
 _EXTERNAL_METHODS = {"getStringExtra", "getProperty", "getParameter",
@@ -909,7 +917,7 @@ class _Interp:
                 if cls.kind == "enum_declaration":
                     model = _enum_model(self.unit, cls)
                     if name in model:
-                        self.ctx.note("enum-constant", node, name)
+                        self.ctx.note(ENUM_CONSTANT, node, name)
                         return model[name]
                 found = self._static_field(name, cls)
                 if found is not _MISSING:
@@ -983,7 +991,7 @@ class _Interp:
                 flags = _as_int(self.eval(args_node.children[1], env, fields))
             decoded = _base64_decode(_jstr(data),
                                      bool(flags & _ANDROID_URL_SAFE))
-            self.ctx.note("base64-decode", node, _preview(decoded))
+            self.ctx.note(BASE64_DECODE, node, _preview(decoded))
             return decoded
         if name == "decode" and receiver is not None \
                 and receiver.kind == "method_invocation" \
@@ -992,7 +1000,7 @@ class _Interp:
             data = self.eval(args_node.children[0], env, fields)
             decoded = _base64_decode(_jstr(data),
                                      str(receiver.value) == "getUrlDecoder")
-            self.ctx.note("base64-decode", node, _preview(decoded))
+            self.ctx.note(BASE64_DECODE, node, _preview(decoded))
             return decoded
         if recv_text.split(".")[-1] == "String" and name in ("valueOf",
                                                              "format",
@@ -1420,7 +1428,7 @@ class _Abstract:
             return self.resolve(field_init, depth + 1, {})
         enum_val = self._enum_constant(name)
         if enum_val is not None:
-            self.ctx.note("enum-constant", node, name)
+            self.ctx.note(ENUM_CONSTANT, node, name)
             return _VS.of(enum_val)
         return _VS.residual(UNKNOWN)
 
@@ -1490,14 +1498,14 @@ class _Abstract:
                 if cls.kind == "enum_declaration":
                     model = _enum_model(self.unit, cls)
                     if name in model:
-                        self.ctx.note("enum-constant", node, name)
+                        self.ctx.note(ENUM_CONSTANT, node, name)
                         return _VS.of(model[name])
                 cbody = type_body(cls)
                 init = self._field_init(name, cbody)
                 if init is not None:
                     if depth >= self.ctx.budget.max_indirection + 1:
                         return _VS.residual(DEPTH_EXCEEDED)
-                    self.ctx.note("static-field", init,
+                    self.ctx.note(STATIC_FIELD, init,
                                   f"{obj.value}.{name}")
                     self.ctx.touch(init)
                     return self.resolve(init, depth + 1, {})
@@ -1614,7 +1622,7 @@ class _Abstract:
                 except _NotConcrete:
                     flags = 0
             return self._apply_unary(
-                [arg_sets[0]], node, "base64-decode",
+                [arg_sets[0]], node, BASE64_DECODE,
                 lambda v: _base64_decode(_jstr(v),
                                          bool(flags & _ANDROID_URL_SAFE)))
         if name == "decode" and receiver is not None \
@@ -1623,7 +1631,7 @@ class _Abstract:
                                             "getMimeDecoder"):
             url_safe = str(receiver.value) == "getUrlDecoder"
             return self._apply_unary(
-                arg_sets[:1], node, "base64-decode",
+                arg_sets[:1], node, BASE64_DECODE,
                 lambda v: _base64_decode(_jstr(v), url_safe))
         if recv_base == "String" and name == "format" and arg_sets:
             return self._format_call(arg_sets, node)
@@ -1760,7 +1768,7 @@ class _Abstract:
             self.ctx.note("unresolved-call", node, name)
             return _VS.residual(UNKNOWN)
         if "native" in modifier_words(decl):
-            self.ctx.note("native-call", node, name)
+            self.ctx.note(NATIVE_CALL, node, name)
             return _VS.residual(NATIVE)
         if method_body(decl) is None:
             return _VS.residual(UNKNOWN)
@@ -1779,7 +1787,7 @@ class _Abstract:
                     value = value.freeze()
                 if isinstance(value, Builder):
                     value = SBuf(value.text)
-                self.ctx.note("method-body", node,
+                self.ctx.note(METHOD_BODY, node,
                               f"{name} -> {_preview(value)}")
                 return _VS.of(value)
             except _NotConcrete:
@@ -1792,7 +1800,7 @@ class _Abstract:
         # Abstract fallback: union of return expressions, one hop.
         if depth >= self.ctx.budget.max_indirection + 1:
             return _VS.residual(DEPTH_EXCEEDED)
-        self.ctx.note("method-returns", node, name)
+        self.ctx.note(METHOD_RETURNS, node, name)
         params = method_params(decl)
         env = dict(zip(params, arg_sets))
         body_block = method_body(decl)
@@ -1877,9 +1885,10 @@ def visible_literals(site: InvocationSite,
     plus every definition the resolver touched."""
     out: set[str] = set()
     if site.unit is not None and site.node is not None:
-        method = enclosing_method_node(site.unit, site.node)
-        scope = method if method is not None else site.node
-        out |= string_literals(scope)
+        index = unit_index(site.unit)
+        method = index.enclosing_method(site.node)
+        out |= index.method_literals(method) if method is not None \
+            else string_literals(site.node)
     if resolved is not None:
         out |= resolved.touched_literals
     return out

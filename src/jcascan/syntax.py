@@ -241,6 +241,10 @@ class UnitIndex:
             for member in body.children:
                 self.member_body.setdefault(id(member), body)
         self._member_facts: dict[int, tuple[list, MemberFacts]] = {}
+        # Per-method facts by id(method); ``method_decls`` keeps every
+        # method alive, so an id is not reused while the index lives.
+        self._literals: dict[int, frozenset[str]] = {}
+        self._builders: dict[int, frozenset[str]] = {}
 
     @cached_property
     def methods(self) -> _Nesting:
@@ -279,6 +283,22 @@ class UnitIndex:
         """The named type declaration whose body is ``body``."""
         decl, name = self.type_of_body.get(id(body), (None, None))
         return decl if name else None
+
+    def method_literals(self, method: SyntaxNode) -> frozenset[str]:
+        """`string_literals` of one of this unit's methods, walked once."""
+        found = self._literals.get(id(method))
+        if found is None:
+            found = self._literals[id(method)] = frozenset(
+                string_literals(method))
+        return found
+
+    def method_builders(self, method: SyntaxNode) -> frozenset[str]:
+        """`builder_names` of one of this unit's methods, walked once."""
+        found = self._builders.get(id(method))
+        if found is None:
+            found = self._builders[id(method)] = frozenset(
+                builder_names(method))
+        return found
 
     def member_facts(self, members: list[SyntaxNode]) -> MemberFacts:
         """Facts about ``members`` (a class body's children), gathered once

@@ -19,9 +19,10 @@ from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
                              _Ctx, _enum_model, _find_class,
-                             enclosing_method_node)
+                             enclosing_method_node, visible_literals)
 from jcascan.rules import _find_unit_method
-from jcascan.syntax import SyntaxNode, decl_name, member_facts, unit_index
+from jcascan.syntax import (SyntaxNode, decl_name, member_facts,
+                            string_literals, unit_index)
 
 # -- reference implementations (whole-tree walks) ---------------------------
 
@@ -164,6 +165,11 @@ def ref_unit_method_names(unit):
 
 def ref_enum_constant_names(unit):
     return {str(n.children[0].value) for n in unit.root.find_all("enum_constant")}
+
+
+def ref_visible_literals(site):
+    method = ref_enclosing_method_node(site.unit, site.node)
+    return string_literals(method if method is not None else site.node)
 
 
 def ref_declared_builders(site):
@@ -375,6 +381,7 @@ def test_site_lookups_match_reference(unit):
         engine = _Abstract(_Ctx(ResolutionBudget()), unit, site)
         assert engine.class_body is ref_site_class_body(unit, site)
         assert _declared_builders(site) == ref_declared_builders(site)
+        assert visible_literals(site) == ref_visible_literals(site)
         fields = [m for m in site.context if m.kind == "field_declaration"]
         assert list(member_facts(unit, site.context).fields) == fields
         names = {str(d.children[0].value) for m in fields
@@ -447,8 +454,25 @@ def _large_unit(n_methods: int) -> str:
             + "\n".join(body) + "\n}\n")
 
 
-def _walk_visits(n_methods: int, monkeypatch) -> int:
-    unit = parse_unit("Big.java", _large_unit(n_methods))
+def _else_if_chain(n_branches: int) -> str:
+    """One method whose ``else if`` chain holds a site in every branch, the
+    shape of a decompiled string switch."""
+    algorithms = ("AES/CBC/PKCS5Padding", "DES", "RC4", "AES/GCM/NoPadding")
+    lines = ["public class Chain {",
+             "    Cipher pick(String s) throws Exception {",
+             "        StringBuilder sb = new StringBuilder();",
+             "        Cipher c = null;"]
+    for i in range(n_branches):
+        head = "if" if i == 0 else "} else if"
+        lines.append(f'        {head} (s.equals("k{i}")) {{')
+        lines.append("            c = Cipher.getInstance("
+                     f'"{algorithms[i % len(algorithms)]}");')
+    lines += ["        }", "        return c;", "    }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _walk_visits(source: str, monkeypatch) -> int:
+    unit = parse_unit("Big.java", source)
     visits = 0
     original = SyntaxNode.walk
 
@@ -466,7 +490,15 @@ def _walk_visits(n_methods: int, monkeypatch) -> int:
 
 
 def test_walk_visits_grow_linearly(monkeypatch):
-    small = _walk_visits(50, monkeypatch)
-    large = _walk_visits(200, monkeypatch)
+    small = _walk_visits(_large_unit(50), monkeypatch)
+    large = _walk_visits(_large_unit(200), monkeypatch)
     # Linear growth gives 4x; one whole-unit walk per site gives ~16x.
+    assert large <= 5 * small, (small, large)
+
+
+def test_method_walks_grow_linearly(monkeypatch):
+    small = _walk_visits(_else_if_chain(300), monkeypatch)
+    large = _walk_visits(_else_if_chain(1200), monkeypatch)
+    # Linear growth gives 4x; one walk of the enclosing method per site
+    # (its literals, its StringBuilder names) gives ~16x.
     assert large <= 5 * small, (small, large)
