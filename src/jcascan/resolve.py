@@ -5,12 +5,14 @@ concatenation, StringBuilder/StringBuffer chains, charAt arithmetic, Base64
 blobs, XOR loops, ternaries, helper methods. This module evaluates such
 expressions with two cooperating engines:
 
-* an abstract, set-valued resolver that unions ternary branches, follows
-  local/field/method definitions up to an indirection budget, and applies
-  string/decoding operations over candidate sets;
-* a bounded concrete interpreter that executes straight-line method bodies
-  and loops (step-budgeted) when every input is a compile-time constant —
-  this is what untangles XOR loops and index-juggling builders.
+* an abstract, set-valued resolver (here) that unions ternary branches,
+  follows local/field/method definitions up to an indirection budget, and
+  applies string/decoding operations over candidate sets;
+* a bounded concrete interpreter (`interp`) that executes the method body
+  before the site, and the helpers it calls, under a step budget when every
+  input is a compile-time constant; it compiles each statement and
+  expression into a closure once per site, so decoder loops run without
+  re-dispatching on node kind.
 
 Anything outside the supported operation set degrades to an explicit
 residual marker rather than a guess.
@@ -18,15 +20,21 @@ residual marker rather than a guess.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import re
 from dataclasses import dataclass, field
 
 from .ingest import InvocationSite
-from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
-                     member_facts, method_body, method_params,
-                     modifier_words, string_literals, type_body, unit_index)
+from .interp import (BASE64_DECODE, ENUM_CONSTANT, Builder, Char,
+                     CharArray, EnumConst, JArray, SBuf, TraceStep,
+                     _ANDROID_URL_SAFE, _MISSING, _BudgetExhausted, _Break,
+                     _Continue, _Ctx, _Interp, _JavaThrow, _NotConcrete,
+                     _Return, _arith, _as_int, _base64_decode, _cast,
+                     _class_members, _compare, _decode_bytes, _elem_of,
+                     _enum_model, _find_class, _java_format, _jstr, _load,
+                     _preview, _string_builtin)
+from .syntax import (SourceUnit, SyntaxNode, decl_name, member_facts,
+                     method_body, method_params, modifier_words,
+                     string_literals, type_body, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -35,10 +43,9 @@ NETWORK = "NETWORK"
 EXTERNAL_INPUT = "EXTERNAL_INPUT"
 DEPTH_EXCEEDED = "DEPTH_EXCEEDED"
 
-# Trace-step rule names that classification reads back.
+# Trace-step rule names that classification reads back (with
+# ENUM_CONSTANT and BASE64_DECODE, which the interpreter notes too).
 STATIC_FIELD = "static-field"
-ENUM_CONSTANT = "enum-constant"
-BASE64_DECODE = "base64-decode"
 NATIVE_CALL = "native-call"
 METHOD_BODY = "method-body"
 METHOD_RETURNS = "method-returns"
@@ -47,8 +54,6 @@ _NETWORK_METHODS = {"readLine", "getInputStream", "openStream",
                     "openConnection", "getResponseMessage", "getHeaderField"}
 _EXTERNAL_METHODS = {"getStringExtra", "getProperty", "getParameter",
                      "getText", "getPreference"}
-
-_ANDROID_URL_SAFE = 8  # android.util.Base64.URL_SAFE bit
 
 
 @dataclass(frozen=True)
@@ -64,13 +69,6 @@ class ResolutionBudget:
             raise ValueError("budget fields must be positive")
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    span: tuple[int, int]
-    intermediate: str = ""
-
-
 @dataclass
 class ResolvedValue:
     candidates: set[str]
@@ -84,1120 +82,12 @@ class ResolvedValue:
         return bool(self.candidates) and not self.residuals
 
 
-# -- value model ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Char:
-    cp: int
-
-
-@dataclass(frozen=True)
-class CharArray:
-    text: str
-
-
-@dataclass(frozen=True)
-class SBuf:
-    """Immutable snapshot of a StringBuilder/StringBuffer value."""
-    text: str
-
-
-@dataclass(frozen=True)
-class EnumConst:
-    enum_name: str
-    const_name: str
-    fields: tuple[tuple[str, object], ...] = ()
-
-    def field_value(self, name: str) -> object:
-        for key, val in self.fields:
-            if key == name:
-                return val
-        return None
-
-
-class JArray:
-    """Mutable array for the concrete interpreter."""
-
-    def __init__(self, items: list, elem: str = "int"):
-        self.items = items
-        self.elem = elem  # int | byte | char | object
-
-    def freeze(self):
-        if self.elem == "char":
-            return CharArray("".join(
-                chr(v.cp if isinstance(v, Char) else int(v))
-                for v in self.items))
-        if self.elem == "byte":
-            return bytes((int(v) + 256) % 256 for v in self.items)
-        return tuple(self.items)
-
-
-class Builder:
-    """Mutable StringBuilder/StringBuffer for the concrete interpreter."""
-
-    def __init__(self, initial: str = ""):
-        self.text = initial
-
-
-class _NotConcrete(Exception):
-    pass
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _JavaThrow(Exception):
-    pass
-
-
-def _jstr(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Char):
-        return chr(value.cp)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, CharArray):
-        return value.text
-    if isinstance(value, SBuf):
-        return value.text
-    if isinstance(value, EnumConst):
-        return value.const_name
-    if value is None:
-        return "null"
-    raise _NotConcrete
-
-
-def _as_int(value) -> int:
-    if isinstance(value, bool):
-        raise _NotConcrete
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Char):
-        return value.cp
-    raise _NotConcrete
-
-
-def _truncate_div(a: int, b: int) -> int:
-    if b == 0:
-        raise _NotConcrete
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _arith(op: str, a, b):
-    if op == "+":
-        if isinstance(a, str) or isinstance(b, str):
-            return _jstr(a) + _jstr(b)
-        return _as_int(a) + _as_int(b)
-    ia, ib = _as_int(a), _as_int(b)
-    if op == "-":
-        return ia - ib
-    if op == "*":
-        return ia * ib
-    if op == "/":
-        return _truncate_div(ia, ib)
-    if op == "%":
-        if ib == 0:
-            raise _NotConcrete
-        return ia - _truncate_div(ia, ib) * ib
-    if op == "^":
-        return ia ^ ib
-    if op == "&":
-        return ia & ib
-    if op == "|":
-        return ia | ib
-    if op == "<<":
-        return ia << (ib & 31)
-    if op == ">>":
-        return ia >> (ib & 31)
-    if op == ">>>":
-        return (ia % (1 << 32)) >> (ib & 31)
-    raise _NotConcrete
-
-
-def _compare(op: str, a, b) -> bool:
-    if op in ("==", "!="):
-        if isinstance(a, (str, bool)) or isinstance(b, (str, bool)) \
-                or a is None or b is None:
-            eq = a == b
-        else:
-            eq = _as_int(a) == _as_int(b)
-        return eq if op == "==" else not eq
-    ia, ib = _as_int(a), _as_int(b)
-    return {"<": ia < ib, ">": ia > ib,
-            "<=": ia <= ib, ">=": ia >= ib}[op]
-
-
-def _java_format(fmt: str, args: list) -> str:
-    out = []
-    idx = 0
-    i = 0
-    while i < len(fmt):
-        c = fmt[i]
-        if c != "%":
-            out.append(c)
-            i += 1
-            continue
-        j = i + 1
-        while j < len(fmt) and fmt[j] in "-+ 0123456789.#,":
-            j += 1
-        if j >= len(fmt):
-            raise _NotConcrete
-        conv = fmt[j]
-        spec = fmt[i:j + 1]
-        if conv == "%":
-            out.append("%")
-            i = j + 1
-            continue
-        if conv == "n":
-            out.append("\n")
-            i = j + 1
-            continue
-        if idx >= len(args):
-            raise _NotConcrete
-        arg = args[idx]
-        idx += 1
-        if conv in "sS":
-            out.append((spec[:-1] + "s") % _jstr(arg))
-        elif conv in "dxXo":
-            out.append((spec[:-1] + conv.lower()) % _as_int(arg))
-        elif conv == "c":
-            out.append(_jstr(arg)[:1])
-        else:
-            raise _NotConcrete
-        i = j + 1
-    return "".join(out)
-
-
-def _base64_decode(data: str, url_safe: bool) -> bytes:
-    cleaned = re.sub(r"\s+", "", data)
-    if len(cleaned) % 4 != 0:
-        raise _NotConcrete
-    try:
-        if url_safe:
-            return base64.urlsafe_b64decode(cleaned)
-        return base64.b64decode(cleaned, validate=True)
-    except (binascii.Error, ValueError):
-        raise _NotConcrete from None
-
-
-def _decode_bytes(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return raw.decode("latin-1")
-
-
 # -- unit-level lookups --------------------------------------------------
-
-def _find_class(unit: SourceUnit, name: str) -> SyntaxNode | None:
-    """The first named type declaration called ``name``, in pre-order."""
-    return unit_index(unit).first_type.get(name)
-
 
 def enclosing_method_node(unit: SourceUnit,
                           node: SyntaxNode) -> SyntaxNode | None:
     """Smallest method or constructor declaration containing ``node``."""
     return unit_index(unit).enclosing_method(node)
-
-
-def _class_members(unit: SourceUnit, class_body: SyntaxNode):
-    """Members of the class plus its direct same-unit superclass."""
-    members = list(class_body.children)
-    owner = unit_index(unit).named_owner(class_body)
-    if owner is not None:
-        supers = [c for c in owner.children if c.kind == "type_identifier"]
-        for sup in supers:
-            sup_decl = _find_class(unit, str(sup.value).split("<")[0])
-            if sup_decl is not None:
-                sup_body = type_body(sup_decl)
-                if sup_body is not None:
-                    members.extend(sup_body.children)
-    return members
-
-
-def _enum_model(unit: SourceUnit, enum_decl: SyntaxNode) -> dict[str, EnumConst]:
-    """Map constant name → EnumConst with constructor-bound fields."""
-    name = decl_name(enum_decl) or "?"
-    body = child_of_kind(enum_decl, "enum_body")
-    if body is None:
-        return {}
-    ctor = child_of_kind(body, "constructor_declaration")
-    param_names = method_params(ctor) if ctor is not None else []
-    # this.field = param assignments in the constructor body.
-    field_of_param: dict[str, str] = {}
-    if ctor is not None:
-        cbody = method_body(ctor)
-        if cbody is not None:
-            for stmt in cbody.find_all("assignment_expression"):
-                lhs, rhs = stmt.children[0], stmt.children[1]
-                if lhs.kind == "field_access" and lhs.children[0].kind == "this" \
-                        and rhs.kind == "identifier" \
-                        and str(rhs.value) in param_names:
-                    field_of_param[str(rhs.value)] = str(lhs.children[1].value)
-    out: dict[str, EnumConst] = {}
-    for const in body.children:
-        if const.kind != "enum_constant":
-            continue
-        cname = str(const.children[0].value)
-        args = next((c for c in const.children
-                     if c.kind == "argument_list"), None)
-        bound: list[tuple[str, object]] = []
-        if args is not None:
-            for pname, arg in zip(param_names, args.children):
-                fname = field_of_param.get(pname)
-                if fname is None:
-                    continue
-                if arg.kind == "string_literal":
-                    bound.append((fname, arg.value))
-                elif arg.kind in ("decimal_integer_literal",
-                                  "hex_integer_literal"):
-                    bound.append((fname, arg.value))
-                elif arg.kind == "character_literal":
-                    bound.append((fname, Char(ord(str(arg.value)))))
-        out[cname] = EnumConst(name, cname, tuple(bound))
-    return out
-
-
-# -- shared resolution context -------------------------------------------
-
-class _Ctx:
-    def __init__(self, budget: ResolutionBudget):
-        self.budget = budget
-        self.steps = 0
-        self.trace: list[TraceStep] = []
-        self.visible: set[str] = set()
-
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
-        if self.steps > self.budget.max_steps:
-            raise _BudgetExhausted
-
-    def note(self, rule: str, node: SyntaxNode, intermediate: str = "") -> None:
-        if len(self.trace) < 200:
-            self.trace.append(TraceStep(rule, (node.start, node.end),
-                                        intermediate))
-
-    def touch(self, node: SyntaxNode) -> None:
-        self.visible |= string_literals(node)
-
-
-# -- concrete interpreter --------------------------------------------------
-
-def _written_names(stmt: SyntaxNode) -> set[str]:
-    """Names a statement may write: declared vars, assignment targets,
-    update targets, and identifier receivers of mutating calls."""
-    out: set[str] = set()
-    for node in stmt.walk():
-        if node.kind == "variable_declarator":
-            out.add(str(node.children[0].value))
-        elif node.kind == "assignment_expression":
-            lhs = node.children[0]
-            if lhs.kind == "identifier":
-                out.add(str(lhs.value))
-            elif lhs.kind == "array_access" \
-                    and lhs.children[0].kind == "identifier":
-                out.add(str(lhs.children[0].value))
-        elif node.kind == "update_expression" \
-                and node.children[0].kind == "identifier":
-            out.add(str(node.children[0].value))
-        elif node.kind == "method_invocation" and len(node.children) == 3 \
-                and node.children[0].kind == "identifier":
-            out.add(str(node.children[0].value))
-    return out
-
-
-class _Interp:
-    """Executes concrete Java statements under a step budget."""
-
-    def __init__(self, ctx: _Ctx, unit: SourceUnit,
-                 class_body: SyntaxNode | None):
-        self.ctx = ctx
-        self.unit = unit
-        self.class_body = class_body
-        self.call_depth = 0
-
-    # --- entry points ---
-
-    def call_method(self, decl: SyntaxNode, args: list,
-                    this_fields: dict[str, object] | None = None):
-        if self.call_depth >= self.ctx.budget.max_call_depth:
-            raise _NotConcrete
-        body = method_body(decl)
-        if body is None:
-            raise _NotConcrete
-        params = method_params(decl)
-        if len(params) != len(args):
-            raise _NotConcrete
-        env = dict(zip(params, args))
-        self.call_depth += 1
-        try:
-            self.exec_block(body, env, this_fields or {})
-        except _Return as ret:
-            return ret.value
-        finally:
-            self.call_depth -= 1
-        return None
-
-    def run_region(self, body: SyntaxNode, stop_before: SyntaxNode,
-                   env: dict, fields: dict) -> None:
-        """Execute top-level statements of ``body`` preceding the one that
-        contains ``stop_before``.
-
-        A statement that cannot be executed concretely poisons (unbinds)
-        every variable it might write, instead of aborting the region;
-        later reads of a poisoned variable fail on their own.
-        """
-        for stmt in body.children:
-            if stmt.start <= stop_before.start <= stmt.end:
-                return
-            try:
-                self.exec_stmt(stmt, env, fields)
-            except (_NotConcrete, _JavaThrow):
-                for name in _written_names(stmt):
-                    env.pop(name, None)
-            except (_Return, _Break, _Continue):
-                raise _NotConcrete from None
-
-    # --- statements ---
-
-    def exec_block(self, block: SyntaxNode, env: dict, fields: dict) -> None:
-        for stmt in block.children:
-            self.exec_stmt(stmt, env, fields)
-
-    def exec_stmt(self, stmt: SyntaxNode, env: dict, fields: dict) -> None:
-        self.ctx.tick()
-        kind = stmt.kind
-        if kind == "local_variable_declaration":
-            elem = self._elem_of(str(stmt.children[0].value or ""))
-            for decl in stmt.children[1:]:
-                if decl.kind != "variable_declarator":
-                    continue
-                name = str(decl.children[0].value)
-                if len(decl.children) > 1:
-                    init = decl.children[1]
-                    if init.kind == "array_initializer":
-                        env[name] = self._array_from_initializer(
-                            init, env, fields, elem)
-                    else:
-                        env[name] = self.eval(init, env, fields)
-                else:
-                    env[name] = None
-            return
-        if kind == "expression_statement":
-            self.eval(stmt.children[0], env, fields)
-            return
-        if kind == "block":
-            self.exec_block(stmt, env, fields)
-            return
-        if kind == "if_statement":
-            cond = self.eval(stmt.children[0], env, fields)
-            if not isinstance(cond, bool):
-                raise _NotConcrete
-            branches = stmt.children[1:]
-            if cond and branches:
-                self.exec_stmt(branches[0], env, fields)
-            elif not cond and len(branches) > 1:
-                self.exec_stmt(branches[1], env, fields)
-            return
-        if kind == "for_statement":
-            self._exec_for(stmt, env, fields)
-            return
-        if kind == "enhanced_for_statement":
-            self._exec_enhanced_for(stmt, env, fields)
-            return
-        if kind in ("while_statement", "do_statement"):
-            self._exec_while(stmt, env, fields, do=kind == "do_statement")
-            return
-        if kind == "return_statement":
-            value = self.eval(stmt.children[0], env, fields) \
-                if stmt.children else None
-            raise _Return(value)
-        if kind == "break_statement":
-            raise _Break
-        if kind == "continue_statement":
-            raise _Continue
-        if kind == "throw_statement":
-            raise _JavaThrow
-        if kind == "try_statement":
-            self._exec_try(stmt, env, fields)
-            return
-        if kind == "synchronized_statement":
-            self.exec_block(stmt.children[-1], env, fields)
-            return
-        if kind in ("assert_statement",):
-            return
-        raise _NotConcrete
-
-    def _exec_for(self, stmt: SyntaxNode, env: dict, fields: dict) -> None:
-        n_init, has_cond, n_upd, has_body = stmt.value
-        children = stmt.children
-        inits = children[:n_init]
-        cond = children[n_init] if has_cond else None
-        upd_start = n_init + (1 if has_cond else 0)
-        updates = children[upd_start:upd_start + n_upd]
-        body = children[-1] if has_body else None
-        for init in inits:
-            self.exec_stmt(init, env, fields) \
-                if init.kind == "local_variable_declaration" \
-                else self.eval(init, env, fields)
-        while True:
-            self.ctx.tick()
-            if cond is not None:
-                test = self.eval(cond, env, fields)
-                if not isinstance(test, bool):
-                    raise _NotConcrete
-                if not test:
-                    return
-            if body is not None:
-                try:
-                    self.exec_stmt(body, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-            for update in updates:
-                self.eval(update, env, fields)
-            if cond is None and not updates:
-                raise _NotConcrete
-
-    def _exec_enhanced_for(self, stmt: SyntaxNode, env: dict,
-                           fields: dict) -> None:
-        _, name_node, iterable = stmt.children[0], stmt.children[1], \
-            stmt.children[2]
-        body = stmt.children[3] if len(stmt.children) > 3 else None
-        seq = self.eval(iterable, env, fields)
-        items: list
-        if isinstance(seq, JArray):
-            items = list(seq.items)
-        elif isinstance(seq, (tuple, bytes)):
-            items = list(seq)
-        elif isinstance(seq, CharArray):
-            items = [Char(ord(c)) for c in seq.text]
-        elif isinstance(seq, str):
-            items = [Char(ord(c)) for c in seq]
-        else:
-            raise _NotConcrete
-        name = str(name_node.value)
-        for item in items:
-            self.ctx.tick()
-            env[name] = item
-            if body is not None:
-                try:
-                    self.exec_stmt(body, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    continue
-
-    def _exec_while(self, stmt: SyntaxNode, env: dict, fields: dict,
-                    do: bool) -> None:
-        cond = stmt.children[-1] if do else stmt.children[0]
-        body = stmt.children[0] if do and len(stmt.children) > 1 else (
-            stmt.children[1] if not do and len(stmt.children) > 1 else None)
-        first = True
-        while True:
-            self.ctx.tick()
-            if not (do and first):
-                test = self.eval(cond, env, fields)
-                if not isinstance(test, bool):
-                    raise _NotConcrete
-                if not test:
-                    return
-            if body is not None:
-                try:
-                    self.exec_stmt(body, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-            if do:
-                first = False
-                test = self.eval(cond, env, fields)
-                if not isinstance(test, bool):
-                    raise _NotConcrete
-                if not test:
-                    return
-
-    def _exec_try(self, stmt: SyntaxNode, env: dict, fields: dict) -> None:
-        blocks = [c for c in stmt.children if c.kind == "block"]
-        catches = [c for c in stmt.children if c.kind == "catch_clause"]
-        final = next((c for c in stmt.children
-                      if c.kind == "finally_clause"), None)
-        try:
-            for extra in stmt.children:
-                if extra.kind == "local_variable_declaration":
-                    self.exec_stmt(extra, env, fields)
-            if blocks:
-                self.exec_block(blocks[0], env, fields)
-        except _JavaThrow:
-            if catches:
-                cblock = next(c for c in catches[0].children
-                              if c.kind == "block")
-                self.exec_block(cblock, env, fields)
-            else:
-                if final is not None:
-                    self.exec_block(final.children[0], env, fields)
-                raise
-        if final is not None:
-            self.exec_block(final.children[0], env, fields)
-
-    # --- expressions ---
-
-    @staticmethod
-    def _elem_of(type_text: str) -> str:
-        base = type_text.rstrip("[]")
-        return base if base in ("int", "byte", "char", "short", "long") \
-            else "object"
-
-    def _array_from_initializer(self, init: SyntaxNode, env: dict,
-                                fields: dict, elem: str) -> JArray:
-        items = [self.eval(c, env, fields) if c.kind != "array_initializer"
-                 else self._array_from_initializer(c, env, fields, elem)
-                 for c in init.children]
-        return JArray(items, elem if elem != "object" else "int")
-
-    def eval(self, node: SyntaxNode, env: dict, fields: dict):
-        self.ctx.tick()
-        kind = node.kind
-        if kind == "string_literal":
-            return node.value
-        if kind == "character_literal":
-            return Char(ord(str(node.value)))
-        if kind in ("decimal_integer_literal", "hex_integer_literal",
-                    "decimal_floating_point_literal"):
-            return node.value
-        if kind in ("true", "false"):
-            return node.value
-        if kind == "null_literal":
-            return None
-        if kind == "identifier":
-            name = str(node.value)
-            if name in env:
-                return env[name]
-            if name in fields:
-                return fields[name]
-            found = self._static_field(name)
-            if found is not _MISSING:
-                return found
-            raise _NotConcrete
-        if kind == "parenthesized_expression":
-            return self.eval(node.children[0], env, fields)
-        if kind == "binary_expression":
-            op = str(node.value)
-            if op == "&&":
-                left = self.eval(node.children[0], env, fields)
-                if not isinstance(left, bool):
-                    raise _NotConcrete
-                return left and self._as_bool(node.children[1], env, fields)
-            if op == "||":
-                left = self.eval(node.children[0], env, fields)
-                if not isinstance(left, bool):
-                    raise _NotConcrete
-                return left or self._as_bool(node.children[1], env, fields)
-            a = self.eval(node.children[0], env, fields)
-            b = self.eval(node.children[1], env, fields)
-            if op in ("==", "!=", "<", ">", "<=", ">="):
-                return _compare(op, a, b)
-            return _arith(op, a, b)
-        if kind == "unary_expression":
-            val = self.eval(node.children[0], env, fields)
-            op = str(node.value)
-            if op == "-":
-                return -_as_int(val)
-            if op == "+":
-                return _as_int(val)
-            if op == "~":
-                return ~_as_int(val)
-            if op == "!":
-                if not isinstance(val, bool):
-                    raise _NotConcrete
-                return not val
-            raise _NotConcrete
-        if kind == "update_expression":
-            return self._eval_update(node, env, fields)
-        if kind == "assignment_expression":
-            return self._eval_assign(node, env, fields)
-        if kind == "ternary_expression":
-            # Ternaries always resolve to the union of both branches (the
-            # abstract layer owns that rule), so never pick one here.
-            raise _NotConcrete
-        if kind == "cast_expression":
-            target = str(node.value or "")
-            val = self.eval(node.children[1], env, fields)
-            if target == "char":
-                return Char(_as_int(val) & 0xFFFF)
-            if target == "byte":
-                return ((_as_int(val) + 128) % 256) - 128
-            if target in ("int", "long", "short"):
-                return _as_int(val)
-            return val
-        if kind == "array_access":
-            arr = self.eval(node.children[0], env, fields)
-            idx = _as_int(self.eval(node.children[1], env, fields))
-            return self._load(arr, idx)
-        if kind == "array_creation_expression":
-            return self._eval_new_array(node, env, fields)
-        if kind == "array_initializer":
-            return self._array_from_initializer(node, env, fields, "int")
-        if kind == "object_creation_expression":
-            return self._eval_new_object(node, env, fields)
-        if kind == "method_invocation":
-            return self._eval_call(node, env, fields)
-        if kind == "field_access":
-            return self._eval_field_access(node, env, fields)
-        if kind == "this":
-            raise _NotConcrete
-        raise _NotConcrete
-
-    def _as_bool(self, node: SyntaxNode, env: dict, fields: dict) -> bool:
-        val = self.eval(node, env, fields)
-        if not isinstance(val, bool):
-            raise _NotConcrete
-        return val
-
-    @staticmethod
-    def _load(arr, idx: int):
-        if isinstance(arr, JArray):
-            if not 0 <= idx < len(arr.items):
-                raise _NotConcrete
-            return arr.items[idx]
-        if isinstance(arr, (tuple, bytes)):
-            if not 0 <= idx < len(arr):
-                raise _NotConcrete
-            return arr[idx]
-        if isinstance(arr, CharArray):
-            if not 0 <= idx < len(arr.text):
-                raise _NotConcrete
-            return Char(ord(arr.text[idx]))
-        raise _NotConcrete
-
-    def _eval_update(self, node: SyntaxNode, env: dict, fields: dict):
-        target = node.children[0]
-        delta = 1 if str(node.value) == "++" else -1
-        if target.kind == "identifier":
-            name = str(target.value)
-            if name not in env:
-                raise _NotConcrete
-            env[name] = _as_int(env[name]) + delta
-            return env[name]
-        if target.kind == "array_access":
-            arr = self.eval(target.children[0], env, fields)
-            idx = _as_int(self.eval(target.children[1], env, fields))
-            if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
-                raise _NotConcrete
-            arr.items[idx] = _as_int(arr.items[idx]) + delta
-            return arr.items[idx]
-        raise _NotConcrete
-
-    def _eval_assign(self, node: SyntaxNode, env: dict, fields: dict):
-        lhs, rhs = node.children
-        op = str(node.value)
-        value = self.eval(rhs, env, fields)
-
-        def combined(old):
-            if op == "=":
-                return value
-            return _arith(op[:-1], old, value)
-
-        if lhs.kind == "identifier":
-            name = str(lhs.value)
-            old = env.get(name) if op != "=" else None
-            if op != "=" and name not in env:
-                raise _NotConcrete
-            env[name] = combined(old)
-            return env[name]
-        if lhs.kind == "array_access":
-            arr = self.eval(lhs.children[0], env, fields)
-            idx = _as_int(self.eval(lhs.children[1], env, fields))
-            if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
-                raise _NotConcrete
-            new = combined(arr.items[idx])
-            if arr.elem == "char" and isinstance(new, int):
-                new = Char(new & 0xFFFF)
-            arr.items[idx] = new
-            return new
-        if lhs.kind == "field_access" and lhs.children[0].kind == "this":
-            fname = str(lhs.children[1].value)
-            fields[fname] = combined(fields.get(fname))
-            return fields[fname]
-        raise _NotConcrete
-
-    def _eval_new_array(self, node: SyntaxNode, env: dict, fields: dict):
-        type_node = node.children[0]
-        elem = self._elem_of(str(type_node.value or ""))
-        init = next((c for c in node.children
-                     if c.kind == "array_initializer"), None)
-        if init is not None:
-            return self._array_from_initializer(init, env, fields, elem)
-        dims = [c for c in node.children[1:]
-                if c.kind != "array_initializer"]
-        if len(dims) == 1:
-            size = _as_int(self.eval(dims[0], env, fields))
-            if size < 0 or size > 65536:
-                raise _NotConcrete
-            fill = Char(0) if elem == "char" else 0
-            return JArray([fill] * size, elem)
-        raise _NotConcrete
-
-    def _eval_new_object(self, node: SyntaxNode, env: dict, fields: dict):
-        type_name = str(node.children[0].value or "")
-        args_node = next((c for c in node.children
-                          if c.kind == "argument_list"), None)
-        args = [self.eval(a, env, fields)
-                for a in (args_node.children if args_node else [])]
-        base = type_name.split(".")[-1]
-        if base == "String":
-            if not args:
-                return ""
-            first = args[0]
-            if isinstance(first, JArray):
-                first = first.freeze()
-            if isinstance(first, bytes):
-                return _decode_bytes(first)
-            if isinstance(first, CharArray):
-                if len(args) == 3:
-                    off, cnt = _as_int(args[1]), _as_int(args[2])
-                    return first.text[off:off + cnt]
-                return first.text
-            if isinstance(first, tuple):
-                return "".join(chr(int(v) % 256) for v in first)
-            if isinstance(first, str):
-                return first
-            raise _NotConcrete
-        if base in ("StringBuilder", "StringBuffer"):
-            if args and isinstance(args[0], str):
-                return Builder(args[0])
-            if args and isinstance(args[0], int):
-                return Builder("")
-            return Builder("")
-        raise _NotConcrete
-
-    def _eval_field_access(self, node: SyntaxNode, env: dict, fields: dict):
-        obj, name_node = node.children
-        name = str(name_node.value)
-        if obj.kind == "this":
-            if name in fields:
-                return fields[name]
-            found = self._static_field(name)
-            if found is not _MISSING:
-                return found
-            raise _NotConcrete
-        if obj.kind == "identifier":
-            cname = str(obj.value)
-            if name == "length":
-                base = self.eval(obj, env, fields) if cname in env else None
-                if isinstance(base, JArray):
-                    return len(base.items)
-                if isinstance(base, (tuple, bytes)):
-                    return len(base)
-                if isinstance(base, CharArray):
-                    return len(base.text)
-            cls = _find_class(self.unit, cname)
-            if cls is not None:
-                if cls.kind == "enum_declaration":
-                    model = _enum_model(self.unit, cls)
-                    if name in model:
-                        self.ctx.note(ENUM_CONSTANT, node, name)
-                        return model[name]
-                found = self._static_field(name, cls)
-                if found is not _MISSING:
-                    return found
-            try:
-                base = self.eval(obj, env, fields)
-            except _NotConcrete:
-                raise
-            if isinstance(base, EnumConst):
-                val = base.field_value(name)
-                if val is not None:
-                    return val
-            raise _NotConcrete
-        base = self.eval(obj, env, fields)
-        if name == "length":
-            if isinstance(base, JArray):
-                return len(base.items)
-            if isinstance(base, (tuple, bytes)):
-                return len(base)
-            if isinstance(base, CharArray):
-                return len(base.text)
-        if isinstance(base, EnumConst):
-            val = base.field_value(name)
-            if val is not None:
-                return val
-        raise _NotConcrete
-
-    def _static_field(self, name: str, cls: SyntaxNode | None = None):
-        body = type_body(cls) if cls is not None else None
-        members = _class_members(self.unit, body) if body is not None else (
-            _class_members(self.unit, self.class_body)
-            if self.class_body is not None else [])
-        for member in members:
-            if member.kind != "field_declaration":
-                continue
-            for decl in member.children:
-                if decl.kind != "variable_declarator":
-                    continue
-                if str(decl.children[0].value) != name:
-                    continue
-                if len(decl.children) < 2:
-                    return _MISSING
-                self.ctx.touch(member)
-                init = decl.children[1]
-                if init.kind == "array_initializer":
-                    type_node = next((c for c in member.children
-                                      if c.kind == "type_identifier"), None)
-                    elem = self._elem_of(str(type_node.value or "")) \
-                        if type_node is not None else "int"
-                    return self._array_from_initializer(init, {}, {}, elem)
-                return self.eval(init, {}, {})
-        return _MISSING
-
-    # --- calls ---
-
-    def _eval_call(self, node: SyntaxNode, env: dict, fields: dict):
-        name = str(node.value)
-        args_node = node.children[-1]
-        has_receiver = len(node.children) == 3
-        receiver = node.children[0] if has_receiver else None
-
-        # Static library calls keyed on the receiver text.
-        recv_text = receiver.text if receiver is not None else ""
-        if name == "toChars" and recv_text.endswith("Character"):
-            cp = _as_int(self.eval(args_node.children[0], env, fields))
-            return CharArray(chr(cp & 0x10FFFF))
-        if recv_text.split(".")[-1] == "Base64" and name == "decode":
-            data = self.eval(args_node.children[0], env, fields)
-            flags = 0
-            if len(args_node.children) > 1:
-                flags = _as_int(self.eval(args_node.children[1], env, fields))
-            decoded = _base64_decode(_jstr(data),
-                                     bool(flags & _ANDROID_URL_SAFE))
-            self.ctx.note(BASE64_DECODE, node, _preview(decoded))
-            return decoded
-        if name == "decode" and receiver is not None \
-                and receiver.kind == "method_invocation" \
-                and str(receiver.value) in ("getDecoder", "getUrlDecoder",
-                                            "getMimeDecoder"):
-            data = self.eval(args_node.children[0], env, fields)
-            decoded = _base64_decode(_jstr(data),
-                                     str(receiver.value) == "getUrlDecoder")
-            self.ctx.note(BASE64_DECODE, node, _preview(decoded))
-            return decoded
-        if recv_text.split(".")[-1] == "String" and name in ("valueOf",
-                                                             "format",
-                                                             "copyValueOf"):
-            args = [self.eval(a, env, fields) for a in args_node.children]
-            if name == "format":
-                return _java_format(_jstr(args[0]), args[1:])
-            first = args[0]
-            if isinstance(first, JArray):
-                first = first.freeze()
-            if isinstance(first, CharArray):
-                return first.text
-            return _jstr(first)
-        if recv_text.split(".")[-1] == "Integer" and name in ("parseInt",
-                                                              "valueOf"):
-            text = _jstr(self.eval(args_node.children[0], env, fields))
-            try:
-                return int(text.strip())
-            except ValueError:
-                raise _NotConcrete from None
-        if recv_text.split(".")[-1] == "Math" and name in ("min", "max",
-                                                           "abs"):
-            args = [_as_int(self.eval(a, env, fields))
-                    for a in args_node.children]
-            return {"min": min, "max": max, "abs": lambda *a: abs(a[0])}[
-                name](*args)
-
-        # Instance calls.
-        if receiver is not None:
-            if receiver.kind == "identifier" \
-                    and str(receiver.value) not in env \
-                    and str(receiver.value) not in fields:
-                cls = _find_class(self.unit, str(receiver.value))
-                if cls is not None:
-                    return self._call_user(cls, name, args_node, env, fields)
-                raise _NotConcrete
-            base = self.eval(receiver, env, fields)
-            args = [self.eval(a, env, fields) for a in args_node.children]
-            result = _string_builtin(base, name, args)
-            if result is not _MISSING:
-                return result
-            if isinstance(base, EnumConst):
-                if name in ("name", "toString"):
-                    return base.const_name
-                cls = _find_class(self.unit, base.enum_name)
-                if cls is not None:
-                    return self._call_user(cls, name, args_node, env, fields,
-                                           this_fields=dict(base.fields),
-                                           evaluated=args)
-            raise _NotConcrete
-
-        # Unqualified call: same-class (or superclass) method, or a
-        # this-bound callable.
-        return self._call_user(None, name, args_node, env, fields)
-
-    def _call_user(self, cls: SyntaxNode | None, name: str,
-                   args_node: SyntaxNode, env: dict, fields: dict,
-                   this_fields: dict[str, object] | None = None,
-                   evaluated: list | None = None):
-        body = type_body(cls) if cls is not None else None
-        members = _class_members(self.unit, body) if body is not None else (
-            _class_members(self.unit, self.class_body)
-            if self.class_body is not None else [])
-        n_args = len(args_node.children)
-        decl = None
-        for member in members:
-            if member.kind == "method_declaration" \
-                    and decl_name(member) == name \
-                    and len(method_params(member)) == n_args:
-                decl = member
-                break
-        if decl is None:
-            raise _NotConcrete
-        if "native" in modifier_words(decl) or method_body(decl) is None:
-            raise _NotConcrete
-        self.ctx.touch(decl)
-        args = evaluated if evaluated is not None else [
-            self.eval(a, env, fields) for a in args_node.children]
-        return self.call_method(decl, args,
-                                this_fields if this_fields is not None
-                                else fields)
-
-
-_MISSING = object()
-
-
-def _string_builtin(base, name: str, args: list):
-    """String / StringBuilder / array built-ins; _MISSING if not one."""
-    if isinstance(base, Builder):
-        if name == "append":
-            if args:
-                arg = args[0]
-                if isinstance(arg, JArray):
-                    arg = arg.freeze()
-                base.text += _jstr(arg)
-            return base
-        if name == "toString":
-            return base.text
-        if name == "reverse":
-            base.text = base.text[::-1]
-            return base
-        if name == "insert" and len(args) == 2:
-            pos = _as_int(args[0])
-            base.text = base.text[:pos] + _jstr(args[1]) + base.text[pos:]
-            return base
-        if name == "length":
-            return len(base.text)
-        if name == "charAt":
-            idx = _as_int(args[0])
-            if not 0 <= idx < len(base.text):
-                raise _NotConcrete
-            return Char(ord(base.text[idx]))
-        if name == "deleteCharAt":
-            idx = _as_int(args[0])
-            base.text = base.text[:idx] + base.text[idx + 1:]
-            return base
-        if name == "setLength":
-            base.text = base.text[:_as_int(args[0])]
-            return base
-        return _MISSING
-    if isinstance(base, SBuf):
-        if name == "append":
-            arg = args[0]
-            if isinstance(arg, JArray):
-                arg = arg.freeze()
-            return SBuf(base.text + _jstr(arg))
-        if name == "toString":
-            return base.text
-        if name == "reverse":
-            return SBuf(base.text[::-1])
-        return _MISSING
-    if isinstance(base, str):
-        if name == "charAt":
-            idx = _as_int(args[0])
-            if not 0 <= idx < len(base):
-                raise _NotConcrete
-            return Char(ord(base[idx]))
-        if name == "length":
-            return len(base)
-        if name == "substring":
-            start = _as_int(args[0])
-            end = _as_int(args[1]) if len(args) > 1 else len(base)
-            if not 0 <= start <= end <= len(base):
-                raise _NotConcrete
-            return base[start:end]
-        if name == "replace":
-            return base.replace(_jstr(args[0]), _jstr(args[1]))
-        if name == "replaceAll":
-            try:
-                return re.sub(_jstr(args[0]), _jstr(args[1]), base)
-            except re.error:
-                raise _NotConcrete from None
-        if name == "concat":
-            return base + _jstr(args[0])
-        if name == "trim" or name == "strip":
-            return base.strip()
-        if name == "toLowerCase":
-            return base.lower()
-        if name == "toUpperCase":
-            return base.upper()
-        if name == "toString" or name == "intern":
-            return base
-        if name == "toCharArray":
-            return CharArray(base)
-        if name == "getBytes":
-            return base.encode("utf-8")
-        if name == "indexOf":
-            return base.find(_jstr(args[0]),
-                             _as_int(args[1]) if len(args) > 1 else 0)
-        if name == "lastIndexOf":
-            return base.rfind(_jstr(args[0]))
-        if name in ("equals", "equalsIgnoreCase"):
-            other = args[0]
-            if not isinstance(other, str):
-                return False
-            return base.lower() == other.lower() \
-                if name == "equalsIgnoreCase" else base == other
-        if name == "contains":
-            return _jstr(args[0]) in base
-        if name == "startsWith":
-            return base.startswith(_jstr(args[0]))
-        if name == "endsWith":
-            return base.endswith(_jstr(args[0]))
-        if name == "isEmpty":
-            return base == ""
-        if name == "split":
-            try:
-                parts = re.split(_jstr(args[0]), base)
-            except re.error:
-                raise _NotConcrete from None
-            return JArray(parts, "object")
-        if name == "valueOf":
-            return _jstr(args[0]) if args else base
-        return _MISSING
-    if isinstance(base, (JArray, CharArray, tuple, bytes)):
-        return _MISSING
-    return _MISSING
 
 
 # -- abstract, set-valued resolver ----------------------------------------
@@ -1311,7 +201,7 @@ class _Abstract:
             return self._resolve_binary(node, depth, env)
         if kind == "cast_expression":
             inner = self._resolve_node(node.children[1], depth, env)
-            return self._map_values(inner, lambda v: self._cast(
+            return self._map_values(inner, lambda v: _cast(
                 str(node.value or ""), v))
         if kind == "unary_expression":
             inner = self._resolve_node(node.children[0], depth, env)
@@ -1335,18 +225,8 @@ class _Abstract:
             arr = self._resolve_node(node.children[0], depth, env)
             idx = self._resolve_node(node.children[1], depth, env)
             return self._cross(arr, idx, node,
-                               lambda a, i: _Interp._load(a, _as_int(i)))
+                               lambda a, i: _load(a, _as_int(i)))
         return _VS.residual(UNKNOWN)
-
-    @staticmethod
-    def _cast(target: str, value):
-        if target == "char":
-            return Char(_as_int(value) & 0xFFFF)
-        if target == "byte":
-            return ((_as_int(value) + 128) % 256) - 128
-        if target in ("int", "long", "short"):
-            return _as_int(value)
-        return value
 
     def _cap(self, vs: _VS, node: SyntaxNode) -> _VS:
         if len(vs.values) > self.ctx.budget.max_candidates:
@@ -1580,7 +460,7 @@ class _Abstract:
             return _VS.residual(UNKNOWN)
         elem = "int"
         if node.kind == "array_creation_expression":
-            elem = _Interp._elem_of(str(node.children[0].value or ""))
+            elem = _elem_of(str(node.children[0].value or ""))
         items = []
         for child in init.children:
             vs = self._resolve_node(child, depth, env)
@@ -1822,14 +702,6 @@ def _value_of(value):
     return _jstr(value)
 
 
-def _preview(value) -> str:
-    try:
-        text = _jstr(value)
-    except _NotConcrete:
-        text = repr(value)
-    return text if len(text) <= 48 else text[:45] + "..."
-
-
 # -- public API ------------------------------------------------------------
 
 def resolve(expr: SyntaxNode, site: InvocationSite,
@@ -1900,11 +772,66 @@ _ENCRYPTED_CALL = re.compile(
     r")\s*\(")
 
 
+def _definition(node: SyntaxNode) -> tuple[str, SyntaxNode] | None:
+    """(name, right-hand side) when ``node`` assigns a local name."""
+    if node.kind == "variable_declarator" and len(node.children) > 1:
+        return str(node.children[0].value), node.children[1]
+    if node.kind == "assignment_expression" \
+            and node.children[0].kind == "identifier":
+        return str(node.children[0].value), node.children[1]
+    return None
+
+
+def _feeds_encrypted(scope: SyntaxNode, arg_ids: set[str]) -> bool:
+    """Whether a definition in ``scope`` that the identifiers ``arg_ids``
+    reach, through the identifiers of definitions' right-hand sides, holds
+    a decrypt-style call.
+
+    Linear in the scope: one walk, then one search of each outermost
+    right-hand side reached. Each identifier counts for the innermost
+    definition whose right-hand side holds it; an outer definition reaches
+    an inner one's identifiers through the inner name, which is one of its
+    own, and a call inside an inner right-hand side is inside the outer.
+    """
+    reads: dict[str, set[str]] = {}          # name → identifiers read
+    rhs_of: dict[str, list[SyntaxNode]] = {}  # name → right-hand sides
+    owner: dict[int, str | None] = {id(scope): None}
+    for node in scope.walk():
+        name = owner.pop(id(node))
+        if node.kind == "identifier" and name is not None:
+            reads[name].add(str(node.value))
+        for child in node.children:
+            owner[id(child)] = name
+        defined = _definition(node)
+        if defined is not None:
+            target, rhs = defined
+            owner[id(rhs)] = target
+            reads.setdefault(target, set())
+            rhs_of.setdefault(target, []).append(rhs)
+    seen = set(arg_ids)
+    todo = list(seen)
+    while todo:
+        fresh = reads.get(todo.pop(), set()) - seen
+        seen |= fresh
+        todo.extend(fresh)
+    reached = sorted((rhs for name in seen for rhs in rhs_of.get(name, ())),
+                     key=lambda rhs: (rhs.start, -rhs.end))
+    searched_to = -1
+    for rhs in reached:
+        if rhs.end <= searched_to:
+            continue   # inside a right-hand side already searched
+        if _ENCRYPTED_CALL.search(rhs.text):
+            return True
+        searched_to = rhs.end
+    return False
+
+
 def has_encrypted_param_pattern(site: InvocationSite) -> bool:
     """Heuristic for arguments produced by decrypting hard-coded data.
 
     True when a decrypt-style call (``decrypt*`` / ``doFinal``) appears in
-    the argument itself or in a definition feeding one of its identifiers.
+    the argument itself or in a definition feeding one of its identifiers,
+    in the enclosing method or a field declaration of the site's class.
     """
     if _ENCRYPTED_CALL.search(site.subtree.text):
         return True
@@ -1912,36 +839,9 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
                if n.kind == "identifier"}
     if not arg_ids:
         return False
-
-    def feeds(scope: SyntaxNode) -> bool:
-        # Transitive: follow identifier definitions until a fixed point.
-        ids = set(arg_ids)
-        defs: list[tuple[str, SyntaxNode]] = []
-        for decl in scope.find_all("variable_declarator"):
-            if len(decl.children) > 1:
-                defs.append((str(decl.children[0].value), decl.children[1]))
-        for assign in scope.find_all("assignment_expression"):
-            lhs = assign.children[0]
-            if lhs.kind == "identifier":
-                defs.append((str(lhs.value), assign.children[1]))
-        changed = True
-        while changed:
-            changed = False
-            for name, rhs in defs:
-                if name not in ids:
-                    continue
-                if _ENCRYPTED_CALL.search(rhs.text):
-                    return True
-                rhs_ids = {str(n.value) for n in rhs.walk()
-                           if n.kind == "identifier"}
-                if not rhs_ids <= ids:
-                    ids |= rhs_ids
-                    changed = True
-        return False
-
     if site.unit is not None and site.node is not None:
         method = enclosing_method_node(site.unit, site.node)
-        if method is not None and feeds(method):
+        if method is not None and _feeds_encrypted(method, arg_ids):
             return True
-    return any(feeds(member)
+    return any(_feeds_encrypted(member, arg_ids)
                for member in member_facts(site.unit, site.context).fields)
