@@ -13,7 +13,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import bench
 from .ingest import DEFAULT_APIS, load_config
 from .report import (FAIL_ON_CHOICES, analyze_corpus, dumps_line,
                      plan_from_report, prevalence_csv, read_report,
@@ -94,12 +93,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench_gen(args) -> int:
+    from . import bench  # only the bench commands pay for its import
     cases = bench.generate_corpus(args.outdir, seed=args.seed)
     print(f"generated {len(cases)} cases under {args.outdir}")
     return 0
 
 
 def cmd_bench_run(args) -> int:
+    from . import bench
     cases = bench.load_manifest(args.corpus)
     if args.report == "self":
         tool_report = bench.self_report(args.corpus)

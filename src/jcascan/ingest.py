@@ -196,7 +196,7 @@ def extract_sites(unit: SourceUnit,
     want_cst = FLEXIBLE_CHECK_SERVER_TRUSTED in apis
     want_hv = FLEXIBLE_HOSTNAME_VERIFIER in apis
 
-    for node in unit.root.walk():
+    for node in index.site_candidates:
         if node.kind == "method_invocation":
             args = node.children[-1]
             name = node.value

@@ -1084,12 +1084,14 @@ def _call_parts(node: SyntaxNode) -> list[SyntaxNode]:
 
 
 _DECODER_FACTORIES = ("getDecoder", "getUrlDecoder", "getMimeDecoder")
-_MATH = {"min": min, "max": max, "abs": lambda *a: abs(a[0])}
+# name -> (function, the fewest arguments it takes)
+_MATH = {"min": (min, 2), "max": (max, 2), "abs": (lambda *a: abs(a[0]), 1)}
 
 
 def _c_call(interp, node):
-    """Library calls are told apart by name and receiver text once, here;
-    the rest are built-ins of the receiver's value or user methods."""
+    """Library calls are told apart by name, receiver text and argument
+    count once, here; the rest, a library call with too few arguments
+    among them, are built-ins of the receiver's value or user methods."""
     ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     unit = interp.unit
     name = str(node.value)
@@ -1098,7 +1100,7 @@ def _c_call(interp, node):
     recv_text = receiver.text if receiver is not None else ""
     recv_base = recv_text.split(".")[-1]
 
-    if name == "toChars" and recv_text.endswith("Character"):
+    if name == "toChars" and recv_text.endswith("Character") and arg_fns:
         def to_chars(interp, env, fields):
             ctx.steps += 1
             if ctx.steps > limit:
@@ -1106,7 +1108,7 @@ def _c_call(interp, node):
             cp = _as_int(arg_fns[0](interp, env, fields))
             return CharArray(chr(cp & 0x10FFFF))
         return to_chars
-    if recv_base == "Base64" and name == "decode":
+    if recv_base == "Base64" and name == "decode" and arg_fns:
         def android_decode(interp, env, fields):
             ctx.steps += 1
             if ctx.steps > limit:
@@ -1122,7 +1124,7 @@ def _c_call(interp, node):
         return android_decode
     if name == "decode" and receiver is not None \
             and receiver.kind == "method_invocation" \
-            and str(receiver.value) in _DECODER_FACTORIES:
+            and str(receiver.value) in _DECODER_FACTORIES and arg_fns:
         url_safe = str(receiver.value) == "getUrlDecoder"
 
         def java_decode(interp, env, fields):
@@ -1135,7 +1137,7 @@ def _c_call(interp, node):
             return decoded
         return java_decode
     if recv_base == "String" and name in ("valueOf", "format",
-                                          "copyValueOf"):
+                                          "copyValueOf") and arg_fns:
         def string_static(interp, env, fields):
             ctx.steps += 1
             if ctx.steps > limit:
@@ -1152,7 +1154,8 @@ def _c_call(interp, node):
                 return first.text
             return _jstr(first)
         return string_static
-    if recv_base == "Integer" and name in ("parseInt", "valueOf"):
+    if recv_base == "Integer" and name in ("parseInt", "valueOf") \
+            and arg_fns:
         def parse_int(interp, env, fields):
             ctx.steps += 1
             if ctx.steps > limit:
@@ -1163,8 +1166,9 @@ def _c_call(interp, node):
             except ValueError:
                 raise _NotConcrete from None
         return parse_int
-    if recv_base == "Math" and name in _MATH:
-        apply = _MATH[name]
+    if recv_base == "Math" and name in _MATH \
+            and len(arg_fns) >= _MATH[name][1]:
+        apply = _MATH[name][0]
 
         def math(interp, env, fields):
             ctx.steps += 1
@@ -1188,7 +1192,8 @@ def _c_call(interp, node):
 
     base_fn = interp.compiled[id(receiver)]
     ops = {kind: table[name] for kind, table in _BUILTINS.items()
-           if name in table}
+           if name in table
+           and len(arg_fns) >= _FEWEST_ARGS.get((kind, name), 0)}
     named = str(receiver.value) if receiver.kind == "identifier" else None
     named_cls = _find_class(unit, named) if named is not None else None
 
@@ -1720,10 +1725,24 @@ _STR_OPS = {
     "valueOf": lambda base, args: _jstr(args[0]) if args else base,
 }
 _BUILTINS = {Builder: _BUILDER_OPS, SBuf: _SBUF_OPS, str: _STR_OPS}
+# The fewest arguments of each built-in that reads any, by (receiver type,
+# name); a call with fewer is not one of the built-ins.
+_FEWEST_ARGS = {
+    **{(Builder, name): 1 for name in ("charAt", "deleteCharAt",
+                                       "setLength")},
+    (SBuf, "append"): 1,
+    **{(str, name): 1 for name in (
+        "charAt", "substring", "concat", "indexOf", "lastIndexOf", "equals",
+        "equalsIgnoreCase", "contains", "startsWith", "endsWith", "split")},
+    (str, "replace"): 2,
+    (str, "replaceAll"): 2,
+}
 
 
 def _string_builtin(base, name: str, args: list):
     """String / StringBuilder / StringBuffer built-ins; _MISSING if not
     one."""
     op = _BUILTINS.get(type(base), {}).get(name)
-    return _MISSING if op is None else op(base, args)
+    if op is None or len(args) < _FEWEST_ARGS.get((type(base), name), 0):
+        return _MISSING
+    return op(base, args)

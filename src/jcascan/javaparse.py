@@ -7,6 +7,14 @@ interfaces, enums, fields, methods, the usual statements, and the full
 expression grammar including ternaries, casts, string concatenation,
 array creation, and lambdas.
 
+The tokenizer reads whitespace, comments, ASCII identifiers and operators
+with one compiled regex, one match per token; string, char and number
+literals, and text from a non-ASCII character on, it reads by hand. It
+never raises: a malformed literal (an escape cut off by the end of the
+file, a digit escape without an octal digit, ``0x`` without digits, a
+decimal literal too long for ``int``, a digit that is no decimal digit)
+still becomes a token, with a parse warning.
+
 Parsing is error-tolerant: a malformed member or statement becomes a
 ``parse_error`` node and a warning record; the rest of the file still
 parses. Only a file with no recoverable declarations at all is flagged
@@ -15,6 +23,7 @@ parses. Only a file with no recoverable declarations at all is flagged
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -51,12 +60,24 @@ MAX_EXPRESSION_DEPTH = 64
 MAX_STATEMENT_DEPTH = 48
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
 
-_MULTI_OPS = [">>>=", ">>>", ">>=", "<<=", "->", "::", "++", "--", "&&",
-              "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
-              "&=", "|=", "^=", "<<", ">>"]
+# One match reads the whitespace and comments before a token and, if it is
+# an ASCII identifier or an operator, the token itself, the longest
+# operator first. What it leaves, `tokenize` reads by hand: string, char
+# and number literals (a `.` before a digit starts one), and everything
+# from a non-ASCII character on. An identifier matches only whole and
+# followed by an ASCII character (`abé` is read by hand, never as `ab`).
+_TOKEN = re.compile(
+    r"(?:\s+|//[^\n]*\n?|/\*(?s:.*?\*/|.*))*"
+    r"(?:(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*(?![A-Za-z0-9_$]|[^\x00-\x7f]))"
+    r"|(?P<op>>>>=|>>>|>>=|<<=|->|::|\+\+|--|&&|\|\||[=!<>+\-*/%&|^]="
+    r"|<<|>>|\.(?![0-9]|[^\x00-\x7f])|(?![\sA-Za-z0-9_$\"'.])[\x00-\x7f]))?")
+
+# Enough eof tokens after the last one for the parser's furthest
+# lookahead, `peek(2)`, from the first eof.
+_LOOKAHEAD = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str   # ident, string, char, int, float, op, eof
     text: str
@@ -71,8 +92,18 @@ class ParseError(Exception):
         self.offset = offset
 
 
-def _decode_escapes(body: str) -> str:
+_SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
+                   "'": "'", '"': '"', "\\": "\\", "0": "\0", "s": " "}
+
+
+def _decode_escapes(body: str) -> tuple[str, bool]:
+    """The value of a literal's body, and whether every escape in it is
+    valid. A digit escape without an octal digit (a backslash and ``8``)
+    stands for the digit, like an unknown escape."""
+    if "\\" not in body:
+        return body, True
     out = []
+    valid = True
     i = 0
     while i < len(body):
         c = body[i]
@@ -85,10 +116,8 @@ def _decode_escapes(body: str) -> str:
             out.append("\\")
             break
         e = body[i]
-        simple = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-                  "'": "'", '"': '"', "\\": "\\", "0": "\0", "s": " "}
-        if e in simple:
-            out.append(simple[e])
+        if e in _SIMPLE_ESCAPES:
+            out.append(_SIMPLE_ESCAPES[e])
             i += 1
         elif e == "u":
             j = i + 1
@@ -108,43 +137,58 @@ def _decode_escapes(body: str) -> str:
             j = i
             while j < len(body) and j < i + 3 and body[j] in "01234567":
                 j += 1
+            if j == i:
+                valid = False
+                out.append(e)
+                i += 1
+                continue
             out.append(chr(int(body[i:j], 8)))
             i = j
         else:
             out.append(e)
             i += 1
-    return "".join(out)
+    return "".join(out), valid
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str,
+             warnings: list[tuple[int, str]] | None = None) -> list[Token]:
+    """The tokens of ``text``, ending in one ``eof`` token. Never raises:
+    a malformed literal still becomes a token, and an ``(offset,
+    message)`` pair is appended to ``warnings``."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    problems = [] if warnings is None else warnings
     i = 0
     n = len(text)
-    while i < n:
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        if kind is not None:
+            start, i = m.span(kind)
+            append(Token(kind, text[start:i], start, i))
+            continue
+        i = m.end()
+        if i == n:
+            break
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            continue
         if c == '"':
             j = i + 1
             while j < n and text[j] != '"':
                 if text[j] == "\\":
                     j += 1
+                    if j == n:
+                        problems.append(
+                            (i, "literal ends inside an escape sequence"))
+                        break
                 if text[j] == "\n":
                     break
                 j += 1
             end = min(j + 1, n)
-            body = text[i + 1:j]
-            tokens.append(Token("string", text[i:end], i, end,
-                                _decode_escapes(body)))
+            value, valid = _decode_escapes(text[i + 1:j])
+            if not valid:
+                problems.append((i, "invalid escape sequence"))
+            append(Token("string", text[i:end], i, end, value))
             i = end
             continue
         if c == "'":
@@ -154,10 +198,11 @@ def tokenize(text: str) -> list[Token]:
                     j += 1
                 j += 1
             end = min(j + 1, n)
-            body = text[i + 1:j]
-            decoded = _decode_escapes(body)
-            tokens.append(Token("char", text[i:end], i, end,
-                                decoded[:1] if decoded else "\0"))
+            value, valid = _decode_escapes(text[i + 1:j])
+            if not valid:
+                problems.append((i, "invalid escape sequence"))
+            append(Token("char", text[i:end], i, end,
+                         value[:1] if value else "\0"))
             i = end
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -170,7 +215,13 @@ def tokenize(text: str) -> list[Token]:
                 raw = text[i:j].replace("_", "")
                 if j < n and text[j] in "lL":
                     j += 1
-                tokens.append(Token("int", text[i:j], i, j, int(raw, 16)))
+                if len(raw) > 2:
+                    value = int(raw, 16)
+                else:
+                    value = 0
+                    problems.append(
+                        (i, "hexadecimal literal without digits"))
+                append(Token("int", text[i:j], i, j, value))
                 i = j
                 continue
             while j < n and (text[j].isdigit() or text[j] == "_"):
@@ -195,28 +246,29 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             elif j < n and text[j] in "lL":
                 j += 1
-            if is_float:
-                tokens.append(Token("float", text[i:j], i, j, float(raw)))
-            else:
-                tokens.append(Token("int", text[i:j], i, j, int(raw)))
+            try:
+                value = float(raw) if is_float else int(raw)
+            except ValueError:
+                # A digit that is no decimal digit (`²`), or more digits
+                # than `int` converts.
+                value = 0.0 if is_float else 0
+                problems.append((i, "integer literal too long"
+                                 if raw.isdecimal() else
+                                 "number literal with a non-decimal digit"))
+            append(Token("float" if is_float else "int", text[i:j], i, j,
+                         value))
             i = j
             continue
         if c.isalpha() or c in "_$":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_$"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], i, j))
+            append(Token("ident", text[i:j], i, j))
             i = j
             continue
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, i, i + len(op)))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token("op", c, i, i + 1))
-            i += 1
-    tokens.append(Token("eof", "", n, n))
+        append(Token("op", c, i, i + 1))
+        i += 1
+    append(Token("eof", "", n, n))
     return tokens
 
 
@@ -224,20 +276,24 @@ class Parser:
     def __init__(self, path: str, text: str):
         self.path = path
         self.text = text
-        self.tokens = tokenize(text)
+        lexed: list[tuple[int, str]] = []
+        self.tokens = tokenize(text, lexed)
+        self.tokens += [self.tokens[-1]] * _LOOKAHEAD
         self.pos = 0
-        self.warnings: list[ParseWarning] = []
+        self.warnings = [ParseWarning(path, offset, message)
+                         for offset, message in lexed]
         self.expression_depth = 0
         self.statement_depth = 0
 
     # -- token helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # `advance` stops at the first eof, and eof tokens pad the list
+        # past it; `peek(-1)` at the start reads the last pad.
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.text == text and tok.kind in ("op", "ident")
 
     def advance(self) -> Token:

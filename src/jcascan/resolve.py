@@ -502,7 +502,7 @@ class _Abstract:
                 except _NotConcrete:
                     flags = 0
             return self._apply_unary(
-                [arg_sets[0]], node, BASE64_DECODE,
+                arg_sets[:1], node, BASE64_DECODE,
                 lambda v: _base64_decode(_jstr(v),
                                          bool(flags & _ANDROID_URL_SAFE)))
         if name == "decode" and receiver is not None \

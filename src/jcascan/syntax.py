@@ -29,9 +29,12 @@ ANONYMOUS_KINDS = frozenset(
 TYPE_DECLARATION_KINDS = ("class_declaration", "interface_declaration",
                           "enum_declaration")
 METHOD_KINDS = ("method_declaration", "constructor_declaration")
+# Kinds of the nodes an invocation site can be.
+SITE_KINDS = frozenset({"method_invocation", "object_creation_expression",
+                        "method_declaration"})
 
 
-@dataclass
+@dataclass(slots=True)
 class SyntaxNode:
     """One named node: a kind, a source span, and ordered named children."""
 
@@ -209,8 +212,12 @@ class UnitIndex:
         self.native_methods: set[str] = set()
         self.first_method: dict[str, SyntaxNode] = {}
         self.enum_constants: set[str] = set()
+        # The nodes `ingest.extract_sites` matches against, in pre-order.
+        self.site_candidates: list[SyntaxNode] = []
         for node in unit.root.walk():
             kind = node.kind
+            if kind in SITE_KINDS:
+                self.site_candidates.append(node)
             if kind in METHOD_KINDS:
                 self.method_decls.append(node)
                 if kind != "method_declaration":

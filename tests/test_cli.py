@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jcascan
 from jcascan.cli import main
 from jcascan.javaparse import MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH
 
@@ -156,6 +161,43 @@ class TestScan:
         for record in records[:-1]:
             assert "R1" in [f["rule_id"] for f in record["findings"]]
 
+    @pytest.mark.parametrize("statement", [
+        'String s = "\\8";', "char c = '\\9';", "long x = 0xL;",
+        "int x = " + "1" * 4301 + ";", "int x = ²;",
+    ], ids=["digit-escape", "char-escape", "hex", "long", "non-decimal"])
+    def test_malformed_literal_is_a_warning(self, statement, tmp_path):
+        """A literal that made the tokenizer raise is one warning; the
+        site after it is reported."""
+        records = _scan_method(tmp_path, statement + "\n        "
+                               + _site('"DES"'))
+        assert records[-1]["summary"]["parse_warnings"] == 1
+        assert [r["findings"][0]["rule_id"] for r in records[:-1]] == ["R1"]
+
+    def test_escape_cut_off_by_end_of_file_is_a_warning(self, tmp_path):
+        corpus = tmp_path / "cut"
+        corpus.mkdir()
+        (corpus / "Weak.java").write_text(
+            ERROR_SRC + 'class B { String s = "abc\\')
+        out = tmp_path / "r.jsonl"
+        assert main(["scan", str(corpus), "-o", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        # The tokenizer's, and the parser's for the unfinished field and
+        # the unclosed class.
+        assert records[-1]["summary"]["parse_warnings"] == 3
+        assert [r["findings"][0]["rule_id"] for r in records[:-1]] == ["R1"]
+
+    @pytest.mark.parametrize("argument", [
+        '"AES" + Math.min(3)', '"AES" + Math.abs()',
+        "new String(Character.toChars())", '"AES" + String.format()',
+        '"AES" + Integer.parseInt()', "new String(Base64.decode())",
+        '"AES".substring()', '"AES".replace("A")',
+    ])
+    def test_library_call_with_too_few_arguments_scans(self, argument,
+                                                       tmp_path):
+        records = _scan_method(tmp_path, _site(argument))
+        assert records[0]["resolved"] == {"candidates": [],
+                                          "residuals": ["UNKNOWN"]}
+
     def test_deepest_accepted_nesting_scans(self, tmp_path):
         """Statements and expressions both at their nesting limits, in the
         shape that takes the most stack frames (a lambda-argument chain
@@ -288,6 +330,19 @@ class TestOptions:
     def test_budget_flag_values_are_checked(self, error_corpus):
         with pytest.raises(ValueError):
             main(["scan", str(error_corpus), "--max-candidates", "0"])
+
+
+def test_cli_import_leaves_bench_unloaded():
+    """`scan` never needs the benchmark module, so importing the CLI does
+    not load it."""
+    code = "import sys, jcascan.cli; print('jcascan.bench' in sys.modules)"
+    src = str(Path(jcascan.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestBenchCli:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcascan.javaparse import (MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH,
-                               parse_unit, tokenize)
+                               Parser, parse_unit, tokenize)
 from jcascan.syntax import ANONYMOUS_KINDS, node_at, string_literals
 
 from conftest import CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse
@@ -35,6 +35,14 @@ class TestTokenizer:
     def test_comments_skipped(self):
         kinds = [t.kind for t in tokenize("a /* x */ b // y\n c")]
         assert kinds.count("ident") == 3
+
+    def test_one_eof_and_lookahead_past_both_ends(self):
+        assert [t.kind for t in tokenize("x")] == ["ident", "eof"]
+        parser = Parser("A.java", "x")
+        assert parser.peek(-1).kind == "eof"
+        parser.advance()
+        assert parser.advance().kind == "eof"
+        assert parser.peek().kind == parser.peek(2).kind == "eof"
 
     def test_numeric_literals(self):
         toks = tokenize("0x1F 12 3.5f 1_000")
