@@ -129,33 +129,20 @@ def _calls(subtree: SyntaxNode):
             yield node, str(node.value), receiver
 
 
-def _unit_native_methods(site: InvocationSite) -> set[str]:
-    return unit_index(site.unit).native_methods if site.unit else set()
-
-
-def _unit_method_names(site: InvocationSite) -> set[str]:
-    return unit_index(site.unit).method_names if site.unit else set()
-
-
 def _declared_builders(site: InvocationSite) -> set[str]:
     """Local/field names declared as StringBuilder/StringBuffer in the
     enclosing method or the enclosing class body."""
-    names = set(member_facts(site.unit, site.context).builders)
-    if site.unit is not None and site.node is not None:
-        index = unit_index(site.unit)
-        method = index.enclosing_method(site.node)
-        if method is not None:
-            names |= index.method_builders(method)
+    index = unit_index(site.unit)
+    names = set()
+    for scope in (index.type_bodies.innermost(site.node.start, site.node.end),
+                  index.enclosing_method(site.node)):
+        if scope is not None:
+            names.update(index.builders_in(scope))
     return names
 
 
 def _field_modifiers(site: InvocationSite, name: str) -> tuple[str, ...]:
     return member_facts(site.unit, site.context).field_modifiers.get(name, ())
-
-
-def _is_enum_constant(site: InvocationSite, name: str) -> bool:
-    return site.unit is not None \
-        and name in unit_index(site.unit).enum_constants
 
 
 # -- restrictive classification ----------------------------------------------
@@ -168,9 +155,8 @@ def _classify_restrictive(site: InvocationSite,
         return {"EMPTY"}
 
     trace_rules = {step.rule for step in (resolved.trace if resolved else [])}
-    native_methods = _unit_native_methods(site)
+    index = unit_index(site.unit)
     builders = _declared_builders(site)
-    unit_methods = _unit_method_names(site)
 
     direct = list(subtree.children)
     literals = [n for n in subtree.walk() if n.kind == "string_literal"]
@@ -192,7 +178,7 @@ def _classify_restrictive(site: InvocationSite,
             mods = _field_modifiers(site, name)
             if "static" in mods:
                 labels.add("STATIC")
-            if _is_enum_constant(site, name):
+            if name in index.enum_constants:
                 labels.add("ENUM")
     if STATIC_FIELD in trace_rules:
         labels.add("STATIC")
@@ -227,7 +213,7 @@ def _classify_restrictive(site: InvocationSite,
             if "Base64" in receiver:
                 saw_base64 = True
                 continue
-        if name in native_methods:
+        if name in index.native_methods:
             saw_native = True
             continue
         recv_root = receiver.split(".")[0].split("(")[0]
@@ -241,8 +227,8 @@ def _classify_restrictive(site: InvocationSite,
         if name in _STRING_METHODS and name != "toString":
             saw_strop = True
             continue
-        if name in unit_methods or recv_root not in ("Base64", "Character",
-                                                     "String", "Integer"):
+        if name in index.method_names or recv_root not in (
+                "Base64", "Character", "String", "Integer"):
             saw_method = True
 
     if any(n.kind == "object_creation_expression"
@@ -279,7 +265,7 @@ def _classify_flexible(site: InvocationSite,
                        resolved: ResolvedValue | None) -> set[str]:
     subtree = site.subtree
     if subtree.kind == "no_body":
-        if site.node is not None and "native" in modifier_words(site.node):
+        if "native" in modifier_words(site.node):
             return {"NATIVD"}
         return {"ABS"}
     if not subtree.children:
@@ -287,9 +273,8 @@ def _classify_flexible(site: InvocationSite,
 
     labels: set[str] = set()
     text = subtree.text
-    native_methods = _unit_native_methods(site)
-    unit_methods = _unit_method_names(site)
-    params = method_params(site.node) if site.node is not None else []
+    index = unit_index(site.unit)
+    params = method_params(site.node)
     auth_param = params[1] if len(params) > 1 else None
 
     for node in _throws_outside_catch(subtree):
@@ -373,11 +358,11 @@ def _classify_flexible(site: InvocationSite,
                 n.kind == "identifier" and str(n.value) == auth_param
                 for n in call.walk()):
             labels.add("AUTH")
-        if name in native_methods or name.startswith("n_") \
+        if name in index.native_methods or name.startswith("n_") \
                 or name.startswith("native"):
             labels.add("NATIVE")
             continue
-        if name in unit_methods and name not in _CERT_API_METHODS:
+        if name in index.method_names and name not in _CERT_API_METHODS:
             labels.add("METHOD")
         elif name not in _CERT_API_METHODS \
                 and name not in _STRING_METHODS \

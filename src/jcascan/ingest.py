@@ -244,11 +244,12 @@ def extract_sites(unit: SourceUnit,
 
 
 def corpus_files(root_dir: str | Path) -> list[Path]:
-    """Every ``*.java`` under root_dir, in sorted path order."""
+    """Every ``*.java`` under root_dir, in path-string order: the order
+    of the report, where ``a-c.java`` comes before ``a/b.java``."""
     root = Path(root_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    return sorted(root.rglob("*.java"))
+    return sorted(root.rglob("*.java"), key=str)
 
 
 def scan_file(path: Path, apis: frozenset[ApiKind] | set[ApiKind],
@@ -275,13 +276,12 @@ def scan_corpus(root_dir: str | Path,
                 ) -> tuple[list[InvocationSite], list[ParseWarning]]:
     """Recursively scan ``*.java`` under root_dir.
 
-    Deterministic: files visited in sorted path order, sites sorted by
-    (path, offset). Per-file failures become warnings, never aborts.
-    Every site keeps its unit, so every tree stays alive; the pipeline,
-    `report.analyze_corpus`, runs `scan_file` itself, one file at a time.
+    Deterministic: sites come in (path string, offset) order. Per-file
+    failures become warnings, never aborts. Every site keeps its unit, so
+    every tree stays alive; the pipeline, `report.analyze_corpus`, runs
+    `scan_file` itself, one file at a time.
     """
     warnings: list[ParseWarning] = []
     sites = [site for path in corpus_files(root_dir)
              for site in scan_file(path, apis, extras, warnings)]
-    sites.sort(key=lambda s: s.order)
     return sites, warnings

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
-                     method_body, method_params, modifier_words,
-                     string_literals, type_body, unit_index)
+                     method_body, method_params, modifier_words, type_body,
+                     unit_index)
 
 # Trace-step rule names the interpreter notes (classification reads them).
 ENUM_CONSTANT = "enum-constant"
@@ -405,8 +405,9 @@ class _Ctx:
             self.trace.append(TraceStep(rule, (node.start, node.end),
                                         intermediate))
 
-    def touch(self, node: SyntaxNode) -> None:
-        self.visible |= string_literals(node)
+    def touch(self, unit: SourceUnit, node: SyntaxNode) -> None:
+        """Count the string literals of ``node``, in ``unit``, as visible."""
+        self.visible.update(unit_index(unit).literals_in(node))
 
 
 # -- the interpreter -------------------------------------------------------
@@ -547,7 +548,7 @@ class _Interp:
                     continue
                 if len(decl.children) < 2:
                     return _MISSING
-                self.ctx.touch(member)
+                self.ctx.touch(self.unit, member)
                 init = decl.children[1]
                 if init.kind != "array_initializer":
                     return self.code(init)(self, {}, {})
@@ -577,7 +578,7 @@ class _Interp:
             raise _NotConcrete
         if "native" in modifier_words(decl) or method_body(decl) is None:
             raise _NotConcrete
-        self.ctx.touch(decl)
+        self.ctx.touch(self.unit, decl)
         if evaluated is None:
             evaluated = []
             for fn in arg_fns:
@@ -1427,13 +1428,15 @@ def _c_while(interp, node):
         ctx.steps += 1
         if ctx.steps > limit:
             raise _BudgetExhausted
-        first = True
+        # A do loop runs its body once before the first test.
+        tested = not do
         while True:
             ctx.steps += 1
             if ctx.steps > limit:
                 raise _BudgetExhausted
-            if not (do and first) and not test(interp, env, fields):
+            if tested and not test(interp, env, fields):
                 return
+            tested = True
             if body is not None:
                 try:
                     body(interp, env, fields)
@@ -1441,10 +1444,6 @@ def _c_while(interp, node):
                     return
                 except _Continue:
                     pass
-            if do:
-                first = False
-                if not test(interp, env, fields):
-                    return
     return loop
 
 

@@ -97,8 +97,6 @@ def analyze_corpus(root: str | Path,
     for path in corpus_files(root):
         analyses += [analyze_site(site, budget)
                      for site in scan_file(path, apis, extras, warnings)]
-    # Files come in `Path` order, which puts a/b.java before a-c.java.
-    analyses.sort(key=lambda a: a.site.order)
     return analyses, warnings
 
 

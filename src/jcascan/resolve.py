@@ -33,8 +33,8 @@ from .interp import (BASE64_DECODE, ENUM_CONSTANT, Builder, Char,
                      _enum_model, _find_class, _java_format, _jstr, _load,
                      _preview, _string_builtin)
 from .syntax import (SourceUnit, SyntaxNode, decl_name, member_facts,
-                     method_body, method_params, modifier_words,
-                     string_literals, type_body, unit_index)
+                     method_body, method_params, modifier_words, type_body,
+                     unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -118,14 +118,15 @@ class _Abstract:
         self.site = site
         self.class_body = self._site_class_body()
         self.interp = _Interp(ctx, unit, self.class_body)
-        self.site_method = enclosing_method_node(unit, site.node) \
-            if site.node is not None else None
 
     def _site_class_body(self) -> SyntaxNode | None:
-        """The named type body the site's context members belong to."""
-        if not self.site.context:
-            return None
-        return unit_index(self.unit).member_body.get(id(self.site.context[0]))
+        """The body of the innermost type declaration holding the site, if
+        that type is named."""
+        index = unit_index(self.unit)
+        node = self.site.node
+        body = index.type_bodies.innermost(node.start, node.end)
+        return body if body is not None and index.named_owner(body) \
+            else None
 
     # --- top level ---
 
@@ -297,14 +298,14 @@ class _Abstract:
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
                 self.ctx.note("local-def", definition, name)
-                self.ctx.touch(definition)
+                self.ctx.touch(self.unit, definition)
                 return self.resolve(definition, depth + 1, {})
         field_init = self._field_init(name)
         if field_init is not None:
             if depth >= self.ctx.budget.max_indirection + 1:
                 return _VS.residual(DEPTH_EXCEEDED)
             self.ctx.note("field-def", field_init, name)
-            self.ctx.touch(field_init)
+            self.ctx.touch(self.unit, field_init)
             return self.resolve(field_init, depth + 1, {})
         enum_val = self._enum_constant(name)
         if enum_val is not None:
@@ -369,7 +370,7 @@ class _Abstract:
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
                 self.ctx.note("field-def", field_init, "this." + name)
-                self.ctx.touch(field_init)
+                self.ctx.touch(self.unit, field_init)
                 return self.resolve(field_init, depth + 1, {})
             return _VS.residual(UNKNOWN)
         if obj.kind == "identifier":
@@ -387,7 +388,7 @@ class _Abstract:
                         return _VS.residual(DEPTH_EXCEEDED)
                     self.ctx.note(STATIC_FIELD, init,
                                   f"{obj.value}.{name}")
-                    self.ctx.touch(init)
+                    self.ctx.touch(self.unit, init)
                     return self.resolve(init, depth + 1, {})
         base = self._resolve_node(obj, depth, env)
         out = _VS(set(), set(base.residuals))
@@ -652,7 +653,7 @@ class _Abstract:
             return _VS.residual(NATIVE)
         if method_body(decl) is None:
             return _VS.residual(UNKNOWN)
-        self.ctx.touch(decl)
+        self.ctx.touch(self.unit, decl)
 
         # Fully concrete arguments: execute the body. Interpreter frames
         # consume the step/call-depth budget rather than indirection hops,
@@ -708,8 +709,6 @@ def resolve(expr: SyntaxNode, site: InvocationSite,
             budget: ResolutionBudget | None = None) -> ResolvedValue:
     """Resolve one expression within a site's unit to candidate strings."""
     budget = budget or ResolutionBudget()
-    if site.unit is None:
-        return ResolvedValue(set(), {UNKNOWN})
     ctx = _Ctx(budget)
     engine = _Abstract(ctx, site.unit, site)
     try:
@@ -755,12 +754,9 @@ def visible_literals(site: InvocationSite,
                      resolved: ResolvedValue | None = None) -> set[str]:
     """String literals lexically present at the site: the enclosing method
     plus every definition the resolver touched."""
-    out: set[str] = set()
-    if site.unit is not None and site.node is not None:
-        index = unit_index(site.unit)
-        method = index.enclosing_method(site.node)
-        out |= index.method_literals(method) if method is not None \
-            else string_literals(site.node)
+    index = unit_index(site.unit)
+    method = index.enclosing_method(site.node)
+    out = set(index.literals_in(method if method is not None else site.node))
     if resolved is not None:
         out |= resolved.touched_literals
     return out
@@ -839,9 +835,8 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
                if n.kind == "identifier"}
     if not arg_ids:
         return False
-    if site.unit is not None and site.node is not None:
-        method = enclosing_method_node(site.unit, site.node)
-        if method is not None and _feeds_encrypted(method, arg_ids):
-            return True
+    method = enclosing_method_node(site.unit, site.node)
+    if method is not None and _feeds_encrypted(method, arg_ids):
+        return True
     return any(_feeds_encrypted(member, arg_ids)
                for member in member_facts(site.unit, site.context).fields)

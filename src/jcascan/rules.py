@@ -270,10 +270,9 @@ def check_key_material(site: InvocationSite,
             evasive=_is_evasive(preview, visible_literals(site, resolved))))
         return findings
     texts = [site.subtree.text]
-    if site.unit is not None and site.node is not None:
-        method = enclosing_method_node(site.unit, site.node)
-        if method is not None:
-            texts.append(method.text)
+    method = enclosing_method_node(site.unit, site.node)
+    if method is not None:
+        texts.append(method.text)
     if any(src in text for text in texts for src in _RANDOM_KEY_SOURCES):
         return []
     findings.append(MisuseFinding(
@@ -285,8 +284,6 @@ def check_key_material(site: InvocationSite,
 def _find_unit_method(site: InvocationSite,
                       name: str) -> SyntaxNode | None:
     """The first method declaration called ``name`` in the site's unit."""
-    if site.unit is None:
-        return None
     return unit_index(site.unit).first_method.get(name)
 
 

@@ -12,8 +12,7 @@ read naturally.
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -91,6 +90,9 @@ class SourceUnit:
     text: str
     root: SyntaxNode
     warnings: list[ParseWarning] = field(default_factory=list)
+    # The unit's `UnitIndex`, built by `unit_index` on first use.
+    _index: UnitIndex | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def parse_failed(self) -> bool:
@@ -194,11 +196,14 @@ class _Nesting:
 
 
 class UnitIndex:
-    """Whole-unit lookups gathered in one pre-order walk of a unit's tree.
+    """Whole-unit facts gathered in the one pre-order walk of a unit's tree.
 
     Analysis helpers that need facts about the whole compilation unit
     (enclosing declarations, same-unit methods and types, enum constants,
-    line numbers) read them here instead of walking the tree per site.
+    line numbers) or about a subtree (its string literals, its
+    StringBuilder/StringBuffer names) read them here instead of walking the
+    tree. Each unit builds its index on first use and keeps it
+    (`unit_index`), so the index lives exactly as long as its unit.
     """
 
     def __init__(self, unit: SourceUnit):
@@ -214,8 +219,22 @@ class UnitIndex:
         self.enum_constants: set[str] = set()
         # The nodes `ingest.extract_sites` matches against, in pre-order.
         self.site_candidates: list[SyntaxNode] = []
+        # Start offset and value of every string literal, and span and
+        # declared name of every StringBuilder/StringBuffer local or field,
+        # in pre-order: a subtree's entries are a run of the starts inside
+        # its span (`literals_in`, `builders_in`).
+        self.literal_starts: list[int] = []
+        self.literal_values: list[str] = []
+        self.builder_starts: list[int] = []
+        self.builder_ends: list[int] = []
+        self.builder_vars: list[str] = []
         for node in unit.root.walk():
             kind = node.kind
+            if kind == "string_literal":
+                if isinstance(node.value, str):
+                    self.literal_starts.append(node.start)
+                    self.literal_values.append(node.value)
+                continue
             if kind in SITE_KINDS:
                 self.site_candidates.append(node)
             if kind in METHOD_KINDS:
@@ -236,22 +255,25 @@ class UnitIndex:
                     self.types.append((node, decl_name(node), body))
             elif kind == "enum_constant":
                 self.enum_constants.add(str(node.children[0].value))
+            elif kind in ("local_variable_declaration", "field_declaration"):
+                type_node = child_of_kind(node, "type_identifier")
+                if type_node is not None and str(type_node.value or "") in (
+                        "StringBuilder", "StringBuffer"):
+                    for decl in node.children:
+                        if decl.kind == "variable_declarator":
+                            self.builder_starts.append(node.start)
+                            self.builder_ends.append(node.end)
+                            self.builder_vars.append(
+                                str(decl.children[0].value))
 
         self.type_of_body = {id(body): (decl, name)
                              for decl, name, body in self.types}
         # Name-based lookups see only named declarations.
         self.named_types = [t for t in self.types if t[1]]
         self.first_type: dict[str, SyntaxNode] = {}
-        self.member_body: dict[int, SyntaxNode] = {}
-        for decl, name, body in self.named_types:
+        for decl, name, _ in self.named_types:
             self.first_type.setdefault(name, decl)
-            for member in body.children:
-                self.member_body.setdefault(id(member), body)
         self._member_facts: dict[int, tuple[list, MemberFacts]] = {}
-        # Per-method facts by id(method); ``method_decls`` keeps every
-        # method alive, so an id is not reused while the index lives.
-        self._literals: dict[int, frozenset[str]] = {}
-        self._builders: dict[int, frozenset[str]] = {}
 
     @cached_property
     def methods(self) -> _Nesting:
@@ -291,21 +313,24 @@ class UnitIndex:
         decl, name = self.type_of_body.get(id(body), (None, None))
         return decl if name else None
 
-    def method_literals(self, method: SyntaxNode) -> frozenset[str]:
-        """`string_literals` of one of this unit's methods, walked once."""
-        found = self._literals.get(id(method))
-        if found is None:
-            found = self._literals[id(method)] = frozenset(
-                string_literals(method))
-        return found
+    def literals_in(self, node: SyntaxNode) -> list[str]:
+        """Values of the string literals within ``node`` (inclusive), in
+        source order: `string_literals` without a walk."""
+        starts = self.literal_starts
+        return self.literal_values[bisect_left(starts, node.start):
+                                   bisect_left(starts, node.end)]
 
-    def method_builders(self, method: SyntaxNode) -> frozenset[str]:
-        """`builder_names` of one of this unit's methods, walked once."""
-        found = self._builders.get(id(method))
-        if found is None:
-            found = self._builders[id(method)] = frozenset(
-                builder_names(method))
-        return found
+    def builders_in(self, node: SyntaxNode) -> list[str]:
+        """Local and field names declared as StringBuilder/StringBuffer
+        within ``node`` (inclusive), in source order."""
+        starts = self.builder_starts
+        lo = bisect_left(starts, node.start)
+        hi = bisect_left(starts, node.end, lo)
+        # Declarations that start where ``node`` starts but enclose it come
+        # first in pre-order.
+        while lo < hi and self.builder_ends[lo] > node.end:
+            lo += 1
+        return self.builder_vars[lo:hi]
 
     def member_facts(self, members: list[SyntaxNode]) -> MemberFacts:
         """Facts about ``members`` (a class body's children), gathered once
@@ -324,8 +349,6 @@ class MemberFacts:
     fields: tuple[SyntaxNode, ...]
     # Field name -> modifier words of the first declaration naming it.
     field_modifiers: dict[str, tuple[str, ...]]
-    # Names declared as StringBuilder/StringBuffer anywhere in the members.
-    builders: frozenset[str]
 
     @staticmethod
     def of(members: list[SyntaxNode]) -> MemberFacts:
@@ -336,53 +359,16 @@ class MemberFacts:
                 if decl.kind == "variable_declarator":
                     modifiers.setdefault(str(decl.children[0].value),
                                          modifier_words(member))
-        return MemberFacts(fields, modifiers, frozenset(
-            name for member in members for name in builder_names(member)))
+        return MemberFacts(fields, modifiers)
 
 
-def member_facts(unit: SourceUnit | None,
-                 members: list[SyntaxNode]) -> MemberFacts:
-    """``MemberFacts`` of a site's context, from the unit's index if any."""
-    if unit is None:
-        return MemberFacts.of(members)
+def member_facts(unit: SourceUnit, members: list[SyntaxNode]) -> MemberFacts:
+    """``MemberFacts`` of a site's context, from the unit's index."""
     return unit_index(unit).member_facts(members)
 
 
-def builder_names(scope: SyntaxNode) -> set[str]:
-    """Local and field names declared as StringBuilder/StringBuffer in
-    ``scope``."""
-    names: set[str] = set()
-    for node in scope.walk():
-        if node.kind not in ("local_variable_declaration",
-                             "field_declaration"):
-            continue
-        type_node = child_of_kind(node, "type_identifier")
-        if type_node is not None and str(type_node.value or "") in (
-                "StringBuilder", "StringBuffer"):
-            names.update(str(decl.children[0].value) for decl in node.children
-                         if decl.kind == "variable_declarator")
-    return names
-
-
-# The index of the unit analyzed last, dropped together with that unit.
-# Sites are analyzed in (path, offset) order, so one entry serves every
-# site of a unit; keeping more would hold every unit's index alive for as
-# long as its sites are.
-_last_index: tuple[weakref.ref[SourceUnit], UnitIndex] | None = None
-
-
 def unit_index(unit: SourceUnit) -> UnitIndex:
-    """The index of ``unit``, built on first use and kept until another
-    unit is indexed or ``unit`` is freed."""
-    global _last_index
-    cached = _last_index
-    if cached is None or cached[0]() is not unit:
-        cached = _last_index = (weakref.ref(unit, _drop_index),
-                                UnitIndex(unit))
-    return cached[1]
-
-
-def _drop_index(ref: weakref.ref[SourceUnit]) -> None:
-    global _last_index
-    if _last_index is not None and _last_index[0] is ref:
-        _last_index = None
+    """The index of ``unit``, built on first use and kept by the unit."""
+    if unit._index is None:
+        unit._index = UnitIndex(unit)
+    return unit._index

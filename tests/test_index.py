@@ -8,21 +8,27 @@ what they return.
 
 from __future__ import annotations
 
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 import conftest
+from jcascan import ingest
 from jcascan.classify import _declared_builders, _field_modifiers
 from jcascan.ingest import extract_sites
 from jcascan.javaparse import parse_unit
-from jcascan.report import analyze_site
+from jcascan.report import analyze_corpus, analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
                              _Ctx, _enum_model, _find_class,
                              enclosing_method_node, visible_literals)
 from jcascan.rules import _find_unit_method
 from jcascan.syntax import (SyntaxNode, decl_name, member_facts,
                             string_literals, unit_index)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpora  # noqa: E402
 
 # -- reference implementations (whole-tree walks) ---------------------------
 
@@ -194,6 +200,23 @@ def ref_declared_builders(site):
                 for decl in node.children:
                     if decl.kind == "variable_declarator":
                         names.add(str(decl.children[0].value))
+    return names
+
+
+def ref_builders(scope):
+    """Names declared as StringBuilder/StringBuffer within ``scope``."""
+    names = set()
+    for node in scope.walk():
+        if node.kind not in ("local_variable_declaration",
+                             "field_declaration"):
+            continue
+        type_node = next((c for c in node.children
+                          if c.kind == "type_identifier"), None)
+        if type_node is not None and str(type_node.value or "") in (
+                "StringBuilder", "StringBuffer"):
+            names.update(str(decl.children[0].value)
+                         for decl in node.children
+                         if decl.kind == "variable_declarator")
     return names
 
 
@@ -376,6 +399,16 @@ def test_name_lookups_match_reference(unit):
 
 
 @pytest.mark.parametrize("unit", _units())
+def test_subtree_literals_and_builders_match_reference(unit):
+    index = unit_index(unit)
+    for starts in (index.literal_starts, index.builder_starts):
+        assert starts == sorted(starts)
+    for node in unit.root.walk():
+        assert set(index.literals_in(node)) == string_literals(node)
+        assert set(index.builders_in(node)) == ref_builders(node)
+
+
+@pytest.mark.parametrize("unit", _units())
 def test_site_lookups_match_reference(unit):
     for site in extract_sites(unit):
         engine = _Abstract(_Ctx(ResolutionBudget()), unit, site)
@@ -400,6 +433,7 @@ def test_bench_corpus_matches_reference(bench_corpus):
               test_ingest_enclosing_matches_reference,
               test_unit_facts_match_reference,
               test_name_lookups_match_reference,
+              test_subtree_literals_and_builders_match_reference,
               test_site_lookups_match_reference)
     for path in sorted(root.rglob("*.java")):
         unit = parse_unit(str(path), path.read_text(encoding="utf-8"))
@@ -502,3 +536,32 @@ def test_method_walks_grow_linearly(monkeypatch):
     # Linear growth gives 4x; one walk of the enclosing method per site
     # (its literals, its StringBuilder names) gives ~16x.
     assert large <= 5 * small, (small, large)
+
+
+@pytest.mark.parametrize("workload", ["one-large-unit", "string-encryption"])
+def test_each_node_is_walked_about_twice(workload, tmp_path, monkeypatch):
+    """The whole pipeline walks each named node of a benchmark corpus
+    about twice: once for its unit's index, once more for the per-site
+    subtrees classify and rules read. Walking each site's enclosing method
+    for its literals and StringBuilder names costs 5.35 and 7.17 visits
+    per node on these corpora."""
+    corpora.generate(workload, tmp_path, 1)
+    original = SyntaxNode.walk
+    nodes = visits = 0
+
+    def counting_walk(self):
+        nonlocal visits
+        for node in original(self):
+            visits += 1
+            yield node
+
+    def counting_parse(path, text):
+        nonlocal nodes
+        unit = parse_unit(path, text)
+        nodes += sum(1 for _ in original(unit.root))
+        return unit
+
+    monkeypatch.setattr(ingest, "parse_unit", counting_parse)
+    monkeypatch.setattr(SyntaxNode, "walk", counting_walk)
+    analyze_corpus(tmp_path)
+    assert visits <= 4 * nodes, visits / nodes

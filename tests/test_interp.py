@@ -135,6 +135,23 @@ def test_else_if_chain_runs_in_one_frame(branches, steps, candidates,
     assert resolved.residuals == residuals
 
 
+@pytest.mark.parametrize("loop,value", [
+    ("do { n++; } while (++i < 4);", "AES4"),
+    ("do { n++; if (n == 2) continue; } while (++i < 4);", "AES4"),
+    ("while (++i < 4) { n++; }", "AES3"),
+])
+def test_loop_condition_runs_once_per_iteration(loop, value):
+    """A loop condition with a side effect runs it once per test, as in
+    Java; a ``do`` loop tests only after each run of its body."""
+    source = ("import javax.crypto.Cipher;\nclass Loop {\n"
+              "    void m() throws Exception {\n"
+              f"        int i = 0; int n = 0; {loop}\n"
+              '        Cipher.getInstance("AES" + n);\n    }\n}\n')
+    _, resolved = _steps_and_result(source)
+    assert resolved.candidates == {value}
+    assert resolved.residuals == set()
+
+
 def _under_frames(depth: int, fn):
     """``fn()`` called with ``depth`` more frames on the stack."""
     return fn() if depth == 0 else _under_frames(depth - 1, fn)

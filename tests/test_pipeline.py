@@ -1,9 +1,12 @@
-"""`report.analyze_corpus` over a corpus: the order of its results, and
-that it releases each file's syntax tree before parsing the next."""
+"""`report.analyze_corpus` over a corpus: the order of its results, that
+the benchmark's traced copy of it writes the same report, and that it
+releases each file's syntax tree before parsing the next."""
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,7 +15,11 @@ import pytest
 
 from jcascan import bench, ingest
 from jcascan.cli import main
-from jcascan.report import analyze_corpus
+from jcascan.report import analyze_corpus, write_report
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpora  # noqa: E402
+import layertrace  # noqa: E402
 
 # -- result order ---------------------------------------------------------
 
@@ -72,6 +79,26 @@ def test_results_come_in_path_string_then_offset_order(ordered_corpus,
     rows = bench.self_report(ordered_corpus).rows
     assert [(file, line) for file, line, _, _, _ in rows] == [
         ("a-c.java", 3), ("a.java", 4), ("a.java", 5), ("a/b.java", 3)]
+
+
+def _report_bytes(root: Path) -> bytes:
+    analyses, warnings = analyze_corpus(root)
+    out = io.StringIO()
+    write_report(analyses, out, warnings)
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("shape", ["ordered", "one-large-unit"])
+def test_benchmark_trace_mirrors_the_pipeline(shape, ordered_corpus,
+                                              tmp_path):
+    """The benchmark's traced scan repeats the pipeline layer by layer;
+    its report must stay the pipeline's, byte for byte."""
+    root = ordered_corpus
+    if shape != "ordered":
+        root = tmp_path / shape
+        corpora.generate(shape, root, 1)
+    traced = layertrace.traced_scan(str(root), tmp_path / "traced.jsonl", 1)
+    assert traced.report == _report_bytes(root)
 
 
 # -- memory ----------------------------------------------------------------
