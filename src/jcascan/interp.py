@@ -15,6 +15,10 @@ compiler nor such a chain takes a Python frame per link. Every closure
 ticks the step budget where a tree walk would: once per statement, once
 per expression evaluated and once per loop iteration, so a budget runs
 out on the same step.
+
+The operators, library calls and string built-ins here are the one model of
+the Java library: the set-valued resolver in `resolve` applies the same
+functions to each combination of candidate values.
 """
 
 from __future__ import annotations
@@ -251,14 +255,17 @@ def _java_format(fmt: str, args: list) -> str:
             raise _NotConcrete
         arg = args[idx]
         idx += 1
-        if conv in "sS":
-            out.append((spec[:-1] + "s") % _jstr(arg))
-        elif conv in "dxXo":
-            out.append((spec[:-1] + conv.lower()) % _as_int(arg))
-        elif conv == "c":
-            out.append(_jstr(arg)[:1])
-        else:
-            raise _NotConcrete
+        try:
+            if conv in "sS":
+                out.append((spec[:-1] + "s") % _jstr(arg))
+            elif conv in "dxXo":
+                out.append((spec[:-1] + conv.lower()) % _as_int(arg))
+            elif conv == "c":
+                out.append(_jstr(arg)[:1])
+            else:
+                raise _NotConcrete
+        except ValueError:   # a Java flag Python's % lacks, such as ","
+            raise _NotConcrete from None
         i = j + 1
     return "".join(out)
 
@@ -312,6 +319,122 @@ def _length(base):
         return len(base)
     if isinstance(base, CharArray):
         return len(base.text)
+    return None
+
+
+# -- the Java library ------------------------------------------------------
+#
+# One model of the static library calls and constructors both engines
+# know: `library_call` and `library_new` tell them apart, by name, receiver
+# text and argument count, and give a pure function of the evaluated
+# argument values. The interpreter applies it to one value per argument;
+# the abstract resolver lifts it over each argument's candidate set.
+
+def _frozen(value):
+    return value.freeze() if isinstance(value, JArray) else value
+
+
+def _to_chars(args: list):
+    return CharArray(chr(_as_int(args[0]) & 0x10FFFF))
+
+
+def _android_base64(args: list) -> bytes:
+    flags = _as_int(args[1]) if len(args) > 1 else 0
+    return _base64_decode(_jstr(args[0]), bool(flags & _ANDROID_URL_SAFE))
+
+
+def _java_base64(url_safe: bool, args: list) -> bytes:
+    return _base64_decode(_jstr(args[0]), url_safe)
+
+
+def _string_of(args: list) -> str:
+    return _jstr(_frozen(args[0]))
+
+
+def _format(args: list) -> str:
+    return _java_format(_jstr(args[0]), args[1:])
+
+
+def _parse_int(args: list) -> int:
+    try:
+        return int(_jstr(args[0]).strip())
+    except ValueError:
+        raise _NotConcrete from None
+
+
+def _math(apply, args: list) -> int:
+    return apply(*[_as_int(a) for a in args])
+
+
+_DECODER_FACTORIES = ("getDecoder", "getUrlDecoder", "getMimeDecoder")
+# name -> (function of the int arguments, the fewest arguments it takes)
+_MATH = {"min": (min, 2), "max": (max, 2), "abs": (lambda *a: abs(a[0]), 1)}
+
+
+def library_call(node: SyntaxNode):
+    """The static library method ``node`` calls, as (fn, reads, rule): the
+    call's value is ``fn`` of its evaluated arguments, which reads only the
+    first ``reads`` of them; ``rule`` names the trace step of a result.
+    None when ``node`` calls no such method or passes too few arguments."""
+    name = str(node.value)
+    count = len(node.children[-1].children)
+    if len(node.children) != 3 or not count:
+        return None
+    receiver = node.children[0]
+    recv_text = receiver.text
+    recv_base = recv_text.split(".")[-1]
+    if name == "toChars" and recv_text.endswith("Character"):
+        return _to_chars, 1, "char-decode"
+    if name == "decode" and recv_base == "Base64":
+        return _android_base64, min(count, 2), BASE64_DECODE
+    if name == "decode" and receiver.kind == "method_invocation" \
+            and str(receiver.value) in _DECODER_FACTORIES:
+        return (partial(_java_base64, str(receiver.value) == "getUrlDecoder"),
+                1, BASE64_DECODE)
+    if recv_base == "String" and name == "format":
+        return _format, count, "string-format"
+    if recv_base == "String" and name in ("valueOf", "copyValueOf"):
+        return _string_of, 1, "string-op"
+    if recv_base == "Integer" and name in ("parseInt", "valueOf"):
+        return _parse_int, 1, "string-op"
+    if recv_base == "Math" and name in _MATH and count >= _MATH[name][1]:
+        return partial(_math, _MATH[name][0]), count, "math-op"
+    return None
+
+
+def _new_string(args: list) -> str:
+    if not args:
+        return ""
+    first = _frozen(args[0])
+    if isinstance(first, bytes):
+        return _decode_bytes(first)
+    if isinstance(first, CharArray):
+        if len(args) == 3:
+            off, cnt = _as_int(args[1]), _as_int(args[2])
+            return first.text[off:off + cnt]
+        return first.text
+    if isinstance(first, tuple):
+        return "".join(chr(_as_int(v) % 256) for v in first)
+    if isinstance(first, str):
+        return first
+    raise _NotConcrete
+
+
+def _new_builder(args: list) -> Builder:
+    if args and isinstance(args[0], str):
+        return Builder(args[0])
+    return Builder("")
+
+
+def library_new(node: SyntaxNode):
+    """The library constructor ``node`` calls, as (fn, reads, rule) like
+    `library_call`; None for a type the model does not know."""
+    base = str(node.children[0].value or "").split(".")[-1]
+    count = len(_object_parts(node))
+    if base == "String":
+        return _new_string, 3 if count == 3 else min(count, 1), "new-string"
+    if base in ("StringBuilder", "StringBuffer"):
+        return _new_builder, min(count, 1), None
     return None
 
 
@@ -445,6 +568,7 @@ class _Interp:
         self.unit = unit
         self.class_body = class_body
         self.call_depth = 0
+        self.enums: dict[int, dict[str, EnumConst]] = {}
         # id(node) → closure; (id(initializer), elem) → array builder;
         # (id(block),) → the block's statements without its own tick.
         self.compiled: dict = {}
@@ -535,34 +659,55 @@ class _Interp:
         return _class_members(self.unit, self.class_body) \
             if self.class_body is not None else []
 
-    def static_field(self, name: str, cls: SyntaxNode | None = None):
-        """Value of field ``name``'s initializer in ``cls`` (default: the
-        site's class), evaluated afresh; _MISSING if there is none."""
+    def field(self, name: str, cls: SyntaxNode | None = None):
+        """(field declaration, declarator) of the first field ``name`` of
+        ``cls`` (default: the site's class), or None."""
         for member in self._members_of(cls):
             if member.kind != "field_declaration":
                 continue
             for decl in member.children:
-                if decl.kind != "variable_declarator":
-                    continue
-                if str(decl.children[0].value) != name:
-                    continue
-                if len(decl.children) < 2:
-                    return _MISSING
-                self.ctx.touch(self.unit, member)
-                init = decl.children[1]
-                if init.kind != "array_initializer":
-                    return self.code(init)(self, {}, {})
-                type_node = child_of_kind(member, "type_identifier")
-                elem = _elem_of(str(type_node.value or "")) \
-                    if type_node is not None else "int"
-                key = (id(init), elem)
-                build = self.compiled.get(key)
-                if build is None:
-                    self.code(init)
-                    build = self.compiled[key] = _array_builder(
-                        self.compiled, init, elem)
-                return build(self, {}, {})
-        return _MISSING
+                if decl.kind == "variable_declarator" \
+                        and str(decl.children[0].value) == name:
+                    return member, decl
+        return None
+
+    def method(self, name: str, count: int,
+               cls: SyntaxNode | None = None) -> SyntaxNode | None:
+        """The first method ``name`` of ``cls`` (default: the site's class)
+        taking ``count`` parameters."""
+        return next((m for m in self._members_of(cls)
+                     if m.kind == "method_declaration"
+                     and decl_name(m) == name
+                     and len(method_params(m)) == count), None)
+
+    def enum_model(self, enum_decl: SyntaxNode) -> dict[str, EnumConst]:
+        model = self.enums.get(id(enum_decl))
+        if model is None:
+            model = self.enums[id(enum_decl)] = _enum_model(self.unit,
+                                                            enum_decl)
+        return model
+
+    def static_field(self, name: str, cls: SyntaxNode | None = None):
+        """Value of field ``name``'s initializer in ``cls`` (default: the
+        site's class), evaluated afresh; _MISSING if there is none."""
+        found = self.field(name, cls)
+        if found is None or len(found[1].children) < 2:
+            return _MISSING
+        member, decl = found
+        self.ctx.touch(self.unit, member)
+        init = decl.children[1]
+        if init.kind != "array_initializer":
+            return self.code(init)(self, {}, {})
+        type_node = child_of_kind(member, "type_identifier")
+        elem = _elem_of(str(type_node.value or "")) \
+            if type_node is not None else "int"
+        key = (id(init), elem)
+        build = self.compiled.get(key)
+        if build is None:
+            self.code(init)
+            build = self.compiled[key] = _array_builder(
+                self.compiled, init, elem)
+        return build(self, {}, {})
 
     def call_user(self, cls: SyntaxNode | None, name: str, arg_fns: list,
                   env: dict, fields: dict,
@@ -570,10 +715,7 @@ class _Interp:
                   evaluated: list | None = None):
         """Runs the first method ``name`` of ``cls`` (default: the site's
         class) taking as many parameters as there are arguments."""
-        decl = next((m for m in self._members_of(cls)
-                     if m.kind == "method_declaration"
-                     and decl_name(m) == name
-                     and len(method_params(m)) == len(arg_fns)), None)
+        decl = self.method(name, len(arg_fns), cls)
         if decl is None:
             raise _NotConcrete
         if "native" in modifier_words(decl) or method_body(decl) is None:
@@ -760,23 +902,21 @@ def _c_binary(interp, node):
     return chain
 
 
+def _not(value) -> bool:
+    if not isinstance(value, bool):
+        raise _NotConcrete
+    return not value
+
+
+# prefix operator → its function of the operand's value
+UNARY = {"-": lambda v: -_as_int(v), "+": _as_int, "~": lambda v: ~_as_int(v),
+         "!": _not}
+
+
 def _c_unary(interp, node):
     ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     operand = interp.compiled[id(node.children[0])]
-    op = str(node.value)
-
-    if op == "!":
-        def negate(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            value = operand(interp, env, fields)
-            if not isinstance(value, bool):
-                raise _NotConcrete
-            return not value
-        return negate
-    apply = {"-": lambda v: -_as_int(v), "+": _as_int,
-             "~": lambda v: ~_as_int(v)}.get(op)
+    apply = UNARY.get(str(node.value))
 
     def unary(interp, env, fields):
         ctx.steps += 1
@@ -790,9 +930,12 @@ def _c_unary(interp, node):
 
 
 def _c_update(interp, node):
+    """``++i`` yields the updated value and ``i++`` the one before; the
+    parser starts a postfix update where its operand starts."""
     ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     target = node.children[0]
     delta = 1 if str(node.value) == "++" else -1
+    postfix = node.start == target.start
     if target.kind == "identifier":
         name = str(target.value)
 
@@ -802,8 +945,9 @@ def _c_update(interp, node):
                 raise _BudgetExhausted
             if name not in env:
                 raise _NotConcrete
-            env[name] = value = _as_int(env[name]) + delta
-            return value
+            old = env[name]
+            env[name] = value = _as_int(old) + delta
+            return old if postfix else value
         return update_local
     if target.kind == "array_access":
         array, index = (interp.compiled[id(c)] for c in target.children)
@@ -816,8 +960,9 @@ def _c_update(interp, node):
             idx = _as_int(index(interp, env, fields))
             if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
                 raise _NotConcrete
-            arr.items[idx] = value = _as_int(arr.items[idx]) + delta
-            return value
+            old = arr.items[idx]
+            arr.items[idx] = value = _as_int(old) + delta
+            return old if postfix else value
         return update_element
     return _c_unsupported(interp, node)
 
@@ -960,32 +1105,6 @@ def _c_array_initializer(interp, node):
     return initializer
 
 
-def _new_string(args: list):
-    if not args:
-        return ""
-    first = args[0]
-    if isinstance(first, JArray):
-        first = first.freeze()
-    if isinstance(first, bytes):
-        return _decode_bytes(first)
-    if isinstance(first, CharArray):
-        if len(args) == 3:
-            off, cnt = _as_int(args[1]), _as_int(args[2])
-            return first.text[off:off + cnt]
-        return first.text
-    if isinstance(first, tuple):
-        return "".join(chr(int(v) % 256) for v in first)
-    if isinstance(first, str):
-        return first
-    raise _NotConcrete
-
-
-def _new_builder(args: list):
-    if args and isinstance(args[0], str):
-        return Builder(args[0])
-    return Builder("")
-
-
 def _new_unsupported(args: list):
     raise _NotConcrete
 
@@ -998,9 +1117,8 @@ def _object_parts(node: SyntaxNode) -> list[SyntaxNode]:
 def _c_object_creation(interp, node):
     ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     arg_fns = [interp.compiled[id(a)] for a in _object_parts(node)]
-    base = str(node.children[0].value or "").split(".")[-1]
-    create = _new_string if base == "String" else _new_builder \
-        if base in ("StringBuilder", "StringBuffer") else _new_unsupported
+    library = library_new(node)
+    create = library[0] if library is not None else _new_unsupported
 
     def new_object(interp, env, fields):
         ctx.steps += 1
@@ -1049,7 +1167,6 @@ def _c_field_access(interp, node):
         return member
     cname = str(obj.value)
     cls = _find_class(unit, cname)
-    enum_model = []   # filled on first use: {constant name: EnumConst}
 
     def named_member(interp, env, fields):
         ctx.steps += 1
@@ -1062,11 +1179,10 @@ def _c_field_access(interp, node):
                 return length
         if cls is not None:
             if cls.kind == "enum_declaration":
-                if not enum_model:
-                    enum_model.append(_enum_model(unit, cls))
-                if name in enum_model[0]:
+                model = interp.enum_model(cls)
+                if name in model:
                     ctx.note(ENUM_CONSTANT, node, name)
-                    return enum_model[0][name]
+                    return model[name]
             found = interp.static_field(name, cls)
             if found is not _MISSING:
                 return found
@@ -1084,102 +1200,34 @@ def _call_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return receiver + node.children[-1].children
 
 
-_DECODER_FACTORIES = ("getDecoder", "getUrlDecoder", "getMimeDecoder")
-# name -> (function, the fewest arguments it takes)
-_MATH = {"min": (min, 2), "max": (max, 2), "abs": (lambda *a: abs(a[0]), 1)}
-
-
 def _c_call(interp, node):
-    """Library calls are told apart by name, receiver text and argument
-    count once, here; the rest, a library call with too few arguments
-    among them, are built-ins of the receiver's value or user methods."""
+    """A library call runs the function `library_call` finds for it; the
+    rest, a library call with too few arguments among them, are built-ins
+    of the receiver's value or user methods."""
     ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     unit = interp.unit
     name = str(node.value)
     arg_fns = [interp.compiled[id(a)] for a in node.children[-1].children]
     receiver = node.children[0] if len(node.children) == 3 else None
-    recv_text = receiver.text if receiver is not None else ""
-    recv_base = recv_text.split(".")[-1]
 
-    if name == "toChars" and recv_text.endswith("Character") and arg_fns:
-        def to_chars(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            cp = _as_int(arg_fns[0](interp, env, fields))
-            return CharArray(chr(cp & 0x10FFFF))
-        return to_chars
-    if recv_base == "Base64" and name == "decode" and arg_fns:
-        def android_decode(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            data = arg_fns[0](interp, env, fields)
-            flags = 0
-            if len(arg_fns) > 1:
-                flags = _as_int(arg_fns[1](interp, env, fields))
-            decoded = _base64_decode(_jstr(data),
-                                     bool(flags & _ANDROID_URL_SAFE))
-            ctx.note(BASE64_DECODE, node, _preview(decoded))
-            return decoded
-        return android_decode
-    if name == "decode" and receiver is not None \
-            and receiver.kind == "method_invocation" \
-            and str(receiver.value) in _DECODER_FACTORIES and arg_fns:
-        url_safe = str(receiver.value) == "getUrlDecoder"
+    library = library_call(node)
+    if library is not None:
+        apply, _, rule = library
+        # The interpreter notes only the rule classification reads back.
+        noted = rule == BASE64_DECODE
 
-        def java_decode(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            data = arg_fns[0](interp, env, fields)
-            decoded = _base64_decode(_jstr(data), url_safe)
-            ctx.note(BASE64_DECODE, node, _preview(decoded))
-            return decoded
-        return java_decode
-    if recv_base == "String" and name in ("valueOf", "format",
-                                          "copyValueOf") and arg_fns:
-        def string_static(interp, env, fields):
+        def library_fn(interp, env, fields):
             ctx.steps += 1
             if ctx.steps > limit:
                 raise _BudgetExhausted
             args = []
             for fn in arg_fns:
                 args.append(fn(interp, env, fields))
-            if name == "format":
-                return _java_format(_jstr(args[0]), args[1:])
-            first = args[0]
-            if isinstance(first, JArray):
-                first = first.freeze()
-            if isinstance(first, CharArray):
-                return first.text
-            return _jstr(first)
-        return string_static
-    if recv_base == "Integer" and name in ("parseInt", "valueOf") \
-            and arg_fns:
-        def parse_int(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            text = _jstr(arg_fns[0](interp, env, fields))
-            try:
-                return int(text.strip())
-            except ValueError:
-                raise _NotConcrete from None
-        return parse_int
-    if recv_base == "Math" and name in _MATH \
-            and len(arg_fns) >= _MATH[name][1]:
-        apply = _MATH[name][0]
-
-        def math(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
-            args = []
-            for fn in arg_fns:
-                args.append(_as_int(fn(interp, env, fields)))
-            return apply(*args)
-        return math
+            value = apply(args)
+            if noted:
+                ctx.note(rule, node, _preview(value))
+            return value
+        return library_fn
 
     if receiver is None:
         # Unqualified call: same-class (or superclass) method, or a
@@ -1738,10 +1786,13 @@ _FEWEST_ARGS = {
 }
 
 
-def _string_builtin(base, name: str, args: list):
-    """String / StringBuilder / StringBuffer built-ins; _MISSING if not
-    one."""
+def _string_builtin(base, name: str, args):
+    """Built-in ``name`` of a String / StringBuilder / StringBuffer value;
+    _NotConcrete if it is not one or does not model these arguments."""
     op = _BUILTINS.get(type(base), {}).get(name)
     if op is None or len(args) < _FEWEST_ARGS.get((type(base), name), 0):
-        return _MISSING
-    return op(base, args)
+        raise _NotConcrete
+    result = op(base, args)
+    if result is _MISSING:
+        raise _NotConcrete
+    return result

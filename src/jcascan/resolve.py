@@ -2,17 +2,19 @@
 
 Arguments to crypto APIs in decompiled code are frequently built at runtime:
 concatenation, StringBuilder/StringBuffer chains, charAt arithmetic, Base64
-blobs, XOR loops, ternaries, helper methods. This module evaluates such
-expressions with two cooperating engines:
+blobs, XOR loops, ternaries, helper methods. One model of the Java
+operators, library calls and string built-ins, in `interp`, evaluates them:
 
-* an abstract, set-valued resolver (here) that unions ternary branches,
-  follows local/field/method definitions up to an indirection budget, and
-  applies string/decoding operations over candidate sets;
-* a bounded concrete interpreter (`interp`) that executes the method body
-  before the site, and the helpers it calls, under a step budget when every
-  input is a compile-time constant; it compiles each statement and
-  expression into a closure once per site, so decoder loops run without
-  re-dispatching on node kind.
+* the concrete interpreter (`interp`) executes the method body before the
+  site, and the helpers it calls, under a step budget when every input is a
+  compile-time constant; it compiles each statement and expression into a
+  closure once per site, so decoder loops run without re-dispatching on
+  node kind;
+* where a ternary or a parameter leaves a value open, the set-valued
+  resolver here unions ternary branches, follows local/field/method
+  definitions up to an indirection budget, and lifts the same functions
+  over candidate sets: each is applied to every combination of one
+  candidate per argument, in a fixed order, up to a bounded number.
 
 Anything outside the supported operation set degrades to an explicit
 residual marker rather than a guess.
@@ -20,21 +22,23 @@ residual marker rather than a guess.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
 from .ingest import InvocationSite
-from .interp import (BASE64_DECODE, ENUM_CONSTANT, Builder, Char,
-                     CharArray, EnumConst, JArray, SBuf, TraceStep,
-                     _ANDROID_URL_SAFE, _MISSING, _BudgetExhausted, _Break,
+from .interp import (ENUM_CONSTANT, UNARY, Builder, Char, CharArray,
+                     EnumConst, JArray, SBuf, TraceStep, _INT_ARITH,
+                     _INT_COMPARE, _MISSING, _BudgetExhausted, _Break,
                      _Continue, _Ctx, _Interp, _JavaThrow, _NotConcrete,
-                     _Return, _arith, _as_int, _base64_decode, _cast,
-                     _class_members, _compare, _decode_bytes, _elem_of,
-                     _enum_model, _find_class, _java_format, _jstr, _load,
-                     _preview, _string_builtin)
-from .syntax import (SourceUnit, SyntaxNode, decl_name, member_facts,
-                     method_body, method_params, modifier_words, type_body,
-                     unit_index)
+                     _Return, _android_base64, _as_int, _binary_op, _cast,
+                     _elem_of, _find_class, _frozen, _load, _preview,
+                     _string_builtin, library_call, library_new)
+# Re-exported: classification reads BASE64_DECODE from here, and the index
+# tests check the member and enum lookups against their references.
+from .interp import BASE64_DECODE, _class_members, _enum_model  # noqa: F401
+from .syntax import (SourceUnit, SyntaxNode, member_facts, method_body,
+                     method_params, modifier_words, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -111,6 +115,29 @@ class _VS:
                    self.residuals | other.residuals)
 
 
+def _ordered(values) -> list:
+    """``values`` in an order that does not depend on set iteration."""
+    return sorted(values, key=lambda v: (_preview(v), repr(v)))
+
+
+def _snapshot(value):
+    """An interpreter value as an immutable candidate."""
+    return SBuf(value.text) if isinstance(value, Builder) else _frozen(value)
+
+
+def _android_flags(vs: _VS) -> _VS:
+    """The flags of ``android.util.Base64.decode`` as this resolver reads
+    them: anything but exactly one int counts as 0 (``DEFAULT``), so
+    ``Base64.decode(s, Base64.DEFAULT)`` decodes though ``DEFAULT`` names
+    no value here."""
+    if len(vs.values) == 1:
+        try:
+            return _VS.of(_as_int(next(iter(vs.values))))
+        except _NotConcrete:
+            pass
+    return _VS.of(0)
+
+
 class _Abstract:
     def __init__(self, ctx: _Ctx, unit: SourceUnit, site: InvocationSite):
         self.ctx = ctx
@@ -158,17 +185,13 @@ class _Abstract:
         env: dict = {}
         try:
             self.interp.run_region(body, expr, env, {})
-            value = self.interp.eval(expr, env, {})
+            value = _snapshot(self.interp.eval(expr, env, {}))
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
                                  saved_steps + 1000)
             return _MISSING
         except _BudgetExhausted:
             return _VS.residual(DEPTH_EXCEEDED)
-        if isinstance(value, JArray):
-            value = value.freeze()
-        if isinstance(value, Builder):
-            value = SBuf(value.text)
         self.ctx.note("concrete-eval", expr, _preview(value))
         return _VS.of(value)
 
@@ -202,16 +225,15 @@ class _Abstract:
             return self._resolve_binary(node, depth, env)
         if kind == "cast_expression":
             inner = self._resolve_node(node.children[1], depth, env)
-            return self._map_values(inner, lambda v: _cast(
-                str(node.value or ""), v))
+            target = str(node.value or "")
+            return self._lift(lambda args: _cast(target, args[0]), [inner],
+                              node)
         if kind == "unary_expression":
             inner = self._resolve_node(node.children[0], depth, env)
-            op = str(node.value)
-            if op == "-":
-                return self._map_values(inner, lambda v: -_as_int(v))
-            if op == "+":
-                return self._map_values(inner, _as_int)
-            return _VS.residual(UNKNOWN)
+            apply = UNARY.get(str(node.value))
+            if apply is None:
+                return _VS.residual(UNKNOWN)
+            return self._lift(lambda args: apply(args[0]), [inner], node)
         if kind == "identifier":
             return self._resolve_identifier(node, depth, env)
         if kind == "field_access":
@@ -225,61 +247,55 @@ class _Abstract:
         if kind == "array_access":
             arr = self._resolve_node(node.children[0], depth, env)
             idx = self._resolve_node(node.children[1], depth, env)
-            return self._cross(arr, idx, node,
-                               lambda a, i: _load(a, _as_int(i)))
+            return self._lift(lambda args: _load(args[0], _as_int(args[1])),
+                              [arr, idx], node)
         return _VS.residual(UNKNOWN)
 
     def _cap(self, vs: _VS, node: SyntaxNode) -> _VS:
         if len(vs.values) > self.ctx.budget.max_candidates:
             self.ctx.note("candidate-cap", node,
                           f"capped at {self.ctx.budget.max_candidates}")
-            ordered = sorted(vs.values, key=_preview)
+            ordered = _ordered(vs.values)
             return _VS(set(ordered[:self.ctx.budget.max_candidates]),
                        vs.residuals | {DEPTH_EXCEEDED})
         return vs
 
-    def _map_values(self, vs: _VS, fn) -> _VS:
-        out = _VS(set(), set(vs.residuals))
-        for value in vs.values:
+    def _lift(self, fn, arg_sets: list[_VS], node: SyntaxNode,
+              rule: str | None = None, reads: int | None = None) -> _VS:
+        """``fn`` of one candidate of each of the first ``reads`` (default:
+        all) argument sets, over their combinations in a fixed order, with
+        the residuals of every argument. Past ``max_candidates²``
+        combinations the rest are dropped and the result is marked
+        DEPTH_EXCEEDED; a combination ``fn`` cannot evaluate marks it
+        UNKNOWN. ``rule`` names the trace step of a result."""
+        out = _VS(set(), set().union(*(vs.residuals for vs in arg_sets)))
+        combos = itertools.product(*(_ordered(vs.values)
+                                     for vs in arg_sets[:reads]))
+        for combo in itertools.islice(combos,
+                                      self.ctx.budget.max_candidates ** 2):
             try:
-                out.values.add(fn(value))
+                out.values.add(_snapshot(fn(combo)))
             except _NotConcrete:
                 out.residuals.add(UNKNOWN)
+        if next(combos, None) is not None:
+            out.residuals.add(DEPTH_EXCEEDED)
         if not out.values and not out.residuals:
             out.residuals.add(UNKNOWN)
+        out = self._cap(out, node)
+        if rule is not None and out.values:
+            self.ctx.note(rule, node, _preview(next(iter(out.values))))
         return out
-
-    def _cross(self, a: _VS, b: _VS, node: SyntaxNode, fn) -> _VS:
-        out = _VS(set(), a.residuals | b.residuals)
-        for va in a.values:
-            for vb in b.values:
-                try:
-                    out.values.add(fn(va, vb))
-                except _NotConcrete:
-                    out.residuals.add(UNKNOWN)
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return self._cap(out, node)
 
     def _resolve_binary(self, node: SyntaxNode, depth: int,
                         env: dict[str, _VS]) -> _VS:
         op = str(node.value)
         left = self._resolve_node(node.children[0], depth, env)
         right = self._resolve_node(node.children[1], depth, env)
-        if op == "+":
-            result = self._cross(left, right, node,
-                                 lambda a, b: _arith("+", a, b))
-            if result.values:
-                self.ctx.note("concat", node,
-                              _preview(next(iter(result.values))))
-            return result
-        if op in ("-", "*", "/", "%", "^", "&", "|", "<<", ">>", ">>>"):
-            return self._cross(left, right, node,
-                               lambda a, b: _arith(op, a, b))
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            return self._cross(left, right, node,
-                               lambda a, b: _compare(op, a, b))
-        return _VS.residual(UNKNOWN)
+        if op not in _INT_ARITH and op not in _INT_COMPARE:
+            return _VS.residual(UNKNOWN)
+        apply = _binary_op(op)[0]
+        return self._lift(lambda args: apply(*args), [left, right], node,
+                          "concat" if op == "+" else None)
 
     # --- names ---
 
@@ -334,19 +350,13 @@ class _Abstract:
         return best
 
     def _field_init(self, name: str,
-                    class_body: SyntaxNode | None = None) -> SyntaxNode | None:
-        body = class_body if class_body is not None else self.class_body
-        if body is None:
+                    cls: SyntaxNode | None = None) -> SyntaxNode | None:
+        """The initializer of the first field ``name`` of ``cls`` (default:
+        the site's class), or None if that field has none."""
+        found = self.interp.field(name, cls)
+        if found is None or len(found[1].children) < 2:
             return None
-        for member in _class_members(self.unit, body):
-            if member.kind != "field_declaration":
-                continue
-            for decl in member.children:
-                if decl.kind == "variable_declarator" \
-                        and str(decl.children[0].value) == name \
-                        and len(decl.children) > 1:
-                    return decl.children[1]
-        return None
+        return found[1].children[1]
 
     def _enum_constant(self, name: str) -> EnumConst | None:
         index = unit_index(self.unit)
@@ -355,7 +365,7 @@ class _Abstract:
         for decl, _, _ in index.named_types:
             if decl.kind != "enum_declaration":
                 continue
-            model = _enum_model(self.unit, decl)
+            model = self.interp.enum_model(decl)
             if name in model:
                 return model[name]
         return None
@@ -377,12 +387,11 @@ class _Abstract:
             cls = _find_class(self.unit, str(obj.value))
             if cls is not None:
                 if cls.kind == "enum_declaration":
-                    model = _enum_model(self.unit, cls)
+                    model = self.interp.enum_model(cls)
                     if name in model:
                         self.ctx.note(ENUM_CONSTANT, node, name)
                         return _VS.of(model[name])
-                cbody = type_body(cls)
-                init = self._field_init(name, cbody)
+                init = self._field_init(name, cls)
                 if init is not None:
                     if depth >= self.ctx.budget.max_indirection + 1:
                         return _VS.residual(DEPTH_EXCEEDED)
@@ -407,51 +416,15 @@ class _Abstract:
 
     def _resolve_new(self, node: SyntaxNode, depth: int,
                      env: dict[str, _VS]) -> _VS:
-        type_name = str(node.children[0].value or "").split(".")[-1]
         args_node = next((c for c in node.children
                           if c.kind == "argument_list"), None)
         arg_sets = [self._resolve_node(a, depth, env)
                     for a in (args_node.children if args_node else [])]
-        if type_name == "String":
-            if not arg_sets:
-                return _VS.of("")
-            first = arg_sets[0]
-            residuals = set().union(*(a.residuals for a in arg_sets))
-            out = _VS(set(), residuals)
-            for value in first.values:
-                try:
-                    if isinstance(value, bytes):
-                        out.values.add(_decode_bytes(value))
-                    elif isinstance(value, CharArray):
-                        out.values.add(value.text)
-                    elif isinstance(value, tuple):
-                        out.values.add("".join(
-                            chr(int(v) % 256) for v in value))
-                    elif isinstance(value, str):
-                        out.values.add(value)
-                    else:
-                        out.residuals.add(UNKNOWN)
-                except (_NotConcrete, ValueError, TypeError):
-                    out.residuals.add(UNKNOWN)
-            if out.values:
-                self.ctx.note("new-string", node,
-                              _preview(next(iter(out.values))))
-            if not out.values and not out.residuals:
-                out.residuals.add(UNKNOWN)
-            return out
-        if type_name in ("StringBuilder", "StringBuffer"):
-            if arg_sets and arg_sets[0].values:
-                out = _VS(set(), arg_sets[0].residuals)
-                for value in arg_sets[0].values:
-                    if isinstance(value, str):
-                        out.values.add(SBuf(value))
-                    elif isinstance(value, int):
-                        out.values.add(SBuf(""))
-                    else:
-                        out.residuals.add(UNKNOWN)
-                return out
-            return _VS.of(SBuf(""))
-        return _VS.residual(UNKNOWN)
+        library = library_new(node)
+        if library is None:
+            return _VS.residual(UNKNOWN)
+        fn, reads, rule = library
+        return self._lift(fn, arg_sets, node, rule, reads)
 
     def _resolve_array(self, node: SyntaxNode, depth: int,
                        env: dict[str, _VS]) -> _VS:
@@ -490,38 +463,12 @@ class _Abstract:
         arg_sets = [self._resolve_node(a, depth, env)
                     for a in args_node.children]
 
-        # Static library calls.
-        if name == "toChars" and recv_base == "Character":
-            return self._apply_unary(arg_sets, node, "char-decode",
-                                     lambda v: CharArray(
-                                         chr(_as_int(v) & 0x10FFFF)))
-        if name == "decode" and recv_base == "Base64":
-            flags = 0
-            if len(arg_sets) > 1 and len(arg_sets[1].values) == 1:
-                try:
-                    flags = _as_int(next(iter(arg_sets[1].values)))
-                except _NotConcrete:
-                    flags = 0
-            return self._apply_unary(
-                arg_sets[:1], node, BASE64_DECODE,
-                lambda v: _base64_decode(_jstr(v),
-                                         bool(flags & _ANDROID_URL_SAFE)))
-        if name == "decode" and receiver is not None \
-                and receiver.kind == "method_invocation" \
-                and str(receiver.value) in ("getDecoder", "getUrlDecoder",
-                                            "getMimeDecoder"):
-            url_safe = str(receiver.value) == "getUrlDecoder"
-            return self._apply_unary(
-                arg_sets[:1], node, BASE64_DECODE,
-                lambda v: _base64_decode(_jstr(v), url_safe))
-        if recv_base == "String" and name == "format" and arg_sets:
-            return self._format_call(arg_sets, node)
-        if recv_base == "String" and name == "valueOf" and arg_sets:
-            return self._apply_unary(arg_sets[:1], node, "string-op",
-                                     _value_of)
-        if recv_base == "Integer" and name in ("parseInt", "valueOf"):
-            return self._apply_unary(arg_sets[:1], node, "string-op",
-                                     lambda v: int(_jstr(v).strip()))
+        library = library_call(node)
+        if library is not None:
+            fn, reads, rule = library
+            if fn is _android_base64 and reads == 2:
+                arg_sets[1] = _android_flags(arg_sets[1])
+            return self._lift(fn, arg_sets, node, rule, reads)
 
         # Instance calls on resolvable receivers.
         if receiver is not None:
@@ -545,49 +492,6 @@ class _Abstract:
         return self._resolve_user_call(None, name, args_node, arg_sets,
                                        node, depth)
 
-    def _apply_unary(self, arg_sets: list[_VS], node: SyntaxNode,
-                     rule: str, fn) -> _VS:
-        if not arg_sets:
-            return _VS.residual(UNKNOWN)
-        vs = arg_sets[0]
-        out = _VS(set(), set(vs.residuals))
-        for value in vs.values:
-            try:
-                out.values.add(fn(value))
-            except (_NotConcrete, ValueError):
-                out.residuals.add(UNKNOWN)
-        if out.values:
-            self.ctx.note(rule, node, _preview(next(iter(out.values))))
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return out
-
-    def _format_call(self, arg_sets: list[_VS], node: SyntaxNode) -> _VS:
-        fmt = arg_sets[0]
-        rest = arg_sets[1:]
-        residuals = set().union(*(a.residuals for a in arg_sets))
-        combos: list[list] = [[]]
-        for vs in rest:
-            if not vs.values:
-                return _VS(set(), residuals | {UNKNOWN})
-            combos = [prev + [v] for prev in combos for v in vs.values]
-            if len(combos) > self.ctx.budget.max_candidates:
-                combos = combos[:self.ctx.budget.max_candidates]
-                residuals.add(DEPTH_EXCEEDED)
-        out = _VS(set(), residuals)
-        for fval in fmt.values:
-            for combo in combos:
-                try:
-                    out.values.add(_java_format(_jstr(fval), combo))
-                except _NotConcrete:
-                    out.residuals.add(UNKNOWN)
-        if out.values:
-            self.ctx.note("string-format", node,
-                          _preview(next(iter(out.values))))
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return self._cap(out, node)
-
     def _instance_call(self, base, name: str, args_node: SyntaxNode,
                        arg_sets: list[_VS], node: SyntaxNode,
                        depth: int) -> _VS:
@@ -600,51 +504,15 @@ class _Abstract:
                     cls, name, args_node, arg_sets, node, depth,
                     this_fields=dict(base.fields))
             return _VS.residual(UNKNOWN)
-        combos: list[list] = [[]]
-        for vs in arg_sets:
-            if vs.residuals or not vs.values:
-                return _VS.residual(*(vs.residuals or {UNKNOWN}))
-            combos = [prev + [v] for prev in combos for v in vs.values]
-            if len(combos) > self.ctx.budget.max_candidates:
-                return _VS.residual(DEPTH_EXCEEDED)
-        out = _VS(set(), set())
-        for combo in combos:
-            try:
-                result = _string_builtin(base, name, list(combo))
-            except _NotConcrete:
-                out.residuals.add(UNKNOWN)
-                continue
-            if result is _MISSING:
-                out.residuals.add(UNKNOWN)
-            else:
-                if isinstance(result, Builder):
-                    result = SBuf(result.text)
-                if isinstance(result, JArray):
-                    result = result.freeze()
-                out.values.add(result)
-        if out.values:
-            self.ctx.note("string-op", node,
-                          f"{name} -> {_preview(next(iter(out.values)))}")
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return out
+        return self._lift(lambda args: _string_builtin(base, name, args),
+                          arg_sets, node, "string-op")
 
     def _resolve_user_call(self, cls: SyntaxNode | None, name: str,
                            args_node: SyntaxNode, arg_sets: list[_VS],
                            node: SyntaxNode, depth: int,
                            this_fields: dict[str, object] | None = None
                            ) -> _VS:
-        body = type_body(cls) if cls is not None else None
-        members = _class_members(self.unit, body) if body is not None else (
-            _class_members(self.unit, self.class_body)
-            if self.class_body is not None else [])
-        decl = None
-        for member in members:
-            if member.kind == "method_declaration" \
-                    and decl_name(member) == name \
-                    and len(method_params(member)) == len(args_node.children):
-                decl = member
-                break
+        decl = self.interp.method(name, len(args_node.children), cls)
         if decl is None:
             self.ctx.note("unresolved-call", node, name)
             return _VS.residual(UNKNOWN)
@@ -662,12 +530,8 @@ class _Abstract:
             args = [next(iter(vs.values)) for vs in arg_sets]
             saved = self.ctx.steps
             try:
-                value = self.interp.call_method(
-                    decl, list(args), this_fields)
-                if isinstance(value, JArray):
-                    value = value.freeze()
-                if isinstance(value, Builder):
-                    value = SBuf(value.text)
+                value = _snapshot(self.interp.call_method(
+                    decl, list(args), this_fields))
                 self.ctx.note(METHOD_BODY, node,
                               f"{name} -> {_preview(value)}")
                 return _VS.of(value)
@@ -693,14 +557,6 @@ class _Abstract:
         if not out.values and not out.residuals:
             out.residuals.add(UNKNOWN)
         return self._cap(out, node)
-
-
-def _value_of(value):
-    if isinstance(value, CharArray):
-        return value.text
-    if isinstance(value, tuple):
-        raise _NotConcrete
-    return _jstr(value)
 
 
 # -- public API ------------------------------------------------------------

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import conftest
+import interp_snippets
 import jcascan
 from jcascan.cli import main
 from jcascan.javaparse import MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH
@@ -198,6 +200,20 @@ class TestScan:
         assert records[0]["resolved"] == {"candidates": [],
                                           "residuals": ["UNKNOWN"]}
 
+    @pytest.mark.parametrize("argument", [
+        # Java's grouping flag has no Python ``%`` counterpart.
+        'String.format("%,d", 5)',
+        # Strings where the bytes of a new String are expected.
+        'new String("a,b".split(","))',
+    ])
+    def test_library_call_the_model_refuses_scans(self, argument,
+                                                  tmp_path):
+        """A library call whose arguments the model cannot evaluate is
+        left unresolved instead of aborting the scan."""
+        records = _scan_method(tmp_path, _site(argument))
+        assert records[0]["resolved"] == {"candidates": [],
+                                          "residuals": ["UNKNOWN"]}
+
     def test_deepest_accepted_nesting_scans(self, tmp_path):
         """Statements and expressions both at their nesting limits, in the
         shape that takes the most stack frames (a lambda-argument chain
@@ -343,6 +359,46 @@ def test_cli_import_leaves_bench_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _hash_seed_corpus(directory: Path) -> None:
+    """The conftest sources, the interpreter snippets, and a
+    ``String.format`` site with 5 x 5 argument combinations, more than the
+    16 candidates a site keeps."""
+    directory.mkdir()
+    for name, text in sorted(vars(conftest).items()):
+        if name.endswith("_SRC") and isinstance(text, str):
+            (directory / f"{name}.java").write_text(text)
+    for name, text in interp_snippets.SNIPPETS.items():
+        (directory / name).write_text(text)
+    five = " : ".join(f'f{i} ? "{c}"' for i, c in enumerate("ABCD")) \
+        + ' : "E"'
+    (directory / "Format.java").write_text(
+        "import javax.crypto.Cipher;\nclass Format {\n"
+        "    void m(boolean f0, boolean f1, boolean f2, boolean f3)"
+        " throws Exception {\n"
+        f'        Cipher.getInstance(String.format("%s/%s", {five},'
+        f" {five.lower()}));\n    }}\n}}\n")
+
+
+def test_scan_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two ``jcascan scan`` processes under different ``PYTHONHASHSEED``s
+    write the same report: no candidate depends on set iteration order."""
+    corpus = tmp_path / "corpus"
+    _hash_seed_corpus(corpus)
+    src = str(Path(jcascan.__file__).resolve().parents[1])
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        subprocess.run([sys.executable, "-m", "jcascan.cli", "scan",
+                        str(corpus), "-o", str(out)], env=env, check=False,
+                       capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0]
+    assert reports[0] == reports[1]
 
 
 class TestBenchCli:

@@ -152,6 +152,22 @@ def test_loop_condition_runs_once_per_iteration(loop, value):
     assert resolved.residuals == set()
 
 
+@pytest.mark.parametrize("statements,value", [
+    ("int k = i++; n = k + i;", "AES1"),
+    ("do { n++; } while (i++ < 3);", "AES4"),
+])
+def test_postfix_update_yields_the_old_value(statements, value):
+    """``i++`` and ``i--`` yield the value before the update, ``++i`` and
+    ``--i`` the value after it."""
+    source = ("import javax.crypto.Cipher;\nclass Loop {\n"
+              "    void m() throws Exception {\n"
+              f"        int i = 0; int n = 0; {statements}\n"
+              '        Cipher.getInstance("AES" + n);\n    }\n}\n')
+    _, resolved = _steps_and_result(source)
+    assert resolved.candidates == {value}
+    assert resolved.residuals == set()
+
+
 def _under_frames(depth: int, fn):
     """``fn()`` called with ``depth`` more frames on the stack."""
     return fn() if depth == 0 else _under_frames(depth - 1, fn)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcascan.javaparse import parse_unit
@@ -137,6 +138,70 @@ class TestResiduals:
                                           max_call_depth=2))
         assert "DES" not in r.candidates
         assert DEPTH_EXCEEDED in r.residuals
+
+
+def _method(params: str, argument: str) -> str:
+    return ('import javax.crypto.Cipher;\nimport android.util.Base64;\n'
+            f'class A {{ void m({params}) throws Exception {{'
+            f' Cipher.getInstance({argument}); }} }}')
+
+
+def _five(names: str) -> str:
+    """A nested ternary over the parameters ``f0`` … ``f3`` with the five
+    values ``names[0]`` … ``names[4]``."""
+    return "".join(f'f{i} ? "{c}" : ' for i, c in enumerate(names[:4])) \
+        + f'"{names[4]}"'
+
+
+class TestOneLibraryModel:
+    """A library call gets the interpreter's answer whether the site is
+    resolved concretely or, because of a ternary or a parameter, over
+    candidate sets."""
+
+    @pytest.mark.parametrize("argument,candidates", [
+        ('Math.abs(f ? -1 : 1) + "AES"', {"1AES"}),
+        ("String.copyValueOf(f ? new char[]{'D'} : new char[]{'A'})"
+         ' + "ES"', {"DES", "AES"}),
+        ('new String(f ? "DESede".toCharArray() : "AES/GCM".toCharArray(),'
+         " 0, 3)", {"DES", "AES"}),
+    ])
+    def test_library_call_over_a_ternary(self, argument, candidates):
+        r = resolve_site(site_of(_method("boolean f", argument)))
+        assert r.candidates == candidates
+        assert not r.residuals
+
+    def test_builder_of_a_parameter_keeps_its_residual(self):
+        r = resolve_site(site_of(_method(
+            "String p", 'new StringBuilder(p).append("/ECB").toString()')))
+        assert r.candidates == set()
+        assert r.residuals == {EXTERNAL_INPUT}
+
+    def test_format_over_many_combinations_keeps_the_first_in_order(self):
+        # 5 x 5 x 5 = 125 combinations: all are formatted, and the cap
+        # keeps the 16 first in order, whatever the hash seed.
+        params = ", ".join(f"boolean f{i}" for i in range(4))
+        r = resolve_site(site_of(_method(params, (
+            f'String.format("%s/%s/%s", {_five("ABCDE")}, {_five("FGHIJ")},'
+            f' {_five("KLMNO")})'))))
+        everything = sorted(f"{a}/{b}/{c}" for a in "ABCDE"
+                            for b in "FGHIJ" for c in "KLMNO")
+        assert r.candidates == set(everything[:16])
+        assert r.residuals == {DEPTH_EXCEEDED}
+
+    def test_field_without_initializer_shadows_the_superclass_field(self):
+        src = ('import javax.crypto.Cipher;\n'
+               'class A { static String t = "AES"; }\n'
+               'class B extends A { static String t;'
+               ' void m() throws Exception { Cipher.getInstance(t); } }')
+        r = resolve_site(site_of(src))
+        assert r.candidates == set()
+        assert r.residuals == {UNKNOWN}
+
+    def test_android_base64_with_named_default_flags(self):
+        r = resolve_site(site_of(_method(
+            "", 'new String(Base64.decode("REVT", Base64.DEFAULT))')))
+        assert r.candidates == {"DES"}
+        assert not r.residuals
 
 
 class TestVisibility:
