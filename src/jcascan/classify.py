@@ -20,8 +20,7 @@ from .resolve import NATIVE as NATIVE_RESIDUAL
 from .resolve import (BASE64_DECODE, ENUM_CONSTANT, METHOD_BODY,
                       METHOD_RETURNS, NATIVE_CALL, STATIC_FIELD,
                       ResolvedValue)
-from .syntax import (SyntaxNode, member_facts, method_params, modifier_words,
-                     unit_index)
+from .syntax import SyntaxNode, method_params, modifier_words, unit_index
 
 RESTRICTIVE_LABELS = frozenset({
     "STROP", "TEROP", "ENUM", "ID", "THIS", "METHOD", "STATIC", "NATIVE",
@@ -134,15 +133,10 @@ def _declared_builders(site: InvocationSite) -> set[str]:
     enclosing method or the enclosing class body."""
     index = unit_index(site.unit)
     names = set()
-    for scope in (index.type_bodies.innermost(site.node.start, site.node.end),
-                  index.enclosing_method(site.node)):
+    for scope in (site.type_body, site.method):
         if scope is not None:
             names.update(index.builders_in(scope))
     return names
-
-
-def _field_modifiers(site: InvocationSite, name: str) -> tuple[str, ...]:
-    return member_facts(site.unit, site.context).field_modifiers.get(name, ())
 
 
 # -- restrictive classification ----------------------------------------------
@@ -174,9 +168,9 @@ def _classify_restrictive(site: InvocationSite,
     direct_ids = [str(n.value) for n in direct if n.kind == "identifier"]
     if direct_ids:
         labels.add("ID")
+        modifiers = index.member_facts(site.type_body).field_modifiers
         for name in direct_ids:
-            mods = _field_modifiers(site, name)
-            if "static" in mods:
+            if "static" in modifiers.get(name, ()):
                 labels.add("STATIC")
             if name in index.enum_constants:
                 labels.add("ENUM")

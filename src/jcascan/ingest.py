@@ -19,7 +19,7 @@ the classifier.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .javaparse import parse_unit
@@ -76,7 +76,12 @@ class InvocationSite:
 
     ``path`` and ``offset`` (the start of ``node``) are recorded at
     extraction, so a `detached` copy keeps its identity and order without
-    the syntax tree.
+    the syntax tree. So is the site's scope, which every later stage reads
+    instead of looking it up again: ``type_body``, the body of the
+    innermost type declaration holding the site, named or not, and
+    ``method``, the innermost method or constructor declaration holding
+    it, anonymous-class methods included (a method declaration site is its
+    own method).
     """
 
     id: str
@@ -85,11 +90,10 @@ class InvocationSite:
     offset: int
     subtree: SyntaxNode | None   # argument_list / block / no_body marker;
                                  # None once detached
-    enclosing_class: str
-    enclosing_method: str | None
-    context: list[SyntaxNode] = field(default_factory=list)
     unit: SourceUnit | None = None
     node: SyntaxNode | None = None       # the invocation / declaration node
+    type_body: SyntaxNode | None = None  # class_body / enum_body
+    method: SyntaxNode | None = None     # method / constructor declaration
     receiver_text: str = ""              # restrictive receiver, e.g. "Cipher"
     start_line: int = 0
     end_line: int = 0
@@ -102,7 +106,8 @@ class InvocationSite:
     def detached(self) -> InvocationSite:
         """A copy holding no part of the syntax tree, for results kept
         after the unit is released."""
-        return replace(self, subtree=None, context=[], unit=None, node=None)
+        return replace(self, subtree=None, unit=None, node=None,
+                       type_body=None, method=None)
 
 
 def parse_config(text: str) -> list[CustomApi]:
@@ -158,34 +163,18 @@ def extract_sites(unit: SourceUnit,
     sites: list[InvocationSite] = []
     index = unit_index(unit)
 
-    def enclosing(node: SyntaxNode) -> tuple[str, str | None, list[SyntaxNode]]:
-        # The innermost type body holding the node, named or not; the
-        # innermost method declared directly in a type body whose span
-        # holds the node's start (methods of anonymous classes do not
-        # count).
-        cls_name, ctx = "?", []
-        body = index.type_bodies.innermost(node.start, node.end)
-        if body is not None:
-            name = index.type_of_body[id(body)][1]
-            cls_name, ctx = "?" if name is None else name, body.children
-        member = index.member_methods.innermost(node.start, node.start)
-        return (cls_name, decl_name(member) if member is not None else None,
-                ctx)
-
     def add(api: ApiKind, node: SyntaxNode, subtree: SyntaxNode,
             receiver: str = "") -> None:
-        cls_name, method, ctx = enclosing(node)
         sites.append(InvocationSite(
             id=f"{unit.path}:{node.start}",
             api=api,
             path=unit.path,
             offset=node.start,
             subtree=subtree,
-            enclosing_class=cls_name,
-            enclosing_method=method,
-            context=ctx,
             unit=unit,
             node=node,
+            type_body=index.type_bodies.innermost(node.start, node.end),
+            method=index.enclosing_method(node),
             receiver_text=receiver,
             start_line=index.line_of(node.start),
             end_line=index.line_of(max(node.start, node.end - 1)),

@@ -39,6 +39,9 @@ ENUM_CONSTANT = "enum-constant"
 BASE64_DECODE = "base64-decode"
 
 _ANDROID_URL_SAFE = 8  # android.util.Base64.URL_SAFE bit
+# The most elements a new array, and the most characters a format width or
+# precision, may ask for; past it the value is not concrete.
+_MAX_LENGTH = 65536
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,8 @@ def _java_format(fmt: str, args: list) -> str:
             raise _NotConcrete
         conv = fmt[j]
         spec = fmt[i:j + 1]
+        if any(int(n) > _MAX_LENGTH for n in re.findall(r"\d+", spec)):
+            raise _NotConcrete
         if conv == "%":
             out.append("%")
             i = j + 1
@@ -347,8 +352,19 @@ def _java_base64(url_safe: bool, args: list) -> bytes:
     return _base64_decode(_jstr(args[0]), url_safe)
 
 
+def _chars_range(chars: CharArray, args: list) -> str:
+    """The text of the ``(char[] data, int offset, int count)`` forms."""
+    off, cnt = _as_int(args[1]), _as_int(args[2])
+    return chars.text[off:off + cnt]
+
+
 def _string_of(args: list) -> str:
-    return _jstr(_frozen(args[0]))
+    first = _frozen(args[0])
+    if len(args) == 3:
+        if not isinstance(first, CharArray):
+            raise _NotConcrete
+        return _chars_range(first, args)
+    return _jstr(first)
 
 
 def _format(args: list) -> str:
@@ -394,7 +410,7 @@ def library_call(node: SyntaxNode):
     if recv_base == "String" and name == "format":
         return _format, count, "string-format"
     if recv_base == "String" and name in ("valueOf", "copyValueOf"):
-        return _string_of, 1, "string-op"
+        return _string_of, 3 if count == 3 else 1, "string-op"
     if recv_base == "Integer" and name in ("parseInt", "valueOf"):
         return _parse_int, 1, "string-op"
     if recv_base == "Math" and name in _MATH and count >= _MATH[name][1]:
@@ -409,10 +425,7 @@ def _new_string(args: list) -> str:
     if isinstance(first, bytes):
         return _decode_bytes(first)
     if isinstance(first, CharArray):
-        if len(args) == 3:
-            off, cnt = _as_int(args[1]), _as_int(args[2])
-            return first.text[off:off + cnt]
-        return first.text
+        return _chars_range(first, args) if len(args) == 3 else first.text
     if isinstance(first, tuple):
         return "".join(chr(_as_int(v) % 256) for v in first)
     if isinstance(first, str):
@@ -421,8 +434,13 @@ def _new_string(args: list) -> str:
 
 
 def _new_builder(args: list) -> Builder:
-    if args and isinstance(args[0], str):
-        return Builder(args[0])
+    """A new builder: the text of a string or builder argument (the
+    ``CharSequence`` constructor), else empty (the capacity one)."""
+    first = args[0] if args else None
+    if isinstance(first, str):
+        return Builder(first)
+    if isinstance(first, (Builder, SBuf)):
+        return Builder(first.text)
     return Builder("")
 
 
@@ -1087,7 +1105,7 @@ def _c_array_creation(interp, node):
         if ctx.steps > limit:
             raise _BudgetExhausted
         n = _as_int(size(interp, env, fields))
-        if n < 0 or n > 65536:
+        if n < 0 or n > _MAX_LENGTH:
             raise _NotConcrete
         return JArray([fill] * n, elem)
     return new_array

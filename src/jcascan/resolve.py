@@ -37,8 +37,8 @@ from .interp import (ENUM_CONSTANT, UNARY, Builder, Char, CharArray,
 # Re-exported: classification reads BASE64_DECODE from here, and the index
 # tests check the member and enum lookups against their references.
 from .interp import BASE64_DECODE, _class_members, _enum_model  # noqa: F401
-from .syntax import (SourceUnit, SyntaxNode, member_facts, method_body,
-                     method_params, modifier_words, unit_index)
+from .syntax import (SourceUnit, SyntaxNode, method_body, method_params,
+                     modifier_words, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -84,14 +84,6 @@ class ResolvedValue:
     @property
     def concrete(self) -> bool:
         return bool(self.candidates) and not self.residuals
-
-
-# -- unit-level lookups --------------------------------------------------
-
-def enclosing_method_node(unit: SourceUnit,
-                          node: SyntaxNode) -> SyntaxNode | None:
-    """Smallest method or constructor declaration containing ``node``."""
-    return unit_index(unit).enclosing_method(node)
 
 
 # -- abstract, set-valued resolver ----------------------------------------
@@ -142,18 +134,11 @@ class _Abstract:
     def __init__(self, ctx: _Ctx, unit: SourceUnit, site: InvocationSite):
         self.ctx = ctx
         self.unit = unit
-        self.site = site
-        self.class_body = self._site_class_body()
+        # The site's type body, if that type is named.
+        body = site.type_body
+        self.class_body = body if body is not None \
+            and unit_index(unit).named_owner(body) is not None else None
         self.interp = _Interp(ctx, unit, self.class_body)
-
-    def _site_class_body(self) -> SyntaxNode | None:
-        """The body of the innermost type declaration holding the site, if
-        that type is named."""
-        index = unit_index(self.unit)
-        node = self.site.node
-        body = index.type_bodies.innermost(node.start, node.end)
-        return body if body is not None and index.named_owner(body) \
-            else None
 
     # --- top level ---
 
@@ -175,7 +160,7 @@ class _Abstract:
         return self._resolve_node(expr, depth, locals_env)
 
     def _try_region_concrete(self, expr: SyntaxNode):
-        method = enclosing_method_node(self.unit, expr)
+        method = unit_index(self.unit).enclosing_method(expr)
         if method is None:
             return _MISSING
         body = method_body(method)
@@ -288,14 +273,24 @@ class _Abstract:
 
     def _resolve_binary(self, node: SyntaxNode, depth: int,
                         env: dict[str, _VS]) -> _VS:
-        op = str(node.value)
-        left = self._resolve_node(node.children[0], depth, env)
-        right = self._resolve_node(node.children[1], depth, env)
-        if op not in _INT_ARITH and op not in _INT_COMPARE:
-            return _VS.residual(UNKNOWN)
-        apply = _binary_op(op)[0]
-        return self._lift(lambda args: apply(*args), [left, right], node,
-                          "concat" if op == "+" else None)
+        """A left-deep chain such as ``a + b + … + z`` in one frame, in the
+        order nested calls would take: the links tick top-down, then each
+        right operand is resolved and its link applied, innermost first."""
+        links = [node]
+        while links[-1].children[0].kind == "binary_expression":
+            links.append(links[-1].children[0])
+            self.ctx.tick()
+        value = self._resolve_node(links[-1].children[0], depth, env)
+        for link in reversed(links):
+            right = self._resolve_node(link.children[1], depth, env)
+            op = str(link.value)
+            if op not in _INT_ARITH and op not in _INT_COMPARE:
+                value = _VS.residual(UNKNOWN)
+                continue
+            apply = _binary_op(op)[0]
+            value = self._lift(lambda args: apply(*args), [value, right],
+                               link, "concat" if op == "+" else None)
+        return value
 
     # --- names ---
 
@@ -304,7 +299,7 @@ class _Abstract:
         name = str(node.value)
         if name in env:
             return env[name]
-        method = enclosing_method_node(self.unit, node)
+        method = unit_index(self.unit).enclosing_method(node)
         if method is not None:
             if name in method_params(method):
                 self.ctx.note("external-input", node, name)
@@ -585,12 +580,7 @@ def resolve(expr: SyntaxNode, site: InvocationSite,
         elif isinstance(value, CharArray):
             candidates.add(value.text)
     residuals = set(vs.residuals)
-    if not candidates and not residuals:
-        if raw:
-            # Concrete but not a string (e.g. key bytes): keep raw only.
-            pass
-        else:
-            residuals.add(UNKNOWN)
+    # Concrete but not a string (e.g. key bytes): raw only, no UNKNOWN.
     if not candidates and not raw and not residuals:
         residuals.add(UNKNOWN)
     return ResolvedValue(candidates=candidates, residuals=residuals,
@@ -610,9 +600,8 @@ def visible_literals(site: InvocationSite,
                      resolved: ResolvedValue | None = None) -> set[str]:
     """String literals lexically present at the site: the enclosing method
     plus every definition the resolver touched."""
-    index = unit_index(site.unit)
-    method = index.enclosing_method(site.node)
-    out = set(index.literals_in(method if method is not None else site.node))
+    scope = site.method if site.method is not None else site.node
+    out = set(unit_index(site.unit).literals_in(scope))
     if resolved is not None:
         out |= resolved.touched_literals
     return out
@@ -691,8 +680,7 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
                if n.kind == "identifier"}
     if not arg_ids:
         return False
-    method = enclosing_method_node(site.unit, site.node)
-    if method is not None and _feeds_encrypted(method, arg_ids):
+    if site.method is not None and _feeds_encrypted(site.method, arg_ids):
         return True
-    return any(_feeds_encrypted(member, arg_ids)
-               for member in member_facts(site.unit, site.context).fields)
+    return any(_feeds_encrypted(member, arg_ids) for member in
+               unit_index(site.unit).member_facts(site.type_body).fields)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .classify import LabelSet
 from .ingest import InvocationSite
-from .resolve import (NATIVE, ResolvedValue, enclosing_method_node,
-                      has_encrypted_param_pattern, visible_literals)
+from .resolve import (NATIVE, ResolvedValue, has_encrypted_param_pattern,
+                      visible_literals)
 from .syntax import SyntaxNode, method_body, unit_index
 
 ERROR = "ERROR"
@@ -270,21 +270,14 @@ def check_key_material(site: InvocationSite,
             evasive=_is_evasive(preview, visible_literals(site, resolved))))
         return findings
     texts = [site.subtree.text]
-    method = enclosing_method_node(site.unit, site.node)
-    if method is not None:
-        texts.append(method.text)
+    if site.method is not None:
+        texts.append(site.method.text)
     if any(src in text for text in texts for src in _RANDOM_KEY_SOURCES):
         return []
     findings.append(MisuseFinding(
         site_id=site.id, rule_id="K2", severity=INFO,
         message="key material could not be resolved", evasive=False))
     return findings
-
-
-def _find_unit_method(site: InvocationSite,
-                      name: str) -> SyntaxNode | None:
-    """The first method declaration called ``name`` in the site's unit."""
-    return unit_index(site.unit).first_method.get(name)
 
 
 def _trivially_accepts(body: SyntaxNode | None) -> bool:
@@ -306,13 +299,14 @@ def _delegates_to_noop(site: InvocationSite, hops: int = 2) -> str | None:
     body = site.subtree
     if body.kind != "block":
         return None
+    first_method = unit_index(site.unit).first_method
     frontier = [body]
     for _ in range(hops):
         next_frontier = []
         for scope in frontier:
             for call in scope.find_all("method_invocation"):
                 name = str(call.value)
-                decl = _find_unit_method(site, name)
+                decl = first_method.get(name)
                 if decl is None:
                     continue
                 target_body = method_body(decl)

@@ -273,7 +273,7 @@ class UnitIndex:
         self.first_type: dict[str, SyntaxNode] = {}
         for decl, name, _ in self.named_types:
             self.first_type.setdefault(name, decl)
-        self._member_facts: dict[int, tuple[list, MemberFacts]] = {}
+        self._member_facts: dict[int, MemberFacts] = {}
 
     @cached_property
     def methods(self) -> _Nesting:
@@ -282,12 +282,6 @@ class UnitIndex:
     @cached_property
     def type_bodies(self) -> _Nesting:
         return _Nesting([body for _, _, body in self.types])
-
-    @cached_property
-    def member_methods(self) -> _Nesting:
-        """Methods and constructors declared directly in a type body."""
-        return _Nesting([m for _, _, body in self.types
-                         for m in body.children if m.kind in METHOD_KINDS])
 
     @cached_property
     def _line_starts(self) -> list[int]:
@@ -332,14 +326,17 @@ class UnitIndex:
             lo += 1
         return self.builder_vars[lo:hi]
 
-    def member_facts(self, members: list[SyntaxNode]) -> MemberFacts:
-        """Facts about ``members`` (a class body's children), gathered once
-        per list."""
-        cached = self._member_facts.get(id(members))
-        if cached is None or cached[0] is not members:
-            cached = (members, MemberFacts.of(members))
-            self._member_facts[id(members)] = cached
-        return cached[1]
+    def member_facts(self, body: SyntaxNode | None) -> MemberFacts:
+        """Facts about the members of a type body of this unit, gathered
+        once per body; a site outside every type body (``None``) has
+        none."""
+        if body is None:
+            return _NO_MEMBERS
+        facts = self._member_facts.get(id(body))
+        if facts is None:
+            facts = self._member_facts[id(body)] = MemberFacts.of(
+                body.children)
+        return facts
 
 
 @dataclass(frozen=True)
@@ -362,9 +359,7 @@ class MemberFacts:
         return MemberFacts(fields, modifiers)
 
 
-def member_facts(unit: SourceUnit, members: list[SyntaxNode]) -> MemberFacts:
-    """``MemberFacts`` of a site's context, from the unit's index."""
-    return unit_index(unit).member_facts(members)
+_NO_MEMBERS = MemberFacts((), {})
 
 
 def unit_index(unit: SourceUnit) -> UnitIndex:

@@ -10,9 +10,8 @@ import interp_snippets
 from jcascan import bench, resolve
 from jcascan.ingest import RESTRICTIVE, extract_sites
 from jcascan.javaparse import parse_unit
-from jcascan.resolve import (_ENCRYPTED_CALL, enclosing_method_node,
-                             has_encrypted_param_pattern)
-from jcascan.syntax import SyntaxNode, member_facts
+from jcascan.resolve import _ENCRYPTED_CALL, has_encrypted_param_pattern
+from jcascan.syntax import SyntaxNode, unit_index
 
 
 def ref_has_encrypted_param_pattern(site) -> bool:
@@ -50,11 +49,10 @@ def ref_has_encrypted_param_pattern(site) -> bool:
                     changed = True
         return False
 
-    method = enclosing_method_node(site.unit, site.node)
-    if method is not None and feeds(method):
+    if site.method is not None and feeds(site.method):
         return True
-    return any(feeds(member)
-               for member in member_facts(site.unit, site.context).fields)
+    return any(feeds(member) for member in
+               unit_index(site.unit).member_facts(site.type_body).fields)
 
 
 _NAMES = ("a", "b", "t", "u", "k")

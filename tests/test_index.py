@@ -11,21 +11,20 @@ from __future__ import annotations
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import conftest
 from jcascan import ingest
-from jcascan.classify import _declared_builders, _field_modifiers
+from jcascan.classify import _declared_builders
 from jcascan.ingest import extract_sites
 from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_corpus, analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
                              _Ctx, _enum_model, _find_class,
-                             enclosing_method_node, visible_literals)
-from jcascan.rules import _find_unit_method
-from jcascan.syntax import (SyntaxNode, decl_name, member_facts,
-                            string_literals, unit_index)
+                             visible_literals)
+from jcascan.syntax import SyntaxNode, string_literals, unit_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpora  # noqa: E402
@@ -344,8 +343,9 @@ def _units():
 
 @pytest.mark.parametrize("unit", _units())
 def test_enclosing_method_matches_reference(unit):
+    index = unit_index(unit)
     for node in unit.root.walk():
-        assert enclosing_method_node(unit, node) \
+        assert index.enclosing_method(node) \
             is ref_enclosing_method_node(unit, node)
 
 
@@ -353,20 +353,20 @@ def test_enclosing_method_matches_reference(unit):
 def test_ingest_enclosing_matches_reference(unit):
     index = unit_index(unit)
     for node in unit.root.walk():
-        cls_name, method, ctx = ref_ingest_enclosing(unit, node)
+        cls_name, _, ctx = ref_ingest_enclosing(unit, node)
         body = index.type_bodies.innermost(node.start, node.end)
         if body is None:
             assert (cls_name, ctx) == ("?", [])
         else:
             assert body.children is ctx
             assert index.type_of_body[id(body)][1] == cls_name
-        member = index.member_methods.innermost(node.start, node.start)
-        assert (None if member is None else decl_name(member)) == method
     for site in extract_sites(unit):
-        cls_name, method, ctx = ref_ingest_enclosing(unit, site.node)
-        assert (site.enclosing_class, site.enclosing_method) \
-            == (cls_name, method)
-        assert site.context is ctx or (site.context == [] and ctx == [])
+        _, _, ctx = ref_ingest_enclosing(unit, site.node)
+        if site.type_body is None:
+            assert ctx == []
+        else:
+            assert site.type_body.children is ctx
+        assert site.method is ref_enclosing_method_node(unit, site.node)
         assert site.start_line == ref_line_of(unit.text, site.node.start)
         assert site.end_line == ref_line_of(
             unit.text, max(site.node.start, site.node.end - 1))
@@ -387,9 +387,8 @@ def test_name_lookups_match_reference(unit):
     type_names = {name for _, name, _ in ref_class_stack(unit.root)}
     for name in sorted(type_names | {"Missing", "?"}):
         assert _find_class(unit, name) is ref_find_class(unit, name)
-    site = extract_sites(unit)[0]
     for name in sorted(ref_unit_method_names(unit) | {"missing"}):
-        assert _find_unit_method(site, name) \
+        assert unit_index(unit).first_method.get(name) \
             is ref_find_unit_method(unit, name)
     for _, _, body in ref_class_stack(unit.root):
         members = _class_members(unit, body)
@@ -410,18 +409,26 @@ def test_subtree_literals_and_builders_match_reference(unit):
 
 @pytest.mark.parametrize("unit", _units())
 def test_site_lookups_match_reference(unit):
+    index = unit_index(unit)
     for site in extract_sites(unit):
+        # The references read the class body's members from the reference
+        # scope, not from the site.
+        ref_site = SimpleNamespace(
+            unit=unit, node=site.node,
+            context=ref_ingest_enclosing(unit, site.node)[2])
         engine = _Abstract(_Ctx(ResolutionBudget()), unit, site)
-        assert engine.class_body is ref_site_class_body(unit, site)
-        assert _declared_builders(site) == ref_declared_builders(site)
+        assert engine.class_body is ref_site_class_body(unit, ref_site)
+        assert _declared_builders(site) == ref_declared_builders(ref_site)
         assert visible_literals(site) == ref_visible_literals(site)
-        fields = [m for m in site.context if m.kind == "field_declaration"]
-        assert list(member_facts(unit, site.context).fields) == fields
+        facts = index.member_facts(site.type_body)
+        fields = [m for m in ref_site.context
+                  if m.kind == "field_declaration"]
+        assert list(facts.fields) == fields
         names = {str(d.children[0].value) for m in fields
                  for d in m.children if d.kind == "variable_declarator"}
         for name in sorted(names | {"missing"}):
-            assert _field_modifiers(site, name) \
-                == ref_field_modifiers(site, name)
+            assert facts.field_modifiers.get(name, ()) \
+                == ref_field_modifiers(ref_site, name)
         for name in sorted(ref_enum_constant_names(unit) | {"missing"}):
             assert engine._enum_constant(name) \
                 == ref_enum_constant(unit, name)

@@ -16,6 +16,7 @@ from conftest import (CHARAT_SRC, HOSTNAME_TRUE_SRC, KEY_LITERAL_SRC,
                       sites_of)
 from jcascan.javaparse import parse_unit
 from jcascan.ingest import extract_sites
+from jcascan.syntax import decl_name, unit_index
 
 
 class TestExtraction:
@@ -67,8 +68,9 @@ public class Multi {
 
     def test_enclosing_names(self):
         site = sites_of(XOR_SRC)[0]
-        assert site.enclosing_class == "XorCase"
-        assert site.enclosing_method == "run"
+        assert unit_index(site.unit).named_owner(site.type_body) \
+            is unit_index(site.unit).first_type["XorCase"]
+        assert decl_name(site.method) == "run"
 
     def test_api_filter(self):
         unit = parse(TRUST_NATIVE_SRC)

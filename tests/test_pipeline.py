@@ -4,6 +4,7 @@ releases each file's syntax tree before parsing the next."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
@@ -13,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 from jcascan import bench, ingest
 from jcascan.cli import main
 from jcascan.report import analyze_corpus, write_report
+from jcascan.syntax import SourceUnit, SyntaxNode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpora  # noqa: E402
@@ -131,6 +134,33 @@ def test_every_parsed_unit_is_freed_on_return(tmp_path, monkeypatch):
     analyses, _ = analyze_corpus(_write_corpus(tmp_path / "c", 20))
     assert len(analyses) == len(units) == 20
     assert [u for u in units if u() is not None] == []
+
+
+def _holds_tree(value) -> bool:
+    if isinstance(value, (SyntaxNode, SourceUnit)):
+        return True
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    return isinstance(value, (list, tuple, set, frozenset)) \
+        and any(_holds_tree(item) for item in value)
+
+
+def test_result_rows_hold_no_tree(tmp_path, bench_corpus):
+    """`analyze_corpus` keeps each site `InvocationSite.detached`: no
+    field of a result's site refers to a syntax node or a unit."""
+    conftest_root = tmp_path / "conftest"
+    conftest_root.mkdir()
+    for name, value in vars(conftest).items():
+        if name.endswith("_SRC") and isinstance(value, str):
+            (conftest_root / f"{name}.java").write_text(value,
+                                                        encoding="utf-8")
+    for root in (conftest_root, bench_corpus[0]):
+        analyses, _ = analyze_corpus(root)
+        assert analyses
+        for a in analyses:
+            held = [f.name for f in dataclasses.fields(a.site)
+                    if _holds_tree(getattr(a.site, f.name))]
+            assert held == [], a.site.id
 
 
 def _traced_peak(root: Path) -> int:

@@ -197,11 +197,59 @@ class TestOneLibraryModel:
         assert r.candidates == set()
         assert r.residuals == {UNKNOWN}
 
+    @pytest.mark.parametrize("argument,candidates", [
+        ('String.valueOf("DESede".toCharArray(), 0, 3)', {"DES"}),
+        ('String.copyValueOf("DESede".toCharArray(), 1, 2)', {"ES"}),
+        ('String.valueOf(f ? "DESede".toCharArray()'
+         ' : "AES/GCM".toCharArray(), 0, 3)', {"DES", "AES"}),
+    ])
+    def test_value_of_a_char_range_slices(self, argument, candidates):
+        r = resolve_site(site_of(_method("boolean f", argument)))
+        assert r.candidates == candidates
+        assert not r.residuals
+
+    @pytest.mark.parametrize("argument,candidates", [
+        ('new StringBuilder(new StringBuilder("AES")).toString()', {"AES"}),
+        ('new StringBuffer(new StringBuffer("DES").append("ede"))'
+         ".toString()", {"DESede"}),
+        ('new StringBuilder(f ? new StringBuilder("AES")'
+         ' : new StringBuilder("DES")).toString()', {"AES", "DES"}),
+        ("new StringBuilder(16).toString()", {""}),
+    ])
+    def test_builder_of_a_builder_takes_its_text(self, argument, candidates):
+        r = resolve_site(site_of(_method("boolean f", argument)))
+        assert r.candidates == candidates
+        assert not r.residuals
+
+    @pytest.mark.parametrize("args", [
+        '"%20000000s", "x"', '"%.70000s", "x"', '"%065537d", 7'])
+    def test_format_refuses_a_width_past_the_array_bound(self, args):
+        r = resolve_site(site_of(_method("", f"String.format({args})")))
+        assert r.candidates == set()
+        assert r.residuals == {UNKNOWN}
+
     def test_android_base64_with_named_default_flags(self):
         r = resolve_site(site_of(_method(
             "", 'new String(Base64.decode("REVT", Base64.DEFAULT))')))
         assert r.candidates == {"DES"}
         assert not r.residuals
+
+
+def _under_frames(frames: int, fn):
+    """``fn()`` called ``frames`` Python frames deeper than here."""
+    return fn() if frames == 0 else _under_frames(frames - 1, fn)
+
+
+class TestDeepChains:
+    @pytest.mark.parametrize("frames", [0, 300, 600])
+    def test_left_deep_concat_does_not_depend_on_the_stack(self, frames):
+        # 399 literals and a parameter: a left-deep chain of 399 links,
+        # whose resolution must not depend on the caller's stack depth.
+        chain = " + ".join(['"a"'] * 399 + ["p"])
+        site = site_of(_method("String p", chain))
+        r = _under_frames(frames, lambda: resolve_site(site))
+        assert r.candidates == set()
+        assert r.residuals == {EXTERNAL_INPUT}
 
 
 class TestVisibility:
