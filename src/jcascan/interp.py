@@ -40,7 +40,7 @@ BASE64_DECODE = "base64-decode"
 
 _ANDROID_URL_SAFE = 8  # android.util.Base64.URL_SAFE bit
 # The most elements a new array, and the most characters a format width or
-# precision, may ask for; past it the value is not concrete.
+# integer precision, may ask for; past it the value is not concrete.
 _MAX_LENGTH = 65536
 
 
@@ -229,6 +229,14 @@ def _cast(target: str, value):
     return value
 
 
+def _too_long(digits: str) -> bool:
+    """Whether a run of decimal digits counts past ``_MAX_LENGTH``; a run
+    too long for ``int`` to read counts past it."""
+    digits = digits.lstrip("0")
+    return len(digits) > len(str(_MAX_LENGTH)) or \
+        int(digits or "0") > _MAX_LENGTH
+
+
 def _java_format(fmt: str, args: list) -> str:
     out = []
     idx = 0
@@ -246,7 +254,12 @@ def _java_format(fmt: str, args: list) -> str:
             raise _NotConcrete
         conv = fmt[j]
         spec = fmt[i:j + 1]
-        if any(int(n) > _MAX_LENGTH for n in re.findall(r"\d+", spec)):
+        # A width pads the output, and so does a precision on the integer
+        # conversions (Python's % zero-pads); a precision on %s only cuts.
+        width, _, precision = spec[1:-1].partition(".")
+        padded = [width, precision] if conv in "dxXo" else [width]
+        if any(_too_long(n) for part in padded
+               for n in re.findall(r"\d+", part)):
             raise _NotConcrete
         if conv == "%":
             out.append("%")
@@ -355,6 +368,8 @@ def _java_base64(url_safe: bool, args: list) -> bytes:
 def _chars_range(chars: CharArray, args: list) -> str:
     """The text of the ``(char[] data, int offset, int count)`` forms."""
     off, cnt = _as_int(args[1]), _as_int(args[2])
+    if off < 0 or cnt < 0 or off + cnt > len(chars.text):
+        raise _NotConcrete   # Java's StringIndexOutOfBoundsException
     return chars.text[off:off + cnt]
 
 

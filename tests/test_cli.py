@@ -205,6 +205,12 @@ class TestScan:
         'String.format("%,d", 5)',
         # Strings where the bytes of a new String are expected.
         'new String("a,b".split(","))',
+        # A width too long for Python's int to read, written out and
+        # built by concatenation.
+        pytest.param('String.format("%' + "5" * 5000 + 's", "AES")',
+                     id="5000-digit-width"),
+        pytest.param('String.format("%" + "' + "5" * 5000 + '" + "s", "AES")',
+                     id="5000-digit-width-concatenated"),
     ])
     def test_library_call_the_model_refuses_scans(self, argument,
                                                   tmp_path):

@@ -208,6 +208,18 @@ class TestOneLibraryModel:
         assert r.candidates == candidates
         assert not r.residuals
 
+    @pytest.mark.parametrize("argument", [
+        # Java throws StringIndexOutOfBoundsException for each of these.
+        'String.valueOf("DESede".toCharArray(), 3, 10)',
+        'String.valueOf("DESede".toCharArray(), -1, 3)',
+        'String.copyValueOf("DESede".toCharArray(), 2, -1)',
+        'new String("DESede".toCharArray(), 4, 3)',
+    ])
+    def test_char_range_out_of_bounds_is_unknown(self, argument):
+        r = resolve_site(site_of(_method("", argument)))
+        assert r.candidates == set()
+        assert r.residuals == {UNKNOWN}
+
     @pytest.mark.parametrize("argument,candidates", [
         ('new StringBuilder(new StringBuilder("AES")).toString()', {"AES"}),
         ('new StringBuffer(new StringBuffer("DES").append("ede"))'
@@ -222,11 +234,21 @@ class TestOneLibraryModel:
         assert not r.residuals
 
     @pytest.mark.parametrize("args", [
-        '"%20000000s", "x"', '"%.70000s", "x"', '"%065537d", 7'])
+        '"%20000000s", "x"', '"%065537d", 7', '"%.70000d", 7',
+        pytest.param('"%' + "9" * 5000 + 's", "x"', id="5000-digit-width")])
     def test_format_refuses_a_width_past_the_array_bound(self, args):
         r = resolve_site(site_of(_method("", f"String.format({args})")))
         assert r.candidates == set()
         assert r.residuals == {UNKNOWN}
+
+    def test_format_precision_on_a_string_only_cuts(self):
+        # A precision on %s can only shorten the output, so it is not
+        # bounded.
+        r = resolve_site(site_of(_method(
+            "", 'String.format("%.70000s", "AES") + String.format("%.1s",'
+            ' "DES")')))
+        assert r.candidates == {"AESD"}
+        assert not r.residuals
 
     def test_android_base64_with_named_default_flags(self):
         r = resolve_site(site_of(_method(
