@@ -70,7 +70,7 @@ class CustomApi:
     arity: int | None = None      # flexible parameter count
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationSite:
     """One occurrence of a target API in one file.
 
@@ -268,7 +268,8 @@ def scan_corpus(root_dir: str | Path,
     Deterministic: sites come in (path string, offset) order. Per-file
     failures become warnings, never aborts. Every site keeps its unit, so
     every tree stays alive; the pipeline, `report.analyze_corpus`, runs
-    `scan_file` itself, one file at a time.
+    `scan_file` itself, splitting the files across forked workers on the
+    CPUs the process may use and merging the results in path order.
     """
     warnings: list[ParseWarning] = []
     sites = [site for path in corpus_files(root_dir)

@@ -365,12 +365,13 @@ def _java_base64(url_safe: bool, args: list) -> bytes:
     return _base64_decode(_jstr(args[0]), url_safe)
 
 
-def _chars_range(chars: CharArray, args: list) -> str:
-    """The text of the ``(char[] data, int offset, int count)`` forms."""
+def _range(array, args: list):
+    """The slice of ``array`` that the ``(array, int offset, int count)``
+    forms take."""
     off, cnt = _as_int(args[1]), _as_int(args[2])
-    if off < 0 or cnt < 0 or off + cnt > len(chars.text):
+    if off < 0 or cnt < 0 or off + cnt > len(array):
         raise _NotConcrete   # Java's StringIndexOutOfBoundsException
-    return chars.text[off:off + cnt]
+    return array[off:off + cnt]
 
 
 def _string_of(args: list) -> str:
@@ -378,7 +379,7 @@ def _string_of(args: list) -> str:
     if len(args) == 3:
         if not isinstance(first, CharArray):
             raise _NotConcrete
-        return _chars_range(first, args)
+        return _range(first.text, args)
     return _jstr(first)
 
 
@@ -434,13 +435,24 @@ def library_call(node: SyntaxNode):
 
 
 def _new_string(args: list) -> str:
+    """``new String(...)`` of a string or an array, or of the slice the
+    ``(array, int offset, int count)`` and ``(byte[], int offset, int
+    count, String charset)`` forms take; the deprecated ``(byte[], int
+    hibyte, int offset, int count)`` form is not modelled."""
     if not args:
         return ""
     first = _frozen(args[0])
+    if len(args) == 3 and isinstance(first, CharArray):
+        return _range(first.text, args)
+    if len(args) > 2:
+        hibyte = len(args) == 4 and not isinstance(args[3], str)
+        if hibyte or not isinstance(first, (bytes, tuple)):
+            raise _NotConcrete
+        first = _range(first, args)
     if isinstance(first, bytes):
         return _decode_bytes(first)
     if isinstance(first, CharArray):
-        return _chars_range(first, args) if len(args) == 3 else first.text
+        return first.text
     if isinstance(first, tuple):
         return "".join(chr(_as_int(v) % 256) for v in first)
     if isinstance(first, str):
@@ -465,7 +477,8 @@ def library_new(node: SyntaxNode):
     base = str(node.children[0].value or "").split(".")[-1]
     count = len(_object_parts(node))
     if base == "String":
-        return _new_string, 3 if count == 3 else min(count, 1), "new-string"
+        return _new_string, count if count in (3, 4) else min(count, 1), \
+            "new-string"
     if base in ("StringBuilder", "StringBuffer"):
         return _new_builder, min(count, 1), None
     return None

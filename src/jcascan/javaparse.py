@@ -196,6 +196,8 @@ def tokenize(text: str,
             while j < n and text[j] != "'":
                 if text[j] == "\\":
                     j += 1
+                if j < n and text[j] == "\n":
+                    break
                 j += 1
             end = min(j + 1, n)
             value, valid = _decode_escapes(text[i + 1:j])

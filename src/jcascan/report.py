@@ -11,6 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +46,7 @@ def finding_record(finding: MisuseFinding) -> dict:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class SiteAnalysis:
     site: InvocationSite
     d: int
@@ -78,6 +81,64 @@ def analyze_site(site: InvocationSite,
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork, or runs
+    other threads, which a forked worker would not have."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and threading.active_count() == 1
+    return len(os.sched_getaffinity(0)) if forks else 1
+
+
+def _analyze_share(files: list[Path], apis, extras, budget):
+    """Each file's ``(rows, warnings)``, one file at a time, up to the
+    first file that raises, whose exception ends the share."""
+    for path in files:
+        warnings: list = []
+        try:
+            rows = [analyze_site(site, budget)
+                    for site in scan_file(path, apis, extras, warnings)]
+        except Exception as exc:
+            yield exc
+            return
+        yield rows, warnings
+
+
+def _fork_share(files: list[Path], apis, extras, budget):
+    """(pid, pipe) of a forked worker that runs `_analyze_share` over
+    ``files``, then writes the results to the pipe, one pickle each. An
+    identifier-like string, such as a label, goes as a persistent id, which
+    `_results` interns: all rows share one copy of it."""
+    import gc
+    import pickle
+    read_end, write_end = os.pipe()
+    gc.freeze()     # the caller's garbage is not the worker's to finalize
+    pid = os.fork()
+    if pid:
+        gc.unfreeze()
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    try:    # never return into the caller, flush its buffers or run atexit
+        with open(write_end, "wb") as out:
+            pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+            pickler.persistent_id = lambda obj: obj if type(obj) is str \
+                and obj.isidentifier() else None
+            for result in list(_analyze_share(files, apis, extras, budget)):
+                pickler.dump(result)
+                pickler.clear_memo()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _results(pipe):
+    """The results a `_fork_share` worker writes, as they arrive."""
+    import pickle
+    while pipe.peek(1):
+        unpickler = pickle.Unpickler(pipe)
+        unpickler.persistent_load = sys.intern
+        yield unpickler.load()
+
+
 def analyze_corpus(root: str | Path,
                    apis: frozenset[ApiKind] | set[ApiKind] = DEFAULT_APIS,
                    extras: list[CustomApi] | None = None,
@@ -87,16 +148,39 @@ def analyze_corpus(root: str | Path,
     find under ``root``, through `analyze_site`, in (path string, offset)
     order, plus the per-file parse warnings.
 
-    Files are read, parsed, extracted and analyzed one at a time, and no
-    result refers to a tree, so each file's tree is released before the
-    next file is parsed: memory is O(largest file + report rows), not
-    O(corpus).
+    Files are split across forked workers, one per CPU this process may
+    run on, and merged in path order: the report bytes do not depend on
+    the worker count, and one file or one CPU runs in-process. Memory is
+    O(largest file + report rows) per process, not O(corpus).
     """
-    warnings: list = []
+    files = corpus_files(root)
+    workers = max(1, min(_usable_cpus(), len(files)))
+    children: list = []
     analyses: list[SiteAnalysis] = []
-    for path in corpus_files(root):
-        analyses += [analyze_site(site, budget)
-                     for site in scan_file(path, apis, extras, warnings)]
+    warnings: list = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(files[k::workers], apis, extras,
+                                        budget))
+        shares = [_analyze_share(files[::workers], apis, extras, budget)]
+        if children:    # finish the caller's share before reading theirs
+            shares = [iter(list(shares[0])),
+                      *(_results(pipe) for _, pipe in children)]
+        for i in range(len(files)):
+            # A share ends at its first exception, before any file it left.
+            result = next(shares[i % workers], None)
+            if result is None:
+                raise ChildProcessError("an analysis worker ended early")
+            if isinstance(result, Exception):
+                raise result
+            analyses += result[0]
+            warnings += result[1]
+    finally:    # no worker outlives the call, done or not
+        for pid, pipe in children:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
     return analyses, warnings
 
 

@@ -59,7 +59,7 @@ _COMPARISON_METHODS = {"equals", "equalsIgnoreCase", "contains",
                        "startsWith", "endsWith", "compareTo", "matches"}
 
 
-@dataclass
+@dataclass(slots=True)
 class MisuseFinding:
     site_id: str
     rule_id: str

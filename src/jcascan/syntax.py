@@ -73,7 +73,7 @@ class SyntaxNode:
         return f"SyntaxNode({self.kind}, {self.start}:{self.end})"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseWarning:
     """A non-fatal parse problem, recorded per node or per file."""
 

@@ -407,6 +407,27 @@ def test_scan_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
+
+def test_scan_bytes_do_not_depend_on_the_cpus(tmp_path):
+    """A ``jcascan scan`` confined to one CPU, which runs in-process,
+    writes the report of one that forks a worker per CPU."""
+    corpus = tmp_path / "corpus"
+    _hash_seed_corpus(corpus)
+    src = str(Path(jcascan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    one_cpu = {min(os.sched_getaffinity(0))}
+    reports = []
+    for i, confine in enumerate(
+            [None, lambda: os.sched_setaffinity(0, one_cpu)]):
+        out = tmp_path / f"{i}.jsonl"
+        subprocess.run([sys.executable, "-m", "jcascan.cli", "scan",
+                        str(corpus), "-o", str(out)], env=env, check=False,
+                       capture_output=True, preexec_fn=confine)
+        reports.append(out.read_bytes())
+    assert reports[0]
+    assert reports[0] == reports[1]
+
 class TestBenchCli:
     def test_gen_and_self_run(self, tmp_path, capsys):
         corpus = tmp_path / "bench"

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import conftest
-from jcascan import ingest
+from jcascan import ingest, report
 from jcascan.classify import _declared_builders
 from jcascan.ingest import extract_sites
 from jcascan.javaparse import parse_unit
@@ -570,5 +570,6 @@ def test_each_node_is_walked_about_twice(workload, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "parse_unit", counting_parse)
     monkeypatch.setattr(SyntaxNode, "walk", counting_walk)
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 1)
     analyze_corpus(tmp_path)
     assert visits <= 4 * nodes, visits / nodes

@@ -221,6 +221,38 @@ class TestOneLibraryModel:
         assert r.residuals == {UNKNOWN}
 
     @pytest.mark.parametrize("argument,candidates", [
+        ('new String("DESede".getBytes(), 0, 3)', {"DES"}),
+        ("new String(new byte[]{68, 69, 83, 101}, 0, 3)", {"DES"}),
+        ('new String("xDESede".getBytes(), 1, 3, "UTF-8")', {"DES"}),
+        ('new String(Base64.decode("REVTZWRl", 0), 3, 3)', {"ede"}),
+        ('new String(f ? "DESede".getBytes() : "AES/GCM".getBytes(), 0, 3)',
+         {"DES", "AES"}),
+        ('h("DESede")', {"DES"}),
+    ])
+    def test_a_byte_range_slices(self, argument, candidates):
+        """The ``(byte[], int offset, int count)`` forms, directly and
+        through a helper the interpreter runs."""
+        src = _method("boolean f", argument).replace(
+            "class A {", "class A { static String h(String s) {"
+            " return new String(s.getBytes(), 0, 3); }")
+        r = resolve_site(site_of(src))
+        assert r.candidates == candidates
+        assert not r.residuals
+
+    @pytest.mark.parametrize("argument", [
+        # Java throws StringIndexOutOfBoundsException for each of these.
+        'new String("DESede".getBytes(), 2, 40)',
+        'new String("DESede".getBytes(), -1, 3)',
+        'new String(new byte[]{68, 69, 83}, 1, 3, "UTF-8")',
+        # The deprecated hibyte form is not modelled.
+        'new String("DESede".getBytes(), 0, 0, 3)',
+    ])
+    def test_byte_range_out_of_bounds_or_hibyte_is_unknown(self, argument):
+        r = resolve_site(site_of(_method("", argument)))
+        assert r.candidates == set()
+        assert r.residuals == {UNKNOWN}
+
+    @pytest.mark.parametrize("argument,candidates", [
         ('new StringBuilder(new StringBuilder("AES")).toString()', {"AES"}),
         ('new StringBuffer(new StringBuffer("DES").append("ede"))'
          ".toString()", {"DESede"}),

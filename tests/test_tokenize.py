@@ -28,6 +28,7 @@ import pytest
 import conftest
 import interp_snippets
 from jcascan import bench
+from jcascan.ingest import DEFAULT_APIS, extract_sites
 from jcascan.javaparse import parse_unit, tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -257,6 +258,22 @@ def test_malformed_literal_is_a_warning(literals, message):
     assert [n.value for n in unit.root.walk()
             if n.kind == "method_invocation"] == ["getInstance"]
 
+
+
+@pytest.mark.parametrize("quote", ["'", '"'])
+def test_unterminated_literal_ends_at_its_line(quote):
+    """An unterminated char or string literal stops at the end of its
+    line, not at a quote in a later comment, so the method before it
+    keeps its site."""
+    text = ("import javax.crypto.Cipher;\nclass A {\n"
+            '    void m() throws Exception { Cipher.getInstance("DES"); }\n'
+            f"    char c = {quote}x;\n}}\n// it's done\n")
+    start = text.index("x;") - 1
+    literal = next(t for t in tokenize(text) if t.start == start)
+    assert literal.text == f"{quote}x;\n"
+    unit = parse_unit("A.java", text)
+    sites = extract_sites(unit, DEFAULT_APIS, None)
+    assert [site.node.children[-1].text for site in sites] == ['("DES")']
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
