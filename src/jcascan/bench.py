@@ -536,14 +536,6 @@ def self_report(corpus_dir: str | Path) -> ToolReport:
     return ToolReport(tool="self", rows=rows)
 
 
-def write_report_csv(report: ToolReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOOL_REPORT_HEADER)
-        for file, start, end, rule, message in report.rows:
-            writer.writerow([report.tool, file, start, end, rule, message])
-
-
 def load_report_csv(path: str | Path) -> ToolReport:
     """Parse a detector report; bad rows are kept for TOOL_ERROR grading."""
     text = Path(path).read_text(encoding="utf-8")

@@ -3,8 +3,8 @@
 Restrictive sites (algorithm-selecting arguments) and flexible sites
 (trust-decision method bodies) each have a closed set of basic labels.
 A site can match several predicates at once; such label sets are composite.
-Sites matching no predicate get ``UNKNOWN_API`` and are excluded from the
-misuse rules.
+Sites matching no predicate get ``UNKNOWN_API``. The misuse rules still
+judge a restrictive site by its resolved value, whatever its labels.
 
 Signatures are node-kind histograms over the site subtree, used for exact
 (lower-bound) prevalence matching across a corpus.
@@ -13,7 +13,7 @@ Signatures are node-kind histograms over the site subtree, used for exact
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 from .resolve import NATIVE as NATIVE_RESIDUAL
@@ -64,30 +64,10 @@ _CERT_API_METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class TaxonomyLabel:
-    name: str
-    category: str
-
-    def __post_init__(self) -> None:
-        allowed = RESTRICTIVE_LABELS if self.category == RESTRICTIVE \
-            else FLEXIBLE_LABELS
-        if self.name != UNKNOWN_API and self.name not in allowed:
-            raise ValueError(
-                f"{self.name} is not a {self.category} label")
-
-
 @dataclass
 class LabelSet:
     labels: set[str]
     category: str
-
-    @property
-    def composite(self) -> bool:
-        return len(self.labels) > 1
-
-    def sorted(self) -> list[str]:
-        return sorted(self.labels)
 
 
 @dataclass(frozen=True)
@@ -202,11 +182,6 @@ def _classify_restrictive(site: InvocationSite,
                 "getDecoder()", "getUrlDecoder()")):
             saw_base64 = True
             continue
-        if name == "decode" and receiver.endswith(")"):
-            # Base64.getDecoder().decode(...) style chains.
-            if "Base64" in receiver:
-                saw_base64 = True
-                continue
         if name in index.native_methods:
             saw_native = True
             continue
@@ -383,13 +358,3 @@ def classify(site: InvocationSite,
     if site.api.category == RESTRICTIVE:
         return LabelSet(_classify_restrictive(site, resolved), RESTRICTIVE)
     return LabelSet(_classify_flexible(site, resolved), FLEXIBLE)
-
-
-def prevalence_report(sites: list[InvocationSite],
-                      label_sets: list[LabelSet]) -> list[tuple[str, int]]:
-    """Per-label lower-bound site counts, sorted by label name."""
-    counts: dict[str, int] = {}
-    for labels in label_sets:
-        for label in labels.labels:
-            counts[label] = counts.get(label, 0) + 1
-    return sorted(counts.items())

@@ -252,10 +252,10 @@ def scan_file(path: Path, apis: frozenset[ApiKind] | set[ApiKind],
         warnings.append(ParseWarning(str(path), 0, f"unreadable: {exc}"))
         return []
     unit = parse_unit(str(path), text)
+    warnings.extend(unit.warnings)
     if unit.parse_failed:
         warnings.append(ParseWarning(str(path), 0, "PARSE_FAILED"))
         return []
-    warnings.extend(unit.warnings)
     return extract_sites(unit, apis, extras)
 
 

@@ -90,12 +90,18 @@ class JArray:
         self.elem = elem  # int | byte | char | object
 
     def freeze(self):
-        if self.elem == "char":
-            return CharArray("".join(
-                chr(v.cp if isinstance(v, Char) else int(v))
-                for v in self.items))
-        if self.elem == "byte":
-            return bytes((int(v) + 256) % 256 for v in self.items)
+        """The array as a value; a char or byte array that holds anything
+        but numbers, or a char past Unicode, is not concrete."""
+        try:
+            if self.elem == "char":
+                return CharArray("".join([
+                    chr(v.cp if isinstance(v, Char) else v)
+                    for v in self.items]))
+            if self.elem == "byte":
+                return bytes([(v.cp if isinstance(v, Char) else v) & 0xFF
+                              for v in self.items])
+        except (TypeError, ValueError):
+            raise _NotConcrete from None
         return tuple(self.items)
 
 

