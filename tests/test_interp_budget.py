@@ -1,0 +1,129 @@
+"""Every step budget, not just three: where each tick lands.
+
+``interp_budget.json`` holds, for every site of ``interp_golden.json``
+whose default-budget step count is at most 600 and for the sites of
+``KEYSTREAM_SRC`` (a copy of the ``string-encryption`` workload's
+keystream-XOR decoder at two rounds), one SHA-256 over what the resolver
+gives under every ``max_steps`` from 1 to the site's step count + 1: the
+steps taken, the raw candidates, the residuals and the trace rule names. A
+tick counted in a batch that lands on the wrong side of any limit changes
+a digest, which the golden's half and fifth budgets can miss. Regenerate
+it only from an interpreter whose ticks are to be trusted:
+``PYTHONPATH=src python tests/test_interp_budget.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from jcascan.ingest import RESTRICTIVE, extract_sites
+from jcascan.javaparse import parse_unit
+from jcascan.resolve import (DEPTH_EXCEEDED, ResolutionBudget, _Abstract,
+                             _BudgetExhausted, _Ctx)
+from test_interp import GOLDEN, _sources
+
+DIGESTS = Path(__file__).with_name("interp_budget.json")
+MOST_STEPS = 600
+
+
+def _keystream_encrypt(plain: str, key: int, rounds: int, mult: int,
+                       add: int) -> str:
+    chars = [ord(c) for c in plain]
+    for _ in range(rounds):
+        for i in range(len(chars)):
+            key = (key * mult + add) & 0xFF
+            chars[i] ^= key
+    return "".join(map(chr, chars))
+
+
+def _java_string(text: str) -> str:
+    return '"' + "".join(c if c.isalnum() else f"\\u{ord(c):04x}"
+                         for c in text) + '"'
+
+
+def _keystream_source(rounds: int = 2, mult: int = 31, add: int = 7) -> str:
+    sites = "".join(
+        f"    public static Cipher c{j}() throws Exception {{\n"
+        f"        Cipher c = Cipher.getInstance(d("
+        f"{_java_string(_keystream_encrypt(plain, key, rounds, mult, add))}"
+        f", {key}));\n        return c;\n    }}\n"
+        for j, (plain, key) in enumerate([("DESede", 77), ("AES/CBC", 5)]))
+    return ("package enc;\nimport javax.crypto.Cipher;\n"
+            "public class Enc {\n"
+            "    private static String d(String s, int k) {\n"
+            f"        for (int r = 0; r < {rounds}; r++) {{\n"
+            "            StringBuilder b = new StringBuilder();\n"
+            "            for (int i = 0; i < s.length(); i++) {\n"
+            f"                k = (k * {mult} + {add}) & 0xFF;\n"
+            "                b.append((char) (s.charAt(i) ^ k));\n"
+            "            }\n"
+            "            s = b.toString();\n"
+            "        }\n"
+            "        return s;\n"
+            "    }\n" + sites + "}\n")
+
+
+KEYSTREAM_SRC = _keystream_source()
+
+
+def _outcome(site, max_steps: int) -> tuple:
+    """(max_steps, steps, raw candidates, residuals, trace rules) of the
+    site's argument under ``max_steps``, as `resolve.resolve` reads them."""
+    ctx = _Ctx(ResolutionBudget(max_steps=max_steps))
+    try:
+        vs = _Abstract(ctx, site.unit, site).resolve(site.subtree.children[0])
+        values, residuals = vs.values, vs.residuals
+    except _BudgetExhausted:
+        values, residuals = set(), {DEPTH_EXCEEDED}
+    return (max_steps, ctx.steps, sorted(map(repr, values)),
+            sorted(residuals), [step.rule for step in ctx.trace])
+
+
+def _sites() -> dict:
+    """key → site of every site the digests cover."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    small = {r["site"] for r in golden
+             if r["max_steps"] == ResolutionBudget().max_steps
+             and r["steps"] <= MOST_STEPS}
+    out = {}
+    for path, text in _sources() + [("keystream/Enc.java", KEYSTREAM_SRC)]:
+        for site in extract_sites(parse_unit(path, text)):
+            key = f"{path}:{site.offset}"
+            if key in small or path.startswith("keystream/") \
+                    and site.api.category == RESTRICTIVE:
+                out[key] = site
+    return out
+
+
+def digests() -> dict[str, dict]:
+    out = {}
+    for key, site in _sites().items():
+        steps = _outcome(site, ResolutionBudget().max_steps)[1]
+        sweep = [_outcome(site, n) for n in range(1, steps + 2)]
+        out[key] = {"steps": steps, "sha256": hashlib.sha256(
+            json.dumps(sweep).encode("utf-8")).hexdigest()}
+    return out
+
+
+def test_keystream_sites_decode():
+    """The decoder copy decodes at the default budget, so its sweep
+    covers the ticks of a run that completes."""
+    sites = [s for k, s in _sites().items() if k.startswith("keystream/")]
+    assert [_outcome(s, ResolutionBudget().max_steps)[2] for s in sites] \
+        == [["'DESede'"], ["'AES/CBC'"]]
+
+
+def test_every_budget_matches_its_digest():
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    current = digests()
+    assert sorted(current) == sorted(recorded)
+    assert sum(k.startswith("keystream/") for k in recorded) == 2
+    for key in recorded:
+        assert current[key] == recorded[key], key
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(digests(), indent=0, sort_keys=True)
+                       + "\n", encoding="utf-8")
