@@ -2,19 +2,31 @@
 helper methods it calls, when every input is a compile-time constant.
 
 This is what untangles XOR loops and index-juggling builders. Each
-statement or expression is compiled once per site, the first time it runs,
-into a closure ``fn(interp, env, fields)``: its kind, operator, names,
-receiver-text tests and the closures of its children are fixed then, so a
-decoder loop that runs ten thousand steps dispatches on node kind once per
-node instead of once per step. `_Interp` keeps the closures, keyed by node
-identity, for the one site it serves.
+statement or expression is compiled once per unit, the first time a site
+runs it, into a closure ``fn(interp, env, fields)``: its kind, operator,
+names, receiver-text tests and the closures of its children are fixed
+then, so a decoder loop that runs ten thousand steps dispatches on node
+kind once per node instead of once per step, and the sites of a file share
+the closures of their decoding helper. The closures live in the unit's
+index, keyed by node identity, and hold nothing of one site: each reads
+the site's step count and budget from the `_Interp` it runs with.
 
 Compilation walks a subtree with an explicit stack, and a left-deep
 operator chain or an ``else if`` chain runs as one loop, so neither the
 compiler nor such a chain takes a Python frame per link. Every closure
 ticks the step budget where a tree walk would: once per statement, once
 per expression evaluated and once per loop iteration, so a budget runs
-out on the same step.
+out on the same step. Fewer calls carry those ticks:
+- fused leaves: a binary expression or a call reads an identifier bound
+  in the local scope, or a literal, inline, and a chain of int operators
+  over such leaves folds in one closure; the ticks of such a group count
+  at once where nothing can fail between them, and a group that would pass
+  the budget runs the node's generic closure, one tick at a time;
+- folded ticks: parentheses, an expression statement and a cast count
+  their own tick in the first tick of their child and take no call of
+  their own, and a loop runs its block's statements itself;
+- ``charAt`` and ``length`` of a string and a builder's ``append`` of a
+  string or char run inline in the call.
 
 The operators, library calls and string built-ins here are the one model of
 the Java library: the set-valued resolver in `resolve` applies the same
@@ -53,8 +65,10 @@ class TraceStep:
 
 # -- value model ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Char:
+    """A char value: slotted, and equal, hashed and printed by its code
+    point as a frozen dataclass would be."""
     cp: int
 
 
@@ -563,6 +577,7 @@ class _Ctx:
 
     def __init__(self, budget):
         self.budget = budget
+        self.limit = budget.max_steps
         self.steps = 0
         self.trace: list[TraceStep] = []
         self.visible: set[str] = set()
@@ -571,9 +586,14 @@ class _Ctx:
         """Count ``n`` steps. Past the budget, the count stops on the step
         one at a time would have stopped on."""
         self.steps += n
-        if self.steps > self.budget.max_steps:
-            self.steps = max(self.steps - n + 1, self.budget.max_steps + 1)
-            raise _BudgetExhausted
+        if self.steps > self.limit:
+            self.exceeded(n)
+
+    def exceeded(self, n: int) -> None:
+        """The ``n`` steps just counted pass the budget: stop the count on
+        the step one at a time would have stopped on, and give up."""
+        self.steps = max(self.steps - n + 1, self.limit + 1)
+        raise _BudgetExhausted
 
     def note(self, rule: str, node: SyntaxNode, intermediate: str = "") -> None:
         if len(self.trace) < 200:
@@ -612,7 +632,7 @@ def _written_names(stmt: SyntaxNode) -> set[str]:
 
 class _Interp:
     """Executes concrete Java statements for one site under its step
-    budget, from closures compiled once per node."""
+    budget, from closures compiled once per node of the unit."""
 
     def __init__(self, ctx: _Ctx, unit: SourceUnit,
                  class_body: SyntaxNode | None):
@@ -621,9 +641,10 @@ class _Interp:
         self.class_body = class_body
         self.call_depth = 0
         self.enums: dict[int, dict[str, EnumConst]] = {}
-        # id(node) → closure; (id(initializer), elem) → array builder;
-        # (id(block),) → the block's statements without its own tick.
-        self.compiled: dict = {}
+        # The unit's closures, shared by all its sites: id(node) →
+        # closure; (id(initializer), elem) → array builder; (id(block),)
+        # → the block's statements without its own tick.
+        self.compiled: dict = unit_index(unit).compiled
 
     # --- entry points ---
 
@@ -643,10 +664,8 @@ class _Interp:
                 compiled[id(item)] = compile_fn(self, item)
                 continue
             stack.append((item, True))
-            if item.kind in _COMPILERS:
-                stack.extend((part, False)
-                             for part in _PARTS.get(item.kind, _children)(item)
-                             if id(part) not in compiled)
+            stack.extend((part, False) for part in _parts(item)
+                         if id(part) not in compiled)
         return compiled[id(node)]
 
     def eval(self, node: SyntaxNode, env: dict, fields: dict):
@@ -812,46 +831,105 @@ def _array_builder(compiled: dict, init: SyntaxNode, elem: str):
 # -- the compiler ----------------------------------------------------------
 #
 # `_COMPILERS[kind](interp, node)` returns the closure of a node whose parts
-# (`_PARTS`, by default its children) are already compiled. A kind with no
-# compiler ticks and gives up, as does an unsupported shape of a known kind.
+# (`_parts`) are already compiled. A kind with no compiler ticks and gives
+# up, as does an unsupported shape of a known kind. The closures serve
+# every site of the unit, so they keep nothing of one site: each reads the
+# site's `_Ctx` from the interpreter it runs with.
+#
+# Every closure counts its own step first. An expression's compiler also
+# takes ``pre``, the steps of parents that tick just before it (an
+# expression statement, parentheses, a cast), and counts them in that
+# first tick, so those parents take no call of their own. A
+# parent reads an identifier bound in ``env`` or a literal operand inline
+# (`_leaf`), and counts a group of ticks at once only where nothing can
+# fail between them; a group that would pass the budget runs the node's
+# generic closure instead, which counts one tick at a time.
+
+_LITERALS = frozenset({
+    "string_literal", "character_literal", "decimal_integer_literal",
+    "hex_integer_literal", "decimal_floating_point_literal", "true",
+    "false", "null_literal"})
+# Operators whose fold of two ints cannot fail.
+_INT_SAFE = frozenset({"+", "-", "*", "&", "|", "^", "<<", ">>", ">>>"})
+
 
 def _children(node: SyntaxNode) -> list[SyntaxNode]:
     return node.children
 
 
-def _c_unsupported(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _parts(node: SyntaxNode) -> list[SyntaxNode]:
+    """The nodes whose closures the compiler of ``node`` reads."""
+    if node.kind not in _COMPILERS:
+        return []
+    return _PARTS.get(node.kind, _children)(node)
+
+
+def _folded(interp, node: SyntaxNode, pre: int):
+    """The closure of ``node``, whose parts are compiled, counting ``pre``
+    steps of its parents in its first tick."""
+    if node.kind not in _STATEMENTS:
+        return _COMPILERS.get(node.kind, _c_unsupported)(interp, node, pre)
+    inner = interp.code(node)
+
+    def ticked(interp, env, fields):
+        ctx = interp.ctx
+        ctx.steps += pre
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(pre)
+        return inner(interp, env, fields)
+    return ticked
+
+
+def _literal(node: SyntaxNode):
+    kind = node.kind
+    return Char(ord(str(node.value))) if kind == "character_literal" \
+        else None if kind == "null_literal" else node.value
+
+
+def _leaf(node: SyntaxNode):
+    """``(name, None)`` of an identifier, ``(None, value)`` of a literal,
+    else None: the operands a parent reads inline."""
+    if node.kind == "identifier":
+        return str(node.value), None
+    if node.kind in _LITERALS:
+        return None, _literal(node)
+    return None
+
+
+def _c_unsupported(interp, node, pre=0):
+    n = 1 + pre
 
     def unsupported(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         raise _NotConcrete
     return unsupported
 
 
-def _c_constant(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-    kind = node.kind
-    value = Char(ord(str(node.value))) if kind == "character_literal" \
-        else None if kind == "null_literal" else node.value
+def _c_constant(interp, node, pre=0):
+    n = 1 + pre
+    value = _literal(node)
 
     def constant(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         return value
     return constant
 
 
-def _c_identifier(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_identifier(interp, node, pre=0):
+    n = 1 + pre
     name = str(node.value)
 
     def identifier(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         if name in env:
             return env[name]
         if name in fields:
@@ -869,21 +947,12 @@ def _innermost(node: SyntaxNode) -> SyntaxNode:
     return node
 
 
-def _c_parenthesized(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_parenthesized(interp, node, pre=0):
     levels = 0
     while node.kind == "parenthesized_expression":
         node = node.children[0]
         levels += 1
-    inner = interp.compiled[id(node)]
-
-    def parenthesized(interp, env, fields):
-        ctx.steps += levels
-        if ctx.steps > limit:
-            ctx.steps -= levels
-            ctx.tick(levels)
-        return inner(interp, env, fields)
-    return parenthesized
+    return _folded(interp, node, pre + levels)
 
 
 def _chain(node: SyntaxNode):
@@ -902,12 +971,21 @@ def _binary_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return [first] + [right for _, right in links]
 
 
-def _c_binary(interp, node):
+def _operate(apply, on_ints, a, b):
+    """``apply(a, b)``, with int and Char operands, a Char as its code
+    point, passed to ``on_ints``, as ``apply`` would read them."""
+    ta, tb = type(a), type(b)
+    if (ta is int or ta is Char) and (tb is int or tb is Char):
+        return on_ints(a if ta is int else a.cp, b if tb is int else b.cp)
+    return apply(a, b)
+
+
+def _c_binary(interp, node, pre=0):
     """A chain of n binary expressions takes its n steps first, as nested
     evaluation does on its way down the left spine, then folds."""
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     first, links = _chain(node)
+    leaves = [_leaf(first)] + [_leaf(right) for _, right in links]
     first = compiled[id(first)]
     # (short-circuit value, operator on values, operator on ints, right
     # operand): && stops on false and || on true; arithmetic and
@@ -916,26 +994,27 @@ def _c_binary(interp, node):
              (True, None, None, compiled[id(right)]) if op == "||" else
              (None, *_binary_op(op), compiled[id(right)])
              for op, right in links]
+    n = len(steps) + pre
     if len(steps) == 1 and steps[0][0] is None:
         _, apply, on_ints, second = steps[0]
 
         def binary(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             a = first(interp, env, fields)
             b = second(interp, env, fields)
             if type(a) is int and type(b) is int:
                 return on_ints(a, b)
-            return apply(a, b)
-        return binary
-    count = len(steps)
+            return _operate(apply, on_ints, a, b)
+        return _fused_binary(binary, steps[0], first, leaves, n)
 
     def chain(interp, env, fields):
-        ctx.steps += count
-        if ctx.steps > limit:
-            ctx.steps -= count
-            ctx.tick(count)
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         value = first(interp, env, fields)
         for stop, apply, on_ints, right in steps:
             if stop is None:
@@ -951,7 +1030,89 @@ def _c_binary(interp, node):
                 if not isinstance(value, bool):
                     raise _NotConcrete
         return value
+    if all(op in _INT_SAFE for op, _ in links) \
+            and all(leaf is not None and (leaf[0] is not None
+                                          or type(leaf[1]) is int)
+                    for leaf in leaves):
+        return _int_chain(chain, [step[2] for step in steps], leaves, n)
     return chain
+
+
+def _fused_binary(generic, step, first, leaves, n):
+    """A binary expression reading its identifier and literal operands
+    inline; the steps of the expression and of its leading leaves count
+    at once."""
+    _, apply, on_ints, second = step
+    (left, right) = leaves
+    if left is not None:
+        an, av = left
+        bn, bv = right if right is not None else (None, None)
+        total = n + (2 if right is not None else 1)
+
+        def binary_leaves(interp, env, fields):
+            if (an is None or an in env) and (bn is None or bn in env):
+                ctx = interp.ctx
+                steps = ctx.steps + total
+                if steps <= ctx.limit:
+                    ctx.steps = steps
+                    a = av if an is None else env[an]
+                    b = second(interp, env, fields) if right is None \
+                        else bv if bn is None else env[bn]
+                    if type(a) is int and type(b) is int:
+                        return on_ints(a, b)
+                    return _operate(apply, on_ints, a, b)
+            return generic(interp, env, fields)
+        return binary_leaves
+    if right is None:
+        return generic
+    bn, bv = right
+
+    def binary_right_leaf(interp, env, fields):
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
+        a = first(interp, env, fields)
+        if bn is None or bn in env:
+            ctx.steps += 1
+            if ctx.steps > ctx.limit:
+                raise _BudgetExhausted
+            b = bv if bn is None else env[bn]
+        else:
+            b = second(interp, env, fields)
+        if type(a) is int and type(b) is int:
+            return on_ints(a, b)
+        return _operate(apply, on_ints, a, b)
+    return binary_right_leaf
+
+
+def _int_chain(generic, on_ints: list, leaves: list, n: int):
+    """A chain of `_INT_SAFE` operators over identifiers and int literals,
+    folded at once when every identifier holds an int: no fold can fail,
+    so its steps count together."""
+    total = n + len(leaves)
+    first_name, first_value = leaves[0]
+    links = [(apply, name, value)
+             for apply, (name, value) in zip(on_ints, leaves[1:])]
+
+    def int_chain(interp, env, fields):
+        ctx = interp.ctx
+        steps = ctx.steps + total
+        if steps <= ctx.limit:
+            value = first_value if first_name is None \
+                else env.get(first_name)
+            if type(value) is int:
+                for apply, name, b in links:
+                    if name is not None:
+                        b = env.get(name)
+                        if type(b) is not int:
+                            break
+                    value = apply(value, b)
+                else:
+                    ctx.steps = steps
+                    return value
+        return generic(interp, env, fields)
+    return int_chain
 
 
 def _not(value) -> bool:
@@ -965,15 +1126,16 @@ UNARY = {"-": lambda v: -_as_int(v), "+": _as_int, "~": lambda v: ~_as_int(v),
          "!": _not}
 
 
-def _c_unary(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_unary(interp, node, pre=0):
+    n = 1 + pre
     operand = interp.compiled[id(node.children[0])]
     apply = UNARY.get(str(node.value))
 
     def unary(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         value = operand(interp, env, fields)
         if apply is None:
             raise _NotConcrete
@@ -981,10 +1143,10 @@ def _c_unary(interp, node):
     return unary
 
 
-def _c_update(interp, node):
+def _c_update(interp, node, pre=0):
     """``++i`` yields the updated value and ``i++`` the one before; the
     parser starts a postfix update where its operand starts."""
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+    n = 1 + pre
     target = node.children[0]
     delta = 1 if str(node.value) == "++" else -1
     postfix = node.start == target.start
@@ -992,22 +1154,25 @@ def _c_update(interp, node):
         name = str(target.value)
 
         def update_local(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             if name not in env:
                 raise _NotConcrete
             old = env[name]
-            env[name] = value = _as_int(old) + delta
+            env[name] = value = \
+                (old if type(old) is int else _as_int(old)) + delta
             return old if postfix else value
         return update_local
     if target.kind == "array_access":
         array, index = (interp.compiled[id(c)] for c in target.children)
 
         def update_element(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             arr = array(interp, env, fields)
             idx = _as_int(index(interp, env, fields))
             if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
@@ -1016,11 +1181,11 @@ def _c_update(interp, node):
             arr.items[idx] = value = _as_int(old) + delta
             return old if postfix else value
         return update_element
-    return _c_unsupported(interp, node)
+    return _c_unsupported(interp, node, pre)
 
 
-def _c_assignment(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_assignment(interp, node, pre=0):
+    n = 1 + pre
     compiled = interp.compiled
     lhs, rhs = node.children
     rhs = compiled[id(rhs)]
@@ -1030,17 +1195,19 @@ def _c_assignment(interp, node):
         name = str(lhs.value)
         if combine is None:
             def assign_local(interp, env, fields):
-                ctx.steps += 1
-                if ctx.steps > limit:
-                    raise _BudgetExhausted
+                ctx = interp.ctx
+                ctx.steps += n
+                if ctx.steps > ctx.limit:
+                    ctx.exceeded(n)
                 env[name] = value = rhs(interp, env, fields)
                 return value
             return assign_local
 
         def combine_local(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             value = rhs(interp, env, fields)
             if name not in env:
                 raise _NotConcrete
@@ -1051,9 +1218,10 @@ def _c_assignment(interp, node):
         array, index = (compiled[id(c)] for c in lhs.children)
 
         def assign_element(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             value = rhs(interp, env, fields)
             arr = array(interp, env, fields)
             idx = _as_int(index(interp, env, fields))
@@ -1070,9 +1238,10 @@ def _c_assignment(interp, node):
         fname = str(lhs.children[1].value)
 
         def assign_field(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             value = rhs(interp, env, fields)
             if combine is not None:
                 value = combine(fields.get(fname), value)
@@ -1081,78 +1250,87 @@ def _c_assignment(interp, node):
         return assign_field
 
     def assign_other(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         rhs(interp, env, fields)
         raise _NotConcrete
     return assign_other
 
 
-def _c_cast(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_cast(interp, node, pre=0):
+    """The cast's step counts in the first tick of its operand."""
     target = str(node.value or "")
-    operand = interp.compiled[id(node.children[1])]
+    operand = _folded(interp, node.children[1], pre + 1)
+    if target == "char":
+        def to_char(interp, env, fields):
+            value = operand(interp, env, fields)
+            if type(value) is int:
+                return Char(value & 0xFFFF)
+            return _cast(target, value)
+        return to_char
 
     def cast(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
         return _cast(target, operand(interp, env, fields))
     return cast
 
 
-def _c_array_access(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_array_access(interp, node, pre=0):
+    n = 1 + pre
     array, index = (interp.compiled[id(c)] for c in node.children)
 
     def array_access(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         arr = array(interp, env, fields)
         return _load(arr, _as_int(index(interp, env, fields)))
     return array_access
 
 
-def _c_array_creation(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_array_creation(interp, node, pre=0):
+    n = 1 + pre
     elem = _elem_of(str(node.children[0].value or ""))
     init = child_of_kind(node, "array_initializer")
     if init is not None:
         build = _array_builder(interp.compiled, init, elem)
 
         def new_initialized(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             return build(interp, env, fields)
         return new_initialized
     dims = [c for c in node.children[1:] if c.kind != "array_initializer"]
     if len(dims) != 1:
-        return _c_unsupported(interp, node)
+        return _c_unsupported(interp, node, pre)
     size = interp.compiled[id(dims[0])]
     fill = Char(0) if elem == "char" else 0
 
     def new_array(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
-        n = _as_int(size(interp, env, fields))
-        if n < 0 or n > _MAX_LENGTH:
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
+        length = _as_int(size(interp, env, fields))
+        if length < 0 or length > _MAX_LENGTH:
             raise _NotConcrete
-        return JArray([fill] * n, elem)
+        return JArray([fill] * length, elem)
     return new_array
 
 
-def _c_array_initializer(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_array_initializer(interp, node, pre=0):
+    n = 1 + pre
     build = _array_builder(interp.compiled, node, "int")
 
     def initializer(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         return build(interp, env, fields)
     return initializer
 
@@ -1166,16 +1344,17 @@ def _object_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return args.children if args is not None else []
 
 
-def _c_object_creation(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
+def _c_object_creation(interp, node, pre=0):
+    n = 1 + pre
     arg_fns = [interp.compiled[id(a)] for a in _object_parts(node)]
     library = library_new(node)
     create = library[0] if library is not None else _new_unsupported
 
     def new_object(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         args = []
         for fn in arg_fns:
             args.append(fn(interp, env, fields))
@@ -1183,16 +1362,16 @@ def _c_object_creation(interp, node):
     return new_object
 
 
-def _c_field_access(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-    unit = interp.unit
+def _c_field_access(interp, node, pre=0):
+    n = 1 + pre
     obj, name_node = node.children
     name = str(name_node.value)
     if obj.kind == "this":
         def this_field(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             if name in fields:
                 return fields[name]
             found = interp.static_field(name)
@@ -1203,9 +1382,10 @@ def _c_field_access(interp, node):
     base_fn = interp.compiled[id(obj)]
     if obj.kind != "identifier":
         def member(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             base = base_fn(interp, env, fields)
             if name == "length":
                 length = _length(base)
@@ -1218,12 +1398,13 @@ def _c_field_access(interp, node):
             raise _NotConcrete
         return member
     cname = str(obj.value)
-    cls = _find_class(unit, cname)
+    cls = _find_class(interp.unit, cname)
 
     def named_member(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         if name == "length":
             length = _length(base_fn(interp, env, fields)) \
                 if cname in env else None
@@ -1252,14 +1433,14 @@ def _call_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return receiver + node.children[-1].children
 
 
-def _c_call(interp, node):
+def _c_call(interp, node, pre=0):
     """A library call runs the function `library_call` finds for it; the
     rest, a library call with too few arguments among them, are built-ins
     of the receiver's value or user methods."""
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-    unit = interp.unit
+    n = 1 + pre
     name = str(node.value)
-    arg_fns = [interp.compiled[id(a)] for a in node.children[-1].children]
+    arg_nodes = node.children[-1].children
+    arg_fns = [interp.compiled[id(a)] for a in arg_nodes]
     receiver = node.children[0] if len(node.children) == 3 else None
 
     library = library_call(node)
@@ -1269,9 +1450,10 @@ def _c_call(interp, node):
         noted = rule == BASE64_DECODE
 
         def library_fn(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             args = []
             for fn in arg_fns:
                 args.append(fn(interp, env, fields))
@@ -1285,9 +1467,10 @@ def _c_call(interp, node):
         # Unqualified call: same-class (or superclass) method, or a
         # this-bound callable.
         def call_own(interp, env, fields):
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise _BudgetExhausted
+            ctx = interp.ctx
+            ctx.steps += n
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(n)
             return interp.call_user(None, name, arg_fns, env, fields)
         return call_own
 
@@ -1296,12 +1479,30 @@ def _c_call(interp, node):
            if name in table
            and len(arg_fns) >= _FEWEST_ARGS.get((kind, name), 0)}
     named = str(receiver.value) if receiver.kind == "identifier" else None
-    named_cls = _find_class(unit, named) if named is not None else None
+    named_cls = _find_class(interp.unit, named) if named is not None else None
+
+    def finish(interp, env, fields, base, args):
+        """The call's value on its evaluated receiver and arguments."""
+        op = ops.get(type(base))
+        if op is not None:
+            result = op(base, args)
+            if result is not _MISSING:
+                return result
+        if isinstance(base, EnumConst):
+            if name in ("name", "toString"):
+                return base.const_name
+            cls = _find_class(interp.unit, base.enum_name)
+            if cls is not None:
+                return interp.call_user(cls, name, arg_fns, env, fields,
+                                        this_fields=dict(base.fields),
+                                        evaluated=args)
+        raise _NotConcrete
 
     def call_on(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
         if named is not None and named not in env and named not in fields:
             if named_cls is not None:
                 return interp.call_user(named_cls, name, arg_fns, env,
@@ -1311,27 +1512,70 @@ def _c_call(interp, node):
         args = []
         for fn in arg_fns:
             args.append(fn(interp, env, fields))
-        op = ops.get(type(base))
-        if op is not None:
-            result = op(base, args)
-            if result is not _MISSING:
-                return result
-        if isinstance(base, EnumConst):
-            if name in ("name", "toString"):
-                return base.const_name
-            cls = _find_class(unit, base.enum_name)
-            if cls is not None:
-                return interp.call_user(cls, name, arg_fns, env, fields,
-                                        this_fields=dict(base.fields),
-                                        evaluated=args)
-        raise _NotConcrete
-    return call_on
+        return finish(interp, env, fields, base, args)
+    leaf = _leaf(receiver)
+    if leaf is None:
+        return call_on
+    return _fused_call(call_on, finish, name, leaf,
+                       [_leaf(a) for a in arg_nodes], arg_fns, n)
+
+
+def _fused_call(generic, finish, name: str, receiver, arg_leaves: list,
+                arg_fns: list, n: int):
+    """A call reading its identifier or literal receiver inline, and a
+    lone identifier or literal argument too; their steps count with the
+    call's. ``charAt`` and ``length`` of a string and a builder's
+    ``append`` of a string or char run inline, other calls in ``finish``."""
+    recv_name, recv_value = receiver
+    lone = arg_leaves[0] if len(arg_leaves) == 1 else None
+    arg_name, arg_value = lone if lone is not None else (None, None)
+    one = arg_fns[0] if len(arg_fns) == 1 else None
+    total = n + 1 + (lone is not None)
+    char_at = name == "charAt" and len(arg_fns) == 1
+    length = name == "length" and not arg_fns
+    append = name == "append" and len(arg_fns) == 1
+
+    def call_inline(interp, env, fields):
+        if (recv_name is None or recv_name in env) \
+                and (arg_name is None or arg_name in env):
+            ctx = interp.ctx
+            steps = ctx.steps + total
+            if steps <= ctx.limit:
+                ctx.steps = steps
+                base = recv_value if recv_name is None else env[recv_name]
+                if lone is not None:
+                    args = [arg_value if arg_name is None else env[arg_name]]
+                elif one is not None:
+                    args = [one(interp, env, fields)]
+                else:
+                    args = []
+                    for fn in arg_fns:
+                        args.append(fn(interp, env, fields))
+                if char_at:
+                    index = args[0]
+                    if type(base) is str and type(index) is int:
+                        if 0 <= index < len(base):
+                            return Char(ord(base[index]))
+                        raise _NotConcrete
+                elif length:
+                    if type(base) is str:
+                        return len(base)
+                elif append and type(base) is Builder:
+                    arg = args[0]
+                    if type(arg) is str:
+                        base.text += arg
+                        return base
+                    if type(arg) is Char:
+                        base.text += chr(arg.cp)
+                        return base
+                return finish(interp, env, fields, base, args)
+        return generic(interp, env, fields)
+    return call_inline
 
 
 # --- statements ---
 
 def _c_local_declaration(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     elem = _elem_of(str(node.children[0].value or ""))
     declared = []
@@ -1345,8 +1589,9 @@ def _c_local_declaration(interp, node):
             if init.kind == "array_initializer" else compiled[id(init)]))
 
     def declare(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         for name, init in declared:
             env[name] = None if init is None else init(interp, env, fields)
@@ -1359,24 +1604,17 @@ def _declaration_parts(node: SyntaxNode) -> list[SyntaxNode]:
 
 
 def _c_expression_statement(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-    expr = interp.compiled[id(node.children[0])]
-
-    def expression_statement(interp, env, fields):
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise _BudgetExhausted
-        expr(interp, env, fields)
-    return expression_statement
+    """The statement's step counts in the first tick of its expression."""
+    return _folded(interp, node.children[0], 1)
 
 
 def _c_block(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     codes = [interp.compiled[id(stmt)] for stmt in node.children]
 
     def block(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         for fn in codes:
             fn(interp, env, fields)
@@ -1407,7 +1645,6 @@ def _if_parts(node: SyntaxNode) -> list[SyntaxNode]:
 def _c_if(interp, node):
     """Each link of an ``else if`` chain takes its step when reached, as
     nested statements do, but the chain runs in one frame."""
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     links, other = _if_links(node)
     links = [(compiled[id(cond)], None if then is None else compiled[id(then)])
@@ -1415,9 +1652,10 @@ def _c_if(interp, node):
     other = None if other is None else compiled[id(other)]
 
     def if_statement(interp, env, fields):
+        ctx = interp.ctx
         for cond, then in links:
             ctx.steps += 1
-            if ctx.steps > limit:
+            if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
             test = cond(interp, env, fields)
             if not isinstance(test, bool):
@@ -1431,8 +1669,28 @@ def _c_if(interp, node):
     return if_statement
 
 
+def _body_parts(body: list[SyntaxNode]) -> list[SyntaxNode]:
+    """The parts of a loop whose body is ``body`` (empty or one node): a
+    block's statements, which the loop runs itself."""
+    return [stmt for node in body for stmt in
+            (node.children if node.kind == "block" else [node])]
+
+
+def _loop_body(compiled: dict, body: list[SyntaxNode]):
+    """(steps, statement closures) of one run of a loop body: a block
+    counts its step and the loop runs its statements without a call."""
+    if body and body[0].kind == "block":
+        return 1, [compiled[id(stmt)] for stmt in body[0].children]
+    return 0, [compiled[id(node)] for node in body]
+
+
+def _for_parts(node: SyntaxNode) -> list[SyntaxNode]:
+    has_body = node.value[3]
+    head = node.children[:-1] if has_body else node.children
+    return head + _body_parts(node.children[-1:] if has_body else [])
+
+
 def _c_for(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     n_init, has_cond, n_upd, has_body = node.value
     children = node.children
@@ -1440,17 +1698,18 @@ def _c_for(interp, node):
     cond = compiled[id(children[n_init])] if has_cond else None
     upd_start = n_init + (1 if has_cond else 0)
     updates = [compiled[id(c)] for c in children[upd_start:upd_start + n_upd]]
-    body = compiled[id(children[-1])] if has_body else None
+    ticks, body = _loop_body(compiled, children[-1:] if has_body else [])
 
     def for_statement(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         for init in inits:
             init(interp, env, fields)
         while True:
             ctx.steps += 1
-            if ctx.steps > limit:
+            if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
             if cond is not None:
                 test = cond(interp, env, fields)
@@ -1458,13 +1717,16 @@ def _c_for(interp, node):
                     raise _NotConcrete
                 if not test:
                     return
-            if body is not None:
-                try:
-                    body(interp, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
+            ctx.steps += ticks
+            if ctx.steps > ctx.limit:
+                raise _BudgetExhausted
+            try:
+                for stmt in body:
+                    stmt(interp, env, fields)
+            except _Break:
+                return
+            except _Continue:
+                pass
             for update in updates:
                 update(interp, env, fields)
             if cond is None and not updates:
@@ -1473,15 +1735,15 @@ def _c_for(interp, node):
 
 
 def _c_enhanced_for(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     name = str(node.children[1].value)
     iterable = compiled[id(node.children[2])]
-    body = compiled[id(node.children[3])] if len(node.children) > 3 else None
+    ticks, body = _loop_body(compiled, node.children[3:4])
 
     def enhanced_for(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         seq = iterable(interp, env, fields)
         if isinstance(seq, JArray):
@@ -1496,27 +1758,36 @@ def _c_enhanced_for(interp, node):
             raise _NotConcrete
         for item in items:
             ctx.steps += 1
-            if ctx.steps > limit:
+            if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
             env[name] = item
-            if body is not None:
-                try:
-                    body(interp, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    continue
+            ctx.steps += ticks
+            if ctx.steps > ctx.limit:
+                raise _BudgetExhausted
+            try:
+                for stmt in body:
+                    stmt(interp, env, fields)
+            except _Break:
+                return
+            except _Continue:
+                continue
     return enhanced_for
 
 
+def _while_parts(node: SyntaxNode) -> list[SyntaxNode]:
+    children = node.children
+    if node.kind == "do_statement":
+        return children[-1:] + _body_parts(children[:-1][:1])
+    return children[:1] + _body_parts(children[1:2])
+
+
 def _c_while(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     do = node.kind == "do_statement"
     children = node.children
     cond = compiled[id(children[-1] if do else children[0])]
-    body = None if len(children) < 2 else compiled[id(children[0] if do
-                                                      else children[1])]
+    ticks, body = _loop_body(compiled, children[:-1][:1] if do
+                             else children[1:2])
 
     def test(interp, env, fields) -> bool:
         value = cond(interp, env, fields)
@@ -1525,35 +1796,39 @@ def _c_while(interp, node):
         return value
 
     def loop(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         # A do loop runs its body once before the first test.
         tested = not do
         while True:
             ctx.steps += 1
-            if ctx.steps > limit:
+            if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
             if tested and not test(interp, env, fields):
                 return
             tested = True
-            if body is not None:
-                try:
-                    body(interp, env, fields)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
+            ctx.steps += ticks
+            if ctx.steps > ctx.limit:
+                raise _BudgetExhausted
+            try:
+                for stmt in body:
+                    stmt(interp, env, fields)
+            except _Break:
+                return
+            except _Continue:
+                pass
     return loop
 
 
 def _c_return(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     value = interp.compiled[id(node.children[0])] if node.children else None
 
     def return_statement(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         raise _Return(value(interp, env, fields)
                       if value is not None else None)
@@ -1562,11 +1837,10 @@ def _c_return(interp, node):
 
 def _c_raise(exc: type[Exception]):
     def compile_raise(interp, node):
-        ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-
         def jump(interp, env, fields):
+            ctx = interp.ctx
             ctx.steps += 1
-            if ctx.steps > limit:
+            if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
             raise exc
         return jump
@@ -1587,7 +1861,6 @@ def _try_parts(node: SyntaxNode) -> list[SyntaxNode]:
 def _c_try(interp, node):
     """Runs the try block, the first catch block on a Java throw, and the
     finally block on normal completion or an uncaught throw."""
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     compiled = interp.compiled
     decls = [compiled[id(c)] for c in node.children
              if c.kind == "local_variable_declaration"]
@@ -1601,8 +1874,9 @@ def _c_try(interp, node):
         if final is not None else None
 
     def try_statement(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         try:
             for decl in decls:
@@ -1621,46 +1895,27 @@ def _c_try(interp, node):
 
 
 def _c_synchronized(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
     block = _sequence(interp.compiled, node.children[-1])
 
     def synchronized(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
         block(interp, env, fields)
     return synchronized
 
 
 def _c_assert(interp, node):
-    ctx, limit = interp.ctx, interp.ctx.budget.max_steps
-
     def assert_statement(interp, env, fields):
+        ctx = interp.ctx
         ctx.steps += 1
-        if ctx.steps > limit:
+        if ctx.steps > ctx.limit:
             raise _BudgetExhausted
     return assert_statement
 
 
-_COMPILERS = {
-    "string_literal": _c_constant, "character_literal": _c_constant,
-    "decimal_integer_literal": _c_constant,
-    "hex_integer_literal": _c_constant,
-    "decimal_floating_point_literal": _c_constant,
-    "true": _c_constant, "false": _c_constant, "null_literal": _c_constant,
-    "identifier": _c_identifier,
-    "parenthesized_expression": _c_parenthesized,
-    "binary_expression": _c_binary,
-    "unary_expression": _c_unary,
-    "update_expression": _c_update,
-    "assignment_expression": _c_assignment,
-    "cast_expression": _c_cast,
-    "array_access": _c_array_access,
-    "array_creation_expression": _c_array_creation,
-    "array_initializer": _c_array_initializer,
-    "object_creation_expression": _c_object_creation,
-    "method_invocation": _c_call,
-    "field_access": _c_field_access,
+_STATEMENTS = {
     "local_variable_declaration": _c_local_declaration,
     "expression_statement": _c_expression_statement,
     "block": _c_block,
@@ -1677,20 +1932,44 @@ _COMPILERS = {
     "synchronized_statement": _c_synchronized,
     "assert_statement": _c_assert,
 }
+_COMPILERS = {
+    **dict.fromkeys(_LITERALS, _c_constant),
+    "identifier": _c_identifier,
+    "parenthesized_expression": _c_parenthesized,
+    "binary_expression": _c_binary,
+    "unary_expression": _c_unary,
+    "update_expression": _c_update,
+    "assignment_expression": _c_assignment,
+    "cast_expression": _c_cast,
+    "array_access": _c_array_access,
+    "array_creation_expression": _c_array_creation,
+    "array_initializer": _c_array_initializer,
+    "object_creation_expression": _c_object_creation,
+    "method_invocation": _c_call,
+    "field_access": _c_field_access,
+    **_STATEMENTS,
+}
 
 # The nodes each kind's compiler reads the closures of, when not all of
 # its children: chains read every link's operands but not the inner links
-# themselves, and a throw, assert or ternary evaluates nothing.
+# themselves, a throw, assert or ternary evaluates nothing, and a node
+# whose step counts in its child's first tick, or a loop body block, reads
+# that child's parts.
 _PARTS = {
-    "parenthesized_expression": lambda node: [_innermost(node)],
+    "parenthesized_expression": lambda node: _parts(_innermost(node)),
     "binary_expression": _binary_parts,
-    "cast_expression": lambda node: node.children[1:],
+    "cast_expression": lambda node: _parts(node.children[1]),
     "object_creation_expression": _object_parts,
     "method_invocation": _call_parts,
     "field_access": lambda node: node.children[:1],
     "local_variable_declaration": _declaration_parts,
+    "expression_statement": lambda node: _parts(node.children[0]),
     "if_statement": _if_parts,
-    "enhanced_for_statement": lambda node: node.children[2:],
+    "for_statement": _for_parts,
+    "enhanced_for_statement":
+        lambda node: node.children[2:3] + _body_parts(node.children[3:4]),
+    "while_statement": _while_parts,
+    "do_statement": _while_parts,
     "try_statement": _try_parts,
     "synchronized_statement": lambda node: node.children[-1:],
     "throw_statement": lambda node: [],

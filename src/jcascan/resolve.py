@@ -8,8 +8,8 @@ operators, library calls and string built-ins, in `interp`, evaluates them:
 * the concrete interpreter (`interp`) executes the method body before the
   site, and the helpers it calls, under a step budget when every input is a
   compile-time constant; it compiles each statement and expression into a
-  closure once per site, so decoder loops run without re-dispatching on
-  node kind;
+  closure once per unit, so decoder loops run without re-dispatching on
+  node kind and the sites of a file share their helpers' closures;
 * where a ternary or a parameter leaves a value open, the set-valued
   resolver here unions ternary branches, follows local/field/method
   definitions up to an indirection budget, and lifts the same functions
@@ -117,6 +117,13 @@ def _snapshot(value):
     return SBuf(value.text) if isinstance(value, Builder) else _frozen(value)
 
 
+def _statement_of(body: SyntaxNode, node: SyntaxNode) -> SyntaxNode | None:
+    """The statement of ``body`` that holds ``node``, as
+    `_Interp.run_region` finds it."""
+    return next((stmt for stmt in body.children
+                 if stmt.start <= node.start <= stmt.end), None)
+
+
 def _android_flags(vs: _VS) -> _VS:
     """The flags of ``android.util.Base64.decode`` as this resolver reads
     them: anything but exactly one int counts as 0 (``DEFAULT``), so
@@ -139,6 +146,9 @@ class _Abstract:
         self.class_body = body if body is not None \
             and unit_index(unit).named_owner(body) is not None else None
         self.interp = _Interp(ctx, unit, self.class_body)
+        # ids of the method-body statements the concrete interpreter gave
+        # up on, running the statements before them or their expression.
+        self.gave_up: set[int] = set()
 
     # --- top level ---
 
@@ -174,6 +184,7 @@ class _Abstract:
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
                                  saved_steps + 1000)
+            self.gave_up.add(id(_statement_of(body, expr)))
             return _MISSING
         except _BudgetExhausted:
             return _VS.residual(DEPTH_EXCEEDED)
@@ -310,6 +321,9 @@ class _Abstract:
                     return _VS.residual(DEPTH_EXCEEDED)
                 self.ctx.note("local-def", definition, name)
                 self.ctx.touch(self.unit, definition)
+                if name in unit_index(self.unit).builders_in(method):
+                    return self._resolve_builder(method, name, definition,
+                                                 node, depth)
                 return self.resolve(definition, depth + 1, {})
         field_init = self._field_init(name)
         if field_init is not None:
@@ -343,6 +357,42 @@ class _Abstract:
                     and n.start < before and n.start > best_pos:
                 best, best_pos = n.children[1], n.start
         return best
+
+    def _resolve_builder(self, method: SyntaxNode, name: str,
+                         definition: SyntaxNode, use: SyntaxNode,
+                         depth: int) -> _VS:
+        """A builder local at ``use``. Where the concrete interpreter gave
+        up on the statement holding ``use``, the statements before it that
+        mention the local did not all run, so its value is its
+        definition's through the statement-level call chains on it in
+        between, such as ``sb.append(p);``, and any other mention in
+        between, which may change it unseen, leaves only a residual."""
+        body = method_body(method)
+        stmt = _statement_of(body, use)
+        if stmt is None or id(stmt) not in self.gave_up:
+            return self.resolve(definition, depth + 1, {})
+        calls = []
+        for node in body.walk():
+            if node.kind != "identifier" or str(node.value) != name \
+                    or not definition.end <= node.start < use.start:
+                continue
+            stmt = next((s for s in body.children
+                         if s.start <= node.start < s.end), None)
+            if stmt is None or stmt.kind != "expression_statement" \
+                    or stmt.start < definition.end or stmt.end > use.start:
+                return _VS.residual(UNKNOWN)
+            call = root = stmt.children[0]
+            while root.kind == "method_invocation" \
+                    and len(root.children) == 3:
+                root = root.children[0]
+            if root is not node or call is node:
+                return _VS.residual(UNKNOWN)
+            calls.append(call)
+        value = self.resolve(definition, depth + 1, {})
+        for call in calls:
+            self.ctx.touch(self.unit, call)
+            value = self.resolve(call, depth + 1, {name: value})
+        return value
 
     def _field_init(self, name: str,
                     cls: SyntaxNode | None = None) -> SyntaxNode | None:

@@ -257,6 +257,9 @@ class UnitIndex:
         for decl, name, _ in self.named_types:
             self.first_type.setdefault(name, decl)
         self._member_facts: dict[int, MemberFacts] = {}
+        # The concrete interpreter's closures for this unit, shared by
+        # every site of it (see `interp._Interp.code`).
+        self.compiled: dict = {}
 
     @cached_property
     def methods(self) -> _Nesting:

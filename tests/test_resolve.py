@@ -19,7 +19,7 @@ from conftest import (BASE64_SRC, BYTE_LOOP_SRC, CHARAT_SRC,
                       ENCRYPTED_PARAM_SRC, ENUM_SRC, KEY_BASE64_SRC,
                       KEY_LITERAL_SRC, NATIVE_SRC, NESTED_TERNARY_SRC,
                       REPLACE_SRC, STRINGBUFFER_SRC, STRINGBUILDER_SRC,
-                      TERNARY_SRC, XOR_SRC, site_of)
+                      TERNARY_SRC, XOR_SRC, pipeline, site_of)
 
 
 def resolve_src(src: str):
@@ -370,6 +370,44 @@ class TestProperties:
                f' Cipher.getInstance("{text}".substring({start})); }} }}')
         r = resolve_site(site_of(src))
         assert r.candidates == {text[start:]}
+
+
+def _builder_src(statements: str) -> str:
+    return ('import javax.crypto.Cipher;\n'
+            'class B { void m(String p, boolean c) throws Exception {\n'
+            '    StringBuilder sb = new StringBuilder();\n'
+            f'    {statements}\n'
+            '    Cipher.getInstance(sb.toString()); } }\n')
+
+
+class TestBuilderLocal:
+    """A builder local whose statements the interpreter gave up on is not
+    read from its declaration alone."""
+
+    def test_appended_parameter_leaves_a_residual(self):
+        _, resolved, _, findings = pipeline(
+            _builder_src('sb.append(p); sb.append("/ECB");'))
+        assert "" not in resolved.candidates
+        assert resolved.residuals == {EXTERNAL_INPUT}
+        assert "R9" not in {f.rule_id for f in findings}
+
+    def test_all_constant_appends_resolve(self):
+        r = resolve_site(site_of(_builder_src(
+            'sb.append("AES"); sb.append("/ECB/PKCS5Padding");')))
+        assert r.candidates == {"AES/ECB/PKCS5Padding"}
+        assert not r.residuals
+
+    def test_statement_appends_fold_over_candidates(self):
+        r = resolve_site(site_of(_builder_src(
+            'sb.append("AES"); sb.append(c ? "/ECB" : "/CBC");')))
+        assert r.candidates == {"AES/ECB", "AES/CBC"}
+        assert not r.residuals
+
+    def test_other_mentions_leave_only_a_residual(self):
+        r = resolve_site(site_of(_builder_src(
+            'if (c) { sb.append("DES"); }')))
+        assert r.candidates == set()
+        assert r.residuals == {UNKNOWN}
 
 
 class TestTrace:
