@@ -27,16 +27,18 @@ import re
 from dataclasses import dataclass, field
 
 from .ingest import InvocationSite
-from .interp import (ENUM_CONSTANT, UNARY, Builder, Char, CharArray,
-                     EnumConst, JArray, SBuf, TraceStep, _INT_ARITH,
-                     _INT_COMPARE, _MISSING, _BudgetExhausted, _Break,
-                     _Continue, _Ctx, _Interp, _JavaThrow, _NotConcrete,
-                     _Return, _android_base64, _as_int, _binary_op, _cast,
-                     _elem_of, _find_class, _frozen, _load, _preview,
-                     _string_builtin, library_call, library_new)
+from .interp import (ENUM_CONSTANT, TraceStep, _BudgetExhausted, _Break,
+                     _Continue, _Ctx, _Interp, _JavaThrow, _Return,
+                     _find_class)
+from .javamodel import (UNARY, Builder, Char, CharArray, EnumConst, JArray,
+                        SBuf, _INT_ARITH, _INT_COMPARE, _MISSING,
+                        _NotConcrete, _android_base64, _as_int, _binary_op,
+                        _cast, _elem_of, _frozen, _load, _preview,
+                        _string_builtin, library_call, library_new)
 # Re-exported: classification reads BASE64_DECODE from here, and the index
 # tests check the member and enum lookups against their references.
-from .interp import BASE64_DECODE, _class_members, _enum_model  # noqa: F401
+from .interp import _class_members, _enum_model  # noqa: F401
+from .javamodel import BASE64_DECODE  # noqa: F401
 from .syntax import (SourceUnit, SyntaxNode, method_body, method_params,
                      modifier_words, unit_index)
 

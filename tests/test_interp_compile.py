@@ -8,7 +8,7 @@ from functools import partial
 
 from jcascan import interp
 from jcascan.ingest import RESTRICTIVE, extract_sites
-from jcascan.interp import Char
+from jcascan.javamodel import Char
 from jcascan.javaparse import parse_unit
 from jcascan.resolve import resolve_site
 from jcascan.syntax import SourceUnit, UnitIndex, unit_index
