@@ -413,11 +413,11 @@ def _array_builder(compiled: dict, init: SyntaxNode, elem: str):
 # Every closure counts its own step first. An expression's compiler also
 # takes ``pre``, the steps of parents that tick just before it (an
 # expression statement, parentheses, a cast), and counts them in that
-# first tick, so those parents take no call of their own. A
-# parent reads an identifier bound in ``env`` or a literal operand inline
-# (`_leaf`), and counts a group of ticks at once only where nothing can
-# fail between them; a group that would pass the budget runs the node's
-# generic closure instead, which counts one tick at a time.
+# first tick, so those parents take no call of their own. A parent reads
+# an identifier bound in ``env`` or a literal operand inline (`_leaf`),
+# and counts a group of ticks at once only where nothing can fail between
+# them; a group that would pass the budget runs the node's generic
+# closure instead, which counts one tick at a time.
 
 _LITERALS = frozenset({
     "string_literal", "character_literal", "decimal_integer_literal",
@@ -439,19 +439,9 @@ def _parts(node: SyntaxNode) -> list[SyntaxNode]:
 
 
 def _folded(interp, node: SyntaxNode, pre: int):
-    """The closure of ``node``, whose parts are compiled, counting ``pre``
-    steps of its parents in its first tick."""
-    if node.kind not in _STATEMENTS:
-        return _COMPILERS.get(node.kind, _c_unsupported)(interp, node, pre)
-    inner = interp.code(node)
-
-    def ticked(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += pre
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(pre)
-        return inner(interp, env, fields)
-    return ticked
+    """The closure of ``node``, an expression whose parts are compiled,
+    counting ``pre`` steps of its parents in its first tick."""
+    return _COMPILERS.get(node.kind, _c_unsupported)(interp, node, pre)
 
 
 def _literal(node: SyntaxNode):
@@ -1473,23 +1463,6 @@ def _c_assert(interp, node):
     return assert_statement
 
 
-_STATEMENTS = {
-    "local_variable_declaration": _c_local_declaration,
-    "expression_statement": _c_expression_statement,
-    "block": _c_block,
-    "if_statement": _c_if,
-    "for_statement": _c_for,
-    "enhanced_for_statement": _c_enhanced_for,
-    "while_statement": _c_while,
-    "do_statement": _c_while,
-    "return_statement": _c_return,
-    "break_statement": _c_raise(_Break),
-    "continue_statement": _c_raise(_Continue),
-    "throw_statement": _c_raise(_JavaThrow),
-    "try_statement": _c_try,
-    "synchronized_statement": _c_synchronized,
-    "assert_statement": _c_assert,
-}
 _COMPILERS = {
     **dict.fromkeys(_LITERALS, _c_constant),
     "identifier": _c_identifier,
@@ -1505,7 +1478,21 @@ _COMPILERS = {
     "object_creation_expression": _c_object_creation,
     "method_invocation": _c_call,
     "field_access": _c_field_access,
-    **_STATEMENTS,
+    "local_variable_declaration": _c_local_declaration,
+    "expression_statement": _c_expression_statement,
+    "block": _c_block,
+    "if_statement": _c_if,
+    "for_statement": _c_for,
+    "enhanced_for_statement": _c_enhanced_for,
+    "while_statement": _c_while,
+    "do_statement": _c_while,
+    "return_statement": _c_return,
+    "break_statement": _c_raise(_Break),
+    "continue_statement": _c_raise(_Continue),
+    "throw_statement": _c_raise(_JavaThrow),
+    "try_statement": _c_try,
+    "synchronized_statement": _c_synchronized,
+    "assert_statement": _c_assert,
 }
 
 # The nodes each kind's compiler reads the closures of, when not all of
