@@ -38,10 +38,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from .javamodel import (BASE64_DECODE, Builder, Char, CharArray, EnumConst,
-                        JArray, UNARY, _BUILTINS, _FEWEST_ARGS, _MAX_LENGTH,
-                        _MISSING, _NotConcrete, _arith, _as_int, _binary_op,
-                        _cast, _elem_of, _length, _load, _object_parts,
-                        _preview, library_call, library_new)
+                        JArray, UNARY, _BUILTINS, _FEWEST_ARGS, _INT_ARITH,
+                        _MAX_LENGTH, _MISSING, _NotConcrete, _arith, _as_int,
+                        _binary_op, _cast, _elem_of, _length, _load,
+                        _object_parts, _preview, library_call, library_new)
 from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
                      method_body, method_params, modifier_words, type_body,
                      unit_index)
@@ -549,7 +549,7 @@ def _c_binary(interp, node, pre=0):
     evaluation does on its way down the left spine, then folds."""
     compiled = interp.compiled
     first, links = _chain(node)
-    leaves = [_leaf(first)] + [_leaf(right) for _, right in links]
+    leaves = [_leaf(first), _leaf(links[0][1])]
     first = compiled[id(first)]
     # (short-circuit value, operator on values, operator on ints, right
     # operand): && stops on false and || on true; arithmetic and
@@ -572,7 +572,8 @@ def _c_binary(interp, node, pre=0):
             if type(a) is int and type(b) is int:
                 return on_ints(a, b)
             return _operate(apply, on_ints, a, b)
-        return _fused_binary(binary, steps[0], first, leaves, n)
+        return _int_spine(node, pre,
+                          _fused_binary(binary, steps[0], first, leaves, n))
 
     def chain(interp, env, fields):
         ctx = interp.ctx
@@ -594,12 +595,7 @@ def _c_binary(interp, node, pre=0):
                 if not isinstance(value, bool):
                     raise _NotConcrete
         return value
-    if all(op in _INT_SAFE for op, _ in links) \
-            and all(leaf is not None and (leaf[0] is not None
-                                          or type(leaf[1]) is int)
-                    for leaf in leaves):
-        return _int_chain(chain, [step[2] for step in steps], leaves, n)
-    return chain
+    return _int_spine(node, pre, chain)
 
 
 def _fused_binary(generic, step, first, leaves, n):
@@ -644,24 +640,44 @@ def _fused_binary(generic, step, first, leaves, n):
             b = bv if bn is None else env[bn]
         else:
             b = second(interp, env, fields)
-        if type(a) is int and type(b) is int:
-            return on_ints(a, b)
+        if type(b) is int:
+            if type(a) is int:
+                return on_ints(a, b)
+            if type(a) is Char:
+                return on_ints(a.cp, b)
         return _operate(apply, on_ints, a, b)
     return binary_right_leaf
 
 
-def _int_chain(generic, on_ints: list, leaves: list, n: int):
-    """A chain of `_INT_SAFE` operators over identifiers and int literals,
-    folded at once when every identifier holds an int: no fold can fail,
-    so its steps count together."""
-    total = n + len(leaves)
+def _int_spine(node: SyntaxNode, pre: int, generic):
+    """``generic``, the closure of a binary expression, or, when the left
+    spine of the expression, parentheses included, is two or more
+    `_INT_SAFE` operators over identifiers and int literals, a fold of it
+    at once while every identifier holds an int: no fold can fail, so its
+    ticks, one per operator, parenthesis and leaf, count together."""
+    ops, rights, levels = [], [], 0
+    while node.kind in ("binary_expression", "parenthesized_expression"):
+        if node.kind == "parenthesized_expression":
+            levels += 1
+        elif str(node.value) in _INT_SAFE:
+            ops.append(_INT_ARITH[str(node.value)])
+            rights.append(node.children[1])
+        else:
+            return generic
+        node = node.children[0]
+    leaves = [_leaf(node)] + [_leaf(right) for right in reversed(rights)]
+    if len(ops) + levels < 2 or not all(
+            leaf is not None and (leaf[0] is not None or type(leaf[1]) is int)
+            for leaf in leaves):
+        return generic
+    ticks = pre + len(ops) + levels + len(leaves)
     first_name, first_value = leaves[0]
     links = [(apply, name, value)
-             for apply, (name, value) in zip(on_ints, leaves[1:])]
+             for apply, (name, value) in zip(reversed(ops), leaves[1:])]
 
-    def int_chain(interp, env, fields):
+    def int_spine(interp, env, fields):
         ctx = interp.ctx
-        steps = ctx.steps + total
+        steps = ctx.steps + ticks
         if steps <= ctx.limit:
             value = first_value if first_name is None \
                 else env.get(first_name)
@@ -676,7 +692,7 @@ def _int_chain(generic, on_ints: list, leaves: list, n: int):
                     ctx.steps = steps
                     return value
         return generic(interp, env, fields)
-    return int_chain
+    return int_spine
 
 
 def _c_unary(interp, node, pre=0):
