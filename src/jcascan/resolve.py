@@ -3,7 +3,8 @@
 Arguments to crypto APIs in decompiled code are frequently built at runtime:
 concatenation, StringBuilder/StringBuffer chains, charAt arithmetic, Base64
 blobs, XOR loops, ternaries, helper methods. One model of the Java
-operators, library calls and string built-ins, in `interp`, evaluates them:
+operators, library calls and string built-ins, in `javamodel`, evaluates
+them:
 
 * the concrete interpreter (`interp`) executes the method body before the
   site, and the helpers it calls, under a step budget when every input is a
@@ -378,8 +379,7 @@ class _Abstract:
             if node.kind != "identifier" or str(node.value) != name \
                     or not definition.end <= node.start < use.start:
                 continue
-            stmt = next((s for s in body.children
-                         if s.start <= node.start < s.end), None)
+            stmt = _statement_of(body, node)
             if stmt is None or stmt.kind != "expression_statement" \
                     or stmt.start < definition.end or stmt.end > use.start:
                 return _VS.residual(UNKNOWN)
