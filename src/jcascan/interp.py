@@ -549,7 +549,6 @@ def _c_binary(interp, node, pre=0):
     evaluation does on its way down the left spine, then folds."""
     compiled = interp.compiled
     first, links = _chain(node)
-    leaves = [_leaf(first), _leaf(links[0][1])]
     first = compiled[id(first)]
     # (short-circuit value, operator on values, operator on ints, right
     # operand): && stops on false and || on true; arithmetic and
@@ -572,6 +571,7 @@ def _c_binary(interp, node, pre=0):
             if type(a) is int and type(b) is int:
                 return on_ints(a, b)
             return _operate(apply, on_ints, a, b)
+        leaves = [_leaf(operand) for operand in node.children]
         return _int_spine(node, pre,
                           _fused_binary(binary, steps[0], first, leaves, n))
 
@@ -1243,9 +1243,8 @@ def _body_parts(body: list[SyntaxNode]) -> list[SyntaxNode]:
 def _loop_body(compiled: dict, body: list[SyntaxNode]):
     """(steps, statement closures) of one run of a loop body: a block
     counts its step and the loop runs its statements without a call."""
-    if body and body[0].kind == "block":
-        return 1, [compiled[id(stmt)] for stmt in body[0].children]
-    return 0, [compiled[id(node)] for node in body]
+    ticks = 1 if body and body[0].kind == "block" else 0
+    return ticks, [compiled[id(stmt)] for stmt in _body_parts(body)]
 
 
 def _for_parts(node: SyntaxNode) -> list[SyntaxNode]:
