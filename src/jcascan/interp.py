@@ -603,7 +603,7 @@ def _fused_binary(generic, step, first, leaves, n):
     inline; the steps of the expression and of its leading leaves count
     at once."""
     _, apply, on_ints, second = step
-    (left, right) = leaves
+    left, right = leaves
     if left is not None:
         an, av = left
         bn, bv = right if right is not None else (None, None)
