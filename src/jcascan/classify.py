@@ -13,7 +13,6 @@ Signatures are node-kind histograms over the site subtree, used for exact
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 from .resolve import NATIVE as NATIVE_RESIDUAL
@@ -64,15 +63,29 @@ _CERT_API_METHODS = {
 }
 
 
-@dataclass
 class LabelSet:
-    labels: set[str]
-    category: str
+    def __init__(self, labels: set[str], category: str) -> None:
+        self.labels = labels
+        self.category = category
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.category) \
+            == (other.labels, other.category)
 
 
-@dataclass(frozen=True)
 class ArgumentSignature:
-    histogram: tuple[tuple[str, int], ...]
+    def __init__(self, histogram: tuple[tuple[str, int], ...]) -> None:
+        self.histogram = histogram
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.histogram == other.histogram
+
+    def __hash__(self) -> int:
+        return hash((self.histogram,))
 
     @staticmethod
     def from_counts(counts: dict[str, int]) -> "ArgumentSignature":

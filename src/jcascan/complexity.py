@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from statistics import NormalDist
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 
@@ -22,21 +20,38 @@ from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
 EMPTY_STRATUM_KEY = -1
 
 
-@dataclass
 class Stratum:
-    key: int
-    population: int
-    sample_size: int = 0
-    member_ids: list[str] = field(default_factory=list)
+    def __init__(self, key: int, population: int, sample_size: int = 0,
+                 member_ids: list[str] | None = None) -> None:
+        self.key = key
+        self.population = population
+        self.sample_size = sample_size
+        self.member_ids = [] if member_ids is None else member_ids
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.key, self.population, self.sample_size,
+                self.member_ids) == (other.key, other.population,
+                                     other.sample_size, other.member_ids)
 
 
-@dataclass
 class SamplePlan:
-    confidence: float
-    margin: float
-    seed: int
-    strata: list[Stratum]
-    selected_ids: list[str]
+    def __init__(self, confidence: float, margin: float, seed: int,
+                 strata: list[Stratum], selected_ids: list[str]) -> None:
+        self.confidence = confidence
+        self.margin = margin
+        self.seed = seed
+        self.strata = strata
+        self.selected_ids = selected_ids
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.confidence, self.margin, self.seed, self.strata,
+                self.selected_ids) == (other.confidence, other.margin,
+                                       other.seed, other.strata,
+                                       other.selected_ids)
 
 
 def count_d(site: InvocationSite) -> int:
@@ -104,6 +119,8 @@ def sample_size(N: int, confidence: float = 0.95,
         raise ValueError(f"population must be nonnegative, got {N}")
     if N == 0:
         return 0
+    from statistics import NormalDist  # here, so a scan never loads it
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n0 = z * z * 0.25 / (margin * margin)
     if N <= n0:

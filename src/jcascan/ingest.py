@@ -19,7 +19,6 @@ the classifier.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .javaparse import parse_unit
@@ -30,12 +29,20 @@ RESTRICTIVE = "restrictive"
 FLEXIBLE = "flexible"
 
 
-@dataclass(frozen=True)
 class ApiKind:
     """A target API signature and its invocation category."""
 
-    name: str
-    category: str  # RESTRICTIVE or FLEXIBLE
+    def __init__(self, name: str, category: str) -> None:
+        self.name = name
+        self.category = category  # RESTRICTIVE or FLEXIBLE
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.category) == (other.name, other.category)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.category))
 
     def __str__(self) -> str:
         return self.name
@@ -56,7 +63,6 @@ DEFAULT_APIS = frozenset({
 })
 
 
-@dataclass(frozen=True)
 class CustomApi:
     """An extra API signature from a scan config file.
 
@@ -64,13 +70,23 @@ class CustomApi:
     form matches flexible method declarations.
     """
 
-    kind: ApiKind
-    receiver: str | None = None   # restrictive: receiver substring
-    method: str | None = None     # restrictive callee / flexible name
-    arity: int | None = None      # flexible parameter count
+    def __init__(self, kind: ApiKind, receiver: str | None = None,
+                 method: str | None = None, arity: int | None = None) -> None:
+        self.kind = kind
+        self.receiver = receiver  # restrictive: receiver substring
+        self.method = method      # restrictive callee / flexible name
+        self.arity = arity        # flexible parameter count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.receiver, self.method, self.arity) \
+            == (other.kind, other.receiver, other.method, other.arity)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.receiver, self.method, self.arity))
 
 
-@dataclass(slots=True)
 class InvocationSite:
     """One occurrence of a target API in one file.
 
@@ -84,19 +100,39 @@ class InvocationSite:
     own method).
     """
 
-    id: str
-    api: ApiKind
-    path: str
-    offset: int
-    subtree: SyntaxNode | None   # argument_list / block / no_body marker;
-                                 # None once detached
-    unit: SourceUnit | None = None
-    node: SyntaxNode | None = None       # the invocation / declaration node
-    type_body: SyntaxNode | None = None  # class_body / enum_body
-    method: SyntaxNode | None = None     # method / constructor declaration
-    receiver_text: str = ""              # restrictive receiver, e.g. "Cipher"
-    start_line: int = 0
-    end_line: int = 0
+    __slots__ = ("id", "api", "path", "offset", "subtree", "unit", "node",
+                 "type_body", "method", "receiver_text", "start_line",
+                 "end_line")
+
+    def __init__(self, id: str, api: ApiKind, path: str, offset: int,
+                 subtree: SyntaxNode | None, unit: SourceUnit | None = None,
+                 node: SyntaxNode | None = None,
+                 type_body: SyntaxNode | None = None,
+                 method: SyntaxNode | None = None, receiver_text: str = "",
+                 start_line: int = 0, end_line: int = 0) -> None:
+        self.id = id
+        self.api = api
+        self.path = path
+        self.offset = offset
+        # argument_list / block / no_body marker; None once detached
+        self.subtree = subtree
+        self.unit = unit
+        self.node = node            # the invocation / declaration node
+        self.type_body = type_body  # class_body / enum_body
+        self.method = method        # method / constructor declaration
+        self.receiver_text = receiver_text  # restrictive receiver: "Cipher"
+        self.start_line = start_line
+        self.end_line = end_line
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _values(self) -> tuple:
+        return (self.id, self.api, self.path, self.offset, self.subtree,
+                self.unit, self.node, self.type_body, self.method,
+                self.receiver_text, self.start_line, self.end_line)
 
     @property
     def order(self) -> tuple[str, int]:
@@ -106,8 +142,10 @@ class InvocationSite:
     def detached(self) -> InvocationSite:
         """A copy holding no part of the syntax tree, for results kept
         after the unit is released."""
-        return replace(self, subtree=None, unit=None, node=None,
-                       type_body=None, method=None)
+        return InvocationSite(self.id, self.api, self.path, self.offset,
+                              None, receiver_text=self.receiver_text,
+                              start_line=self.start_line,
+                              end_line=self.end_line)
 
 
 def parse_config(text: str) -> list[CustomApi]:

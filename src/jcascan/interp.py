@@ -34,7 +34,6 @@ built-ins it applies, are the one model of Java in `javamodel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .javamodel import (BASE64_DECODE, Builder, Char, CharArray, EnumConst,
@@ -50,11 +49,21 @@ from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
 ENUM_CONSTANT = "enum-constant"
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    rule: str
-    span: tuple[int, int]
-    intermediate: str = ""
+    def __init__(self, rule: str, span: tuple[int, int],
+                 intermediate: str = "") -> None:
+        self.rule = rule
+        self.span = span
+        self.intermediate = intermediate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.span, self.intermediate) \
+            == (other.rule, other.span, other.intermediate)
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.span, self.intermediate))
 
 
 class _BudgetExhausted(Exception):

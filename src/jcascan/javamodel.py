@@ -13,7 +13,6 @@ import base64
 import binascii
 import operator
 import re
-from dataclasses import dataclass
 from functools import partial
 
 from .syntax import SyntaxNode, child_of_kind
@@ -29,29 +28,80 @@ _MAX_LENGTH = 65536
 
 # -- value model ---------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
 class Char:
     """A char value: slotted, and equal, hashed and printed by its code
     point as a frozen dataclass would be."""
-    cp: int
+
+    __slots__ = ("cp",)
+
+    def __init__(self, cp: int) -> None:
+        self.cp = cp
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cp == other.cp
+
+    def __hash__(self) -> int:
+        return hash((self.cp,))
+
+    def __repr__(self) -> str:
+        return f"Char(cp={self.cp!r})"
 
 
-@dataclass(frozen=True)
 class CharArray:
-    text: str
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __repr__(self) -> str:
+        return f"CharArray(text={self.text!r})"
 
 
-@dataclass(frozen=True)
 class SBuf:
     """Immutable snapshot of a StringBuilder/StringBuffer value."""
-    text: str
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __repr__(self) -> str:
+        return f"SBuf(text={self.text!r})"
 
 
-@dataclass(frozen=True)
 class EnumConst:
-    enum_name: str
-    const_name: str
-    fields: tuple[tuple[str, object], ...] = ()
+    def __init__(self, enum_name: str, const_name: str,
+                 fields: tuple[tuple[str, object], ...] = ()) -> None:
+        self.enum_name = enum_name
+        self.const_name = const_name
+        self.fields = fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.enum_name, self.const_name, self.fields) \
+            == (other.enum_name, other.const_name, other.fields)
+
+    def __hash__(self) -> int:
+        return hash((self.enum_name, self.const_name, self.fields))
+
+    def __repr__(self) -> str:
+        return (f"EnumConst(enum_name={self.enum_name!r}, "
+                f"const_name={self.const_name!r}, fields={self.fields!r})")
 
     def field_value(self, name: str) -> object:
         for key, val in self.fields:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .syntax import ParseWarning, SourceUnit, SyntaxNode
 
@@ -77,13 +76,22 @@ _TOKEN = re.compile(
 _LOOKAHEAD = 2
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str   # ident, string, char, int, float, op, eof
-    text: str
-    start: int
-    end: int
-    value: object = None
+    __slots__ = ("kind", "text", "start", "end", "value")
+
+    def __init__(self, kind: str, text: str, start: int, end: int,
+                 value: object = None) -> None:
+        self.kind = kind   # ident, string, char, int, float, op, eof
+        self.text = text
+        self.start = start
+        self.end = end
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.text, self.start, self.end, self.value) \
+            == (other.kind, other.text, other.start, other.end, other.value)
 
 
 class ParseError(Exception):

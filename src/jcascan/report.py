@@ -8,13 +8,11 @@ are rounded to six decimals.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import classify, signature_of
@@ -46,16 +44,31 @@ def finding_record(finding: MisuseFinding) -> dict:
     }
 
 
-@dataclass(slots=True)
 class SiteAnalysis:
-    site: InvocationSite
-    d: int
-    score: float
-    labels: list[str]
-    signature: dict[str, int]
-    candidates: list[str]
-    residuals: list[str]
-    findings: list[MisuseFinding]
+    __slots__ = ("site", "d", "score", "labels", "signature", "candidates",
+                 "residuals", "findings")
+
+    def __init__(self, site: InvocationSite, d: int, score: float,
+                 labels: list[str], signature: dict[str, int],
+                 candidates: list[str], residuals: list[str],
+                 findings: list[MisuseFinding]) -> None:
+        self.site = site
+        self.d = d
+        self.score = score
+        self.labels = labels
+        self.signature = signature
+        self.candidates = candidates
+        self.residuals = residuals
+        self.findings = findings
+
+    def _values(self) -> tuple:
+        return (self.site, self.d, self.score, self.labels, self.signature,
+                self.candidates, self.residuals, self.findings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
 
 def analyze_site(site: InvocationSite,
@@ -285,6 +298,8 @@ def plan_from_report(records: list[dict], confidence: float,
 
 
 def strata_csv(summary: dict) -> str:
+    import csv  # here, so a scan never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["category", "stratum_key", "population"])
@@ -295,6 +310,8 @@ def strata_csv(summary: dict) -> str:
 
 
 def prevalence_csv(summary: dict) -> str:
+    import csv  # here, so a scan never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["label", "sites"])

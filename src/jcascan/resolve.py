@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from .ingest import InvocationSite
 from .interp import (ENUM_CONSTANT, TraceStep, _BudgetExhausted, _Break,
@@ -63,26 +62,59 @@ _EXTERNAL_METHODS = {"getStringExtra", "getProperty", "getParameter",
                      "getText", "getPreference"}
 
 
-@dataclass(frozen=True)
 class ResolutionBudget:
-    max_indirection: int = 2
-    max_candidates: int = 16
-    max_steps: int = 10_000
-    max_call_depth: int = 8
+    # The defaults, which `jcascan scan` reads from the class.
+    max_indirection = 2
+    max_candidates = 16
+    max_steps = 10_000
+    max_call_depth = 8
 
-    def __post_init__(self) -> None:
-        if min(self.max_indirection, self.max_candidates,
-               self.max_steps, self.max_call_depth) <= 0:
+    def __init__(self, max_indirection: int = max_indirection,
+                 max_candidates: int = max_candidates,
+                 max_steps: int = max_steps,
+                 max_call_depth: int = max_call_depth) -> None:
+        if min(max_indirection, max_candidates, max_steps,
+               max_call_depth) <= 0:
             raise ValueError("budget fields must be positive")
+        self.max_indirection = max_indirection
+        self.max_candidates = max_candidates
+        self.max_steps = max_steps
+        self.max_call_depth = max_call_depth
+
+    def _values(self) -> tuple:
+        return (self.max_indirection, self.max_candidates, self.max_steps,
+                self.max_call_depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass
 class ResolvedValue:
-    candidates: set[str]
-    residuals: set[str]
-    trace: list[TraceStep] = field(default_factory=list)
-    raw_candidates: set = field(default_factory=set)   # may include bytes
-    touched_literals: set[str] = field(default_factory=set)
+    def __init__(self, candidates: set[str], residuals: set[str],
+                 trace: list[TraceStep] | None = None,
+                 raw_candidates: set | None = None,
+                 touched_literals: set[str] | None = None) -> None:
+        self.candidates = candidates
+        self.residuals = residuals
+        self.trace = [] if trace is None else trace
+        # May include bytes.
+        self.raw_candidates = set() if raw_candidates is None \
+            else raw_candidates
+        self.touched_literals = set() if touched_literals is None \
+            else touched_literals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.candidates, self.residuals, self.trace,
+                self.raw_candidates, self.touched_literals) \
+            == (other.candidates, other.residuals, other.trace,
+                other.raw_candidates, other.touched_literals)
 
     @property
     def concrete(self) -> bool:
@@ -91,11 +123,18 @@ class ResolvedValue:
 
 # -- abstract, set-valued resolver ----------------------------------------
 
-@dataclass
 class _VS:
     """A set of concrete values plus residual markers."""
-    values: set
-    residuals: set
+
+    def __init__(self, values: set, residuals: set) -> None:
+        self.values = values
+        self.residuals = residuals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.residuals) \
+            == (other.values, other.residuals)
 
     @staticmethod
     def of(*values) -> "_VS":

@@ -13,7 +13,6 @@ a literal in the surrounding source - the argument looks benign in code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .classify import LabelSet
 from .ingest import RESTRICTIVE, RESTRICTIVE_SECRETKEYSPEC, InvocationSite
@@ -58,15 +57,30 @@ _COMPARISON_METHODS = {"equals", "equalsIgnoreCase", "contains",
                        "startsWith", "endsWith", "compareTo", "matches"}
 
 
-@dataclass(slots=True)
 class MisuseFinding:
-    site_id: str
-    rule_id: str
-    severity: str
-    message: str
-    effective_value: str | None = None
-    evidence: list[str] = field(default_factory=list)
-    evasive: bool = False
+    __slots__ = ("site_id", "rule_id", "severity", "message",
+                 "effective_value", "evidence", "evasive")
+
+    def __init__(self, site_id: str, rule_id: str, severity: str,
+                 message: str, effective_value: str | None = None,
+                 evidence: list[str] | None = None,
+                 evasive: bool = False) -> None:
+        self.site_id = site_id
+        self.rule_id = rule_id
+        self.severity = severity
+        self.message = message
+        self.effective_value = effective_value
+        self.evidence = [] if evidence is None else evidence
+        self.evasive = evasive
+
+    def _values(self) -> tuple:
+        return (self.site_id, self.rule_id, self.severity, self.message,
+                self.effective_value, self.evidence, self.evasive)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
 
 # Each rule's severity and description. R7's severity is the receiver
@@ -140,11 +154,21 @@ def expand_oid(oid: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
 class Transformation:
-    algorithm: str
-    mode: str | None
-    padding: str | None
+    def __init__(self, algorithm: str, mode: str | None,
+                 padding: str | None) -> None:
+        self.algorithm = algorithm
+        self.mode = mode
+        self.padding = padding
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algorithm, self.mode, self.padding) \
+            == (other.algorithm, other.mode, other.padding)
+
+    def __hash__(self) -> int:
+        return hash((self.algorithm, self.mode, self.padding))
 
     @staticmethod
     def parse(value: str) -> "Transformation | None":

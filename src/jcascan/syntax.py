@@ -13,7 +13,6 @@ read naturally.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -33,18 +32,29 @@ SITE_KINDS = frozenset({"method_invocation", "object_creation_expression",
                         "method_declaration"})
 
 
-@dataclass(slots=True)
 class SyntaxNode:
     """One named node: a kind, a source span, and ordered named children."""
 
-    kind: str
-    start: int
-    end: int
-    children: list["SyntaxNode"] = field(default_factory=list)
-    # Decoded value for literal leaves (unescaped string, int, ...).
-    value: object = None
-    # Back-reference to the full source text for .text slicing.
-    source: str = ""
+    __slots__ = ("kind", "start", "end", "children", "value", "source")
+
+    def __init__(self, kind: str, start: int, end: int,
+                 children: list[SyntaxNode] | None = None,
+                 value: object = None, source: str = "") -> None:
+        self.kind = kind
+        self.start = start
+        self.end = end
+        self.children = [] if children is None else children
+        # Decoded value for literal leaves (unescaped string, int, ...).
+        self.value = value
+        # Back-reference to the full source text for .text slicing.
+        self.source = source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.start, self.end, self.children, self.value,
+                self.source) == (other.kind, other.start, other.end,
+                                 other.children, other.value, other.source)
 
     @property
     def text(self) -> str:
@@ -73,26 +83,40 @@ class SyntaxNode:
         return f"SyntaxNode({self.kind}, {self.start}:{self.end})"
 
 
-@dataclass(slots=True)
 class ParseWarning:
     """A non-fatal parse problem, recorded per node or per file."""
 
-    path: str
-    offset: int
-    message: str
+    __slots__ = ("path", "offset", "message")
+
+    def __init__(self, path: str, offset: int, message: str) -> None:
+        self.path = path
+        self.offset = offset
+        self.message = message
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.path, self.offset, self.message) \
+            == (other.path, other.offset, other.message)
 
 
-@dataclass
 class SourceUnit:
     """A parsed Java file: path, text, and the normalized named-node tree."""
 
-    path: str
-    text: str
-    root: SyntaxNode
-    warnings: list[ParseWarning] = field(default_factory=list)
-    # The unit's `UnitIndex`, built by `unit_index` on first use.
-    _index: UnitIndex | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    def __init__(self, path: str, text: str, root: SyntaxNode,
+                 warnings: list[ParseWarning] | None = None) -> None:
+        self.path = path
+        self.text = text
+        self.root = root
+        self.warnings = [] if warnings is None else warnings
+        # The unit's `UnitIndex`, built by `unit_index` on first use.
+        self._index: UnitIndex | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.path, self.text, self.root, self.warnings) \
+            == (other.path, other.text, other.root, other.warnings)
 
     @property
     def parse_failed(self) -> bool:
@@ -325,13 +349,20 @@ class UnitIndex:
         return facts
 
 
-@dataclass(frozen=True)
 class MemberFacts:
     """What per-site analysis reads from the members of a class body."""
 
-    fields: tuple[SyntaxNode, ...]
-    # Field name -> modifier words of the first declaration naming it.
-    field_modifiers: dict[str, tuple[str, ...]]
+    def __init__(self, fields: tuple[SyntaxNode, ...],
+                 field_modifiers: dict[str, tuple[str, ...]]) -> None:
+        self.fields = fields
+        # Field name -> modifier words of the first declaration naming it.
+        self.field_modifiers = field_modifiers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fields, self.field_modifiers) \
+            == (other.fields, other.field_modifiers)
 
     @staticmethod
     def of(members: list[SyntaxNode]) -> MemberFacts:

@@ -387,17 +387,53 @@ class TestOptions:
             main(["scan", str(error_corpus), "--max-candidates", "0"])
 
 
-def test_cli_import_leaves_bench_unloaded():
-    """`scan` never needs the benchmark module, so importing the CLI does
-    not load it."""
-    code = "import sys, jcascan.cli; print('jcascan.bench' in sys.modules)"
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports
+    this checkout's ``jcascan``."""
     src = str(Path(jcascan.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_cli_import_leaves_bench_unloaded():
+    """`scan` never needs the benchmark module, so importing the CLI does
+    not load it."""
+    code = "import sys, jcascan.cli; print('jcascan.bench' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_scan_leaves_unused_stdlib_unloaded(error_corpus, tmp_path):
+    """A scan builds no dataclass, computes no sample size and writes no
+    CSV, so neither importing the CLI nor scanning loads the modules for
+    those; `sample`, `stratify` and `report` import them when they run."""
+    code = """if True:
+        import sys
+        from jcascan.cli import main
+        unused = {"dataclasses", "inspect", "statistics", "csv"}
+        print(sorted(unused & set(sys.modules)))
+        corpus, out = sys.argv[1:]
+        main(["scan", corpus, "-o", f"{out}/r.jsonl"])
+        print(sorted(unused & set(sys.modules)))
+        main(["sample", f"{out}/r.jsonl", "-o", f"{out}/plan.json"])
+        main(["stratify", corpus, "-o", f"{out}/strata.csv"])
+        main(["report", f"{out}/r.jsonl", "--out-dir", f"{out}/summary"])
+        """
+    printed = _fresh_python(code, str(error_corpus), str(tmp_path))
+    lines = printed.splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert json.loads("\n".join(lines[2:]))["summary"]["sites"] == 2
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert len(plan["plans"]["restrictive"]["selected_ids"]) == 2
+    for csv_file in (tmp_path / "strata.csv",
+                     tmp_path / "summary" / "strata.csv"):
+        assert csv_file.read_text().splitlines()[0] \
+            == "category,stratum_key,population"
+    assert (tmp_path / "summary" / "prevalence.csv").read_text() \
+        .splitlines()[0] == "label,sites"
 
 
 def _hash_seed_corpus(directory: Path) -> None:

@@ -6,7 +6,6 @@ next."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -173,8 +172,8 @@ def test_result_rows_hold_no_tree(tmp_path, bench_corpus):
         analyses, _ = analyze_corpus(root)
         assert analyses
         for a in analyses:
-            held = [f.name for f in dataclasses.fields(a.site)
-                    if _holds_tree(getattr(a.site, f.name))]
+            held = [name for name in type(a.site).__slots__
+                    if _holds_tree(getattr(a.site, name))]
             assert held == [], a.site.id
 
 
