@@ -191,22 +191,19 @@ class _Ctx:
 # -- the interpreter -------------------------------------------------------
 
 def _written_names(stmt: SyntaxNode) -> set[str]:
-    """Names a statement may write: declared vars, assignment targets,
-    update targets, and identifier receivers of mutating calls."""
+    """Names a statement may write: declared vars, assignment and update
+    targets (an array's name for one of its elements), and identifier
+    receivers of mutating calls."""
     out: set[str] = set()
     for node in stmt.walk():
         if node.kind == "variable_declarator":
             out.add(str(node.children[0].value))
-        elif node.kind == "assignment_expression":
-            lhs = node.children[0]
-            if lhs.kind == "identifier":
-                out.add(str(lhs.value))
-            elif lhs.kind == "array_access" \
-                    and lhs.children[0].kind == "identifier":
-                out.add(str(lhs.children[0].value))
-        elif node.kind == "update_expression" \
-                and node.children[0].kind == "identifier":
-            out.add(str(node.children[0].value))
+        elif node.kind in ("assignment_expression", "update_expression"):
+            target = node.children[0]
+            if target.kind == "array_access":
+                target = target.children[0]
+            if target.kind == "identifier":
+                out.add(str(target.value))
         elif node.kind == "method_invocation" and len(node.children) == 3 \
                 and node.children[0].kind == "identifier":
             out.add(str(node.children[0].value))
@@ -285,20 +282,23 @@ class _Interp:
         return None
 
     def run_region(self, body: SyntaxNode, stop_before: SyntaxNode,
-                   env: dict, fields: dict) -> None:
+                   env: dict, fields: dict, not_run: set[int]) -> None:
         """Execute top-level statements of ``body`` preceding the one that
         contains ``stop_before``.
 
         A statement that cannot be executed concretely poisons (unbinds)
-        every variable it might write, instead of aborting the region;
-        later reads of a poisoned variable fail on their own.
+        every variable it might write, instead of aborting the region, and
+        its id joins ``not_run``; later reads of a poisoned variable fail
+        on their own. A statement that throws poisons them too.
         """
         for stmt in body.children:
             if stmt.start <= stop_before.start <= stmt.end:
                 return
             try:
                 self.code(stmt)(self, env, fields)
-            except (_NotConcrete, _JavaThrow):
+            except (_NotConcrete, _JavaThrow) as stopped:
+                if isinstance(stopped, _NotConcrete):
+                    not_run.add(id(stmt))
                 for name in _written_names(stmt):
                     env.pop(name, None)
             except (_Return, _Break, _Continue):
@@ -753,8 +753,10 @@ def _c_update(interp, node, pre=0):
                 ctx.exceeded(n)
             arr = array(interp, env, fields)
             idx = _as_int(index(interp, env, fields))
-            if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
+            if not isinstance(arr, JArray):
                 raise _NotConcrete
+            if not 0 <= idx < len(arr.items):
+                raise _JavaThrow
             old = arr.items[idx]
             arr.items[idx] = value = _as_int(old) + delta
             return old if postfix else value
@@ -803,8 +805,10 @@ def _c_assignment(interp, node, pre=0):
             value = rhs(interp, env, fields)
             arr = array(interp, env, fields)
             idx = _as_int(index(interp, env, fields))
-            if not isinstance(arr, JArray) or not 0 <= idx < len(arr.items):
+            if not isinstance(arr, JArray):
                 raise _NotConcrete
+            if not 0 <= idx < len(arr.items):
+                raise _JavaThrow
             if combine is not None:
                 value = combine(arr.items[idx], value)
             if arr.elem == "char" and isinstance(value, int):
@@ -1088,9 +1092,43 @@ def _c_call(interp, node, pre=0):
         return finish(interp, env, fields, base, args)
     leaf = _leaf(receiver)
     if leaf is None:
-        return call_on
+        return _chained_call(interp, node, receiver, arg_fns, finish, n)
     return _fused_call(call_on, finish, name, leaf,
                        [_leaf(a) for a in arg_nodes], arg_fns, n)
+
+
+def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
+    """A call on a receiver it does not read inline. The links of a
+    receiver chain ``x.f().g()…`` run in one frame, in the order nested
+    calls would take: each link ticks top-down, then the innermost receiver
+    runs, then each link's arguments and call, innermost first. A link is
+    ``(arg_fns, finish, the link below or None, innermost receiver)``."""
+    compiled = interp.compiled
+    below = compiled.get((id(receiver), "link"))
+    base_fn = compiled[id(receiver)] if below is None else below[3]
+    link = compiled[(id(node), "link")] = (arg_fns, finish, below, base_fn)
+
+    def call_chain(interp, env, fields):
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
+        links = [link]
+        inner = below
+        while inner is not None:
+            ctx.steps += 1
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(1)
+            links.append(inner)
+            inner = inner[2]
+        base = base_fn(interp, env, fields)
+        for arg_fns, finish, _, _ in reversed(links):
+            args = []
+            for fn in arg_fns:
+                args.append(fn(interp, env, fields))
+            base = finish(interp, env, fields, base, args)
+        return base
+    return call_chain
 
 
 def _fused_call(generic, finish, name: str, receiver, arg_leaves: list,

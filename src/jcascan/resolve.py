@@ -191,6 +191,8 @@ class _Abstract:
         # ids of the method-body statements the concrete interpreter gave
         # up on, running the statements before them or their expression.
         self.gave_up: set[int] = set()
+        # ids of the method-body statements a region run could not run.
+        self.not_run: set[int] = set()
 
     # --- top level ---
 
@@ -221,7 +223,7 @@ class _Abstract:
         saved_steps = self.ctx.steps
         env: dict = {}
         try:
-            self.interp.run_region(body, expr, env, {})
+            self.interp.run_region(body, expr, env, {}, self.not_run)
             value = _snapshot(self.interp.eval(expr, env, {}))
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
@@ -366,6 +368,8 @@ class _Abstract:
                 if name in unit_index(self.unit).builders_in(method):
                     return self._resolve_builder(method, name, definition,
                                                  node, depth)
+                if self._elements_written(method, name, definition, node):
+                    return _VS.residual(UNKNOWN)
                 return self.resolve(definition, depth + 1, {})
         field_init = self._field_init(name)
         if field_init is not None:
@@ -434,6 +438,28 @@ class _Abstract:
             self.ctx.touch(self.unit, call)
             value = self.resolve(call, depth + 1, {name: value})
         return value
+
+    def _elements_written(self, method: SyntaxNode, name: str,
+                          definition: SyntaxNode, use: SyntaxNode) -> bool:
+        """Whether an element of the array local ``name`` is written, as in
+        ``name[i] = …`` or ``name[i]++``, between ``definition`` and
+        ``use`` in a statement the concrete interpreter could not run: that
+        write may change the array unseen, so, as for a builder's other
+        mentions, the definition alone is not its value. A write that ran
+        and threw changed nothing."""
+        if not self.not_run:
+            return False
+        body = method_body(method)
+        for node in body.walk():
+            if node.kind in ("assignment_expression", "update_expression") \
+                    and definition.end <= node.start < use.start:
+                target = node.children[0]
+                if target.kind == "array_access" \
+                        and target.children[0].kind == "identifier" \
+                        and str(target.children[0].value) == name \
+                        and id(_statement_of(body, node)) in self.not_run:
+                    return True
+        return False
 
     def _field_init(self, name: str,
                     cls: SyntaxNode | None = None) -> SyntaxNode | None:
@@ -535,6 +561,31 @@ class _Abstract:
 
     def _resolve_call(self, node: SyntaxNode, depth: int,
                       env: dict[str, _VS]) -> _VS:
+        """A call, and a receiver chain ``x.f().g()…`` in one frame, in
+        the order nested calls would take: the links' own rules and
+        arguments top-down, each link ticking as it is reached, then the
+        innermost receiver, then each link's call on its receiver's
+        values, innermost first."""
+        links: list[tuple[SyntaxNode, list[_VS]]] = []
+        while True:
+            value, arg_sets = self._call_head(node, depth, env)
+            if value is not None:
+                break
+            links.append((node, arg_sets))
+            receiver = node.children[0]
+            if receiver.kind != "method_invocation":
+                value = self._resolve_node(receiver, depth, env)
+                break
+            self.ctx.tick()
+            node = receiver
+        for node, arg_sets in reversed(links):
+            value = self._call_on(value, node, arg_sets, depth)
+        return value
+
+    def _call_head(self, node: SyntaxNode, depth: int, env: dict[str, _VS]
+                   ) -> tuple[_VS | None, list[_VS]]:
+        """The value of a call its receiver's value does not decide, or
+        None; and the call's argument values."""
         name = str(node.value)
         args_node = node.children[-1]
         receiver = node.children[0] if len(node.children) == 3 else None
@@ -544,10 +595,10 @@ class _Abstract:
         if name in _NETWORK_METHODS or "Socket" in recv_text \
                 or "Http" in recv_text or recv_base == "URL":
             self.ctx.note("network-source", node, name)
-            return _VS.residual(NETWORK)
+            return _VS.residual(NETWORK), []
         if name in _EXTERNAL_METHODS:
             self.ctx.note("external-source", node, name)
-            return _VS.residual(EXTERNAL_INPUT)
+            return _VS.residual(EXTERNAL_INPUT), []
 
         arg_sets = [self._resolve_node(a, depth, env)
                     for a in args_node.children]
@@ -557,29 +608,33 @@ class _Abstract:
             fn, reads, rule = library
             if fn is _android_base64 and reads == 2:
                 arg_sets[1] = _android_flags(arg_sets[1])
-            return self._lift(fn, arg_sets, node, rule, reads)
-
-        # Instance calls on resolvable receivers.
-        if receiver is not None:
-            user_class = None
-            if receiver.kind == "identifier":
-                user_class = _find_class(self.unit, str(receiver.value))
-            if user_class is not None:
-                return self._resolve_user_call(user_class, name, args_node,
-                                               arg_sets, node, depth)
-            base = self._resolve_node(receiver, depth, env)
-            out = _VS(set(), set(base.residuals))
-            for value in base.values:
-                partial = self._instance_call(value, name, args_node,
-                                              arg_sets, node, depth)
-                out = out.union(partial)
-            if not out.values and not out.residuals:
-                out.residuals.add(UNKNOWN)
-            return self._cap(out, node)
+            return self._lift(fn, arg_sets, node, rule, reads), arg_sets
 
         # Unqualified call: method of the site's class.
-        return self._resolve_user_call(None, name, args_node, arg_sets,
-                                       node, depth)
+        if receiver is None:
+            return self._resolve_user_call(None, name, args_node, arg_sets,
+                                           node, depth), arg_sets
+        if receiver.kind == "identifier":
+            user_class = _find_class(self.unit, str(receiver.value))
+            if user_class is not None:
+                return self._resolve_user_call(user_class, name, args_node,
+                                               arg_sets, node,
+                                               depth), arg_sets
+        return None, arg_sets
+
+    def _call_on(self, base: _VS, node: SyntaxNode, arg_sets: list[_VS],
+                 depth: int) -> _VS:
+        """An instance call on each of its receiver's values."""
+        name = str(node.value)
+        args_node = node.children[-1]
+        out = _VS(set(), set(base.residuals))
+        for value in base.values:
+            partial = self._instance_call(value, name, args_node, arg_sets,
+                                          node, depth)
+            out = out.union(partial)
+        if not out.values and not out.residuals:
+            out.residuals.add(UNKNOWN)
+        return self._cap(out, node)
 
     def _instance_call(self, base, name: str, args_node: SyntaxNode,
                        arg_sets: list[_VS], node: SyntaxNode,

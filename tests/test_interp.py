@@ -168,6 +168,27 @@ def test_postfix_update_yields_the_old_value(statements, value):
     assert resolved.residuals == set()
 
 
+@pytest.mark.parametrize("statements,candidates,residuals", [
+    ('String s = f(5);', set(), {"UNKNOWN"}),
+    ('String s = "AES"; try { a[2]++; s = "RC4"; }'
+     ' catch (Exception e) { s = s + "/ECB"; }', {"AES/ECB"}, set()),
+])
+def test_element_write_past_the_end_throws(statements, candidates,
+                                           residuals):
+    """Writing past an array's end throws, as in Java: a helper that does
+    so returns nothing, and a ``catch`` clause runs."""
+    source = ("import javax.crypto.Cipher;\nclass Oob {\n"
+              "    String f(int i) {\n"
+              "        int[] a = new int[2]; a[i] = 1; return \"AES\" + a[0];"
+              "\n    }\n"
+              "    void m() throws Exception {\n"
+              f"        int[] a = new int[2]; {statements}\n"
+              "        Cipher.getInstance(s);\n    }\n}\n")
+    _, resolved = _steps_and_result(source)
+    assert resolved.candidates == candidates
+    assert resolved.residuals == residuals
+
+
 def _under_frames(depth: int, fn):
     """``fn()`` called with ``depth`` more frames on the stack."""
     return fn() if depth == 0 else _under_frames(depth - 1, fn)
@@ -185,6 +206,26 @@ def test_long_concatenation_resolves_at_any_stack_depth(extra_frames):
     analysis = _under_frames(extra_frames, lambda: analyze_site(site))
     assert analysis.candidates == ["a" * 400]
     assert analysis.residuals == []
+
+
+@pytest.mark.parametrize("extra_frames", [0, 300, 600])
+@pytest.mark.parametrize("start,candidates,residuals", [
+    ('"b"', ["b" + "a" * 399], []),
+    ("p", [], ["EXTERNAL_INPUT"]),
+])
+def test_long_receiver_chain_resolves_at_any_stack_depth(
+        extra_frames, start, candidates, residuals):
+    """A receiver chain of 401 calls runs in one frame, concretely and
+    abstractly, so its value does not depend on how deep the caller's
+    stack is."""
+    source = ("import javax.crypto.Cipher;\nclass Chain {\n"
+              "    void m(String p) throws Exception {\n"
+              f"        Cipher.getInstance(new StringBuilder({start})"
+              + '.append("a")' * 399 + ".toString());\n    }\n}\n")
+    site = extract_sites(parse_unit("Chain.java", source))[0]
+    analysis = _under_frames(extra_frames, lambda: analyze_site(site))
+    assert analysis.candidates == candidates
+    assert analysis.residuals == residuals
 
 
 @pytest.mark.parametrize("path,text", [

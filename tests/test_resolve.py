@@ -410,6 +410,39 @@ class TestBuilderLocal:
         assert r.residuals == {UNKNOWN}
 
 
+def _array_src(statements: str) -> str:
+    return ('import javax.crypto.Cipher;\n'
+            'class A { void m(int p, boolean c) throws Exception {\n'
+            '    byte[] b = {68, 69, 83};\n'
+            f'    {statements}\n'
+            '    Cipher.getInstance(new String(b)); } }\n')
+
+
+class TestArrayLocal:
+    """An array local whose element writes the interpreter gave up on is
+    not read from its declaration alone."""
+
+    @pytest.mark.parametrize("statements", [
+        "b[0] = (byte) p;",
+        "if (c) { b[0] = 65; }",
+        "if (c) { b[0]++; }",
+    ])
+    def test_element_write_leaves_a_residual(self, statements):
+        _, resolved, _, findings = pipeline(_array_src(statements))
+        assert resolved.candidates == set()
+        assert resolved.residuals == {UNKNOWN}
+        assert findings == []
+
+    @pytest.mark.parametrize("statements, value", [
+        ("b[0] = 65;", "AES"),
+        ("if (c) { p++; }", "DES"),
+    ])
+    def test_writes_that_run_resolve(self, statements, value):
+        r = resolve_site(site_of(_array_src(statements)))
+        assert r.candidates == {value}
+        assert not r.residuals
+
+
 class TestTrace:
     def test_trace_names_rules(self):
         r = resolve_src(STRINGBUFFER_SRC)
