@@ -131,10 +131,15 @@ def _fork_share(files: list[Path], apis, extras, budget):
         os.close(write_end)
         return pid, open(read_end, "rb")
     try:    # never return into the caller, flush its buffers or run atexit
+        class Pickler(pickle.Pickler):
+            # A method, not an instance attribute: Python 3.13.0 makes
+            # the attribute read-only.
+            def persistent_id(self, obj):
+                return obj if type(obj) is str and obj.isidentifier() \
+                    else None
+
         with open(write_end, "wb") as out:
-            pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
-            pickler.persistent_id = lambda obj: obj if type(obj) is str \
-                and obj.isidentifier() else None
+            pickler = Pickler(out, pickle.HIGHEST_PROTOCOL)
             for result in list(_analyze_share(files, apis, extras, budget)):
                 pickler.dump(result)
                 pickler.clear_memo()
@@ -146,10 +151,13 @@ def _fork_share(files: list[Path], apis, extras, budget):
 def _results(pipe):
     """The results a `_fork_share` worker writes, as they arrive."""
     import pickle
+
+    class Unpickler(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return sys.intern(pid)
+
     while pipe.peek(1):
-        unpickler = pickle.Unpickler(pipe)
-        unpickler.persistent_load = sys.intern
-        yield unpickler.load()
+        yield Unpickler(pipe).load()
 
 
 def analyze_corpus(root: str | Path,
