@@ -12,8 +12,9 @@ index, keyed by node identity, and hold nothing of one site: each reads
 the site's step count and budget from the `_Interp` it runs with.
 
 Compilation walks a subtree with an explicit stack, and a left-deep
-operator chain or an ``else if`` chain runs as one loop, so neither the
-compiler nor such a chain takes a Python frame per link. Every closure
+operator chain, an ``else if`` chain or a receiver chain ``x.f().g()…``
+runs as one loop, so neither the compiler nor such a chain takes a Python
+frame per link. Every closure
 ticks the step budget where a tree walk would: once per statement, once
 per expression evaluated and once per loop iteration, so a budget runs
 out on the same step. Fewer calls carry those ticks:
