@@ -19,7 +19,8 @@ from .resolve import NATIVE as NATIVE_RESIDUAL
 from .resolve import (BASE64_DECODE, ENUM_CONSTANT, METHOD_BODY,
                       METHOD_RETURNS, NATIVE_CALL, STATIC_FIELD,
                       ResolvedValue)
-from .syntax import SyntaxNode, method_params, modifier_words, unit_index
+from .syntax import (Record, SyntaxNode, method_params, modifier_words,
+                     unit_index)
 
 RESTRICTIVE_LABELS = frozenset({
     "STROP", "TEROP", "ENUM", "ID", "THIS", "METHOD", "STATIC", "NATIVE",
@@ -63,29 +64,19 @@ _CERT_API_METHODS = {
 }
 
 
-class LabelSet:
+class LabelSet(Record):
+    _fields = ("labels", "category")
+
     def __init__(self, labels: set[str], category: str) -> None:
         self.labels = labels
         self.category = category
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.labels, self.category) \
-            == (other.labels, other.category)
 
+class ArgumentSignature(Record, hashable=True):
+    _fields = ("histogram",)
 
-class ArgumentSignature:
     def __init__(self, histogram: tuple[tuple[str, int], ...]) -> None:
         self.histogram = histogram
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.histogram == other.histogram
-
-    def __hash__(self) -> int:
-        return hash((self.histogram,))
 
     @staticmethod
     def from_counts(counts: dict[str, int]) -> "ArgumentSignature":

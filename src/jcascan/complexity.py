@@ -15,12 +15,15 @@ import random
 from collections.abc import Iterable
 
 from .ingest import FLEXIBLE, RESTRICTIVE, InvocationSite
+from .syntax import Record
 
 # Ranged-mode key for score = -1 (empty subtree).
 EMPTY_STRATUM_KEY = -1
 
 
-class Stratum:
+class Stratum(Record):
+    _fields = ("key", "population", "sample_size", "member_ids")
+
     def __init__(self, key: int, population: int, sample_size: int = 0,
                  member_ids: list[str] | None = None) -> None:
         self.key = key
@@ -28,15 +31,10 @@ class Stratum:
         self.sample_size = sample_size
         self.member_ids = [] if member_ids is None else member_ids
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.key, self.population, self.sample_size,
-                self.member_ids) == (other.key, other.population,
-                                     other.sample_size, other.member_ids)
 
+class SamplePlan(Record):
+    _fields = ("confidence", "margin", "seed", "strata", "selected_ids")
 
-class SamplePlan:
     def __init__(self, confidence: float, margin: float, seed: int,
                  strata: list[Stratum], selected_ids: list[str]) -> None:
         self.confidence = confidence
@@ -44,14 +42,6 @@ class SamplePlan:
         self.seed = seed
         self.strata = strata
         self.selected_ids = selected_ids
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.confidence, self.margin, self.seed, self.strata,
-                self.selected_ids) == (other.confidence, other.margin,
-                                       other.seed, other.strata,
-                                       other.selected_ids)
 
 
 def count_d(site: InvocationSite) -> int:

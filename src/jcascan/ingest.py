@@ -22,27 +22,21 @@ import re
 from pathlib import Path
 
 from .javaparse import parse_unit
-from .syntax import (ParseWarning, SourceUnit, SyntaxNode, child_of_kind,
-                     decl_name, method_body, unit_index)
+from .syntax import (ParseWarning, Record, SourceUnit, SyntaxNode,
+                     child_of_kind, decl_name, method_body, unit_index)
 
 RESTRICTIVE = "restrictive"
 FLEXIBLE = "flexible"
 
 
-class ApiKind:
+class ApiKind(Record, hashable=True):
     """A target API signature and its invocation category."""
+
+    _fields = ("name", "category")
 
     def __init__(self, name: str, category: str) -> None:
         self.name = name
         self.category = category  # RESTRICTIVE or FLEXIBLE
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.category) == (other.name, other.category)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.category))
 
     def __str__(self) -> str:
         return self.name
@@ -63,12 +57,14 @@ DEFAULT_APIS = frozenset({
 })
 
 
-class CustomApi:
+class CustomApi(Record, hashable=True):
     """An extra API signature from a scan config file.
 
     ``Class.method`` form matches restrictive call sites; ``name(arity)``
     form matches flexible method declarations.
     """
+
+    _fields = ("kind", "receiver", "method", "arity")
 
     def __init__(self, kind: ApiKind, receiver: str | None = None,
                  method: str | None = None, arity: int | None = None) -> None:
@@ -77,17 +73,8 @@ class CustomApi:
         self.method = method      # restrictive callee / flexible name
         self.arity = arity        # flexible parameter count
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.receiver, self.method, self.arity) \
-            == (other.kind, other.receiver, other.method, other.arity)
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.receiver, self.method, self.arity))
-
-
-class InvocationSite:
+class InvocationSite(Record):
     """One occurrence of a target API in one file.
 
     ``path`` and ``offset`` (the start of ``node``) are recorded at
@@ -123,16 +110,6 @@ class InvocationSite:
         self.receiver_text = receiver_text  # restrictive receiver: "Cipher"
         self.start_line = start_line
         self.end_line = end_line
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def _values(self) -> tuple:
-        return (self.id, self.api, self.path, self.offset, self.subtree,
-                self.unit, self.node, self.type_body, self.method,
-                self.receiver_text, self.start_line, self.end_line)
 
     @property
     def order(self) -> tuple[str, int]:

@@ -42,7 +42,7 @@ from .javamodel import (BASE64_DECODE, Builder, Char, CharArray, EnumConst,
                         _MAX_LENGTH, _MISSING, _NotConcrete, _arith, _as_int,
                         _binary_op, _cast, _elem_of, _length, _load,
                         _object_parts, _preview, library_call, library_new)
-from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
+from .syntax import (Record, SourceUnit, SyntaxNode, child_of_kind, decl_name,
                      method_body, method_params, modifier_words, type_body,
                      unit_index)
 
@@ -50,21 +50,14 @@ from .syntax import (SourceUnit, SyntaxNode, child_of_kind, decl_name,
 ENUM_CONSTANT = "enum-constant"
 
 
-class TraceStep:
+class TraceStep(Record, hashable=True):
+    _fields = ("rule", "span", "intermediate")
+
     def __init__(self, rule: str, span: tuple[int, int],
                  intermediate: str = "") -> None:
         self.rule = rule
         self.span = span
         self.intermediate = intermediate
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rule, self.span, self.intermediate) \
-            == (other.rule, other.span, other.intermediate)
-
-    def __hash__(self) -> int:
-        return hash((self.rule, self.span, self.intermediate))
 
 
 class _BudgetExhausted(Exception):
@@ -766,30 +759,61 @@ def _c_update(interp, node, pre=0):
 
 
 def _c_assignment(interp, node, pre=0):
+    """An assignment stores its right-hand side's value after running it.
+    The links of a chain ``a = b = … = v`` run in one frame, in the order
+    nested assignments would take: each link ticks top-down, then the
+    innermost right-hand side runs, then each link stores, innermost first.
+    A link is ``(store, the link below or None, innermost right-hand
+    side)``."""
     n = 1 + pre
     compiled = interp.compiled
     lhs, rhs = node.children
-    rhs = compiled[id(rhs)]
-    op = str(node.value)
-    combine = None if op == "=" else partial(_arith, op[:-1])
-    if lhs.kind == "identifier":
-        name = str(lhs.value)
-        if combine is None:
-            def assign_local(interp, env, fields):
-                ctx = interp.ctx
-                ctx.steps += n
-                if ctx.steps > ctx.limit:
-                    ctx.exceeded(n)
-                env[name] = value = rhs(interp, env, fields)
-                return value
-            return assign_local
-
-        def combine_local(interp, env, fields):
+    below = compiled.get((id(rhs), "link"))
+    value_fn = compiled[id(rhs)] if below is None else below[2]
+    store = _store(compiled, lhs, str(node.value))
+    link = compiled[(id(node), "link")] = (store, below, value_fn)
+    if below is None:
+        def assign(interp, env, fields):
             ctx = interp.ctx
             ctx.steps += n
             if ctx.steps > ctx.limit:
                 ctx.exceeded(n)
-            value = rhs(interp, env, fields)
+            return store(interp, env, fields, value_fn(interp, env, fields))
+        return assign
+
+    def assign_chain(interp, env, fields):
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
+        links = [link]
+        inner = below
+        while inner is not None:
+            ctx.steps += 1
+            if ctx.steps > ctx.limit:
+                ctx.exceeded(1)
+            links.append(inner)
+            inner = inner[1]
+        value = value_fn(interp, env, fields)
+        for store, _, _ in reversed(links):
+            value = store(interp, env, fields, value)
+        return value
+    return assign_chain
+
+
+def _store(compiled: dict, lhs: SyntaxNode, op: str):
+    """The function that stores an assignment's evaluated right-hand side
+    into ``lhs`` under ``op`` and gives the assignment's value."""
+    combine = None if op == "=" else partial(_arith, op[:-1])
+    if lhs.kind == "identifier":
+        name = str(lhs.value)
+        if combine is None:
+            def store_local(interp, env, fields, value):
+                env[name] = value
+                return value
+            return store_local
+
+        def combine_local(interp, env, fields, value):
             if name not in env:
                 raise _NotConcrete
             env[name] = value = combine(env[name], value)
@@ -798,12 +822,7 @@ def _c_assignment(interp, node, pre=0):
     if lhs.kind == "array_access":
         array, index = (compiled[id(c)] for c in lhs.children)
 
-        def assign_element(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
-            value = rhs(interp, env, fields)
+        def store_element(interp, env, fields, value):
             arr = array(interp, env, fields)
             idx = _as_int(index(interp, env, fields))
             if not isinstance(arr, JArray):
@@ -816,30 +835,20 @@ def _c_assignment(interp, node, pre=0):
                 value = Char(value & 0xFFFF)
             arr.items[idx] = value
             return value
-        return assign_element
+        return store_element
     if lhs.kind == "field_access" and lhs.children[0].kind == "this":
         fname = str(lhs.children[1].value)
 
-        def assign_field(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
-            value = rhs(interp, env, fields)
+        def store_field(interp, env, fields, value):
             if combine is not None:
                 value = combine(fields.get(fname), value)
             fields[fname] = value
             return value
-        return assign_field
+        return store_field
 
-    def assign_other(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
-        rhs(interp, env, fields)
+    def store_other(interp, env, fields, value):
         raise _NotConcrete
-    return assign_other
+    return store_other
 
 
 def _c_cast(interp, node, pre=0):

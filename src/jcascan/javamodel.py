@@ -15,7 +15,7 @@ import operator
 import re
 from functools import partial
 
-from .syntax import SyntaxNode, child_of_kind
+from .syntax import Record, SyntaxNode, child_of_kind
 
 # Trace-step rule name of a decoded Base64 value (classification reads it).
 BASE64_DECODE = "base64-decode"
@@ -28,80 +28,40 @@ _MAX_LENGTH = 65536
 
 # -- value model ---------------------------------------------------------
 
-class Char:
-    """A char value: slotted, and equal, hashed and printed by its code
-    point as a frozen dataclass would be."""
+class Char(Record, hashable=True, value_repr=True):
+    """A char value, slotted and equal, hashed and printed by its code
+    point."""
 
     __slots__ = ("cp",)
 
     def __init__(self, cp: int) -> None:
         self.cp = cp
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cp == other.cp
 
-    def __hash__(self) -> int:
-        return hash((self.cp,))
+class CharArray(Record, hashable=True, value_repr=True):
+    _fields = ("text",)
 
-    def __repr__(self) -> str:
-        return f"Char(cp={self.cp!r})"
-
-
-class CharArray:
     def __init__(self, text: str) -> None:
         self.text = text
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text
 
-    def __hash__(self) -> int:
-        return hash((self.text,))
-
-    def __repr__(self) -> str:
-        return f"CharArray(text={self.text!r})"
-
-
-class SBuf:
+class SBuf(Record, hashable=True, value_repr=True):
     """Immutable snapshot of a StringBuilder/StringBuffer value."""
 
+    _fields = ("text",)
+
     def __init__(self, text: str) -> None:
         self.text = text
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text
 
-    def __hash__(self) -> int:
-        return hash((self.text,))
+class EnumConst(Record, hashable=True, value_repr=True):
+    _fields = ("enum_name", "const_name", "fields")
 
-    def __repr__(self) -> str:
-        return f"SBuf(text={self.text!r})"
-
-
-class EnumConst:
     def __init__(self, enum_name: str, const_name: str,
                  fields: tuple[tuple[str, object], ...] = ()) -> None:
         self.enum_name = enum_name
         self.const_name = const_name
         self.fields = fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.enum_name, self.const_name, self.fields) \
-            == (other.enum_name, other.const_name, other.fields)
-
-    def __hash__(self) -> int:
-        return hash((self.enum_name, self.const_name, self.fields))
-
-    def __repr__(self) -> str:
-        return (f"EnumConst(enum_name={self.enum_name!r}, "
-                f"const_name={self.const_name!r}, fields={self.fields!r})")
 
     def field_value(self, name: str) -> object:
         for key, val in self.fields:

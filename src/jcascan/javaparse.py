@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .syntax import ParseWarning, SourceUnit, SyntaxNode
+from .syntax import ParseWarning, Record, SourceUnit, SyntaxNode
 
 PRIMITIVE_TYPES = {"boolean", "byte", "char", "short", "int", "long",
                    "float", "double", "void"}
@@ -76,7 +76,7 @@ _TOKEN = re.compile(
 _LOOKAHEAD = 2
 
 
-class Token:
+class Token(Record):
     __slots__ = ("kind", "text", "start", "end", "value")
 
     def __init__(self, kind: str, text: str, start: int, end: int,
@@ -86,12 +86,6 @@ class Token:
         self.start = start
         self.end = end
         self.value = value
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.text, self.start, self.end, self.value) \
-            == (other.kind, other.text, other.start, other.end, other.value)
 
 
 class ParseError(Exception):

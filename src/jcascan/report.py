@@ -21,6 +21,7 @@ from .ingest import (DEFAULT_APIS, RESTRICTIVE, ApiKind, CustomApi,
                      InvocationSite, corpus_files, scan_file)
 from .resolve import ResolutionBudget, resolve_site
 from .rules import ERROR, WARNING, INFO, MisuseFinding, check_site
+from .syntax import Record
 
 _SEVERITY_RANK = {INFO: 0, WARNING: 1, ERROR: 2}
 FAIL_ON_CHOICES = (ERROR, WARNING, "NONE")
@@ -44,7 +45,7 @@ def finding_record(finding: MisuseFinding) -> dict:
     }
 
 
-class SiteAnalysis:
+class SiteAnalysis(Record):
     __slots__ = ("site", "d", "score", "labels", "signature", "candidates",
                  "residuals", "findings")
 
@@ -60,15 +61,6 @@ class SiteAnalysis:
         self.candidates = candidates
         self.residuals = residuals
         self.findings = findings
-
-    def _values(self) -> tuple:
-        return (self.site, self.d, self.score, self.labels, self.signature,
-                self.candidates, self.residuals, self.findings)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
 
 
 def analyze_site(site: InvocationSite,

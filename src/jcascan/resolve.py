@@ -39,8 +39,8 @@ from .javamodel import (UNARY, Builder, Char, CharArray, EnumConst, JArray,
 # tests check the member and enum lookups against their references.
 from .interp import _class_members, _enum_model  # noqa: F401
 from .javamodel import BASE64_DECODE  # noqa: F401
-from .syntax import (SourceUnit, SyntaxNode, method_body, method_params,
-                     modifier_words, unit_index)
+from .syntax import (Record, SourceUnit, SyntaxNode, method_body,
+                     method_params, modifier_words, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -62,12 +62,15 @@ _EXTERNAL_METHODS = {"getStringExtra", "getProperty", "getParameter",
                      "getText", "getPreference"}
 
 
-class ResolutionBudget:
+class ResolutionBudget(Record, hashable=True):
     # The defaults, which `jcascan scan` reads from the class.
     max_indirection = 2
     max_candidates = 16
     max_steps = 10_000
     max_call_depth = 8
+
+    _fields = ("max_indirection", "max_candidates", "max_steps",
+               "max_call_depth")
 
     def __init__(self, max_indirection: int = max_indirection,
                  max_candidates: int = max_candidates,
@@ -81,20 +84,11 @@ class ResolutionBudget:
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
 
-    def _values(self) -> tuple:
-        return (self.max_indirection, self.max_candidates, self.max_steps,
-                self.max_call_depth)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+class ResolvedValue(Record):
+    _fields = ("candidates", "residuals", "trace", "raw_candidates",
+               "touched_literals")
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class ResolvedValue:
     def __init__(self, candidates: set[str], residuals: set[str],
                  trace: list[TraceStep] | None = None,
                  raw_candidates: set | None = None,
@@ -108,14 +102,6 @@ class ResolvedValue:
         self.touched_literals = set() if touched_literals is None \
             else touched_literals
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.candidates, self.residuals, self.trace,
-                self.raw_candidates, self.touched_literals) \
-            == (other.candidates, other.residuals, other.trace,
-                other.raw_candidates, other.touched_literals)
-
     @property
     def concrete(self) -> bool:
         return bool(self.candidates) and not self.residuals
@@ -123,18 +109,14 @@ class ResolvedValue:
 
 # -- abstract, set-valued resolver ----------------------------------------
 
-class _VS:
+class _VS(Record):
     """A set of concrete values plus residual markers."""
+
+    _fields = ("values", "residuals")
 
     def __init__(self, values: set, residuals: set) -> None:
         self.values = values
         self.residuals = residuals
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.residuals) \
-            == (other.values, other.residuals)
 
     @staticmethod
     def of(*values) -> "_VS":
@@ -188,9 +170,6 @@ class _Abstract:
         self.class_body = body if body is not None \
             and unit_index(unit).named_owner(body) is not None else None
         self.interp = _Interp(ctx, unit, self.class_body)
-        # ids of the method-body statements the concrete interpreter gave
-        # up on, running the statements before them or their expression.
-        self.gave_up: set[int] = set()
         # ids of the method-body statements a region run could not run.
         self.not_run: set[int] = set()
 
@@ -228,7 +207,6 @@ class _Abstract:
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
                                  saved_steps + 1000)
-            self.gave_up.add(id(_statement_of(body, expr)))
             return _MISSING
         except _BudgetExhausted:
             return _VS.residual(DEPTH_EXCEEDED)
@@ -255,12 +233,7 @@ class _Abstract:
         if kind == "parenthesized_expression":
             return self._resolve_node(node.children[0], depth, env)
         if kind == "ternary_expression":
-            then = self.resolve(node.children[1], depth, env)
-            other = self.resolve(node.children[2], depth, env)
-            union = self._cap(then.union(other), node)
-            self.ctx.note("ternary-union", node,
-                          f"{len(union.values)} candidates")
-            return union
+            return self._resolve_ternary(node, depth, env)
         if kind == "binary_expression":
             return self._resolve_binary(node, depth, env)
         if kind == "cast_expression":
@@ -325,6 +298,26 @@ class _Abstract:
         if rule is not None and out.values:
             self.ctx.note(rule, node, _preview(next(iter(out.values))))
         return out
+
+    def _resolve_ternary(self, node: SyntaxNode, depth: int,
+                         env: dict[str, _VS]) -> _VS:
+        """The union of both branches. A chain ``c ? a : d ? b : …`` runs in
+        one frame, in the order nested calls would take: each link ticks
+        and resolves its ``then`` top-down, then the last ``else`` is
+        resolved and each link's union is capped, innermost first."""
+        links = [node]
+        thens = [self.resolve(node.children[1], depth, env)]
+        while links[-1].children[2].kind == "ternary_expression":
+            links.append(links[-1].children[2])
+            # `resolve` and `_resolve_node` of the link.
+            self.ctx.tick(2)
+            thens.append(self.resolve(links[-1].children[1], depth, env))
+        value = self.resolve(links[-1].children[2], depth, env)
+        for link, then in zip(reversed(links), reversed(thens)):
+            value = self._cap(then.union(value), link)
+            self.ctx.note("ternary-union", link,
+                          f"{len(value.values)} candidates")
+        return value
 
     def _resolve_binary(self, node: SyntaxNode, depth: int,
                         env: dict[str, _VS]) -> _VS:
@@ -407,16 +400,11 @@ class _Abstract:
     def _resolve_builder(self, method: SyntaxNode, name: str,
                          definition: SyntaxNode, use: SyntaxNode,
                          depth: int) -> _VS:
-        """A builder local at ``use``. Where the concrete interpreter gave
-        up on the statement holding ``use``, the statements before it that
-        mention the local did not all run, so its value is its
-        definition's through the statement-level call chains on it in
-        between, such as ``sb.append(p);``, and any other mention in
-        between, which may change it unseen, leaves only a residual."""
+        """A builder local at ``use``: its definition's value through the
+        statement-level call chains on it in between, such as
+        ``sb.append(p);``. Any other mention in between may change it
+        unseen and leaves only a residual."""
         body = method_body(method)
-        stmt = _statement_of(body, use)
-        if stmt is None or id(stmt) not in self.gave_up:
-            return self.resolve(definition, depth + 1, {})
         calls = []
         for node in body.walk():
             if node.kind != "identifier" or str(node.value) != name \

@@ -18,7 +18,7 @@ from .classify import LabelSet
 from .ingest import RESTRICTIVE, RESTRICTIVE_SECRETKEYSPEC, InvocationSite
 from .resolve import (NATIVE, ResolvedValue, has_encrypted_param_pattern,
                       visible_literals)
-from .syntax import SyntaxNode, method_body, unit_index
+from .syntax import Record, SyntaxNode, method_body, unit_index
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -57,7 +57,7 @@ _COMPARISON_METHODS = {"equals", "equalsIgnoreCase", "contains",
                        "startsWith", "endsWith", "compareTo", "matches"}
 
 
-class MisuseFinding:
+class MisuseFinding(Record):
     __slots__ = ("site_id", "rule_id", "severity", "message",
                  "effective_value", "evidence", "evasive")
 
@@ -72,15 +72,6 @@ class MisuseFinding:
         self.effective_value = effective_value
         self.evidence = [] if evidence is None else evidence
         self.evasive = evasive
-
-    def _values(self) -> tuple:
-        return (self.site_id, self.rule_id, self.severity, self.message,
-                self.effective_value, self.evidence, self.evasive)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
 
 
 # Each rule's severity and description. R7's severity is the receiver
@@ -154,21 +145,14 @@ def expand_oid(oid: str) -> str | None:
     return None
 
 
-class Transformation:
+class Transformation(Record, hashable=True):
+    _fields = ("algorithm", "mode", "padding")
+
     def __init__(self, algorithm: str, mode: str | None,
                  padding: str | None) -> None:
         self.algorithm = algorithm
         self.mode = mode
         self.padding = padding
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algorithm, self.mode, self.padding) \
-            == (other.algorithm, other.mode, other.padding)
-
-    def __hash__(self) -> int:
-        return hash((self.algorithm, self.mode, self.padding))
 
     @staticmethod
     def parse(value: str) -> "Transformation | None":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator
 
 # Kinds that must never appear in a tree. Used by property tests to check
@@ -32,7 +33,43 @@ SITE_KINDS = frozenset({"method_invocation", "object_creation_expression",
                         "method_declaration"})
 
 
-class SyntaxNode:
+class Record:
+    """A value compared field by field, as a dataclass compares.
+
+    ``_fields`` names the fields in constructor order: the class's own
+    ``__slots__``, unless it names them itself. ``==`` returns
+    ``NotImplemented`` for another class. ``hashable=True`` hashes the field
+    tuple; ``value_repr=True`` prints ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hashable=False, value_repr=False) -> None:
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        # The field tuple, read in C; attrgetter gives one field bare.
+        get = attrgetter(*fields)
+        cls._values = property(get if len(fields) > 1
+                               else lambda self: (get(self),))
+        if not hashable:
+            cls.__hash__ = None
+        if value_repr:
+            cls.__repr__ = Record._value_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def _value_repr(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({values})"
+
+
+class SyntaxNode(Record):
     """One named node: a kind, a source span, and ordered named children."""
 
     __slots__ = ("kind", "start", "end", "children", "value", "source")
@@ -48,13 +85,6 @@ class SyntaxNode:
         self.value = value
         # Back-reference to the full source text for .text slicing.
         self.source = source
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.start, self.end, self.children, self.value,
-                self.source) == (other.kind, other.start, other.end,
-                                 other.children, other.value, other.source)
 
     @property
     def text(self) -> str:
@@ -83,7 +113,7 @@ class SyntaxNode:
         return f"SyntaxNode({self.kind}, {self.start}:{self.end})"
 
 
-class ParseWarning:
+class ParseWarning(Record):
     """A non-fatal parse problem, recorded per node or per file."""
 
     __slots__ = ("path", "offset", "message")
@@ -93,15 +123,11 @@ class ParseWarning:
         self.offset = offset
         self.message = message
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.path, self.offset, self.message) \
-            == (other.path, other.offset, other.message)
 
-
-class SourceUnit:
+class SourceUnit(Record):
     """A parsed Java file: path, text, and the normalized named-node tree."""
+
+    _fields = ("path", "text", "root", "warnings")
 
     def __init__(self, path: str, text: str, root: SyntaxNode,
                  warnings: list[ParseWarning] | None = None) -> None:
@@ -111,12 +137,6 @@ class SourceUnit:
         self.warnings = [] if warnings is None else warnings
         # The unit's `UnitIndex`, built by `unit_index` on first use.
         self._index: UnitIndex | None = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.path, self.text, self.root, self.warnings) \
-            == (other.path, other.text, other.root, other.warnings)
 
     @property
     def parse_failed(self) -> bool:
@@ -349,20 +369,16 @@ class UnitIndex:
         return facts
 
 
-class MemberFacts:
+class MemberFacts(Record):
     """What per-site analysis reads from the members of a class body."""
+
+    _fields = ("fields", "field_modifiers")
 
     def __init__(self, fields: tuple[SyntaxNode, ...],
                  field_modifiers: dict[str, tuple[str, ...]]) -> None:
         self.fields = fields
         # Field name -> modifier words of the first declaration naming it.
         self.field_modifiers = field_modifiers
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fields, self.field_modifiers) \
-            == (other.fields, other.field_modifiers)
 
     @staticmethod
     def of(members: list[SyntaxNode]) -> MemberFacts:

@@ -228,6 +228,39 @@ def test_long_receiver_chain_resolves_at_any_stack_depth(
     assert analysis.residuals == residuals
 
 
+@pytest.mark.parametrize("extra_frames", [0, 300, 600])
+def test_long_ternary_chain_resolves_at_any_stack_depth(extra_frames):
+    """A chain of 1000 ternaries ``c ? v0 : c ? v1 : …`` is resolved in one
+    frame; its 1001 candidates are capped innermost first, which keeps the
+    16 least."""
+    values = [f"v{i:04d}" for i in range(1001)]
+    chain = "".join(f'c ? "{v}" : ' for v in values[:-1]) + f'"{values[-1]}"'
+    source = ("import javax.crypto.Cipher;\nclass Chain {\n"
+              "    void m(boolean c) throws Exception {\n"
+              f"        Cipher.getInstance({chain});\n    }}\n}}\n")
+    site = extract_sites(parse_unit("Chain.java", source))[0]
+    analysis = _under_frames(extra_frames, lambda: analyze_site(site))
+    assert analysis.candidates == values[:16]
+    assert analysis.residuals == ["DEPTH_EXCEEDED"]
+
+
+@pytest.mark.parametrize("extra_frames", [0, 300, 600])
+def test_long_assignment_chain_runs_at_any_stack_depth(extra_frames):
+    """A chain of 1000 assignments ``a0 = a1 = … = "DES"`` runs in one
+    frame, so the site keeps its value and its R1 finding."""
+    names = [f"a{i}" for i in range(1000)]
+    source = ("import javax.crypto.Cipher;\nclass Chain {\n"
+              "    void m() throws Exception {\n"
+              f"        String {', '.join(names)};\n"
+              f"        {' = '.join(names)} = \"DES\";\n"
+              "        Cipher.getInstance(a0);\n    }\n}\n")
+    site = extract_sites(parse_unit("Chain.java", source))[0]
+    analysis = _under_frames(extra_frames, lambda: analyze_site(site))
+    assert analysis.candidates == ["DES"]
+    assert analysis.residuals == []
+    assert [f.rule_id for f in analysis.findings] == ["R1"]
+
+
 @pytest.mark.parametrize("path,text", [
     pair for pair in _sources() if pair[0].startswith("snippets/")])
 def test_snippets_parse_cleanly(path, text):

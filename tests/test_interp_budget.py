@@ -124,6 +124,44 @@ def test_every_budget_matches_its_digest():
         assert current[key] == recorded[key], key
 
 
+CHAINS_SRC = ("import javax.crypto.Cipher;\n"
+              "class Chains {\n"
+              "    String f;\n"
+              "    void ternary(boolean c, String p) throws Exception {\n"
+              '        String s = "S";\n'
+              '        Cipher.getInstance(c ? s + "x" : c ? p'
+              ' : c ? "A" : s);\n'
+              "    }\n"
+              "    void assignment(int p) throws Exception {\n"
+              "        String a, b; char i; int j = 2;"
+              " char[] cs = new char[2];\n"
+              '        a = this.f = b = "DES";\n'
+              '        String q, r; q = r = "X" + p;\n'
+              "        i = cs[0] = cs[1] = (char) (j += 64);\n"
+              "        Cipher.getInstance(a + b + new String(cs) + i);\n"
+              "    }\n"
+              "}\n")
+
+
+def test_chains_tick_as_nested_links_did():
+    """A ternary chain and an assignment chain, each run in one frame, give
+    at every budget what they gave when each link was a nested call: these
+    digests were taken from that implementation."""
+    recorded = {
+        146: (25, "794647318f2dabce46e3069da1ca322413731a958dace759dc2e881c"
+                  "fe4f52d8"),
+        442: (40, "7aaeed91f8421408e9441cf2001f9b1bb3b20a3c432b9a85714630868"
+                  "895b95f"),
+    }
+    current = {}
+    for site in extract_sites(parse_unit("Chains.java", CHAINS_SRC)):
+        steps = _outcome(site, ResolutionBudget().max_steps)[1]
+        sweep = [_outcome(site, n) for n in range(1, steps + 2)]
+        current[site.offset] = (steps, hashlib.sha256(
+            json.dumps(sweep).encode("utf-8")).hexdigest())
+    assert current == recorded
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(digests(), indent=0, sort_keys=True)
                        + "\n", encoding="utf-8")

@@ -5,10 +5,15 @@ sends back."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import pickle
+import pkgutil
+from pathlib import Path
 
 import pytest
 
+import jcascan
 from jcascan.classify import ArgumentSignature, LabelSet
 from jcascan.complexity import SamplePlan, Stratum
 from jcascan.ingest import ApiKind, CustomApi, InvocationSite
@@ -18,7 +23,7 @@ from jcascan.javaparse import Token
 from jcascan.report import SiteAnalysis
 from jcascan.resolve import ResolutionBudget, ResolvedValue, _VS
 from jcascan.rules import MisuseFinding, Transformation
-from jcascan.syntax import (MemberFacts, ParseWarning, SourceUnit,
+from jcascan.syntax import (MemberFacts, ParseWarning, Record, SourceUnit,
                             SyntaxNode, unit_index)
 
 NODE = SyntaxNode("identifier", 0, 1, value="a", source="a")
@@ -77,6 +82,8 @@ RECORDS = [
      ("population", 4), False, False),
     (SamplePlan, (0.95, 0.05, 1, [Stratum(1, 3)], ["A.java:3"]), {},
      ("seed", 2), False, False),
+    (MemberFacts, ((NODE,), {"a": ("static",)}), {}, ("fields", ()),
+     False, False),
 ]
 
 # Constructor parameter names, in order.
@@ -109,6 +116,7 @@ FIELDS = {
                    "candidates", "residuals", "findings"),
     Stratum: ("key", "population", "sample_size", "member_ids"),
     SamplePlan: ("confidence", "margin", "seed", "strata", "selected_ids"),
+    MemberFacts: ("fields", "field_modifiers"),
 }
 
 
@@ -118,6 +126,42 @@ def _ids(record) -> str:
 
 def test_every_record_is_listed():
     assert [r[0] for r in RECORDS] == list(FIELDS)
+
+
+def test_every_record_subclass_is_pinned():
+    """A new `Record` subclass anywhere in the package joins the pins."""
+    for module in pkgutil.iter_modules(jcascan.__path__):
+        importlib.import_module(f"jcascan.{module.name}")
+    subclasses, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            subclasses.add(cls)
+            todo.append(cls)
+    assert subclasses == set(FIELDS)
+
+
+def test_only_the_record_base_defines_equality():
+    """Outside `bench`, which keeps its dataclasses, no class writes its
+    own field-wise ``__eq__``, ``__hash__`` or ``_values``."""
+    copies = []
+    for path in sorted(Path(jcascan.__file__).parent.glob("*.py")):
+        if path.name == "bench.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "Record":
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    continue
+                copies += [f"{path.name}:{cls.name}.{name}" for name in names
+                           if name in ("__eq__", "__hash__", "_values")]
+    assert copies == []
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_ids)
@@ -158,6 +202,14 @@ def test_equality_and_hash_are_field_wise(record):
         assert len({a, b, c}) == 2
     else:
         assert cls.__hash__ is None
+
+
+@pytest.mark.parametrize("record", [r for r in RECORDS if r[5]], ids=_ids)
+def test_hash_is_the_field_tuple_hash(record):
+    """Set order over hashed values stays what it was."""
+    cls, args = record[:2]
+    obj = cls(*args)
+    assert hash(obj) == hash(tuple(getattr(obj, n) for n in FIELDS[cls]))
 
 
 def test_member_facts_compare_by_field():

@@ -381,8 +381,7 @@ def _builder_src(statements: str) -> str:
 
 
 class TestBuilderLocal:
-    """A builder local whose statements the interpreter gave up on is not
-    read from its declaration alone."""
+    """A builder local is not read from its declaration alone."""
 
     def test_appended_parameter_leaves_a_residual(self):
         _, resolved, _, findings = pipeline(
@@ -408,6 +407,31 @@ class TestBuilderLocal:
             'if (c) { sb.append("DES"); }')))
         assert r.candidates == set()
         assert r.residuals == {UNKNOWN}
+
+    def test_builder_under_a_ternary_is_not_its_declaration(self):
+        """A ternary in the argument skips the interpreter's region run;
+        the builder's statements before the site still count."""
+        src = ('import javax.crypto.Cipher;\n'
+               'class B { void m(boolean c) throws Exception {\n'
+               '    StringBuilder sb = new StringBuilder("DES");\n'
+               '    sb.setLength(0); sb.append("AES");\n'
+               '    Cipher.getInstance(sb.toString()'
+               ' + (c ? "" : "/GCM/NoPadding")); } }\n')
+        _, resolved, _, findings = pipeline(src)
+        assert resolved.candidates == set()
+        assert resolved.residuals == {UNKNOWN}
+        assert findings == []
+
+    def test_appends_under_a_ternary_fold(self):
+        r = resolve_site(site_of(
+            'import javax.crypto.Cipher;\n'
+            'class B { void m(boolean c) throws Exception {\n'
+            '    StringBuilder sb = new StringBuilder();\n'
+            '    sb.append("AES");\n'
+            '    Cipher.getInstance(sb.toString()'
+            ' + (c ? "" : "/GCM/NoPadding")); } }\n'))
+        assert r.candidates == {"AES", "AES/GCM/NoPadding"}
+        assert not r.residuals
 
 
 def _array_src(statements: str) -> str:
