@@ -764,14 +764,14 @@ def _c_assignment(interp, node, pre=0):
     nested assignments would take: each link ticks top-down, then the
     innermost right-hand side runs, then each link stores, innermost first.
     A link is ``(store, the link below or None, innermost right-hand
-    side)``."""
+    side)``, cached under ``(id(node), "assign")`` apart from call links."""
     n = 1 + pre
     compiled = interp.compiled
     lhs, rhs = node.children
-    below = compiled.get((id(rhs), "link"))
+    below = compiled.get((id(rhs), "assign"))
     value_fn = compiled[id(rhs)] if below is None else below[2]
     store = _store(compiled, lhs, str(node.value))
-    link = compiled[(id(node), "link")] = (store, below, value_fn)
+    link = compiled[(id(node), "assign")] = (store, below, value_fn)
     if below is None:
         def assign(interp, env, fields):
             ctx = interp.ctx
@@ -1112,11 +1112,12 @@ def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
     receiver chain ``x.f().g()…`` run in one frame, in the order nested
     calls would take: each link ticks top-down, then the innermost receiver
     runs, then each link's arguments and call, innermost first. A link is
-    ``(arg_fns, finish, the link below or None, innermost receiver)``."""
+    ``(arg_fns, finish, the link below or None, innermost receiver)``,
+    cached under ``(id(node), "call")`` apart from assignment links."""
     compiled = interp.compiled
-    below = compiled.get((id(receiver), "link"))
+    below = compiled.get((id(receiver), "call"))
     base_fn = compiled[id(receiver)] if below is None else below[3]
-    link = compiled[(id(node), "link")] = (arg_fns, finish, below, base_fn)
+    link = compiled[(id(node), "call")] = (arg_fns, finish, below, base_fn)
 
     def call_chain(interp, env, fields):
         ctx = interp.ctx

@@ -261,6 +261,29 @@ def test_long_assignment_chain_runs_at_any_stack_depth(extra_frames):
     assert [f.rule_id for f in analysis.findings] == ["R1"]
 
 
+@pytest.mark.parametrize("statements,candidates", [
+    ('String s; s = new StringBuilder("DE").append("S").toString();',
+     ["DES"]),
+    ('String s; String t = " des "; s = t.trim().toUpperCase();', ["DES"]),
+    ('String s, r; s = r = new StringBuilder("DE").append("S")'
+     '.toString();', ["DES"]),
+    ('StringBuilder b = new StringBuilder("DE"); String s;'
+     ' s = (b = b.append("S")).toString().trim();', ["DES"]),
+])
+def test_assignment_and_call_chains_nest(statements, candidates):
+    """An assignment whose right-hand side is a call chain, and a call chain
+    whose receiver is an assignment, each run as their own links."""
+    source = ("import javax.crypto.Cipher;\nclass Nest {\n"
+              "    void m() throws Exception {\n"
+              f"        {statements}\n"
+              "        Cipher.getInstance(s);\n    }\n}\n")
+    analysis = analyze_site(extract_sites(parse_unit("Nest.java",
+                                                     source))[0])
+    assert analysis.candidates == candidates
+    assert analysis.residuals == []
+    assert [f.rule_id for f in analysis.findings] == ["R1"]
+
+
 @pytest.mark.parametrize("path,text", [
     pair for pair in _sources() if pair[0].startswith("snippets/")])
 def test_snippets_parse_cleanly(path, text):

@@ -140,18 +140,27 @@ CHAINS_SRC = ("import javax.crypto.Cipher;\n"
               "        i = cs[0] = cs[1] = (char) (j += 64);\n"
               "        Cipher.getInstance(a + b + new String(cs) + i);\n"
               "    }\n"
+              "    void nested() throws Exception {\n"
+              '        StringBuilder b = new StringBuilder("D"); String s, t;\n'
+              '        s = t = b.append("E").append(\'S\').toString();\n'
+              '        t = (b = b.append(" X ")).toString().trim();\n'
+              "        Cipher.getInstance(s + t.toLowerCase());\n"
+              "    }\n"
               "}\n")
 
 
 def test_chains_tick_as_nested_links_did():
-    """A ternary chain and an assignment chain, each run in one frame, give
-    at every budget what they gave when each link was a nested call: these
-    digests were taken from that implementation."""
+    """A ternary chain, an assignment chain and assignment and call chains
+    nested in each other, each run in one frame, give at every budget what
+    they gave when each link was a nested call: these digests were taken
+    from that implementation."""
     recorded = {
         146: (25, "794647318f2dabce46e3069da1ca322413731a958dace759dc2e881c"
                   "fe4f52d8"),
         442: (40, "7aaeed91f8421408e9441cf2001f9b1bb3b20a3c432b9a85714630868"
                   "895b95f"),
+        711: (27, "95e6abe4a8f7461c672b04b52e0fca7503aa472d7aa976674f57b196"
+                  "10b1d92e"),
     }
     current = {}
     for site in extract_sites(parse_unit("Chains.java", CHAINS_SRC)):
