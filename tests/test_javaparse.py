@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,166 @@ class TestRecovery:
                           f"{init}; void m() {{ }} }}")
         assert len(unit.warnings) == 1
         assert any(n.kind == "method_declaration" for n in unit.root.walk())
+
+
+
+def _outline(node, depth: int = 0) -> list[str]:
+    """One ``kind 'text'`` line per node in pre-order, indented by depth,
+    with `` = value`` where the value is not the node's text."""
+    line = "  " * depth + f"{node.kind} {node.text!r}"
+    if node.value is not None and node.value != node.text:
+        line += f" = {node.value!r}"
+    return [line] + [line for child in node.children
+                     for line in _outline(child, depth + 1)]
+
+
+# Constructs no golden input holds, with the trees they parse to.
+_PINNED = {
+    "switch-labels": (
+        "switch (k) { case 1: a(); case 2: default: b(); }"
+        " switch (k) { case 1 -> a(); default -> { b(); } }", """
+        block '{ switch (k) { case 1: a(); case 2: default: b(); } switch (k) { case 1 -> a(); default -> { b(); } } }'
+          switch_statement 'switch (k) { case 1: a(); case 2: default: b(); }'
+            identifier 'k'
+            expression_statement 'a();'
+              method_invocation 'a()' = 'a'
+                identifier 'a'
+                argument_list '()'
+            expression_statement 'b();'
+              method_invocation 'b()' = 'b'
+                identifier 'b'
+                argument_list '()'
+          switch_statement 'switch (k) { case 1 -> a(); default -> { b(); } }'
+            identifier 'k'
+            expression_statement 'a();'
+              method_invocation 'a()' = 'a'
+                identifier 'a'
+                argument_list '()'
+            block '{ b(); }'
+              expression_statement 'b();'
+                method_invocation 'b()' = 'b'
+                  identifier 'b'
+                  argument_list '()'"""),
+    "final": (
+        "final int x = 1; for (final String s : q) { }"
+        " try (final Reader r = open(); Writer w = make()) { }"
+        " catch (final IOException | RuntimeException e) { }", """
+        block '{ final int x = 1; for (final String s : q) { } try (final Reader r = open(); Writer w = make()) { } catch (final IOException | RuntimeException e) { } }'
+          local_variable_declaration 'final int x = 1;'
+            type_identifier 'int'
+            variable_declarator 'x = 1'
+              identifier 'x'
+              decimal_integer_literal '1' = 1
+          enhanced_for_statement 'for (final String s : q) { }'
+            type_identifier 'String'
+            identifier 's'
+            identifier 'q'
+            block '{ }'
+          try_statement 'try (final Reader r = open(); Writer w = make()) { } catch (final IOException | RuntimeException e) { }'
+            local_variable_declaration 'final Reader r = open()'
+              type_identifier 'Reader'
+              variable_declarator 'r = open()'
+                identifier 'r'
+                method_invocation 'open()' = 'open'
+                  identifier 'open'
+                  argument_list '()'
+            local_variable_declaration 'Writer w = make()'
+              type_identifier 'Writer'
+              variable_declarator 'w = make()'
+                identifier 'w'
+                method_invocation 'make()' = 'make'
+                  identifier 'make'
+                  argument_list '()'
+            block '{ }'
+            catch_clause 'catch (final IOException | RuntimeException e) { }'
+              type_identifier 'IOException'
+              type_identifier 'RuntimeException'
+              identifier 'e'
+              block '{ }'"""),
+    "local-dims": (
+        "int a[] = {1}, b, c[][];", """
+        block '{ int a[] = {1}, b, c[][]; }'
+          local_variable_declaration 'int a[] = {1}, b, c[][];'
+            type_identifier 'int'
+            variable_declarator 'a[] = {1}'
+              identifier 'a'
+              array_initializer '{1}'
+                decimal_integer_literal '1' = 1
+            variable_declarator 'b'
+              identifier 'b'
+            variable_declarator 'c[][]'
+              identifier 'c'"""),
+}
+
+_PINNED_TYPES = {
+    "enum-implements": (
+        "public enum E implements A, B { X(1), Y { int f() { return 2; } };"
+        " int g; }", """
+        program 'public enum E implements A, B { X(1), Y { int f() { return 2; } }; int g; }'
+          enum_declaration 'public enum E implements A, B { X(1), Y { int f() { return 2; } }; int g; }'
+            modifiers 'public' = ('public',)
+            identifier 'E'
+            type_identifier 'A'
+            type_identifier 'B'
+            enum_body '{ X(1), Y { int f() { return 2; } }; int g; }'
+              enum_constant 'X(1)'
+                identifier 'X'
+                argument_list '(1)'
+                  decimal_integer_literal '1' = 1
+              enum_constant 'Y { int f() { return 2; } }'
+                identifier 'Y'
+              field_declaration 'int g;'
+                type_identifier 'int'
+                variable_declarator 'g'
+                  identifier 'g'"""),
+    "interface-extends": (
+        "abstract interface I<T> extends A, B<T> { void m(); }", """
+        program 'abstract interface I<T> extends A, B<T> { void m(); }'
+          interface_declaration 'abstract interface I<T> extends A, B<T> { void m(); }'
+            modifiers 'abstract' = ('abstract',)
+            identifier 'I'
+            type_identifier 'A'
+            type_identifier 'B'
+            class_body '{ void m(); }'
+              method_declaration 'void m();'
+                type_identifier 'void'
+                identifier 'm'
+                formal_parameters '()'"""),
+    "final-parameters": (
+        "class A { void m(final int p, final String... q) { } }", """
+        program 'class A { void m(final int p, final String... q) { } }'
+          class_declaration 'class A { void m(final int p, final String... q) { } }'
+            identifier 'A'
+            class_body '{ void m(final int p, final String... q) { } }'
+              method_declaration 'void m(final int p, final String... q) { }'
+                type_identifier 'void'
+                identifier 'm'
+                formal_parameters '(final int p, final String... q)'
+                  formal_parameter 'final int p'
+                    type_identifier 'int'
+                    identifier 'p'
+                  formal_parameter 'final String... q'
+                    type_identifier 'String'
+                    identifier 'q'
+                block '{ }'"""),
+}
+
+
+class TestPinnedShapes:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_statements(self, name):
+        body, expected = _PINNED[name]
+        unit = parse_unit("P.java", f"class A {{ void m() {{ {body} }} }}")
+        assert unit.warnings == []
+        block = unit.root.find_all("block")[0]
+        assert _outline(block) == textwrap.dedent(expected).split("\n")[1:]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_TYPES))
+    def test_types(self, name):
+        src, expected = _PINNED_TYPES[name]
+        unit = parse_unit("P.java", src)
+        assert unit.warnings == []
+        assert _outline(unit.root) == textwrap.dedent(expected).split("\n")[1:]
 
 
 def _shape(node) -> str:
