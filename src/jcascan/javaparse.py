@@ -174,14 +174,17 @@ def tokenize(text: str,
         if i == n:
             break
         c = text[i]
-        if c == '"':
+        if c == '"' or c == "'":
+            # A string or char literal ends at its quote, or before the
+            # end of its line.
             j = i + 1
-            while j < n and text[j] != '"':
+            while j < n and text[j] != c:
                 if text[j] == "\\":
                     j += 1
                     if j == n:
-                        problems.append(
-                            (i, "literal ends inside an escape sequence"))
+                        if c == '"':
+                            problems.append(
+                                (i, "literal ends inside an escape sequence"))
                         break
                 if text[j] == "\n":
                     break
@@ -190,23 +193,10 @@ def tokenize(text: str,
             value, valid = _decode_escapes(text[i + 1:j])
             if not valid:
                 problems.append((i, "invalid escape sequence"))
-            append(Token("string", text[i:end], i, end, value))
-            i = end
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                if text[j] == "\\":
-                    j += 1
-                if j < n and text[j] == "\n":
-                    break
-                j += 1
-            end = min(j + 1, n)
-            value, valid = _decode_escapes(text[i + 1:j])
-            if not valid:
-                problems.append((i, "invalid escape sequence"))
-            append(Token("char", text[i:end], i, end,
-                         value[:1] if value else "\0"))
+            if c == '"':
+                append(Token("string", text[i:end], i, end, value))
+            else:
+                append(Token("char", text[i:end], i, end, value[:1] or "\0"))
             i = end
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -317,6 +307,10 @@ class Parser:
              value: object = None) -> SyntaxNode:
         return SyntaxNode(kind, start, end, children or [], value, self.text)
 
+    def _identifier(self, tok: Token) -> SyntaxNode:
+        return SyntaxNode("identifier", tok.start, tok.end, [], tok.text,
+                          self.text)
+
     # -- error recovery ------------------------------------------------
 
     def _recover(self, start: int, message: str,
@@ -327,6 +321,14 @@ class Parser:
         (skip or self._skip_statement)()
         end = max(self.peek().start, start)
         return self.node("parse_error", start, end)
+
+    def _recover_past(self, start: int, message: str) -> SyntaxNode:
+        """``_recover`` from ``start``, then past at least one token, so
+        that the caller's loop moves on."""
+        err = self._recover(start, message)
+        if self.peek().start == start and self.peek().kind != "eof":
+            self.advance()
+        return err
 
     def _skip_statement(self) -> None:
         """Skip past the next ``;``, or up to the next ``}``, outside
@@ -365,9 +367,7 @@ class Parser:
                 if decl is not None:
                     children.append(decl)
             except ParseError as exc:
-                children.append(self._recover(start, str(exc)))
-                if self.peek().start == start and self.peek().kind != "eof":
-                    self.advance()
+                children.append(self._recover_past(start, str(exc)))
         return self.node("program", 0, len(self.text), children)
 
     def parse_top_level(self) -> SyntaxNode | None:
@@ -446,7 +446,7 @@ class Parser:
             return self._class_like("interface_declaration", start, mods)
         if tok.text == "enum":
             return self._enum(start, mods)
-        if tok.text == "@" or (tok.text == "@" and self.peek(1).text == "interface"):
+        if tok.text == "@":
             raise ParseError("annotation type not supported", tok.start)
         raise ParseError(f"expected type declaration, got {tok.text!r}", tok.start)
 
@@ -466,46 +466,40 @@ class Parser:
                     if depth <= 0:
                         return
 
-    def _class_like(self, kind: str, start: int,
-                    mods: SyntaxNode | None) -> SyntaxNode:
-        self.advance()  # class / interface
-        name_tok = self.advance()
-        children: list[SyntaxNode] = [] if mods is None else [mods]
-        children.append(self.node("identifier", name_tok.start, name_tok.end,
-                                  value=name_tok.text))
-        self._skip_type_params()
-        while self.peek().text in ("extends", "implements"):
-            self.advance()
-            while True:
-                tnode = self.parse_type()
-                children.append(tnode)
-                if self.at(","):
-                    self.advance()
-                else:
-                    break
-        body = self.parse_class_body()
-        children.append(body)
-        return self.node(kind, start, body.end, children)
+    def _type_head(self, mods: SyntaxNode | None) -> list[SyntaxNode]:
+        """The modifiers and the name of a type, past its keyword."""
+        self.advance()  # class / interface / enum
+        return ([] if mods is None else [mods]) \
+            + [self._identifier(self.advance())]
 
-    def _enum(self, start: int, mods: SyntaxNode | None) -> SyntaxNode:
-        self.advance()  # enum
-        name_tok = self.advance()
-        children: list[SyntaxNode] = [] if mods is None else [mods]
-        children.append(self.node("identifier", name_tok.start, name_tok.end,
-                                  value=name_tok.text))
+    def _supertypes(self, children: list[SyntaxNode]) -> None:
+        """The types of each ``extends`` or ``implements`` list, appended
+        to ``children``."""
         while self.peek().text in ("extends", "implements"):
             self.advance()
             children.append(self.parse_type())
             while self.at(","):
                 self.advance()
                 children.append(self.parse_type())
+
+    def _class_like(self, kind: str, start: int,
+                    mods: SyntaxNode | None) -> SyntaxNode:
+        children = self._type_head(mods)
+        self._skip_type_params()
+        self._supertypes(children)
+        body = self.parse_class_body()
+        children.append(body)
+        return self.node(kind, start, body.end, children)
+
+    def _enum(self, start: int, mods: SyntaxNode | None) -> SyntaxNode:
+        children = self._type_head(mods)
+        self._supertypes(children)
         body_start = self.expect("{").start
         body_children: list[SyntaxNode] = []
         while not self.at("}") and not self.at(";") and self.peek().kind != "eof":
             self._skip_annotations()
             const_tok = self.advance()
-            const_children = [self.node("identifier", const_tok.start,
-                                        const_tok.end, value=const_tok.text)]
+            const_children = [self._identifier(const_tok)]
             end = const_tok.end
             if self.at("("):
                 args = self.parse_argument_list()
@@ -546,10 +540,7 @@ class Parser:
         try:
             return self._nested_statement(self._parse_member_inner)
         except ParseError as exc:
-            err = self._recover(start, str(exc))
-            if self.peek().start == start and self.peek().kind != "eof":
-                self.advance()
-            return err
+            return self._recover_past(start, str(exc))
 
     def _parse_member_inner(self) -> SyntaxNode | None:
         if self.at(";"):
@@ -582,7 +573,9 @@ class Parser:
         if self.at("("):
             return self._method_rest(start, mods, type_node, name_tok,
                                      "method_declaration")
-        return self._field_rest(start, mods, type_node, name_tok)
+        children = ([] if mods is None else [mods]) + [type_node]
+        end = self._declarators(name_tok, children)
+        return self.node("field_declaration", start, end, children)
 
     def _method_rest(self, start: int, mods: SyntaxNode | None,
                      type_node: SyntaxNode | None, name_tok: Token,
@@ -592,8 +585,7 @@ class Parser:
         children: list[SyntaxNode] = [] if mods is None else [mods]
         if type_node is not None:
             children.append(type_node)
-        children.append(self.node("identifier", name_tok.start, name_tok.end,
-                                  value=name_tok.text))
+        children.append(self._identifier(name_tok))
         params = self.parse_formal_parameters()
         children.append(params)
         end = params.end
@@ -611,17 +603,17 @@ class Parser:
             end = self.expect(";").end
         return self.node(kind, start, end, children)
 
-    def _field_rest(self, start: int, mods: SyntaxNode | None,
-                    type_node: SyntaxNode, name_tok: Token) -> SyntaxNode:
-        children: list[SyntaxNode] = [] if mods is None else [mods]
-        children.append(type_node)
+    def _declarators(self, name_tok: Token,
+                     children: list[SyntaxNode]) -> int:
+        """``name [] … = init, …;`` from ``name_tok``, already read: one
+        variable_declarator per name, appended to ``children``. Returns
+        the end of the ``;``."""
         while True:
-            decl_children = [self.node("identifier", name_tok.start,
-                                       name_tok.end, value=name_tok.text)]
+            decl_children = [self._identifier(name_tok)]
             end = name_tok.end
             while self.at("["):
                 self.advance()
-                self.expect("]")
+                end = self.expect("]").end
             if self.at("="):
                 self.advance()
                 init = self._array_initializer() if self.at("{") \
@@ -630,13 +622,10 @@ class Parser:
                 end = init.end
             children.append(self.node("variable_declarator", name_tok.start,
                                       end, decl_children))
-            if self.at(","):
-                self.advance()
-                name_tok = self.advance()
-            else:
-                break
-        end = self.expect(";").end
-        return self.node("field_declaration", start, end, children)
+            if not self.at(","):
+                return self.expect(";").end
+            self.advance()
+            name_tok = self.advance()
 
     def parse_formal_parameters(self) -> SyntaxNode:
         start = self.expect("(").start
@@ -644,9 +633,7 @@ class Parser:
         while not self.at(")") and self.peek().kind != "eof":
             pstart = self.peek().start
             self._skip_annotations()
-            if self.at("final"):
-                self.advance()
-            ptype = self.parse_type()
+            ptype = self._final_type()
             if self.at("..."):
                 self.advance()
             elif self.at("."):
@@ -657,14 +644,18 @@ class Parser:
             while self.at("["):
                 self.advance()
                 pend = self.expect("]").end
-            children.append(self.node(
-                "formal_parameter", pstart, pend,
-                [ptype, self.node("identifier", name_tok.start, name_tok.end,
-                                  value=name_tok.text)]))
+            children.append(self.node("formal_parameter", pstart, pend,
+                                      [ptype, self._identifier(name_tok)]))
             if self.at(","):
                 self.advance()
         end = self.expect(")").end
         return self.node("formal_parameters", start, end, children)
+
+    def _final_type(self) -> SyntaxNode:
+        """A type after an optional ``final``."""
+        if self.at("final"):
+            self.advance()
+        return self.parse_type()
 
     def parse_type(self) -> SyntaxNode:
         tok = self.peek()
@@ -726,9 +717,7 @@ class Parser:
                 if stmt is not None:
                     children.append(stmt)
             except ParseError as exc:
-                children.append(self._recover(stmt_start, str(exc)))
-                if self.peek().start == stmt_start and self.peek().kind != "eof":
-                    self.advance()
+                children.append(self._recover_past(stmt_start, str(exc)))
         end = self.expect("}").end
         return self.node("block", start, end, children)
 
@@ -846,9 +835,7 @@ class Parser:
         saved_warn = len(self.warnings)
         try:
             start = self.peek().start
-            if self.at("final"):
-                self.advance()
-            type_node = self.parse_type()
+            type_node = self._final_type()
             name_tok = self.peek()
             if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
                 raise ParseError("not a declaration", name_tok.start)
@@ -857,27 +844,7 @@ class Parser:
                 raise ParseError("not a declaration", name_tok.start)
             self.advance()
             children: list[SyntaxNode] = [type_node]
-            while True:
-                decl_children = [self.node("identifier", name_tok.start,
-                                           name_tok.end, value=name_tok.text)]
-                end = name_tok.end
-                while self.at("["):
-                    self.advance()
-                    end = self.expect("]").end
-                if self.at("="):
-                    self.advance()
-                    init = self._array_initializer() if self.at("{") \
-                        else self.parse_expression()
-                    decl_children.append(init)
-                    end = init.end
-                children.append(self.node("variable_declarator",
-                                          name_tok.start, end, decl_children))
-                if self.at(","):
-                    self.advance()
-                    name_tok = self.advance()
-                else:
-                    break
-            end = self.expect(";").end
+            end = self._declarators(name_tok, children)
             return self.node("local_variable_declaration", start, end, children)
         except ParseError:
             self.pos = saved
@@ -916,9 +883,7 @@ class Parser:
         # Enhanced for: [final] Type name : iterable
         saved = self.pos
         try:
-            if self.at("final"):
-                self.advance()
-            type_node = self.parse_type()
+            type_node = self._final_type()
             name_tok = self.peek()
             if name_tok.kind == "ident" and self.peek(1).text == ":":
                 self.advance()
@@ -927,9 +892,7 @@ class Parser:
                 self.expect(")")
                 body = self.parse_statement()
                 end = body.end if body else iterable.end
-                children = [type_node,
-                            self.node("identifier", name_tok.start,
-                                      name_tok.end, value=name_tok.text),
+                children = [type_node, self._identifier(name_tok),
                             iterable] + ([body] if body else [])
                 return self.node("enhanced_for_statement", start, end, children)
             raise ParseError("not enhanced for", name_tok.start)
@@ -985,16 +948,11 @@ class Parser:
         while self.at("catch"):
             cstart = self.advance().start
             self.expect("(")
-            cchildren: list[SyntaxNode] = []
-            if self.at("final"):
-                self.advance()
-            cchildren.append(self.parse_type())
+            cchildren = [self._final_type()]
             while self.at("|"):
                 self.advance()
                 cchildren.append(self.parse_type())
-            name_tok = self.advance()
-            cchildren.append(self.node("identifier", name_tok.start,
-                                       name_tok.end, value=name_tok.text))
+            cchildren.append(self._identifier(self.advance()))
             self.expect(")")
             cblock = self.parse_block()
             cchildren.append(cblock)
@@ -1011,16 +969,12 @@ class Parser:
 
     def _try_local_declaration_in_resource(self) -> SyntaxNode | None:
         start = self.peek().start
-        if self.at("final"):
-            self.advance()
-        type_node = self.parse_type()
+        type_node = self._final_type()
         name_tok = self.advance()
         self.expect("=")
         init = self.parse_expression()
-        declarator = self.node(
-            "variable_declarator", name_tok.start, init.end,
-            [self.node("identifier", name_tok.start, name_tok.end,
-                       value=name_tok.text), init])
+        declarator = self.node("variable_declarator", name_tok.start,
+                               init.end, [self._identifier(name_tok), init])
         return self.node("local_variable_declaration", start, init.end,
                          [type_node, declarator])
 
@@ -1032,27 +986,15 @@ class Parser:
         bstart = self.expect("{").start
         children: list[SyntaxNode] = [subject]
         while not self.at("}") and self.peek().kind != "eof":
-            if self.at("case"):
-                self.advance()
-                self.parse_expression()
-                if self.at("->"):
-                    self.advance()
-                    stmt = self.parse_statement()
-                    if stmt:
-                        children.append(stmt)
+            # `case X:`, `case X ->`, `default:` and `default ->`; the
+            # statement after an arrow is read as any other.
+            if self.at("case") or self.at("default"):
+                if self.advance().text == "case":
+                    self.parse_expression()
+                if not self.at("->"):
+                    self.expect(":")
                     continue
-                self.expect(":")
-                continue
-            if self.at("default"):
                 self.advance()
-                if self.at("->"):
-                    self.advance()
-                    stmt = self.parse_statement()
-                    if stmt:
-                        children.append(stmt)
-                    continue
-                self.expect(":")
-                continue
             stmt = self.parse_statement()
             if stmt:
                 children.append(stmt)
@@ -1208,8 +1150,7 @@ class Parser:
                 self.advance()
                 self._maybe_skip_type_args()
                 name_tok = self.advance()
-                name = self.node("identifier", name_tok.start, name_tok.end,
-                                 value=name_tok.text)
+                name = self._identifier(name_tok)
                 if self.at("("):
                     args = self.parse_argument_list()
                     expr = self.node("method_invocation", expr.start, args.end,
@@ -1225,9 +1166,7 @@ class Parser:
                 self.advance()
                 name_tok = self.advance()
                 expr = self.node("method_reference", expr.start, name_tok.end,
-                                 [expr, self.node("identifier", name_tok.start,
-                                                  name_tok.end,
-                                                  value=name_tok.text)])
+                                 [expr, self._identifier(name_tok)])
                 continue
             if tok.text == "[":
                 self.advance()
@@ -1308,7 +1247,7 @@ class Parser:
                              [inner])
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.advance()
-            ident = self.node("identifier", tok.start, tok.end, value=tok.text)
+            ident = self._identifier(tok)
             if self.at("("):
                 args = self.parse_argument_list()
                 return self.node("method_invocation", tok.start, args.end,
@@ -1339,8 +1278,7 @@ class Parser:
             first = self.advance()
             if self.peek().kind == "ident" and not self.at(","):
                 first = self.advance()  # typed param: keep the name
-            params.append(self.node("identifier", first.start, first.end,
-                                    value=first.text))
+            params.append(self._identifier(first))
             if self.at(","):
                 self.advance()
         self.expect(")")

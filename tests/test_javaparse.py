@@ -99,6 +99,13 @@ class TestTreeShape:
                  if n.kind == "array_initializer"]
         assert len(inits) == 1 and len(inits[0].children) == 3
 
+    def test_field_declarator_spans_its_dims(self):
+        """A field's C-style dims belong to its declarator, as a local's
+        do, with or without an initializer."""
+        unit = parse("class A { int a[][], b; String c[] = null; }")
+        assert [d.text for d in unit.root.find_all("variable_declarator")] \
+            == ["a[][]", "b", "c[] = null"]
+
     def test_string_literal_value_decoded(self):
         unit = parse(r'class A { String s = "aBc"; }')
         assert "aBc" in string_literals(unit.root)
