@@ -276,23 +276,21 @@ class _Interp:
         return None
 
     def run_region(self, body: SyntaxNode, stop_before: SyntaxNode,
-                   env: dict, fields: dict, not_run: set[int]) -> None:
+                   env: dict, fields: dict) -> None:
         """Execute top-level statements of ``body`` preceding the one that
         contains ``stop_before``.
 
         A statement that cannot be executed concretely poisons (unbinds)
-        every variable it might write, instead of aborting the region, and
-        its id joins ``not_run``; later reads of a poisoned variable fail
-        on their own. A statement that throws poisons them too.
+        every variable it might write, instead of aborting the region;
+        later reads of a poisoned variable fail on their own. A statement
+        that throws poisons them too.
         """
         for stmt in body.children:
             if stmt.start <= stop_before.start <= stmt.end:
                 return
             try:
                 self.code(stmt)(self, env, fields)
-            except (_NotConcrete, _JavaThrow) as stopped:
-                if isinstance(stopped, _NotConcrete):
-                    not_run.add(id(stmt))
+            except (_NotConcrete, _JavaThrow):
                 for name in _written_names(stmt):
                     env.pop(name, None)
             except (_Return, _Break, _Continue):

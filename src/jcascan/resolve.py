@@ -170,8 +170,6 @@ class _Abstract:
         self.class_body = body if body is not None \
             and unit_index(unit).named_owner(body) is not None else None
         self.interp = _Interp(ctx, unit, self.class_body)
-        # ids of the method-body statements a region run could not run.
-        self.not_run: set[int] = set()
 
     # --- top level ---
 
@@ -202,7 +200,7 @@ class _Abstract:
         saved_steps = self.ctx.steps
         env: dict = {}
         try:
-            self.interp.run_region(body, expr, env, {}, self.not_run)
+            self.interp.run_region(body, expr, env, {})
             value = _snapshot(self.interp.eval(expr, env, {}))
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
@@ -356,14 +354,8 @@ class _Abstract:
             if definition is not None:
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
-                self.ctx.note("local-def", definition, name)
-                self.ctx.touch(self.unit, definition)
-                if name in unit_index(self.unit).builders_in(method):
-                    return self._resolve_builder(method, name, definition,
-                                                 node, depth)
-                if self._elements_written(method, name, definition, node):
-                    return _VS.residual(UNKNOWN)
-                return self.resolve(definition, depth + 1, {})
+                return self._resolve_local(method, name, definition, node,
+                                           depth)
         field_init = self._field_init(name)
         if field_init is not None:
             if depth >= self.ctx.budget.max_indirection + 1:
@@ -396,6 +388,38 @@ class _Abstract:
                     and n.start < before and n.start > best_pos:
                 best, best_pos = n.children[1], n.start
         return best
+
+    def _resolve_local(self, method: SyntaxNode, name: str,
+                       definition: SyntaxNode, use: SyntaxNode,
+                       depth: int) -> _VS:
+        """The local ``name`` at ``use``, from ``definition``, its last
+        definition before ``use``. A definition in a compound statement
+        (a branch, a loop, a ``try``) that does not also hold the use may
+        not have run, so its value joins the local's value just before
+        that statement, found by the same rule; with no definition before
+        it, the local may hold anything, so ``UNKNOWN`` joins too."""
+        body = method_body(method)
+        value = _VS(set(), set())
+        while True:
+            self.ctx.note("local-def", definition, name)
+            self.ctx.touch(self.unit, definition)
+            if name in unit_index(self.unit).builders_in(method):
+                found = self._resolve_builder(method, name, definition, use,
+                                              depth)
+            elif self._elements_written(method, name, definition, use):
+                found = _VS.residual(UNKNOWN)
+            else:
+                found = self.resolve(definition, depth + 1, {})
+            value = self._cap(value.union(found), definition)
+            stmt = _statement_of(body, definition)
+            if stmt.kind in ("local_variable_declaration",
+                             "expression_statement") \
+                    or stmt.start <= use.start <= stmt.end:
+                return value
+            use = stmt
+            definition = self._last_local_def(method, name, stmt.start)
+            if definition is None:
+                return value.union(_VS.residual(UNKNOWN))
 
     def _resolve_builder(self, method: SyntaxNode, name: str,
                          definition: SyntaxNode, use: SyntaxNode,
@@ -431,21 +455,15 @@ class _Abstract:
                           definition: SyntaxNode, use: SyntaxNode) -> bool:
         """Whether an element of the array local ``name`` is written, as in
         ``name[i] = …`` or ``name[i]++``, between ``definition`` and
-        ``use`` in a statement the concrete interpreter could not run: that
-        write may change the array unseen, so, as for a builder's other
-        mentions, the definition alone is not its value. A write that ran
-        and threw changed nothing."""
-        if not self.not_run:
-            return False
-        body = method_body(method)
-        for node in body.walk():
+        ``use``: that write may change the array unseen, so, as for a
+        builder's other mentions, the definition alone is not its value."""
+        for node in method_body(method).walk():
             if node.kind in ("assignment_expression", "update_expression") \
                     and definition.end <= node.start < use.start:
                 target = node.children[0]
                 if target.kind == "array_access" \
                         and target.children[0].kind == "identifier" \
-                        and str(target.children[0].value) == name \
-                        and id(_statement_of(body, node)) in self.not_run:
+                        and str(target.children[0].value) == name:
                     return True
         return False
 

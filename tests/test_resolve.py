@@ -434,17 +434,18 @@ class TestBuilderLocal:
         assert not r.residuals
 
 
-def _array_src(statements: str) -> str:
+def _array_src(statements: str, argument: str = "new String(b)") -> str:
     return ('import javax.crypto.Cipher;\n'
             'class A { void m(int p, boolean c) throws Exception {\n'
             '    byte[] b = {68, 69, 83};\n'
             f'    {statements}\n'
-            '    Cipher.getInstance(new String(b)); } }\n')
+            f'    Cipher.getInstance({argument}); }} }}\n')
 
 
 class TestArrayLocal:
-    """An array local whose element writes the interpreter gave up on is
-    not read from its declaration alone."""
+    """Where the interpreter gives up, an array local with an element
+    write between its declaration and the use is not read from its
+    declaration alone."""
 
     @pytest.mark.parametrize("statements", [
         "b[0] = (byte) p;",
@@ -457,6 +458,15 @@ class TestArrayLocal:
         assert resolved.residuals == {UNKNOWN}
         assert findings == []
 
+    def test_element_write_under_a_ternary_leaves_a_residual(self):
+        """A ternary in the argument skips the interpreter's region run,
+        so a write that would have run counts too."""
+        _, resolved, _, findings = pipeline(_array_src(
+            "b[0] = 65;", 'new String(b) + (c ? "" : "/GCM/NoPadding")'))
+        assert resolved.candidates == set()
+        assert resolved.residuals == {UNKNOWN}
+        assert findings == []
+
     @pytest.mark.parametrize("statements, value", [
         ("b[0] = 65;", "AES"),
         ("if (c) { p++; }", "DES"),
@@ -465,6 +475,43 @@ class TestArrayLocal:
         r = resolve_site(site_of(_array_src(statements)))
         assert r.candidates == {value}
         assert not r.residuals
+
+
+def _branch_src(statements: str) -> str:
+    return ('import javax.crypto.Cipher;\n'
+            'class T { void m(String p, boolean c, boolean d)'
+            ' throws Exception {\n'
+            f'    {statements}\n'
+            '    Cipher.getInstance(t); } }\n')
+
+
+class TestDefinitionInABranch:
+    """A definition in a branch or loop that does not hold the use may not
+    have run: the value before that statement counts too."""
+
+    def test_branch_joins_the_value_before_it(self):
+        _, resolved, _, findings = pipeline(_branch_src(
+            'String t = "DES";'
+            ' if (p.isEmpty()) { t = "AES/GCM/NoPadding"; }'))
+        assert resolved.candidates == {"AES/GCM/NoPadding", "DES"}
+        assert not resolved.residuals
+        assert [f.rule_id for f in findings] == ["R1"]
+
+    @pytest.mark.parametrize("statements", [
+        't = "A"; if (c) t = "B"; if (d) t = "C";',
+        't = "A"; while (c) { t = "B"; } for (char k : p.toCharArray()) {'
+        ' t = "C"; }',
+    ])
+    def test_each_branch_in_a_chain_counts(self, statements):
+        r = resolve_site(site_of(_branch_src(f"String t; {statements}")))
+        assert r.candidates == {"A", "B", "C"}
+        assert not r.residuals
+
+    def test_no_definition_before_the_branch_is_unknown(self):
+        r = resolve_site(site_of(_branch_src(
+            'String t; if (p.isEmpty()) t = "DES";')))
+        assert r.candidates == {"DES"}
+        assert r.residuals == {UNKNOWN}
 
 
 class TestTrace:
