@@ -148,6 +148,129 @@ def _statement_of(body: SyntaxNode, node: SyntaxNode) -> SyntaxNode | None:
                  if stmt.start <= node.start <= stmt.end), None)
 
 
+_LOOPS = ("while_statement", "for_statement", "enhanced_for_statement")
+
+
+def _inside(nodes: list[SyntaxNode], *within: SyntaxNode) -> list[SyntaxNode]:
+    return [n for n in nodes
+            if any(w.start <= n.start and n.end <= w.end for w in within)]
+
+
+def _last_defs(node: SyntaxNode, defs: list[SyntaxNode],
+               jumps: list[SyntaxNode]) -> tuple[list, bool]:
+    """The definitions among ``defs``, a local's, that may be the last to
+    run in ``node`` when control leaves it for what follows, and whether
+    every such path runs one. None stands for a value not followed: a
+    shape with a ``break`` or ``continue`` (from the tree alone, its
+    target is not known) or a ``switch`` (the tree keeps no case labels).
+    A ``return`` or ``throw``, or a block that ends in one, never reaches
+    what follows."""
+    inner = _inside(defs, node)
+    if not inner:
+        while node.kind == "block" and node.children:
+            node = node.children[-1]
+        return [], node.kind in ("return_statement", "throw_statement")
+    if node.kind == "switch_statement" or _inside(jumps, node):
+        return [None], True
+    if node.kind == "if_statement":
+        last, always = [], len(node.children) == 3
+        for branch in node.children[1:]:
+            found, runs = _last_defs(branch, defs, jumps)
+            last += found
+            always = always and runs
+        if always:
+            return last, True
+        found, runs = _last_defs(node.children[0], defs, jumps)
+        return last + found, runs
+    if node.kind in _LOOPS:
+        # The body, the last child, may run any number of times; a
+        # definition in the header may run after the body's.
+        body = node.children[-1]
+        if len(_inside(inner, body)) < len(inner):
+            return inner, False
+        return _last_defs(body, defs, jumps)[0], False
+    if node.kind == "try_statement":
+        parts = list(node.children)
+        final = parts.pop() if parts[-1].kind == "finally_clause" else None
+        catches = [p for p in parts if p.kind == "catch_clause"]
+        tried = parts[:len(parts) - len(catches)]
+        last, runs = _seq(tried, defs, jumps)
+        for catch in catches:
+            found, caught = _last_defs(catch.children[-1], defs, jumps)
+            if not caught:
+                # The catch may follow any part of what it guards.
+                found += _inside(defs, *tried)
+            last += found
+            runs = runs and caught
+        if final is not None:
+            found, always = _last_defs(final.children[0], defs, jumps)
+            return (found, True) if always else (found + last, runs)
+        return last, runs
+    if node.kind in ("block", "do_statement", "synchronized_statement"):
+        return _seq(node.children, defs, jumps)
+    # Within one expression or declaration, the definition that ends
+    # last (the outer one of two nested) runs last.
+    return [max(inner, key=lambda d: (d.end, -d.start))], True
+
+
+def _seq(nodes: list[SyntaxNode], defs: list[SyntaxNode],
+         jumps: list[SyntaxNode]) -> tuple[list, bool]:
+    """`_last_defs` of ``nodes`` run one after another."""
+    last: list = []
+    for node in reversed(nodes):
+        found, runs = _last_defs(node, defs, jumps)
+        last += found
+        if runs:
+            return last, True
+    return last, False
+
+
+def _reaching_defs(body: SyntaxNode, defs: list[SyntaxNode],
+                   jumps: list[SyntaxNode], use: SyntaxNode) -> list:
+    """The definitions among ``defs``, a local's in ``body``, that may give
+    it its value at ``use``, with None for a value not followed (see
+    `_last_defs`) or for a path from the start of ``body`` that defines
+    it nowhere. From ``use`` up to ``body``, each enclosing node adds what
+    may run in it before the node that holds ``use``: its earlier children
+    in turn, until one always defines the local; only the condition of an
+    ``if``; what a ``try`` guards, any part of it, before a ``catch`` or
+    ``finally``; every definition in a loop, which an earlier pass may
+    have run; and in a ``switch``, its subject, or None if an earlier case
+    holds a definition."""
+    path = [(body, 0)]
+    while path[-1][0] is not use:
+        node = path[-1][0]
+        step = next(((c, i) for i, c in enumerate(node.children)
+                     if c.start <= use.start and use.end <= c.end), None)
+        if step is None:
+            break
+        path.append(step)
+    reaching: list = []
+    for (parent, _), (child, at) in zip(reversed(path[:-1]),
+                                        reversed(path[1:])):
+        earlier = parent.children[:at]
+        if parent.kind in _LOOPS or parent.kind == "do_statement":
+            reaching += _inside(defs, parent)
+            continue
+        if parent.kind == "try_statement" \
+                and child.kind in ("catch_clause", "finally_clause"):
+            reaching += _inside(defs, *(
+                p for p in earlier if p.kind != "catch_clause"
+                or child.kind == "finally_clause"))
+            continue
+        if parent.kind == "if_statement":
+            earlier = earlier[:1]
+        elif parent.kind == "switch_statement":
+            if _inside(defs, *earlier[1:]):
+                return reaching + [None]
+            earlier = earlier[:1]
+        found, runs = _seq(earlier, defs, jumps)
+        reaching += found
+        if runs:
+            return reaching
+    return reaching + [None]
+
+
 def _android_flags(vs: _VS) -> _VS:
     """The flags of ``android.util.Base64.decode`` as this resolver reads
     them: anything but exactly one int counts as 0 (``DEFAULT``), so
@@ -350,11 +473,11 @@ class _Abstract:
             if name in method_params(method):
                 self.ctx.note("external-input", node, name)
                 return _VS.residual(EXTERNAL_INPUT)
-            definition = self._last_local_def(method, name, node.start)
-            if definition is not None:
+            defs, jumps = self._local_defs(method, name)
+            if any(d.start < node.start for d in defs):
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
-                return self._resolve_local(method, name, definition, node,
+                return self._resolve_local(method, name, defs, jumps, node,
                                            depth)
         field_init = self._field_init(name)
         if field_init is not None:
@@ -369,38 +492,43 @@ class _Abstract:
             return _VS.of(enum_val)
         return _VS.residual(UNKNOWN)
 
-    def _last_local_def(self, method: SyntaxNode, name: str,
-                        before: int) -> SyntaxNode | None:
+    def _local_defs(self, method: SyntaxNode, name: str
+                    ) -> tuple[list[SyntaxNode], list[SyntaxNode]]:
+        """The declarators with an initializer and the ``=`` assignments
+        of the local ``name`` in ``method``'s body, and the body's
+        ``break`` and ``continue`` statements, each in source order,
+        outside the bodies of classes declared in it."""
+        defs: list[SyntaxNode] = []
+        jumps: list[SyntaxNode] = []
         body = method_body(method)
-        if body is None:
-            return None
-        best: SyntaxNode | None = None
-        best_pos = -1
-        for n in body.walk():
+        stack = [] if body is None else [body]
+        while stack:
+            n = stack.pop()
+            if n.kind == "class_body":
+                continue  # a local or anonymous class's own code
+            stack.extend(reversed(n.children))
             if n.kind == "variable_declarator" and len(n.children) > 1 \
                     and str(n.children[0].value) == name \
-                    and n.start < before and n.start > best_pos:
-                best, best_pos = n.children[1], n.start
-            elif n.kind == "assignment_expression" \
+                    or n.kind == "assignment_expression" \
                     and n.children[0].kind == "identifier" \
                     and str(n.children[0].value) == name \
-                    and str(n.value) == "=" \
-                    and n.start < before and n.start > best_pos:
-                best, best_pos = n.children[1], n.start
-        return best
+                    and str(n.value) == "=":
+                defs.append(n)
+            elif n.kind in ("break_statement", "continue_statement"):
+                jumps.append(n)
+        return defs, jumps
 
     def _resolve_local(self, method: SyntaxNode, name: str,
-                       definition: SyntaxNode, use: SyntaxNode,
-                       depth: int) -> _VS:
-        """The local ``name`` at ``use``, from ``definition``, its last
-        definition before ``use``. A definition in a compound statement
-        (a branch, a loop, a ``try``) that does not also hold the use may
-        not have run, so its value joins the local's value just before
-        that statement, found by the same rule; with no definition before
-        it, the local may hold anything, so ``UNKNOWN`` joins too."""
-        body = method_body(method)
+                       defs: list[SyntaxNode], jumps: list[SyntaxNode],
+                       use: SyntaxNode, depth: int) -> _VS:
+        """The local ``name`` at ``use``: the union of the definitions
+        that may reach it (`_reaching_defs`), the latest first, and
+        ``UNKNOWN`` for a value not followed."""
+        reaching = _reaching_defs(method_body(method), defs, jumps, use)
         value = _VS(set(), set())
-        while True:
+        for _, holder in sorted({d.start: d for d in reaching
+                                 if d is not None}.items(), reverse=True):
+            definition = holder.children[1]
             self.ctx.note("local-def", definition, name)
             self.ctx.touch(self.unit, definition)
             if name in unit_index(self.unit).builders_in(method):
@@ -411,15 +539,9 @@ class _Abstract:
             else:
                 found = self.resolve(definition, depth + 1, {})
             value = self._cap(value.union(found), definition)
-            stmt = _statement_of(body, definition)
-            if stmt.kind in ("local_variable_declaration",
-                             "expression_statement") \
-                    or stmt.start <= use.start <= stmt.end:
-                return value
-            use = stmt
-            definition = self._last_local_def(method, name, stmt.start)
-            if definition is None:
-                return value.union(_VS.residual(UNKNOWN))
+        if any(d is None for d in reaching):
+            value = value.union(_VS.residual(UNKNOWN))
+        return value
 
     def _resolve_builder(self, method: SyntaxNode, name: str,
                          definition: SyntaxNode, use: SyntaxNode,

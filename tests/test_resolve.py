@@ -8,7 +8,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcascan.javaparse import parse_unit
+from jcascan.javaparse import MAX_STATEMENT_DEPTH, parse_unit
 from jcascan.ingest import extract_sites
 from jcascan.resolve import (DEPTH_EXCEEDED, EXTERNAL_INPUT, NATIVE,
                              NETWORK, UNKNOWN, ResolutionBudget,
@@ -477,17 +477,24 @@ class TestArrayLocal:
         assert not r.residuals
 
 
-def _branch_src(statements: str) -> str:
+def _branch_src(statements: str, use: str = "Cipher.getInstance(t);") -> str:
     return ('import javax.crypto.Cipher;\n'
             'class T { void m(String p, boolean c, boolean d)'
             ' throws Exception {\n'
             f'    {statements}\n'
-            '    Cipher.getInstance(t); } }\n')
+            f'    {use} }} }}\n')
+
+
+# A ternary in the argument skips the interpreter's region run, so the
+# local is read by the rules under test even where the region run would
+# give its value.
+_UNRUN = 'Cipher.getInstance(t + (d ? "" : ""));'
 
 
 class TestDefinitionInABranch:
-    """A definition in a branch or loop that does not hold the use may not
-    have run: the value before that statement counts too."""
+    """A definition in a branch, loop or try that does not hold the use may
+    not have run: the value before that statement counts too, unless every
+    way through the statement defines the local."""
 
     def test_branch_joins_the_value_before_it(self):
         _, resolved, _, findings = pipeline(_branch_src(
@@ -512,6 +519,76 @@ class TestDefinitionInABranch:
             'String t; if (p.isEmpty()) t = "DES";')))
         assert r.candidates == {"DES"}
         assert r.residuals == {UNKNOWN}
+
+    def test_every_branch_defining_drops_the_value_before(self):
+        _, resolved, _, findings = pipeline(_branch_src(
+            'String t = "DES"; if (p.isEmpty()) { t = "AES"; }'
+            ' else { t = "AES/CBC/PKCS5Padding"; }'))
+        assert resolved.candidates == {"AES", "AES/CBC/PKCS5Padding"}
+        assert not resolved.residuals
+        assert "R1" not in {f.rule_id for f in findings}
+
+    @pytest.mark.parametrize("statements, values", [
+        ('if (c) { t = "A"; } else if (d) { t = "B"; } else { t = "C"; }',
+         {"A", "B", "C"}),
+        ('if (c) { t = "A"; } else if (d) { t = "B"; }', {"A", "B", "DES"}),
+        ('if (c) { t = "A"; } else { return; }', {"A"}),
+        ('try { t = "A"; } catch (Exception e) { t = "B"; }', {"A", "B"}),
+        ('try { t = "A"; p.wait(); t = "B"; } catch (Exception e) { }',
+         {"A", "B", "DES"}),
+        ('try { t = "A"; } catch (Exception e) { } finally { t = "B"; }',
+         {"B"}),
+        ('{ t = "A"; }', {"A"}),
+        ('synchronized (p) { t = "A"; }', {"A"}),
+        ('do { t = "A"; } while (c);', {"A"}),
+        ('while (c) { t = "A"; t = "B"; }', {"B", "DES"}),
+    ])
+    def test_what_a_statement_leaves(self, statements, values):
+        r = resolve_site(site_of(_branch_src(
+            f'String t = "DES"; {statements}', _UNRUN)))
+        assert r.candidates == values
+        assert not r.residuals
+
+    @pytest.mark.parametrize("statements", [
+        'switch (p.length()) { case 1: t = "A"; break; default: t = "B"; }',
+        'while (c) { t = "A"; break; }',
+        'for (int i = 0; i < 3; i++) { if (c) continue; t = "A"; }',
+    ])
+    def test_unfollowed_shapes_leave_only_a_residual(self, statements):
+        """The tree keeps no case labels and no jump targets."""
+        _, resolved, _, findings = pipeline(_branch_src(
+            f'String t = "DES"; {statements}', _UNRUN))
+        assert resolved.candidates == set()
+        assert resolved.residuals == {UNKNOWN}
+        assert findings == []
+
+    def test_definition_at_the_nesting_limit(self):
+        """The rule recurses once or twice per statement level, within the
+        parser's limit of MAX_STATEMENT_DEPTH levels."""
+        ifs = (MAX_STATEMENT_DEPTH - 2) // 2
+        site = site_of(_branch_src('String t = "DES"; ' + "if (c) { " * ifs
+                                   + 't = "AES";' + " }" * ifs, _UNRUN))
+        assert site.unit.warnings == []
+        r = _under_frames(600, lambda: resolve_site(site))
+        assert r.candidates == {"AES", "DES"}
+        assert not r.residuals
+
+    @pytest.mark.parametrize("statement, values", [
+        ('if (c) { if (d) { t = "AES"; } USE }', {"AES", "DES"}),
+        ('if (c) { t = "AES"; } else { USE }', {"DES"}),
+        ('while (c) { USE t = "AES"; }', {"AES", "DES"}),
+        ('try { t = "AES"; p.wait(); } catch (Exception e) { USE }',
+         {"AES", "DES"}),
+        ('try { t = "AES"; p.wait(); } finally { USE }', {"AES", "DES"}),
+    ])
+    def test_use_inside_a_statement(self, statement, values):
+        """Each enclosing statement adds what may run in it before the
+        use: not the other branch of an ``if``, but an earlier pass of a
+        loop and any part of what a ``try`` guards."""
+        r = resolve_site(site_of(_branch_src(
+            'String t = "DES"; ' + statement.replace("USE", _UNRUN), "")))
+        assert r.candidates == values
+        assert not r.residuals
 
 
 class TestTrace:
