@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,12 +17,12 @@ from pathlib import Path
 from .ingest import DEFAULT_APIS, load_config
 from .report import (FAIL_ON_CHOICES, analyze_corpus, dumps_line,
                      plan_from_report, prevalence_csv, read_report,
-                     strata_csv, summary_record, worst_severity_hit,
-                     write_report)
+                     rendered, strata_csv, summary_record,
+                     worst_severity_hit, write_rendered)
 from .resolve import ResolutionBudget
 
 
-def _analyze(args):
+def _analyze(args, per_file=None):
     """`analyze_corpus` over ``args.directory`` with the pipeline flags."""
     apis = DEFAULT_APIS
     if args.apis:
@@ -33,7 +34,7 @@ def _analyze(args):
     extras = load_config(args.config) if args.config else None
     budget = ResolutionBudget(max_indirection=args.max_indirection,
                               max_candidates=args.max_candidates)
-    return analyze_corpus(args.directory, apis, extras, budget)
+    return analyze_corpus(args.directory, apis, extras, budget, per_file)
 
 
 @contextmanager
@@ -47,10 +48,11 @@ def _output(path: str | None):
 
 
 def cmd_scan(args) -> int:
-    analyses, warnings = _analyze(args)
+    rows, warnings = _analyze(args, rendered)
     with _output(args.output) as out:
-        write_report(analyses, out, warnings)
-    return 1 if worst_severity_hit(analyses, args.fail_on.upper()) else 0
+        write_rendered(rows, out, warnings)
+    return 1 if worst_severity_hit((facts for _, facts in rows),
+                                   args.fail_on.upper()) else 0
 
 
 def cmd_stratify(args) -> int:
@@ -190,5 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run() -> None:
+    """The ``jcascan`` command: `main`, then an exit that skips the
+    interpreter's teardown once the output is flushed. A flush that
+    fails takes the normal exit, which reports it."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

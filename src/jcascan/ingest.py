@@ -18,6 +18,7 @@ the classifier.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -247,29 +248,49 @@ def extract_sites(unit: SourceUnit,
     return sites
 
 
-def corpus_files(root_dir: str | Path) -> list[Path]:
+def corpus_files(root_dir: str | Path) -> list[str]:
     """Every ``*.java`` under root_dir, in path-string order: the order
-    of the report, where ``a-c.java`` comes before ``a/b.java``."""
-    root = Path(root_dir)
-    if not root.is_dir():
+    of the report, where ``a-c.java`` comes before ``a/b.java``. The
+    paths are those of ``root.rglob("*.java")`` as strings: hidden
+    directories are searched and symlinks are listed, but a symlinked
+    directory is not entered."""
+    root = str(Path(root_dir))  # spelled as `Path` spells it
+    if not os.path.isdir(root):
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    return sorted(root.rglob("*.java"), key=str)
+    found: list[str] = []
+    pending = [root]
+    while pending:
+        top = pending.pop()
+        prefix = "" if top == "." else top if top.endswith("/") \
+            else top + "/"
+        try:
+            with os.scandir(top) as entries:
+                for entry in entries:
+                    if entry.name.endswith(".java"):
+                        found.append(prefix + entry.name)
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(prefix + entry.name)
+        except PermissionError:
+            pass
+    found.sort()
+    return found
 
 
-def scan_file(path: Path, apis: frozenset[ApiKind] | set[ApiKind],
+def scan_file(path: str, apis: frozenset[ApiKind] | set[ApiKind],
               extras: list[CustomApi] | None,
               warnings: list[ParseWarning]) -> list[InvocationSite]:
     """Read, parse and extract one file. A read or parse failure, and
     every parse warning, is appended to ``warnings``; nothing raises."""
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        with open(path, encoding="utf-8", errors="replace") as source:
+            text = source.read()
     except OSError as exc:
-        warnings.append(ParseWarning(str(path), 0, f"unreadable: {exc}"))
+        warnings.append(ParseWarning(path, 0, f"unreadable: {exc}"))
         return []
-    unit = parse_unit(str(path), text)
+    unit = parse_unit(path, text)
     warnings.extend(unit.warnings)
     if unit.parse_failed:
-        warnings.append(ParseWarning(str(path), 0, "PARSE_FAILED"))
+        warnings.append(ParseWarning(path, 0, "PARSE_FAILED"))
         return []
     return extract_sites(unit, apis, extras)
 
@@ -283,8 +304,9 @@ def scan_corpus(root_dir: str | Path,
     Deterministic: sites come in (path string, offset) order. Per-file
     failures become warnings, never aborts. Every site keeps its unit, so
     every tree stays alive; the pipeline, `report.analyze_corpus`, runs
-    `scan_file` itself, splitting the files across forked workers on the
-    CPUs the process may use and merging the results in path order.
+    `scan_file` itself, in processes on the CPUs the process may use that
+    claim files from a shared queue, and merges the results in path
+    order.
     """
     warnings: list[ParseWarning] = []
     sites = [site for path in corpus_files(root_dir)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 import threading
+from collections.abc import Iterable
 from pathlib import Path
 
 from .classify import classify, signature_of
@@ -94,25 +94,49 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if forks else 1
 
 
-def _analyze_share(files: list[Path], apis, extras, budget):
-    """Each file's ``(rows, warnings)``, one file at a time, up to the
-    first file that raises, whose exception ends the share."""
-    for path in files:
-        warnings: list = []
-        try:
-            rows = [analyze_site(site, budget)
-                    for site in scan_file(path, apis, extras, warnings)]
-        except Exception as exc:
-            yield exc
-            return
-        yield rows, warnings
+_MAX_CLAIMS = 1024  # 4-byte records: 4 KB, one atomic write to any pipe
 
 
-def _fork_share(files: list[Path], apis, extras, budget):
-    """(pid, pipe) of a forked worker that runs `_analyze_share` over
-    ``files``, then writes the results to the pipe, one pickle each. An
-    identifier-like string, such as a label, goes as a persistent id, which
-    `_results` interns: all rows share one copy of it."""
+def _claims(files: int) -> list[range]:
+    """The runs of file indices the claim queue hands out, in order: at
+    most `_MAX_CLAIMS` runs of ``ceil(files / _MAX_CLAIMS)`` files."""
+    size = -(-files // _MAX_CLAIMS) or 1
+    return [range(i, min(i + size, files)) for i in range(0, files, size)]
+
+
+def _claim_queue(claims: list[range]) -> int:
+    """The read end of a pipe holding one 4-byte record per claim, its
+    write end already closed: a reader at its end has claimed them all."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"".join(k.to_bytes(4, "little")
+                                 for k in range(len(claims))))
+    os.close(write_end)
+    return read_end
+
+
+def _analyze_claimed(queue: int, claims: list[range], files: list[str],
+                     apis, extras, budget, per_file) -> list[tuple]:
+    """``(index, rows, warnings)`` of each file this process claims from
+    ``queue``, one claim at a time, until the queue is empty or a file
+    raises, whose ``(index, exception, [])`` ends the list."""
+    done: list[tuple] = []
+    while record := os.read(queue, 4):
+        for i in claims[int.from_bytes(record, "little")]:
+            warnings: list = []
+            try:
+                rows = [analyze_site(site, budget) for site in
+                        scan_file(files[i], apis, extras, warnings)]
+                done.append((i, per_file(rows) if per_file else rows,
+                             warnings))
+            except Exception as exc:
+                done.append((i, exc, []))
+                return done
+    return done
+
+
+def _fork_worker(analyze):
+    """(pid, pipe) of a forked worker that calls ``analyze()`` and writes
+    its result to the pipe as one pickle."""
     import gc
     import pickle
     read_end, write_end = os.pipe()
@@ -123,78 +147,78 @@ def _fork_share(files: list[Path], apis, extras, budget):
         os.close(write_end)
         return pid, open(read_end, "rb")
     try:    # never return into the caller, flush its buffers or run atexit
-        class Pickler(pickle.Pickler):
-            # A method, not an instance attribute: Python 3.13.0 makes
-            # the attribute read-only.
-            def persistent_id(self, obj):
-                return obj if type(obj) is str and obj.isidentifier() \
-                    else None
-
         with open(write_end, "wb") as out:
-            pickler = Pickler(out, pickle.HIGHEST_PROTOCOL)
-            for result in list(_analyze_share(files, apis, extras, budget)):
-                pickler.dump(result)
-                pickler.clear_memo()
+            pickle.dump(analyze(), out, pickle.HIGHEST_PROTOCOL)
         os._exit(0)
     finally:
         os._exit(1)
 
 
-def _results(pipe):
-    """The results a `_fork_share` worker writes, as they arrive."""
+def _received(pipe) -> list[tuple]:
+    """What a `_fork_worker` worker wrote; nothing if it died first."""
     import pickle
-
-    class Unpickler(pickle.Unpickler):
-        def persistent_load(self, pid):
-            return sys.intern(pid)
-
-    while pipe.peek(1):
-        yield Unpickler(pipe).load()
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return []
 
 
 def analyze_corpus(root: str | Path,
                    apis: frozenset[ApiKind] | set[ApiKind] = DEFAULT_APIS,
                    extras: list[CustomApi] | None = None,
-                   budget: ResolutionBudget | None = None
-                   ) -> tuple[list[SiteAnalysis], list]:
+                   budget: ResolutionBudget | None = None,
+                   per_file=None) -> tuple[list, list]:
     """The pipeline over a corpus: every site `ingest.scan_corpus` would
     find under ``root``, through `analyze_site`, in (path string, offset)
     order, plus the per-file parse warnings.
 
-    Files are split across forked workers, one per CPU this process may
-    run on, and merged in path order: the report bytes do not depend on
-    the worker count, and one file or one CPU runs in-process. Memory is
-    O(largest file + report rows) per process, not O(corpus).
+    ``per_file``, if given, turns one file's `SiteAnalysis` rows into the
+    list that stands for them in the result, in the process that analyzed
+    the file. A scan passes `rendered`, so its caller holds report lines
+    and footer facts, not rows.
+
+    Each process, one per CPU this process may run on and the caller
+    among them, claims the next run of files from a shared queue until it
+    is empty. A forked worker sends all it did in one pickle after its
+    last claim, and the caller merges the files in path order: the result
+    does not depend on the worker count, and the first file that raised,
+    in path order, raises here. One file or one CPU runs in-process.
+    Memory is O(largest file + results) per process, not O(corpus).
     """
     files = corpus_files(root)
     workers = max(1, min(_usable_cpus(), len(files)))
+    claims = _claims(len(files))
+    queue = _claim_queue(claims)
+
+    def analyze():
+        return _analyze_claimed(queue, claims, files, apis, extras, budget,
+                                per_file)
+
     children: list = []
-    analyses: list[SiteAnalysis] = []
+    results: list = []
     warnings: list = []
     try:
-        for k in range(1, workers):
-            children.append(_fork_share(files[k::workers], apis, extras,
-                                        budget))
-        shares = [_analyze_share(files[::workers], apis, extras, budget)]
-        if children:    # finish the caller's share before reading theirs
-            shares = [iter(list(shares[0])),
-                      *(_results(pipe) for _, pipe in children)]
-        for i in range(len(files)):
-            # A share ends at its first exception, before any file it left.
-            result = next(shares[i % workers], None)
-            if result is None:
+        for _ in range(1, workers):
+            children.append(_fork_worker(analyze))
+        by_file: list = [None] * len(files)
+        for done in (analyze(), *(_received(pipe) for _, pipe in children)):
+            for i, outcome, file_warnings in done:
+                by_file[i] = outcome, file_warnings
+        for entry in by_file:   # path order
+            if entry is None:
                 raise ChildProcessError("an analysis worker ended early")
-            if isinstance(result, Exception):
-                raise result
-            analyses += result[0]
-            warnings += result[1]
+            if isinstance(entry[0], Exception):
+                raise entry[0]
+            results += entry[0]
+            warnings += entry[1]
     finally:    # no worker outlives the call, done or not
+        os.close(queue)
         for pid, pipe in children:
             import signal
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-    return analyses, warnings
+    return results, warnings
 
 
 def site_record(analysis: SiteAnalysis) -> dict:
@@ -216,42 +240,69 @@ def site_record(analysis: SiteAnalysis) -> dict:
     }
 
 
-def summary_record(analyses: list[SiteAnalysis],
-                   warnings: list | None = None) -> dict:
+def site_facts(analysis: SiteAnalysis) -> tuple:
+    """What the footer and ``--fail-on`` read of a row: ``(id, category,
+    d, score, labels, severities)``."""
+    site = analysis.site
+    return (site.id, site.api.category, analysis.d, analysis.score,
+            analysis.labels, tuple(f.severity for f in analysis.findings))
+
+
+def rendered(rows: list[SiteAnalysis]) -> list[tuple[str, tuple]]:
+    """Each row as its report line and its `site_facts`: all a scan keeps
+    of it, and `analyze_corpus`'s ``per_file`` hook for one."""
+    return [(dumps_line(site_record(a)) + "\n", site_facts(a)) for a in rows]
+
+
+def summary_from_facts(facts: Iterable[tuple],
+                       warnings: list | None = None) -> dict:
+    """The footer over each site's `site_facts`, in any order."""
     by_severity = {ERROR: 0, WARNING: 0, INFO: 0}
     prevalence: dict[str, int] = {}
-    for a in analyses:
-        for f in a.findings:
-            by_severity[f.severity] += 1
-        for label in a.labels:
+    strata_rows = []
+    for site_id, category, d, s, labels, severities in facts:
+        strata_rows.append((site_id, category, d, s))
+        for severity in severities:
+            by_severity[severity] += 1
+        for label in labels:
             prevalence[label] = prevalence.get(label, 0) + 1
     return {
         "summary": {
-            "sites": len(analyses),
+            "sites": len(strata_rows),
             "findings_by_severity": by_severity,
             "strata": {
                 category: [{"key": st.key, "population": st.population}
                            for st in strata]
-                for category, strata in stratify(
-                    (a.site.id, a.site.api.category, a.d, a.score)
-                    for a in analyses).items()},
+                for category, strata in stratify(strata_rows).items()},
             "prevalence": [[k, v] for k, v in sorted(prevalence.items())],
             "parse_warnings": len(warnings or []),
         }
     }
 
 
+def summary_record(analyses: list[SiteAnalysis],
+                   warnings: list | None = None) -> dict:
+    return summary_from_facts(map(site_facts, analyses), warnings)
+
+
 def dumps_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=True)
+
+
+def write_rendered(rows: list[tuple[str, tuple]], out,
+                   warnings: list | None = None) -> None:
+    """JSON-lines from `rendered` rows in (path, offset) order: their
+    lines, then the footer from their facts."""
+    out.writelines(line for line, _ in rows)
+    out.write(dumps_line(summary_from_facts(
+        (facts for _, facts in rows), warnings)) + "\n")
 
 
 def write_report(analyses: list[SiteAnalysis], out,
                  warnings: list | None = None) -> None:
     """JSON-lines: one record per site in (path, offset) order + footer."""
-    ordered = sorted(analyses, key=lambda a: a.site.order)
-    for a in ordered:
-        out.write(dumps_line(site_record(a)) + "\n")
-    out.write(dumps_line(summary_record(ordered, warnings)) + "\n")
+    write_rendered(rendered(sorted(analyses, key=lambda a: a.site.order)),
+                   out, warnings)
 
 
 def read_report(path: str | Path) -> tuple[list[dict], dict | None]:
@@ -273,10 +324,11 @@ def read_report(path: str | Path) -> tuple[list[dict], dict | None]:
     return records, summary
 
 
-def worst_severity_hit(analyses: list[SiteAnalysis],
-                       fail_on: str) -> bool:
-    return any(severity_at_least(f.severity, fail_on)
-               for a in analyses for f in a.findings)
+def worst_severity_hit(facts: Iterable[tuple], fail_on: str) -> bool:
+    """True when a site's `site_facts` hold a finding that trips
+    ``fail_on``."""
+    return any(severity_at_least(severity, fail_on)
+               for *_, severities in facts for severity in severities)
 
 
 def plan_from_report(records: list[dict], confidence: float,

@@ -497,6 +497,31 @@ def test_scan_bytes_do_not_depend_on_the_cpus(tmp_path):
     assert reports[0]
     assert reports[0] == reports[1]
 
+
+def test_command_exits_with_the_code_main_returns(error_corpus, tmp_path):
+    """``python -m jcascan.cli`` ends through `run`, whose exit skips the
+    interpreter's teardown: the exit code and the flushed output are
+    those of `main` in-process."""
+    src = str(Path(jcascan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def command(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "jcascan.cli", *args],
+                              env=env, capture_output=True, check=False)
+
+    piped = command("scan", str(error_corpus), "-o", "-")
+    assert piped.returncode == 0
+    out = tmp_path / "r.jsonl"
+    assert main(["scan", str(error_corpus), "-o", str(out)]) == 0
+    assert piped.stdout == out.read_bytes()
+    assert command("scan", str(error_corpus), "-o", str(out),
+                   "--fail-on", "error").returncode == 1
+    bad_flag = command("scan", str(error_corpus), "--no-such-flag")
+    assert bad_flag.returncode == 2
+    assert b"--no-such-flag" in bad_flag.stderr
+
+
 class TestBenchCli:
     def test_gen_and_self_run(self, tmp_path, capsys):
         corpus = tmp_path / "bench"

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
+
+import pytest
 
 from jcascan.ingest import (DEFAULT_APIS, FLEXIBLE,
                             FLEXIBLE_CHECK_SERVER_TRUSTED,
                             FLEXIBLE_HOSTNAME_VERIFIER, RESTRICTIVE,
                             RESTRICTIVE_CIPHER_GETINSTANCE,
-                            RESTRICTIVE_SECRETKEYSPEC, parse_config,
-                            scan_corpus)
+                            RESTRICTIVE_SECRETKEYSPEC, corpus_files,
+                            parse_config, scan_corpus, scan_file)
 
 from conftest import (CHARAT_SRC, HOSTNAME_TRUE_SRC, KEY_LITERAL_SRC,
                       TRUST_EMPTY_SRC, TRUST_NATIVE_SRC, XOR_SRC, parse,
@@ -145,3 +148,51 @@ class TestCorpusScan:
         sites, warnings = scan_corpus(tmp_path)
         assert len(sites) == 1
         assert any("Bad.java" in w.path for w in warnings)
+
+
+class TestCorpusFiles:
+    """`corpus_files` lists with `os.scandir` what ``rglob`` lists."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "tree"
+        for directory in ("a.java", ".hidden", "sub/deeper", "b-c"):
+            (root / directory).mkdir(parents=True)
+        for file in ("A.java", "a.java/In.java", ".hidden/H.java",
+                     "sub/deeper/D.java", "b-c.java", "b-c/E.java",
+                     "notes.txt", "X.JAVA", ".java"):
+            (root / file).write_text("class X { }\n")
+        (root / "Link.java").symlink_to(root / "A.java")
+        (root / "Dangling.java").symlink_to(root / "nowhere")
+        (root / "linked").symlink_to(root / "sub")
+        (root / "linked.java").symlink_to(root / "sub")
+        return root
+
+    def test_same_paths_and_order_as_rglob(self, tree, monkeypatch):
+        monkeypatch.chdir(tree.parent)
+        for root in (tree, str(tree), f"{tree}/", "tree", "./tree/",
+                     "tree//sub/..", "."):
+            expected = [str(p) for p in
+                        sorted(Path(root).rglob("*.java"), key=str)]
+            assert corpus_files(root) == expected, root
+        assert "tree/linked.java" in corpus_files("tree")
+        assert not any(p.startswith("tree/linked")
+                       and p != "tree/linked.java"
+                       for p in corpus_files("tree"))
+
+    def test_read_as_pathlib_reads(self, tree):
+        """Newlines are translated and a directory named ``*.java`` is
+        unreadable, with the text `Path.read_text` gives."""
+        crlf = tree / "Crlf.java"
+        crlf.write_bytes(b'class C {\r\n void m() throws Exception {\r'
+                         b' Cipher.getInstance("DES"); } }\r\n')
+        sites = scan_file(str(crlf), DEFAULT_APIS, None, [])
+        assert sites[0].unit.text == crlf.read_text(encoding="utf-8")
+        assert sites[0].start_line == 3
+        warnings: list = []
+        assert scan_file(str(tree / "a.java"), DEFAULT_APIS, None,
+                         warnings) == []
+        with pytest.raises(OSError) as raised:
+            (tree / "a.java").read_text(encoding="utf-8", errors="replace")
+        assert [w.message for w in warnings] == \
+            [f"unreadable: {raised.value}"]

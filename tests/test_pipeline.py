@@ -233,8 +233,17 @@ def _counting_forks(monkeypatch) -> list[int]:
     return forks
 
 
+def _one_site_corpus(root: Path, n_files: int) -> Path:
+    root.mkdir()
+    for i in range(n_files):
+        (root / f"F{i}.java").write_text(_one_site(f"F{i}"),
+                                         encoding="utf-8")
+    return root
+
+
 @pytest.mark.parametrize("corpus", ["conftest", "bench", "ordered",
-                                    "warnings", *sorted(corpora.GENERATORS)])
+                                    "warnings", "many-files",
+                                    *sorted(corpora.GENERATORS)])
 def test_worker_count_never_changes_the_report(corpus, ordered_corpus,
                                                bench_corpus, tmp_path,
                                                monkeypatch):
@@ -247,6 +256,8 @@ def test_worker_count_never_changes_the_report(corpus, ordered_corpus,
         root = ordered_corpus
     elif corpus == "warnings":
         _warning_corpus(root)
+    elif corpus == "many-files":    # more files than claims: runs of two
+        _one_site_corpus(root, 1500)
     else:
         corpora.generate(corpus, root, 1)
     files = len(ingest.corpus_files(root))
@@ -263,6 +274,49 @@ def test_worker_count_never_changes_the_report(corpus, ordered_corpus,
     assert scans[0][0].count(b"\n") > 1
     assert scans[1] == scans[0]
     assert scans[2] == scans[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_rows_rendered_where_analyzed_write_the_report(workers, tmp_path,
+                                                       monkeypatch):
+    """A scan renders each file's rows in the process that analyzed it;
+    its report is what `write_report` writes from the rows."""
+    root = _conftest_corpus(tmp_path / "c")
+    _warning_corpus(root / "w")
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 1)
+    expected = _scan(root)[0]
+    monkeypatch.setattr(report, "_usable_cpus", lambda: workers)
+    rows, warnings = analyze_corpus(root, per_file=report.rendered)
+    out = io.StringIO()
+    report.write_rendered(rows, out, warnings)
+    assert out.getvalue().encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("files", [0, 1, 1024, 1025, 100_000])
+def test_claims_hand_out_each_file_once_in_order(files):
+    claims = report._claims(files)
+    assert len(claims) <= 1024
+    assert [i for claim in claims for i in claim] == list(range(files))
+    assert all(claims)
+
+
+def test_a_slow_caller_leaves_the_files_to_its_worker(tmp_path,
+                                                      monkeypatch):
+    """Files go to whichever process asks first, not in fixed shares."""
+    root = _one_site_corpus(tmp_path / "c", 20)
+    caller = os.getpid()
+    analyze = report.analyze_site
+
+    def slow_in_caller(site, budget=None):
+        if os.getpid() == caller:
+            time.sleep(0.05)
+        return analyze(site, budget)
+
+    monkeypatch.setattr(report, "analyze_site", slow_in_caller)
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    pids, _ = analyze_corpus(root, per_file=lambda rows: [os.getpid()])
+    assert len(pids) == 20
+    assert pids.count(caller) < 10, pids
 
 
 def test_a_process_with_threads_runs_in_process():
@@ -289,8 +343,8 @@ def _no_child_left() -> bool:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_failing_file_raises_what_one_worker_raises(workers, tmp_path,
                                                       monkeypatch):
-    """``C1`` is in a forked worker's share, ``C2`` in the caller's for two
-    workers; path order decides which exception is raised."""
+    """``C1`` and ``C2`` both raise, in whichever process claims them;
+    path order decides which exception is raised."""
     root = _write_corpus(tmp_path / "c", 6)
     raises = {"C1.java": ValueError, "C2.java": KeyError}
     analyze = report.analyze_site
