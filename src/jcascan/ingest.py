@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from pathlib import Path
 
 from .javaparse import parse_unit
@@ -156,10 +157,6 @@ def load_config(path: str | Path) -> list[CustomApi]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _no_body_marker(decl: SyntaxNode) -> SyntaxNode:
-    return SyntaxNode("no_body", decl.end, decl.end, [], None, decl.source)
-
-
 def _param_types(decl: SyntaxNode) -> list[str]:
     params = child_of_kind(decl, "formal_parameters")
     if params is None:
@@ -178,38 +175,40 @@ def extract_sites(unit: SourceUnit,
     extras = extras or []
     sites: list[InvocationSite] = []
     index = unit_index(unit)
+    text = unit.text
+    # Candidates come in pre-order, so by offset: ``line`` is the line of
+    # offset ``counted``, and each site counts on from the last.
+    line, counted = 1, 0
 
     def add(api: ApiKind, node: SyntaxNode, subtree: SyntaxNode,
             receiver: str = "") -> None:
+        nonlocal line, counted
+        start = node.start
+        line += text.count("\n", counted, start)
+        counted = start
         sites.append(InvocationSite(
-            id=f"{unit.path}:{node.start}",
+            id=f"{unit.path}:{start}",
             api=api,
             path=unit.path,
-            offset=node.start,
+            offset=start,
             subtree=subtree,
             unit=unit,
             node=node,
-            type_body=index.type_bodies.innermost(node.start, node.end),
+            type_body=index.enclosing_type_body(node),
             method=index.enclosing_method(node),
             receiver_text=receiver,
-            start_line=index.line_of(node.start),
-            end_line=index.line_of(max(node.start, node.end - 1)),
+            start_line=line,
+            end_line=line + text.count("\n", start, node.end - 1),
         ))
-
-    want_cipher = RESTRICTIVE_CIPHER_GETINSTANCE in apis
-    want_keyspec = RESTRICTIVE_SECRETKEYSPEC in apis
-    want_cst = FLEXIBLE_CHECK_SERVER_TRUSTED in apis
-    want_hv = FLEXIBLE_HOSTNAME_VERIFIER in apis
 
     for node in index.site_candidates:
         if node.kind == "method_invocation":
             args = node.children[-1]
             name = node.value
-            if len(node.children) == 3:
-                receiver = node.children[0].text
-            else:
-                receiver = ""
-            if want_cipher and name == "getInstance" and "Cipher" in receiver:
+            receiver = node.children[0].text if len(node.children) == 3 \
+                else ""
+            if name == "getInstance" and "Cipher" in receiver \
+                    and RESTRICTIVE_CIPHER_GETINSTANCE in apis:
                 add(RESTRICTIVE_CIPHER_GETINSTANCE, node, args, receiver)
                 continue
             for extra in extras:
@@ -220,31 +219,34 @@ def extract_sites(unit: SourceUnit,
                     break
         elif node.kind == "object_creation_expression":
             type_node = node.children[0]
-            args = next((c for c in node.children
-                         if c.kind == "argument_list"), None)
-            if want_keyspec and args is not None \
-                    and "SecretKeySpec" in str(type_node.value or ""):
+            args = child_of_kind(node, "argument_list")
+            if args is not None \
+                    and "SecretKeySpec" in str(type_node.value or "") \
+                    and RESTRICTIVE_SECRETKEYSPEC in apis:
                 add(RESTRICTIVE_SECRETKEYSPEC, node, args,
                     str(type_node.value))
         elif node.kind == "method_declaration":
             name = decl_name(node)
-            types = _param_types(node)
-            body = method_body(node)
-            subtree = body if body is not None else _no_body_marker(node)
-            if want_cst and name == "checkServerTrusted":
-                add(FLEXIBLE_CHECK_SERVER_TRUSTED, node, subtree)
-                continue
-            if want_hv and name == "verify" and len(types) == 2 \
-                    and types[0] == "String" and "SSLSession" in types[1]:
-                add(FLEXIBLE_HOSTNAME_VERIFIER, node, subtree)
-                continue
-            for extra in extras:
-                if extra.kind.category == FLEXIBLE and name == extra.method \
-                        and (extra.arity is None or len(types) == extra.arity):
-                    add(extra.kind, node, subtree)
-                    break
-
-    sites.sort(key=lambda s: s.offset)
+            api = None
+            if name == "checkServerTrusted" \
+                    and FLEXIBLE_CHECK_SERVER_TRUSTED in apis:
+                api = FLEXIBLE_CHECK_SERVER_TRUSTED
+            elif name == "verify" or extras:
+                types = _param_types(node)
+                if name == "verify" and len(types) == 2 \
+                        and types[0] == "String" and "SSLSession" in types[1] \
+                        and FLEXIBLE_HOSTNAME_VERIFIER in apis:
+                    api = FLEXIBLE_HOSTNAME_VERIFIER
+                else:
+                    api = next((e.kind for e in extras
+                                if e.kind.category == FLEXIBLE
+                                and name == e.method
+                                and (e.arity is None
+                                     or len(types) == e.arity)), None)
+            if api is not None:
+                body = method_body(node)
+                add(api, node, body if body is not None else SyntaxNode(
+                    "no_body", node.end, node.end, [], None, node.source))
     return sites
 
 
@@ -276,14 +278,24 @@ def corpus_files(root_dir: str | Path) -> list[str]:
     return found
 
 
+def _read_text(path: str) -> str:
+    """The text of a regular file, as ``open(path, encoding="utf-8",
+    errors="replace")`` reads it, opened with no wait on a named pipe."""
+    with open(path, "rb", opener=lambda name, flags: os.open(
+            name, flags | getattr(os, "O_NONBLOCK", 0))) as source:
+        if not stat.S_ISREG(os.fstat(source.fileno()).st_mode):
+            raise OSError(f"not a regular file: {path!r}")
+        text = source.read().decode("utf-8", "replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+
+
 def scan_file(path: str, apis: frozenset[ApiKind] | set[ApiKind],
               extras: list[CustomApi] | None,
               warnings: list[ParseWarning]) -> list[InvocationSite]:
     """Read, parse and extract one file. A read or parse failure, and
     every parse warning, is appended to ``warnings``; nothing raises."""
     try:
-        with open(path, encoding="utf-8", errors="replace") as source:
-            text = source.read()
+        text = _read_text(path)
     except OSError as exc:
         warnings.append(ParseWarning(path, 0, f"unreadable: {exc}"))
         return []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import partial
 
 from .syntax import ParseWarning, Record, SourceUnit, SyntaxNode
 
@@ -52,7 +53,7 @@ KEYWORDS = PRIMITIVE_TYPES | MODIFIER_WORDS | {
 # Deeper input becomes a parse_error node and a warning instead of
 # exhausting the interpreter's recursion limit: both limits reached at
 # once, in the costliest shape (lambda arguments inside nested local
-# classes), take about 810 stack frames in the parser and fewer in every
+# classes), take about 620 stack frames in the parser and fewer in every
 # later layer, under the default limit of 1000 (tests/test_cli.py checks
 # that case).
 MAX_EXPRESSION_DEPTH = 64
@@ -71,8 +72,11 @@ _TOKEN = re.compile(
     r"|(?P<op>>>>=|>>>|>>=|<<=|->|::|\+\+|--|&&|\|\||[=!<>+\-*/%&|^]="
     r"|<<|>>|\.(?![0-9]|[^\x00-\x7f])|(?![\sA-Za-z0-9_$\"'.])[\x00-\x7f]))?")
 
+# By quote: a literal's characters up to its quote, a backslash or newline.
+_QUOTED_RUN = {q: re.compile(f"[^{q}\\\\\n]*").match for q in "\"'"}
+
 # Enough eof tokens after the last one for the parser's furthest
-# lookahead, `peek(2)`, from the first eof.
+# lookahead, ``self.tokens[self.pos + 2]``, from the first eof.
 _LOOKAHEAD = 2
 
 
@@ -102,8 +106,6 @@ def _decode_escapes(body: str) -> tuple[str, bool]:
     """The value of a literal's body, and whether every escape in it is
     valid. A digit escape without an octal digit (a backslash and ``8``)
     stands for the digit, like an unknown escape."""
-    if "\\" not in body:
-        return body, True
     out = []
     valid = True
     i = 0
@@ -176,21 +178,23 @@ def tokenize(text: str,
         c = text[i]
         if c == '"' or c == "'":
             # A string or char literal ends at its quote, or before the
-            # end of its line.
-            j = i + 1
-            while j < n and text[j] != c:
-                if text[j] == "\\":
-                    j += 1
-                    if j == n:
-                        if c == '"':
-                            problems.append(
-                                (i, "literal ends inside an escape sequence"))
-                        break
+            # end of its line. Each match passes a run of other characters.
+            run = _QUOTED_RUN[c]
+            j = run(text, i + 1).end()
+            while j < n and text[j] == "\\":
+                j += 1
+                if j == n:
+                    if c == '"':
+                        problems.append(
+                            (i, "literal ends inside an escape sequence"))
+                    break
                 if text[j] == "\n":
                     break
-                j += 1
+                j = run(text, j + 1).end()
             end = min(j + 1, n)
-            value, valid = _decode_escapes(text[i + 1:j])
+            body = text[i + 1:j]
+            value, valid = (body, True) if "\\" not in body \
+                else _decode_escapes(body)
             if not valid:
                 problems.append((i, "invalid escape sequence"))
             if c == '"':
@@ -266,6 +270,16 @@ def tokenize(text: str,
     return tokens
 
 
+# The node kind of each literal token's kind (but `0x…` is hexadecimal),
+# and the node kind and value of each keyword that is a primary.
+_LITERALS = {"string": "string_literal", "char": "character_literal",
+             "int": "decimal_integer_literal",
+             "float": "decimal_floating_point_literal"}
+_WORD_LITERALS = {"true": ("true", True), "false": ("false", False),
+                  "null": ("null_literal", None), "this": ("this", "this"),
+                  "super": ("super", "super")}
+
+
 class Parser:
     def __init__(self, path: str, text: str):
         self.path = path
@@ -275,20 +289,16 @@ class Parser:
         self.tokens += [self.tokens[-1]] * _LOOKAHEAD
         self.pos = 0
         self.warnings = [ParseWarning(path, offset, message)
-                         for offset, message in lexed]
+                         for offset, message in lexed] if lexed else []
         self.expression_depth = 0
         self.statement_depth = 0
+        # node(kind, start, end, children=None, value=None), frameless.
+        self.node = partial(SyntaxNode, source=text)
 
     # -- token helpers -------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        # `advance` stops at the first eof, and eof tokens pad the list
-        # past it; `peek(-1)` at the start reads the last pad.
-        return self.tokens[self.pos + offset]
-
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("op", "ident")
+    # Productions read ``self.tokens[self.pos]`` and pass a token whose text
+    # they matched with ``self.pos += 1``: never eof, the one token with the
+    # empty text, so ``text not in ("}", "")`` is "not at `}` nor at eof".
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -297,19 +307,11 @@ class Parser:
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.start)
-        return self.advance()
-
-    def node(self, kind: str, start: int, end: int,
-             children: list[SyntaxNode] | None = None,
-             value: object = None) -> SyntaxNode:
-        return SyntaxNode(kind, start, end, children or [], value, self.text)
-
-    def _identifier(self, tok: Token) -> SyntaxNode:
-        return SyntaxNode("identifier", tok.start, tok.end, [], tok.text,
-                          self.text)
+        self.pos += 1
+        return tok
 
     # -- error recovery ------------------------------------------------
 
@@ -319,14 +321,14 @@ class Parser:
         ``skip()`` (default: the rest of the statement) passes."""
         self.warnings.append(ParseWarning(self.path, start, message))
         (skip or self._skip_statement)()
-        end = max(self.peek().start, start)
+        end = max(self.tokens[self.pos].start, start)
         return self.node("parse_error", start, end)
 
     def _recover_past(self, start: int, message: str) -> SyntaxNode:
         """``_recover`` from ``start``, then past at least one token, so
         that the caller's loop moves on."""
         err = self._recover(start, message)
-        if self.peek().start == start and self.peek().kind != "eof":
+        if self.tokens[self.pos].start == start:
             self.advance()
         return err
 
@@ -334,10 +336,7 @@ class Parser:
         """Skip past the next ``;``, or up to the next ``}``, outside
         braces."""
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
+        while (tok := self.tokens[self.pos]).kind != "eof":
             if tok.text == "{":
                 depth += 1
             elif tok.text == "}":
@@ -345,58 +344,51 @@ class Parser:
                     break
                 depth -= 1
             elif depth == 0 and tok.text == ";":
-                self.advance()
+                self.pos += 1
                 break
-            self.advance()
+            self.pos += 1
 
     def _skip_statement_chain(self) -> None:
         self._skip_statement()
         # No statement starts with `else`: the rest of an if-else chain
         # goes with the skipped statement.
-        while self.at("else"):
+        while self.tokens[self.pos].text == "else":
             self._skip_statement()
 
     # -- program -------------------------------------------------------
 
     def parse_program(self) -> SyntaxNode:
         children: list[SyntaxNode] = []
-        while self.peek().kind != "eof":
-            start = self.peek().start
+        while (tok := self.tokens[self.pos]).kind != "eof":
             try:
                 decl = self.parse_top_level()
                 if decl is not None:
                     children.append(decl)
             except ParseError as exc:
-                children.append(self._recover_past(start, str(exc)))
+                children.append(self._recover_past(tok.start, str(exc)))
         return self.node("program", 0, len(self.text), children)
 
     def parse_top_level(self) -> SyntaxNode | None:
-        tok = self.peek()
-        if tok.text == "package":
-            start = self.advance().start
-            name = self._qualified_name()
-            self.expect(";")
-            return self.node("package_declaration", start,
-                             self.peek(-1).end if self.pos else start,
-                             value=name)
-        if tok.text == "import":
-            start = self.advance().start
-            if self.at("static"):
-                self.advance()
-            name = self._qualified_name(allow_star=True)
-            end = self.expect(";").end
-            return self.node("import_declaration", start, end, value=name)
+        tok = self.tokens[self.pos]
+        if tok.text in ("package", "import"):
+            self.pos += 1
+            star = tok.text == "import"
+            if star and self.tokens[self.pos].text == "static":
+                self.pos += 1
+            name = self._qualified_name(allow_star=star)
+            return self.node(f"{tok.text}_declaration", tok.start,
+                             self.expect(";").end, value=name)
         if tok.text == ";":
-            self.advance()
+            self.pos += 1
             return None
         return self.parse_type_declaration()
 
     def _qualified_name(self, allow_star: bool = False) -> str:
         parts = [self.advance().text]
-        while self.at("."):
-            self.advance()
-            if allow_star and self.at("*"):
-                self.advance()
+        while self.tokens[self.pos].text == ".":
+            self.pos += 1
+            if allow_star and self.tokens[self.pos].text == "*":
+                self.pos += 1
                 parts.append("*")
                 break
             parts.append(self.advance().text)
@@ -405,45 +397,45 @@ class Parser:
     # -- declarations ----------------------------------------------------
 
     def _skip_annotations(self) -> None:
-        while self.at("@"):
-            self.advance()
+        while self.tokens[self.pos].text == "@":
+            self.pos += 1
             self._qualified_name()
-            if self.at("("):
+            if self.tokens[self.pos].text == "(":
                 self._skip_balanced("(", ")")
 
     def _skip_balanced(self, open_t: str, close_t: str) -> None:
         self.expect(open_t)
         depth = 1
-        while depth and self.peek().kind != "eof":
-            tok = self.advance()
+        while depth and (tok := self.tokens[self.pos]).kind != "eof":
+            self.pos += 1
             if tok.text == open_t:
                 depth += 1
             elif tok.text == close_t:
                 depth -= 1
 
     def parse_modifiers(self) -> SyntaxNode | None:
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         mods: list[str] = []
         while True:
-            self._skip_annotations()
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text in MODIFIER_WORDS:
-                mods.append(self.advance().text)
+            tok = self.tokens[self.pos]
+            if tok.text == "@":
+                self._skip_annotations()
+            elif tok.text in MODIFIER_WORDS:
+                mods.append(tok.text)
+                self.pos += 1
             else:
                 break
         if not mods:
             return None
-        return self.node("modifiers", start, self.peek(-1).end if self.pos else start,
+        return self.node("modifiers", start, self.tokens[self.pos - 1].end,
                          value=tuple(mods))
 
     def parse_type_declaration(self) -> SyntaxNode:
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         mods = self.parse_modifiers()
-        tok = self.peek()
-        if tok.text == "class":
-            return self._class_like("class_declaration", start, mods)
-        if tok.text == "interface":
-            return self._class_like("interface_declaration", start, mods)
+        tok = self.tokens[self.pos]
+        if tok.text in ("class", "interface"):
+            return self._class_like(f"{tok.text}_declaration", start, mods)
         if tok.text == "enum":
             return self._enum(start, mods)
         if tok.text == "@":
@@ -451,41 +443,42 @@ class Parser:
         raise ParseError(f"expected type declaration, got {tok.text!r}", tok.start)
 
     def _skip_type_params(self) -> None:
-        if self.at("<"):
-            depth = 0
-            while self.peek().kind != "eof":
-                tok = self.advance()
-                if tok.text == "<":
-                    depth += 1
-                elif tok.text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        return
-                elif tok.text == ">>":
-                    depth -= 2
-                    if depth <= 0:
-                        return
+        depth = 0
+        while (tok := self.tokens[self.pos]).kind != "eof":
+            self.pos += 1
+            if tok.text == "<":
+                depth += 1
+            elif tok.text == ">":
+                depth -= 1
+                if depth == 0:
+                    return
+            elif tok.text == ">>":
+                depth -= 2
+                if depth <= 0:
+                    return
 
     def _type_head(self, mods: SyntaxNode | None) -> list[SyntaxNode]:
         """The modifiers and the name of a type, past its keyword."""
-        self.advance()  # class / interface / enum
-        return ([] if mods is None else [mods]) \
-            + [self._identifier(self.advance())]
+        self.pos += 1  # class / interface / enum
+        name = self.advance()
+        return ([] if mods is None else [mods]) + [self.node(
+            "identifier", name.start, name.end, value=name.text)]
 
     def _supertypes(self, children: list[SyntaxNode]) -> None:
         """The types of each ``extends`` or ``implements`` list, appended
         to ``children``."""
-        while self.peek().text in ("extends", "implements"):
-            self.advance()
+        while self.tokens[self.pos].text in ("extends", "implements"):
+            self.pos += 1
             children.append(self.parse_type())
-            while self.at(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 children.append(self.parse_type())
 
     def _class_like(self, kind: str, start: int,
                     mods: SyntaxNode | None) -> SyntaxNode:
         children = self._type_head(mods)
-        self._skip_type_params()
+        if self.tokens[self.pos].text == "<":
+            self._skip_type_params()
         self._supertypes(children)
         body = self.parse_class_body()
         children.append(body)
@@ -496,27 +489,27 @@ class Parser:
         self._supertypes(children)
         body_start = self.expect("{").start
         body_children: list[SyntaxNode] = []
-        while not self.at("}") and not self.at(";") and self.peek().kind != "eof":
+        while self.tokens[self.pos].text not in ("}", ";", ""):
             self._skip_annotations()
             const_tok = self.advance()
-            const_children = [self._identifier(const_tok)]
+            const_children = [self.node("identifier", const_tok.start,
+                                        const_tok.end, value=const_tok.text)]
             end = const_tok.end
-            if self.at("("):
+            if self.tokens[self.pos].text == "(":
                 args = self.parse_argument_list()
                 const_children.append(args)
                 end = args.end
-            if self.at("{"):
+            if self.tokens[self.pos].text == "{":
                 cbody = self.parse_class_body()
                 end = cbody.end
             body_children.append(self.node("enum_constant", const_tok.start,
                                            end, const_children))
-            if self.at(","):
-                self.advance()
-            else:
+            if self.tokens[self.pos].text != ",":
                 break
-        if self.at(";"):
-            self.advance()
-            while not self.at("}") and self.peek().kind != "eof":
+            self.pos += 1
+        if self.tokens[self.pos].text == ";":
+            self.pos += 1
+            while self.tokens[self.pos].text not in ("}", ""):
                 member = self.parse_member()
                 if member is not None:
                     body_children.append(member)
@@ -528,7 +521,7 @@ class Parser:
     def parse_class_body(self) -> SyntaxNode:
         start = self.expect("{").start
         children: list[SyntaxNode] = []
-        while not self.at("}") and self.peek().kind != "eof":
+        while self.tokens[self.pos].text not in ("}", ""):
             member = self.parse_member()
             if member is not None:
                 children.append(member)
@@ -536,41 +529,42 @@ class Parser:
         return self.node("class_body", start, end, children)
 
     def parse_member(self) -> SyntaxNode | None:
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         try:
             return self._nested_statement(self._parse_member_inner)
         except ParseError as exc:
             return self._recover_past(start, str(exc))
 
     def _parse_member_inner(self) -> SyntaxNode | None:
-        if self.at(";"):
-            self.advance()
+        if self.tokens[self.pos].text == ";":
+            self.pos += 1
             return None
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         mods = self.parse_modifiers()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text in ("class", "interface"):
-            return self._class_like(
-                "class_declaration" if tok.text == "class"
-                else "interface_declaration", start, mods)
+            return self._class_like(f"{tok.text}_declaration", start, mods)
         if tok.text == "enum":
             return self._enum(start, mods)
         if tok.text == "{":  # initializer block
             block = self.parse_block()
             children = ([mods] if mods else []) + [block]
             return self.node("initializer_block", start, block.end, children)
-        self._skip_type_params()
+        if tok.text == "<":
+            self._skip_type_params()
         # Constructor: Name ( ... ) {
-        if (tok.kind == "ident" and self.peek(1).text == "("
+        if (tok.kind == "ident" and self.tokens[self.pos + 1].text == "("
                 and tok.text not in KEYWORDS):
-            return self._method_rest(start, mods, None, tok, "constructor_declaration")
+            self.pos += 1
+            return self._method_rest(start, mods, None, tok,
+                                     "constructor_declaration")
         type_node = self.parse_type()
-        name_tok = self.peek()
+        name_tok = self.tokens[self.pos]
         if name_tok.kind != "ident":
             raise ParseError(f"expected member name, got {name_tok.text!r}",
                              name_tok.start)
-        self.advance()
-        if self.at("("):
+        self.pos += 1
+        if self.tokens[self.pos].text == "(":
             return self._method_rest(start, mods, type_node, name_tok,
                                      "method_declaration")
         children = ([] if mods is None else [mods]) + [type_node]
@@ -580,22 +574,21 @@ class Parser:
     def _method_rest(self, start: int, mods: SyntaxNode | None,
                      type_node: SyntaxNode | None, name_tok: Token,
                      kind: str) -> SyntaxNode:
-        if kind == "constructor_declaration":
-            self.advance()  # name token not yet consumed in ctor path
         children: list[SyntaxNode] = [] if mods is None else [mods]
         if type_node is not None:
             children.append(type_node)
-        children.append(self._identifier(name_tok))
+        children.append(self.node("identifier", name_tok.start, name_tok.end,
+                                  value=name_tok.text))
         params = self.parse_formal_parameters()
         children.append(params)
         end = params.end
-        if self.at("throws"):
-            self.advance()
+        if self.tokens[self.pos].text == "throws":
+            self.pos += 1
             self.parse_type()
-            while self.at(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 self.parse_type()
-        if self.at("{"):
+        if self.tokens[self.pos].text == "{":
             body = self.parse_block()
             children.append(body)
             end = body.end
@@ -609,81 +602,83 @@ class Parser:
         variable_declarator per name, appended to ``children``. Returns
         the end of the ``;``."""
         while True:
-            decl_children = [self._identifier(name_tok)]
+            decl_children = [self.node("identifier", name_tok.start,
+                                       name_tok.end, value=name_tok.text)]
             end = name_tok.end
-            while self.at("["):
-                self.advance()
+            while self.tokens[self.pos].text == "[":
+                self.pos += 1
                 end = self.expect("]").end
-            if self.at("="):
-                self.advance()
-                init = self._array_initializer() if self.at("{") \
+            if self.tokens[self.pos].text == "=":
+                self.pos += 1
+                init = self._array_initializer() \
+                    if self.tokens[self.pos].text == "{" \
                     else self.parse_expression()
                 decl_children.append(init)
                 end = init.end
             children.append(self.node("variable_declarator", name_tok.start,
                                       end, decl_children))
-            if not self.at(","):
+            if self.tokens[self.pos].text != ",":
                 return self.expect(";").end
-            self.advance()
+            self.pos += 1
             name_tok = self.advance()
 
     def parse_formal_parameters(self) -> SyntaxNode:
         start = self.expect("(").start
         children: list[SyntaxNode] = []
-        while not self.at(")") and self.peek().kind != "eof":
-            pstart = self.peek().start
+        while self.tokens[self.pos].text not in (")", ""):
+            pstart = self.tokens[self.pos].start
             self._skip_annotations()
             ptype = self._final_type()
-            if self.at("..."):
-                self.advance()
-            elif self.at("."):
-                while self.at("."):
-                    self.advance()
+            while self.tokens[self.pos].text == ".":  # varargs' `...`
+                self.pos += 1
             name_tok = self.advance()
             pend = name_tok.end
-            while self.at("["):
-                self.advance()
+            while self.tokens[self.pos].text == "[":
+                self.pos += 1
                 pend = self.expect("]").end
+            name = self.node("identifier", name_tok.start, name_tok.end,
+                             value=name_tok.text)
             children.append(self.node("formal_parameter", pstart, pend,
-                                      [ptype, self._identifier(name_tok)]))
-            if self.at(","):
-                self.advance()
+                                      [ptype, name]))
+            if self.tokens[self.pos].text == ",":
+                self.pos += 1
         end = self.expect(")").end
         return self.node("formal_parameters", start, end, children)
 
     def _final_type(self) -> SyntaxNode:
         """A type after an optional ``final``."""
-        if self.at("final"):
-            self.advance()
+        if self.tokens[self.pos].text == "final":
+            self.pos += 1
         return self.parse_type()
 
     def parse_type(self) -> SyntaxNode:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             raise ParseError(f"expected type, got {tok.text!r}", tok.start)
-        start = tok.start
-        parts = [self.advance().text]
+        self.pos += 1
+        parts = [tok.text]
         end = tok.end
-        self._maybe_skip_type_args()
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.advance()
-            nxt = self.advance()
+        while True:
+            if self.tokens[self.pos].text == "<":
+                self._skip_type_args()
+            if self.tokens[self.pos].text != "." \
+                    or (nxt := self.tokens[self.pos + 1]).kind != "ident":
+                break
+            self.pos += 2
             parts.append(nxt.text)
             end = nxt.end
-            self._maybe_skip_type_args()
         dims = 0
-        while self.at("[") and self.peek(1).text == "]":
-            self.advance()
-            end = self.advance().end
+        while self.tokens[self.pos].text == "[" \
+                and (close := self.tokens[self.pos + 1]).text == "]":
+            self.pos += 2
+            end = close.end
             dims += 1
-        return self.node("type_identifier", start, end,
+        return self.node("type_identifier", tok.start, end,
                          value=".".join(parts) + "[]" * dims)
 
-    def _maybe_skip_type_args(self) -> None:
-        if not self.at("<"):
-            return
-        # Heuristic lookahead: only skip if a matching '>' appears before
-        # ';', '{', or ')' at the same nesting level.
+    def _skip_type_args(self) -> None:
+        """Past the type arguments at ``<``, if a matching ``>`` comes
+        before ``;``, ``{`` or ``)`` at the same nesting level."""
         depth = 0
         idx = self.pos
         while idx < len(self.tokens):
@@ -710,14 +705,13 @@ class Parser:
     def parse_block(self) -> SyntaxNode:
         start = self.expect("{").start
         children: list[SyntaxNode] = []
-        while not self.at("}") and self.peek().kind != "eof":
-            stmt_start = self.peek().start
+        while (tok := self.tokens[self.pos]).text not in ("}", ""):
             try:
                 stmt = self.parse_statement()
                 if stmt is not None:
                     children.append(stmt)
             except ParseError as exc:
-                children.append(self._recover_past(stmt_start, str(exc)))
+                children.append(self._recover_past(tok.start, str(exc)))
         end = self.expect("}").end
         return self.node("block", start, end, children)
 
@@ -729,7 +723,7 @@ class Parser:
         """``parse()`` one statement level deeper; past MAX_STATEMENT_DEPTH
         levels the statement is skipped as one parse_error node."""
         if self.statement_depth >= MAX_STATEMENT_DEPTH:
-            return self._recover(self.peek().start,
+            return self._recover(self.tokens[self.pos].start,
                                  "statement nested deeper than "
                                  f"{MAX_STATEMENT_DEPTH} levels",
                                  self._skip_statement_chain)
@@ -740,10 +734,11 @@ class Parser:
             self.statement_depth -= 1
 
     def _statement(self) -> SyntaxNode | None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         text = tok.text
+        start = tok.start
         if text == ";":
-            self.advance()
+            self.pos += 1
             return None
         if text == "{":
             return self.parse_block()
@@ -752,60 +747,54 @@ class Parser:
         if text == "for":
             return self._for_statement()
         if text == "while":
-            start = self.advance().start
-            self.expect("(")
-            cond = self.parse_expression()
-            self.expect(")")
+            self.pos += 1
+            cond = self._condition()
             body = self.parse_statement()
             end = body.end if body else cond.end
             return self.node("while_statement", start, end,
                              [cond] + ([body] if body else []))
         if text == "do":
-            start = self.advance().start
+            self.pos += 1
             body = self.parse_statement()
             self.expect("while")
-            self.expect("(")
-            cond = self.parse_expression()
-            self.expect(")")
+            cond = self._condition()
             end = self.expect(";").end
             return self.node("do_statement", start, end,
                              ([body] if body else []) + [cond])
         if text == "return":
-            start = self.advance().start
+            self.pos += 1
             children = []
-            if not self.at(";"):
+            if self.tokens[self.pos].text != ";":
                 children.append(self.parse_expression())
             end = self.expect(";").end
             return self.node("return_statement", start, end, children)
         if text == "throw":
-            start = self.advance().start
+            self.pos += 1
             expr = self.parse_expression()
             end = self.expect(";").end
             return self.node("throw_statement", start, end, [expr])
         if text == "try":
             return self._try_statement()
         if text in ("break", "continue"):
-            start = self.advance().start
-            if self.peek().kind == "ident" and not self.at(";"):
-                self.advance()  # label
+            self.pos += 1
+            if self.tokens[self.pos].kind == "ident":
+                self.pos += 1  # label
             end = self.expect(";").end
             return self.node(f"{text}_statement", start, end)
         if text == "switch":
             return self._switch_statement()
-        if text == "synchronized" and self.peek(1).text == "(":
-            start = self.advance().start
-            self.expect("(")
-            expr = self.parse_expression()
-            self.expect(")")
+        if text == "synchronized" and self.tokens[self.pos + 1].text == "(":
+            self.pos += 1
+            expr = self._condition()
             block = self.parse_block()
             return self.node("synchronized_statement", start, block.end,
                              [expr, block])
         if text == "assert":
-            start = self.advance().start
+            self.pos += 1
             expr = self.parse_expression()
             children = [expr]
-            if self.at(":"):
-                self.advance()
+            if self.tokens[self.pos].text == ":":
+                self.pos += 1
                 children.append(self.parse_expression())
             end = self.expect(";").end
             return self.node("assert_statement", start, end, children)
@@ -813,19 +802,18 @@ class Parser:
             self._skip_annotations()
             return self.parse_statement()
         if text in ("class", "interface", "enum") or (
-                tok.kind == "ident" and text in MODIFIER_WORDS
-                and self.peek(1).text in ("class", "interface", "enum")):
+                text in MODIFIER_WORDS
+                and self.tokens[self.pos + 1].text in ("class", "interface",
+                                                  "enum")):
             return self.parse_type_declaration()
         # Label: ident ':' statement
-        if tok.kind == "ident" and self.peek(1).text == ":" \
-                and self.peek(2).text != ":":
-            self.advance()
-            self.advance()
+        if tok.kind == "ident" and self.tokens[self.pos + 1].text == ":" \
+                and self.tokens[self.pos + 2].text != ":":
+            self.pos += 2
             return self.parse_statement()
         decl = self._try_local_declaration()
         if decl is not None:
             return decl
-        start = tok.start
         expr = self.parse_expression()
         end = self.expect(";").end
         return self.node("expression_statement", start, end, [expr])
@@ -834,15 +822,14 @@ class Parser:
         saved = self.pos
         saved_warn = len(self.warnings)
         try:
-            start = self.peek().start
+            start = self.tokens[self.pos].start
             type_node = self._final_type()
-            name_tok = self.peek()
+            name_tok = self.tokens[self.pos]
             if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
                 raise ParseError("not a declaration", name_tok.start)
-            follow = self.peek(1).text
-            if follow not in ("=", ";", ",", "["):
+            if self.tokens[self.pos + 1].text not in ("=", ";", ",", "["):
                 raise ParseError("not a declaration", name_tok.start)
-            self.advance()
+            self.pos += 1
             children: list[SyntaxNode] = [type_node]
             end = self._declarators(name_tok, children)
             return self.node("local_variable_declaration", start, end, children)
@@ -851,22 +838,28 @@ class Parser:
             del self.warnings[saved_warn:]
             return None
 
+    def _condition(self) -> SyntaxNode:
+        """The expression in ``( … )``: a condition, a lock or a subject."""
+        self.expect("(")
+        expr = self.parse_expression()
+        self.expect(")")
+        return expr
+
     def _if_statement(self) -> SyntaxNode:
         # An `else if` chain is read in a loop, so its length costs no
         # statement level; its if_statement nodes nest from the last up.
         branches = []
         while True:
             start = self.expect("if").start
-            self.expect("(")
-            cond = self.parse_expression()
-            self.expect(")")
+            cond = self._condition()
             branches.append((start, cond, self.parse_statement()))
-            if not (self.at("else") and self.peek(1).text == "if"):
+            if not (self.tokens[self.pos].text == "else"
+                    and self.tokens[self.pos + 1].text == "if"):
                 break
-            self.advance()
+            self.pos += 1
         other = None
-        if self.at("else"):
-            self.advance()
+        if self.tokens[self.pos].text == "else":
+            self.pos += 1
             other = self.parse_statement()
         for start, cond, then in reversed(branches):
             children = [cond] + ([then] if then else [])
@@ -884,48 +877,50 @@ class Parser:
         saved = self.pos
         try:
             type_node = self._final_type()
-            name_tok = self.peek()
-            if name_tok.kind == "ident" and self.peek(1).text == ":":
-                self.advance()
-                self.advance()
+            name_tok = self.tokens[self.pos]
+            if name_tok.kind == "ident" \
+                    and self.tokens[self.pos + 1].text == ":":
+                self.pos += 2
                 iterable = self.parse_expression()
                 self.expect(")")
                 body = self.parse_statement()
                 end = body.end if body else iterable.end
-                children = [type_node, self._identifier(name_tok),
-                            iterable] + ([body] if body else [])
+                name = self.node("identifier", name_tok.start, name_tok.end,
+                                 value=name_tok.text)
+                children = [type_node, name, iterable] \
+                    + ([body] if body else [])
                 return self.node("enhanced_for_statement", start, end, children)
             raise ParseError("not enhanced for", name_tok.start)
         except ParseError:
             self.pos = saved
         init_nodes: list[SyntaxNode] = []
-        if not self.at(";"):
+        if self.tokens[self.pos].text != ";":
             decl = self._try_local_declaration()
             if decl is not None:
                 init_nodes.append(decl)
             else:
                 init_nodes.append(self.parse_expression())
-                while self.at(","):
-                    self.advance()
+                while self.tokens[self.pos].text == ",":
+                    self.pos += 1
                     init_nodes.append(self.parse_expression())
                 self.expect(";")
         else:
-            self.advance()
+            self.pos += 1
         cond = None
-        if not self.at(";"):
+        if self.tokens[self.pos].text != ";":
             cond = self.parse_expression()
         self.expect(";")
         updates: list[SyntaxNode] = []
-        if not self.at(")"):
+        if self.tokens[self.pos].text != ")":
             updates.append(self.parse_expression())
-            while self.at(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 updates.append(self.parse_expression())
         self.expect(")")
         body = self.parse_statement()
         children = init_nodes + ([cond] if cond else []) + updates \
             + ([body] if body else [])
-        end = body.end if body else self.peek(-1).end
+        end = body.end if body else self.tokens[self.pos - 1].end
         return self.node("for_statement", start, end, children,
                          value=(len(init_nodes), cond is not None,
                                 len(updates), body is not None))
@@ -933,68 +928,72 @@ class Parser:
     def _try_statement(self) -> SyntaxNode:
         start = self.expect("try").start
         children: list[SyntaxNode] = []
-        if self.at("("):  # try-with-resources
-            self.advance()
-            while not self.at(")") and self.peek().kind != "eof":
+        if self.tokens[self.pos].text == "(":  # try-with-resources
+            self.pos += 1
+            while self.tokens[self.pos].text not in (")", ""):
                 decl = self._try_local_declaration_in_resource()
                 if decl is not None:
                     children.append(decl)
-                if self.at(";"):
-                    self.advance()
+                if self.tokens[self.pos].text == ";":
+                    self.pos += 1
             self.expect(")")
         block = self.parse_block()
         children.append(block)
         end = block.end
-        while self.at("catch"):
-            cstart = self.advance().start
+        while (ctok := self.tokens[self.pos]).text == "catch":
+            self.pos += 1
             self.expect("(")
             cchildren = [self._final_type()]
-            while self.at("|"):
-                self.advance()
+            while self.tokens[self.pos].text == "|":
+                self.pos += 1
                 cchildren.append(self.parse_type())
-            cchildren.append(self._identifier(self.advance()))
+            name = self.advance()
+            cchildren.append(self.node("identifier", name.start, name.end,
+                                       value=name.text))
             self.expect(")")
             cblock = self.parse_block()
             cchildren.append(cblock)
-            clause = self.node("catch_clause", cstart, cblock.end, cchildren)
+            clause = self.node("catch_clause", ctok.start, cblock.end,
+                               cchildren)
             children.append(clause)
             end = cblock.end
-        if self.at("finally"):
-            fstart = self.advance().start
+        if (ftok := self.tokens[self.pos]).text == "finally":
+            self.pos += 1
             fblock = self.parse_block()
-            children.append(self.node("finally_clause", fstart, fblock.end,
-                                      [fblock]))
+            children.append(self.node("finally_clause", ftok.start,
+                                      fblock.end, [fblock]))
             end = fblock.end
         return self.node("try_statement", start, end, children)
 
     def _try_local_declaration_in_resource(self) -> SyntaxNode | None:
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         type_node = self._final_type()
         name_tok = self.advance()
         self.expect("=")
         init = self.parse_expression()
+        name = self.node("identifier", name_tok.start, name_tok.end,
+                         value=name_tok.text)
         declarator = self.node("variable_declarator", name_tok.start,
-                               init.end, [self._identifier(name_tok), init])
+                               init.end, [name, init])
         return self.node("local_variable_declaration", start, init.end,
                          [type_node, declarator])
 
     def _switch_statement(self) -> SyntaxNode:
         start = self.expect("switch").start
-        self.expect("(")
-        subject = self.parse_expression()
-        self.expect(")")
+        subject = self._condition()
         bstart = self.expect("{").start
         children: list[SyntaxNode] = [subject]
-        while not self.at("}") and self.peek().kind != "eof":
+        while (tok := self.tokens[self.pos]).text not in ("}", ""):
             # `case X:`, `case X ->`, `default:` and `default ->`; the
             # statement after an arrow is read as any other.
-            if self.at("case") or self.at("default"):
-                if self.advance().text == "case":
+            if tok.text in ("case", "default"):
+                self.pos += 1
+                if tok.text == "case":
                     self.parse_expression()
-                if not self.at("->"):
+                if self.tokens[self.pos].text != "->":
                     self.expect(":")
                     continue
-                self.advance()
+                self.pos += 1
             stmt = self.parse_statement()
             if stmt:
                 children.append(stmt)
@@ -1003,14 +1002,36 @@ class Parser:
 
     # -- expressions -----------------------------------------------------
 
+    _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+                             "^=", "<<=", ">>=", ">>>="))
+
     def parse_expression(self) -> SyntaxNode:
-        # `_nested(self._assignment)`, inlined: this is the common path,
-        # and one frame less per level leaves room for statement nesting.
+        """One expression level deeper, past MAX_EXPRESSION_DEPTH levels a
+        ParseError: a right-nested chain of assignments (`a = b = …`) and
+        ternaries (`c ? x : d ? y : …`), read in a loop so that its length
+        costs no expression level; only a ternary's middle operand nests."""
         if self.expression_depth >= MAX_EXPRESSION_DEPTH:
-            raise ParseError(_TOO_DEEP, self.peek().start)
+            raise ParseError(_TOO_DEEP, self.tokens[self.pos].start)
         self.expression_depth += 1
         try:
-            return self._assignment()
+            links = []
+            while True:
+                left = self._binary(0)
+                tok = self.tokens[self.pos]
+                if tok.text == "?":
+                    self.pos += 1
+                    then = self.parse_expression()
+                    self.expect(":")
+                    links.append(("ternary_expression", [left, then], None))
+                elif tok.text in self._ASSIGN_OPS:
+                    self.pos += 1
+                    links.append(("assignment_expression", [left], tok.text))
+                else:
+                    break
+            for kind, children, op in reversed(links):
+                left = self.node(kind, children[0].start, left.end,
+                                 children + [left], value=op)
+            return left
         finally:
             self.expression_depth -= 1
 
@@ -1018,37 +1039,12 @@ class Parser:
         """``parse()`` one expression level deeper; past
         MAX_EXPRESSION_DEPTH levels a ParseError instead."""
         if self.expression_depth >= MAX_EXPRESSION_DEPTH:
-            raise ParseError(_TOO_DEEP, self.peek().start)
+            raise ParseError(_TOO_DEEP, self.tokens[self.pos].start)
         self.expression_depth += 1
         try:
             return parse()
         finally:
             self.expression_depth -= 1
-
-    _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
-                             "^=", "<<=", ">>=", ">>>="))
-
-    def _assignment(self) -> SyntaxNode:
-        """A right-nested chain of assignments (`a = b = …`) and ternaries
-        (`c ? x : d ? y : …`), read in a loop so that its length costs no
-        expression level; only a ternary's middle operand nests."""
-        links = []
-        while True:
-            left = self._binary(0)
-            if self.at("?"):
-                self.advance()
-                then = self._nested(self._assignment)
-                self.expect(":")
-                links.append(("ternary_expression", [left, then], None))
-            elif self.peek().text in self._ASSIGN_OPS:
-                links.append(("assignment_expression", [left],
-                              self.advance().text))
-            else:
-                break
-        for kind, children, op in reversed(links):
-            left = self.node(kind, children[0].start, left.end,
-                             children + [left], value=op)
-        return left
 
     _PRECEDENCE = [
         ("||",),
@@ -1074,47 +1070,87 @@ class Parser:
         # ``x instanceof T`` a shift or additive operator ends the operand.
         ceiling = len(self._PRECEDENCE)
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             op_level = self._LEVEL.get(tok.text)
             if op_level is None or not level <= op_level <= ceiling:
                 return left
             ceiling = op_level
+            self.pos += 1
             if tok.text == "instanceof":
-                self.advance()
                 type_node = self.parse_type()
-                if self.peek().kind == "ident" and not self.at("instanceof"):
-                    nxt = self.peek()
-                    if nxt.text not in KEYWORDS and self.peek(1).text in (
+                nxt = self.tokens[self.pos]
+                if nxt.kind == "ident" and nxt.text not in KEYWORDS \
+                        and self.tokens[self.pos + 1].text in (
                             ")", ";", "&&", "||", "?"):
-                        self.advance()  # pattern variable
+                    self.pos += 1  # pattern variable
                 left = self.node("instanceof_expression", left.start,
                                  type_node.end, [left, type_node])
                 continue
-            self.advance()
             right = self._binary(op_level + 1)
             left = self.node("binary_expression", left.start, right.end,
                              [left, right], value=tok.text)
 
     def _unary(self) -> SyntaxNode:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text in ("!", "~", "+", "-"):
-            self.advance()
+            self.pos += 1
             operand = self._nested(self._unary)
             return self.node("unary_expression", tok.start, operand.end,
                              [operand], value=tok.text)
         if tok.text in ("++", "--"):
-            self.advance()
+            self.pos += 1
             operand = self._nested(self._unary)
             return self.node("update_expression", tok.start, operand.end,
                              [operand], value=tok.text)
         if tok.text == "(" and self._looks_like_cast():
-            start = self.advance().start
+            self.pos += 1
             type_node = self.parse_type()
             self.expect(")")
             operand = self._nested(self._unary)
-            return self.node("cast_expression", start, operand.end,
+            return self.node("cast_expression", tok.start, operand.end,
                              [type_node, operand], value=type_node.value)
-        return self._postfix()
+        # A primary and its postfix operators.
+        expr = self._primary()
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.text == ".":
+                self.pos += 1
+                if self.tokens[self.pos].text == "<":
+                    self._skip_type_args()
+                name_tok = self.advance()
+                name = self.node("identifier", name_tok.start, name_tok.end,
+                                 value=name_tok.text)
+                if self.tokens[self.pos].text == "(":
+                    args = self.parse_argument_list()
+                    expr = self.node("method_invocation", expr.start, args.end,
+                                     [expr, name, args], value=name_tok.text)
+                elif name_tok.text == "class":
+                    expr = self.node("class_literal", expr.start, name_tok.end,
+                                     [expr])
+                else:
+                    expr = self.node("field_access", expr.start, name_tok.end,
+                                     [expr, name], value=name_tok.text)
+                continue
+            if tok.text == "::":
+                self.pos += 1
+                name_tok = self.advance()
+                name = self.node("identifier", name_tok.start, name_tok.end,
+                                 value=name_tok.text)
+                expr = self.node("method_reference", expr.start, name_tok.end,
+                                 [expr, name])
+                continue
+            if tok.text == "[":
+                self.pos += 1
+                index = self.parse_expression()
+                end = self.expect("]").end
+                expr = self.node("array_access", expr.start, end, [expr, index])
+                continue
+            if tok.text in ("++", "--"):
+                self.pos += 1
+                expr = self.node("update_expression", expr.start, tok.end,
+                                 [expr], value=tok.text)
+                continue
+            return expr
 
     def _looks_like_cast(self) -> bool:
         # '(' Type ')' followed by a token that can start an operand.
@@ -1142,97 +1178,50 @@ class Parser:
             return True
         return nxt.text in ("(", "!", "~", "new", "this")
 
-    def _postfix(self) -> SyntaxNode:
-        expr = self._primary()
-        while True:
-            tok = self.peek()
-            if tok.text == ".":
-                self.advance()
-                self._maybe_skip_type_args()
-                name_tok = self.advance()
-                name = self._identifier(name_tok)
-                if self.at("("):
-                    args = self.parse_argument_list()
-                    expr = self.node("method_invocation", expr.start, args.end,
-                                     [expr, name, args], value=name_tok.text)
-                elif name_tok.text == "class":
-                    expr = self.node("class_literal", expr.start, name_tok.end,
-                                     [expr])
-                else:
-                    expr = self.node("field_access", expr.start, name_tok.end,
-                                     [expr, name], value=name_tok.text)
-                continue
-            if tok.text == "::":
-                self.advance()
-                name_tok = self.advance()
-                expr = self.node("method_reference", expr.start, name_tok.end,
-                                 [expr, self._identifier(name_tok)])
-                continue
-            if tok.text == "[":
-                self.advance()
-                index = self.parse_expression()
-                end = self.expect("]").end
-                expr = self.node("array_access", expr.start, end, [expr, index])
-                continue
-            if tok.text in ("++", "--"):
-                self.advance()
-                expr = self.node("update_expression", expr.start, tok.end,
-                                 [expr], value=tok.text)
-                continue
-            return expr
-
     def parse_argument_list(self) -> SyntaxNode:
-        start = self.expect("(").start
+        """The arguments from the ``(`` at hand."""
+        start = self.tokens[self.pos].start
+        self.pos += 1
         children: list[SyntaxNode] = []
-        while not self.at(")") and self.peek().kind != "eof":
+        while self.tokens[self.pos].text not in (")", ""):
             children.append(self.parse_expression())
-            if self.at(","):
-                self.advance()
-            else:
+            if self.tokens[self.pos].text != ",":
                 break
+            self.pos += 1
         end = self.expect(")").end
         return self.node("argument_list", start, end, children)
 
     def _lambda_after(self, params: list[SyntaxNode], start: int) -> SyntaxNode:
         self.expect("->")
-        if self.at("{"):
+        if self.tokens[self.pos].text == "{":
             body = self.parse_block()
         else:
             body = self.parse_expression()
         return self.node("lambda_expression", start, body.end, params + [body])
 
     def _primary(self) -> SyntaxNode:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.advance()
-            return self.node("string_literal", tok.start, tok.end,
-                             value=tok.value)
-        if tok.kind == "char":
-            self.advance()
-            return self.node("character_literal", tok.start, tok.end,
-                             value=tok.value)
-        if tok.kind == "int":
-            self.advance()
-            kind = ("hex_integer_literal" if tok.text[:2].lower() == "0x"
-                    else "decimal_integer_literal")
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident" and tok.text not in KEYWORDS:
+            self.pos += 1
+            ident = self.node("identifier", tok.start, tok.end, value=tok.text)
+            nxt = self.tokens[self.pos].text
+            if nxt == "(":
+                args = self.parse_argument_list()
+                return self.node("method_invocation", tok.start, args.end,
+                                 [ident, args], value=tok.text)
+            if nxt == "->":
+                return self._lambda_after([ident], tok.start)
+            return ident
+        if kind in _LITERALS:
+            self.pos += 1
+            kind = "hex_integer_literal" if tok.text[:2] in ("0x", "0X") \
+                else _LITERALS[kind]
             return self.node(kind, tok.start, tok.end, value=tok.value)
-        if tok.kind == "float":
-            self.advance()
-            return self.node("decimal_floating_point_literal", tok.start,
-                             tok.end, value=tok.value)
-        if tok.text in ("true", "false"):
-            self.advance()
-            return self.node(tok.text, tok.start, tok.end,
-                             value=tok.text == "true")
-        if tok.text == "null":
-            self.advance()
-            return self.node("null_literal", tok.start, tok.end)
-        if tok.text == "this":
-            self.advance()
-            return self.node("this", tok.start, tok.end, value="this")
-        if tok.text == "super":
-            self.advance()
-            return self.node("super", tok.start, tok.end, value="super")
+        if tok.text in _WORD_LITERALS:
+            self.pos += 1
+            kind, value = _WORD_LITERALS[tok.text]
+            return self.node(kind, tok.start, tok.end, value=value)
         if tok.text == "new":
             return self._creation(tok)
         if tok.text == "(":
@@ -1240,21 +1229,11 @@ class Parser:
             lam = self._try_lambda_params(tok)
             if lam is not None:
                 return lam
-            self.advance()
+            self.pos += 1
             inner = self.parse_expression()
             end = self.expect(")").end
             return self.node("parenthesized_expression", tok.start, end,
                              [inner])
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.advance()
-            ident = self._identifier(tok)
-            if self.at("("):
-                args = self.parse_argument_list()
-                return self.node("method_invocation", tok.start, args.end,
-                                 [ident, args], value=tok.text)
-            if self.at("->"):
-                return self._lambda_after([ident], tok.start)
-            return ident
         raise ParseError(f"unexpected token {tok.text!r}", tok.start)
 
     def _try_lambda_params(self, tok: Token) -> SyntaxNode | None:
@@ -1272,51 +1251,52 @@ class Parser:
             idx += 1
         if idx >= len(self.tokens) or self.tokens[idx].text != "->":
             return None
-        self.advance()  # (
+        self.pos += 1  # (
         params: list[SyntaxNode] = []
-        while not self.at(")") and self.peek().kind != "eof":
+        while self.tokens[self.pos].text not in (")", ""):
             first = self.advance()
-            if self.peek().kind == "ident" and not self.at(","):
+            if self.tokens[self.pos].kind == "ident":
                 first = self.advance()  # typed param: keep the name
-            params.append(self._identifier(first))
-            if self.at(","):
-                self.advance()
+            params.append(self.node("identifier", first.start, first.end,
+                                    value=first.text))
+            if self.tokens[self.pos].text == ",":
+                self.pos += 1
         self.expect(")")
         return self._lambda_after(params, tok.start)
 
     def _creation(self, new_tok: Token) -> SyntaxNode:
-        self.expect("new")
+        self.pos += 1  # new
         type_node = self.parse_type()
         base = type_node.value
         if isinstance(base, str) and base.endswith("[]"):
             # new int[]{...} style via parse_type consuming the dims
             children: list[SyntaxNode] = [type_node]
             end = type_node.end
-            if self.at("{"):
+            if self.tokens[self.pos].text == "{":
                 init = self._array_initializer()
                 children.append(init)
                 end = init.end
             return self.node("array_creation_expression", new_tok.start, end,
                              children)
-        if self.at("["):
+        if self.tokens[self.pos].text == "[":
             children = [type_node]
             end = type_node.end
-            while self.at("["):
-                self.advance()
-                if not self.at("]"):
+            while self.tokens[self.pos].text == "[":
+                self.pos += 1
+                if self.tokens[self.pos].text != "]":
                     children.append(self.parse_expression())
                 end = self.expect("]").end
-            if self.at("{"):
+            if self.tokens[self.pos].text == "{":
                 init = self._array_initializer()
                 children.append(init)
                 end = init.end
             return self.node("array_creation_expression", new_tok.start, end,
                              children)
-        args = self.parse_argument_list() if self.at("(") else \
-            self.node("argument_list", type_node.end, type_node.end)
+        args = self.parse_argument_list() if self.tokens[self.pos].text == "(" \
+            else self.node("argument_list", type_node.end, type_node.end)
         children = [type_node, args]
         end = args.end
-        if self.at("{"):  # anonymous class body
+        if self.tokens[self.pos].text == "{":  # anonymous class body
             body = self.parse_class_body()
             children.append(body)
             end = body.end
@@ -1326,19 +1306,19 @@ class Parser:
     def _array_initializer(self) -> SyntaxNode:
         start = self.expect("{").start
         children: list[SyntaxNode] = []
-        while not self.at("}") and self.peek().kind != "eof":
-            if self.at("{") and self.expression_depth >= MAX_EXPRESSION_DEPTH:
+        while (tok := self.tokens[self.pos]).text not in ("}", ""):
+            if tok.text != "{":
+                children.append(self.parse_expression())
+            elif self.expression_depth >= MAX_EXPRESSION_DEPTH:
                 # Skipped whole: a ParseError would leave recovery inside
                 # its braces.
                 children.append(self._recover(
-                    self.peek().start, _TOO_DEEP,
+                    tok.start, _TOO_DEEP,
                     lambda: self._skip_balanced("{", "}")))
-            elif self.at("{"):
-                children.append(self._nested(self._array_initializer))
             else:
-                children.append(self.parse_expression())
-            if self.at(","):
-                self.advance()
+                children.append(self._nested(self._array_initializer))
+            if self.tokens[self.pos].text == ",":
+                self.pos += 1
         end = self.expect("}").end
         return self.node("array_initializer", start, end, children)
 

@@ -25,6 +25,8 @@ from .syntax import Record
 
 _SEVERITY_RANK = {INFO: 0, WARNING: 1, ERROR: 2}
 FAIL_ON_CHOICES = (ERROR, WARNING, "NONE")
+# One encoder for every report line; `json.dumps` would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)
 
 
 def severity_at_least(severity: str, threshold: str) -> bool:
@@ -286,7 +288,7 @@ def summary_record(analyses: list[SiteAnalysis],
 
 
 def dumps_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=True)
+    return _ENCODER.encode(record)
 
 
 def write_rendered(rows: list[tuple[str, tuple]], out,

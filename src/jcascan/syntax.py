@@ -13,17 +13,7 @@ read naturally.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from operator import attrgetter
-from typing import Iterator
-
-# Kinds that must never appear in a tree. Used by property tests to check
-# the named-node discipline.
-ANONYMOUS_KINDS = frozenset(
-    {",", ";", "(", ")", "{", "}", "[", "]", ".", "+", "-", "?", ":",
-     "if", "else", "for", "while", "return", "new", "class", "=",
-     "comment", "whitespace"}
-)
 
 TYPE_DECLARATION_KINDS = ("class_declaration", "interface_declaration",
                           "enum_declaration")
@@ -90,24 +80,29 @@ class SyntaxNode(Record):
     def text(self) -> str:
         return self.source[self.start:self.end]
 
-    def walk(self) -> Iterator["SyntaxNode"]:
-        """Pre-order traversal including self."""
+    def walk(self) -> list[SyntaxNode]:
+        """This node and every node inside it, in pre-order."""
+        nodes = []
         stack = [self]
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+            nodes.append(node)
+            if node.children:
+                stack += reversed(node.children)
+        return nodes
 
-    def descendants(self) -> Iterator["SyntaxNode"]:
+    def descendants(self) -> list[SyntaxNode]:
+        nodes: list[SyntaxNode] = []
         for child in self.children:
-            yield from child.walk()
+            nodes += child.walk()
+        return nodes
 
-    def find_all(self, kind: str) -> list["SyntaxNode"]:
+    def find_all(self, kind: str) -> list[SyntaxNode]:
         return [n for n in self.walk() if n.kind == kind]
 
     def named_node_count(self) -> int:
         """Number of named nodes strictly inside this node."""
-        return sum(1 for _ in self.descendants())
+        return len(self.descendants())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SyntaxNode({self.kind}, {self.start}:{self.end})"
@@ -143,17 +138,14 @@ class SourceUnit(Record):
         return self.root.kind == "parse_failed"
 
 
-def string_literals(node: SyntaxNode) -> set[str]:
-    """Decoded values of all string literals within ``node`` (inclusive)."""
-    return {n.value for n in node.walk()
-            if n.kind == "string_literal" and isinstance(n.value, str)}
-
-
 # -- declaration parts ---------------------------------------------------
 
 def child_of_kind(node: SyntaxNode, *kinds: str) -> SyntaxNode | None:
     """The first direct child whose kind is one of ``kinds``."""
-    return next((c for c in node.children if c.kind in kinds), None)
+    for child in node.children:
+        if child.kind in kinds:
+            return child
+    return None
 
 
 def decl_name(decl: SyntaxNode) -> str | None:
@@ -187,23 +179,30 @@ def modifier_words(decl: SyntaxNode) -> tuple[str, ...]:
 
 # -- per-unit index --------------------------------------------------------
 
+# The kinds `UnitIndex` records something of; its walk passes the others.
+_INDEXED_KINDS = SITE_KINDS | {
+    "string_literal", "enum_constant", "local_variable_declaration",
+    "field_declaration", *METHOD_KINDS, *TYPE_DECLARATION_KINDS}
+
+
 class _Nesting:
-    """Nodes whose spans nest or are disjoint, as within one tree.
+    """Nodes in pre-order whose spans nest or are disjoint, as in a tree.
 
     ``innermost`` returns the smallest node covering a span, the same node
     a scan of every node would pick, in time logarithmic in their number.
     """
 
     def __init__(self, nodes: list[SyntaxNode]):
-        self.nodes = sorted(nodes, key=lambda n: n.start)
-        self.starts = [n.start for n in self.nodes]
+        self.nodes = nodes  # in pre-order, so by start offset
+        self.starts: list[int] = []
         # Index of the innermost node enclosing each node, or -1.
         self.parent: list[int] = []
         self.ending_at: dict[int, list[SyntaxNode]] = {}
         open_: list[int] = []
-        for i, node in enumerate(self.nodes):
-            while open_ and self.nodes[open_[-1]].end < node.end:
+        for i, node in enumerate(nodes):
+            while open_ and nodes[open_[-1]].end < node.end:
                 open_.pop()
+            self.starts.append(node.start)
             self.parent.append(open_[-1] if open_ else -1)
             open_.append(i)
             self.ending_at.setdefault(node.end, []).append(node)
@@ -215,26 +214,28 @@ class _Nesting:
         i = bisect_right(self.starts, start) - 1
         while i >= 0 and self.nodes[i].end < end:
             i = self.parent[i]
-        found = [self.nodes[i]] if i >= 0 else []
+        found = self.nodes[i] if i >= 0 else None
         if start == end:
-            found.extend(n for n in self.ending_at.get(start, ())
-                         if n.start <= start)
-        return min(found, key=lambda n: n.end - n.start, default=None)
+            for node in self.ending_at.get(start, ()):
+                if node.start <= start and (
+                        found is None
+                        or node.end - node.start < found.end - found.start):
+                    found = node
+        return found
 
 
 class UnitIndex:
     """Whole-unit facts gathered in the one pre-order walk of a unit's tree.
 
     Analysis helpers that need facts about the whole compilation unit
-    (enclosing declarations, same-unit methods and types, enum constants,
-    line numbers) or about a subtree (its string literals, its
-    StringBuilder/StringBuffer names) read them here instead of walking the
-    tree. Each unit builds its index on first use and keeps it
-    (`unit_index`), so the index lives exactly as long as its unit.
+    (enclosing declarations, same-unit methods and types, enum constants)
+    or about a subtree (its string literals, its StringBuilder/StringBuffer
+    names) read them here instead of walking the tree. Each unit builds its
+    index on first use and keeps it (`unit_index`), so the index lives
+    exactly as long as its unit.
     """
 
     def __init__(self, unit: SourceUnit):
-        self.text = unit.text
         # Method and constructor declarations in pre-order.
         self.method_decls: list[SyntaxNode] = []
         # (declaration, name or None, body) for every type declaration
@@ -255,8 +256,15 @@ class UnitIndex:
         self.builder_starts: list[int] = []
         self.builder_ends: list[int] = []
         self.builder_vars: list[str] = []
-        for node in unit.root.walk():
+        # `SyntaxNode.walk`'s pre-order, without its list.
+        stack = [unit.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack += reversed(node.children)
             kind = node.kind
+            if kind not in _INDEXED_KINDS:
+                continue
             if kind == "string_literal":
                 if isinstance(node.value, str):
                     self.literal_starts.append(node.start)
@@ -301,36 +309,26 @@ class UnitIndex:
         for decl, name, _ in self.named_types:
             self.first_type.setdefault(name, decl)
         self._member_facts: dict[int, MemberFacts] = {}
+        # Built on first use: a unit with no site needs neither.
+        self._methods: _Nesting | None = None
+        self._type_bodies: _Nesting | None = None
         # The concrete interpreter's closures for this unit, shared by
         # every site of it (see `interp._Interp.code`).
         self.compiled: dict = {}
 
-    @cached_property
-    def methods(self) -> _Nesting:
-        return _Nesting(self.method_decls)
-
-    @cached_property
-    def type_bodies(self) -> _Nesting:
-        return _Nesting([body for _, _, body in self.types])
-
-    @cached_property
-    def _line_starts(self) -> list[int]:
-        starts = [0]
-        find = self.text.find
-        i = find("\n")
-        while i >= 0:
-            starts.append(i + 1)
-            i = find("\n", i + 1)
-        return starts
-
-    def line_of(self, offset: int) -> int:
-        """1-based line number of a source offset."""
-        return bisect_right(self._line_starts, offset)
-
     def enclosing_method(self, node: SyntaxNode) -> SyntaxNode | None:
         """Smallest method or constructor declaration containing ``node``,
         anonymous-class methods included."""
-        return self.methods.innermost(node.start, node.end)
+        if self._methods is None:
+            self._methods = _Nesting(self.method_decls)
+        return self._methods.innermost(node.start, node.end)
+
+    def enclosing_type_body(self, node: SyntaxNode) -> SyntaxNode | None:
+        """Body of the smallest type declaration containing ``node``, named
+        or not; anonymous class bodies are not type declarations'."""
+        if self._type_bodies is None:
+            self._type_bodies = _Nesting([body for _, _, body in self.types])
+        return self._type_bodies.innermost(node.start, node.end)
 
     def named_owner(self, body: SyntaxNode) -> SyntaxNode | None:
         """The named type declaration whose body is ``body``."""
@@ -339,7 +337,7 @@ class UnitIndex:
 
     def literals_in(self, node: SyntaxNode) -> list[str]:
         """Values of the string literals within ``node`` (inclusive), in
-        source order: `string_literals` without a walk."""
+        source order, with no walk of ``node``."""
         starts = self.literal_starts
         return self.literal_values[bisect_left(starts, node.start):
                                    bisect_left(starts, node.end)]

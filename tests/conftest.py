@@ -322,6 +322,13 @@ def parse(src: str, path: str = "Fixture.java"):
     return parse_unit(path, src)
 
 
+def string_literals(node) -> set[str]:
+    """Decoded values of all string literals within ``node`` (inclusive),
+    by a walk: the reference for `UnitIndex.literals_in`."""
+    return {n.value for n in node.walk()
+            if n.kind == "string_literal" and isinstance(n.value, str)}
+
+
 def sites_of(src: str, path: str = "Fixture.java") -> list[InvocationSite]:
     return extract_sites(parse(src, path))
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import conftest
+from conftest import string_literals
 from jcascan import ingest, report
 from jcascan.classify import _declared_builders
 from jcascan.ingest import extract_sites
@@ -24,7 +25,9 @@ from jcascan.report import analyze_corpus, analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
                              _Ctx, _enum_model, _find_class,
                              visible_literals)
-from jcascan.syntax import SyntaxNode, string_literals, unit_index
+from jcascan.syntax import SyntaxNode, unit_index
+from test_fuzz import mutants
+from test_tokenize import _sources
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpora  # noqa: E402
@@ -301,6 +304,14 @@ TOUCHING_SRC = (
     "class U{void c(){}void d(){Cipher.getInstance(\"DES\");}}")
 
 
+# No indentation: sites and declarations start lines, and sites span lines.
+FLUSH_SRC = (
+    "import javax.crypto.Cipher;\nclass F implements X509TrustManager {\n"
+    "public void checkServerTrusted(X509Certificate[] c,\nString a) {\n}\n"
+    "void m() throws Exception {\nCipher.getInstance(\n\"DES\");\n"
+    "Cipher\n.getInstance(\"AES\");\n}\n}\n")
+
+
 def _generated(n_classes: int) -> str:
     """Same-named methods in several classes, nested and anonymous."""
     parts = ["import javax.crypto.Cipher;"]
@@ -334,6 +345,7 @@ def _units():
                if name.endswith("_SRC") and isinstance(value, str)}
     sources["NESTED_SRC"] = NESTED_SRC
     sources["TOUCHING_SRC"] = TOUCHING_SRC
+    sources["FLUSH_SRC"] = FLUSH_SRC
     sources["GENERATED_SRC"] = _generated(4)
     return [pytest.param(parse_unit(f"{name}.java", src), id=name)
             for name, src in sorted(sources.items())]
@@ -354,7 +366,7 @@ def test_ingest_enclosing_matches_reference(unit):
     index = unit_index(unit)
     for node in unit.root.walk():
         cls_name, _, ctx = ref_ingest_enclosing(unit, node)
-        body = index.type_bodies.innermost(node.start, node.end)
+        body = index.enclosing_type_body(node)
         if body is None:
             assert (cls_name, ctx) == ("?", [])
         else:
@@ -378,8 +390,6 @@ def test_unit_facts_match_reference(unit):
     assert index.method_names == ref_unit_method_names(unit)
     assert index.native_methods == ref_unit_native_methods(unit)
     assert index.enum_constants == ref_enum_constant_names(unit)
-    for offset in range(len(unit.text) + 2):
-        assert index.line_of(offset) == ref_line_of(unit.text, offset)
 
 
 @pytest.mark.parametrize("unit", _units())
@@ -441,11 +451,154 @@ def test_bench_corpus_matches_reference(bench_corpus):
               test_unit_facts_match_reference,
               test_name_lookups_match_reference,
               test_subtree_literals_and_builders_match_reference,
-              test_site_lookups_match_reference)
+              test_site_lookups_match_reference,
+              check_walk_and_index)
     for path in sorted(root.rglob("*.java")):
         unit = parse_unit(str(path), path.read_text(encoding="utf-8"))
         for check in checks:
             check(unit)
+
+
+# -- the walk and every index field against a reference walk ---------------
+
+def ref_preorder(node) -> list:
+    """Pre-order by recursion: the order `SyntaxNode.walk` must keep."""
+    nodes = [node]
+    for child in node.children:
+        nodes += ref_preorder(child)
+    return nodes
+
+
+def ref_decl_name(decl):
+    ident = next((c for c in decl.children if c.kind == "identifier"), None)
+    return None if ident is None or ident.value is None else str(ident.value)
+
+
+def ref_index_fields(unit) -> dict:
+    """Every field a `UnitIndex` builds, each by its own pass over the
+    nodes of a recursive pre-order walk."""
+    nodes = ref_preorder(unit.root)
+    types = []
+    for node in nodes:
+        body = next((c for c in node.children
+                     if c.kind in ("class_body", "enum_body")), None)
+        if node.kind in ("class_declaration", "interface_declaration",
+                         "enum_declaration") and body is not None:
+            types.append((node, ref_decl_name(node), body))
+    first_method, first_type = {}, {}
+    for node in nodes:
+        if node.kind == "method_declaration" \
+                and ref_decl_name(node) is not None:
+            first_method.setdefault(ref_decl_name(node), node)
+    for decl, name, _ in types:
+        if name:
+            first_type.setdefault(name, decl)
+    literals = [n for n in nodes if n.kind == "string_literal"
+                and isinstance(n.value, str)]
+    builders = [(node, decl) for node in nodes
+                if node.kind in ("local_variable_declaration",
+                                 "field_declaration")
+                and str(next((c.value for c in node.children
+                              if c.kind == "type_identifier"), None) or "")
+                in ("StringBuilder", "StringBuffer")
+                for decl in node.children if decl.kind == "variable_declarator"]
+    return {
+        "method_decls": [n for n in nodes if n.kind in (
+            "method_declaration", "constructor_declaration")],
+        "types": types,
+        "method_names": ref_unit_method_names(unit),
+        "native_methods": ref_unit_native_methods(unit),
+        "first_method": first_method,
+        "enum_constants": ref_enum_constant_names(unit),
+        "site_candidates": [n for n in nodes if n.kind in (
+            "method_invocation", "object_creation_expression",
+            "method_declaration")],
+        "literal_starts": [n.start for n in literals],
+        "literal_values": [n.value for n in literals],
+        "builder_starts": [n.start for n, _ in builders],
+        "builder_ends": [n.end for n, _ in builders],
+        "builder_vars": [str(d.children[0].value) for _, d in builders],
+        "type_of_body": {id(body): (decl, name)
+                         for decl, name, body in types},
+        "named_types": [t for t in types if t[1]],
+        "first_type": first_type,
+    }
+
+
+# What a `UnitIndex` fills on demand, not in its walk.
+INDEX_CACHES = {"_member_facts", "_methods", "_type_bodies", "compiled"}
+
+
+def ref_scopes(node, body_ids: set, body=None, method=None,
+               out=None) -> dict:
+    """For each node, by id: the nearest type declaration's body and the
+    nearest method or constructor, itself included, it lies within."""
+    out = {} if out is None else out
+    if node.kind in ("method_declaration", "constructor_declaration"):
+        method = node
+    if id(node) in body_ids:
+        body = node
+    out[id(node)] = body, method
+    for child in node.children:
+        ref_scopes(child, body_ids, body, method, out)
+    return out
+
+
+def _ids(value):
+    """``value`` with each node replaced by its identity."""
+    if isinstance(value, SyntaxNode):
+        return ("node", id(value))
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_ids, value))
+    if isinstance(value, dict):
+        return {key: _ids(item) for key, item in value.items()}
+    return value
+
+
+def check_walk_and_index(unit) -> None:
+    nodes = ref_preorder(unit.root)
+    assert _ids(unit.root.walk()) == _ids(nodes)
+    assert _ids(unit.root.descendants()) == _ids(nodes[1:])
+    assert unit.root.named_node_count() == len(nodes) - 1
+    index = unit_index(unit)
+    expected = ref_index_fields(unit)
+    assert set(vars(index)) == set(expected) | INDEX_CACHES
+    for field, value in expected.items():
+        assert _ids(getattr(index, field)) == _ids(value), field
+    scopes = ref_scopes(unit.root, {id(body) for _, _, body
+                                    in expected["types"]})
+    for node in expected["site_candidates"]:
+        body, method = scopes[id(node)]
+        assert index.enclosing_type_body(node) is body
+        assert index.enclosing_method(node) is method
+    for site in extract_sites(unit):
+        assert site.start_line == ref_line_of(unit.text, site.offset)
+        assert site.end_line == ref_line_of(
+            unit.text, max(site.offset, site.node.end - 1))
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_walk_and_index_match_reference_walk(unit):
+    check_walk_and_index(unit)
+
+
+def test_walk_and_index_match_reference_walk_on_test_sources():
+    """The conftest and ``interp_snippets`` sources, the bench corpus of
+    seed 0, and the front-end fuzz's token mutants of them."""
+    for name, text in _sources():
+        check_walk_and_index(parse_unit(f"{name}.java", text))
+    for name, text in mutants():
+        check_walk_and_index(parse_unit(f"{name}.java", text))
+
+
+@pytest.mark.parametrize("workload", ["many-small", "one-large-unit",
+                                      "string-encryption"])
+def test_walk_and_index_match_reference_walk_on_workloads(workload,
+                                                          tmp_path):
+    corpora.generate(workload, tmp_path, 1)
+    for path in sorted(tmp_path.rglob("*.java")):
+        check_walk_and_index(parse_unit(str(path),
+                                        path.read_text(encoding="utf-8")))
 
 
 def test_index_is_dropped_with_its_unit():

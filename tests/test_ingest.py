@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +200,61 @@ class TestCorpusFiles:
             (tree / "a.java").read_text(encoding="utf-8", errors="replace")
         assert [w.message for w in warnings] == \
             [f"unreadable: {raised.value}"]
+
+    def test_read_decodes_as_text_mode_reads(self, tmp_path):
+        """Bytes that are no UTF-8, a byte-order mark and every newline
+        convention give the text ``open`` gives in text mode, and a
+        dangling symlink its error."""
+        odd = tmp_path / "Odd.java"
+        odd.write_bytes(b'class C { // \xef\xbb\xbf \xff\xfe caf\xc3\xa9\r\r\n'
+                        b' void m() throws Exception {\r'
+                        b' Cipher.getInstance("D\xe9S"); } } // \xe2\x82')
+        sites = scan_file(str(odd), DEFAULT_APIS, None, [])
+        with open(odd, encoding="utf-8", errors="replace") as source:
+            assert sites[0].unit.text == source.read()
+        assert sites[0].start_line == 4
+        dangling = tmp_path / "Dangling.java"
+        dangling.symlink_to(tmp_path / "nowhere")
+        warnings: list = []
+        assert scan_file(str(dangling), DEFAULT_APIS, None, warnings) == []
+        with pytest.raises(OSError) as raised:
+            open(dangling, encoding="utf-8", errors="replace")
+        assert [w.message for w in warnings] == \
+            [f"unreadable: {raised.value}"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_is_one_warning_not_a_hang(self, tmp_path):
+        """A named pipe called ``*.java`` opens without waiting for a
+        writer and, as a file that is not regular, is unreadable. Run in
+        child processes, which a timeout ends if they hang."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "A.java").write_text(
+            'class A { void m() throws Exception {'
+            ' Cipher.getInstance("DES"); } }\n')
+        os.mkfifo(corpus / "P.java")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+        def python(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, *args], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60)
+
+        report = tmp_path / "r.jsonl"
+        done = python("-m", "jcascan.cli", "scan", str(corpus), "-o",
+                      str(report))
+        assert done.returncode == 0, done.stderr
+        records = [json.loads(line)
+                   for line in report.read_text().splitlines()]
+        assert [r["path"] for r in records[:-1]] == [str(corpus / "A.java")]
+        assert records[-1]["summary"]["parse_warnings"] == 1
+        pipe = str(corpus / "P.java")
+        done = python("-c", "import sys\n"
+                      "from jcascan.ingest import DEFAULT_APIS, scan_file\n"
+                      "w = []\n"
+                      "scan_file(sys.argv[1], DEFAULT_APIS, None, w)\n"
+                      "print([x.message for x in w])", pipe)
+        assert done.stdout == \
+            f"{[f'unreadable: not a regular file: {pipe!r}']}\n"

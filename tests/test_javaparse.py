@@ -10,9 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from jcascan.javaparse import (MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH,
                                Parser, parse_unit, tokenize)
-from jcascan.syntax import ANONYMOUS_KINDS, string_literals
 
-from conftest import CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse
+from conftest import (CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse,
+                      string_literals)
+
+# Kinds that must never appear in a tree: the named-node discipline.
+ANONYMOUS_KINDS = frozenset(
+    {",", ";", "(", ")", "{", "}", "[", "]", ".", "+", "-", "?", ":",
+     "if", "else", "for", "while", "return", "new", "class", "=",
+     "comment", "whitespace"}
+)
 
 
 def _arg_list(src: str):
@@ -40,10 +47,11 @@ class TestTokenizer:
     def test_one_eof_and_lookahead_past_both_ends(self):
         assert [t.kind for t in tokenize("x")] == ["ident", "eof"]
         parser = Parser("A.java", "x")
-        assert parser.peek(-1).kind == "eof"
+        assert parser.tokens[parser.pos - 1].kind == "eof"
         parser.advance()
         assert parser.advance().kind == "eof"
-        assert parser.peek().kind == parser.peek(2).kind == "eof"
+        assert parser.tokens[parser.pos].kind \
+            == parser.tokens[parser.pos + 2].kind == "eof"
 
     def test_numeric_literals(self):
         toks = tokenize("0x1F 12 3.5f 1_000")

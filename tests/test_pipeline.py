@@ -397,3 +397,30 @@ def test_an_interrupted_caller_kills_its_workers(tmp_path, monkeypatch):
         analyze_corpus(root)
     assert time.monotonic() - started < 30
     assert _no_child_left()
+
+
+def test_bytecode_profile_counts_repeat_exactly(tmp_path, capsys):
+    """``scripts/bytecode_profile.py`` counts the same calls and bytecodes
+    on every run over the same files, front end and analysis alike."""
+    import importlib.util
+    script = Path(__file__).resolve().parents[1] / "scripts" \
+        / "bytecode_profile.py"
+    spec = importlib.util.spec_from_file_location("bytecode_profile", script)
+    profiler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profiler)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("CHARAT_SRC", "XOR_SRC", "TRUST_EMPTY_SRC"):
+        (corpus / f"{name}.java").write_text(getattr(conftest, name))
+    paths = ingest.corpus_files(corpus)
+    calls, opcodes, module = profiler.profile(paths)
+    assert profiler.profile(paths)[:2] == (calls, opcodes)
+    ran = {(module[code], code.co_name) for code in opcodes}
+    assert {("jcascan.javaparse", "tokenize"),
+            ("jcascan.syntax", "__init__"),
+            ("jcascan.report", "analyze_site"),
+            ("jcascan.report", "write_rendered")} <= ran
+    assert profiler.main([str(corpus)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"3 files: {sum(calls.values()) / 3:,.0f} calls and "
+                     f"{sum(opcodes.values()) / 3:,.0f} bytecodes per file")
