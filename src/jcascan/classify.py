@@ -104,8 +104,8 @@ def match_signature(sites: list[InvocationSite],
 
 # -- helpers ----------------------------------------------------------------
 
-def _calls(subtree: SyntaxNode):
-    for node in subtree.walk():
+def _calls(nodes: list[SyntaxNode]):
+    for node in nodes:
         if node.kind == "method_invocation":
             receiver = node.children[0].text if len(node.children) == 3 \
                 else ""
@@ -137,16 +137,17 @@ def _classify_restrictive(site: InvocationSite,
     builders = _declared_builders(site)
 
     direct = list(subtree.children)
-    literals = [n for n in subtree.walk() if n.kind == "string_literal"]
+    nodes = subtree.walk()
+    kinds = {n.kind for n in nodes}
+    literals = [n for n in nodes if n.kind == "string_literal"]
 
     if any(n.kind == "string_literal" for n in direct):
         labels.add("STRING")
-    if any(n.kind == "ternary_expression" for n in subtree.walk()):
+    if "ternary_expression" in kinds:
         labels.add("TEROP")
-    if any(n.kind == "this" for n in subtree.walk()):
+    if "this" in kinds:
         labels.add("THIS")
-    if any(n.kind == "binary_expression" and n.value == "+"
-           for n in subtree.walk()):
+    if any(n.kind == "binary_expression" and n.value == "+" for n in nodes):
         labels.add("CONCT")
 
     direct_ids = [str(n.value) for n in direct if n.kind == "identifier"]
@@ -180,7 +181,7 @@ def _classify_restrictive(site: InvocationSite,
     saw_method = (METHOD_BODY in trace_rules
                   or METHOD_RETURNS in trace_rules)
 
-    for call, name, receiver in _calls(subtree):
+    for call, name, receiver in _calls(nodes):
         recv_base = receiver.split(".")[-1] if receiver else ""
         if name == "decode" and ("Base64" in receiver or recv_base in (
                 "getDecoder()", "getUrlDecoder()")):
@@ -206,8 +207,7 @@ def _classify_restrictive(site: InvocationSite,
 
     if any(n.kind == "object_creation_expression"
            and str(n.children[0].value or "").split(".")[-1]
-           in ("StringBuilder", "StringBuffer")
-           for n in subtree.walk()):
+           in ("StringBuilder", "StringBuffer") for n in nodes):
         saw_strbuf = True
 
     if saw_base64:
@@ -288,7 +288,7 @@ def _classify_flexible(site: InvocationSite,
                    if o.kind in ("field_access", "method_invocation")):
                 labels.add("LEN")
 
-    for call, name, receiver in _calls(subtree):
+    for call, name, receiver in _calls(subtree.walk()):
         recv_root = receiver.split(".")[0].split("(")[0]
         recv_tail = receiver.split("(")[0].rsplit(".", 1)[-1]
         if name == "checkClientTrusted":

@@ -184,26 +184,6 @@ class _Ctx:
 
 # -- the interpreter -------------------------------------------------------
 
-def _written_names(stmt: SyntaxNode) -> set[str]:
-    """Names a statement may write: declared vars, assignment and update
-    targets (an array's name for one of its elements), and identifier
-    receivers of mutating calls."""
-    out: set[str] = set()
-    for node in stmt.walk():
-        if node.kind == "variable_declarator":
-            out.add(str(node.children[0].value))
-        elif node.kind in ("assignment_expression", "update_expression"):
-            target = node.children[0]
-            if target.kind == "array_access":
-                target = target.children[0]
-            if target.kind == "identifier":
-                out.add(str(target.value))
-        elif node.kind == "method_invocation" and len(node.children) == 3 \
-                and node.children[0].kind == "identifier":
-            out.add(str(node.children[0].value))
-    return out
-
-
 class _Interp:
     """Executes concrete Java statements for one site under its step
     budget, from closures compiled once per node of the unit."""
@@ -275,23 +255,21 @@ class _Interp:
             self.call_depth -= 1
         return None
 
-    def run_region(self, body: SyntaxNode, stop_before: SyntaxNode,
+    def run_region(self, method: SyntaxNode, stop_before: SyntaxNode,
                    env: dict, fields: dict) -> None:
-        """Execute top-level statements of ``body`` preceding the one that
-        contains ``stop_before``.
-
-        A statement that cannot be executed concretely poisons (unbinds)
-        every variable it might write, instead of aborting the region;
-        later reads of a poisoned variable fail on their own. A statement
-        that throws poisons them too.
-        """
-        for stmt in body.children:
+        """Execute the top-level statements of ``method``'s body preceding
+        the one that contains ``stop_before``. A statement that cannot be
+        executed concretely, or that throws, poisons (unbinds) every
+        variable it might write (`WriteFacts.written_in`) instead of
+        aborting the region; later reads of one fail on their own."""
+        for stmt in method_body(method).children:
             if stmt.start <= stop_before.start <= stmt.end:
                 return
             try:
                 self.code(stmt)(self, env, fields)
             except (_NotConcrete, _JavaThrow):
-                for name in _written_names(stmt):
+                for name in unit_index(self.unit).write_facts(method) \
+                        .written_in(stmt):
                     env.pop(name, None)
             except (_Return, _Break, _Continue):
                 raise _NotConcrete from None

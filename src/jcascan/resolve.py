@@ -39,8 +39,8 @@ from .javamodel import (UNARY, Builder, Char, CharArray, EnumConst, JArray,
 # tests check the member and enum lookups against their references.
 from .interp import _class_members, _enum_model  # noqa: F401
 from .javamodel import BASE64_DECODE  # noqa: F401
-from .syntax import (Record, SourceUnit, SyntaxNode, method_body,
-                     method_params, modifier_words, unit_index)
+from .syntax import (Record, SourceUnit, SyntaxNode, WriteFacts,
+                     method_body, method_params, modifier_words, unit_index)
 
 # Residual markers.
 UNKNOWN = "UNKNOWN"
@@ -139,13 +139,6 @@ def _ordered(values) -> list:
 def _snapshot(value):
     """An interpreter value as an immutable candidate."""
     return SBuf(value.text) if isinstance(value, Builder) else _frozen(value)
-
-
-def _statement_of(body: SyntaxNode, node: SyntaxNode) -> SyntaxNode | None:
-    """The statement of ``body`` that holds ``node``, as
-    `_Interp.run_region` finds it."""
-    return next((stmt for stmt in body.children
-                 if stmt.start <= node.start <= stmt.end), None)
 
 
 _LOOPS = ("while_statement", "for_statement", "enhanced_for_statement")
@@ -315,15 +308,12 @@ class _Abstract:
 
     def _try_region_concrete(self, expr: SyntaxNode):
         method = unit_index(self.unit).enclosing_method(expr)
-        if method is None:
-            return _MISSING
-        body = method_body(method)
-        if body is None:
+        if method is None or method_body(method) is None:
             return _MISSING
         saved_steps = self.ctx.steps
         env: dict = {}
         try:
-            self.interp.run_region(body, expr, env, {})
+            self.interp.run_region(method, expr, env, {})
             value = _snapshot(self.interp.eval(expr, env, {}))
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
@@ -473,12 +463,12 @@ class _Abstract:
             if name in method_params(method):
                 self.ctx.note("external-input", node, name)
                 return _VS.residual(EXTERNAL_INPUT)
-            defs, jumps = self._local_defs(method, name)
-            if any(d.start < node.start for d in defs):
+            facts = unit_index(self.unit).write_facts(method)
+            defs = facts.defs.get(name)
+            if defs and defs[0].start < node.start:
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
-                return self._resolve_local(method, name, defs, jumps, node,
-                                           depth)
+                return self._resolve_local(method, name, facts, node, depth)
         field_init = self._field_init(name)
         if field_init is not None:
             if depth >= self.ctx.budget.max_indirection + 1:
@@ -492,39 +482,14 @@ class _Abstract:
             return _VS.of(enum_val)
         return _VS.residual(UNKNOWN)
 
-    def _local_defs(self, method: SyntaxNode, name: str
-                    ) -> tuple[list[SyntaxNode], list[SyntaxNode]]:
-        """The declarators with an initializer and the ``=`` assignments
-        of the local ``name`` in ``method``'s body, and the body's
-        ``break`` and ``continue`` statements, each in source order,
-        outside the bodies of classes declared in it."""
-        defs: list[SyntaxNode] = []
-        jumps: list[SyntaxNode] = []
-        body = method_body(method)
-        stack = [] if body is None else [body]
-        while stack:
-            n = stack.pop()
-            if n.kind == "class_body":
-                continue  # a local or anonymous class's own code
-            stack.extend(reversed(n.children))
-            if n.kind == "variable_declarator" and len(n.children) > 1 \
-                    and str(n.children[0].value) == name \
-                    or n.kind == "assignment_expression" \
-                    and n.children[0].kind == "identifier" \
-                    and str(n.children[0].value) == name \
-                    and str(n.value) == "=":
-                defs.append(n)
-            elif n.kind in ("break_statement", "continue_statement"):
-                jumps.append(n)
-        return defs, jumps
-
     def _resolve_local(self, method: SyntaxNode, name: str,
-                       defs: list[SyntaxNode], jumps: list[SyntaxNode],
-                       use: SyntaxNode, depth: int) -> _VS:
+                       facts: WriteFacts, use: SyntaxNode,
+                       depth: int) -> _VS:
         """The local ``name`` at ``use``: the union of the definitions
         that may reach it (`_reaching_defs`), the latest first, and
         ``UNKNOWN`` for a value not followed."""
-        reaching = _reaching_defs(method_body(method), defs, jumps, use)
+        reaching = _reaching_defs(method_body(method), facts.defs[name],
+                                  facts.jumps, use)
         value = _VS(set(), set())
         for _, holder in sorted({d.start: d for d in reaching
                                  if d is not None}.items(), reverse=True):
@@ -532,9 +497,10 @@ class _Abstract:
             self.ctx.note("local-def", definition, name)
             self.ctx.touch(self.unit, definition)
             if name in unit_index(self.unit).builders_in(method):
-                found = self._resolve_builder(method, name, definition, use,
-                                              depth)
-            elif self._elements_written(method, name, definition, use):
+                found = self._resolve_builder(method, name, facts,
+                                              definition, use, depth)
+            elif facts.between(facts.element_writes, name, definition.end,
+                               use.start):
                 found = _VS.residual(UNKNOWN)
             else:
                 found = self.resolve(definition, depth + 1, {})
@@ -544,19 +510,18 @@ class _Abstract:
         return value
 
     def _resolve_builder(self, method: SyntaxNode, name: str,
-                         definition: SyntaxNode, use: SyntaxNode,
-                         depth: int) -> _VS:
+                         facts: WriteFacts, definition: SyntaxNode,
+                         use: SyntaxNode, depth: int) -> _VS:
         """A builder local at ``use``: its definition's value through the
         statement-level call chains on it in between, such as
         ``sb.append(p);``. Any other mention in between may change it
         unseen and leaves only a residual."""
         body = method_body(method)
         calls = []
-        for node in body.walk():
-            if node.kind != "identifier" or str(node.value) != name \
-                    or not definition.end <= node.start < use.start:
-                continue
-            stmt = _statement_of(body, node)
+        for node in facts.between(facts.mentions, name, definition.end,
+                                  use.start):
+            stmt = next((s for s in body.children
+                         if s.start <= node.start <= s.end), None)
             if stmt is None or stmt.kind != "expression_statement" \
                     or stmt.start < definition.end or stmt.end > use.start:
                 return _VS.residual(UNKNOWN)
@@ -572,22 +537,6 @@ class _Abstract:
             self.ctx.touch(self.unit, call)
             value = self.resolve(call, depth + 1, {name: value})
         return value
-
-    def _elements_written(self, method: SyntaxNode, name: str,
-                          definition: SyntaxNode, use: SyntaxNode) -> bool:
-        """Whether an element of the array local ``name`` is written, as in
-        ``name[i] = …`` or ``name[i]++``, between ``definition`` and
-        ``use``: that write may change the array unseen, so, as for a
-        builder's other mentions, the definition alone is not its value."""
-        for node in method_body(method).walk():
-            if node.kind in ("assignment_expression", "update_expression") \
-                    and definition.end <= node.start < use.start:
-                target = node.children[0]
-                if target.kind == "array_access" \
-                        and target.children[0].kind == "identifier" \
-                        and str(target.children[0].value) == name:
-                    return True
-        return False
 
     def _field_init(self, name: str,
                     cls: SyntaxNode | None = None) -> SyntaxNode | None:
@@ -890,42 +839,13 @@ _ENCRYPTED_CALL = re.compile(
     r")\s*\(")
 
 
-def _definition(node: SyntaxNode) -> tuple[str, SyntaxNode] | None:
-    """(name, right-hand side) when ``node`` assigns a local name."""
-    if node.kind == "variable_declarator" and len(node.children) > 1:
-        return str(node.children[0].value), node.children[1]
-    if node.kind == "assignment_expression" \
-            and node.children[0].kind == "identifier":
-        return str(node.children[0].value), node.children[1]
-    return None
-
-
-def _feeds_encrypted(scope: SyntaxNode, arg_ids: set[str]) -> bool:
-    """Whether a definition in ``scope`` that the identifiers ``arg_ids``
-    reach, through the identifiers of definitions' right-hand sides, holds
-    a decrypt-style call.
-
-    Linear in the scope: one walk, then one search of each outermost
-    right-hand side reached. Each identifier counts for the innermost
-    definition whose right-hand side holds it; an outer definition reaches
-    an inner one's identifiers through the inner name, which is one of its
-    own, and a call inside an inner right-hand side is inside the outer.
-    """
-    reads: dict[str, set[str]] = {}          # name → identifiers read
-    rhs_of: dict[str, list[SyntaxNode]] = {}  # name → right-hand sides
-    owner: dict[int, str | None] = {id(scope): None}
-    for node in scope.walk():
-        name = owner.pop(id(node))
-        if node.kind == "identifier" and name is not None:
-            reads[name].add(str(node.value))
-        for child in node.children:
-            owner[id(child)] = name
-        defined = _definition(node)
-        if defined is not None:
-            target, rhs = defined
-            owner[id(rhs)] = target
-            reads.setdefault(target, set())
-            rhs_of.setdefault(target, []).append(rhs)
+def _feeds_encrypted(facts: WriteFacts, arg_ids: set[str]) -> bool:
+    """Whether a definition (`WriteFacts.rhs_of`) that the identifiers
+    ``arg_ids`` reach, through the identifiers of definitions' right-hand
+    sides, holds a decrypt-style call. One search of each outermost
+    right-hand side reached: an inner one's identifiers are reached
+    through its name, and its calls are inside the outer one."""
+    reads, rhs_of = facts.reads, facts.rhs_of
     seen = set(arg_ids)
     todo = list(seen)
     while todo:
@@ -957,7 +877,9 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
                if n.kind == "identifier"}
     if not arg_ids:
         return False
-    if site.method is not None and _feeds_encrypted(site.method, arg_ids):
+    index = unit_index(site.unit)
+    if site.method is not None \
+            and _feeds_encrypted(index.write_facts(site.method), arg_ids):
         return True
-    return any(_feeds_encrypted(member, arg_ids) for member in
-               unit_index(site.unit).member_facts(site.type_body).fields)
+    return any(_feeds_encrypted(index.write_facts(member), arg_ids)
+               for member in index.member_facts(site.type_body).fields)

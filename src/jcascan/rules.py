@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .classify import LabelSet
+from .classify import _OID_RE, LabelSet
 from .ingest import RESTRICTIVE, RESTRICTIVE_SECRETKEYSPEC, InvocationSite
 from .resolve import (NATIVE, ResolvedValue, has_encrypted_param_pattern,
                       visible_literals)
@@ -40,7 +40,6 @@ _AES_OID_PREFIX = "2.16.840.1.101.3.4.1."
 _AES_OID_MODES = {1: "ECB", 2: "CBC", 3: "OFB", 4: "CFB", 5: "WRAP",
                   6: "GCM", 7: "CCM"}
 
-_OID_RE = re.compile(r"\d+(\.\d+)+")
 _TRANSFORM_RE = re.compile(
     r"[A-Za-z][A-Za-z0-9_-]*(/[A-Za-z0-9_-]+(/[A-Za-z0-9_-]+)?)?")
 

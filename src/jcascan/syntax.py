@@ -309,6 +309,7 @@ class UnitIndex:
         for decl, name, _ in self.named_types:
             self.first_type.setdefault(name, decl)
         self._member_facts: dict[int, MemberFacts] = {}
+        self._write_facts: dict[int, WriteFacts] = {}
         # Built on first use: a unit with no site needs neither.
         self._methods: _Nesting | None = None
         self._type_bodies: _Nesting | None = None
@@ -366,6 +367,14 @@ class UnitIndex:
                 body.children)
         return facts
 
+    def write_facts(self, decl: SyntaxNode) -> WriteFacts:
+        """What writes the locals of a method, constructor or field
+        declaration of this unit, gathered once per declaration."""
+        facts = self._write_facts.get(id(decl))
+        if facts is None:
+            facts = self._write_facts[id(decl)] = WriteFacts(decl)
+        return facts
+
 
 class MemberFacts(Record):
     """What per-site analysis reads from the members of a class body."""
@@ -391,6 +400,98 @@ class MemberFacts(Record):
 
 
 _NO_MEMBERS = MemberFacts((), {})
+
+_start = attrgetter("start")
+
+
+class WriteFacts:
+    """What writes the locals of one method, constructor or field
+    declaration, from one walk of it, in source order: the one place that
+    decides what writes a local. Each table keeps its reader's rule:
+
+    - ``defs``, per name: declarators with an initializer and ``=``
+      assignments to the bare name; ``jumps``: each ``break`` and
+      ``continue``. Neither counts nested class bodies.
+    - ``element_writes`` (``name[i] = …``, ``name[i]++``), ``mentions``.
+    - ``rhs_of``: right-hand sides of declarators and of assignments of
+      any operator to the bare name; ``reads``: their identifiers, each
+      for the innermost right-hand side holding it.
+    - ``writes``: (start, name) of each declarator, assignment or update
+      target (an array's name for an element) and identifier receiver.
+    """
+
+    def __init__(self, decl: SyntaxNode) -> None:
+        defs = self.defs = {}
+        jumps = self.jumps = []
+        element_writes = self.element_writes = {}
+        mentions = self.mentions = {}
+        writes = self.writes = []
+        reads = self.reads = {}
+        rhs_of = self.rhs_of = {}
+        # (node, the name of the innermost right-hand side holding it,
+        # whether a nested class body holds it), in pre-order.
+        stack: list = [(decl, None, False)]
+        while stack:
+            node, owner, nested = stack.pop()
+            kind = node.kind
+            if kind == "identifier":
+                mentions.setdefault(node.value, []).append(node)
+                if owner is not None:
+                    reads.setdefault(owner, set()).add(node.value)
+                continue
+            children = node.children
+            # The name ``node`` may write, and the one whose right-hand
+            # side ``children[1]`` is (at ``stack[-2]`` once pushed).
+            written = defined = None
+            if kind == "variable_declarator":
+                written = children[0].value
+                if len(children) > 1:
+                    defined = written
+                    if not nested:
+                        defs.setdefault(written, []).append(node)
+            elif kind == "assignment_expression" \
+                    or kind == "update_expression":
+                target = children[0]
+                if target.kind == "array_access" \
+                        and target.children[0].kind == "identifier":
+                    written = target.children[0].value
+                    element_writes.setdefault(written, []).append(node)
+                elif target.kind == "identifier":
+                    written = target.value
+                    if kind == "assignment_expression":
+                        defined = written
+                        if node.value == "=" and not nested:
+                            defs.setdefault(written, []).append(node)
+            elif kind == "method_invocation" and len(children) == 3 \
+                    and children[0].kind == "identifier":
+                written = children[0].value
+            elif (kind == "break_statement"
+                  or kind == "continue_statement") and not nested:
+                jumps.append(node)
+            elif kind == "class_body":
+                nested = True
+            if written is not None:
+                writes.append((node.start, written))
+            for child in reversed(children):
+                stack.append((child, owner, nested))
+            if defined is not None:
+                rhs_of.setdefault(defined, []).append(children[1])
+                stack[-2] = (children[1], defined, nested)
+
+    @staticmethod
+    def between(table: dict[str, list[SyntaxNode]], name: str, start: int,
+                end: int) -> list[SyntaxNode]:
+        """The nodes of ``table[name]`` that start in ``[start, end)``."""
+        nodes = table.get(name, [])
+        return nodes[bisect_left(nodes, start, key=_start):
+                     bisect_left(nodes, end, key=_start)]
+
+    def written_in(self, node: SyntaxNode) -> set[str]:
+        """The names the nodes that start within ``node`` may write."""
+        writes = self.writes
+        lo = bisect_left(writes, (node.start,))
+        return {name for _, name
+                in writes[lo:bisect_left(writes, (node.end,), lo)]}
 
 
 def unit_index(unit: SourceUnit) -> UnitIndex:

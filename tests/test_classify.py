@@ -5,9 +5,11 @@ from __future__ import annotations
 from jcascan.classify import (ArgumentSignature, FLEXIBLE_LABELS,
                               RESTRICTIVE_LABELS, UNKNOWN_API, classify,
                               match_signature, signature_of)
-from jcascan.ingest import RESTRICTIVE
+from jcascan.ingest import RESTRICTIVE, extract_sites
+from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_site, summary_record
 from jcascan.resolve import resolve_site
+from jcascan.syntax import SyntaxNode
 
 from conftest import (BASE64_SRC, BYTE_LOOP_SRC, CHARAT_SRC, EMPTY_ARGS_SRC,
                       ENUM_SRC, HOSTNAME_TRUE_SRC, NATIVE_SRC,
@@ -15,6 +17,7 @@ from conftest import (BASE64_SRC, BYTE_LOOP_SRC, CHARAT_SRC, EMPTY_ARGS_SRC,
                       TRUST_CLIENT_SRC, TRUST_DN_SRC, TRUST_EMPTY_SRC,
                       TRUST_LOG_SRC, TRUST_NATIVE_SRC, TRUST_SHA1_SRC,
                       TRUST_VAL_SRC, XOR_SRC, site_of, sites_of)
+from test_tokenize import _sources
 
 
 def labels_of(src: str) -> set[str]:
@@ -168,3 +171,29 @@ class TestPrevalence:
             ["STRING"], ["OID", "STRING"], ["ID"]]
         assert summary_record(analyses)["summary"]["prevalence"] == [
             ["ID", 1], ["OID", 1], ["STRING", 2]]
+
+
+def test_restrictive_site_walks_its_argument_once(monkeypatch):
+    """`classify` reads every label of a restrictive site from one walk of
+    its argument list."""
+    walks = 0
+    original = SyntaxNode.walk
+
+    def counting_walk(self):
+        nonlocal walks
+        walks += 1
+        return original(self)
+
+    checked = 0
+    for name, text in _sources():
+        for site in extract_sites(parse_unit(name, text)):
+            if site.api.category != RESTRICTIVE or not site.subtree.children:
+                continue
+            resolved = resolve_site(site)
+            walks = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(SyntaxNode, "walk", counting_walk)
+                classify(site, resolved)
+            assert walks == 1, (name, site.id)
+            checked += 1
+    assert checked >= 80, checked

@@ -25,7 +25,7 @@ from jcascan.report import analyze_corpus, analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
                              _Ctx, _enum_model, _find_class,
                              visible_literals)
-from jcascan.syntax import SyntaxNode, unit_index
+from jcascan.syntax import SyntaxNode, WriteFacts, unit_index
 from test_fuzz import mutants
 from test_tokenize import _sources
 
@@ -526,7 +526,8 @@ def ref_index_fields(unit) -> dict:
 
 
 # What a `UnitIndex` fills on demand, not in its walk.
-INDEX_CACHES = {"_member_facts", "_methods", "_type_bodies", "compiled"}
+INDEX_CACHES = {"_member_facts", "_methods", "_type_bodies", "_write_facts",
+                "compiled"}
 
 
 def ref_scopes(node, body_ids: set, body=None, method=None,
@@ -672,9 +673,9 @@ def _walk_visits(source: str, monkeypatch) -> int:
 
     def counting_walk(self):
         nonlocal visits
-        for node in original(self):
-            visits += 1
-            yield node
+        nodes = original(self)
+        visits += len(nodes)
+        return nodes
 
     with monkeypatch.context() as patch:
         patch.setattr(SyntaxNode, "walk", counting_walk)
@@ -696,6 +697,34 @@ def test_method_walks_grow_linearly(monkeypatch):
     # Linear growth gives 4x; one walk of the enclosing method per site
     # (its literals, its StringBuilder names) gives ~16x.
     assert large <= 5 * small, (small, large)
+
+
+def _ternary_locals(n_pairs: int) -> str:
+    """One method that ``n_pairs`` times sets a fresh local to a ternary
+    of literals and passes it to a site."""
+    pair = 'String t{0} = c ? "AES" : "DES"; Cipher.getInstance(t{0});'
+    return ("import javax.crypto.Cipher;\npublic class Pairs {\n"
+            "    void m(boolean c) throws Exception {\n"
+            + "".join(f"        {pair.format(k)}\n" for k in range(n_pairs))
+            + "    }\n}\n")
+
+
+def test_local_walks_grow_linearly(monkeypatch):
+    built = []
+    original = WriteFacts.__init__
+
+    def counting_init(self, decl):
+        built.append(decl)
+        original(self, decl)
+
+    monkeypatch.setattr(WriteFacts, "__init__", counting_init)
+    small = _walk_visits(_ternary_locals(50), monkeypatch)
+    large = _walk_visits(_ternary_locals(200), monkeypatch)
+    # Linear growth gives 4x; walking the method per site for its local's
+    # definitions, or per statement run before it, gives ~16x.
+    assert large <= 5 * small, (small, large)
+    # One table for the method of each unit, however many sites read it.
+    assert [decl.kind for decl in built] == ["method_declaration"] * 2
 
 
 @pytest.mark.parametrize("workload", ["one-large-unit", "string-encryption"])
