@@ -105,11 +105,12 @@ def match_signature(sites: list[InvocationSite],
 # -- helpers ----------------------------------------------------------------
 
 def _calls(nodes: list[SyntaxNode]):
-    for node in nodes:
+    """(position in ``nodes``, call, name, receiver text) of each call."""
+    for at, node in enumerate(nodes):
         if node.kind == "method_invocation":
             receiver = node.children[0].text if len(node.children) == 3 \
                 else ""
-            yield node, str(node.value), receiver
+            yield at, node, str(node.value), receiver
 
 
 def _declared_builders(site: InvocationSite) -> set[str]:
@@ -181,7 +182,7 @@ def _classify_restrictive(site: InvocationSite,
     saw_method = (METHOD_BODY in trace_rules
                   or METHOD_RETURNS in trace_rules)
 
-    for call, name, receiver in _calls(nodes):
+    for _, _, name, receiver in _calls(nodes):
         recv_base = receiver.split(".")[-1] if receiver else ""
         if name == "decode" and ("Base64" in receiver or recv_base in (
                 "getDecoder()", "getUrlDecoder()")):
@@ -226,12 +227,25 @@ def _classify_restrictive(site: InvocationSite,
 
 # -- flexible classification --------------------------------------------------
 
-def _throws_outside_catch(body: SyntaxNode):
-    """throw statements not nested inside a catch clause."""
-    catch_spans = [(c.start, c.end) for c in body.find_all("catch_clause")]
-    for node in body.find_all("throw_statement"):
-        if not any(s <= node.start < e for s, e in catch_spans):
-            yield node
+def _throws_outside_catch(nodes: list[SyntaxNode]) -> list[SyntaxNode]:
+    """throw statements of ``nodes``, a body's walk, not nested inside a
+    catch clause."""
+    catch_spans = [(c.start, c.end) for c in nodes
+                   if c.kind == "catch_clause"]
+    return [node for node in nodes if node.kind == "throw_statement"
+            and not any(s <= node.start < e for s, e in catch_spans)]
+
+
+def _subtree(nodes: list[SyntaxNode], at: int) -> list[SyntaxNode]:
+    """The walk of ``nodes[at]``, taken from ``nodes``, a pre-order walk
+    that holds it: the run from ``at`` to its last descendant."""
+    last = nodes[at]
+    while last.children:
+        last = last.children[-1]
+    end = at
+    while nodes[end] is not last:
+        end += 1
+    return nodes[at:end + 1]
 
 
 def _classify_flexible(site: InvocationSite,
@@ -249,8 +263,9 @@ def _classify_flexible(site: InvocationSite,
     index = unit_index(site.unit)
     params = method_params(site.node)
     auth_param = params[1] if len(params) > 1 else None
+    nodes = subtree.walk()  # the one walk every label below reads
 
-    for node in _throws_outside_catch(subtree):
+    for node in _throws_outside_catch(nodes):
         thrown = node.children[0]
         tname = ""
         if thrown.kind == "object_creation_expression":
@@ -263,7 +278,7 @@ def _classify_flexible(site: InvocationSite,
                 or "UnsupportedOperation" in tname:
             labels.add("NEXP")
 
-    if any(n.kind == "this" for n in subtree.walk()):
+    if any(n.kind == "this" for n in nodes):
         labels.add("THIS")
     if "BigInteger" in text:
         labels.add("BIGINT")
@@ -278,7 +293,7 @@ def _classify_flexible(site: InvocationSite,
     if _HASH_LITERAL.search(text) or "MessageDigest" in text:
         labels.add("HASH")
 
-    for node in subtree.walk():
+    for node in nodes:
         if node.kind == "binary_expression" \
                 and str(node.value) in ("==", "!=", "<", ">", "<=", ">="):
             operands = node.children
@@ -288,7 +303,7 @@ def _classify_flexible(site: InvocationSite,
                    if o.kind in ("field_access", "method_invocation")):
                 labels.add("LEN")
 
-    for call, name, receiver in _calls(subtree.walk()):
+    for at, _, name, receiver in _calls(nodes):
         recv_root = receiver.split(".")[0].split("(")[0]
         recv_tail = receiver.split("(")[0].rsplit(".", 1)[-1]
         if name == "checkClientTrusted":
@@ -329,7 +344,7 @@ def _classify_flexible(site: InvocationSite,
         # only string operations touching the parameter qualify here.
         if auth_param is not None and name in _STRING_METHODS and any(
                 n.kind == "identifier" and str(n.value) == auth_param
-                for n in call.walk()):
+                for n in _subtree(nodes, at)):
             labels.add("AUTH")
         if name in index.native_methods or name.startswith("n_") \
                 or name.startswith("native"):
@@ -346,7 +361,7 @@ def _classify_flexible(site: InvocationSite,
 
     # Comparisons against auth-type outside calls (e.g. authType == null).
     if auth_param is not None:
-        for node in subtree.walk():
+        for node in nodes:
             if node.kind == "binary_expression" and any(
                     o.kind == "identifier" and str(o.value) == auth_param
                     for o in node.children):

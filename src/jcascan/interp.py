@@ -27,7 +27,12 @@ out on the same step. Fewer calls carry those ticks:
   their own tick in the first tick of their child and take no call of
   their own, and a loop runs its block's statements itself;
 - ``charAt`` and ``length`` of a string and a builder's ``append`` of a
-  string or char run inline in the call.
+  string or char run inline in the call;
+- decoder-loop groups: a ``for`` loop runs its one ``i++``/``i--`` of a
+  local inline; an ``=`` to a local stores inline and folds an int-spine
+  right-hand side inline; ``leaf OP r.length()`` reads the length of a
+  string leaf inline; ``(char) (r.charAt(i) OP b)`` over leaves is one
+  group, and a builder's ``append`` of it appends its code point.
 
 The values it computes, and the operators, library calls and string
 built-ins it applies, are the one model of Java in `javamodel`.
@@ -133,15 +138,10 @@ def _enum_model(unit: SourceUnit, enum_decl: SyntaxNode) -> dict[str, EnumConst]
         if args is not None:
             for pname, arg in zip(param_names, args.children):
                 fname = field_of_param.get(pname)
-                if fname is None:
-                    continue
-                if arg.kind == "string_literal":
-                    bound.append((fname, arg.value))
-                elif arg.kind in ("decimal_integer_literal",
-                                  "hex_integer_literal"):
-                    bound.append((fname, arg.value))
-                elif arg.kind == "character_literal":
-                    bound.append((fname, Char(ord(str(arg.value)))))
+                if fname is not None and arg.kind in (
+                        "string_literal", "character_literal",
+                        "decimal_integer_literal", "hex_integer_literal"):
+                    bound.append((fname, _literal(arg)))
         out[cname] = EnumConst(name, cname, tuple(bound))
     return out
 
@@ -551,8 +551,9 @@ def _c_binary(interp, node, pre=0):
                 return on_ints(a, b)
             return _operate(apply, on_ints, a, b)
         leaves = [_leaf(operand) for operand in node.children]
-        return _int_spine(node, pre,
-                          _fused_binary(binary, steps[0], first, leaves, n))
+        return _int_spine(node, pre, _fused_length(
+            _fused_binary(binary, steps[0], first, leaves, n), on_ints,
+            leaves[0], node.children[1], n), None)
 
     def chain(interp, env, fields):
         ctx = interp.ctx
@@ -574,7 +575,7 @@ def _c_binary(interp, node, pre=0):
                 if not isinstance(value, bool):
                     raise _NotConcrete
         return value
-    return _int_spine(node, pre, chain)
+    return _int_spine(node, pre, chain, None)
 
 
 def _fused_binary(generic, step, first, leaves, n):
@@ -628,12 +629,13 @@ def _fused_binary(generic, step, first, leaves, n):
     return binary_right_leaf
 
 
-def _int_spine(node: SyntaxNode, pre: int, generic):
+def _int_spine(node: SyntaxNode, pre: int, generic, store: str | None):
     """``generic``, the closure of a binary expression, or, when the left
     spine of the expression, parentheses included, is two or more
     `_INT_SAFE` operators over identifiers and int literals, a fold of it
     at once while every identifier holds an int: no fold can fail, so its
-    ticks, one per operator, parenthesis and leaf, count together."""
+    ticks, one per operator, parenthesis and leaf, count together. With
+    ``store`` not None, the fold stores its value into that local too."""
     ops, rights, levels = [], [], 0
     while node.kind in ("binary_expression", "parenthesized_expression"):
         if node.kind == "parenthesized_expression":
@@ -669,9 +671,44 @@ def _int_spine(node: SyntaxNode, pre: int, generic):
                     value = apply(value, b)
                 else:
                     ctx.steps = steps
+                    if store is not None:
+                        env[store] = value
                     return value
         return generic(interp, env, fields)
     return int_spine
+
+
+def _leaf_call(node: SyntaxNode, name: str, count: int):
+    """The leaves of the receiver and the ``count`` arguments of a call
+    ``name`` that `_fused_call` runs, when each is a `_leaf`; else None."""
+    if node.kind != "method_invocation" or str(node.value) != name \
+            or len(node.children) != 3 \
+            or len(node.children[-1].children) != count \
+            or library_call(node) is not None:
+        return None
+    leaves = [_leaf(part) for part in _call_parts(node)]
+    return None if None in leaves else leaves
+
+
+def _fused_length(generic, on_ints, left, right: SyntaxNode, n: int):
+    """``leaf OP r.length()``: the length of a string leaf read inline, the
+    steps of the expression, its leaf and the call counted at once."""
+    call = _leaf_call(right, "length", 0)
+    if left is None or call is None:
+        return generic
+    (an, av), ((rn, rv),) = left, call
+    total = n + 3
+
+    def length_leaves(interp, env, fields):
+        a = av if an is None else env.get(an)
+        r = rv if rn is None else env.get(rn)
+        ctx = interp.ctx
+        if type(a) is int and type(r) is str \
+                and ctx.steps + total <= ctx.limit:
+            ctx.steps += total
+            return on_ints(a, len(r))
+        return generic(interp, env, fields)
+    return length_leaves
 
 
 def _c_unary(interp, node, pre=0):
@@ -755,7 +792,7 @@ def _c_assignment(interp, node, pre=0):
             if ctx.steps > ctx.limit:
                 ctx.exceeded(n)
             return store(interp, env, fields, value_fn(interp, env, fields))
-        return assign
+        return _fused_assign(assign, node, value_fn, n)
 
     def assign_chain(interp, env, fields):
         ctx = interp.ctx
@@ -775,6 +812,24 @@ def _c_assignment(interp, node, pre=0):
             value = store(interp, env, fields, value)
         return value
     return assign_chain
+
+
+def _fused_assign(generic, node: SyntaxNode, value_fn, n: int):
+    """``x = …`` to a local stores inline, and an int-spine right-hand side
+    (`_int_spine`) folds and stores in one group with the assignment."""
+    lhs, rhs = node.children
+    if lhs.kind != "identifier" or str(node.value) != "=":
+        return generic
+    name = str(lhs.value)
+
+    def assign_local(interp, env, fields):
+        ctx = interp.ctx
+        ctx.steps += n
+        if ctx.steps > ctx.limit:
+            ctx.exceeded(n)
+        env[name] = value = value_fn(interp, env, fields)
+        return value
+    return _int_spine(rhs, n, assign_local, name)
 
 
 def _store(compiled: dict, lhs: SyntaxNode, op: str):
@@ -837,11 +892,47 @@ def _c_cast(interp, node, pre=0):
             if type(value) is int:
                 return Char(value & 0xFFFF)
             return _cast(target, value)
-        return to_char
+        return _fused_char(to_char, interp.compiled, node, pre)
 
     def cast(interp, env, fields):
         return _cast(target, operand(interp, env, fields))
     return cast
+
+
+def _fused_char(generic, compiled: dict, cast: SyntaxNode, pre: int):
+    """``(char) (r.charAt(i) OP b)`` over leaves, OP `_INT_SAFE`, as one
+    group. Its ``code_point(interp, env, fields, pending)``, kept under
+    ``(id(cast), "char")``, counts ``pending`` steps of its caller with the
+    group's and gives the code point, or None where it cannot run at once."""
+    inner, ticks = cast.children[1], 6
+    while inner.kind == "parenthesized_expression":
+        inner, ticks = inner.children[0], ticks + 1
+    if inner.kind != "binary_expression" or str(inner.value) not in _INT_SAFE:
+        return generic
+    call = _leaf_call(inner.children[0], "charAt", 1)
+    right = _leaf(inner.children[1])
+    if call is None or right is None:
+        return generic
+    ((rn, rv), (i_name, iv)), (bn, bv) = call, right
+    apply = _INT_ARITH[str(inner.value)]
+
+    def code_point(interp, env, fields, pending):
+        r = rv if rn is None else env.get(rn)
+        i = iv if i_name is None else env.get(i_name)
+        b = bv if bn is None else env.get(bn)
+        ctx = interp.ctx
+        steps = ctx.steps + pending + ticks
+        if type(r) is str and type(i) is int and type(b) is int \
+                and 0 <= i < len(r) and steps <= ctx.limit:
+            ctx.steps = steps
+            return apply(ord(r[i]), b) & 0xFFFF
+        return None
+    compiled[(id(cast), "char")] = code_point
+
+    def char_group(interp, env, fields):
+        cp = code_point(interp, env, fields, pre)
+        return generic(interp, env, fields) if cp is None else Char(cp)
+    return char_group
 
 
 def _c_array_access(interp, node, pre=0):
@@ -863,15 +954,7 @@ def _c_array_creation(interp, node, pre=0):
     elem = _elem_of(str(node.children[0].value or ""))
     init = child_of_kind(node, "array_initializer")
     if init is not None:
-        build = _array_builder(interp.compiled, init, elem)
-
-        def new_initialized(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
-            return build(interp, env, fields)
-        return new_initialized
+        return _new_initialized(interp.compiled, init, elem, n)
     dims = [c for c in node.children[1:] if c.kind != "array_initializer"]
     if len(dims) != 1:
         return _c_unsupported(interp, node, pre)
@@ -891,16 +974,20 @@ def _c_array_creation(interp, node, pre=0):
 
 
 def _c_array_initializer(interp, node, pre=0):
-    n = 1 + pre
-    build = _array_builder(interp.compiled, node, "int")
+    return _new_initialized(interp.compiled, node, "int", 1 + pre)
 
-    def initializer(interp, env, fields):
+
+def _new_initialized(compiled: dict, init: SyntaxNode, elem: str, n: int):
+    """Builds the array of ``init`` after the ``n`` steps of the node."""
+    build = _array_builder(compiled, init, elem)
+
+    def new_initialized(interp, env, fields):
         ctx = interp.ctx
         ctx.steps += n
         if ctx.steps > ctx.limit:
             ctx.exceeded(n)
         return build(interp, env, fields)
-    return initializer
+    return new_initialized
 
 
 def _new_unsupported(args: list):
@@ -1079,8 +1166,9 @@ def _c_call(interp, node, pre=0):
     leaf = _leaf(receiver)
     if leaf is None:
         return _chained_call(interp, node, receiver, arg_fns, finish, n)
-    return _fused_call(call_on, finish, name, leaf,
-                       [_leaf(a) for a in arg_nodes], arg_fns, n)
+    return _fused_append(_fused_call(call_on, finish, name, leaf,
+                                     [_leaf(a) for a in arg_nodes], arg_fns,
+                                     n), interp.compiled, node, n)
 
 
 def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
@@ -1169,6 +1257,28 @@ def _fused_call(generic, finish, name: str, receiver, arg_leaves: list,
                 return finish(interp, env, fields, base, args)
         return generic(interp, env, fields)
     return call_inline
+
+
+def _fused_append(generic, compiled: dict, call: SyntaxNode, n: int):
+    """``b.append(<a char group>)`` on a builder local appends the group's
+    code point, the call's steps counted with the group's, and builds no
+    Char."""
+    receiver, args = call.children[0], call.children[-1].children
+    code_point = compiled.get((id(args[0]), "char")) if args else None
+    if str(call.value) != "append" or len(args) != 1 or code_point is None \
+            or receiver.kind != "identifier":
+        return generic
+    name, total = str(receiver.value), n + 1
+
+    def append_char(interp, env, fields):
+        base = env.get(name)
+        cp = code_point(interp, env, fields, total) \
+            if type(base) is Builder else None
+        if cp is None:
+            return generic(interp, env, fields)
+        base.text += chr(cp)
+        return base
+    return append_char
 
 
 # --- statements ---
@@ -1287,6 +1397,16 @@ def _for_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return head + _body_parts(node.children[-1:] if has_body else [])
 
 
+def _inline_update(updates: list[SyntaxNode]):
+    """``(name, ±1)`` of a for loop's one update, ``i++`` or ``i--`` of a
+    local, which runs inline while it holds an int; else ``(None, 0)``."""
+    if len(updates) != 1 or updates[0].kind != "update_expression" \
+            or updates[0].children[0].kind != "identifier":
+        return None, 0
+    return (str(updates[0].children[0].value),
+            1 if str(updates[0].value) == "++" else -1)
+
+
 def _c_for(interp, node):
     compiled = interp.compiled
     n_init, has_cond, n_upd, has_body = node.value
@@ -1294,7 +1414,9 @@ def _c_for(interp, node):
     inits = [compiled[id(c)] for c in children[:n_init]]
     cond = compiled[id(children[n_init])] if has_cond else None
     upd_start = n_init + (1 if has_cond else 0)
-    updates = [compiled[id(c)] for c in children[upd_start:upd_start + n_upd]]
+    upd_nodes = children[upd_start:upd_start + n_upd]
+    updates = [compiled[id(c)] for c in upd_nodes]
+    name, delta = _inline_update(upd_nodes)
     ticks, body = _loop_body(compiled, children[-1:] if has_body else [])
 
     def for_statement(interp, env, fields):
@@ -1324,6 +1446,11 @@ def _c_for(interp, node):
                 return
             except _Continue:
                 pass
+            if name is not None and type(env.get(name)) is int \
+                    and ctx.steps < ctx.limit:
+                ctx.steps += 1
+                env[name] += delta
+                continue
             for update in updates:
                 update(interp, env, fields)
             if cond is None and not updates:
@@ -1492,15 +1619,8 @@ def _c_try(interp, node):
 
 
 def _c_synchronized(interp, node):
-    block = _sequence(interp.compiled, node.children[-1])
-
-    def synchronized(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
-        block(interp, env, fields)
-    return synchronized
+    """One step, then the block's statements, as a block runs them."""
+    return _c_block(interp, node.children[-1])
 
 
 def _c_assert(interp, node):

@@ -839,6 +839,14 @@ _ENCRYPTED_CALL = re.compile(
     r")\s*\(")
 
 
+def _encrypted_call(text: str) -> bool:
+    """Whether ``text`` holds an `_ENCRYPTED_CALL`. Every match holds
+    ``ecrypt``, ``doFinal`` or ``decode``, so text with none of them skips
+    the search."""
+    return ("ecrypt" in text or "doFinal" in text or "decode" in text) \
+        and _ENCRYPTED_CALL.search(text) is not None
+
+
 def _feeds_encrypted(facts: WriteFacts, arg_ids: set[str]) -> bool:
     """Whether a definition (`WriteFacts.rhs_of`) that the identifiers
     ``arg_ids`` reach, through the identifiers of definitions' right-hand
@@ -858,7 +866,7 @@ def _feeds_encrypted(facts: WriteFacts, arg_ids: set[str]) -> bool:
     for rhs in reached:
         if rhs.end <= searched_to:
             continue   # inside a right-hand side already searched
-        if _ENCRYPTED_CALL.search(rhs.text):
+        if _encrypted_call(rhs.text):
             return True
         searched_to = rhs.end
     return False
@@ -871,7 +879,7 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
     the argument itself or in a definition feeding one of its identifiers,
     in the enclosing method or a field declaration of the site's class.
     """
-    if _ENCRYPTED_CALL.search(site.subtree.text):
+    if _encrypted_call(site.subtree.text):
         return True
     arg_ids = {str(n.value) for n in site.subtree.walk()
                if n.kind == "identifier"}

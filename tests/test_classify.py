@@ -197,3 +197,49 @@ def test_restrictive_site_walks_its_argument_once(monkeypatch):
             assert walks == 1, (name, site.id)
             checked += 1
     assert checked >= 80, checked
+
+
+def test_flexible_site_walks_its_body_once(monkeypatch):
+    """`classify` reads every label of a flexible site from one walk of its
+    method body (six to eight walks per site before), and none for an
+    empty body."""
+    walks = 0
+    original = SyntaxNode.walk
+
+    def counting_walk(self):
+        nonlocal walks
+        walks += 1
+        return original(self)
+
+    counts = []
+    for name, text in _sources():
+        for site in extract_sites(parse_unit(name, text)):
+            if site.api.category == RESTRICTIVE:
+                continue
+            walks = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(SyntaxNode, "walk", counting_walk)
+                classify(site)
+            counts.append((walks, bool(site.subtree.children)))
+    assert len(counts) >= 8
+    assert all(walks == has_body for walks, has_body in counts), counts
+
+
+def _trust(body: str) -> str:
+    return ("import java.security.cert.X509Certificate;\n"
+            "public class Trust {\n"
+            "    public void checkServerTrusted(X509Certificate[] chain,"
+            " String authType) {\n" + body + "    }\n}\n")
+
+
+def test_auth_reads_only_the_subtree_of_each_string_call():
+    """A string call marks AUTH only when the auth-type parameter is inside
+    it, not in the nodes the body's walk holds after it."""
+    assert "AUTH" not in labels_of(_trust(
+        "        log(chain[0].toString().trim());\n"
+        "        use(authType);\n"))
+    assert "AUTH" in labels_of(_trust(
+        "        log(chain[0].toString().trim());\n"
+        "        use(authType.trim());\n"))
+    assert "AUTH" in labels_of(_trust(
+        "        use(\"RSA\".equals(authType));\n"))

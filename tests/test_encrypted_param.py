@@ -10,7 +10,8 @@ import interp_snippets
 from jcascan import bench, resolve
 from jcascan.ingest import RESTRICTIVE, extract_sites
 from jcascan.javaparse import parse_unit
-from jcascan.resolve import _ENCRYPTED_CALL, has_encrypted_param_pattern
+from jcascan.resolve import (_ENCRYPTED_CALL, _encrypted_call,
+                             has_encrypted_param_pattern)
 from jcascan.syntax import SyntaxNode, unit_index
 
 
@@ -151,3 +152,26 @@ def test_work_grows_linearly_with_nested_definitions(monkeypatch):
     # Linear growth gives 4x; a walk and a search per nested right-hand
     # side gives ~16x.
     assert large_work <= 5 * small_work, (small_work, large_work)
+
+
+_POSITIVE = ("decrypt(k)", "AesUtil.decrypt (k)", "c.doFinal(k)",
+             "Decryptor(k)", "AesUtil . decode (k)", "gcmBox.decode(k)",
+             "x + myCipher.decode(y)", "reDecrypted(k)")
+_NEGATIVE = ("Base64.decode(k)", "decode(k)", "c.doFinal", "decrypted",
+             "k.trim()", "\"lit\"", "encrypt(k)", "Aes.encode(k)", "")
+
+
+def test_substring_test_skips_only_text_the_pattern_cannot_match():
+    """The substrings every match holds skip the search where none occurs,
+    and never change its answer."""
+    for text in _POSITIVE:
+        assert _encrypted_call(text), text
+    for text in _NEGATIVE:
+        assert not _encrypted_call(text), text
+    rng = random.Random(7)
+    pieces = _POSITIVE + _NEGATIVE + ("ecrypt", "doFinal", "decode", " (",
+                                      ".", "(", "Cipher", "_", "x")
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(4)))
+        assert _encrypted_call(text) == bool(_ENCRYPTED_CALL.search(text)), \
+            text
