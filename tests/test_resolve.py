@@ -591,6 +591,58 @@ class TestDefinitionInABranch:
         assert not r.residuals
 
 
+def _member_src(argument: str, outer: str = "", members: str = "") -> str:
+    return ('import javax.crypto.Cipher;\n'
+            f'class A {{ {members}\n'
+            '  void m(boolean c) throws Exception {\n'
+            f'    Cipher.getInstance({argument}); }} }}\n{outer}')
+
+
+class TestMemberAndArrayRules:
+    """The set-valued resolver's own member and array rules: a ternary in
+    the argument, or in a field's initializer, keeps the interpreter from
+    giving the value, so these read the resolver's rules alone."""
+
+    @pytest.mark.parametrize("argument, outer, members, label", [
+        ('Config.ALG + (c ? "/CBC/PKCS5Padding" : "")',
+         'class Config { static final String ALG = "DES"; }', "", "STATIC"),
+        ('this.alg + (c ? "/CBC/PKCS5Padding" : "")', "",
+         'final String alg = "DES";', "THIS"),
+    ], ids=["static", "this"])
+    def test_field_initializer(self, argument, outer, members, label):
+        _, resolved, labels, findings = pipeline(
+            _member_src(argument, outer, members))
+        assert resolved.candidates == {"DES", "DES/CBC/PKCS5Padding"}
+        assert not resolved.residuals
+        assert labels.labels == {"CONCT", label, "TEROP"}
+        assert [f.rule_id for f in findings] == ["R1", "R1", "R5"]
+
+    def test_enum_constant_payload(self):
+        _, resolved, labels, _ = pipeline(_member_src(
+            'E.X.alg + (c ? "/CBC" : "")',
+            'enum E { X("DES"); final String alg;'
+            ' E(String a) { this.alg = a; } }'))
+        assert resolved.candidates == {"DES", "DES/CBC"}
+        assert not resolved.residuals
+        assert "ENUM" in labels.labels
+
+    def test_array_initializer(self):
+        r = resolve_site(site_of(_member_src(
+            "new String(new char[]{'D','E','S'}) + (c ? \"/CBC\" : \"\")")))
+        assert r.candidates == {"DES", "DES/CBC"}
+        assert not r.residuals
+
+    def test_static_field_with_a_ternary_initializer(self):
+        _, resolved, labels, findings = pipeline(_member_src(
+            "Config2.ALG",
+            "class Config2 { static final boolean F = true;"
+            ' static final String ALG = F ? "DES" : "AES"; }'))
+        assert resolved.candidates == {"AES", "DES"}
+        assert not resolved.residuals
+        assert labels.labels == {"STATIC"}
+        assert [f.rule_id for f in findings] == ["R4", "R1"]
+
+
 class TestTrace:
     def test_trace_names_rules(self):
         r = resolve_src(STRINGBUFFER_SRC)
