@@ -31,8 +31,8 @@ out on the same step. Fewer calls carry those ticks:
 - decoder-loop groups: a ``for`` loop runs its one ``i++``/``i--`` of a
   local inline; an ``=`` to a local stores inline and folds an int-spine
   right-hand side inline; ``leaf OP r.length()`` reads the length of a
-  string leaf inline; ``(char) (r.charAt(i) OP b)`` over leaves is one
-  group, and a builder's ``append`` of it appends its code point.
+  string leaf inline; a builder's ``append`` of ``(char) (r.charAt(i) OP
+  b)`` over leaves appends its code point in one group.
 
 The values it computes, and the operators, library calls and string
 built-ins it applies, are the one model of Java in `javamodel`.
@@ -47,9 +47,9 @@ from .javamodel import (BASE64_DECODE, Builder, Char, CharArray, EnumConst,
                         _MAX_LENGTH, _MISSING, _NotConcrete, _arith, _as_int,
                         _binary_op, _cast, _elem_of, _length, _load,
                         _object_parts, _preview, library_call, library_new)
-from .syntax import (Record, SourceUnit, SyntaxNode, child_of_kind, decl_name,
-                     method_body, method_params, modifier_words, type_body,
-                     unit_index)
+from .syntax import (MemberFacts, Record, SourceUnit, SyntaxNode,
+                     child_of_kind, decl_name, method_body, method_params,
+                     modifier_words, type_body, unit_index)
 
 # Trace-step rule name the interpreter notes (classification reads it).
 ENUM_CONSTANT = "enum-constant"
@@ -86,29 +86,9 @@ class _JavaThrow(Exception):
     pass
 
 
-# -- unit-level lookups --------------------------------------------------
+# -- enum models -----------------------------------------------------------
 
-def _find_class(unit: SourceUnit, name: str) -> SyntaxNode | None:
-    """The first named type declaration called ``name``, in pre-order."""
-    return unit_index(unit).first_type.get(name)
-
-
-def _class_members(unit: SourceUnit, class_body: SyntaxNode):
-    """Members of the class plus its direct same-unit superclass."""
-    members = list(class_body.children)
-    owner = unit_index(unit).named_owner(class_body)
-    if owner is not None:
-        supers = [c for c in owner.children if c.kind == "type_identifier"]
-        for sup in supers:
-            sup_decl = _find_class(unit, str(sup.value).split("<")[0])
-            if sup_decl is not None:
-                sup_body = type_body(sup_decl)
-                if sup_body is not None:
-                    members.extend(sup_body.children)
-    return members
-
-
-def _enum_model(unit: SourceUnit, enum_decl: SyntaxNode) -> dict[str, EnumConst]:
+def _enum_model(enum_decl: SyntaxNode) -> dict[str, EnumConst]:
     """Map constant name → EnumConst with constructor-bound fields."""
     name = decl_name(enum_decl) or "?"
     body = child_of_kind(enum_decl, "enum_body")
@@ -194,11 +174,11 @@ class _Interp:
         self.unit = unit
         self.class_body = class_body
         self.call_depth = 0
-        self.enums: dict[int, dict[str, EnumConst]] = {}
+        self.index = unit_index(unit)
         # The unit's closures, shared by all its sites: id(node) →
         # closure; (id(initializer), elem) → array builder; (id(block),)
         # → the block's statements without its own tick.
-        self.compiled: dict = unit_index(unit).compiled
+        self.compiled: dict = self.index.compiled
 
     # --- entry points ---
 
@@ -276,45 +256,36 @@ class _Interp:
 
     # --- class members ---
 
-    def _members_of(self, cls: SyntaxNode | None) -> list[SyntaxNode]:
+    def members(self, cls: SyntaxNode | None = None) -> MemberFacts:
+        """The member table of ``cls``, or of the site's class when ``cls``
+        is None or has no body."""
         body = type_body(cls) if cls is not None else None
-        if body is not None:
-            return _class_members(self.unit, body)
-        return _class_members(self.unit, self.class_body) \
-            if self.class_body is not None else []
-
-    def field(self, name: str, cls: SyntaxNode | None = None):
-        """(field declaration, declarator) of the first field ``name`` of
-        ``cls`` (default: the site's class), or None."""
-        for member in self._members_of(cls):
-            if member.kind != "field_declaration":
-                continue
-            for decl in member.children:
-                if decl.kind == "variable_declarator" \
-                        and str(decl.children[0].value) == name:
-                    return member, decl
-        return None
-
-    def method(self, name: str, count: int,
-               cls: SyntaxNode | None = None) -> SyntaxNode | None:
-        """The first method ``name`` of ``cls`` (default: the site's class)
-        taking ``count`` parameters."""
-        return next((m for m in self._members_of(cls)
-                     if m.kind == "method_declaration"
-                     and decl_name(m) == name
-                     and len(method_params(m)) == count), None)
+        return self.index.member_facts(body if body is not None
+                                       else self.class_body)
 
     def enum_model(self, enum_decl: SyntaxNode) -> dict[str, EnumConst]:
-        model = self.enums.get(id(enum_decl))
+        """Constant name → EnumConst of an enum of the unit, built once per
+        unit."""
+        models = self.index.enum_models
+        model = models.get(id(enum_decl))
         if model is None:
-            model = self.enums[id(enum_decl)] = _enum_model(self.unit,
-                                                            enum_decl)
+            model = models[id(enum_decl)] = _enum_model(enum_decl)
         return model
+
+    def own_field(self, name: str, fields: dict):
+        """The this-bound field ``name``, else the value of the site's
+        class's static field ``name``."""
+        if name in fields:
+            return fields[name]
+        found = self.static_field(name)
+        if found is _MISSING:
+            raise _NotConcrete
+        return found
 
     def static_field(self, name: str, cls: SyntaxNode | None = None):
         """Value of field ``name``'s initializer in ``cls`` (default: the
         site's class), evaluated afresh; _MISSING if there is none."""
-        found = self.field(name, cls)
+        found = self.members(cls).declarators.get(name)
         if found is None or len(found[1].children) < 2:
             return _MISSING
         member, decl = found
@@ -339,7 +310,7 @@ class _Interp:
                   evaluated: list | None = None):
         """Runs the first method ``name`` of ``cls`` (default: the site's
         class) taking as many parameters as there are arguments."""
-        decl = self.method(name, len(arg_fns), cls)
+        decl = self.members(cls).methods.get((name, len(arg_fns)))
         if decl is None:
             raise _NotConcrete
         if "native" in modifier_words(decl) or method_body(decl) is None:
@@ -475,12 +446,7 @@ def _c_identifier(interp, node, pre=0):
             ctx.exceeded(n)
         if name in env:
             return env[name]
-        if name in fields:
-            return fields[name]
-        found = interp.static_field(name)
-        if found is not _MISSING:
-            return found
-        raise _NotConcrete
+        return interp.own_field(name, fields)
     return identifier
 
 
@@ -537,23 +503,6 @@ def _c_binary(interp, node, pre=0):
              (None, *_binary_op(op), compiled[id(right)])
              for op, right in links]
     n = len(steps) + pre
-    if len(steps) == 1 and steps[0][0] is None:
-        _, apply, on_ints, second = steps[0]
-
-        def binary(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
-            a = first(interp, env, fields)
-            b = second(interp, env, fields)
-            if type(a) is int and type(b) is int:
-                return on_ints(a, b)
-            return _operate(apply, on_ints, a, b)
-        leaves = [_leaf(operand) for operand in node.children]
-        return _int_spine(node, pre, _fused_length(
-            _fused_binary(binary, steps[0], first, leaves, n), on_ints,
-            leaves[0], node.children[1], n), None)
 
     def chain(interp, env, fields):
         ctx = interp.ctx
@@ -575,58 +524,39 @@ def _c_binary(interp, node, pre=0):
                 if not isinstance(value, bool):
                     raise _NotConcrete
         return value
+    if len(steps) == 1 and steps[0][0] is None:
+        leaves = [_leaf(operand) for operand in node.children]
+        chain = _fused_length(_fused_binary(chain, steps[0], leaves, n),
+                              steps[0][2], leaves[0], node.children[1], n)
     return _int_spine(node, pre, chain, None)
 
 
-def _fused_binary(generic, step, first, leaves, n):
-    """A binary expression reading its identifier and literal operands
-    inline; the steps of the expression and of its leading leaves count
-    at once."""
+def _fused_binary(generic, step, leaves, n):
+    """A binary expression reading its identifier or literal left operand,
+    and a right one too, inline; the steps of the expression and of its
+    leading leaves count at once."""
     _, apply, on_ints, second = step
     left, right = leaves
-    if left is not None:
-        an, av = left
-        bn, bv = right if right is not None else (None, None)
-        total = n + (2 if right is not None else 1)
-
-        def binary_leaves(interp, env, fields):
-            if (an is None or an in env) and (bn is None or bn in env):
-                ctx = interp.ctx
-                steps = ctx.steps + total
-                if steps <= ctx.limit:
-                    ctx.steps = steps
-                    a = av if an is None else env[an]
-                    b = second(interp, env, fields) if right is None \
-                        else bv if bn is None else env[bn]
-                    if type(a) is int and type(b) is int:
-                        return on_ints(a, b)
-                    return _operate(apply, on_ints, a, b)
-            return generic(interp, env, fields)
-        return binary_leaves
-    if right is None:
+    if left is None:
         return generic
-    bn, bv = right
+    an, av = left
+    bn, bv = right if right is not None else (None, None)
+    total = n + (2 if right is not None else 1)
 
-    def binary_right_leaf(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
-        a = first(interp, env, fields)
-        if bn is None or bn in env:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
-            b = bv if bn is None else env[bn]
-        else:
-            b = second(interp, env, fields)
-        if type(b) is int:
-            if type(a) is int:
-                return on_ints(a, b)
-            if type(a) is Char:
-                return on_ints(a.cp, b)
-        return _operate(apply, on_ints, a, b)
-    return binary_right_leaf
+    def binary_leaves(interp, env, fields):
+        if (an is None or an in env) and (bn is None or bn in env):
+            ctx = interp.ctx
+            steps = ctx.steps + total
+            if steps <= ctx.limit:
+                ctx.steps = steps
+                a = av if an is None else env[an]
+                b = second(interp, env, fields) if right is None \
+                    else bv if bn is None else env[bn]
+                if type(a) is int and type(b) is int:
+                    return on_ints(a, b)
+                return _operate(apply, on_ints, a, b)
+        return generic(interp, env, fields)
+    return binary_leaves
 
 
 def _int_spine(node: SyntaxNode, pre: int, generic, store: str | None):
@@ -758,17 +688,24 @@ def _c_update(interp, node, pre=0):
             ctx.steps += n
             if ctx.steps > ctx.limit:
                 ctx.exceeded(n)
-            arr = array(interp, env, fields)
-            idx = _as_int(index(interp, env, fields))
-            if not isinstance(arr, JArray):
-                raise _NotConcrete
-            if not 0 <= idx < len(arr.items):
-                raise _JavaThrow
+            arr, idx = _element(array, index, interp, env, fields)
             old = arr.items[idx]
             arr.items[idx] = value = _as_int(old) + delta
             return old if postfix else value
         return update_element
     return _c_unsupported(interp, node, pre)
+
+
+def _element(array, index, interp, env, fields) -> tuple[JArray, int]:
+    """The array and index of the element an update or a store writes,
+    from the closures of its array and index."""
+    arr = array(interp, env, fields)
+    idx = _as_int(index(interp, env, fields))
+    if not isinstance(arr, JArray):
+        raise _NotConcrete
+    if not 0 <= idx < len(arr.items):
+        raise _JavaThrow
+    return arr, idx
 
 
 def _c_assignment(interp, node, pre=0):
@@ -854,12 +791,7 @@ def _store(compiled: dict, lhs: SyntaxNode, op: str):
         array, index = (compiled[id(c)] for c in lhs.children)
 
         def store_element(interp, env, fields, value):
-            arr = array(interp, env, fields)
-            idx = _as_int(index(interp, env, fields))
-            if not isinstance(arr, JArray):
-                raise _NotConcrete
-            if not 0 <= idx < len(arr.items):
-                raise _JavaThrow
+            arr, idx = _element(array, index, interp, env, fields)
             if combine is not None:
                 value = combine(arr.items[idx], value)
             if arr.elem == "char" and isinstance(value, int):
@@ -892,18 +824,20 @@ def _c_cast(interp, node, pre=0):
             if type(value) is int:
                 return Char(value & 0xFFFF)
             return _cast(target, value)
-        return _fused_char(to_char, interp.compiled, node, pre)
+        return _fused_char(to_char, interp.compiled, node)
 
     def cast(interp, env, fields):
         return _cast(target, operand(interp, env, fields))
     return cast
 
 
-def _fused_char(generic, compiled: dict, cast: SyntaxNode, pre: int):
-    """``(char) (r.charAt(i) OP b)`` over leaves, OP `_INT_SAFE`, as one
-    group. Its ``code_point(interp, env, fields, pending)``, kept under
-    ``(id(cast), "char")``, counts ``pending`` steps of its caller with the
-    group's and gives the code point, or None where it cannot run at once."""
+def _fused_char(generic, compiled: dict, cast: SyntaxNode):
+    """``generic``, the closure of ``cast``; and, when ``cast`` is
+    ``(char) (r.charAt(i) OP b)`` over leaves, OP `_INT_SAFE`, the group a
+    builder's ``append`` of it runs (`_fused_append`). The group's
+    ``code_point(interp, env, fields, pending)``, kept under ``(id(cast),
+    "char")``, counts ``pending`` steps of its caller with the group's and
+    gives the code point, or None where it cannot run at once."""
     inner, ticks = cast.children[1], 6
     while inner.kind == "parenthesized_expression":
         inner, ticks = inner.children[0], ticks + 1
@@ -928,11 +862,7 @@ def _fused_char(generic, compiled: dict, cast: SyntaxNode, pre: int):
             return apply(ord(r[i]), b) & 0xFFFF
         return None
     compiled[(id(cast), "char")] = code_point
-
-    def char_group(interp, env, fields):
-        cp = code_point(interp, env, fields, pre)
-        return generic(interp, env, fields) if cp is None else Char(cp)
-    return char_group
+    return generic
 
 
 def _c_array_access(interp, node, pre=0):
@@ -1022,12 +952,7 @@ def _c_field_access(interp, node, pre=0):
             ctx.steps += n
             if ctx.steps > ctx.limit:
                 ctx.exceeded(n)
-            if name in fields:
-                return fields[name]
-            found = interp.static_field(name)
-            if found is not _MISSING:
-                return found
-            raise _NotConcrete
+            return interp.own_field(name, fields)
         return this_field
     base_fn = interp.compiled[id(obj)]
     if obj.kind != "identifier":
@@ -1041,14 +966,10 @@ def _c_field_access(interp, node, pre=0):
                 length = _length(base)
                 if length is not None:
                     return length
-            if isinstance(base, EnumConst):
-                val = base.field_value(name)
-                if val is not None:
-                    return val
-            raise _NotConcrete
+            return _enum_field(base, name)
         return member
     cname = str(obj.value)
-    cls = _find_class(interp.unit, cname)
+    cls = interp.index.first_type.get(cname)
 
     def named_member(interp, env, fields):
         ctx = interp.ctx
@@ -1069,13 +990,17 @@ def _c_field_access(interp, node, pre=0):
             found = interp.static_field(name, cls)
             if found is not _MISSING:
                 return found
-        base = base_fn(interp, env, fields)
-        if isinstance(base, EnumConst):
-            val = base.field_value(name)
-            if val is not None:
-                return val
-        raise _NotConcrete
+        return _enum_field(base_fn(interp, env, fields), name)
     return named_member
+
+
+def _enum_field(base, name: str):
+    """Field ``name`` that ``base``, an enum constant, binds."""
+    if isinstance(base, EnumConst):
+        value = base.field_value(name)
+        if value is not None:
+            return value
+    raise _NotConcrete
 
 
 def _call_parts(node: SyntaxNode) -> list[SyntaxNode]:
@@ -1129,7 +1054,8 @@ def _c_call(interp, node, pre=0):
            if name in table
            and len(arg_fns) >= _FEWEST_ARGS.get((kind, name), 0)}
     named = str(receiver.value) if receiver.kind == "identifier" else None
-    named_cls = _find_class(interp.unit, named) if named is not None else None
+    named_cls = interp.index.first_type.get(named) \
+        if named is not None else None
 
     def finish(interp, env, fields, base, args):
         """The call's value on its evaluated receiver and arguments."""
@@ -1141,7 +1067,7 @@ def _c_call(interp, node, pre=0):
         if isinstance(base, EnumConst):
             if name in ("name", "toString"):
                 return base.const_name
-            cls = _find_class(interp.unit, base.enum_name)
+            cls = interp.index.first_type.get(base.enum_name)
             if cls is not None:
                 return interp.call_user(cls, name, arg_fns, env, fields,
                                         this_fields=dict(base.fields),

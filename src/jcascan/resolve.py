@@ -28,16 +28,13 @@ import re
 
 from .ingest import InvocationSite
 from .interp import (ENUM_CONSTANT, TraceStep, _BudgetExhausted, _Break,
-                     _Continue, _Ctx, _Interp, _JavaThrow, _Return,
-                     _find_class)
+                     _Continue, _Ctx, _Interp, _JavaThrow, _Return)
 from .javamodel import (UNARY, Builder, Char, CharArray, EnumConst, JArray,
                         SBuf, _INT_ARITH, _INT_COMPARE, _MISSING,
                         _NotConcrete, _android_base64, _as_int, _binary_op,
                         _cast, _elem_of, _frozen, _load, _preview,
                         _string_builtin, library_call, library_new)
-# Re-exported: classification reads BASE64_DECODE from here, and the index
-# tests check the member and enum lookups against their references.
-from .interp import _class_members, _enum_model  # noqa: F401
+# Re-exported: classification reads BASE64_DECODE from here.
 from .javamodel import BASE64_DECODE  # noqa: F401
 from .syntax import (Record, SourceUnit, SyntaxNode, WriteFacts,
                      method_body, method_params, modifier_words, unit_index)
@@ -286,6 +283,7 @@ class _Abstract:
         self.class_body = body if body is not None \
             and unit_index(unit).named_owner(body) is not None else None
         self.interp = _Interp(ctx, unit, self.class_body)
+        self.types = unit_index(unit).first_type
 
     # --- top level ---
 
@@ -469,13 +467,9 @@ class _Abstract:
                 if depth >= self.ctx.budget.max_indirection + 1:
                     return _VS.residual(DEPTH_EXCEEDED)
                 return self._resolve_local(method, name, facts, node, depth)
-        field_init = self._field_init(name)
-        if field_init is not None:
-            if depth >= self.ctx.budget.max_indirection + 1:
-                return _VS.residual(DEPTH_EXCEEDED)
-            self.ctx.note("field-def", field_init, name)
-            self.ctx.touch(self.unit, field_init)
-            return self.resolve(field_init, depth + 1, {})
+        field = self._resolve_field(name, None, depth, "field-def", name)
+        if field is not None:
+            return field
         enum_val = self._enum_constant(name)
         if enum_val is not None:
             self.ctx.note(ENUM_CONSTANT, node, name)
@@ -538,16 +532,24 @@ class _Abstract:
             value = self.resolve(call, depth + 1, {name: value})
         return value
 
-    def _field_init(self, name: str,
-                    cls: SyntaxNode | None = None) -> SyntaxNode | None:
-        """The initializer of the first field ``name`` of ``cls`` (default:
-        the site's class), or None if that field has none."""
-        found = self.interp.field(name, cls)
+    def _resolve_field(self, name: str, cls: SyntaxNode | None, depth: int,
+                       rule: str, shown: str) -> _VS | None:
+        """The value of the initializer of the first field ``name`` of
+        ``cls`` (default: the site's class), noted as ``rule`` with
+        ``shown``; None if that field has no initializer."""
+        found = self.interp.members(cls).declarators.get(name)
         if found is None or len(found[1].children) < 2:
             return None
-        return found[1].children[1]
+        init = found[1].children[1]
+        if depth >= self.ctx.budget.max_indirection + 1:
+            return _VS.residual(DEPTH_EXCEEDED)
+        self.ctx.note(rule, init, shown)
+        self.ctx.touch(self.unit, init)
+        return self.resolve(init, depth + 1, {})
 
     def _enum_constant(self, name: str) -> EnumConst | None:
+        """The first enum of the unit, in pre-order, declaring the constant
+        ``name``, as its model gives it; or None."""
         index = unit_index(self.unit)
         if name not in index.enum_constants:
             return None
@@ -564,30 +566,21 @@ class _Abstract:
         obj, name_node = node.children
         name = str(name_node.value)
         if obj.kind == "this":
-            field_init = self._field_init(name)
-            if field_init is not None:
-                if depth >= self.ctx.budget.max_indirection + 1:
-                    return _VS.residual(DEPTH_EXCEEDED)
-                self.ctx.note("field-def", field_init, "this." + name)
-                self.ctx.touch(self.unit, field_init)
-                return self.resolve(field_init, depth + 1, {})
-            return _VS.residual(UNKNOWN)
-        if obj.kind == "identifier":
-            cls = _find_class(self.unit, str(obj.value))
-            if cls is not None:
-                if cls.kind == "enum_declaration":
-                    model = self.interp.enum_model(cls)
-                    if name in model:
-                        self.ctx.note(ENUM_CONSTANT, node, name)
-                        return _VS.of(model[name])
-                init = self._field_init(name, cls)
-                if init is not None:
-                    if depth >= self.ctx.budget.max_indirection + 1:
-                        return _VS.residual(DEPTH_EXCEEDED)
-                    self.ctx.note(STATIC_FIELD, init,
-                                  f"{obj.value}.{name}")
-                    self.ctx.touch(self.unit, init)
-                    return self.resolve(init, depth + 1, {})
+            field = self._resolve_field(name, None, depth, "field-def",
+                                        "this." + name)
+            return _VS.residual(UNKNOWN) if field is None else field
+        cls = self.types.get(str(obj.value)) \
+            if obj.kind == "identifier" else None
+        if cls is not None:
+            if cls.kind == "enum_declaration":
+                model = self.interp.enum_model(cls)
+                if name in model:
+                    self.ctx.note(ENUM_CONSTANT, node, name)
+                    return _VS.of(model[name])
+            field = self._resolve_field(name, cls, depth, STATIC_FIELD,
+                                        f"{obj.value}.{name}")
+            if field is not None:
+                return field
         base = self._resolve_node(obj, depth, env)
         out = _VS(set(), set(base.residuals))
         for value in base.values:
@@ -692,7 +685,7 @@ class _Abstract:
             return self._resolve_user_call(None, name, args_node, arg_sets,
                                            node, depth), arg_sets
         if receiver.kind == "identifier":
-            user_class = _find_class(self.unit, str(receiver.value))
+            user_class = self.types.get(str(receiver.value))
             if user_class is not None:
                 return self._resolve_user_call(user_class, name, args_node,
                                                arg_sets, node,
@@ -719,7 +712,7 @@ class _Abstract:
         if isinstance(base, EnumConst):
             if name in ("name", "toString"):
                 return _VS.of(base.const_name)
-            cls = _find_class(self.unit, base.enum_name)
+            cls = self.types.get(base.enum_name)
             if cls is not None:
                 return self._resolve_user_call(
                     cls, name, args_node, arg_sets, node, depth,
@@ -733,7 +726,8 @@ class _Abstract:
                            node: SyntaxNode, depth: int,
                            this_fields: dict[str, object] | None = None
                            ) -> _VS:
-        decl = self.interp.method(name, len(args_node.children), cls)
+        decl = self.interp.members(cls).methods.get(
+            (name, len(args_node.children)))
         if decl is None:
             self.ctx.note("unresolved-call", node, name)
             return _VS.residual(UNKNOWN)

@@ -314,8 +314,10 @@ class UnitIndex:
         self._methods: _Nesting | None = None
         self._type_bodies: _Nesting | None = None
         # The concrete interpreter's closures for this unit, shared by
-        # every site of it (see `interp._Interp.code`).
+        # every site of it (see `interp._Interp.code`), and its enum
+        # models, by id of the enum declaration (`interp._Interp.enum_model`).
         self.compiled: dict = {}
+        self.enum_models: dict = {}
 
     def enclosing_method(self, node: SyntaxNode) -> SyntaxNode | None:
         """Smallest method or constructor declaration containing ``node``,
@@ -356,15 +358,23 @@ class UnitIndex:
         return self.builder_vars[lo:hi]
 
     def member_facts(self, body: SyntaxNode | None) -> MemberFacts:
-        """Facts about the members of a type body of this unit, gathered
-        once per body; a site outside every type body (``None``) has
-        none."""
+        """The member table of a type body of this unit, built once per
+        body; a site outside every type body (``None``) has none. The
+        supertypes a named body's table reads are the first same-unit type
+        declarations named by its declaration's type identifiers."""
         if body is None:
             return _NO_MEMBERS
         facts = self._member_facts.get(id(body))
         if facts is None:
+            inherited: list[SyntaxNode] = []
+            owner = self.named_owner(body)
+            for sup in owner.children if owner is not None else ():
+                decl = self.first_type.get(str(sup.value).split("<")[0]) \
+                    if sup.kind == "type_identifier" else None
+                if decl is not None:
+                    inherited += type_body(decl).children
             facts = self._member_facts[id(body)] = MemberFacts.of(
-                body.children)
+                body.children, inherited)
         return facts
 
     def write_facts(self, decl: SyntaxNode) -> WriteFacts:
@@ -377,29 +387,55 @@ class UnitIndex:
 
 
 class MemberFacts(Record):
-    """What per-site analysis reads from the members of a class body."""
+    """The members of a class body, gathered once per body: the one table
+    that decides which declaration a member name of the class means.
 
-    _fields = ("fields", "field_modifiers")
+    ``fields`` and ``field_modifiers`` read the body's own members only.
+    ``declarators`` and ``methods`` read its own members first, then those
+    of each direct same-unit supertype in turn, and keep the first match.
+    """
+
+    _fields = ("fields", "field_modifiers", "declarators", "methods")
 
     def __init__(self, fields: tuple[SyntaxNode, ...],
-                 field_modifiers: dict[str, tuple[str, ...]]) -> None:
+                 field_modifiers: dict[str, tuple[str, ...]],
+                 declarators: dict[str, tuple[SyntaxNode, SyntaxNode]],
+                 methods: dict[tuple[str | None, int], SyntaxNode]) -> None:
         self.fields = fields
         # Field name -> modifier words of the first declaration naming it.
         self.field_modifiers = field_modifiers
+        # Field name -> (field declaration, the first declarator naming it).
+        self.declarators = declarators
+        # (name, parameter count) -> the first method declaration.
+        self.methods = methods
 
     @staticmethod
-    def of(members: list[SyntaxNode]) -> MemberFacts:
-        fields = tuple(m for m in members if m.kind == "field_declaration")
-        modifiers: dict[str, tuple[str, ...]] = {}
-        for member in fields:
-            for decl in member.children:
-                if decl.kind == "variable_declarator":
-                    modifiers.setdefault(str(decl.children[0].value),
-                                         modifier_words(member))
-        return MemberFacts(fields, modifiers)
+    def of(own: list[SyntaxNode],
+           inherited: list[SyntaxNode] = ()) -> MemberFacts:
+        declarators: dict[str, tuple[SyntaxNode, SyntaxNode]] = {}
+        methods: dict[tuple[str | None, int], SyntaxNode] = {}
+
+        def add(members) -> None:
+            for member in members:
+                if member.kind == "method_declaration":
+                    methods.setdefault(
+                        (decl_name(member), len(method_params(member))),
+                        member)
+                elif member.kind == "field_declaration":
+                    for decl in member.children:
+                        if decl.kind == "variable_declarator":
+                            declarators.setdefault(
+                                str(decl.children[0].value), (member, decl))
+        add(own)
+        modifiers = {name: modifier_words(member)
+                     for name, (member, _) in declarators.items()}
+        add(inherited)
+        return MemberFacts(
+            tuple(m for m in own if m.kind == "field_declaration"),
+            modifiers, declarators, methods)
 
 
-_NO_MEMBERS = MemberFacts((), {})
+_NO_MEMBERS = MemberFacts((), {}, {}, {})
 
 _start = attrgetter("start")
 

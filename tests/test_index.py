@@ -17,13 +17,13 @@ import pytest
 
 import conftest
 from conftest import string_literals
-from jcascan import ingest, report
+from jcascan import ingest, interp, report
 from jcascan.classify import _declared_builders
 from jcascan.ingest import extract_sites
+from jcascan.interp import _enum_model
 from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_corpus, analyze_site
-from jcascan.resolve import (ResolutionBudget, _Abstract, _class_members,
-                             _Ctx, _enum_model, _find_class,
+from jcascan.resolve import (ResolutionBudget, _Abstract, _Ctx, resolve_site,
                              visible_literals)
 from jcascan.syntax import SyntaxNode, WriteFacts, unit_index
 from test_fuzz import mutants
@@ -125,6 +125,36 @@ def ref_class_members(unit, class_body):
     return members
 
 
+def ref_field(members, name):
+    """(declaration, declarator) of the first field ``name``, or None."""
+    for member in members:
+        if member.kind != "field_declaration":
+            continue
+        for decl in member.children:
+            if decl.kind == "variable_declarator" \
+                    and str(decl.children[0].value) == name:
+                return member, decl
+    return None
+
+
+def ref_arity(method):
+    params = next((c for c in method.children
+                   if c.kind == "formal_parameters"), None)
+    return 0 if params is None else sum(
+        1 for p in params.children
+        if p.kind == "formal_parameter" and len(p.children) >= 2)
+
+
+def ref_method(members, name, count):
+    """The first method ``name`` taking ``count`` parameters, or None."""
+    for member in members:
+        if member.kind == "method_declaration" \
+                and ref_decl_name(member) == name \
+                and ref_arity(member) == count:
+            return member
+    return None
+
+
 def ref_site_class_body(unit, site):
     if not site.context:
         return None
@@ -139,7 +169,7 @@ def ref_enum_constant(unit, name):
     for decl, _, _ in ref_type_decls(unit.root):
         if decl.kind != "enum_declaration":
             continue
-        model = _enum_model(unit, decl)
+        model = _enum_model(decl)
         if name in model:
             return model[name]
     return None
@@ -394,17 +424,40 @@ def test_unit_facts_match_reference(unit):
 
 @pytest.mark.parametrize("unit", _units())
 def test_name_lookups_match_reference(unit):
+    index = unit_index(unit)
     type_names = {name for _, name, _ in ref_class_stack(unit.root)}
     for name in sorted(type_names | {"Missing", "?"}):
-        assert _find_class(unit, name) is ref_find_class(unit, name)
+        assert index.first_type.get(name) is ref_find_class(unit, name)
     for name in sorted(ref_unit_method_names(unit) | {"missing"}):
-        assert unit_index(unit).first_method.get(name) \
+        assert index.first_method.get(name) \
             is ref_find_unit_method(unit, name)
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_member_table_matches_linear_scans(unit):
+    """Each body's field and method entries are what a linear scan of its
+    members and its direct same-unit supertypes' finds first."""
+    index = unit_index(unit)
     for _, _, body in ref_class_stack(unit.root):
-        members = _class_members(unit, body)
-        expected = ref_class_members(unit, body)
-        assert len(members) == len(expected)
-        assert all(a is b for a, b in zip(members, expected))
+        members = ref_class_members(unit, body)
+        facts = index.member_facts(body)
+        names = {str(d.children[0].value) for m in members
+                 if m.kind == "field_declaration"
+                 for d in m.children if d.kind == "variable_declarator"}
+        assert set(facts.declarators) == names
+        for name in sorted(names | {"missing"}):
+            expected = ref_field(members, name)
+            found = facts.declarators.get(name)
+            if expected is None:
+                assert found is None
+            else:
+                assert found[0] is expected[0] and found[1] is expected[1]
+        keys = {(ref_decl_name(m), ref_arity(m)) for m in members
+                if m.kind == "method_declaration"}
+        assert set(facts.methods) == keys
+        for name, count in sorted(keys | {("missing", 0)}, key=str):
+            assert facts.methods.get((name, count)) \
+                is ref_method(members, name, count)
 
 
 @pytest.mark.parametrize("unit", _units())
@@ -450,6 +503,7 @@ def test_bench_corpus_matches_reference(bench_corpus):
               test_ingest_enclosing_matches_reference,
               test_unit_facts_match_reference,
               test_name_lookups_match_reference,
+              test_member_table_matches_linear_scans,
               test_subtree_literals_and_builders_match_reference,
               test_site_lookups_match_reference,
               check_walk_and_index)
@@ -527,7 +581,7 @@ def ref_index_fields(unit) -> dict:
 
 # What a `UnitIndex` fills on demand, not in its walk.
 INDEX_CACHES = {"_member_facts", "_methods", "_type_bodies", "_write_facts",
-                "compiled"}
+                "compiled", "enum_models"}
 
 
 def ref_scopes(node, body_ids: set, body=None, method=None,
@@ -600,6 +654,29 @@ def test_walk_and_index_match_reference_walk_on_workloads(workload,
     for path in sorted(tmp_path.rglob("*.java")):
         check_walk_and_index(parse_unit(str(path),
                                         path.read_text(encoding="utf-8")))
+
+
+ENUM_SITES_SRC = (
+    "import javax.crypto.Cipher;\nclass S {\n"
+    + "".join(f"    void m{k}() throws Exception {{"
+              " Cipher.getInstance(E.X.alg); }\n" for k in range(5))
+    + '}\nenum E { X("DES"); final String alg;'
+    " E(String a) { this.alg = a; } }\n")
+
+
+def test_enum_model_is_built_once_per_unit(monkeypatch):
+    built = []
+    original = interp._enum_model
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(interp, "_enum_model", counting)
+    sites = extract_sites(parse_unit("S.java", ENUM_SITES_SRC))
+    assert [resolve_site(site).candidates for site in sites] \
+        == [{"DES"}] * 5
+    assert len(built) == 1
 
 
 def test_index_is_dropped_with_its_unit():

@@ -82,8 +82,8 @@ RECORDS = [
      ("population", 4), False, False),
     (SamplePlan, (0.95, 0.05, 1, [Stratum(1, 3)], ["A.java:3"]), {},
      ("seed", 2), False, False),
-    (MemberFacts, ((NODE,), {"a": ("static",)}), {}, ("fields", ()),
-     False, False),
+    (MemberFacts, ((NODE,), {"a": ("static",)}, {"a": (NODE, NODE)},
+                   {("f", 0): NODE}), {}, ("fields", ()), False, False),
 ]
 
 # Constructor parameter names, in order.
@@ -116,7 +116,7 @@ FIELDS = {
                    "candidates", "residuals", "findings"),
     Stratum: ("key", "population", "sample_size", "member_ids"),
     SamplePlan: ("confidence", "margin", "seed", "strata", "selected_ids"),
-    MemberFacts: ("fields", "field_modifiers"),
+    MemberFacts: ("fields", "field_modifiers", "declarators", "methods"),
 }
 
 
@@ -213,12 +213,13 @@ def test_hash_is_the_field_tuple_hash(record):
 
 
 def test_member_facts_compare_by_field():
-    a = MemberFacts((NODE,), {"a": ("static",)})
-    assert a == MemberFacts((NODE,), {"a": ("static",)})
-    assert a != MemberFacts((), {"a": ("static",)})
+    a = MemberFacts((NODE,), {"a": ("static",)}, {}, {})
+    assert a == MemberFacts((NODE,), {"a": ("static",)}, {}, {})
+    assert a != MemberFacts((), {"a": ("static",)}, {}, {})
+    assert a != MemberFacts((NODE,), {"a": ("static",)}, {}, {("f", 0): NODE})
     with pytest.raises(TypeError):
         hash(a)
-    assert MemberFacts.of([]) == MemberFacts((), {})
+    assert MemberFacts.of([]) == MemberFacts((), {}, {}, {})
 
 
 def test_unit_equality_ignores_its_index():
