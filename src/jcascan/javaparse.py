@@ -98,14 +98,18 @@ class ParseError(Exception):
         self.offset = offset
 
 
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-                   "'": "'", '"': '"', "\\": "\\", "0": "\0", "s": " "}
+                   "'": "'", '"': '"', "\\": "\\", "s": " "}
 
 
 def _decode_escapes(body: str) -> tuple[str, bool]:
     """The value of a literal's body, and whether every escape in it is
-    valid. A digit escape without an octal digit (a backslash and ``8``)
-    stands for the digit, like an unknown escape."""
+    valid. An octal escape reads up to three digits when its first is 0–3,
+    else up to two (JLS §3.10.7). A ``\\u`` without four hex digits, a
+    digit escape without an octal digit (a backslash and ``8``) and an
+    unknown escape are invalid, and stand for the character after the
+    backslash."""
     out = []
     valid = True
     i = 0
@@ -123,34 +127,26 @@ def _decode_escapes(body: str) -> tuple[str, bool]:
         if e in _SIMPLE_ESCAPES:
             out.append(_SIMPLE_ESCAPES[e])
             i += 1
-        elif e == "u":
+            continue
+        if e == "u":
             j = i + 1
             while j < len(body) and body[j] == "u":
                 j += 1
-            hexs = body[j:j + 4]
-            if len(hexs) == 4:
-                try:
-                    out.append(chr(int(hexs, 16)))
-                    i = j + 4
-                    continue
-                except ValueError:
-                    pass
-            out.append(e)
-            i += 1
-        elif e.isdigit():
-            j = i
-            while j < len(body) and j < i + 3 and body[j] in "01234567":
-                j += 1
-            if j == i:
-                valid = False
-                out.append(e)
-                i += 1
+            if _HEX4.match(body, j):
+                out.append(chr(int(body[j:j + 4], 16)))
+                i = j + 4
                 continue
+        elif e in "01234567":
+            j = i + 1
+            last = i + (3 if e in "0123" else 2)
+            while j < min(last, len(body)) and body[j] in "01234567":
+                j += 1
             out.append(chr(int(body[i:j], 8)))
             i = j
-        else:
-            out.append(e)
-            i += 1
+            continue
+        valid = False
+        out.append(e)
+        i += 1
     return "".join(out), valid
 
 

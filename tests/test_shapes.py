@@ -49,7 +49,7 @@ def test_a_shape_past_the_budget_leaves_a_residual(shape, tmp_path):
 
 
 @pytest.mark.parametrize("data, count", [
-    (random.Random(1).randbytes(200 * 1024), 67),
+    (random.Random(1).randbytes(200 * 1024), 159),
     (b'"' * (200 * 1024), 2),
 ], ids=["seeded random bytes", "one repeated quote"])
 def test_200_kb_of_bytes_end_in_warnings(data, count, tmp_path):
