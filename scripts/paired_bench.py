@@ -12,8 +12,11 @@ that copy and once in the working tree, alternating which side runs first
 the table the change log keeps: each side's median with its quartiles
 (q1–q3), the ratio of the medians and the number of pairs where the
 change is better, ties counting for neither side; then each pair's
-``sites_per_ref``. It exits non-zero when any run is not ``correct``. The
-benchmark itself is only run, never changed.
+``sites_per_ref``. It also writes what it ran to ``BENCH_<parent>.json``
+at the repository root, ``<parent>`` being the parent's 12-digit short
+hash: ``run_seconds``, and per workload and seed, which side ran first and
+each side's ``correct`` and ``metrics``. It exits non-zero when any run is
+not ``correct``. The benchmark itself is only run, never changed.
 """
 
 from __future__ import annotations
@@ -42,16 +45,17 @@ def archive(commit: str, into: Path) -> None:
 
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one ``perfbench/run.py --trace 0`` run in ``side``:
-    ``correct`` and the workload's ``metrics``."""
+    """``correct`` and the workload's ``metrics`` from the last line of one
+    ``perfbench/run.py --trace 0`` run in ``side``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=side, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        last = json.loads(lines[-1])
+        return {"correct": last["correct"], "metrics": last["metrics"]}
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
         sys.stderr.write(out.stdout + out.stderr)
         return {"correct": False, "metrics": {}}
 
@@ -66,17 +70,17 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
-def table(pairs: dict[str, list[tuple[int, dict, dict]]],
+def table(pairs: dict[str, list[tuple[int, str, dict, dict]]],
           better: dict[str, str]) -> str:
-    """The change log's table of ``pairs``: workload → (seed, parent
-    metrics, change metrics) per pair."""
+    """The change log's table of ``pairs``: workload → (seed, the side that
+    ran first, parent run, change run) per pair."""
     rows = ["| workload | metric | parent | change | ratio | change better |",
             "|---|---|---|---|---|---|"]
     per_pair = []
     for workload, runs in pairs.items():
         for metric, direction in better.items():
-            parent = [p[metric]["value"] for _, p, _ in runs]
-            change = [c[metric]["value"] for _, _, c in runs]
+            parent = [p["metrics"][metric]["value"] for _, _, p, _ in runs]
+            change = [c["metrics"][metric]["value"] for _, _, _, c in runs]
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             (pm, p1, p3), (cm, c1, c3) = spread(parent), spread(change)
@@ -88,10 +92,20 @@ def table(pairs: dict[str, list[tuple[int, dict, dict]]],
             if metric == FIRST_METRIC:
                 per_pair.append(f"`{workload}` " + ", ".join(
                     f"{seed}: {p:.1f} → {c:.1f}"
-                    for (seed, _, _), p, c in zip(runs, parent, change)))
+                    for (seed, *_), p, c in zip(runs, parent, change)))
     return "\n".join(rows + [
         "", f"Per pair, `{FIRST_METRIC}` (seed: parent → change): "
         + "; ".join(per_pair) + "."])
+
+
+def bench_record(parent: str, run_seconds: float,
+                 pairs: dict[str, list[tuple[int, str, dict, dict]]]) -> dict:
+    """What ``BENCH_<parent>.json`` holds of ``pairs`` (see `table`)."""
+    return {"parent": parent, "run_seconds": run_seconds, "workloads": {
+        workload: [{"seed": seed, "first": first, "parent": parent,
+                    "change": change}
+                   for seed, first, parent, change in runs]
+        for workload, runs in pairs.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     pairs: dict[str, list] = {w: [] for w in workloads}
     correct = True
+    short = subprocess.run(["git", "rev-parse", "--short=12", args.parent],
+                           cwd=ROOT, check=True, capture_output=True,
+                           text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as scratch:
         parent_root = Path(scratch)
         archive(args.parent, parent_root)
@@ -120,8 +137,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"seed {seed} {workload}: {name} "
                           f"{'correct' if ok else 'NOT correct'}",
                           file=sys.stderr, flush=True)
-                pairs[workload].append((seed, results["parent"]["metrics"],
-                                        results["change"]["metrics"]))
+                pairs[workload].append((seed, sides[0][0], results["parent"],
+                                        results["change"]))
+    (ROOT / f"BENCH_{short}.json").write_text(json.dumps(
+        bench_record(short, bench["run_seconds"], pairs), indent=1) + "\n")
     if correct:
         print(table(pairs, better))
     else:
