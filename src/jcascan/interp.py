@@ -285,12 +285,11 @@ class _Interp:
     def static_field(self, name: str, cls: SyntaxNode | None = None):
         """Value of field ``name``'s initializer in ``cls`` (default: the
         site's class), evaluated afresh; _MISSING if there is none."""
-        found = self.members(cls).declarators.get(name)
-        if found is None or len(found[1].children) < 2:
+        found = self.members(cls).initializer(name)
+        if found is None:
             return _MISSING
-        member, decl = found
+        member, init = found
         self.ctx.touch(self.unit, member)
-        init = decl.children[1]
         if init.kind != "array_initializer":
             return self.code(init)(self, {}, {})
         type_node = child_of_kind(member, "type_identifier")

@@ -537,10 +537,10 @@ class _Abstract:
         """The value of the initializer of the first field ``name`` of
         ``cls`` (default: the site's class), noted as ``rule`` with
         ``shown``; None if that field has no initializer."""
-        found = self.interp.members(cls).declarators.get(name)
-        if found is None or len(found[1].children) < 2:
+        found = self.interp.members(cls).initializer(name)
+        if found is None:
             return None
-        init = found[1].children[1]
+        init = found[1]
         if depth >= self.ctx.budget.max_indirection + 1:
             return _VS.residual(DEPTH_EXCEEDED)
         self.ctx.note(rule, init, shown)

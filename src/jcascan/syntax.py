@@ -434,6 +434,14 @@ class MemberFacts(Record):
             tuple(m for m in own if m.kind == "field_declaration"),
             modifiers, declarators, methods)
 
+    def initializer(self, name: str) -> tuple[SyntaxNode, SyntaxNode] | None:
+        """(declaration, initializer) of the first field ``name``, or None
+        if that field has no initializer."""
+        found = self.declarators.get(name)
+        if found is None or len(found[1].children) < 2:
+            return None
+        return found[0], found[1].children[1]
+
 
 _NO_MEMBERS = MemberFacts((), {}, {}, {})
 

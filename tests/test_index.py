@@ -448,10 +448,14 @@ def test_member_table_matches_linear_scans(unit):
         for name in sorted(names | {"missing"}):
             expected = ref_field(members, name)
             found = facts.declarators.get(name)
+            init = facts.initializer(name)
             if expected is None:
-                assert found is None
+                assert found is None and init is None
             else:
                 assert found[0] is expected[0] and found[1] is expected[1]
+                children = expected[1].children
+                assert init is None if len(children) < 2 else \
+                    init[0] is expected[0] and init[1] is children[1]
         keys = {(ref_decl_name(m), ref_arity(m)) for m in members
                 if m.kind == "method_declaration"}
         assert set(facts.methods) == keys
