@@ -18,21 +18,20 @@ frame per link. Every closure
 ticks the step budget where a tree walk would: once per statement, once
 per expression evaluated and once per loop iteration, so a budget runs
 out on the same step. Fewer calls carry those ticks:
-- fused leaves: a binary expression or a call reads an identifier bound
-  in the local scope, or a literal, inline, and a chain of int operators
-  over such leaves folds in one closure; the ticks of such a group count
-  at once where nothing can fail between them, and a group that would pass
-  the budget runs the node's generic closure, one tick at a time;
 - folded ticks: parentheses, an expression statement and a cast count
   their own tick in the first tick of their child and take no call of
   their own, and a loop runs its block's statements itself;
-- ``charAt`` and ``length`` of a string and a builder's ``append`` of a
-  string or char run inline in the call;
-- decoder-loop groups: a ``for`` loop runs its one ``i++``/``i--`` of a
-  local inline; an ``=`` to a local stores inline and folds an int-spine
-  right-hand side inline; ``leaf OP r.length()`` reads the length of a
-  string leaf inline; a builder's ``append`` of ``(char) (r.charAt(i) OP
-  b)`` over leaves appends its code point in one group.
+- decoder-loop groups, each the shape of a statement of the
+  ``string-encryption`` workload's decoder: a ``for`` loop runs its one
+  ``i++``/``i--`` of a local inline; an ``=`` to a local stores inline and
+  folds a right-hand side that is a chain of int operators over
+  identifiers and int literals; ``leaf OP r.length()`` reads the length
+  of a string leaf inline; a builder's ``append`` of ``(char)
+  (r.charAt(i) OP b)`` over leaves appends its code point in one group.
+  A group reads identifiers bound in the local scope and literals
+  inline and counts its ticks at once, as nothing can fail between them;
+  a group that would pass the budget, or whose leaves do not hold the
+  values it folds, runs the node's generic closure, one tick at a time.
 
 The values it computes, and the operators, library calls and string
 built-ins it applies, are the one model of Java in `javamodel`.
@@ -479,15 +478,6 @@ def _binary_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return [first] + [right for _, right in links]
 
 
-def _operate(apply, on_ints, a, b):
-    """``apply(a, b)``, with int and Char operands, a Char as its code
-    point, passed to ``on_ints``, as ``apply`` would read them."""
-    ta, tb = type(a), type(b)
-    if (ta is int or ta is Char) and (tb is int or tb is Char):
-        return on_ints(a if ta is int else a.cp, b if tb is int else b.cp)
-    return apply(a, b)
-
-
 def _c_binary(interp, node, pre=0):
     """A chain of n binary expressions takes its n steps first, as nested
     evaluation does on its way down the left spine, then folds."""
@@ -524,47 +514,19 @@ def _c_binary(interp, node, pre=0):
                     raise _NotConcrete
         return value
     if len(steps) == 1 and steps[0][0] is None:
-        leaves = [_leaf(operand) for operand in node.children]
-        chain = _fused_length(_fused_binary(chain, steps[0], leaves, n),
-                              steps[0][2], leaves[0], node.children[1], n)
-    return _int_spine(node, pre, chain, None)
+        return _fused_length(chain, steps[0][2], _leaf(node.children[0]),
+                             node.children[1], n)
+    return chain
 
 
-def _fused_binary(generic, step, leaves, n):
-    """A binary expression reading its identifier or literal left operand,
-    and a right one too, inline; the steps of the expression and of its
-    leading leaves count at once."""
-    _, apply, on_ints, second = step
-    left, right = leaves
-    if left is None:
-        return generic
-    an, av = left
-    bn, bv = right if right is not None else (None, None)
-    total = n + (2 if right is not None else 1)
-
-    def binary_leaves(interp, env, fields):
-        if (an is None or an in env) and (bn is None or bn in env):
-            ctx = interp.ctx
-            steps = ctx.steps + total
-            if steps <= ctx.limit:
-                ctx.steps = steps
-                a = av if an is None else env[an]
-                b = second(interp, env, fields) if right is None \
-                    else bv if bn is None else env[bn]
-                if type(a) is int and type(b) is int:
-                    return on_ints(a, b)
-                return _operate(apply, on_ints, a, b)
-        return generic(interp, env, fields)
-    return binary_leaves
-
-
-def _int_spine(node: SyntaxNode, pre: int, generic, store: str | None):
-    """``generic``, the closure of a binary expression, or, when the left
-    spine of the expression, parentheses included, is two or more
-    `_INT_SAFE` operators over identifiers and int literals, a fold of it
-    at once while every identifier holds an int: no fold can fail, so its
-    ticks, one per operator, parenthesis and leaf, count together. With
-    ``store`` not None, the fold stores its value into that local too."""
+def _int_spine(node: SyntaxNode, pre: int, generic, store: str):
+    """``generic``, the closure of an ``=`` to the local ``store`` whose
+    right-hand side is ``node``, or, when the left spine of ``node``,
+    parentheses included, is two or more `_INT_SAFE` operators over
+    identifiers and int literals, a fold of it at once while every
+    identifier holds an int, stored into ``store``: no fold can fail, so
+    its ticks, the ``pre`` of the assignment and one per operator,
+    parenthesis and leaf, count together."""
     ops, rights, levels = [], [], 0
     while node.kind in ("binary_expression", "parenthesized_expression"):
         if node.kind == "parenthesized_expression":
@@ -600,16 +562,16 @@ def _int_spine(node: SyntaxNode, pre: int, generic, store: str | None):
                     value = apply(value, b)
                 else:
                     ctx.steps = steps
-                    if store is not None:
-                        env[store] = value
+                    env[store] = value
                     return value
         return generic(interp, env, fields)
     return int_spine
 
 
 def _leaf_call(node: SyntaxNode, name: str, count: int):
-    """The leaves of the receiver and the ``count`` arguments of a call
-    ``name`` that `_fused_call` runs, when each is a `_leaf`; else None."""
+    """The leaves of the receiver and the ``count`` arguments of ``node``,
+    a call ``name`` on a receiver that is not a library call, when each is
+    a `_leaf`; else None."""
     if node.kind != "method_invocation" or str(node.value) != name \
             or len(node.children) != 3 \
             or len(node.children[-1].children) != count \
@@ -1088,12 +1050,9 @@ def _c_call(interp, node, pre=0):
         for fn in arg_fns:
             args.append(fn(interp, env, fields))
         return finish(interp, env, fields, base, args)
-    leaf = _leaf(receiver)
-    if leaf is None:
+    if _leaf(receiver) is None:
         return _chained_call(interp, node, receiver, arg_fns, finish, n)
-    return _fused_append(_fused_call(call_on, finish, name, leaf,
-                                     [_leaf(a) for a in arg_nodes], arg_fns,
-                                     n), interp.compiled, node, n)
+    return _fused_append(call_on, interp.compiled, node, n)
 
 
 def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
@@ -1129,59 +1088,6 @@ def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
             base = finish(interp, env, fields, base, args)
         return base
     return call_chain
-
-
-def _fused_call(generic, finish, name: str, receiver, arg_leaves: list,
-                arg_fns: list, n: int):
-    """A call reading its identifier or literal receiver inline, and a
-    lone identifier or literal argument too; their steps count with the
-    call's. ``charAt`` and ``length`` of a string and a builder's
-    ``append`` of a string or char run inline, other calls in ``finish``."""
-    recv_name, recv_value = receiver
-    lone = arg_leaves[0] if len(arg_leaves) == 1 else None
-    arg_name, arg_value = lone if lone is not None else (None, None)
-    one = arg_fns[0] if len(arg_fns) == 1 else None
-    total = n + 1 + (lone is not None)
-    char_at = name == "charAt" and len(arg_fns) == 1
-    length = name == "length" and not arg_fns
-    append = name == "append" and len(arg_fns) == 1
-
-    def call_inline(interp, env, fields):
-        if (recv_name is None or recv_name in env) \
-                and (arg_name is None or arg_name in env):
-            ctx = interp.ctx
-            steps = ctx.steps + total
-            if steps <= ctx.limit:
-                ctx.steps = steps
-                base = recv_value if recv_name is None else env[recv_name]
-                if lone is not None:
-                    args = [arg_value if arg_name is None else env[arg_name]]
-                elif one is not None:
-                    args = [one(interp, env, fields)]
-                else:
-                    args = []
-                    for fn in arg_fns:
-                        args.append(fn(interp, env, fields))
-                if char_at:
-                    index = args[0]
-                    if type(base) is str and type(index) is int:
-                        if 0 <= index < len(base):
-                            return Char(ord(base[index]))
-                        raise _NotConcrete
-                elif length:
-                    if type(base) is str:
-                        return len(base)
-                elif append and type(base) is Builder:
-                    arg = args[0]
-                    if type(arg) is str:
-                        base.text += arg
-                        return base
-                    if type(arg) is Char:
-                        base.text += chr(arg.cp)
-                        return base
-                return finish(interp, env, fields, base, args)
-        return generic(interp, env, fields)
-    return call_inline
 
 
 def _fused_append(generic, compiled: dict, call: SyntaxNode, n: int):
