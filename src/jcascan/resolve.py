@@ -310,9 +310,10 @@ class _Abstract:
             return _MISSING
         saved_steps = self.ctx.steps
         env: dict = {}
+        fields: dict = {}
         try:
-            self.interp.run_region(method, expr, env, {})
-            value = _snapshot(self.interp.eval(expr, env, {}))
+            self.interp.run_region(method, expr, env, fields)
+            value = _snapshot(self.interp.eval(expr, env, fields))
         except (_NotConcrete, _Return, _Break, _Continue, _JavaThrow):
             self.ctx.steps = min(self.ctx.steps,
                                  saved_steps + 1000)

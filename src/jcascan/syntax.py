@@ -361,7 +361,8 @@ class UnitIndex:
         """The member table of a type body of this unit, built once per
         body; a site outside every type body (``None``) has none. The
         supertypes a named body's table reads are the first same-unit type
-        declarations named by its declaration's type identifiers."""
+        declarations named by its declaration's type identifiers; the
+        enclosing table is that of the type body around its declaration."""
         if body is None:
             return _NO_MEMBERS
         facts = self._member_facts.get(id(body))
@@ -373,8 +374,11 @@ class UnitIndex:
                     if sup.kind == "type_identifier" else None
                 if decl is not None:
                     inherited += type_body(decl).children
+            decl = self.type_of_body.get(id(body), (None,))[0]
+            outer = self.enclosing_type_body(decl) \
+                if decl is not None else None
             facts = self._member_facts[id(body)] = MemberFacts.of(
-                body.children, inherited)
+                body.children, inherited, self.member_facts(outer))
         return facts
 
     def write_facts(self, decl: SyntaxNode) -> WriteFacts:
@@ -392,7 +396,9 @@ class MemberFacts(Record):
 
     ``fields`` and ``field_modifiers`` read the body's own members only.
     ``declarators`` and ``methods`` read its own members first, then those
-    of each direct same-unit supertype in turn, and keep the first match.
+    of each direct same-unit supertype in turn, then the table of the
+    enclosing type body, and keep the first match: a nested class sees
+    the members of the classes around it.
     """
 
     _fields = ("fields", "field_modifiers", "declarators", "methods")
@@ -410,8 +416,8 @@ class MemberFacts(Record):
         self.methods = methods
 
     @staticmethod
-    def of(own: list[SyntaxNode],
-           inherited: list[SyntaxNode] = ()) -> MemberFacts:
+    def of(own: list[SyntaxNode], inherited: list[SyntaxNode] = (),
+           enclosing: MemberFacts | None = None) -> MemberFacts:
         declarators: dict[str, tuple[SyntaxNode, SyntaxNode]] = {}
         methods: dict[tuple[str | None, int], SyntaxNode] = {}
 
@@ -430,6 +436,11 @@ class MemberFacts(Record):
         modifiers = {name: modifier_words(member)
                      for name, (member, _) in declarators.items()}
         add(inherited)
+        if enclosing is not None:
+            for name, found in enclosing.declarators.items():
+                declarators.setdefault(name, found)
+            for key, method in enclosing.methods.items():
+                methods.setdefault(key, method)
         return MemberFacts(
             tuple(m for m in own if m.kind == "field_declaration"),
             modifiers, declarators, methods)

@@ -107,6 +107,9 @@ def ref_ingest_enclosing(unit, node):
 
 
 def ref_class_members(unit, class_body):
+    """The body's members, then its direct same-unit supertypes' members,
+    then what the innermost other type body around its declaration reads,
+    in the order a lookup tries them."""
     members = list(class_body.children)
     owner = None
     for decl, _, body in ref_type_decls(unit.root):
@@ -122,6 +125,12 @@ def ref_class_members(unit, class_body):
                                 None)
                 if sup_body is not None:
                     members.extend(sup_body.children)
+    stack = ref_class_stack(unit.root)
+    decl = next(d for d, _, body in stack if body is class_body)
+    around = [body for _, _, body in stack if body is not class_body
+              and body.start <= decl.start and decl.end <= body.end]
+    if around:  # in pre-order, so the innermost is last
+        members.extend(ref_class_members(unit, around[-1]))
     return members
 
 
@@ -436,7 +445,8 @@ def test_name_lookups_match_reference(unit):
 @pytest.mark.parametrize("unit", _units())
 def test_member_table_matches_linear_scans(unit):
     """Each body's field and method entries are what a linear scan of its
-    members and its direct same-unit supertypes' finds first."""
+    members, its direct same-unit supertypes' and its enclosing bodies'
+    finds first."""
     index = unit_index(unit)
     for _, _, body in ref_class_stack(unit.root):
         members = ref_class_members(unit, body)

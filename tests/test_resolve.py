@@ -8,18 +8,20 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcascan.classify import classify
 from jcascan.javaparse import MAX_STATEMENT_DEPTH, parse_unit
 from jcascan.ingest import extract_sites
 from jcascan.resolve import (DEPTH_EXCEEDED, EXTERNAL_INPUT, NATIVE,
                              NETWORK, UNKNOWN, ResolutionBudget,
                              has_encrypted_param_pattern, resolve_site,
                              visible_literals)
+from jcascan.rules import check_site
 
 from conftest import (BASE64_SRC, BYTE_LOOP_SRC, CHARAT_SRC,
                       ENCRYPTED_PARAM_SRC, ENUM_SRC, KEY_BASE64_SRC,
                       KEY_LITERAL_SRC, NATIVE_SRC, NESTED_TERNARY_SRC,
                       REPLACE_SRC, STRINGBUFFER_SRC, STRINGBUILDER_SRC,
-                      TERNARY_SRC, XOR_SRC, pipeline, site_of)
+                      TERNARY_SRC, XOR_SRC, pipeline, site_of, sites_of)
 
 
 def resolve_src(src: str):
@@ -641,6 +643,54 @@ class TestMemberAndArrayRules:
         assert not resolved.residuals
         assert labels.labels == {"STATIC"}
         assert [f.rule_id for f in findings] == ["R4", "R1"]
+
+
+NESTED_SRC = """import javax.crypto.Cipher;
+class Outer {
+    static final String ALG = "DES";
+    static String k() { return "AES"; }
+    static class Inner {
+        void m() throws Exception {
+            Cipher.getInstance(k());
+            Cipher.getInstance(ALG);
+        }
+    }
+}
+"""
+
+THIS_WRITE_SRC = """import javax.crypto.Cipher;
+class F {
+    String k = "AES/GCM/NoPadding";
+    void m() throws Exception {
+        this.k = "DES";
+        Cipher.getInstance(this.k);
+    }
+}
+"""
+
+
+class TestClassState:
+    """Members a site's class reads from outside its own body, and what
+    the statements before the site write to them; the values are those
+    ``java`` prints for the same code."""
+
+    @pytest.mark.parametrize("index, value, rule", [
+        (0, "AES", "R4"), (1, "DES", "R1")], ids=["method", "field"])
+    def test_nested_class_reads_its_enclosing_class(self, index, value,
+                                                    rule):
+        site = sites_of(NESTED_SRC)[index]
+        resolved = resolve_site(site)
+        assert resolved.candidates == {value}
+        assert not resolved.residuals
+        labels = classify(site, resolved)
+        assert [f.rule_id for f in check_site(site, resolved, labels)] \
+            == [rule]
+
+    def test_a_this_write_before_the_site_reaches_it(self):
+        _, resolved, _, findings = pipeline(THIS_WRITE_SRC)
+        assert resolved.candidates == {"DES"}
+        assert not resolved.residuals
+        assert [f.rule_id for f in findings] == ["R1"]
 
 
 class TestTrace:
