@@ -3,7 +3,8 @@
 ``interp_budget.json`` holds, for every site of ``interp_golden.json``
 whose default-budget step count is at most 600 and for the sites of
 ``KEYSTREAM_SRC`` (a copy of the ``string-encryption`` workload's
-keystream-XOR decoder at two rounds), one SHA-256 over what the resolver
+keystream-XOR decoder at two rounds) and ``STORES_SRC`` (stores to
+fields), one SHA-256 over what the resolver
 gives under every ``max_steps`` from 1 to the site's step count + 1: the
 steps taken, the raw candidates, the residuals and the trace rule names. A
 tick counted in a batch that lands on the wrong side of any limit changes
@@ -16,8 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
+from types import CodeType, FunctionType
 
+from jcascan import interp
 from jcascan.ingest import RESTRICTIVE, extract_sites
 from jcascan.javaparse import parse_unit
 from jcascan.resolve import (DEPTH_EXCEEDED, ResolutionBudget, _Abstract,
@@ -67,6 +71,23 @@ def _keystream_source(rounds: int = 2, mult: int = 31, add: int = 7) -> str:
 
 KEYSTREAM_SRC = _keystream_source()
 
+# Stores the golden sources do not make: to another object's field, which
+# gives up (Java gives "AES"), and to a this-field before the site.
+STORES_SRC = ("import javax.crypto.Cipher;\n"
+              "class Box { String v; }\n"
+              "class Stores {\n"
+              '    String k = "AES/GCM/NoPadding";\n'
+              "    void box() throws Exception {\n"
+              "        Box box = new Box();\n"
+              '        box.v = "AES";\n'
+              "        Cipher.getInstance(box.v);\n"
+              "    }\n"
+              "    void self() throws Exception {\n"
+              '        this.k = "DES";\n'
+              "        Cipher.getInstance(this.k);\n"
+              "    }\n"
+              "}\n")
+
 
 def _outcome(site, max_steps: int) -> tuple:
     """(max_steps, steps, raw candidates, residuals, trace rules) of the
@@ -88,10 +109,11 @@ def _sites() -> dict:
              if r["max_steps"] == ResolutionBudget().max_steps
              and r["steps"] <= MOST_STEPS}
     out = {}
-    for path, text in _sources() + [("keystream/Enc.java", KEYSTREAM_SRC)]:
+    for path, text in _sources() + [("keystream/Enc.java", KEYSTREAM_SRC),
+                                    ("stores/Stores.java", STORES_SRC)]:
         for site in extract_sites(parse_unit(path, text)):
             key = f"{path}:{site.offset}"
-            if key in small or path.startswith("keystream/") \
+            if key in small or path.startswith(("keystream/", "stores/")) \
                     and site.api.category == RESTRICTIVE:
                 out[key] = site
     return out
@@ -169,6 +191,46 @@ def test_chains_tick_as_nested_links_did():
         current[site.offset] = (steps, hashlib.sha256(
             json.dumps(sweep).encode("utf-8")).hexdigest())
     assert current == recorded
+
+
+def _closures() -> set[CodeType]:
+    """The code of every function nested in a function of `interp`: the
+    closures its compilers build, comprehensions left out."""
+    def nested(code: CodeType):
+        for const in code.co_consts:
+            if isinstance(const, CodeType) \
+                    and not const.co_name.startswith("<"):
+                yield const
+                yield from nested(const)
+    functions = [fn for value in vars(interp).values()
+                 for fn in ([value] if isinstance(value, FunctionType)
+                            else vars(value).values()
+                            if isinstance(value, type) else ())
+                 if isinstance(fn, FunctionType)
+                 and fn.__module__ == interp.__name__]
+    return {code for fn in functions for code in nested(fn.__code__)}
+
+
+def test_every_interpreter_closure_runs_in_the_sweep():
+    """Every closure runs for a site whose ticks the digests or the chains
+    test pin at every budget, so a closure cannot land unchecked."""
+    sites = list(_sites().values()) \
+        + extract_sites(parse_unit("Chains.java", CHAINS_SRC))
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for site in sites:
+            _outcome(site, ResolutionBudget().max_steps)
+    finally:
+        sys.setprofile(previous)
+    closures = _closures()
+    assert len(closures) > 40
+    assert sorted(code.co_name for code in closures - ran) == []
 
 
 if __name__ == "__main__":
