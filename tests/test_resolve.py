@@ -178,6 +178,18 @@ class TestOneLibraryModel:
         assert r.candidates == set()
         assert r.residuals == {EXTERNAL_INPUT}
 
+    @pytest.mark.parametrize("argument", [
+        'new String("DES".getBytes(), p)',
+        'String.valueOf("DES", p)',
+    ])
+    def test_an_argument_the_library_does_not_read_keeps_the_value(
+            self, argument):
+        """An argument past the ones the library function reads gives its
+        residual, but its lack of a value leaves the call's value."""
+        r = resolve_site(site_of(_method("String p", argument)))
+        assert r.candidates == {"DES"}
+        assert r.residuals == {EXTERNAL_INPUT}
+
     def test_format_over_many_combinations_keeps_the_first_in_order(self):
         # 5 x 5 x 5 = 125 combinations: all are formatted, and the cap
         # keeps the 16 first in order, whatever the hash seed.
