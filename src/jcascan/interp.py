@@ -34,18 +34,20 @@ out on the same step. Fewer calls carry those ticks:
   values it folds, runs the node's generic closure, one tick at a time.
 
 The values it computes, and the operators, library calls and string
-built-ins it applies, are the one model of Java in `javamodel`.
+built-ins it applies, are the one model of Java in `javamodel`. The
+set-valued resolver in `resolve` runs the same closures over candidate
+sets, once per combination (`_Interp.lifted`).
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .javamodel import (BASE64_DECODE, Builder, Char, CharArray, EnumConst,
-                        JArray, UNARY, _BUILTINS, _FEWEST_ARGS, _INT_ARITH,
-                        _MAX_LENGTH, _MISSING, _NotConcrete, _arith, _as_int,
-                        _binary_op, _cast, _elem_of, _length, _load,
-                        _object_parts, _preview, library_call, library_new)
+from .javamodel import (Builder, Char, CharArray, EnumConst, JArray, UNARY,
+                        _BUILTINS, _FEWEST_ARGS, _INT_ARITH, _MAX_LENGTH,
+                        _MISSING, _NotConcrete, _arith, _as_int, _binary_op,
+                        _cast, _elem_of, _length, _load, _object_parts,
+                        _preview, library_call, library_new)
 from .syntax import (MemberFacts, Record, SourceUnit, SyntaxNode,
                      child_of_kind, decl_name, method_body, method_params,
                      modifier_words, type_body, unit_index)
@@ -83,6 +85,10 @@ class _Continue(Exception):
 
 class _JavaThrow(Exception):
     pass
+
+
+class _NativeCall(_NotConcrete):
+    """A call of a native method, which no step can run."""
 
 
 # -- enum models -----------------------------------------------------------
@@ -173,11 +179,14 @@ class _Interp:
         self.unit = unit
         self.class_body = class_body
         self.call_depth = 0
+        self.user_calls = 0
         self.index = unit_index(unit)
         # The unit's closures, shared by all its sites: id(node) →
         # closure; (id(initializer), elem) → array builder; (id(block),)
         # → the block's statements without its own tick.
         self.compiled: dict = self.index.compiled
+        # The ids of the nodes `lifted` reads from ``env``.
+        self.operands: frozenset = frozenset()
 
     # --- entry points ---
 
@@ -203,6 +212,16 @@ class _Interp:
 
     def eval(self, node: SyntaxNode, env: dict, fields: dict):
         return self.code(node)(self, env, fields)
+
+    def lifted(self, node: SyntaxNode, operands: list[SyntaxNode]):
+        """The closure of the expression ``node`` with each of ``operands``,
+        the parts it reads, giving ``env[id(operand)]`` (`_c_operand`),
+        compiled apart from the unit's closures."""
+        overlay = _Interp(self.ctx, self.unit, self.class_body)
+        overlay.operands = frozenset(map(id, operands))
+        overlay.compiled = {id(operand): _c_operand(overlay, operand)
+                            for operand in operands}
+        return _COMPILERS[node.kind](overlay, node)
 
     def body(self, block: SyntaxNode):
         """A block's statements, run without the block statement's tick."""
@@ -311,9 +330,12 @@ class _Interp:
         decl = self.members(cls).methods.get((name, len(arg_fns)))
         if decl is None:
             raise _NotConcrete
-        if "native" in modifier_words(decl) or method_body(decl) is None:
+        if "native" in modifier_words(decl):
+            raise _NativeCall
+        if method_body(decl) is None:
             raise _NotConcrete
         self.ctx.touch(self.unit, decl)
+        self.user_calls += 1
         if evaluated is None:
             evaluated = []
             for fn in arg_fns:
@@ -389,7 +411,9 @@ def _parts(node: SyntaxNode) -> list[SyntaxNode]:
 def _folded(interp, node: SyntaxNode, pre: int):
     """The closure of ``node``, an expression whose parts are compiled,
     counting ``pre`` steps of its parents in its first tick."""
-    return _COMPILERS.get(node.kind, _c_unsupported)(interp, node, pre)
+    compile_fn = _c_operand if id(node) in interp.operands \
+        else _COMPILERS.get(node.kind, _c_unsupported)
+    return compile_fn(interp, node, pre)
 
 
 def _literal(node: SyntaxNode):
@@ -418,6 +442,16 @@ def _c_unsupported(interp, node, pre=0):
             ctx.exceeded(n)
         raise _NotConcrete
     return unsupported
+
+
+def _c_operand(interp, node, pre=0):
+    """An operand of `_Interp.lifted`: the value bound to ``env[id(node)]``,
+    whose steps the resolver that bound it counted."""
+    key = id(node)
+
+    def operand(interp, env, fields):
+        return env[key]
+    return operand
 
 
 def _c_constant(interp, node, pre=0):
@@ -462,11 +496,12 @@ def _c_parenthesized(interp, node, pre=0):
     return _folded(interp, node, pre + levels)
 
 
-def _chain(node: SyntaxNode):
+def _chain(node: SyntaxNode, operands: frozenset = frozenset()):
     """Leftmost operand and (operator, right operand) links of a left-deep
-    chain of binary expressions, read in a loop."""
+    chain of binary expressions, read in a loop; a link among ``operands``
+    (`_Interp.lifted`) is the leftmost operand."""
     links = []
-    while node.kind == "binary_expression":
+    while node.kind == "binary_expression" and id(node) not in operands:
         links.append((str(node.value), node.children[1]))
         node = node.children[0]
     links.reverse()
@@ -482,7 +517,7 @@ def _c_binary(interp, node, pre=0):
     """A chain of n binary expressions takes its n steps first, as nested
     evaluation does on its way down the left spine, then folds."""
     compiled = interp.compiled
-    first, links = _chain(node)
+    first, links = _chain(node, interp.operands)
     first = compiled[id(first)]
     # (short-circuit value, operator on values, operator on ints, right
     # operand): && stops on false and || on true; arithmetic and
@@ -982,8 +1017,7 @@ def _c_call(interp, node, pre=0):
     library = library_call(node)
     if library is not None:
         apply, _, rule = library
-        # The interpreter notes only the rule classification reads back.
-        noted = rule == BASE64_DECODE
+        noted = rule is not None
 
         def library_fn(interp, env, fields):
             ctx = interp.ctx

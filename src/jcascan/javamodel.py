@@ -3,8 +3,8 @@ apply: the values the concrete interpreter computes (chars, char arrays,
 builders and their snapshots, enum constants, arrays), the operators, the
 static library calls and constructors (`library_call`, `library_new`) and
 the built-in methods of string and builder values. The interpreter in
-`interp` applies each to one value per argument; the set-valued resolver
-in `resolve` lifts it over each argument's candidate set.
+`interp` applies each to one value per argument, and the set-valued
+resolver in `resolve` runs its closures over candidate sets.
 """
 
 from __future__ import annotations
@@ -326,11 +326,11 @@ def _length(base):
 
 # -- the Java library ------------------------------------------------------
 #
-# One model of the static library calls and constructors both engines
-# know: `library_call` and `library_new` tell them apart, by name, receiver
-# text and argument count, and give a pure function of the evaluated
-# argument values. The interpreter applies it to one value per argument;
-# the abstract resolver lifts it over each argument's candidate set.
+# One model of the static library calls and constructors: `library_call`
+# and `library_new` tell them apart, by name, receiver text and argument
+# count, and give a pure function of the evaluated argument values. The
+# interpreter applies it to one value per argument, over candidate sets
+# too; the set-valued resolver reads ``reads`` to combine only those.
 
 def _frozen(value):
     return value.freeze() if isinstance(value, JArray) else value
@@ -390,7 +390,8 @@ _MATH = {"min": (min, 2), "max": (max, 2), "abs": (lambda *a: abs(a[0]), 1)}
 def library_call(node: SyntaxNode):
     """The static library method ``node`` calls, as (fn, reads, rule): the
     call's value is ``fn`` of its evaluated arguments, which reads only the
-    first ``reads`` of them; ``rule`` names the trace step of a result.
+    first ``reads`` of them; ``rule``, if not None, names the trace step
+    the interpreter notes for a result (classification reads it back).
     None when ``node`` calls no such method or passes too few arguments."""
     name = str(node.value)
     count = len(node.children[-1].children)
@@ -400,7 +401,7 @@ def library_call(node: SyntaxNode):
     recv_text = receiver.text
     recv_base = recv_text.split(".")[-1]
     if name == "toChars" and recv_text.endswith("Character"):
-        return _to_chars, 1, "char-decode"
+        return _to_chars, 1, None
     if name == "decode" and recv_base == "Base64":
         return _android_base64, min(count, 2), BASE64_DECODE
     if name == "decode" and receiver.kind == "method_invocation" \
@@ -408,13 +409,13 @@ def library_call(node: SyntaxNode):
         return (partial(_java_base64, str(receiver.value) == "getUrlDecoder"),
                 1, BASE64_DECODE)
     if recv_base == "String" and name == "format":
-        return _format, count, "string-format"
+        return _format, count, None
     if recv_base == "String" and name in ("valueOf", "copyValueOf"):
-        return _string_of, 3 if count == 3 else 1, "string-op"
+        return _string_of, 3 if count == 3 else 1, None
     if recv_base == "Integer" and name in ("parseInt", "valueOf"):
-        return _parse_int, 1, "string-op"
+        return _parse_int, 1, None
     if recv_base == "Math" and name in _MATH and count >= _MATH[name][1]:
-        return partial(_math, _MATH[name][0]), count, "math-op"
+        return partial(_math, _MATH[name][0]), count, None
     return None
 
 
@@ -461,15 +462,14 @@ def _object_parts(node: SyntaxNode) -> list[SyntaxNode]:
 
 
 def library_new(node: SyntaxNode):
-    """The library constructor ``node`` calls, as (fn, reads, rule) like
+    """The library constructor ``node`` calls, as (fn, reads) like
     `library_call`; None for a type the model does not know."""
     base = str(node.children[0].value or "").split(".")[-1]
     count = len(_object_parts(node))
     if base == "String":
-        return _new_string, count if count in (3, 4) else min(count, 1), \
-            "new-string"
+        return _new_string, count if count in (3, 4) else min(count, 1)
     if base in ("StringBuilder", "StringBuffer"):
-        return _new_builder, min(count, 1), None
+        return _new_builder, min(count, 1)
     return None
 
 
@@ -612,14 +612,3 @@ _FEWEST_ARGS = {
     (str, "replaceAll"): 2,
 }
 
-
-def _string_builtin(base, name: str, args):
-    """Built-in ``name`` of a String / StringBuilder / StringBuffer value;
-    _NotConcrete if it is not one or does not model these arguments."""
-    op = _BUILTINS.get(type(base), {}).get(name)
-    if op is None or len(args) < _FEWEST_ARGS.get((type(base), name), 0):
-        raise _NotConcrete
-    result = op(base, args)
-    if result is _MISSING:
-        raise _NotConcrete
-    return result

@@ -2,20 +2,20 @@
 
 Arguments to crypto APIs in decompiled code are frequently built at runtime:
 concatenation, StringBuilder/StringBuffer chains, charAt arithmetic, Base64
-blobs, XOR loops, ternaries, helper methods. One model of the Java
-operators, library calls and string built-ins, in `javamodel`, evaluates
-them:
+blobs, XOR loops, ternaries, helper methods. One evaluator, the concrete
+interpreter (`interp`), computes them with the one model of the Java
+operators, library calls and string built-ins in `javamodel`:
 
-* the concrete interpreter (`interp`) executes the method body before the
-  site, and the helpers it calls, under a step budget when every input is a
-  compile-time constant; it compiles each statement and expression into a
-  closure once per unit, so decoder loops run without re-dispatching on
-  node kind and the sites of a file share their helpers' closures;
+* it executes the method body before the site, and the helpers it calls,
+  under a step budget when every input is a compile-time constant;
 * where a ternary or a parameter leaves a value open, the set-valued
-  resolver here unions ternary branches, follows local/field/method
-  definitions up to an indirection budget, and lifts the same functions
-  over candidate sets: each is applied to every combination of one
-  candidate per argument, in a fixed order, up to a bounded number.
+  resolver here decides only where candidate sets and residual markers
+  come from: it unions ternary branches, follows local, field and enum
+  definitions and user methods up to an indirection budget, and marks
+  parameters, network and external reads and native methods. Every other
+  expression it lifts: the interpreter's closure of the expression runs
+  once per combination of one candidate per operand, in a fixed order, up
+  to a bounded number.
 
 Anything outside the supported operation set degrades to an explicit
 residual marker rather than a guess.
@@ -27,13 +27,13 @@ import itertools
 import re
 
 from .ingest import InvocationSite
-from .interp import (ENUM_CONSTANT, TraceStep, _BudgetExhausted, _Break,
-                     _Continue, _Ctx, _Interp, _JavaThrow, _Return)
-from .javamodel import (UNARY, Builder, Char, CharArray, EnumConst, JArray,
-                        SBuf, _INT_ARITH, _INT_COMPARE, _MISSING,
-                        _NotConcrete, _android_base64, _as_int, _binary_op,
-                        _cast, _elem_of, _frozen, _load, _preview,
-                        _string_builtin, library_call, library_new)
+from .interp import (ENUM_CONSTANT, _LITERALS, TraceStep, _BudgetExhausted,
+                     _Break, _Continue, _Ctx, _Interp, _JavaThrow,
+                     _NativeCall, _Return, _call_parts, _literal)
+from .javamodel import (Builder, CharArray, EnumConst, JArray, SBuf,
+                        _MISSING, _NotConcrete, _android_base64, _as_int,
+                        _frozen, _object_parts, _preview, library_call,
+                        library_new)
 # Re-exported: classification reads BASE64_DECODE from here.
 from .javamodel import BASE64_DECODE  # noqa: F401
 from .syntax import (Record, SourceUnit, SyntaxNode, WriteFacts,
@@ -261,17 +261,73 @@ def _reaching_defs(body: SyntaxNode, defs: list[SyntaxNode],
     return reaching + [None]
 
 
-def _android_flags(vs: _VS) -> _VS:
+# The operations whose value the set-valued resolver gets by lifting the
+# interpreter's closure of them over their operands (`_Abstract._lift`).
+_LIFTED = frozenset({
+    "binary_expression", "cast_expression", "unary_expression",
+    "array_access", "array_creation_expression", "array_initializer",
+    "object_creation_expression", "method_invocation", "field_access"})
+
+
+def _evaluated(node: SyntaxNode) -> tuple[list, list, list]:
+    """The operands of ``node``, a `_LIFTED` kind: the parts whose values
+    its closure reads; the arguments it evaluates but a library function
+    does not read (`library_call`'s ``reads``), all of them for a
+    constructor the model does not know; and the flags argument of
+    ``android.util.Base64.decode``, if any."""
+    kind = node.kind
+    if kind == "object_creation_expression":
+        args = _object_parts(node)
+        library = library_new(node)
+        reads = 0 if library is None else library[1]
+        return args[:reads], args[reads:], []
+    if kind == "method_invocation":
+        args = node.children[-1].children
+        library = library_call(node)
+        if library is None:
+            return _call_parts(node), [], []
+        fn, reads, _ = library
+        if fn is _android_base64 and reads == 2:
+            return args[:1], args[2:], args[1:2]
+        return args[:reads], args[reads:], []
+    if kind == "field_access":
+        return node.children[:1], [], []
+    # Past the type of a cast or an array creation.
+    skip = kind in ("cast_expression", "array_creation_expression")
+    return _flat(node.children[skip:]), [], []
+
+
+def _flat(parts: list[SyntaxNode]) -> list[SyntaxNode]:
+    """``parts`` with each array initializer, nested ones too, in place of
+    its elements."""
+    return [leaf for part in parts for leaf in (
+        _flat(part.children) if part.kind == "array_initializer" else [part])]
+
+
+def _source(node: SyntaxNode) -> tuple[str, str] | None:
+    """The trace rule and residual marker of a call that reads the
+    network or external input, or None."""
+    name = str(node.value)
+    recv_text = node.children[0].text if len(node.children) == 3 else ""
+    if name in _NETWORK_METHODS or "Socket" in recv_text \
+            or "Http" in recv_text or recv_text.split(".")[-1] == "URL":
+        return "network-source", NETWORK
+    if name in _EXTERNAL_METHODS:
+        return "external-source", EXTERNAL_INPUT
+    return None
+
+
+def _android_flags(vs: _VS) -> int:
     """The flags of ``android.util.Base64.decode`` as this resolver reads
     them: anything but exactly one int counts as 0 (``DEFAULT``), so
     ``Base64.decode(s, Base64.DEFAULT)`` decodes though ``DEFAULT`` names
     no value here."""
     if len(vs.values) == 1:
         try:
-            return _VS.of(_as_int(next(iter(vs.values))))
+            return _as_int(next(iter(vs.values)))
         except _NotConcrete:
             pass
-    return _VS.of(0)
+    return 0
 
 
 class _Abstract:
@@ -329,49 +385,22 @@ class _Abstract:
                       env: dict[str, _VS]) -> _VS:
         self.ctx.tick()
         kind = node.kind
-        if kind == "string_literal":
-            self.ctx.note("literal", node, str(node.value))
-            return _VS.of(node.value)
-        if kind == "character_literal":
-            return _VS.of(Char(ord(str(node.value))))
-        if kind in ("decimal_integer_literal", "hex_integer_literal"):
-            return _VS.of(node.value)
-        if kind in ("true", "false"):
-            return _VS.of(node.value)
-        if kind == "null_literal":
-            return _VS.of(None)
+        if kind in _LITERALS:
+            if kind == "string_literal":
+                self.ctx.note("literal", node, str(node.value))
+            return _VS.of(_literal(node))
         if kind == "parenthesized_expression":
             return self._resolve_node(node.children[0], depth, env)
+        if not self._decided(node):
+            return self._lift(node, depth, env)
         if kind == "ternary_expression":
             return self._resolve_ternary(node, depth, env)
-        if kind == "binary_expression":
-            return self._resolve_binary(node, depth, env)
-        if kind == "cast_expression":
-            inner = self._resolve_node(node.children[1], depth, env)
-            target = str(node.value or "")
-            return self._lift(lambda args: _cast(target, args[0]), [inner],
-                              node)
-        if kind == "unary_expression":
-            inner = self._resolve_node(node.children[0], depth, env)
-            apply = UNARY.get(str(node.value))
-            if apply is None:
-                return _VS.residual(UNKNOWN)
-            return self._lift(lambda args: apply(args[0]), [inner], node)
         if kind == "identifier":
             return self._resolve_identifier(node, depth, env)
         if kind == "field_access":
             return self._resolve_field_access(node, depth, env)
         if kind == "method_invocation":
             return self._resolve_call(node, depth, env)
-        if kind == "object_creation_expression":
-            return self._resolve_new(node, depth, env)
-        if kind == "array_creation_expression" or kind == "array_initializer":
-            return self._resolve_array(node, depth, env)
-        if kind == "array_access":
-            arr = self._resolve_node(node.children[0], depth, env)
-            idx = self._resolve_node(node.children[1], depth, env)
-            return self._lift(lambda args: _load(args[0], _as_int(args[1])),
-                              [arr, idx], node)
         return _VS.residual(UNKNOWN)
 
     def _cap(self, vs: _VS, node: SyntaxNode) -> _VS:
@@ -383,31 +412,97 @@ class _Abstract:
                        vs.residuals | {DEPTH_EXCEEDED})
         return vs
 
-    def _lift(self, fn, arg_sets: list[_VS], node: SyntaxNode,
-              rule: str | None = None, reads: int | None = None) -> _VS:
-        """``fn`` of one candidate of each of the first ``reads`` (default:
-        all) argument sets, over their combinations in a fixed order, with
-        the residuals of every argument. Past ``max_candidates²``
-        combinations the rest are dropped and the result is marked
-        DEPTH_EXCEEDED; a combination ``fn`` cannot evaluate marks it
-        UNKNOWN. ``rule`` names the trace step of a result."""
-        out = _VS(set(), set().union(*(vs.residuals for vs in arg_sets)))
-        combos = itertools.product(*(_ordered(vs.values)
-                                     for vs in arg_sets[:reads]))
+    def _decided(self, node: SyntaxNode) -> bool:
+        """Whether `_resolve_node` decides ``node`` by a rule of its own
+        rather than by lifting the interpreter's closure of it."""
+        kind = node.kind
+        if kind == "field_access":
+            obj = node.children[0]
+            return obj.kind == "this" or (obj.kind == "identifier"
+                                          and str(obj.value) in self.types)
+        if kind == "method_invocation":
+            return _source(node) is not None \
+                or self._user_class(node) is not _MISSING
+        return kind not in _LIFTED
+
+    def _lift(self, node: SyntaxNode, depth: int, env: dict[str, _VS]) -> _VS:
+        """`_lift_one` of ``node``, an operation, over the sets of its
+        operands (`_evaluated`): an unread argument is one null with its
+        residuals, and the flags of ``Base64.decode`` `_android_flags`.
+        Operations among the operands, such as the links of a chain ``a +
+        b + …`` or ``x.f().g()…``, are lifted in one frame, operands first,
+        each ticking as `_resolve_node` of it would."""
+        done: dict[int, _VS] = {}
+        todo: list = [(node, None)]
+        while todo:
+            part, parts = todo.pop()
+            if parts is None:
+                parts = _evaluated(part)
+                todo.append((part, parts))
+                todo.extend((op, None) for op in reversed(parts[0])
+                            if not self._decided(op))
+                continue
+            if part is not node:
+                self.ctx.tick()
+            read, unread, flags = parts
+            sets = [done.pop(id(op)) if id(op) in done
+                    else self._resolve_node(op, depth, env) for op in read]
+            sets += [_VS({None}, self._resolve_node(arg, depth, env).residuals)
+                     for arg in unread]
+            sets += [_VS.of(_android_flags(self._resolve_node(arg, depth, env)))
+                     for arg in flags]
+            done[id(part)] = self._lift_one(part, read + unread + flags, sets)
+        return done[id(node)]
+
+    def _lift_one(self, node: SyntaxNode, operands: list[SyntaxNode],
+                  sets: list[_VS]) -> _VS:
+        """``node``'s own closure in the interpreter (`_Interp.lifted`) run
+        once per combination of one value of each of ``sets``, those of
+        its ``operands``, in a fixed order, with the residuals of every
+        operand. Past ``max_candidates²`` combinations the rest are
+        dropped and the result is marked DEPTH_EXCEEDED; a combination the
+        closure cannot evaluate marks it UNKNOWN, and one that runs a
+        method of the unit is noted, or marked NATIVE, as
+        `_resolve_user_call` does; the result is capped."""
+        code = self.interp.lifted(node, operands)
+        # An identifier is bound by name too, as closures test names.
+        keys = [(id(op), str(op.value) if op.kind == "identifier" else None)
+                for op in operands]
+        out = _VS(set(), set().union(*(vs.residuals for vs in sets)))
+        combos = itertools.product(*(_ordered(vs.values) for vs in sets))
+        trace = self.ctx.trace
+        mark = len(trace)
         for combo in itertools.islice(combos,
                                       self.ctx.budget.max_candidates ** 2):
+            scope = {}
+            for (key, name), value in zip(keys, combo):
+                scope[key] = value
+                if name is not None:
+                    scope[name] = value
+            calls = self.interp.user_calls
             try:
-                out.values.add(_snapshot(fn(combo)))
-            except _NotConcrete:
+                value = _snapshot(code(self.interp, scope, {}))
+            except _NativeCall:
+                self.ctx.note(NATIVE_CALL, node, str(node.value))
+                out.residuals.add(NATIVE)
+                continue
+            except (_NotConcrete, _Break, _Continue, _JavaThrow):
                 out.residuals.add(UNKNOWN)
+                continue
+            out.values.add(value)
+            if self.interp.user_calls != calls:
+                self.ctx.note(METHOD_BODY, node,
+                              f"{node.value} -> {_preview(value)}")
+        # A step the closure notes in every combination is kept once.
+        seen: set = set()
+        trace[mark:] = [step for step in trace[mark:]
+                        if (step.rule, step.span) not in seen
+                        and not seen.add((step.rule, step.span))]
         if next(combos, None) is not None:
             out.residuals.add(DEPTH_EXCEEDED)
         if not out.values and not out.residuals:
             out.residuals.add(UNKNOWN)
-        out = self._cap(out, node)
-        if rule is not None and out.values:
-            self.ctx.note(rule, node, _preview(next(iter(out.values))))
-        return out
+        return self._cap(out, node)
 
     def _resolve_ternary(self, node: SyntaxNode, depth: int,
                          env: dict[str, _VS]) -> _VS:
@@ -427,27 +522,6 @@ class _Abstract:
             value = self._cap(then.union(value), link)
             self.ctx.note("ternary-union", link,
                           f"{len(value.values)} candidates")
-        return value
-
-    def _resolve_binary(self, node: SyntaxNode, depth: int,
-                        env: dict[str, _VS]) -> _VS:
-        """A left-deep chain such as ``a + b + … + z`` in one frame, in the
-        order nested calls would take: the links tick top-down, then each
-        right operand is resolved and its link applied, innermost first."""
-        links = [node]
-        while links[-1].children[0].kind == "binary_expression":
-            links.append(links[-1].children[0])
-            self.ctx.tick()
-        value = self._resolve_node(links[-1].children[0], depth, env)
-        for link in reversed(links):
-            right = self._resolve_node(link.children[1], depth, env)
-            op = str(link.value)
-            if op not in _INT_ARITH and op not in _INT_COMPARE:
-                value = _VS.residual(UNKNOWN)
-                continue
-            apply = _binary_op(op)[0]
-            value = self._lift(lambda args: apply(*args), [value, right],
-                               link, "concat" if op == "+" else None)
         return value
 
     # --- names ---
@@ -582,153 +656,42 @@ class _Abstract:
                                         f"{obj.value}.{name}")
             if field is not None:
                 return field
-        base = self._resolve_node(obj, depth, env)
-        out = _VS(set(), set(base.residuals))
-        for value in base.values:
-            if isinstance(value, EnumConst):
-                bound = value.field_value(name)
-                if bound is not None:
-                    out.values.add(bound)
-                    continue
-            out.residuals.add(UNKNOWN)
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return out
+        return self._lift(node, depth, env)
 
     # --- calls ---
 
-    def _resolve_new(self, node: SyntaxNode, depth: int,
-                     env: dict[str, _VS]) -> _VS:
-        args_node = next((c for c in node.children
-                          if c.kind == "argument_list"), None)
-        arg_sets = [self._resolve_node(a, depth, env)
-                    for a in (args_node.children if args_node else [])]
-        library = library_new(node)
-        if library is None:
-            return _VS.residual(UNKNOWN)
-        fn, reads, rule = library
-        return self._lift(fn, arg_sets, node, rule, reads)
-
-    def _resolve_array(self, node: SyntaxNode, depth: int,
-                       env: dict[str, _VS]) -> _VS:
-        init = node if node.kind == "array_initializer" else next(
-            (c for c in node.children if c.kind == "array_initializer"), None)
-        if init is None:
-            return _VS.residual(UNKNOWN)
-        elem = "int"
-        if node.kind == "array_creation_expression":
-            elem = _elem_of(str(node.children[0].value or ""))
-        items = []
-        for child in init.children:
-            vs = self._resolve_node(child, depth, env)
-            if len(vs.values) != 1 or vs.residuals:
-                return _VS.residual(UNKNOWN)
-            items.append(next(iter(vs.values)))
-        kind = elem if elem != "object" else "int"
-        try:
-            return _VS.of(JArray(items, kind).freeze())
-        except _NotConcrete:
-            return _VS.residual(UNKNOWN)
+    def _user_class(self, node: SyntaxNode):
+        """The class whose method ``node`` calls, if it is no library
+        method (`library_call`): None, the site's class, for an unqualified
+        call, or the unit's type whose name is the receiver; else
+        _MISSING."""
+        if library_call(node) is not None:
+            return _MISSING
+        if len(node.children) != 3:
+            return None
+        receiver = node.children[0]
+        cls = self.types.get(str(receiver.value)) \
+            if receiver.kind == "identifier" else None
+        return _MISSING if cls is None else cls
 
     def _resolve_call(self, node: SyntaxNode, depth: int,
                       env: dict[str, _VS]) -> _VS:
-        """A call, and a receiver chain ``x.f().g()…`` in one frame, in
-        the order nested calls would take: the links' own rules and
-        arguments top-down, each link ticking as it is reached, then the
-        innermost receiver, then each link's call on its receiver's
-        values, innermost first."""
-        links: list[tuple[SyntaxNode, list[_VS]]] = []
-        while True:
-            value, arg_sets = self._call_head(node, depth, env)
-            if value is not None:
-                break
-            links.append((node, arg_sets))
-            receiver = node.children[0]
-            if receiver.kind != "method_invocation":
-                value = self._resolve_node(receiver, depth, env)
-                break
-            self.ctx.tick()
-            node = receiver
-        for node, arg_sets in reversed(links):
-            value = self._call_on(value, node, arg_sets, depth)
-        return value
-
-    def _call_head(self, node: SyntaxNode, depth: int, env: dict[str, _VS]
-                   ) -> tuple[_VS | None, list[_VS]]:
-        """The value of a call its receiver's value does not decide, or
-        None; and the call's argument values."""
-        name = str(node.value)
-        args_node = node.children[-1]
-        receiver = node.children[0] if len(node.children) == 3 else None
-        recv_text = receiver.text if receiver is not None else ""
-        recv_base = recv_text.split(".")[-1] if recv_text else ""
-
-        if name in _NETWORK_METHODS or "Socket" in recv_text \
-                or "Http" in recv_text or recv_base == "URL":
-            self.ctx.note("network-source", node, name)
-            return _VS.residual(NETWORK), []
-        if name in _EXTERNAL_METHODS:
-            self.ctx.note("external-source", node, name)
-            return _VS.residual(EXTERNAL_INPUT), []
-
+        """A call `_decided` decides: a network or external read, or a
+        method of the unit (`_user_class`)."""
+        source = _source(node)
+        if source is not None:
+            rule, marker = source
+            self.ctx.note(rule, node, str(node.value))
+            return _VS.residual(marker)
         arg_sets = [self._resolve_node(a, depth, env)
-                    for a in args_node.children]
+                    for a in node.children[-1].children]
+        return self._resolve_user_call(self._user_class(node), node,
+                                       arg_sets, depth)
 
-        library = library_call(node)
-        if library is not None:
-            fn, reads, rule = library
-            if fn is _android_base64 and reads == 2:
-                arg_sets[1] = _android_flags(arg_sets[1])
-            return self._lift(fn, arg_sets, node, rule, reads), arg_sets
-
-        # Unqualified call: method of the site's class.
-        if receiver is None:
-            return self._resolve_user_call(None, name, args_node, arg_sets,
-                                           node, depth), arg_sets
-        if receiver.kind == "identifier":
-            user_class = self.types.get(str(receiver.value))
-            if user_class is not None:
-                return self._resolve_user_call(user_class, name, args_node,
-                                               arg_sets, node,
-                                               depth), arg_sets
-        return None, arg_sets
-
-    def _call_on(self, base: _VS, node: SyntaxNode, arg_sets: list[_VS],
-                 depth: int) -> _VS:
-        """An instance call on each of its receiver's values."""
+    def _resolve_user_call(self, cls: SyntaxNode | None, node: SyntaxNode,
+                           arg_sets: list[_VS], depth: int) -> _VS:
         name = str(node.value)
-        args_node = node.children[-1]
-        out = _VS(set(), set(base.residuals))
-        for value in base.values:
-            partial = self._instance_call(value, name, args_node, arg_sets,
-                                          node, depth)
-            out = out.union(partial)
-        if not out.values and not out.residuals:
-            out.residuals.add(UNKNOWN)
-        return self._cap(out, node)
-
-    def _instance_call(self, base, name: str, args_node: SyntaxNode,
-                       arg_sets: list[_VS], node: SyntaxNode,
-                       depth: int) -> _VS:
-        if isinstance(base, EnumConst):
-            if name in ("name", "toString"):
-                return _VS.of(base.const_name)
-            cls = self.types.get(base.enum_name)
-            if cls is not None:
-                return self._resolve_user_call(
-                    cls, name, args_node, arg_sets, node, depth,
-                    this_fields=dict(base.fields))
-            return _VS.residual(UNKNOWN)
-        return self._lift(lambda args: _string_builtin(base, name, args),
-                          arg_sets, node, "string-op")
-
-    def _resolve_user_call(self, cls: SyntaxNode | None, name: str,
-                           args_node: SyntaxNode, arg_sets: list[_VS],
-                           node: SyntaxNode, depth: int,
-                           this_fields: dict[str, object] | None = None
-                           ) -> _VS:
-        decl = self.interp.members(cls).methods.get(
-            (name, len(args_node.children)))
+        decl = self.interp.members(cls).methods.get((name, len(arg_sets)))
         if decl is None:
             self.ctx.note("unresolved-call", node, name)
             return _VS.residual(UNKNOWN)
@@ -746,8 +709,7 @@ class _Abstract:
             args = [next(iter(vs.values)) for vs in arg_sets]
             saved = self.ctx.steps
             try:
-                value = _snapshot(self.interp.call_method(
-                    decl, list(args), this_fields))
+                value = _snapshot(self.interp.call_method(decl, args))
                 self.ctx.note(METHOD_BODY, node,
                               f"{name} -> {_preview(value)}")
                 return _VS.of(value)

@@ -657,6 +657,52 @@ class TestMemberAndArrayRules:
         assert [f.rule_id for f in findings] == ["R4", "R1"]
 
 
+ENUM_CALL_SRC = """import javax.crypto.Cipher;
+enum E { X("DES"), Y("AES"); final String a; E(String a) { this.a = a; }
+  String alg() { return a + "/ECB/NoPadding"; } native String nat(); }
+class A { void m(boolean c) throws Exception {
+  String t = %s;
+  Cipher.getInstance(t); } }
+"""
+
+
+class TestLiftedOperations:
+    """An operation over candidate sets runs the interpreter's closure of
+    it once per combination of its operands' values, so it gives what the
+    interpreter gives when the operands are constants."""
+
+    def test_an_array_element_over_a_ternary_gives_each_array(self):
+        # Java builds "DES" or "AES".
+        r = resolve_site(site_of(_member_src(
+            "new String(new char[]{c ? 'D' : 'A', 'E', 'S'})")))
+        assert r.candidates == {"DES", "AES"}
+        assert not r.residuals
+
+    def test_an_argument_keeps_its_marker_on_a_receiver_without_value(self):
+        _, resolved, _, findings = pipeline(_member_src(
+            "o.m(n(1))", members="Object o; native String n(int i);"))
+        assert resolved.candidates == set()
+        assert resolved.residuals == {UNKNOWN, NATIVE}
+        assert [f.rule_id for f in findings] == ["R8"]
+
+    def test_a_method_an_enum_constant_runs_is_noted(self):
+        # The call is in the local's definition, not in the argument, so
+        # only the trace shows it.
+        _, resolved, labels, _ = pipeline(
+            ENUM_CALL_SRC % "(c ? E.X : E.Y).alg()")
+        assert resolved.candidates == {"DES/ECB/NoPadding",
+                                       "AES/ECB/NoPadding"}
+        assert not resolved.residuals
+        assert "METHOD" in labels.labels
+
+    def test_a_native_method_of_an_enum_constant_is_marked(self):
+        _, resolved, labels, findings = pipeline(ENUM_CALL_SRC % "E.X.nat()")
+        assert resolved.candidates == set()
+        assert resolved.residuals == {NATIVE}
+        assert "NATIVE" in labels.labels
+        assert [f.rule_id for f in findings] == ["R8"]
+
+
 NESTED_SRC = """import javax.crypto.Cipher;
 class Outer {
     static final String ALG = "DES";
