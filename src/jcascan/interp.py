@@ -179,6 +179,8 @@ class _Interp:
         self.unit = unit
         self.class_body = class_body
         self.call_depth = 0
+        # Methods of the unit run through `call_user`, which the resolver
+        # notes.
         self.user_calls = 0
         self.index = unit_index(unit)
         # The unit's closures, shared by all its sites: id(node) →

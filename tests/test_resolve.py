@@ -695,6 +695,16 @@ class TestLiftedOperations:
         assert not resolved.residuals
         assert "METHOD" in labels.labels
 
+    def test_an_enum_constant_by_its_bare_name(self):
+        # As under ``import static E.*``: the name is no local or field.
+        _, resolved, labels, _ = pipeline(_member_src(
+            'X.alg + (c ? "/CBC" : "")',
+            'enum E { X("DES"); final String alg;'
+            ' E(String a) { this.alg = a; } }'))
+        assert resolved.candidates == {"DES", "DES/CBC"}
+        assert not resolved.residuals
+        assert "ENUM" in labels.labels
+
     def test_a_native_method_of_an_enum_constant_is_marked(self):
         _, resolved, labels, findings = pipeline(ENUM_CALL_SRC % "E.X.nat()")
         assert resolved.candidates == set()
@@ -762,3 +772,10 @@ class TestTrace:
     def test_base64_trace_step(self):
         r = resolve_src(BASE64_SRC)
         assert any(step.rule == "base64-decode" for step in r.trace)
+
+    def test_a_decode_over_candidates_is_one_trace_step(self):
+        # Each combination decodes, and the step is kept once.
+        r = resolve_site(site_of(_method(
+            "boolean f", 'new String(Base64.decode(f ? "REVT" : "QUVT", 0))')))
+        assert r.candidates == {"DES", "AES"}
+        assert [s.rule for s in r.trace].count("base64-decode") == 1
