@@ -611,4 +611,3 @@ _FEWEST_ARGS = {
     (str, "replace"): 2,
     (str, "replaceAll"): 2,
 }
-

@@ -428,10 +428,11 @@ class _Abstract:
     def _lift(self, node: SyntaxNode, depth: int, env: dict[str, _VS]) -> _VS:
         """`_lift_one` of ``node``, an operation, over the sets of its
         operands (`_evaluated`): an unread argument is one null with its
-        residuals, and the flags of ``Base64.decode`` `_android_flags`.
-        Operations among the operands, such as the links of a chain ``a +
-        b + …`` or ``x.f().g()…``, are lifted in one frame, operands first,
-        each ticking as `_resolve_node` of it would."""
+        residuals, and the flags of ``Base64.decode`` are the one value
+        `_android_flags` reads. Operations among the operands, such as the
+        links of a chain ``a + b + …`` or ``x.f().g()…``, are lifted in one
+        frame, operands first, each ticking as `_resolve_node` of it
+        would."""
         done: dict[int, _VS] = {}
         todo: list = [(node, None)]
         while todo:
