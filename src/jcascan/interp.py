@@ -87,10 +87,6 @@ class _JavaThrow(Exception):
     pass
 
 
-class _NativeCall(_NotConcrete):
-    """A call of a native method, which no step can run."""
-
-
 # -- enum models -----------------------------------------------------------
 
 def _enum_model(enum_decl: SyntaxNode) -> dict[str, EnumConst]:
@@ -179,9 +175,6 @@ class _Interp:
         self.unit = unit
         self.class_body = class_body
         self.call_depth = 0
-        # Methods of the unit run through `call_user`, which the resolver
-        # notes.
-        self.user_calls = 0
         self.index = unit_index(unit)
         # The unit's closures, shared by all its sites: id(node) →
         # closure; (id(initializer), elem) → array builder; (id(block),)
@@ -216,14 +209,17 @@ class _Interp:
         return self.code(node)(self, env, fields)
 
     def lifted(self, node: SyntaxNode, operands: list[SyntaxNode]):
-        """The closure of the expression ``node`` with each of ``operands``,
-        the parts it reads, giving ``env[id(operand)]`` (`_c_operand`),
-        compiled apart from the unit's closures."""
-        overlay = _Interp(self.ctx, self.unit, self.class_body)
+        """``node``'s value in a scope that gives each of ``operands`` as
+        ``env[id(operand)]`` (`_c_operand`), with steps counted apart and
+        without limit: the resolver counted them when it reached them."""
+        ctx = _Ctx(self.ctx.budget)
+        ctx.limit, ctx.trace, ctx.visible = \
+            float("inf"), self.ctx.trace, self.ctx.visible
+        overlay = _Interp(ctx, self.unit, self.class_body)
         overlay.operands = frozenset(map(id, operands))
         overlay.compiled = {id(operand): _c_operand(overlay, operand)
                             for operand in operands}
-        return _COMPILERS[node.kind](overlay, node)
+        return partial(_COMPILERS[node.kind](overlay, node), overlay)
 
     def body(self, block: SyntaxNode):
         """A block's statements, run without the block statement's tick."""
@@ -332,12 +328,9 @@ class _Interp:
         decl = self.members(cls).methods.get((name, len(arg_fns)))
         if decl is None:
             raise _NotConcrete
-        if "native" in modifier_words(decl):
-            raise _NativeCall
-        if method_body(decl) is None:
+        if "native" in modifier_words(decl) or method_body(decl) is None:
             raise _NotConcrete
         self.ctx.touch(self.unit, decl)
-        self.user_calls += 1
         if evaluated is None:
             evaluated = []
             for fn in arg_fns:
@@ -447,8 +440,7 @@ def _c_unsupported(interp, node, pre=0):
 
 
 def _c_operand(interp, node, pre=0):
-    """An operand of `_Interp.lifted`: the value bound to ``env[id(node)]``,
-    whose steps the resolver that bound it counted."""
+    """An operand of `_Interp.lifted`: the value bound to ``env[id(node)]``."""
     key = id(node)
 
     def operand(interp, env, fields):
@@ -500,8 +492,7 @@ def _c_parenthesized(interp, node, pre=0):
 
 def _chain(node: SyntaxNode, operands: frozenset = frozenset()):
     """Leftmost operand and (operator, right operand) links of a left-deep
-    chain of binary expressions, read in a loop; a link among ``operands``
-    (`_Interp.lifted`) is the leftmost operand."""
+    chain of binary expressions, read in a loop down to ``operands``."""
     links = []
     while node.kind == "binary_expression" and id(node) not in operands:
         links.append((str(node.value), node.children[1]))

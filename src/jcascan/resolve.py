@@ -28,8 +28,8 @@ import re
 
 from .ingest import InvocationSite
 from .interp import (ENUM_CONSTANT, _LITERALS, TraceStep, _BudgetExhausted,
-                     _Break, _Continue, _Ctx, _Interp, _JavaThrow,
-                     _NativeCall, _Return, _call_parts, _literal)
+                     _Break, _Continue, _Ctx, _Interp, _JavaThrow, _Return,
+                     _literal)
 from .javamodel import (Builder, CharArray, EnumConst, JArray, SBuf,
                         _MISSING, _NotConcrete, _android_base64, _as_int,
                         _frozen, _object_parts, _preview, library_call,
@@ -269,32 +269,38 @@ _LIFTED = frozenset({
     "object_creation_expression", "method_invocation", "field_access"})
 
 
-def _evaluated(node: SyntaxNode) -> tuple[list, list, list]:
-    """The operands of ``node``, a `_LIFTED` kind: the parts whose values
-    its closure reads; the arguments it evaluates but a library function
-    does not read (`library_call`'s ``reads``), all of them for a
-    constructor the model does not know; and the flags argument of
-    ``android.util.Base64.decode``, if any."""
+# How `_Abstract._lift` reads an operand's set (`_evaluated`).
+_READ, _UNREAD, _FLAGS = "read", "unread", "flags"
+
+
+def _evaluated(node: SyntaxNode) -> list[tuple[SyntaxNode, str]]:
+    """The operands of ``node``, a `_LIFTED` kind, in the order Java
+    evaluates them but a call's receiver last, each with how it is read:
+    `_READ`; `_UNREAD`, an argument past a library function's ``reads``
+    (all of a constructor the model does not know); or `_FLAGS`, those
+    of ``android.util.Base64.decode``."""
     kind = node.kind
     if kind == "object_creation_expression":
-        args = _object_parts(node)
         library = library_new(node)
         reads = 0 if library is None else library[1]
-        return args[:reads], args[reads:], []
+        return [(arg, _READ if i < reads else _UNREAD)
+                for i, arg in enumerate(_object_parts(node))]
     if kind == "method_invocation":
         args = node.children[-1].children
         library = library_call(node)
-        if library is None:
-            return _call_parts(node), [], []
+        if library is None:   # a receiver's method (`_decided`)
+            return [(part, _READ) for part in args + node.children[:1]]
         fn, reads, _ = library
+        hows = [_READ] * reads
         if fn is _android_base64 and reads == 2:
-            return args[:1], args[2:], args[1:2]
-        return args[:reads], args[reads:], []
+            hows[1] = _FLAGS
+        return [(arg, hows[i] if i < reads else _UNREAD)
+                for i, arg in enumerate(args)]
     if kind == "field_access":
-        return node.children[:1], [], []
+        return [(node.children[0], _READ)]
     # Past the type of a cast or an array creation.
     skip = kind in ("cast_expression", "array_creation_expression")
-    return _flat(node.children[skip:]), [], []
+    return [(part, _READ) for part in _flat(node.children[skip:])]
 
 
 def _flat(parts: list[SyntaxNode]) -> list[SyntaxNode]:
@@ -426,45 +432,64 @@ class _Abstract:
         return kind not in _LIFTED
 
     def _lift(self, node: SyntaxNode, depth: int, env: dict[str, _VS]) -> _VS:
-        """`_lift_one` of ``node``, an operation, over the sets of its
-        operands (`_evaluated`): an unread argument is one null with its
-        residuals, and the flags of ``Base64.decode`` are the one value
-        `_android_flags` reads. Operations among the operands, such as the
-        links of a chain ``a + b + …`` or ``x.f().g()…``, are lifted in one
-        frame, operands first, each ticking as `_resolve_node` of it
-        would."""
-        done: dict[int, _VS] = {}
-        todo: list = [(node, None)]
-        while todo:
-            part, parts = todo.pop()
-            if parts is None:
-                parts = _evaluated(part)
-                todo.append((part, parts))
-                todo.extend((op, None) for op in reversed(parts[0])
-                            if not self._decided(op))
+        """`_lift_call` of ``node``, an operation, over the sets of its
+        operands (`_evaluated`), each resolved in turn: an unread argument
+        is one null with its residuals, and flags are the one value
+        `_android_flags` reads. An operand that is an operation, such as a
+        link of ``a + b + …`` or ``x.f().g()…``, ticks as `_resolve_node`
+        would and is lifted in the same frame, in nested calls' order."""
+        stack = [(node, _evaluated(node), [])]
+        while True:
+            part, operands, sets = stack[-1]
+            if len(sets) < len(operands):
+                operand, how = operands[len(sets)]
+                if how is _READ and not self._decided(operand):
+                    self.ctx.tick()
+                    stack.append((operand, _evaluated(operand), []))
+                    continue
+                vs = self._resolve_node(operand, depth, env)
+                sets.append(vs if how is _READ
+                            else _VS({None}, vs.residuals) if how is _UNREAD
+                            else _VS.of(_android_flags(vs)))
                 continue
-            if part is not node:
-                self.ctx.tick()
-            read, unread, flags = parts
-            sets = [done.pop(id(op)) if id(op) in done
-                    else self._resolve_node(op, depth, env) for op in read]
-            sets += [_VS({None}, self._resolve_node(arg, depth, env).residuals)
-                     for arg in unread]
-            sets += [_VS.of(_android_flags(self._resolve_node(arg, depth, env)))
-                     for arg in flags]
-            done[id(part)] = self._lift_one(part, read + unread + flags, sets)
-        return done[id(node)]
+            stack.pop()
+            value = self._lift_call(part, [op for op, _ in operands], sets,
+                                    depth)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
+
+    def _lift_call(self, node: SyntaxNode, operands: list[SyntaxNode],
+                   sets: list[_VS], depth: int) -> _VS:
+        """`_lift_one` of ``node``, but a method of the unit called on an
+        enum constant, the last operand's value, is `_resolve_user_call`'s
+        with the constant's fields."""
+        if node.kind != "method_invocation" or not operands \
+                or operands[-1] is not node.children[0]:
+            return self._lift_one(node, operands, sets)
+        args, receiver = sets[:-1], sets[-1]
+        enums = [] if str(node.value) in ("name", "toString") else [
+            c for c in _ordered(receiver.values)
+            if isinstance(c, EnumConst) and c.enum_name in self.types]
+        if not enums:
+            return self._lift_one(node, operands, sets)
+        rest = _VS(receiver.values.difference(enums), receiver.residuals)
+        out = self._lift_one(node, operands, args + [rest]) \
+            if rest.values else _VS(set(), set(rest.residuals))
+        for const in enums:
+            out = out.union(self._resolve_user_call(
+                self.types[const.enum_name], node, args, depth,
+                dict(const.fields)))
+        return self._cap(out, node)
 
     def _lift_one(self, node: SyntaxNode, operands: list[SyntaxNode],
                   sets: list[_VS]) -> _VS:
-        """``node``'s own closure in the interpreter (`_Interp.lifted`) run
-        once per combination of one value of each of ``sets``, those of
-        its ``operands``, in a fixed order, with the residuals of every
-        operand. Past ``max_candidates²`` combinations the rest are
-        dropped and the result is marked DEPTH_EXCEEDED; a combination the
-        closure cannot evaluate marks it UNKNOWN, and one that runs a
-        method of the unit is noted, or marked NATIVE, as
-        `_resolve_user_call` does; the result is capped."""
+        """``node``'s closure (`_Interp.lifted`, which costs the site no
+        step) run once per combination of one value of each of ``sets``,
+        those of its ``operands``, in a fixed order, with the residuals of
+        every operand. Past ``max_candidates²`` combinations the rest are
+        dropped and DEPTH_EXCEEDED marked; a combination the closure cannot
+        evaluate marks UNKNOWN; the result is capped."""
         code = self.interp.lifted(node, operands)
         # An identifier is bound by name too, as closures test names.
         keys = [(id(op), str(op.value) if op.kind == "identifier" else None)
@@ -472,7 +497,9 @@ class _Abstract:
         out = _VS(set(), set().union(*(vs.residuals for vs in sets)))
         combos = itertools.product(*(_ordered(vs.values) for vs in sets))
         trace = self.ctx.trace
-        mark = len(trace)
+        # The steps earlier combinations noted: a later one's repeat of a
+        # step is dropped, so a decode over n candidates is one step.
+        seen: set = set()
         for combo in itertools.islice(combos,
                                       self.ctx.budget.max_candidates ** 2):
             scope = {}
@@ -480,25 +507,15 @@ class _Abstract:
                 scope[key] = value
                 if name is not None:
                     scope[name] = value
-            calls = self.interp.user_calls
+            mark = len(trace)
             try:
-                value = _snapshot(code(self.interp, scope, {}))
-            except _NativeCall:
-                self.ctx.note(NATIVE_CALL, node, str(node.value))
-                out.residuals.add(NATIVE)
-                continue
+                out.values.add(_snapshot(code(scope, {})))
             except (_NotConcrete, _Break, _Continue, _JavaThrow):
                 out.residuals.add(UNKNOWN)
-                continue
-            out.values.add(value)
-            if self.interp.user_calls != calls:
-                self.ctx.note(METHOD_BODY, node,
-                              f"{node.value} -> {_preview(value)}")
-        # A step the closure notes in every combination is kept once.
-        seen: set = set()
-        trace[mark:] = [step for step in trace[mark:]
-                        if (step.rule, step.span) not in seen
-                        and not seen.add((step.rule, step.span))]
+            noted = [(step.rule, step.span) for step in trace[mark:]]
+            trace[mark:] = [step for step, key in zip(trace[mark:], noted)
+                            if key not in seen]
+            seen.update(noted)
         if next(combos, None) is not None:
             out.residuals.add(DEPTH_EXCEEDED)
         if not out.values and not out.residuals:
@@ -690,7 +707,9 @@ class _Abstract:
                                        arg_sets, depth)
 
     def _resolve_user_call(self, cls: SyntaxNode | None, node: SyntaxNode,
-                           arg_sets: list[_VS], depth: int) -> _VS:
+                           arg_sets: list[_VS], depth: int,
+                           this_fields: dict[str, object] | None = None
+                           ) -> _VS:
         name = str(node.value)
         decl = self.interp.members(cls).methods.get((name, len(arg_sets)))
         if decl is None:
@@ -710,7 +729,8 @@ class _Abstract:
             args = [next(iter(vs.values)) for vs in arg_sets]
             saved = self.ctx.steps
             try:
-                value = _snapshot(self.interp.call_method(decl, args))
+                value = _snapshot(self.interp.call_method(decl, args,
+                                                          this_fields))
                 self.ctx.note(METHOD_BODY, node,
                               f"{name} -> {_preview(value)}")
                 return _VS.of(value)

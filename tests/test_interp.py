@@ -135,6 +135,40 @@ def test_else_if_chain_runs_in_one_frame(branches, steps, candidates,
     assert resolved.residuals == residuals
 
 
+def _sixteen(var: str, prefix: str) -> str:
+    """A ternary chain over ``var`` with 16 string branches."""
+    return " : ".join(f'{var} == {i} ? "{prefix}{i}"' for i in range(15)) \
+        + f' : "{prefix}15"'
+
+
+LIFT_SRC = ("import javax.crypto.Cipher;\n"
+            'enum E { X("DES"), Y("AES"); final String a;'
+            " E(String a) { this.a = a; }\n"
+            '  String alg() { return a + "/ECB"; } }\n'
+            "class Wide { void m(int c, int d) throws Exception {\n"
+            f"  String a = {_sixteen('c', 'A')};\n"
+            f"  String b = {_sixteen('d', 'B')};\n"
+            "  Cipher.getInstance(%s); } }\n")
+
+
+@pytest.mark.parametrize("argument,steps,count,residuals", [
+    # 16 x 16 combinations, one closure run each, capped at 16 values.
+    ("a + b", 166, 16, {"DEPTH_EXCEEDED"}),
+    # Each constant runs the method body concretely, as a call of the
+    # unit's method does.
+    ("(c == 0 ? E.X : E.Y).alg()", 24, 2, set()),
+])
+def test_a_lift_costs_the_steps_of_its_nodes_not_of_its_combinations(
+        argument, steps, count, residuals):
+    """An operation over candidate sets is counted once per node reached,
+    as when it resolved each node by a rule of its own; running its
+    closure once per combination costs no step."""
+    got_steps, resolved = _steps_and_result(LIFT_SRC % argument)
+    assert got_steps == steps
+    assert len(resolved.candidates) == count
+    assert resolved.residuals == residuals
+
+
 @pytest.mark.parametrize("loop,value", [
     ("do { n++; } while (++i < 4);", "AES4"),
     ("do { n++; if (n == 2) continue; } while (++i < 4);", "AES4"),

@@ -659,8 +659,10 @@ class TestMemberAndArrayRules:
 
 ENUM_CALL_SRC = """import javax.crypto.Cipher;
 enum E { X("DES"), Y("AES"); final String a; E(String a) { this.a = a; }
-  String alg() { return a + "/ECB/NoPadding"; } native String nat(); }
-class A { void m(boolean c) throws Exception {
+  String alg() { return a + "/ECB/NoPadding"; } native String nat();
+  String with(String s) { return a + s; }
+  String prop() { return System.getProperty("k"); } }
+class A { void m(boolean c, String p) throws Exception {
   String t = %s;
   Cipher.getInstance(t); } }
 """
@@ -704,6 +706,20 @@ class TestLiftedOperations:
         assert resolved.candidates == {"DES", "DES/CBC"}
         assert not resolved.residuals
         assert "ENUM" in labels.labels
+
+    def test_an_enum_constant_method_with_an_open_argument_returns(self):
+        # Not run concretely: the union of its return expressions.
+        _, resolved, labels, _ = pipeline(ENUM_CALL_SRC % "E.X.with(p)")
+        assert resolved.candidates == set()
+        assert resolved.residuals == {EXTERNAL_INPUT, UNKNOWN}
+        assert "METHOD" in labels.labels
+        assert "method-returns" in [s.rule for s in resolved.trace]
+
+    def test_an_enum_constant_method_reading_a_property(self):
+        _, resolved, labels, _ = pipeline(ENUM_CALL_SRC % "E.X.prop()")
+        assert resolved.candidates == set()
+        assert resolved.residuals == {EXTERNAL_INPUT}
+        assert "METHOD" in labels.labels
 
     def test_a_native_method_of_an_enum_constant_is_marked(self):
         _, resolved, labels, findings = pipeline(ENUM_CALL_SRC % "E.X.nat()")
