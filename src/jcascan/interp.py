@@ -14,10 +14,14 @@ the site's step count and budget from the `_Interp` it runs with.
 Compilation walks a subtree with an explicit stack, and a left-deep
 operator chain, an ``else if`` chain or a receiver chain ``x.f().g()…``
 runs as one loop, so neither the compiler nor such a chain takes a Python
-frame per link. Every closure
-ticks the step budget where a tree walk would: once per statement, once
-per expression evaluated and once per loop iteration, so a budget runs
-out on the same step. Fewer calls carry those ticks:
+frame per link. Steps count where a tree walk would: once per statement,
+once per expression evaluated and once per loop iteration, so a budget
+runs out on the same step. One rule counts them, `_Ctx.tick`; past the
+budget it stops the count on the step one at a time would have stopped on
+and gives up. Only two counts are written inline, both on the
+``string-encryption`` decoder's path: each iteration of a ``for`` loop
+(its condition, its block and its inline ``i++``) and a decoder-loop
+group's all-at-once count. Fewer calls carry the ticks:
 - folded ticks: parentheses, an expression statement and a cast count
   their own tick in the first tick of their child and take no call of
   their own, and a loop runs its block's statements itself;
@@ -141,17 +145,12 @@ class _Ctx:
         self.visible: set[str] = set()
 
     def tick(self, n: int = 1) -> None:
-        """Count ``n`` steps. Past the budget, the count stops on the step
-        one at a time would have stopped on."""
+        """Count ``n`` steps. Past the budget, stop the count on the step
+        one at a time would have stopped on, and give up."""
         self.steps += n
         if self.steps > self.limit:
-            self.exceeded(n)
-
-    def exceeded(self, n: int) -> None:
-        """The ``n`` steps just counted pass the budget: stop the count on
-        the step one at a time would have stopped on, and give up."""
-        self.steps = max(self.steps - n + 1, self.limit + 1)
-        raise _BudgetExhausted
+            self.steps = max(self.steps - n + 1, self.limit + 1)
+            raise _BudgetExhausted
 
     def note(self, rule: str, node: SyntaxNode, intermediate: str = "") -> None:
         if len(self.trace) < 200:
@@ -375,14 +374,14 @@ def _array_builder(compiled: dict, init: SyntaxNode, elem: str):
 # every site of the unit, so they keep nothing of one site: each reads the
 # site's `_Ctx` from the interpreter it runs with.
 #
-# Every closure counts its own step first. An expression's compiler also
-# takes ``pre``, the steps of parents that tick just before it (an
-# expression statement, parentheses, a cast), and counts them in that
-# first tick, so those parents take no call of their own. A parent reads
-# an identifier bound in ``env`` or a literal operand inline (`_leaf`),
-# and counts a group of ticks at once only where nothing can fail between
-# them; a group that would pass the budget runs the node's generic
-# closure instead, which counts one tick at a time.
+# Every closure counts its own step first, with `_Ctx.tick`. An
+# expression's compiler also takes ``pre``, the steps of parents that tick
+# just before it (an expression statement, parentheses, a cast), and counts
+# them in that first tick, so those parents take no call of their own. A
+# parent reads an identifier bound in ``env`` or a literal operand inline
+# (`_leaf`), and counts a group of ticks at once only where nothing can fail
+# between them; a group that would pass the budget runs the node's generic
+# closure instead, which ticks one node at a time.
 
 _LITERALS = frozenset({
     "string_literal", "character_literal", "decimal_integer_literal",
@@ -431,10 +430,7 @@ def _c_unsupported(interp, node, pre=0):
     n = 1 + pre
 
     def unsupported(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         raise _NotConcrete
     return unsupported
 
@@ -453,10 +449,7 @@ def _c_constant(interp, node, pre=0):
     value = _literal(node)
 
     def constant(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         return value
     return constant
 
@@ -466,10 +459,7 @@ def _c_identifier(interp, node, pre=0):
     name = str(node.value)
 
     def identifier(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         if name in env:
             return env[name]
         return interp.own_field(name, fields)
@@ -522,10 +512,7 @@ def _c_binary(interp, node, pre=0):
     n = len(steps) + pre
 
     def chain(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         value = first(interp, env, fields)
         for stop, apply, on_ints, right in steps:
             if stop is None:
@@ -636,10 +623,7 @@ def _c_unary(interp, node, pre=0):
     apply = UNARY.get(str(node.value))
 
     def unary(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         value = operand(interp, env, fields)
         if apply is None:
             raise _NotConcrete
@@ -658,10 +642,7 @@ def _c_update(interp, node, pre=0):
         name = str(target.value)
 
         def update_local(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             if name not in env:
                 raise _NotConcrete
             old = env[name]
@@ -673,10 +654,7 @@ def _c_update(interp, node, pre=0):
         array, index = (interp.compiled[id(c)] for c in target.children)
 
         def update_element(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             arr, idx = _element(array, index, interp, env, fields)
             old = arr.items[idx]
             arr.items[idx] = value = _as_int(old) + delta
@@ -713,24 +691,17 @@ def _c_assignment(interp, node, pre=0):
     link = compiled[(id(node), "assign")] = (store, below, value_fn)
     if below is None:
         def assign(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             return store(interp, env, fields, value_fn(interp, env, fields))
         return _fused_assign(assign, node, value_fn, n)
 
     def assign_chain(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        ctx.tick(n)
         links = [link]
         inner = below
         while inner is not None:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(1)
+            ctx.tick()
             links.append(inner)
             inner = inner[1]
         value = value_fn(interp, env, fields)
@@ -749,10 +720,7 @@ def _fused_assign(generic, node: SyntaxNode, value_fn, n: int):
     name = str(lhs.value)
 
     def assign_local(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         env[name] = value = value_fn(interp, env, fields)
         return value
     return _int_spine(rhs, n, assign_local, name)
@@ -859,10 +827,7 @@ def _c_array_access(interp, node, pre=0):
     array, index = (interp.compiled[id(c)] for c in node.children)
 
     def array_access(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         arr = array(interp, env, fields)
         return _load(arr, _as_int(index(interp, env, fields)))
     return array_access
@@ -881,10 +846,7 @@ def _c_array_creation(interp, node, pre=0):
     fill = Char(0) if elem == "char" else 0
 
     def new_array(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         length = _as_int(size(interp, env, fields))
         if length < 0 or length > _MAX_LENGTH:
             raise _NotConcrete
@@ -901,10 +863,7 @@ def _new_initialized(compiled: dict, init: SyntaxNode, elem: str, n: int):
     build = _array_builder(compiled, init, elem)
 
     def new_initialized(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         return build(interp, env, fields)
     return new_initialized
 
@@ -920,10 +879,7 @@ def _c_object_creation(interp, node, pre=0):
     create = library[0] if library is not None else _new_unsupported
 
     def new_object(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         args = []
         for fn in arg_fns:
             args.append(fn(interp, env, fields))
@@ -937,19 +893,13 @@ def _c_field_access(interp, node, pre=0):
     name = str(name_node.value)
     if obj.kind == "this":
         def this_field(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             return interp.own_field(name, fields)
         return this_field
     base_fn = interp.compiled[id(obj)]
     if obj.kind != "identifier":
         def member(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             base = base_fn(interp, env, fields)
             if name == "length":
                 length = _length(base)
@@ -962,9 +912,7 @@ def _c_field_access(interp, node, pre=0):
 
     def named_member(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        ctx.tick(n)
         if name == "length":
             length = _length(base_fn(interp, env, fields)) \
                 if cname in env else None
@@ -1014,9 +962,7 @@ def _c_call(interp, node, pre=0):
 
         def library_fn(interp, env, fields):
             ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            ctx.tick(n)
             args = []
             for fn in arg_fns:
                 args.append(fn(interp, env, fields))
@@ -1030,10 +976,7 @@ def _c_call(interp, node, pre=0):
         # Unqualified call: same-class (or superclass) method, or a
         # this-bound callable.
         def call_own(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += n
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(n)
+            interp.ctx.tick(n)
             return interp.call_user(None, name, arg_fns, env, fields)
         return call_own
 
@@ -1063,10 +1006,7 @@ def _c_call(interp, node, pre=0):
         raise _NotConcrete
 
     def call_on(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        interp.ctx.tick(n)
         if named is not None and named not in env and named not in fields:
             if named_cls is not None:
                 return interp.call_user(named_cls, name, arg_fns, env,
@@ -1096,15 +1036,11 @@ def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
 
     def call_chain(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += n
-        if ctx.steps > ctx.limit:
-            ctx.exceeded(n)
+        ctx.tick(n)
         links = [link]
         inner = below
         while inner is not None:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                ctx.exceeded(1)
+            ctx.tick()
             links.append(inner)
             inner = inner[2]
         base = base_fn(interp, env, fields)
@@ -1155,10 +1091,7 @@ def _c_local_declaration(interp, node):
             if init.kind == "array_initializer" else compiled[id(init)]))
 
     def declare(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        interp.ctx.tick()
         for name, init in declared:
             env[name] = None if init is None else init(interp, env, fields)
     return declare
@@ -1178,10 +1111,7 @@ def _c_block(interp, node):
     codes = [interp.compiled[id(stmt)] for stmt in node.children]
 
     def block(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        interp.ctx.tick()
         for fn in codes:
             fn(interp, env, fields)
     return block
@@ -1220,9 +1150,7 @@ def _c_if(interp, node):
     def if_statement(interp, env, fields):
         ctx = interp.ctx
         for cond, then in links:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            ctx.tick()
             test = cond(interp, env, fields)
             if not isinstance(test, bool):
                 raise _NotConcrete
@@ -1279,12 +1207,11 @@ def _c_for(interp, node):
 
     def for_statement(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        ctx.tick()
         for init in inits:
             init(interp, env, fields)
         while True:
+            # Each iteration counts inline, as `_Ctx.tick` would count it.
             ctx.steps += 1
             if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
@@ -1324,9 +1251,7 @@ def _c_enhanced_for(interp, node):
 
     def enhanced_for(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        ctx.tick()
         seq = iterable(interp, env, fields)
         if isinstance(seq, JArray):
             items = list(seq.items)
@@ -1339,13 +1264,9 @@ def _c_enhanced_for(interp, node):
         else:
             raise _NotConcrete
         for item in items:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            ctx.tick()
             env[name] = item
-            ctx.steps += ticks
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            ctx.tick(ticks)
             try:
                 for stmt in body:
                     stmt(interp, env, fields)
@@ -1379,21 +1300,15 @@ def _c_while(interp, node):
 
     def loop(interp, env, fields):
         ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        ctx.tick()
         # A do loop runs its body once before the first test.
         tested = not do
         while True:
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            ctx.tick()
             if tested and not test(interp, env, fields):
                 return
             tested = True
-            ctx.steps += ticks
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            ctx.tick(ticks)
             try:
                 for stmt in body:
                     stmt(interp, env, fields)
@@ -1408,10 +1323,7 @@ def _c_return(interp, node):
     value = interp.compiled[id(node.children[0])] if node.children else None
 
     def return_statement(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        interp.ctx.tick()
         raise _Return(value(interp, env, fields)
                       if value is not None else None)
     return return_statement
@@ -1420,10 +1332,7 @@ def _c_return(interp, node):
 def _c_raise(exc: type[Exception]):
     def compile_raise(interp, node):
         def jump(interp, env, fields):
-            ctx = interp.ctx
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            interp.ctx.tick()
             raise exc
         return jump
     return compile_raise
@@ -1456,10 +1365,7 @@ def _c_try(interp, node):
         if final is not None else None
 
     def try_statement(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        interp.ctx.tick()
         try:
             for decl in decls:
                 decl(interp, env, fields)
@@ -1483,10 +1389,7 @@ def _c_synchronized(interp, node):
 
 def _c_assert(interp, node):
     def assert_statement(interp, env, fields):
-        ctx = interp.ctx
-        ctx.steps += 1
-        if ctx.steps > ctx.limit:
-            raise _BudgetExhausted
+        interp.ctx.tick()
     return assert_statement
 
 
