@@ -646,8 +646,10 @@ def _c_update(interp, node, pre=0):
             if name not in env:
                 raise _NotConcrete
             old = env[name]
-            env[name] = value = \
-                (old if type(old) is int else _as_int(old)) + delta
+            value = (old if type(old) is int else _as_int(old)) + delta
+            if type(old) is Char:
+                value = Char(value & 0xFFFF)
+            env[name] = value
             return old if postfix else value
         return update_local
     if target.kind == "array_access":
@@ -741,7 +743,11 @@ def _store(compiled: dict, lhs: SyntaxNode, op: str):
         def combine_local(interp, env, fields, value):
             if name not in env:
                 raise _NotConcrete
-            env[name] = value = combine(env[name], value)
+            old = env[name]
+            value = combine(old, value)
+            if type(old) is Char and type(value) is int:
+                value = Char(value & 0xFFFF)
+            env[name] = value
             return value
         return combine_local
     if lhs.kind == "array_access":
@@ -1079,7 +1085,10 @@ def _fused_append(generic, compiled: dict, call: SyntaxNode, n: int):
 
 def _c_local_declaration(interp, node):
     compiled = interp.compiled
-    elem = _elem_of(str(node.children[0].value or ""))
+    type_text = str(node.children[0].value or "")
+    elem = _elem_of(type_text)
+    # A local of a primitive type converts a primitive value to that type.
+    primitive = elem if elem == type_text else None
     declared = []
     for decl in node.children[1:]:
         if decl.kind != "variable_declarator":
@@ -1093,7 +1102,10 @@ def _c_local_declaration(interp, node):
     def declare(interp, env, fields):
         interp.ctx.tick()
         for name, init in declared:
-            env[name] = None if init is None else init(interp, env, fields)
+            value = None if init is None else init(interp, env, fields)
+            if primitive is not None and type(value) in (int, Char):
+                value = _cast(primitive, value)
+            env[name] = value
     return declare
 
 

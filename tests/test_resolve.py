@@ -605,6 +605,27 @@ class TestDefinitionInABranch:
         assert not r.residuals
 
 
+class TestDeclaredType:
+    """A local's declared primitive type holds its value; java 17 prints
+    each expected value."""
+
+    @pytest.mark.parametrize("statements, argument, value", [
+        ("int i = 'B';", '"A" + i', "A66"),
+        ("int i = 'B'; i++;", '"A" + i', "A67"),
+        ("char c = 65;", '"" + c + "ES"', "AES"),
+        ("char c = 'A'; c++;", '"" + c + "ES"', "BES"),
+        ("char c = 'A'; c--;", '"" + c + "ES"', "@ES"),
+        ("char c = 'A'; c += 3;", '"" + c + "ES"', "DES"),
+    ])
+    def test_a_primitive_local_keeps_its_type(self, statements, argument,
+                                              value):
+        _, resolved, _, _ = pipeline(
+            "import javax.crypto.Cipher;\nclass A { void m() throws Exception"
+            f" {{ {statements} Cipher.getInstance({argument}); }} }}\n")
+        assert resolved.candidates == {value}
+        assert not resolved.residuals
+
+
 def _member_src(argument: str, outer: str = "", members: str = "") -> str:
     return ('import javax.crypto.Cipher;\n'
             f'class A {{ {members}\n'
