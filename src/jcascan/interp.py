@@ -648,7 +648,7 @@ def _c_update(interp, node, pre=0):
             old = env[name]
             value = (old if type(old) is int else _as_int(old)) + delta
             if type(old) is Char:
-                value = Char(value & 0xFFFF)
+                value = _cast("char", value)
             env[name] = value
             return old if postfix else value
         return update_local
@@ -746,7 +746,7 @@ def _store(compiled: dict, lhs: SyntaxNode, op: str):
             old = env[name]
             value = combine(old, value)
             if type(old) is Char and type(value) is int:
-                value = Char(value & 0xFFFF)
+                value = _cast("char", value)
             env[name] = value
             return value
         return combine_local
