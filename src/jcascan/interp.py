@@ -1087,8 +1087,10 @@ def _c_local_declaration(interp, node):
     compiled = interp.compiled
     type_text = str(node.children[0].value or "")
     elem = _elem_of(type_text)
-    # A local of a primitive type converts a primitive value to that type.
-    primitive = elem if elem == type_text else None
+    # A local of a primitive type converts an initializer of the other
+    # kind: a char to an int, short, byte or long, an int to a char. Java
+    # takes no other primitive initializer without a cast.
+    convert = None if elem != type_text else int if elem == "char" else Char
     declared = []
     for decl in node.children[1:]:
         if decl.kind != "variable_declarator":
@@ -1103,8 +1105,8 @@ def _c_local_declaration(interp, node):
         interp.ctx.tick()
         for name, init in declared:
             value = None if init is None else init(interp, env, fields)
-            if primitive is not None and type(value) in (int, Char):
-                value = _cast(primitive, value)
+            if type(value) is convert:
+                value = _cast(elem, value)
             env[name] = value
     return declare
 
