@@ -1225,7 +1225,8 @@ def _c_for(interp, node):
         for init in inits:
             init(interp, env, fields)
         while True:
-            # Each iteration counts inline, as `_Ctx.tick` would count it.
+            # Inline, as `_Ctx.tick` counts: a decoder loop's iterations
+            # take no call for their ticks.
             ctx.steps += 1
             if ctx.steps > ctx.limit:
                 raise _BudgetExhausted
