@@ -640,6 +640,7 @@ def _c_update(interp, node, pre=0):
     postfix = node.start == target.start
     if target.kind == "identifier":
         name = str(target.value)
+        char = _declared_char(interp, node, name)
 
         def update_local(interp, env, fields):
             interp.ctx.tick(n)
@@ -647,7 +648,7 @@ def _c_update(interp, node, pre=0):
                 raise _NotConcrete
             old = env[name]
             value = (old if type(old) is int else _as_int(old)) + delta
-            if type(old) is Char:
+            if char:
                 value = _cast("char", value)
             env[name] = value
             return old if postfix else value
@@ -663,6 +664,37 @@ def _c_update(interp, node, pre=0):
             return old if postfix else value
         return update_element
     return _c_unsupported(interp, node, pre)
+
+
+def _declared_char(interp, node: SyntaxNode, name: str) -> bool:
+    """Whether the local ``name`` that ``node`` updates is declared
+    ``char``. Java lets no local hide another of its method, so the one in
+    scope is the last declaration of ``name`` before ``node`` in the
+    method, a parameter or loop variable included and a nested class body
+    that does not hold ``node`` left out."""
+    method = interp.index.enclosing_method(node)
+    declared = None
+    stack = [] if method is None else [method]
+    while stack:
+        item = stack.pop()
+        if item.start >= node.start:
+            break
+        kind = item.kind
+        if kind == "class_body" and item.end <= node.start:
+            continue
+        if kind == "local_variable_declaration":
+            if any(d.kind == "variable_declarator"
+                   and d.children[0].value == name
+                   for d in item.children[1:]):
+                declared = item.children[0].value
+        elif kind in ("formal_parameter", "enhanced_for_statement"):
+            if item.children[1].value == name:
+                declared = item.children[0].value
+        elif kind == "lambda_expression":
+            if any(p.value == name for p in item.children[:-1]):
+                declared = None
+        stack += reversed(item.children)
+    return declared == "char"
 
 
 def _element(array, index, interp, env, fields) -> tuple[JArray, int]:
@@ -689,7 +721,7 @@ def _c_assignment(interp, node, pre=0):
     lhs, rhs = node.children
     below = compiled.get((id(rhs), "assign"))
     value_fn = compiled[id(rhs)] if below is None else below[2]
-    store = _store(compiled, lhs, str(node.value))
+    store = _store(interp, node)
     link = compiled[(id(node), "assign")] = (store, below, value_fn)
     if below is None:
         def assign(interp, env, fields):
@@ -728,9 +760,11 @@ def _fused_assign(generic, node: SyntaxNode, value_fn, n: int):
     return _int_spine(rhs, n, assign_local, name)
 
 
-def _store(compiled: dict, lhs: SyntaxNode, op: str):
-    """The function that stores an assignment's evaluated right-hand side
-    into ``lhs`` under ``op`` and gives the assignment's value."""
+def _store(interp, node: SyntaxNode):
+    """The function that stores assignment ``node``'s evaluated right-hand
+    side into its left-hand side and gives the assignment's value."""
+    lhs = node.children[0]
+    op = str(node.value)
     combine = None if op == "=" else partial(_arith, op[:-1])
     if lhs.kind == "identifier":
         name = str(lhs.value)
@@ -739,19 +773,19 @@ def _store(compiled: dict, lhs: SyntaxNode, op: str):
                 env[name] = value
                 return value
             return store_local
+        char = _declared_char(interp, node, name)
 
         def combine_local(interp, env, fields, value):
             if name not in env:
                 raise _NotConcrete
-            old = env[name]
-            value = combine(old, value)
-            if type(old) is Char and type(value) is int:
+            value = combine(env[name], value)
+            if char and type(value) is int:
                 value = _cast("char", value)
             env[name] = value
             return value
         return combine_local
     if lhs.kind == "array_access":
-        array, index = (compiled[id(c)] for c in lhs.children)
+        array, index = (interp.compiled[id(c)] for c in lhs.children)
 
         def store_element(interp, env, fields, value):
             arr, idx = _element(array, index, interp, env, fields)

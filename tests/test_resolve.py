@@ -625,6 +625,31 @@ class TestDeclaredType:
         assert resolved.candidates == {value}
         assert not resolved.residuals
 
+    @pytest.mark.parametrize("members, statements, argument, value", [
+        ('static String f(int k) { k++; return "X" + k; }', "",
+         "f('A')", "X66"),
+        ('static String f(char k) { k++; return "X" + k; }', "",
+         "f('A')", "XB"),
+        ("", 'String s = ""; for (int v : "AB".toCharArray())'
+         " { v++; s += v; }", "s", "6667"),
+        ("", 'String s = ""; for (char v : "AB".toCharArray())'
+         " { v++; s += v; }", "s", "BC"),
+        ("", "int i = 0; char c = 'A'; i = c; i++;", '"A" + i', "A66"),
+        ("", "int i = 0; char c = 'A'; i = c; i += 2;", '"A" + i', "A67"),
+        ("", "int m = 0; if (m > 0) { new Runnable() { public void run()"
+         " { char m = 'A'; } }; } m++;", '"A" + m', "A1"),
+    ])
+    def test_an_update_keeps_a_char_only_in_a_declared_char(
+            self, members, statements, argument, value):
+        """An int parameter, loop variable or local that holds a char
+        updates to an int; a char one stays a char."""
+        _, resolved, _, _ = pipeline(
+            f"import javax.crypto.Cipher;\nclass A {{ {members}\n"
+            "void m() throws Exception"
+            f" {{ {statements} Cipher.getInstance({argument}); }} }}\n")
+        assert resolved.candidates == {value}
+        assert not resolved.residuals
+
 
 def _member_src(argument: str, outer: str = "", members: str = "") -> str:
     return ('import javax.crypto.Cipher;\n'
