@@ -236,10 +236,16 @@ class _Interp:
         body = method_body(decl)
         if body is None:
             raise _NotConcrete
-        params = method_params(decl)
+        key = (id(decl), "params")
+        params = self.compiled.get(key)
+        if params is None:
+            params = self.compiled[key] = _parameters(decl)
         if len(params) != len(args):
             raise _NotConcrete
-        env = dict(zip(params, args))
+        env = {}
+        for (name, convert, elem), value in zip(params, args):
+            env[name] = _cast(elem, value) if type(value) is convert \
+                else value
         run = self.body(body)
         self.call_depth += 1
         try:
@@ -660,7 +666,10 @@ def _c_update(interp, node, pre=0):
             interp.ctx.tick(n)
             arr, idx = _element(array, index, interp, env, fields)
             old = arr.items[idx]
-            arr.items[idx] = value = _as_int(old) + delta
+            value = _as_int(old) + delta
+            if arr.elem == "char":
+                value = Char(value & 0xFFFF)
+            arr.items[idx] = value
             return old if postfix else value
         return update_element
     return _c_unsupported(interp, node, pre)
@@ -1119,12 +1128,7 @@ def _fused_append(generic, compiled: dict, call: SyntaxNode, n: int):
 
 def _c_local_declaration(interp, node):
     compiled = interp.compiled
-    type_text = str(node.children[0].value or "")
-    elem = _elem_of(type_text)
-    # A local of a primitive type converts an initializer of the other
-    # kind: a char to an int, short, byte or long, an int to a char. Java
-    # takes no other primitive initializer without a cast.
-    convert = None if elem != type_text else int if elem == "char" else Char
+    convert, elem = _converts(str(node.children[0].value or ""))
     declared = []
     for decl in node.children[1:]:
         if decl.kind != "variable_declarator":
@@ -1143,6 +1147,26 @@ def _c_local_declaration(interp, node):
                 value = _cast(elem, value)
             env[name] = value
     return declare
+
+
+def _converts(type_text: str) -> tuple[type | None, str]:
+    """(the type of value a local, parameter or loop variable declared
+    ``type_text`` converts, the type it converts to): a primitive one
+    converts a value of the other kind, a char to an int, short, byte or
+    long, an int to a char, with `_cast`. Java takes no other primitive
+    value without a cast."""
+    elem = _elem_of(type_text)
+    return (None if elem != type_text else int if elem == "char" else Char,
+            elem)
+
+
+def _parameters(decl: SyntaxNode) -> list[tuple[str, type | None, str]]:
+    """(name, *`_converts` of its type) of each parameter of ``decl``."""
+    params = child_of_kind(decl, "formal_parameters")
+    return [] if params is None else [
+        (str(p.children[1].value), *_converts(str(p.children[0].value or "")))
+        for p in params.children
+        if p.kind == "formal_parameter" and len(p.children) >= 2]
 
 
 def _declaration_parts(node: SyntaxNode) -> list[SyntaxNode]:
@@ -1294,6 +1318,7 @@ def _c_for(interp, node):
 
 def _c_enhanced_for(interp, node):
     compiled = interp.compiled
+    convert, elem = _converts(str(node.children[0].value or ""))
     name = str(node.children[1].value)
     iterable = compiled[id(node.children[2])]
     ticks, body = _loop_body(compiled, node.children[3:4])
@@ -1314,7 +1339,7 @@ def _c_enhanced_for(interp, node):
             raise _NotConcrete
         for item in items:
             ctx.tick()
-            env[name] = item
+            env[name] = _cast(elem, item) if type(item) is convert else item
             ctx.tick(ticks)
             try:
                 for stmt in body:

@@ -629,6 +629,11 @@ class TestDeclaredType:
         ("", "int i = 0; char c = 'A'; i = c; i += 2;", '"A" + i', "A67"),
         ("", "int m = 0; if (m > 0) { new Runnable() { public void run()"
          " { char m = 'A'; } }; } m++;", '"A" + m', "A1"),
+        ("", "char[] x = {'A'}; x[0]++;", '"" + x[0] + "ES"', "BES"),
+        ("", "char[] x = {'A'}; x[0]--;", '"" + x[0] + "ES"', "@ES"),
+        ('static String f(int k) { return "X" + k; }', "", "f('A')", "X65"),
+        ("", 'String s = ""; for (int v : "AB".toCharArray()) s += v;', "s",
+         "6566"),
     ])
     def test_a_primitive_local_keeps_its_type(self, members, statements,
                                               argument, value):
