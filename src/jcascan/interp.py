@@ -18,24 +18,16 @@ frame per link. Steps count where a tree walk would: once per statement,
 once per expression evaluated and once per loop iteration, so a budget
 runs out on the same step. One rule counts them, `_Ctx.tick`; past the
 budget it stops the count on the step one at a time would have stopped on
-and gives up. Only two counts are written inline, both on the
-``string-encryption`` decoder's path: each iteration of a ``for`` loop
-(its condition, its block and its inline ``i++``) and a decoder-loop
-group's all-at-once count. Fewer calls carry the ticks:
-- folded ticks: parentheses, an expression statement and a cast count
-  their own tick in the first tick of their child and take no call of
-  their own, and a loop runs its block's statements itself;
-- decoder-loop groups, each the shape of a statement of the
-  ``string-encryption`` workload's decoder: a ``for`` loop runs its one
-  ``i++``/``i--`` of a local inline; an ``=`` to a local stores inline and
-  folds a right-hand side that is a chain of int operators over
-  identifiers and int literals; ``leaf OP r.length()`` reads the length
-  of a string leaf inline; a builder's ``append`` of ``(char)
-  (r.charAt(i) OP b)`` over leaves appends its code point in one group.
-  A group reads identifiers bound in the local scope and literals
-  inline and counts its ticks at once, as nothing can fail between them;
-  a group that would pass the budget, or whose leaves do not hold the
-  values it folds, runs the node's generic closure, one tick at a time.
+and gives up. Parentheses, an expression statement and a cast count their
+own tick in the first tick of their child and take no call of their own,
+and a loop runs its block's statements itself.
+
+A ``for`` loop whose condition, updates and body statements are
+straight-line work over int, char, String and StringBuilder locals runs
+whole iterations in one generated function, its kernel (`_kernel`), and
+counts each iteration's steps at once: the only count besides
+`_Ctx.tick`'s. The closures measure those steps on an iteration of their
+own, and take every iteration the kernel hands back.
 
 The values it computes, and the operators, library calls and string
 built-ins it applies, are the one model of Java in `javamodel`. The
@@ -383,18 +375,12 @@ def _array_builder(compiled: dict, init: SyntaxNode, elem: str):
 # Every closure counts its own step first, with `_Ctx.tick`. An
 # expression's compiler also takes ``pre``, the steps of parents that tick
 # just before it (an expression statement, parentheses, a cast), and counts
-# them in that first tick, so those parents take no call of their own. A
-# parent reads an identifier bound in ``env`` or a literal operand inline
-# (`_leaf`), and counts a group of ticks at once only where nothing can fail
-# between them; a group that would pass the budget runs the node's generic
-# closure instead, which ticks one node at a time.
+# them in that first tick, so those parents take no call of their own.
 
 _LITERALS = frozenset({
     "string_literal", "character_literal", "decimal_integer_literal",
     "hex_integer_literal", "decimal_floating_point_literal", "true",
     "false", "null_literal"})
-# Operators whose fold of two ints cannot fail.
-_INT_SAFE = frozenset({"+", "-", "*", "&", "|", "^", "<<", ">>", ">>>"})
 
 
 def _children(node: SyntaxNode) -> list[SyntaxNode]:
@@ -420,16 +406,6 @@ def _literal(node: SyntaxNode):
     kind = node.kind
     return Char(ord(str(node.value))) if kind == "character_literal" \
         else None if kind == "null_literal" else node.value
-
-
-def _leaf(node: SyntaxNode):
-    """``(name, None)`` of an identifier, ``(None, value)`` of a literal,
-    else None: the operands a parent reads inline."""
-    if node.kind == "identifier":
-        return str(node.value), None
-    if node.kind in _LITERALS:
-        return None, _literal(node)
-    return None
 
 
 def _c_unsupported(interp, node, pre=0):
@@ -534,93 +510,7 @@ def _c_binary(interp, node, pre=0):
                 if not isinstance(value, bool):
                     raise _NotConcrete
         return value
-    if len(steps) == 1 and steps[0][0] is None:
-        return _fused_length(chain, steps[0][2], _leaf(node.children[0]),
-                             node.children[1], n)
     return chain
-
-
-def _int_spine(node: SyntaxNode, pre: int, generic, store: str):
-    """``generic``, the closure of an ``=`` to the local ``store`` whose
-    right-hand side is ``node``, or, when the left spine of ``node``,
-    parentheses included, is two or more `_INT_SAFE` operators over
-    identifiers and int literals, a fold of it at once while every
-    identifier holds an int, stored into ``store``: no fold can fail, so
-    its ticks, the ``pre`` of the assignment and one per operator,
-    parenthesis and leaf, count together."""
-    ops, rights, levels = [], [], 0
-    while node.kind in ("binary_expression", "parenthesized_expression"):
-        if node.kind == "parenthesized_expression":
-            levels += 1
-        elif str(node.value) in _INT_SAFE:
-            ops.append(_INT_ARITH[str(node.value)])
-            rights.append(node.children[1])
-        else:
-            return generic
-        node = node.children[0]
-    leaves = [_leaf(node)] + [_leaf(right) for right in reversed(rights)]
-    if len(ops) + levels < 2 or not all(
-            leaf is not None and (leaf[0] is not None or type(leaf[1]) is int)
-            for leaf in leaves):
-        return generic
-    ticks = pre + len(ops) + levels + len(leaves)
-    first_name, first_value = leaves[0]
-    links = [(apply, name, value)
-             for apply, (name, value) in zip(reversed(ops), leaves[1:])]
-
-    def int_spine(interp, env, fields):
-        ctx = interp.ctx
-        steps = ctx.steps + ticks
-        if steps <= ctx.limit:
-            value = first_value if first_name is None \
-                else env.get(first_name)
-            if type(value) is int:
-                for apply, name, b in links:
-                    if name is not None:
-                        b = env.get(name)
-                        if type(b) is not int:
-                            break
-                    value = apply(value, b)
-                else:
-                    ctx.steps = steps
-                    env[store] = value
-                    return value
-        return generic(interp, env, fields)
-    return int_spine
-
-
-def _leaf_call(node: SyntaxNode, name: str, count: int):
-    """The leaves of the receiver and the ``count`` arguments of ``node``,
-    a call ``name`` on a receiver that is not a library call, when each is
-    a `_leaf`; else None."""
-    if node.kind != "method_invocation" or str(node.value) != name \
-            or len(node.children) != 3 \
-            or len(node.children[-1].children) != count \
-            or library_call(node) is not None:
-        return None
-    leaves = [_leaf(part) for part in _call_parts(node)]
-    return None if None in leaves else leaves
-
-
-def _fused_length(generic, on_ints, left, right: SyntaxNode, n: int):
-    """``leaf OP r.length()``: the length of a string leaf read inline, the
-    steps of the expression, its leaf and the call counted at once."""
-    call = _leaf_call(right, "length", 0)
-    if left is None or call is None:
-        return generic
-    (an, av), ((rn, rv),) = left, call
-    total = n + 3
-
-    def length_leaves(interp, env, fields):
-        a = av if an is None else env.get(an)
-        r = rv if rn is None else env.get(rn)
-        ctx = interp.ctx
-        if type(a) is int and type(r) is str \
-                and ctx.steps + total <= ctx.limit:
-            ctx.steps += total
-            return on_ints(a, len(r))
-        return generic(interp, env, fields)
-    return length_leaves
 
 
 def _c_unary(interp, node, pre=0):
@@ -680,7 +570,10 @@ def _declared_char(interp, node: SyntaxNode, name: str) -> bool:
     ``char``. Java lets no local hide another of its method, so the one in
     scope is the last declaration of ``name`` before ``node`` in the
     method, a parameter or loop variable included and a nested class body
-    that does not hold ``node`` left out."""
+    that does not hold ``node`` left out. Read once per node."""
+    key = (id(node), "char")
+    if key in interp.compiled:
+        return interp.compiled[key]
     method = interp.index.enclosing_method(node)
     declared = None
     stack = [] if method is None else [method]
@@ -703,7 +596,8 @@ def _declared_char(interp, node: SyntaxNode, name: str) -> bool:
             if any(p.value == name for p in item.children[:-1]):
                 declared = None
         stack += reversed(item.children)
-    return declared == "char"
+    interp.compiled[key] = char = declared == "char"
+    return char
 
 
 def _element(array, index, interp, env, fields) -> tuple[JArray, int]:
@@ -733,10 +627,19 @@ def _c_assignment(interp, node, pre=0):
     store = _store(interp, node)
     link = compiled[(id(node), "assign")] = (store, below, value_fn)
     if below is None:
+        if lhs.kind == "identifier" and str(node.value) == "=":
+            name = str(lhs.value)
+
+            def assign_local(interp, env, fields):
+                interp.ctx.tick(n)
+                env[name] = value = value_fn(interp, env, fields)
+                return value
+            return assign_local
+
         def assign(interp, env, fields):
             interp.ctx.tick(n)
             return store(interp, env, fields, value_fn(interp, env, fields))
-        return _fused_assign(assign, node, value_fn, n)
+        return assign
 
     def assign_chain(interp, env, fields):
         ctx = interp.ctx
@@ -752,21 +655,6 @@ def _c_assignment(interp, node, pre=0):
             value = store(interp, env, fields, value)
         return value
     return assign_chain
-
-
-def _fused_assign(generic, node: SyntaxNode, value_fn, n: int):
-    """``x = …`` to a local stores inline, and an int-spine right-hand side
-    (`_int_spine`) folds and stores in one group with the assignment."""
-    lhs, rhs = node.children
-    if lhs.kind != "identifier" or str(node.value) != "=":
-        return generic
-    name = str(lhs.value)
-
-    def assign_local(interp, env, fields):
-        interp.ctx.tick(n)
-        env[name] = value = value_fn(interp, env, fields)
-        return value
-    return _int_spine(rhs, n, assign_local, name)
 
 
 def _store(interp, node: SyntaxNode):
@@ -830,45 +718,11 @@ def _c_cast(interp, node, pre=0):
             if type(value) is int:
                 return Char(value & 0xFFFF)
             return _cast(target, value)
-        return _fused_char(to_char, interp.compiled, node)
+        return to_char
 
     def cast(interp, env, fields):
         return _cast(target, operand(interp, env, fields))
     return cast
-
-
-def _fused_char(generic, compiled: dict, cast: SyntaxNode):
-    """``generic``, the closure of ``cast``; and, when ``cast`` is
-    ``(char) (r.charAt(i) OP b)`` over leaves, OP `_INT_SAFE`, the group a
-    builder's ``append`` of it runs (`_fused_append`). The group's
-    ``code_point(interp, env, fields, pending)``, kept under ``(id(cast),
-    "char")``, counts ``pending`` steps of its caller with the group's and
-    gives the code point, or None where it cannot run at once."""
-    inner, ticks = cast.children[1], 6
-    while inner.kind == "parenthesized_expression":
-        inner, ticks = inner.children[0], ticks + 1
-    if inner.kind != "binary_expression" or str(inner.value) not in _INT_SAFE:
-        return generic
-    call = _leaf_call(inner.children[0], "charAt", 1)
-    right = _leaf(inner.children[1])
-    if call is None or right is None:
-        return generic
-    ((rn, rv), (i_name, iv)), (bn, bv) = call, right
-    apply = _INT_ARITH[str(inner.value)]
-
-    def code_point(interp, env, fields, pending):
-        r = rv if rn is None else env.get(rn)
-        i = iv if i_name is None else env.get(i_name)
-        b = bv if bn is None else env.get(bn)
-        ctx = interp.ctx
-        steps = ctx.steps + pending + ticks
-        if type(r) is str and type(i) is int and type(b) is int \
-                and 0 <= i < len(r) and steps <= ctx.limit:
-            ctx.steps = steps
-            return apply(ord(r[i]), b) & 0xFFFF
-        return None
-    compiled[(id(cast), "char")] = code_point
-    return generic
 
 
 def _c_array_access(interp, node, pre=0):
@@ -1066,9 +920,9 @@ def _c_call(interp, node, pre=0):
         for fn in arg_fns:
             args.append(fn(interp, env, fields))
         return finish(interp, env, fields, base, args)
-    if _leaf(receiver) is None:
+    if receiver.kind != "identifier" and receiver.kind not in _LITERALS:
         return _chained_call(interp, node, receiver, arg_fns, finish, n)
-    return _fused_append(call_on, interp.compiled, node, n)
+    return call_on
 
 
 def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
@@ -1100,28 +954,6 @@ def _chained_call(interp, node, receiver, arg_fns: list, finish, n: int):
             base = finish(interp, env, fields, base, args)
         return base
     return call_chain
-
-
-def _fused_append(generic, compiled: dict, call: SyntaxNode, n: int):
-    """``b.append(<a char group>)`` on a builder local appends the group's
-    code point, the call's steps counted with the group's, and builds no
-    Char."""
-    receiver, args = call.children[0], call.children[-1].children
-    code_point = compiled.get((id(args[0]), "char")) if args else None
-    if str(call.value) != "append" or len(args) != 1 or code_point is None \
-            or receiver.kind != "identifier":
-        return generic
-    name, total = str(receiver.value), n + 1
-
-    def append_char(interp, env, fields):
-        base = env.get(name)
-        cp = code_point(interp, env, fields, total) \
-            if type(base) is Builder else None
-        if cp is None:
-            return generic(interp, env, fields)
-        base.text += chr(cp)
-        return base
-    return append_char
 
 
 # --- statements ---
@@ -1255,27 +1087,18 @@ def _for_parts(node: SyntaxNode) -> list[SyntaxNode]:
     return head + _body_parts(node.children[-1:] if has_body else [])
 
 
-def _inline_update(updates: list[SyntaxNode]):
-    """``(name, ±1)`` of a for loop's one update, ``i++`` or ``i--`` of a
-    local, which runs inline while it holds an int; else ``(None, 0)``."""
-    if len(updates) != 1 or updates[0].kind != "update_expression" \
-            or updates[0].children[0].kind != "identifier":
-        return None, 0
-    return (str(updates[0].children[0].value),
-            1 if str(updates[0].value) == "++" else -1)
-
-
 def _c_for(interp, node):
+    """Each iteration runs the loop's kernel (`_kernel`) if it has one, and
+    otherwise, or where the kernel hands it back, its closures."""
     compiled = interp.compiled
     n_init, has_cond, n_upd, has_body = node.value
     children = node.children
     inits = [compiled[id(c)] for c in children[:n_init]]
     cond = compiled[id(children[n_init])] if has_cond else None
     upd_start = n_init + (1 if has_cond else 0)
-    upd_nodes = children[upd_start:upd_start + n_upd]
-    updates = [compiled[id(c)] for c in upd_nodes]
-    name, delta = _inline_update(upd_nodes)
+    updates = [compiled[id(c)] for c in children[upd_start:upd_start + n_upd]]
     ticks, body = _loop_body(compiled, children[-1:] if has_body else [])
+    kernel = _kernel(interp, node)
 
     def for_statement(interp, env, fields):
         ctx = interp.ctx
@@ -1283,20 +1106,22 @@ def _c_for(interp, node):
         for init in inits:
             init(interp, env, fields)
         while True:
-            # Inline, as `_Ctx.tick` counts: a decoder loop's iterations
-            # take no call for their ticks.
-            ctx.steps += 1
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            start = None
+            if kernel is not None and kernel.run is not None:
+                done = kernel.run(env, ctx)
+                if done:
+                    return
+                if done is None:
+                    start = ctx.steps
+            ctx.tick()
             if cond is not None:
                 test = cond(interp, env, fields)
                 if not isinstance(test, bool):
                     raise _NotConcrete
                 if not test:
                     return
-            ctx.steps += ticks
-            if ctx.steps > ctx.limit:
-                raise _BudgetExhausted
+            head = ctx.steps
+            ctx.tick(ticks)
             try:
                 for stmt in body:
                     stmt(interp, env, fields)
@@ -1304,13 +1129,10 @@ def _c_for(interp, node):
                 return
             except _Continue:
                 pass
-            if name is not None and type(env.get(name)) is int \
-                    and ctx.steps < ctx.limit:
-                ctx.steps += 1
-                env[name] += delta
-                continue
             for update in updates:
                 update(interp, env, fields)
+            if start is not None:
+                kernel.measured(head - start, ctx.steps - start)
             if cond is None and not updates:
                 raise _NotConcrete
     return for_statement
@@ -1465,6 +1287,377 @@ def _c_assert(interp, node):
     def assert_statement(interp, env, fields):
         interp.ctx.tick()
     return assert_statement
+
+
+# -- loop kernels ----------------------------------------------------------
+#
+# A ``for`` loop whose condition, updates and body statements are straight-
+# line work over int, char, String and StringBuilder locals runs its
+# iterations in one generated Python function, its kernel, and not in its
+# closures. `_kernel` reads the loop's shape when the loop is compiled. The
+# kernel's source is written from fixed templates (`_KernelSource`) on the
+# loop's first entry whose locals all hold values of a kind a kernel takes:
+# each local is a positional name (``v0``, ``v1``, …) and each literal an
+# argument (``c0``, …), so nothing of the scanned file reaches `compile()`,
+# and loops of one shape share one code object. The kernel reads its locals
+# from the scope once, runs whole iterations while their guards hold (an
+# index within its string, a nonzero divisor) and the budget has room for
+# a whole one, then writes the locals and builder texts back and counts
+# the iterations' steps at once. An iteration writes new names and commits
+# them at its end, so one that fails a guard is handed, from its start, to
+# the closures, which take it step by step. The kernel does not restate a
+# closure's steps: the closures count them on the first iteration they run
+# with the kernel's locals bound (`_Kernel.measured`), and every later one
+# takes the same path, as nothing in such a loop branches.
+
+# The kind of value a kernel local holds, by its type: I an int, C a char
+# (its code point inside the kernel), S a String, B a StringBuilder (its
+# text inside the kernel).
+_KINDS = {int: "I", Char: "C", str: "S", Builder: "B"}
+_KIND_TYPES = {"I": "int", "C": "Char", "S": "str", "B": "Builder"}
+# Literal node kind → the kind of its value.
+_KERNEL_LITERALS = {"decimal_integer_literal": "I", "hex_integer_literal": "I",
+                    "character_literal": "C", "string_literal": "S"}
+# Operator → the template of its value on two ints or chars, as
+# `javamodel._INT_ARITH` and `_INT_COMPARE` give it; `/` and `%` guard
+# their divisor first.
+_KERNEL_ARITH = {
+    "+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+    "&": "({} & {})", "|": "({} | {})", "^": "({} ^ {})",
+    "<<": "({} << ({} & 31))", ">>": "({} >> ({} & 31))",
+    ">>>": "(({} % 4294967296) >> ({} & 31))",
+    "/": "_div({}, {})", "%": "_mod({}, {})"}
+_KERNEL_COMPARE = {op: "({} " + op + " {})"
+                   for op in ("<", "<=", ">", ">=", "==", "!=")}
+_KERNEL_UNARY = {"-": "(-{})", "+": "{}", "~": "(~{})"}
+# Cast target → (template, kind of its value), as `javamodel._cast` gives
+# it for an int or a char.
+_KERNEL_CASTS = {"char": ("({} & 65535)", "C"), "int": ("{}", "I"),
+                 "long": ("{}", "I"), "short": ("{}", "I"),
+                 "byte": ("((({} + 128) % 256) - 128)", "I")}
+# (name, argument count) of the built-ins a kernel calls.
+_KERNEL_CALLS = frozenset({("length", 0), ("charAt", 1), ("append", 1)})
+# Node kinds a kernel loop's parts may hold beside the ones checked in
+# `_kernel`, and the most nodes they may hold: `_KernelSource` recurses.
+_KERNEL_PLAIN = frozenset({"identifier", "parenthesized_expression",
+                           "argument_list", "type_identifier"})
+_KERNEL_NODES = 200
+# The code name of every kernel, and the kernels compiled, by shape and
+# kinds (`_kernel_function`).
+_KERNEL_FILE = "<jcascan loop kernel>"
+_KERNELS: dict = {}
+_KERNEL_SCOPE = {
+    "__builtins__": {"len": len, "ord": ord, "chr": chr, "type": type,
+                     "int": int, "str": str},
+    "Char": Char, "Builder": Builder, "_INF": float("inf"),
+    "_div": _INT_ARITH["/"], "_mod": _INT_ARITH["%"]}
+
+
+def _kernel(interp, node: SyntaxNode):
+    """The `_Kernel` of ``for`` loop ``node``, or None when a part of the
+    loop is not straight-line work over locals and literals: a condition,
+    updates and body expression statements of identifiers, int, char and
+    string literals, the operators and casts above, ``r.length()``,
+    ``r.charAt(i)``, ``b.append(x)``, ``x = …``, compound assignments and
+    ``++``/``--`` of a local. `_c_for` reaches kernels through this
+    function alone."""
+    n_init, has_cond, n_upd, has_body = node.value
+    statements = _body_parts(node.children[-1:] if has_body else [])
+    if not has_cond or any(stmt.kind != "expression_statement"
+                           for stmt in statements):
+        return None
+    cond = node.children[n_init]
+    parts = [cond] + [stmt.children[0] for stmt in statements] \
+        + node.children[n_init + 1:n_init + 1 + n_upd]
+    nodes = [item for part in parts for item in part.walk()]
+    if len(nodes) > _KERNEL_NODES \
+            or any(id(item) in interp.operands for item in nodes):
+        return None
+    kernel = _Kernel(parts)
+    names = set()   # ids of the called methods' name nodes
+    # Each node's kind, child count, and slot, operator or name, in order.
+    shape = []
+    for item in nodes:
+        kind, op = item.kind, str(item.value)
+        shape += (kind, len(item.children),
+                  kernel.slots.setdefault(op, len(kernel.slots))
+                  if kind == "identifier" and id(item) not in names
+                  else None if kind in _KERNEL_LITERALS else op)
+        if kind in _KERNEL_LITERALS:
+            value = _literal(item)
+            value = value.cp if type(value) is Char else value
+            if type(value) is not (str if kind == "string_literal" else int):
+                return None
+            kernel.consts[id(item)] = len(kernel.values)
+            kernel.values.append(value)
+        elif kind == "binary_expression":
+            if op not in _KERNEL_ARITH and op not in _KERNEL_COMPARE:
+                return None
+        elif kind == "unary_expression":
+            if op not in _KERNEL_UNARY:
+                return None
+        elif kind == "cast_expression":
+            if op not in _KERNEL_CASTS:
+                return None
+        elif kind == "method_invocation":
+            if len(item.children) != 3 \
+                    or (op, len(item.children[2].children)) \
+                    not in _KERNEL_CALLS \
+                    or item.children[0].kind not in ("identifier",
+                                                     "string_literal") \
+                    or library_call(item) is not None:
+                return None
+            names.add(id(item.children[1]))
+        elif kind in ("update_expression", "assignment_expression"):
+            target = item.children[0]
+            if target.kind != "identifier" or kind == "assignment_expression" \
+                    and op != "=" and op[:-1] not in _KERNEL_ARITH:
+                return None
+            if op != "=":
+                kernel.chars[id(item)] = char = _declared_char(
+                    interp, item, str(target.value))
+                shape += (char, item.start == target.start)
+        elif kind not in _KERNEL_PLAIN:
+            return None
+    kernel.shape = tuple(shape)
+    return kernel
+
+
+class _Kernel:
+    """A ``for`` loop's kernel: its parts (condition, statement
+    expressions, updates), its locals (``slots``: name → slot), its
+    literals (``consts``: id(node) → slot, ``values`` by slot), which of
+    its updates and compound assignments keep a char (``chars``), its
+    ``shape``, which holds the rest of what its source is written from,
+    and ``run(env, ctx)``, which `_c_for` calls before each iteration:
+    True when the kernel ran the loop to its end, False when the next
+    iteration is the closures', None when it is theirs and they are to
+    measure its steps (`measured`). ``run`` is None once no kernel can be
+    written for the loop."""
+
+    __slots__ = ("parts", "slots", "consts", "values", "chars", "shape",
+                 "kinds", "fn", "run")
+
+    def __init__(self, parts: list[SyntaxNode]):
+        self.parts = parts
+        self.slots: dict[str, int] = {}
+        self.consts: dict[int, int] = {}
+        self.values: list = []
+        self.chars: dict[int, bool] = {}
+        self.shape: tuple = ()
+        self.kinds = self.fn = None
+        self.run = self.enter
+
+    def enter(self, env: dict, ctx: _Ctx):
+        """Until the steps are measured: on an entry whose locals all hold
+        a kind a kernel takes, write and compile the kernel for those kinds
+        if it is not yet, and ask for the iteration to be measured if they
+        are its kinds."""
+        kinds = tuple(_KINDS.get(type(env.get(name))) for name in self.slots)
+        if None in kinds:
+            return False
+        if self.fn is None:
+            self.kinds, self.fn = kinds, _kernel_function(self, kinds)
+            if self.fn is None:
+                self.run = None
+                return False
+        return None if kinds == self.kinds else False
+
+    def measured(self, head: int, whole: int) -> None:
+        """Run the kernel from now on: an iteration takes ``whole`` steps,
+        and the last test of the condition, with its iteration's own step,
+        ``head``."""
+        self.run = partial(self.fn, tuple(self.slots), tuple(self.values),
+                           head, whole)
+
+
+def _kernel_function(kernel: _Kernel, kinds: tuple[str, ...]):
+    """The function of ``kernel`` for locals of ``kinds``, or None when
+    none can be written; compiled once per shape and kinds per process."""
+    key = (kernel.shape, kinds)
+    if key not in _KERNELS:
+        if len(_KERNELS) >= 1024:
+            _KERNELS.clear()
+        source = _KernelSource(kernel, kinds).source()
+        scope = dict(_KERNEL_SCOPE)
+        if source is not None:
+            exec(compile(source, _KERNEL_FILE, "exec"), scope)
+        _KERNELS[key] = scope.get("kernel")
+    return _KERNELS[key]
+
+
+class _NoKernel(Exception):
+    pass
+
+
+class _KernelSource:
+    """The source of ``kernel``'s function for locals of ``kinds``, one per
+    slot. Inside an iteration, ``current[slot]`` names a local's value:
+    ``v<slot>`` at its start, and a new ``t<n>`` after each write."""
+
+    def __init__(self, kernel: _Kernel, kinds: tuple[str, ...]):
+        self.kernel, self.kinds = kernel, kinds
+        self.current = [f"v{slot}" for slot in range(len(kinds))]
+        self.written: set[int] = set()
+        self.lines: list[str] = []
+        self.lengths: dict[str, str] = {}
+
+    def source(self) -> str | None:
+        """The function's text, or None when a value has a kind the kernel
+        does not take where it is used."""
+        kernel, kinds = self.kernel, self.kinds
+        cond, *rest = kernel.parts
+        try:
+            test, kind = self.value(cond)
+            if kind != "Z":
+                return None
+            self.lines += [f"if not {test}:",
+                           *("    " + line for line in self.commit()),
+                           "    done = True", "    break"]
+            for part in rest:
+                self.value(part)
+        except _NoKernel:
+            return None
+        slots = range(len(kinds))
+        builders = [i for i in slots if kinds[i] == "B"]
+        text = ["".join(f"n{i}, " for i in slots) + "= N" if kinds else "",
+                "".join(f"c{i}, " for i in range(len(kernel.values)))
+                + "= K" if kernel.values else ""]
+        text += [f"v{i} = env.get(n{i})" for i in slots]
+        if kinds:
+            text += ["if " + " or ".join(
+                f"type(v{i}) is not {_KIND_TYPES[kinds[i]]}" for i in slots)
+                + ":", "    return False"]
+        for i in builders:
+            text += [line for j in builders if i < j
+                     for line in (f"if v{i} is v{j}:", "    return False")]
+        text += [f"v{i} = v{i}.cp" for i in slots if kinds[i] == "C"]
+        text += [line for i in builders
+                 for line in (f"b{i} = v{i}", f"v{i} = b{i}.text")]
+        text += [f"{name} = {length}" for name, length in self.lengths.items()]
+        text += ["room = ctx.limit - ctx.steps",
+                 "cap = room if room == _INF else room // W",
+                 "n = 0", "done = False", "while n < cap:"]
+        text += ["    " + line
+                 for line in self.lines + self.commit() + ["n += 1"]]
+        text += ["if n or done:",
+                 "    ctx.steps += n * W + H if done else n * W"]
+        text += ["    " + ("b{0}.text = v{0}" if kinds[i] == "B" else
+                           "env[n{0}] = Char(v{0})" if kinds[i] == "C" else
+                           "env[n{0}] = v{0}").format(i)
+                 for i in sorted(self.written)]
+        text.append("return done")
+        return "def kernel(N, K, H, W, env, ctx):\n" + "".join(
+            f"    {line}\n" for line in text if line)
+
+    def commit(self) -> list[str]:
+        """The lines that make each local's current value its value."""
+        return [f"v{slot} = {self.current[slot]}"
+                for slot in sorted(self.written)]
+
+    def temp(self, text: str) -> str:
+        """A new name, set to ``text``."""
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {text}")
+        return name
+
+    def guard(self, test: str) -> None:
+        self.lines += [f"if not {test}:", "    break"]
+
+    def store(self, slot: int, text: str) -> str:
+        self.current[slot] = name = self.temp(text)
+        self.written.add(slot)
+        return name
+
+    def number(self, node: SyntaxNode) -> str:
+        """The text of ``node``'s value, an int or a char."""
+        text, kind = self.value(node)
+        if kind not in ("I", "C"):
+            raise _NoKernel
+        return text
+
+    def value(self, node: SyntaxNode) -> tuple[str, str]:
+        """The text and kind of ``node``'s value (Z a bool, V none); the
+        lines before it compute its parts and guard them."""
+        kind, op = node.kind, str(node.value)
+        if kind == "parenthesized_expression":
+            return self.value(node.children[0])
+        if kind == "identifier":
+            slot = self.kernel.slots[op]
+            return self.current[slot], self.kinds[slot]
+        if kind in _KERNEL_LITERALS:
+            return f"c{self.kernel.consts[id(node)]}", _KERNEL_LITERALS[kind]
+        if kind == "binary_expression":
+            a, b = self.number(node.children[0]), self.number(node.children[1])
+            if op in _KERNEL_COMPARE:
+                return _KERNEL_COMPARE[op].format(a, b), "Z"
+            if op in ("/", "%"):
+                b = self.named(b)
+                self.guard(b)
+            return _KERNEL_ARITH[op].format(a, b), "I"
+        if kind == "unary_expression":
+            return _KERNEL_UNARY[op].format(self.number(node.children[0])), "I"
+        if kind == "cast_expression":
+            template, cast = _KERNEL_CASTS[op]
+            return template.format(self.number(node.children[1])), cast
+        if kind == "method_invocation":
+            return self.call(node, op)
+        slot = self.kernel.slots[str(node.children[0].value)]
+        held = self.kinds[slot]
+        char = self.kernel.chars.get(id(node), False)
+        if kind == "update_expression":
+            old = self.number(node.children[0])
+            new = ("(({} + 1) & 65535)" if char else "({} + 1)") \
+                if op == "++" else \
+                ("(({} - 1) & 65535)" if char else "({} - 1)")
+            if held != ("C" if char else "I"):
+                raise _NoKernel
+            new = self.store(slot, new.format(old))
+            return (old if node.start == node.children[0].start else new), held
+        if op == "=":
+            text, kind = self.value(node.children[1])
+            if kind != held or kind not in ("I", "C"):
+                raise _NoKernel
+            return self.store(slot, text), held
+        b = self.number(node.children[1])
+        a = self.number(node.children[0])
+        if op[:-1] in ("/", "%"):
+            b = self.named(b)
+            self.guard(b)
+        text = _KERNEL_ARITH[op[:-1]].format(a, b)
+        if held != ("C" if char else "I"):
+            raise _NoKernel
+        return self.store(slot, f"({text} & 65535)" if char else text), held
+
+    def named(self, text: str) -> str:
+        """``text``, or a new name set to it when it is not a name."""
+        return text if text.isidentifier() else self.temp(text)
+
+    def call(self, node: SyntaxNode, name: str) -> tuple[str, str]:
+        receiver, _, args = node.children
+        if name == "append":
+            text, kind = self.value(args.children[0])
+            slot = self.kernel.slots.get(str(receiver.value)) \
+                if receiver.kind == "identifier" else None
+            if slot is None or self.kinds[slot] != "B" \
+                    or kind not in ("C", "S"):
+                raise _NoKernel
+            self.store(slot, f"{self.current[slot]} + "
+                       + (f"chr({text})" if kind == "C" else text))
+            return "", "V"
+        base, kind = self.value(receiver)
+        if kind not in ("S", "B"):
+            raise _NoKernel
+        # No kernel writes a String: its length is read once, on entry.
+        length = f"len({base})"
+        if kind == "S":
+            self.lengths[f"l{base}"] = length
+            length = f"l{base}"
+        if name == "length":
+            return length, "I"
+        index = self.named(self.number(args.children[0]))
+        self.guard(f"0 <= {index} < {length}")
+        return f"ord({base}[{index}])", "C"
 
 
 _COMPILERS = {

@@ -1,19 +1,19 @@
-"""The interpreter's decoder-loop groups: what they give, at every budget,
-is what the closures they replace give, and they cut the Python calls of
-a decoder-loop iteration.
+"""The interpreter's loop kernels: what a loop gives when a generated
+kernel runs its iterations is, at every budget, what its closures give,
+and a kernel iteration takes no Python call.
 
-`interp` builds each group through a module-level helper: `_fused_length`,
-`_fused_assign`, `_fused_char` and `_fused_append` take the closure they
-replace first, and `_inline_update` names the local a ``for`` loop runs
-its update of inline. `_unfused` replaces the first four with helpers that
-return the closure they are given, and the last with one that names no
-local, which gives the closures from before the groups. This is a test
-seam, not an option.
+`interp._kernel` is the one function `_c_for` asks for a loop's kernel.
+`_closures_only` replaces it with one that declines every loop, so every
+iteration runs through the closures. This is a test seam, not an option.
 """
 
 from __future__ import annotations
 
+import builtins
+import re
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +21,12 @@ from jcascan import interp, javamodel
 from jcascan.ingest import RESTRICTIVE, extract_sites
 from jcascan.javaparse import parse_unit
 from jcascan.resolve import ResolutionBudget, resolve_site
+from jcascan.syntax import unit_index
 from test_interp import _sources
 from test_interp_budget import MOST_STEPS, _keystream_source, _outcome
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpora  # noqa: E402
 
 GROUPS_SRC = """
 import javax.crypto.Cipher;
@@ -102,69 +106,196 @@ class Groups {
 }
 """
 
+# Every template of the kernels: compound assignments, shifts, division and
+# remainder, unary operators, casts, prefix updates, char locals that wrap
+# past \uFFFF and below 0, String and builder receivers, a String literal
+# receiver, an assignment chain; a division by zero on the third
+# iteration, two names of one builder, which no kernel takes, and an index
+# that runs below 0. java 17 prints BRLCZF, T-F-C-, QKTYELSYF3939, an
+# ArithmeticException, A-E-S- and a StringIndexOutOfBoundsException.
+KERNEL_SRC = """
+import javax.crypto.Cipher;
+class Kernels {
+    static String ops(String s) {
+        StringBuilder b = new StringBuilder();
+        int k = 7, m = 3;
+        for (int i = 0; i < s.length(); ++i) {
+            k += 5;
+            k ^= i << 2;
+            k = (k >> 1) + (k >>> 3) - -k / 3 + ~m % 4;
+            m = m * 3 & 0x7F;
+            m /= 1;
+            k %= 61;
+            b.append((char) ('A' + (s.charAt(i) ^ k & 0x0F) % 26));
+        }
+        return b.toString();
+    }
+    static String chars(String s) {
+        StringBuilder b = new StringBuilder();
+        char c = '\\uFFFA', d = '\\u0001';
+        for (int i = s.length() - 1; i >= 0; i--) {
+            c += 2;
+            c++;
+            d -= 2;
+            b.append((char) (s.charAt(i) + (c - 'a' + d) % 5));
+            b.append("-");
+        }
+        return b.toString();
+    }
+    static String mixed(String s) {
+        StringBuilder b = new StringBuilder("Q");
+        int j = 0, t = 0;
+        for (int i = 8; i > 0; --i) {
+            j = t = (byte) (i * 40) + (short) (-i);
+            b.append((char) ((int) "KEYS".charAt(i % 4) + b.length() % 3
+                             - b.charAt(b.length() - 1) % 2));
+        }
+        return b.toString() + j + t;
+    }
+    static String divZero(String s) {
+        StringBuilder b = new StringBuilder();
+        int k = 0;
+        for (int i = 0; i < s.length(); i++) {
+            k = 60 / (2 - i);
+            b.append((char) (s.charAt(i) + k));
+        }
+        return b.toString();
+    }
+    static String alias(String s) {
+        StringBuilder a = new StringBuilder();
+        StringBuilder c = a;
+        for (int i = 0; i < s.length(); i++) {
+            a.append(s.charAt(i));
+            c.append('-');
+        }
+        return a.toString();
+    }
+    static String pastStart(String s) {
+        StringBuilder b = new StringBuilder();
+        for (int i = s.length() - 1; i >= -1; i--) {
+            b.append(s.charAt(i));
+        }
+        return b.toString();
+    }
+    void sites() throws Exception {
+        Cipher.getInstance(ops("DESede"));
+        Cipher.getInstance(chars("AES"));
+        Cipher.getInstance(mixed(""));
+        Cipher.getInstance(divZero("AES"));
+        Cipher.getInstance(alias("AES"));
+        Cipher.getInstance(pastStart("AES"));
+    }
+}
+"""
+
+
 INPUTS = [("groups/Groups.java", GROUPS_SRC),
+          ("kernels/Kernels.java", KERNEL_SRC),
           ("keystream/Enc1.java", _keystream_source(rounds=1)),
           ("keystream/Enc2.java", _keystream_source(rounds=2))]
 
 
-def _unfused(monkeypatch) -> None:
-    for name in ("_fused_length", "_fused_assign", "_fused_char",
-                 "_fused_append"):
-        monkeypatch.setattr(interp, name, lambda generic, *args: generic)
-    monkeypatch.setattr(interp, "_inline_update", lambda updates: (None, 0))
+def _closures_only(monkeypatch) -> None:
+    monkeypatch.setattr(interp, "_kernel", lambda interp_, node: None)
 
 
-def _sweeps(inputs: list[tuple[str, str]], most: int | None) -> dict:
+def _restrictive(path: str, text: str) -> list:
+    return [site for site in extract_sites(parse_unit(path, text))
+            if site.api.category == RESTRICTIVE and site.subtree.children]
+
+
+def _sweeps(inputs: list[tuple[str, str]], most: int | None,
+            fresh: bool = False) -> dict:
     """key → `_outcome` of each restrictive site of ``inputs`` under every
     ``max_steps`` from 1 to its step count + 1, over freshly parsed units
-    so no closure is shared between runs; only sites of at most ``most``
-    steps when given."""
+    so no closure is shared between sweeps; only sites of at most ``most``
+    steps when given. The budgets of a site share its unit's closures, and
+    so the steps its kernels measured at the first, default, budget,
+    unless ``fresh``: then each budget compiles the unit's closures anew,
+    and a kernel measures its steps under that budget."""
     out = {}
     for path, text in inputs:
-        for site in extract_sites(parse_unit(path, text)):
-            if site.api.category != RESTRICTIVE \
-                    or not site.subtree.children:
-                continue
+        for site in _restrictive(path, text):
             steps = _outcome(site, ResolutionBudget().max_steps)[1]
             if most is None or steps <= most:
-                out[f"{path}:{site.offset}"] = [
-                    _outcome(site, n)[1:] for n in range(1, steps + 2)]
+                out[f"{path}:{site.offset}"] = sweep = []
+                for n in range(1, steps + 2):
+                    if fresh:
+                        unit_index(site.unit).compiled.clear()
+                    sweep.append(_outcome(site, n)[1:])
     return out
 
 
 def test_group_inputs_resolve_as_java_would():
-    """The inputs run the groups and each way out of them: the sites that
+    """The inputs run kernels and each way out of them: the sites that
     decode give their names, the rest give up."""
     got = [sorted(resolve_site(site).candidates)
-           for path, text in INPUTS
-           for site in extract_sites(parse_unit(path, text))
-           if site.api.category == RESTRICTIVE]
+           for path, text in INPUTS for site in _restrictive(path, text)]
     assert got == [["AES"], ["DES"], [], [], [], ["DES"], ["AES"], ["AES"],
-                   ["AES"], ["DESede"], ["AES/CBC"], ["DESede"], ["AES/CBC"]]
+                   ["AES"], ["BRLCZF"], ["T-F-C-"], ["QKTYELSYF3939"], [],
+                   ["A-E-S-"], [], ["DESede"], ["AES/CBC"], ["DESede"],
+                   ["AES/CBC"]]
 
 
-@pytest.mark.parametrize("inputs,most", [
-    (INPUTS, None),
+@pytest.mark.parametrize("inputs,most,fresh", [
+    (INPUTS, None, False),
+    (INPUTS, None, True),
     ([(p, t) for p, t in _sources() if not p.startswith("bench/")],
-     MOST_STEPS),
-], ids=["groups", "snippets-and-conftest"])
-def test_fused_groups_match_unfused_closures_at_every_budget(
-        monkeypatch, inputs, most):
+     MOST_STEPS, False),
+], ids=["groups", "groups-measured-at-each-budget", "snippets-and-conftest"])
+def test_kernels_match_closures_at_every_budget(monkeypatch, inputs, most,
+                                                fresh):
     """Steps, candidates, residuals and trace rules under every budget are
-    those of the closures the groups replace."""
-    fused = _sweeps(inputs, most)
+    those of the closures alone."""
+    kernels = _sweeps(inputs, most, fresh)
     with monkeypatch.context() as patch:
-        _unfused(patch)
-        unfused = _sweeps(inputs, most)
-    assert fused.keys() == unfused.keys() and len(fused) >= len(inputs)
-    for key in fused:
-        assert fused[key] == unfused[key], key
+        _closures_only(patch)
+        closures = _sweeps(inputs, most, fresh)
+    assert kernels.keys() == closures.keys() and len(kernels) >= len(inputs)
+    for key in kernels:
+        assert kernels[key] == closures[key], key
 
 
-def _calls(blob_length: int) -> int:
-    """Python calls in `interp` and `javamodel` frames while a warm unit
-    decodes a ``blob_length``-char blob with the workload's decoder at one
-    round."""
+def _profiled(site) -> tuple[Counter, int]:
+    """(Python calls per file of `interp`, `javamodel` and the kernels,
+    iterations the kernels ran) while a warm unit resolves ``site``."""
+    resolve_site(site)
+    files = {interp.__file__, javamodel.__file__, interp._KERNEL_FILE}
+    calls, iterations = Counter(), 0
+
+    def profile(frame, event, arg):
+        nonlocal iterations
+        name = frame.f_code.co_filename
+        if event == "call" and name in files:
+            calls[name] += 1
+        elif event == "return" and name == interp._KERNEL_FILE:
+            iterations += frame.f_locals.get("n", 0)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        resolve_site(site)
+    finally:
+        sys.setprofile(previous)
+    return calls, iterations
+
+
+def test_every_loop_that_completes_an_iteration_runs_as_a_kernel():
+    """Each loop of ``GROUPS_SRC`` and ``KERNEL_SRC`` runs its iterations
+    in a kernel, but for the one that fails a guard on its first
+    (``keyed("AES", "")``, a remainder by zero), ``stringKey``, which XORs
+    a String and completes no iteration, and ``alias``. ``pastEnd``,
+    ``divZero`` and ``pastStart`` run their loop twice, and hand the
+    iteration that fails a guard to the closures each time; ``fieldSpine`` runs its first
+    iteration through the closures, as its field is not a local until the
+    loop stores it."""
+    iterations = [[_profiled(site)[1] for site in _restrictive(path, text)]
+                  for path, text in INPUTS[:2]]
+    assert iterations == [[3, 3, 0, 6, 0, 3, 3, 2, 3], [6, 3, 8, 4, 0, 6]]
+
+
+def _decoder_calls(blob_length: int) -> Counter:
+    """`_profiled` calls while a warm unit decodes a ``blob_length``-char
+    blob with the workload's decoder at one round."""
     source = ("import javax.crypto.Cipher;\nclass Enc {\n"
               "    static String d(String s, int k) {\n"
               "        for (int r = 0; r < 1; r++) {\n"
@@ -180,27 +311,65 @@ def _calls(blob_length: int) -> int:
               "    Cipher c() throws Exception {\n"
               "        return Cipher.getInstance(d("
               f'"{"a" * blob_length}", 5));\n    }}\n}}\n')
-    site = next(s for s in extract_sites(parse_unit("Enc.java", source))
-                if s.api.category == RESTRICTIVE)
-    resolve_site(site)
-    files = {interp.__file__, javamodel.__file__}
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename in files:
-            count += 1
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        resolve_site(site)
-    finally:
-        sys.setprofile(previous)
-    return count
+    calls, iterations = _profiled(_restrictive("Enc.java", source)[0])
+    assert iterations == blob_length
+    return calls
 
 
-def test_a_decoder_iteration_takes_four_calls():
-    """Count work, not time: each inner-loop iteration of the keystream
-    decoder runs its condition, its two statements and its update in at
-    most four calls (twelve before the groups)."""
-    assert (_calls(40) - _calls(20)) / 20 <= 4
+def test_a_decoder_iteration_takes_no_python_call():
+    """Count work, not time: the keystream decoder's inner loop runs every
+    iteration in its kernel, whose one call per run of the loop is the
+    only Python call the loop's length does not change (twelve per
+    iteration before any fast path, four with the fused groups)."""
+    calls = _decoder_calls(40)
+    assert calls[interp._KERNEL_FILE] == 1
+    assert calls == _decoder_calls(20)
+
+
+def test_kernel_source_carries_no_input_text(monkeypatch):
+    """Locals are positional names and literals arguments, so neither a
+    local's name nor a literal of the scanned file reaches `compile()`."""
+    compiled = []
+
+    def recorded(source, *args):
+        compiled.append(source)
+        return builtins.compile(source, *args)
+    monkeypatch.setattr(interp, "_KERNELS", {})
+    monkeypatch.setattr(interp, "compile", recorded, raising=False)
+    blob = "".join(f"\\u{ord(c) ^ 9:04x}" for c in "AES")
+    source = ("import javax.crypto.Cipher;\nclass Enc {\n"
+              "    static String d(String os, int __import__) {\n"
+              "        StringBuilder b = new StringBuilder();\n"
+              "        for (int i = 0; i < os.length(); i++) {\n"
+              "            b.append((char) (os.charAt(i) ^ __import__));\n"
+              "        }\n"
+              "        return b.toString();\n"
+              "    }\n"
+              "    Cipher c() throws Exception {\n"
+              f'        return Cipher.getInstance(d("{blob}", 9));\n'
+              "    }\n}\n")
+    site = _restrictive("Enc.java", source)[0]
+    assert resolve_site(site).candidates == {"AES"}
+    assert _profiled(site)[1] == 3
+    (text,) = compiled
+    assert "__import__" not in text
+    assert not {"os", "9"} & set(re.findall(r"\w+", text))
+
+
+def test_the_workload_decoders_share_one_code_object(monkeypatch, tmp_path):
+    """The 80 decoders of the ``string-encryption`` corpus of seed 1 differ
+    only in their literals, and their inner loops run one code object."""
+    corpora.generate("string-encryption", tmp_path, 1)
+    kernels = []
+    kernel = interp._kernel
+
+    def recorded(interp_, node):
+        kernels.append(kernel(interp_, node))
+        return kernels[-1]
+    monkeypatch.setattr(interp, "_kernel", recorded)
+    files = sorted(tmp_path.rglob("*.java"))
+    for path in files:
+        resolve_site(_restrictive(str(path), path.read_text())[0])
+    ran = [k for k in kernels if k is not None]
+    assert len(files) == len(ran) == 80
+    assert len({k.fn.__code__ for k in ran}) == 1
