@@ -3,11 +3,14 @@
 
     python3 scripts/paired_bench.py PARENT
 
-Extracts ``git archive PARENT`` into a temporary directory, then, for each
-seed from 1 to 10 and each workload of ``BENCHMARK.json``, runs
+Extracts ``git archive PARENT`` into a temporary directory, and copies the
+working tree's tracked and untracked files that git does not ignore, as
+they are on disk, into another: so neither side runs with a
+``__pycache__`` or other build output the other lacks. Then, for each
+seed from 1 to 10 and each workload of ``BENCHMARK.json``, it runs
 ``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` once in
-that copy and once in the working tree, alternating which side runs first
-(the parent first on odd seeds). One workload per run keeps each run's
+each copy, alternating which side runs first (the parent first on odd
+seeds). One workload per run keeps each run's
 ``peak_rss_mb`` its own. It prints, per workload and end-to-end metric,
 the table the change log keeps: each side's median with its quartiles
 (q1–q3), the ratio of the medians and the number of pairs where the
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,6 +46,20 @@ def archive(commit: str, into: Path) -> None:
                          cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as files:
         files.extractall(into)
+
+
+def working_copy(root: Path, into: Path) -> None:
+    """The files of the working tree at ``root`` that git tracks or would
+    track, as they are on disk, in ``into``; a tracked file deleted from
+    the tree is left out."""
+    names = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard",
+         "-z"], cwd=root, check=True, capture_output=True).stdout
+    for name in names.decode("utf-8").split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,10 +139,12 @@ def main(argv: list[str] | None = None) -> int:
                            cwd=ROOT, check=True, capture_output=True,
                            text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as scratch:
-        parent_root = Path(scratch)
+        parent_root = Path(scratch, "parent")
+        change_root = Path(scratch, "change")
         archive(args.parent, parent_root)
+        working_copy(ROOT, change_root)
         for seed in SEEDS:
-            sides = [("parent", parent_root), ("change", ROOT)]
+            sides = [("parent", parent_root), ("change", change_root)]
             if seed % 2 == 0:
                 sides.reverse()
             for workload in workloads:
