@@ -1314,7 +1314,7 @@ def _c_assert(interp, node):
 # (its code point inside the kernel), S a String, B a StringBuilder (its
 # text inside the kernel).
 _KINDS = {int: "I", Char: "C", str: "S", Builder: "B"}
-_KIND_TYPES = {"I": "int", "C": "Char", "S": "str", "B": "Builder"}
+_KIND_TYPES = {kind: t.__name__ for t, kind in _KINDS.items()}
 # Literal node kind → the kind of its value.
 _KERNEL_LITERALS = {"decimal_integer_literal": "I", "hex_integer_literal": "I",
                     "character_literal": "C", "string_literal": "S"}
@@ -1591,10 +1591,7 @@ class _KernelSource:
             a, b = self.number(node.children[0]), self.number(node.children[1])
             if op in _KERNEL_COMPARE:
                 return _KERNEL_COMPARE[op].format(a, b), "Z"
-            if op in ("/", "%"):
-                b = self.named(b)
-                self.guard(b)
-            return _KERNEL_ARITH[op].format(a, b), "I"
+            return self.arith(op, a, b), "I"
         if kind == "unary_expression":
             return _KERNEL_UNARY[op].format(self.number(node.children[0])), "I"
         if kind == "cast_expression":
@@ -1604,30 +1601,35 @@ class _KernelSource:
             return self.call(node, op)
         slot = self.kernel.slots[str(node.children[0].value)]
         held = self.kinds[slot]
-        char = self.kernel.chars.get(id(node), False)
-        if kind == "update_expression":
-            old = self.number(node.children[0])
-            new = ("(({} + 1) & 65535)" if char else "({} + 1)") \
-                if op == "++" else \
-                ("(({} - 1) & 65535)" if char else "({} - 1)")
-            if held != ("C" if char else "I"):
-                raise _NoKernel
-            new = self.store(slot, new.format(old))
-            return (old if node.start == node.children[0].start else new), held
         if op == "=":
             text, kind = self.value(node.children[1])
             if kind != held or kind not in ("I", "C"):
                 raise _NoKernel
             return self.store(slot, text), held
-        b = self.number(node.children[1])
-        a = self.number(node.children[0])
-        if op[:-1] in ("/", "%"):
-            b = self.named(b)
-            self.guard(b)
-        text = _KERNEL_ARITH[op[:-1]].format(a, b)
+        # ++, -- and compound assignment give an int, or a char where the
+        # local is declared char (`_c_update`, `_store`).
+        char = self.kernel.chars[id(node)]
         if held != ("C" if char else "I"):
             raise _NoKernel
-        return self.store(slot, f"({text} & 65535)" if char else text), held
+        if kind == "update_expression":
+            old = self.current[slot]
+            text = self.arith("+" if op == "++" else "-", old, "1")
+        else:
+            b = self.number(node.children[1])
+            old = self.current[slot]    # read after the right-hand side
+            text = self.arith(op[:-1], old, b)
+        new = self.store(slot, f"({text} & 65535)" if char else text)
+        postfix = kind == "update_expression" \
+            and node.start == node.children[0].start
+        return (old if postfix else new), held
+
+    def arith(self, op: str, a: str, b: str) -> str:
+        """The text of int operator ``op`` on ``a`` and ``b``, after a
+        guard on a divisor."""
+        if op in ("/", "%"):
+            b = self.named(b)
+            self.guard(b)
+        return _KERNEL_ARITH[op].format(a, b)
 
     def named(self, text: str) -> str:
         """``text``, or a new name set to it when it is not a name."""
