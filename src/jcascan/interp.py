@@ -169,7 +169,9 @@ class _Interp:
         self.index = unit_index(unit)
         # The unit's closures, shared by all its sites: id(node) →
         # closure; (id(initializer), elem) → array builder; (id(block),)
-        # → the block's statements without its own tick.
+        # → the block's statements without its own tick; (id(decl),
+        # "params") → `_parameters`; (id(node), "char") →
+        # `_declared_char`.
         self.compiled: dict = self.index.compiled
         # The ids of the nodes `lifted` reads from ``env``.
         self.operands: frozenset = frozenset()
