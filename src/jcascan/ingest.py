@@ -18,6 +18,7 @@ the classifier.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import stat
@@ -280,12 +281,24 @@ def corpus_files(root_dir: str | Path) -> list[str]:
 
 def _read_text(path: str) -> str:
     """The text of a regular file, as ``open(path, encoding="utf-8",
-    errors="replace")`` reads it, opened with no wait on a named pipe."""
-    with open(path, "rb", opener=lambda name, flags: os.open(
-            name, flags | getattr(os, "O_NONBLOCK", 0))) as source:
-        if not stat.S_ISREG(os.fstat(source.fileno()).st_mode):
+    errors="replace")`` reads it, opened with no wait on a named pipe: a
+    directory is the error ``open`` gives, another file that is not
+    regular an error of its own."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        if not stat.S_ISREG(info.st_mode):
             raise OSError(f"not a regular file: {path!r}")
-        text = source.read().decode("utf-8", "replace")
+        # One read for the whole file and one more to see its end.
+        chunks = []
+        while chunk := os.read(fd, info.st_size + 1):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8", "replace")
     return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
 
 

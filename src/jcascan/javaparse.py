@@ -7,13 +7,16 @@ interfaces, enums, fields, methods, the usual statements, and the full
 expression grammar including ternaries, casts, string concatenation,
 array creation, and lambdas.
 
-The tokenizer reads whitespace, comments, ASCII identifiers and operators
-with one compiled regex, one match per token; string, char and number
-literals, and text from a non-ASCII character on, it reads by hand. It
-never raises: a malformed literal (an escape cut off by the end of the
-file, a digit escape without an octal digit, ``0x`` without digits, a
-decimal literal too long for ``int``, a digit that is no decimal digit)
-still becomes a token, with a parse warning.
+The lexer reads whitespace, comments, ASCII identifiers, operators and
+string literals with no escape with one compiled regex, in one
+``finditer`` pass up to each other literal; those literals, and text from
+a non-ASCII character on, it reads by hand. It fills parallel lists of
+token kinds, texts, offsets and values, which the parser reads in place;
+``tokenize`` builds ``Token`` records from them. It never raises: a
+malformed literal (an escape cut off by the end of the file, a digit
+escape without an octal digit, ``0x`` without digits, a decimal literal
+too long for ``int``, a digit that is no decimal digit) still becomes a
+token, with a parse warning.
 
 Parsing is error-tolerant: a malformed member or statement becomes a
 ``parse_error`` node and a warning record; the rest of the file still
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from functools import partial
 
 from .syntax import ParseWarning, Record, SourceUnit, SyntaxNode
 
@@ -61,23 +63,28 @@ MAX_STATEMENT_DEPTH = 48
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
 
 # One match reads the whitespace and comments before a token and, if it is
-# an ASCII identifier or an operator, the token itself, the longest
-# operator first. What it leaves, `tokenize` reads by hand: string, char
-# and number literals (a `.` before a digit starts one), and everything
-# from a non-ASCII character on. An identifier matches only whole and
-# followed by an ASCII character (`abé` is read by hand, never as `ab`).
+# an ASCII identifier, an operator or a string literal with no backslash,
+# the token itself, the longest operator first. What it leaves, `_lex`
+# reads by hand: other string literals, char and number literals (a `.`
+# before a digit starts one), and everything from a non-ASCII character
+# on. An identifier matches only whole and followed by an ASCII character
+# (`abé` is read by hand, never as `ab`).
 _TOKEN = re.compile(
     r"(?:\s+|//[^\n]*\n?|/\*(?s:.*?\*/|.*))*"
     r"(?:(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*(?![A-Za-z0-9_$]|[^\x00-\x7f]))"
     r"|(?P<op>>>>=|>>>|>>=|<<=|->|::|\+\+|--|&&|\|\||[=!<>+\-*/%&|^]="
-    r"|<<|>>|\.(?![0-9]|[^\x00-\x7f])|(?![\sA-Za-z0-9_$\"'.])[\x00-\x7f]))?")
+    r"|<<|>>|\.(?![0-9]|[^\x00-\x7f])|(?![\sA-Za-z0-9_$\"'.])[\x00-\x7f])"
+    r"|(?P<string>\"[^\"\\\n]*\"))?")
 
 # By quote: a literal's characters up to its quote, a backslash or newline.
 _QUOTED_RUN = {q: re.compile(f"[^{q}\\\\\n]*").match for q in "\"'"}
 
 # Enough eof tokens after the last one for the parser's furthest
-# lookahead, ``self.tokens[self.pos + 2]``, from the first eof.
+# lookahead, ``self.texts[self.pos + 2]``, from the first eof.
 _LOOKAHEAD = 2
+
+# The token kind of each of _TOKEN's groups, by its index.
+_GROUP_KINDS = (None, "ident", "op", "string")
 
 
 class Token(Record):
@@ -150,24 +157,41 @@ def _decode_escapes(body: str) -> tuple[str, bool]:
     return "".join(out), valid
 
 
-def tokenize(text: str,
-             warnings: list[tuple[int, str]] | None = None) -> list[Token]:
-    """The tokens of ``text``, ending in one ``eof`` token. Never raises:
-    a malformed literal still becomes a token, and an ``(offset,
-    message)`` pair is appended to ``warnings``."""
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN.match
-    problems = [] if warnings is None else warnings
+def _lex(text: str, problems: list[tuple[int, str]]
+         ) -> tuple[list[str], list[str], list[int], list[int], list[object]]:
+    """The tokens of ``text`` as parallel lists of kinds, texts, starts,
+    ends and values, ending in one ``eof`` token and _LOOKAHEAD more. Never
+    raises: a malformed literal still becomes a token, and an ``(offset,
+    message)`` pair is appended to ``problems``."""
+    kinds, texts, starts, ends = [], [], [], []
+    add_kind, add_text, add_start, add_end = (
+        kinds.append, texts.append, starts.append, ends.append)
+    read: list[tuple[int, object]] = []  # (index, value), read by hand
+
+    def append(kind: str, start: int, end: int, value: object = None) -> None:
+        read.append((len(kinds), value))
+        add_kind(kind)
+        add_text(text[start:end])
+        add_start(start)
+        add_end(end)
+
+    finditer = _TOKEN.finditer
     i = 0
     n = len(text)
     while True:
-        m = match(text, i)
-        kind = m.lastgroup
-        if kind is not None:
-            start, i = m.span(kind)
-            append(Token(kind, text[start:i], start, i))
-            continue
+        # The regex's tokens up to the next one it leaves, or the end: its
+        # match there reads no token.
+        for m in finditer(text, i):
+            group = m.lastindex
+            if group is None:
+                break
+            start, end = m.span(group)
+            if group == 3:  # a string, its value its text between quotes
+                read.append((len(kinds), text[start + 1:end - 1]))
+            add_kind(_GROUP_KINDS[group])
+            add_text(m[group])
+            add_start(start)
+            add_end(end)
         i = m.end()
         if i == n:
             break
@@ -194,9 +218,9 @@ def tokenize(text: str,
             if not valid:
                 problems.append((i, "invalid escape sequence"))
             if c == '"':
-                append(Token("string", text[i:end], i, end, value))
+                append("string", i, end, value)
             else:
-                append(Token("char", text[i:end], i, end, value[:1] or "\0"))
+                append("char", i, end, value[:1] or "\0")
             i = end
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -215,7 +239,7 @@ def tokenize(text: str,
                     value = 0
                     problems.append(
                         (i, "hexadecimal literal without digits"))
-                append(Token("int", text[i:j], i, j, value))
+                append("int", i, j, value)
                 i = j
                 continue
             while j < n and (text[j].isdigit() or text[j] == "_"):
@@ -249,21 +273,33 @@ def tokenize(text: str,
                 problems.append((i, "integer literal too long"
                                  if raw.isdecimal() else
                                  "number literal with a non-decimal digit"))
-            append(Token("float" if is_float else "int", text[i:j], i, j,
-                         value))
+            append("float" if is_float else "int", i, j, value)
             i = j
             continue
         if c.isalpha() or c in "_$":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_$"):
                 j += 1
-            append(Token("ident", text[i:j], i, j))
+            append("ident", i, j)
             i = j
             continue
-        append(Token("op", c, i, i + 1))
+        append("op", i, i + 1)
         i += 1
-    append(Token("eof", "", n, n))
-    return tokens
+    for column, eof in ((kinds, "eof"), (texts, ""), (starts, n), (ends, n)):
+        column.extend([eof] * (1 + _LOOKAHEAD))
+    values: list[object] = [None] * len(kinds)
+    for index, value in read:
+        values[index] = value
+    return kinds, texts, starts, ends, values
+
+
+def tokenize(text: str,
+             warnings: list[tuple[int, str]] | None = None) -> list[Token]:
+    """The tokens of ``text``, ending in one ``eof`` token. Never raises:
+    a malformed literal still becomes a token, and an ``(offset,
+    message)`` pair is appended to ``warnings``."""
+    lexed = _lex(text, [] if warnings is None else warnings)
+    return list(map(Token, *(column[:-_LOOKAHEAD] for column in lexed)))
 
 
 # The node kind of each literal token's kind (but `0x…` is hexadecimal),
@@ -281,33 +317,47 @@ class Parser:
         self.path = path
         self.text = text
         lexed: list[tuple[int, str]] = []
-        self.tokens = tokenize(text, lexed)
-        self.tokens += [self.tokens[-1]] * _LOOKAHEAD
+        (self.kinds, self.texts, self.starts, self.ends,
+         self.values) = _lex(text, lexed)
         self.pos = 0
         self.warnings = [ParseWarning(path, offset, message)
                          for offset, message in lexed] if lexed else []
         self.expression_depth = 0
         self.statement_depth = 0
-        # node(kind, start, end, children=None, value=None), frameless.
-        self.node = partial(SyntaxNode, source=text)
 
     # -- token helpers -------------------------------------------------
-    # Productions read ``self.tokens[self.pos]`` and pass a token whose text
-    # they matched with ``self.pos += 1``: never eof, the one token with the
-    # empty text, so ``text not in ("}", "")`` is "not at `}` nor at eof".
+    # The token at hand is ``self.texts[self.pos]`` and the same index of
+    # ``kinds``, ``starts``, ``ends`` and ``values``. Productions pass a
+    # token whose text they matched with ``self.pos += 1``: never eof, the
+    # one token with the empty text, so ``text not in ("}", "")`` is "not
+    # at `}` nor at eof". Nodes are built by a positional ``SyntaxNode``
+    # call, its last argument the source.
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """The index of the token at hand, passed unless it is eof."""
+        pos = self.pos
+        if self.texts[pos]:
+            self.pos = pos + 1
+        return pos
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.start)
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> int:
+        """The index of the token at hand, passed if its text is ``text``,
+        else a ParseError."""
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise ParseError(f"expected {text!r}, got {self.texts[pos]!r}",
+                             self.starts[pos])
+        self.pos = pos + 1
+        return pos
+
+    def _identifier(self) -> SyntaxNode:
+        """An identifier node of the token at hand, passed unless it is
+        eof."""
+        pos = self.pos
+        if self.texts[pos]:
+            self.pos = pos + 1
+        return SyntaxNode("identifier", self.starts[pos], self.ends[pos],
+                          None, self.texts[pos], self.text)
 
     # -- error recovery ------------------------------------------------
 
@@ -317,14 +367,14 @@ class Parser:
         ``skip()`` (default: the rest of the statement) passes."""
         self.warnings.append(ParseWarning(self.path, start, message))
         (skip or self._skip_statement)()
-        end = max(self.tokens[self.pos].start, start)
-        return self.node("parse_error", start, end)
+        end = max(self.starts[self.pos], start)
+        return SyntaxNode("parse_error", start, end, None, None, self.text)
 
     def _recover_past(self, start: int, message: str) -> SyntaxNode:
         """``_recover`` from ``start``, then past at least one token, so
         that the caller's loop moves on."""
         err = self._recover(start, message)
-        if self.tokens[self.pos].start == start:
+        if self.starts[self.pos] == start:
             self.advance()
         return err
 
@@ -332,14 +382,14 @@ class Parser:
         """Skip past the next ``;``, or up to the next ``}``, outside
         braces."""
         depth = 0
-        while (tok := self.tokens[self.pos]).kind != "eof":
-            if tok.text == "{":
+        while text := self.texts[self.pos]:
+            if text == "{":
                 depth += 1
-            elif tok.text == "}":
+            elif text == "}":
                 if depth == 0:
                     break
                 depth -= 1
-            elif depth == 0 and tok.text == ";":
+            elif depth == 0 and text == ";":
                 self.pos += 1
                 break
             self.pos += 1
@@ -348,107 +398,112 @@ class Parser:
         self._skip_statement()
         # No statement starts with `else`: the rest of an if-else chain
         # goes with the skipped statement.
-        while self.tokens[self.pos].text == "else":
+        while self.texts[self.pos] == "else":
             self._skip_statement()
 
     # -- program -------------------------------------------------------
 
     def parse_program(self) -> SyntaxNode:
         children: list[SyntaxNode] = []
-        while (tok := self.tokens[self.pos]).kind != "eof":
+        while self.texts[pos := self.pos]:
             try:
                 decl = self.parse_top_level()
                 if decl is not None:
                     children.append(decl)
             except ParseError as exc:
-                children.append(self._recover_past(tok.start, str(exc)))
-        return self.node("program", 0, len(self.text), children)
+                children.append(self._recover_past(self.starts[pos], str(exc)))
+        return SyntaxNode("program", 0, len(self.text), children, None,
+                          self.text)
 
     def parse_top_level(self) -> SyntaxNode | None:
-        tok = self.tokens[self.pos]
-        if tok.text in ("package", "import"):
+        pos = self.pos
+        text = self.texts[pos]
+        if text in ("package", "import"):
             self.pos += 1
-            star = tok.text == "import"
-            if star and self.tokens[self.pos].text == "static":
+            star = text == "import"
+            if star and self.texts[self.pos] == "static":
                 self.pos += 1
             name = self._qualified_name(allow_star=star)
-            return self.node(f"{tok.text}_declaration", tok.start,
-                             self.expect(";").end, value=name)
-        if tok.text == ";":
+            return SyntaxNode(f"{text}_declaration", self.starts[pos],
+                              self.ends[self.expect(";")], None, name,
+                              self.text)
+        if text == ";":
             self.pos += 1
             return None
         return self.parse_type_declaration()
 
     def _qualified_name(self, allow_star: bool = False) -> str:
-        parts = [self.advance().text]
-        while self.tokens[self.pos].text == ".":
+        parts = [self.texts[self.advance()]]
+        while self.texts[self.pos] == ".":
             self.pos += 1
-            if allow_star and self.tokens[self.pos].text == "*":
+            if allow_star and self.texts[self.pos] == "*":
                 self.pos += 1
                 parts.append("*")
                 break
-            parts.append(self.advance().text)
+            parts.append(self.texts[self.advance()])
         return ".".join(parts)
 
     # -- declarations ----------------------------------------------------
 
     def _skip_annotations(self) -> None:
-        while self.tokens[self.pos].text == "@":
+        while self.texts[self.pos] == "@":
             self.pos += 1
             self._qualified_name()
-            if self.tokens[self.pos].text == "(":
+            if self.texts[self.pos] == "(":
                 self._skip_balanced("(", ")")
 
     def _skip_balanced(self, open_t: str, close_t: str) -> None:
         self.expect(open_t)
         depth = 1
-        while depth and (tok := self.tokens[self.pos]).kind != "eof":
+        while depth and (text := self.texts[self.pos]):
             self.pos += 1
-            if tok.text == open_t:
+            if text == open_t:
                 depth += 1
-            elif tok.text == close_t:
+            elif text == close_t:
                 depth -= 1
 
     def parse_modifiers(self) -> SyntaxNode | None:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         mods: list[str] = []
         while True:
-            tok = self.tokens[self.pos]
-            if tok.text == "@":
+            text = self.texts[self.pos]
+            if text == "@":
                 self._skip_annotations()
-            elif tok.text in MODIFIER_WORDS:
-                mods.append(tok.text)
+            elif text in MODIFIER_WORDS:
+                mods.append(text)
                 self.pos += 1
             else:
                 break
         if not mods:
             return None
-        return self.node("modifiers", start, self.tokens[self.pos - 1].end,
-                         value=tuple(mods))
+        return SyntaxNode("modifiers", start, self.ends[self.pos - 1], None,
+                          tuple(mods), self.text)
 
     def parse_type_declaration(self) -> SyntaxNode:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         mods = self.parse_modifiers()
-        tok = self.tokens[self.pos]
-        if tok.text in ("class", "interface"):
-            return self._class_like(f"{tok.text}_declaration", start, mods)
-        if tok.text == "enum":
+        text = self.texts[self.pos]
+        if text in ("class", "interface"):
+            return self._class_like(f"{text}_declaration", start, mods)
+        if text == "enum":
             return self._enum(start, mods)
-        if tok.text == "@":
-            raise ParseError("annotation type not supported", tok.start)
-        raise ParseError(f"expected type declaration, got {tok.text!r}", tok.start)
+        if text == "@":
+            raise ParseError("annotation type not supported",
+                             self.starts[self.pos])
+        raise ParseError(f"expected type declaration, got {text!r}",
+                         self.starts[self.pos])
 
     def _skip_type_params(self) -> None:
         depth = 0
-        while (tok := self.tokens[self.pos]).kind != "eof":
+        while text := self.texts[self.pos]:
             self.pos += 1
-            if tok.text == "<":
+            if text == "<":
                 depth += 1
-            elif tok.text == ">":
+            elif text == ">":
                 depth -= 1
                 if depth == 0:
                     return
-            elif tok.text == ">>":
+            elif text == ">>":
                 depth -= 2
                 if depth <= 0:
                     return
@@ -456,240 +511,239 @@ class Parser:
     def _type_head(self, mods: SyntaxNode | None) -> list[SyntaxNode]:
         """The modifiers and the name of a type, past its keyword."""
         self.pos += 1  # class / interface / enum
-        name = self.advance()
-        return ([] if mods is None else [mods]) + [self.node(
-            "identifier", name.start, name.end, value=name.text)]
+        return ([] if mods is None else [mods]) + [self._identifier()]
 
     def _supertypes(self, children: list[SyntaxNode]) -> None:
         """The types of each ``extends`` or ``implements`` list, appended
         to ``children``."""
-        while self.tokens[self.pos].text in ("extends", "implements"):
+        while self.texts[self.pos] in ("extends", "implements"):
             self.pos += 1
             children.append(self.parse_type())
-            while self.tokens[self.pos].text == ",":
+            while self.texts[self.pos] == ",":
                 self.pos += 1
                 children.append(self.parse_type())
 
     def _class_like(self, kind: str, start: int,
                     mods: SyntaxNode | None) -> SyntaxNode:
         children = self._type_head(mods)
-        if self.tokens[self.pos].text == "<":
+        if self.texts[self.pos] == "<":
             self._skip_type_params()
         self._supertypes(children)
         body = self.parse_class_body()
         children.append(body)
-        return self.node(kind, start, body.end, children)
+        return SyntaxNode(kind, start, body.end, children, None, self.text)
 
     def _enum(self, start: int, mods: SyntaxNode | None) -> SyntaxNode:
         children = self._type_head(mods)
         self._supertypes(children)
-        body_start = self.expect("{").start
+        body_start = self.starts[self.expect("{")]
         body_children: list[SyntaxNode] = []
-        while self.tokens[self.pos].text not in ("}", ";", ""):
+        while self.texts[self.pos] not in ("}", ";", ""):
             self._skip_annotations()
-            const_tok = self.advance()
-            const_children = [self.node("identifier", const_tok.start,
-                                        const_tok.end, value=const_tok.text)]
-            end = const_tok.end
-            if self.tokens[self.pos].text == "(":
+            name = self._identifier()
+            const_children = [name]
+            end = name.end
+            if self.texts[self.pos] == "(":
                 args = self.parse_argument_list()
                 const_children.append(args)
                 end = args.end
-            if self.tokens[self.pos].text == "{":
+            if self.texts[self.pos] == "{":
                 cbody = self.parse_class_body()
                 end = cbody.end
-            body_children.append(self.node("enum_constant", const_tok.start,
-                                           end, const_children))
-            if self.tokens[self.pos].text != ",":
+            body_children.append(SyntaxNode("enum_constant", name.start, end,
+                                            const_children, None, self.text))
+            if self.texts[self.pos] != ",":
                 break
             self.pos += 1
-        if self.tokens[self.pos].text == ";":
+        if self.texts[self.pos] == ";":
             self.pos += 1
-            while self.tokens[self.pos].text not in ("}", ""):
+            while self.texts[self.pos] not in ("}", ""):
                 member = self.parse_member()
                 if member is not None:
                     body_children.append(member)
-        body_end = self.expect("}").end
-        children.append(self.node("enum_body", body_start, body_end,
-                                  body_children))
-        return self.node("enum_declaration", start, body_end, children)
+        body_end = self.ends[self.expect("}")]
+        children.append(SyntaxNode("enum_body", body_start, body_end,
+                                   body_children, None, self.text))
+        return SyntaxNode("enum_declaration", start, body_end, children, None,
+                          self.text)
 
     def parse_class_body(self) -> SyntaxNode:
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         children: list[SyntaxNode] = []
-        while self.tokens[self.pos].text not in ("}", ""):
+        while self.texts[self.pos] not in ("}", ""):
             member = self.parse_member()
             if member is not None:
                 children.append(member)
-        end = self.expect("}").end
-        return self.node("class_body", start, end, children)
+        end = self.ends[self.expect("}")]
+        return SyntaxNode("class_body", start, end, children, None, self.text)
 
     def parse_member(self) -> SyntaxNode | None:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         try:
             return self._nested_statement(self._parse_member_inner)
         except ParseError as exc:
             return self._recover_past(start, str(exc))
 
     def _parse_member_inner(self) -> SyntaxNode | None:
-        if self.tokens[self.pos].text == ";":
+        if self.texts[self.pos] == ";":
             self.pos += 1
             return None
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         mods = self.parse_modifiers()
-        tok = self.tokens[self.pos]
-        if tok.text in ("class", "interface"):
-            return self._class_like(f"{tok.text}_declaration", start, mods)
-        if tok.text == "enum":
+        pos = self.pos
+        text = self.texts[pos]
+        if text in ("class", "interface"):
+            return self._class_like(f"{text}_declaration", start, mods)
+        if text == "enum":
             return self._enum(start, mods)
-        if tok.text == "{":  # initializer block
+        if text == "{":  # initializer block
             block = self.parse_block()
             children = ([mods] if mods else []) + [block]
-            return self.node("initializer_block", start, block.end, children)
-        if tok.text == "<":
+            return SyntaxNode("initializer_block", start, block.end, children,
+                              None, self.text)
+        if text == "<":
             self._skip_type_params()
         # Constructor: Name ( ... ) {
-        if (tok.kind == "ident" and self.tokens[self.pos + 1].text == "("
-                and tok.text not in KEYWORDS):
-            self.pos += 1
-            return self._method_rest(start, mods, None, tok,
+        if (self.kinds[pos] == "ident" and self.texts[pos + 1] == "("
+                and text not in KEYWORDS):
+            return self._method_rest(start, mods, None, self._identifier(),
                                      "constructor_declaration")
         type_node = self.parse_type()
-        name_tok = self.tokens[self.pos]
-        if name_tok.kind != "ident":
-            raise ParseError(f"expected member name, got {name_tok.text!r}",
-                             name_tok.start)
-        self.pos += 1
-        if self.tokens[self.pos].text == "(":
-            return self._method_rest(start, mods, type_node, name_tok,
+        if self.kinds[self.pos] != "ident":
+            raise ParseError("expected member name, got "
+                             f"{self.texts[self.pos]!r}",
+                             self.starts[self.pos])
+        name = self._identifier()
+        if self.texts[self.pos] == "(":
+            return self._method_rest(start, mods, type_node, name,
                                      "method_declaration")
         children = ([] if mods is None else [mods]) + [type_node]
-        end = self._declarators(name_tok, children)
-        return self.node("field_declaration", start, end, children)
+        end = self._declarators(name, children)
+        return SyntaxNode("field_declaration", start, end, children, None,
+                          self.text)
 
     def _method_rest(self, start: int, mods: SyntaxNode | None,
-                     type_node: SyntaxNode | None, name_tok: Token,
+                     type_node: SyntaxNode | None, name: SyntaxNode,
                      kind: str) -> SyntaxNode:
         children: list[SyntaxNode] = [] if mods is None else [mods]
         if type_node is not None:
             children.append(type_node)
-        children.append(self.node("identifier", name_tok.start, name_tok.end,
-                                  value=name_tok.text))
+        children.append(name)
         params = self.parse_formal_parameters()
         children.append(params)
         end = params.end
-        if self.tokens[self.pos].text == "throws":
+        if self.texts[self.pos] == "throws":
             self.pos += 1
             self.parse_type()
-            while self.tokens[self.pos].text == ",":
+            while self.texts[self.pos] == ",":
                 self.pos += 1
                 self.parse_type()
-        if self.tokens[self.pos].text == "{":
+        if self.texts[self.pos] == "{":
             body = self.parse_block()
             children.append(body)
             end = body.end
         else:
-            end = self.expect(";").end
-        return self.node(kind, start, end, children)
+            end = self.ends[self.expect(";")]
+        return SyntaxNode(kind, start, end, children, None, self.text)
 
-    def _declarators(self, name_tok: Token,
+    def _declarators(self, name: SyntaxNode,
                      children: list[SyntaxNode]) -> int:
-        """``name [] … = init, …;`` from ``name_tok``, already read: one
-        variable_declarator per name, appended to ``children``. Returns
-        the end of the ``;``."""
+        """``name [] … = init, …;`` from the identifier ``name``, already
+        read: one variable_declarator per name, appended to ``children``.
+        Returns the end of the ``;``."""
         while True:
-            decl_children = [self.node("identifier", name_tok.start,
-                                       name_tok.end, value=name_tok.text)]
-            end = name_tok.end
-            while self.tokens[self.pos].text == "[":
+            decl_children = [name]
+            end = name.end
+            while self.texts[self.pos] == "[":
                 self.pos += 1
-                end = self.expect("]").end
-            if self.tokens[self.pos].text == "=":
+                end = self.ends[self.expect("]")]
+            if self.texts[self.pos] == "=":
                 self.pos += 1
                 init = self._array_initializer() \
-                    if self.tokens[self.pos].text == "{" \
+                    if self.texts[self.pos] == "{" \
                     else self.parse_expression()
                 decl_children.append(init)
                 end = init.end
-            children.append(self.node("variable_declarator", name_tok.start,
-                                      end, decl_children))
-            if self.tokens[self.pos].text != ",":
-                return self.expect(";").end
+            children.append(SyntaxNode("variable_declarator", name.start, end,
+                                       decl_children, None, self.text))
+            if self.texts[self.pos] != ",":
+                return self.ends[self.expect(";")]
             self.pos += 1
-            name_tok = self.advance()
+            name = self._identifier()
 
     def parse_formal_parameters(self) -> SyntaxNode:
-        start = self.expect("(").start
+        start = self.starts[self.expect("(")]
         children: list[SyntaxNode] = []
-        while self.tokens[self.pos].text not in (")", ""):
-            pstart = self.tokens[self.pos].start
+        while self.texts[self.pos] not in (")", ""):
+            pstart = self.starts[self.pos]
             self._skip_annotations()
             ptype = self._final_type()
-            while self.tokens[self.pos].text == ".":  # varargs' `...`
+            while self.texts[self.pos] == ".":  # varargs' `...`
                 self.pos += 1
-            name_tok = self.advance()
-            pend = name_tok.end
-            while self.tokens[self.pos].text == "[":
+            name = self._identifier()
+            pend = name.end
+            while self.texts[self.pos] == "[":
                 self.pos += 1
-                pend = self.expect("]").end
-            name = self.node("identifier", name_tok.start, name_tok.end,
-                             value=name_tok.text)
-            children.append(self.node("formal_parameter", pstart, pend,
-                                      [ptype, name]))
-            if self.tokens[self.pos].text == ",":
+                pend = self.ends[self.expect("]")]
+            children.append(SyntaxNode("formal_parameter", pstart, pend,
+                                       [ptype, name], None, self.text))
+            if self.texts[self.pos] == ",":
                 self.pos += 1
-        end = self.expect(")").end
-        return self.node("formal_parameters", start, end, children)
+        end = self.ends[self.expect(")")]
+        return SyntaxNode("formal_parameters", start, end, children, None,
+                          self.text)
 
     def _final_type(self) -> SyntaxNode:
         """A type after an optional ``final``."""
-        if self.tokens[self.pos].text == "final":
+        if self.texts[self.pos] == "final":
             self.pos += 1
         return self.parse_type()
 
     def parse_type(self) -> SyntaxNode:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            raise ParseError(f"expected type, got {tok.text!r}", tok.start)
-        self.pos += 1
-        parts = [tok.text]
-        end = tok.end
+        pos = self.pos
+        texts = self.texts
+        if self.kinds[pos] != "ident":
+            raise ParseError(f"expected type, got {texts[pos]!r}",
+                             self.starts[pos])
+        self.pos = pos + 1
+        parts = [texts[pos]]
+        end = self.ends[pos]
         while True:
-            if self.tokens[self.pos].text == "<":
+            if texts[self.pos] == "<":
                 self._skip_type_args()
-            if self.tokens[self.pos].text != "." \
-                    or (nxt := self.tokens[self.pos + 1]).kind != "ident":
+            nxt = self.pos + 1
+            if texts[nxt - 1] != "." or self.kinds[nxt] != "ident":
                 break
             self.pos += 2
-            parts.append(nxt.text)
-            end = nxt.end
+            parts.append(texts[nxt])
+            end = self.ends[nxt]
         dims = 0
-        while self.tokens[self.pos].text == "[" \
-                and (close := self.tokens[self.pos + 1]).text == "]":
+        while texts[self.pos] == "[" and texts[self.pos + 1] == "]":
             self.pos += 2
-            end = close.end
+            end = self.ends[self.pos - 1]
             dims += 1
-        return self.node("type_identifier", tok.start, end,
-                         value=".".join(parts) + "[]" * dims)
+        return SyntaxNode("type_identifier", self.starts[pos], end, None,
+                          ".".join(parts) + "[]" * dims, self.text)
 
     def _skip_type_args(self) -> None:
         """Past the type arguments at ``<``, if a matching ``>`` comes
         before ``;``, ``{`` or ``)`` at the same nesting level."""
         depth = 0
+        texts = self.texts
         idx = self.pos
-        while idx < len(self.tokens):
-            t = self.tokens[idx]
-            if t.text == "<":
+        while idx < len(texts):
+            text = texts[idx]
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
                 if depth == 0:
                     break
-            elif t.text == ">>":
+            elif text == ">>":
                 depth -= 2
                 if depth <= 0:
                     break
-            elif t.text in (";", "{", ")") or t.kind == "eof":
+            elif text in (";", "{", ")", ""):
                 return
             idx += 1
         else:
@@ -699,17 +753,17 @@ class Parser:
     # -- statements ------------------------------------------------------
 
     def parse_block(self) -> SyntaxNode:
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         children: list[SyntaxNode] = []
-        while (tok := self.tokens[self.pos]).text not in ("}", ""):
+        while self.texts[pos := self.pos] not in ("}", ""):
             try:
                 stmt = self.parse_statement()
                 if stmt is not None:
                     children.append(stmt)
             except ParseError as exc:
-                children.append(self._recover_past(tok.start, str(exc)))
-        end = self.expect("}").end
-        return self.node("block", start, end, children)
+                children.append(self._recover_past(self.starts[pos], str(exc)))
+        end = self.ends[self.expect("}")]
+        return SyntaxNode("block", start, end, children, None, self.text)
 
     def parse_statement(self) -> SyntaxNode | None:
         return self._nested_statement(self._statement)
@@ -719,7 +773,7 @@ class Parser:
         """``parse()`` one statement level deeper; past MAX_STATEMENT_DEPTH
         levels the statement is skipped as one parse_error node."""
         if self.statement_depth >= MAX_STATEMENT_DEPTH:
-            return self._recover(self.tokens[self.pos].start,
+            return self._recover(self.starts[self.pos],
                                  "statement nested deeper than "
                                  f"{MAX_STATEMENT_DEPTH} levels",
                                  self._skip_statement_chain)
@@ -730,9 +784,9 @@ class Parser:
             self.statement_depth -= 1
 
     def _statement(self) -> SyntaxNode | None:
-        tok = self.tokens[self.pos]
-        text = tok.text
-        start = tok.start
+        pos = self.pos
+        text = self.texts[pos]
+        start = self.starts[pos]
         if text == ";":
             self.pos += 1
             return None
@@ -747,88 +801,93 @@ class Parser:
             cond = self._condition()
             body = self.parse_statement()
             end = body.end if body else cond.end
-            return self.node("while_statement", start, end,
-                             [cond] + ([body] if body else []))
+            return SyntaxNode("while_statement", start, end,
+                              [cond] + ([body] if body else []), None,
+                              self.text)
         if text == "do":
             self.pos += 1
             body = self.parse_statement()
             self.expect("while")
             cond = self._condition()
-            end = self.expect(";").end
-            return self.node("do_statement", start, end,
-                             ([body] if body else []) + [cond])
+            end = self.ends[self.expect(";")]
+            return SyntaxNode("do_statement", start, end,
+                              ([body] if body else []) + [cond], None,
+                              self.text)
         if text == "return":
             self.pos += 1
             children = []
-            if self.tokens[self.pos].text != ";":
+            if self.texts[self.pos] != ";":
                 children.append(self.parse_expression())
-            end = self.expect(";").end
-            return self.node("return_statement", start, end, children)
+            end = self.ends[self.expect(";")]
+            return SyntaxNode("return_statement", start, end, children, None,
+                              self.text)
         if text == "throw":
             self.pos += 1
             expr = self.parse_expression()
-            end = self.expect(";").end
-            return self.node("throw_statement", start, end, [expr])
+            end = self.ends[self.expect(";")]
+            return SyntaxNode("throw_statement", start, end, [expr], None,
+                              self.text)
         if text == "try":
             return self._try_statement()
         if text in ("break", "continue"):
             self.pos += 1
-            if self.tokens[self.pos].kind == "ident":
+            if self.kinds[self.pos] == "ident":
                 self.pos += 1  # label
-            end = self.expect(";").end
-            return self.node(f"{text}_statement", start, end)
+            end = self.ends[self.expect(";")]
+            return SyntaxNode(f"{text}_statement", start, end, None, None,
+                              self.text)
         if text == "switch":
             return self._switch_statement()
-        if text == "synchronized" and self.tokens[self.pos + 1].text == "(":
+        if text == "synchronized" and self.texts[pos + 1] == "(":
             self.pos += 1
             expr = self._condition()
             block = self.parse_block()
-            return self.node("synchronized_statement", start, block.end,
-                             [expr, block])
+            return SyntaxNode("synchronized_statement", start, block.end,
+                              [expr, block], None, self.text)
         if text == "assert":
             self.pos += 1
             expr = self.parse_expression()
             children = [expr]
-            if self.tokens[self.pos].text == ":":
+            if self.texts[self.pos] == ":":
                 self.pos += 1
                 children.append(self.parse_expression())
-            end = self.expect(";").end
-            return self.node("assert_statement", start, end, children)
+            end = self.ends[self.expect(";")]
+            return SyntaxNode("assert_statement", start, end, children, None,
+                              self.text)
         if text == "@":
             self._skip_annotations()
             return self.parse_statement()
         if text in ("class", "interface", "enum") or (
                 text in MODIFIER_WORDS
-                and self.tokens[self.pos + 1].text in ("class", "interface",
-                                                  "enum")):
+                and self.texts[pos + 1] in ("class", "interface", "enum")):
             return self.parse_type_declaration()
         # Label: ident ':' statement
-        if tok.kind == "ident" and self.tokens[self.pos + 1].text == ":" \
-                and self.tokens[self.pos + 2].text != ":":
+        if self.kinds[pos] == "ident" and self.texts[pos + 1] == ":" \
+                and self.texts[pos + 2] != ":":
             self.pos += 2
             return self.parse_statement()
         decl = self._try_local_declaration()
         if decl is not None:
             return decl
         expr = self.parse_expression()
-        end = self.expect(";").end
-        return self.node("expression_statement", start, end, [expr])
+        end = self.ends[self.expect(";")]
+        return SyntaxNode("expression_statement", start, end, [expr], None,
+                          self.text)
 
     def _try_local_declaration(self) -> SyntaxNode | None:
         saved = self.pos
         saved_warn = len(self.warnings)
         try:
-            start = self.tokens[self.pos].start
             type_node = self._final_type()
-            name_tok = self.tokens[self.pos]
-            if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
-                raise ParseError("not a declaration", name_tok.start)
-            if self.tokens[self.pos + 1].text not in ("=", ";", ",", "["):
-                raise ParseError("not a declaration", name_tok.start)
-            self.pos += 1
+            pos = self.pos
+            if self.kinds[pos] != "ident" or self.texts[pos] in KEYWORDS \
+                    or self.texts[pos + 1] not in ("=", ";", ",", "["):
+                raise ParseError("not a declaration", self.starts[pos])
             children: list[SyntaxNode] = [type_node]
-            end = self._declarators(name_tok, children)
-            return self.node("local_variable_declaration", start, end, children)
+            end = self._declarators(self._identifier(), children)
+            return SyntaxNode("local_variable_declaration",
+                              self.starts[saved], end, children, None,
+                              self.text)
         except ParseError:
             self.pos = saved
             del self.warnings[saved_warn:]
@@ -846,15 +905,15 @@ class Parser:
         # statement level; its if_statement nodes nest from the last up.
         branches = []
         while True:
-            start = self.expect("if").start
+            start = self.starts[self.expect("if")]
             cond = self._condition()
             branches.append((start, cond, self.parse_statement()))
-            if not (self.tokens[self.pos].text == "else"
-                    and self.tokens[self.pos + 1].text == "if"):
+            if not (self.texts[self.pos] == "else"
+                    and self.texts[self.pos + 1] == "if"):
                 break
             self.pos += 1
         other = None
-        if self.tokens[self.pos].text == "else":
+        if self.texts[self.pos] == "else":
             self.pos += 1
             other = self.parse_statement()
         for start, cond, then in reversed(branches):
@@ -863,138 +922,135 @@ class Parser:
             if other:
                 children.append(other)
                 end = other.end
-            other = self.node("if_statement", start, end, children)
+            other = SyntaxNode("if_statement", start, end, children, None,
+                               self.text)
         return other
 
     def _for_statement(self) -> SyntaxNode:
-        start = self.expect("for").start
+        start = self.starts[self.expect("for")]
         self.expect("(")
         # Enhanced for: [final] Type name : iterable
         saved = self.pos
         try:
             type_node = self._final_type()
-            name_tok = self.tokens[self.pos]
-            if name_tok.kind == "ident" \
-                    and self.tokens[self.pos + 1].text == ":":
-                self.pos += 2
+            pos = self.pos
+            if self.kinds[pos] == "ident" and self.texts[pos + 1] == ":":
+                name = self._identifier()
+                self.pos += 1
                 iterable = self.parse_expression()
                 self.expect(")")
                 body = self.parse_statement()
                 end = body.end if body else iterable.end
-                name = self.node("identifier", name_tok.start, name_tok.end,
-                                 value=name_tok.text)
                 children = [type_node, name, iterable] \
                     + ([body] if body else [])
-                return self.node("enhanced_for_statement", start, end, children)
-            raise ParseError("not enhanced for", name_tok.start)
+                return SyntaxNode("enhanced_for_statement", start, end,
+                                  children, None, self.text)
+            raise ParseError("not enhanced for", self.starts[pos])
         except ParseError:
             self.pos = saved
         init_nodes: list[SyntaxNode] = []
-        if self.tokens[self.pos].text != ";":
+        if self.texts[self.pos] != ";":
             decl = self._try_local_declaration()
             if decl is not None:
                 init_nodes.append(decl)
             else:
                 init_nodes.append(self.parse_expression())
-                while self.tokens[self.pos].text == ",":
+                while self.texts[self.pos] == ",":
                     self.pos += 1
                     init_nodes.append(self.parse_expression())
                 self.expect(";")
         else:
             self.pos += 1
         cond = None
-        if self.tokens[self.pos].text != ";":
+        if self.texts[self.pos] != ";":
             cond = self.parse_expression()
         self.expect(";")
         updates: list[SyntaxNode] = []
-        if self.tokens[self.pos].text != ")":
+        if self.texts[self.pos] != ")":
             updates.append(self.parse_expression())
-            while self.tokens[self.pos].text == ",":
+            while self.texts[self.pos] == ",":
                 self.pos += 1
                 updates.append(self.parse_expression())
         self.expect(")")
         body = self.parse_statement()
         children = init_nodes + ([cond] if cond else []) + updates \
             + ([body] if body else [])
-        end = body.end if body else self.tokens[self.pos - 1].end
-        return self.node("for_statement", start, end, children,
-                         value=(len(init_nodes), cond is not None,
-                                len(updates), body is not None))
+        end = body.end if body else self.ends[self.pos - 1]
+        return SyntaxNode("for_statement", start, end, children,
+                          (len(init_nodes), cond is not None, len(updates),
+                           body is not None), self.text)
 
     def _try_statement(self) -> SyntaxNode:
-        start = self.expect("try").start
+        start = self.starts[self.expect("try")]
         children: list[SyntaxNode] = []
-        if self.tokens[self.pos].text == "(":  # try-with-resources
+        if self.texts[self.pos] == "(":  # try-with-resources
             self.pos += 1
-            while self.tokens[self.pos].text not in (")", ""):
+            while self.texts[self.pos] not in (")", ""):
                 decl = self._try_local_declaration_in_resource()
                 if decl is not None:
                     children.append(decl)
-                if self.tokens[self.pos].text == ";":
+                if self.texts[self.pos] == ";":
                     self.pos += 1
             self.expect(")")
         block = self.parse_block()
         children.append(block)
         end = block.end
-        while (ctok := self.tokens[self.pos]).text == "catch":
+        while self.texts[pos := self.pos] == "catch":
             self.pos += 1
             self.expect("(")
             cchildren = [self._final_type()]
-            while self.tokens[self.pos].text == "|":
+            while self.texts[self.pos] == "|":
                 self.pos += 1
                 cchildren.append(self.parse_type())
-            name = self.advance()
-            cchildren.append(self.node("identifier", name.start, name.end,
-                                       value=name.text))
+            cchildren.append(self._identifier())
             self.expect(")")
             cblock = self.parse_block()
             cchildren.append(cblock)
-            clause = self.node("catch_clause", ctok.start, cblock.end,
-                               cchildren)
-            children.append(clause)
+            children.append(SyntaxNode("catch_clause", self.starts[pos],
+                                       cblock.end, cchildren, None, self.text))
             end = cblock.end
-        if (ftok := self.tokens[self.pos]).text == "finally":
+        if self.texts[pos := self.pos] == "finally":
             self.pos += 1
             fblock = self.parse_block()
-            children.append(self.node("finally_clause", ftok.start,
-                                      fblock.end, [fblock]))
+            children.append(SyntaxNode("finally_clause", self.starts[pos],
+                                       fblock.end, [fblock], None, self.text))
             end = fblock.end
-        return self.node("try_statement", start, end, children)
+        return SyntaxNode("try_statement", start, end, children, None,
+                          self.text)
 
     def _try_local_declaration_in_resource(self) -> SyntaxNode | None:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         type_node = self._final_type()
-        name_tok = self.advance()
+        name = self._identifier()
         self.expect("=")
         init = self.parse_expression()
-        name = self.node("identifier", name_tok.start, name_tok.end,
-                         value=name_tok.text)
-        declarator = self.node("variable_declarator", name_tok.start,
-                               init.end, [name, init])
-        return self.node("local_variable_declaration", start, init.end,
-                         [type_node, declarator])
+        declarator = SyntaxNode("variable_declarator", name.start, init.end,
+                                [name, init], None, self.text)
+        return SyntaxNode("local_variable_declaration", start, init.end,
+                          [type_node, declarator], None, self.text)
 
     def _switch_statement(self) -> SyntaxNode:
-        start = self.expect("switch").start
+        start = self.starts[self.expect("switch")]
         subject = self._condition()
-        bstart = self.expect("{").start
+        bstart = self.starts[self.expect("{")]
         children: list[SyntaxNode] = [subject]
-        while (tok := self.tokens[self.pos]).text not in ("}", ""):
+        while (text := self.texts[self.pos]) not in ("}", ""):
             # `case X:`, `case X ->`, `default:` and `default ->`; the
             # statement after an arrow is read as any other.
-            if tok.text in ("case", "default"):
+            if text in ("case", "default"):
                 self.pos += 1
-                if tok.text == "case":
+                if text == "case":
                     self.parse_expression()
-                if self.tokens[self.pos].text != "->":
+                if self.texts[self.pos] != "->":
                     self.expect(":")
                     continue
                 self.pos += 1
             stmt = self.parse_statement()
             if stmt:
                 children.append(stmt)
-        end = self.expect("}").end
-        return self.node("switch_statement", start, max(end, bstart), children)
+        end = self.ends[self.expect("}")]
+        return SyntaxNode("switch_statement", start, max(end, bstart),
+                          children, None, self.text)
 
     # -- expressions -----------------------------------------------------
 
@@ -1007,26 +1063,26 @@ class Parser:
         ternaries (`c ? x : d ? y : …`), read in a loop so that its length
         costs no expression level; only a ternary's middle operand nests."""
         if self.expression_depth >= MAX_EXPRESSION_DEPTH:
-            raise ParseError(_TOO_DEEP, self.tokens[self.pos].start)
+            raise ParseError(_TOO_DEEP, self.starts[self.pos])
         self.expression_depth += 1
         try:
             links = []
             while True:
                 left = self._binary(0)
-                tok = self.tokens[self.pos]
-                if tok.text == "?":
+                text = self.texts[self.pos]
+                if text == "?":
                     self.pos += 1
                     then = self.parse_expression()
                     self.expect(":")
                     links.append(("ternary_expression", [left, then], None))
-                elif tok.text in self._ASSIGN_OPS:
+                elif text in self._ASSIGN_OPS:
                     self.pos += 1
-                    links.append(("assignment_expression", [left], tok.text))
+                    links.append(("assignment_expression", [left], text))
                 else:
                     break
             for kind, children, op in reversed(links):
-                left = self.node(kind, children[0].start, left.end,
-                                 children + [left], value=op)
+                left = SyntaxNode(kind, children[0].start, left.end,
+                                  children + [left], op, self.text)
             return left
         finally:
             self.expression_depth -= 1
@@ -1035,7 +1091,7 @@ class Parser:
         """``parse()`` one expression level deeper; past
         MAX_EXPRESSION_DEPTH levels a ParseError instead."""
         if self.expression_depth >= MAX_EXPRESSION_DEPTH:
-            raise ParseError(_TOO_DEEP, self.tokens[self.pos].start)
+            raise ParseError(_TOO_DEEP, self.starts[self.pos])
         self.expression_depth += 1
         try:
             return parse()
@@ -1066,201 +1122,238 @@ class Parser:
         # ``x instanceof T`` a shift or additive operator ends the operand.
         ceiling = len(self._PRECEDENCE)
         while True:
-            tok = self.tokens[self.pos]
-            op_level = self._LEVEL.get(tok.text)
+            op = self.texts[self.pos]
+            op_level = self._LEVEL.get(op)
             if op_level is None or not level <= op_level <= ceiling:
                 return left
             ceiling = op_level
             self.pos += 1
-            if tok.text == "instanceof":
+            if op == "instanceof":
                 type_node = self.parse_type()
-                nxt = self.tokens[self.pos]
-                if nxt.kind == "ident" and nxt.text not in KEYWORDS \
-                        and self.tokens[self.pos + 1].text in (
-                            ")", ";", "&&", "||", "?"):
+                pos = self.pos
+                if self.kinds[pos] == "ident" \
+                        and self.texts[pos] not in KEYWORDS \
+                        and self.texts[pos + 1] in (")", ";", "&&", "||", "?"):
                     self.pos += 1  # pattern variable
-                left = self.node("instanceof_expression", left.start,
-                                 type_node.end, [left, type_node])
+                left = SyntaxNode("instanceof_expression", left.start,
+                                  type_node.end, [left, type_node], None,
+                                  self.text)
                 continue
             right = self._binary(op_level + 1)
-            left = self.node("binary_expression", left.start, right.end,
-                             [left, right], value=tok.text)
+            left = SyntaxNode("binary_expression", left.start, right.end,
+                              [left, right], op, self.text)
 
     def _unary(self) -> SyntaxNode:
-        tok = self.tokens[self.pos]
-        if tok.text in ("!", "~", "+", "-"):
+        pos = self.pos
+        text = self.texts[pos]
+        if text in ("!", "~", "+", "-"):
             self.pos += 1
             operand = self._nested(self._unary)
-            return self.node("unary_expression", tok.start, operand.end,
-                             [operand], value=tok.text)
-        if tok.text in ("++", "--"):
+            return SyntaxNode("unary_expression", self.starts[pos],
+                              operand.end, [operand], text, self.text)
+        if text in ("++", "--"):
             self.pos += 1
             operand = self._nested(self._unary)
-            return self.node("update_expression", tok.start, operand.end,
-                             [operand], value=tok.text)
-        if tok.text == "(" and self._looks_like_cast():
+            return SyntaxNode("update_expression", self.starts[pos],
+                              operand.end, [operand], text, self.text)
+        if text == "(" and self._looks_like_cast():
             self.pos += 1
             type_node = self.parse_type()
             self.expect(")")
             operand = self._nested(self._unary)
-            return self.node("cast_expression", tok.start, operand.end,
-                             [type_node, operand], value=type_node.value)
+            return SyntaxNode("cast_expression", self.starts[pos], operand.end,
+                              [type_node, operand], type_node.value, self.text)
         # A primary and its postfix operators.
         expr = self._primary()
         while True:
-            tok = self.tokens[self.pos]
-            if tok.text == ".":
+            pos = self.pos
+            text = self.texts[pos]
+            if text == ".":
                 self.pos += 1
-                if self.tokens[self.pos].text == "<":
+                if self.texts[self.pos] == "<":
                     self._skip_type_args()
-                name_tok = self.advance()
-                name = self.node("identifier", name_tok.start, name_tok.end,
-                                 value=name_tok.text)
-                if self.tokens[self.pos].text == "(":
+                name = self._identifier()
+                if self.texts[self.pos] == "(":
                     args = self.parse_argument_list()
-                    expr = self.node("method_invocation", expr.start, args.end,
-                                     [expr, name, args], value=name_tok.text)
-                elif name_tok.text == "class":
-                    expr = self.node("class_literal", expr.start, name_tok.end,
-                                     [expr])
+                    expr = SyntaxNode("method_invocation", expr.start,
+                                      args.end, [expr, name, args],
+                                      name.value, self.text)
+                elif name.value == "class":
+                    expr = SyntaxNode("class_literal", expr.start, name.end,
+                                      [expr], None, self.text)
                 else:
-                    expr = self.node("field_access", expr.start, name_tok.end,
-                                     [expr, name], value=name_tok.text)
+                    expr = SyntaxNode("field_access", expr.start, name.end,
+                                      [expr, name], name.value, self.text)
                 continue
-            if tok.text == "::":
+            if text == "::":
                 self.pos += 1
-                name_tok = self.advance()
-                name = self.node("identifier", name_tok.start, name_tok.end,
-                                 value=name_tok.text)
-                expr = self.node("method_reference", expr.start, name_tok.end,
-                                 [expr, name])
+                name = self._identifier()
+                expr = SyntaxNode("method_reference", expr.start, name.end,
+                                  [expr, name], None, self.text)
                 continue
-            if tok.text == "[":
+            if text == "[":
                 self.pos += 1
                 index = self.parse_expression()
-                end = self.expect("]").end
-                expr = self.node("array_access", expr.start, end, [expr, index])
+                end = self.ends[self.expect("]")]
+                expr = SyntaxNode("array_access", expr.start, end,
+                                  [expr, index], None, self.text)
                 continue
-            if tok.text in ("++", "--"):
+            if text in ("++", "--"):
                 self.pos += 1
-                expr = self.node("update_expression", expr.start, tok.end,
-                                 [expr], value=tok.text)
+                expr = SyntaxNode("update_expression", expr.start,
+                                  self.ends[pos], [expr], text, self.text)
                 continue
             return expr
 
     def _looks_like_cast(self) -> bool:
         # '(' Type ')' followed by a token that can start an operand.
+        texts = self.texts
+        kinds = self.kinds
         idx = self.pos + 1
-        tok = self.tokens[idx]
-        if tok.kind != "ident":
+        text = texts[idx]
+        if kinds[idx] != "ident":
             return False
-        is_primitive = tok.text in PRIMITIVE_TYPES
-        if not is_primitive and not (tok.text[:1].isupper() or tok.text[:1] == "_"):
+        is_primitive = text in PRIMITIVE_TYPES
+        if not is_primitive and not (text[:1].isupper() or text[:1] == "_"):
             return False
-        if tok.text in KEYWORDS and not is_primitive:
+        if text in KEYWORDS and not is_primitive:
             return False
         idx += 1
-        while self.tokens[idx].text == "." and self.tokens[idx + 1].kind == "ident":
+        while texts[idx] == "." and kinds[idx + 1] == "ident":
             idx += 2
-        while self.tokens[idx].text == "[" and self.tokens[idx + 1].text == "]":
+        while texts[idx] == "[" and texts[idx + 1] == "]":
             idx += 2
-        if self.tokens[idx].text != ")":
+        if texts[idx] != ")":
             return False
-        nxt = self.tokens[idx + 1]
-        if nxt.kind in ("string", "char", "int", "float"):
+        idx += 1
+        if kinds[idx] in ("string", "char", "int", "float"):
             return True
-        if nxt.kind == "ident" and nxt.text not in (
-                "instanceof",) and nxt.text not in MODIFIER_WORDS:
-            return True
-        return nxt.text in ("(", "!", "~", "new", "this")
+        if kinds[idx] == "ident":
+            return texts[idx] != "instanceof" \
+                and texts[idx] not in MODIFIER_WORDS
+        if texts[idx] in ("+", "-", "++", "--"):
+            # A signed operand follows a primitive type only (JLS §15.16):
+            # after any other type, `(T) -x` is a subtraction.
+            return is_primitive and idx == self.pos + 3
+        return texts[idx] in ("(", "!", "~")
 
     def parse_argument_list(self) -> SyntaxNode:
         """The arguments from the ``(`` at hand."""
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         self.pos += 1
         children: list[SyntaxNode] = []
-        while self.tokens[self.pos].text not in (")", ""):
+        while self.texts[self.pos] not in (")", ""):
             children.append(self.parse_expression())
-            if self.tokens[self.pos].text != ",":
+            if self.texts[self.pos] != ",":
                 break
             self.pos += 1
-        end = self.expect(")").end
-        return self.node("argument_list", start, end, children)
+        end = self.ends[self.expect(")")]
+        return SyntaxNode("argument_list", start, end, children, None,
+                          self.text)
 
     def _lambda_after(self, params: list[SyntaxNode], start: int) -> SyntaxNode:
         self.expect("->")
-        if self.tokens[self.pos].text == "{":
+        if self.texts[self.pos] == "{":
             body = self.parse_block()
         else:
             body = self.parse_expression()
-        return self.node("lambda_expression", start, body.end, params + [body])
+        return SyntaxNode("lambda_expression", start, body.end,
+                          params + [body], None, self.text)
 
     def _primary(self) -> SyntaxNode:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
-        if kind == "ident" and tok.text not in KEYWORDS:
+        pos = self.pos
+        kind = self.kinds[pos]
+        text = self.texts[pos]
+        if kind == "ident" and text not in KEYWORDS:
+            nxt = self.texts[pos + 1]
+            if nxt == "[" and (literal := self._class_literal()) is not None:
+                return literal
             self.pos += 1
-            ident = self.node("identifier", tok.start, tok.end, value=tok.text)
-            nxt = self.tokens[self.pos].text
+            ident = SyntaxNode("identifier", self.starts[pos], self.ends[pos],
+                               None, text, self.text)
             if nxt == "(":
                 args = self.parse_argument_list()
-                return self.node("method_invocation", tok.start, args.end,
-                                 [ident, args], value=tok.text)
+                return SyntaxNode("method_invocation", ident.start, args.end,
+                                  [ident, args], text, self.text)
             if nxt == "->":
-                return self._lambda_after([ident], tok.start)
+                return self._lambda_after([ident], ident.start)
             return ident
         if kind in _LITERALS:
             self.pos += 1
-            kind = "hex_integer_literal" if tok.text[:2] in ("0x", "0X") \
+            kind = "hex_integer_literal" if text[:2] in ("0x", "0X") \
                 else _LITERALS[kind]
-            return self.node(kind, tok.start, tok.end, value=tok.value)
-        if tok.text in _WORD_LITERALS:
+            return SyntaxNode(kind, self.starts[pos], self.ends[pos], None,
+                              self.values[pos], self.text)
+        if text in _WORD_LITERALS:
             self.pos += 1
-            kind, value = _WORD_LITERALS[tok.text]
-            return self.node(kind, tok.start, tok.end, value=value)
-        if tok.text == "new":
-            return self._creation(tok)
-        if tok.text == "(":
+            kind, value = _WORD_LITERALS[text]
+            return SyntaxNode(kind, self.starts[pos], self.ends[pos], None,
+                              value, self.text)
+        if text == "new":
+            return self._creation()
+        if text == "(":
             # Possible lambda: () -> ... or (a, b) -> ...
-            lam = self._try_lambda_params(tok)
+            lam = self._try_lambda_params()
             if lam is not None:
                 return lam
             self.pos += 1
             inner = self.parse_expression()
-            end = self.expect(")").end
-            return self.node("parenthesized_expression", tok.start, end,
-                             [inner])
-        raise ParseError(f"unexpected token {tok.text!r}", tok.start)
+            end = self.ends[self.expect(")")]
+            return SyntaxNode("parenthesized_expression", self.starts[pos],
+                              end, [inner], None, self.text)
+        if text in PRIMITIVE_TYPES \
+                and (literal := self._class_literal()) is not None:
+            return literal
+        raise ParseError(f"unexpected token {text!r}", self.starts[pos])
 
-    def _try_lambda_params(self, tok: Token) -> SyntaxNode | None:
+    def _class_literal(self) -> SyntaxNode | None:
+        """The class literal ``T.class`` or ``T[]….class`` (JLS §15.8.2)
+        from the simple or primitive type name ``T`` at hand, or None
+        where none follows. ``Name.class`` is read as a postfix."""
+        texts = self.texts
+        pos = last = self.pos
+        while texts[last + 1] == "[" and texts[last + 2] == "]":
+            last += 2
+        if texts[last + 1] != "." or texts[last + 2] != "class":
+            return None
+        self.pos = last + 3
+        type_node = SyntaxNode("type_identifier", self.starts[pos],
+                               self.ends[last], None,
+                               texts[pos] + "[]" * ((last - pos) // 2),
+                               self.text)
+        return SyntaxNode("class_literal", self.starts[pos],
+                          self.ends[last + 2], [type_node], None, self.text)
+
+    def _try_lambda_params(self) -> SyntaxNode | None:
         # Lookahead for ')' then '->' with only idents/commas/types between.
-        idx = self.pos + 1
+        texts = self.texts
+        start = self.pos
+        idx = start + 1
         depth = 1
-        while idx < len(self.tokens) and depth:
-            t = self.tokens[idx]
-            if t.text == "(":
+        while idx < len(texts) and depth:
+            text = texts[idx]
+            if text == "(":
                 depth += 1
-            elif t.text == ")":
+            elif text == ")":
                 depth -= 1
-            elif t.text in (";", "{"):
+            elif text in (";", "{"):
                 return None
             idx += 1
-        if idx >= len(self.tokens) or self.tokens[idx].text != "->":
+        if idx >= len(texts) or texts[idx] != "->":
             return None
         self.pos += 1  # (
         params: list[SyntaxNode] = []
-        while self.tokens[self.pos].text not in (")", ""):
-            first = self.advance()
-            if self.tokens[self.pos].kind == "ident":
-                first = self.advance()  # typed param: keep the name
-            params.append(self.node("identifier", first.start, first.end,
-                                    value=first.text))
-            if self.tokens[self.pos].text == ",":
+        while self.texts[self.pos] not in (")", ""):
+            if self.kinds[self.pos + 1] == "ident":
+                self.pos += 1  # typed param: keep the name
+            params.append(self._identifier())
+            if self.texts[self.pos] == ",":
                 self.pos += 1
         self.expect(")")
-        return self._lambda_after(params, tok.start)
+        return self._lambda_after(params, self.starts[start])
 
-    def _creation(self, new_tok: Token) -> SyntaxNode:
+    def _creation(self) -> SyntaxNode:
+        start = self.starts[self.pos]
         self.pos += 1  # new
         type_node = self.parse_type()
         base = type_node.value
@@ -1268,55 +1361,57 @@ class Parser:
             # new int[]{...} style via parse_type consuming the dims
             children: list[SyntaxNode] = [type_node]
             end = type_node.end
-            if self.tokens[self.pos].text == "{":
+            if self.texts[self.pos] == "{":
                 init = self._array_initializer()
                 children.append(init)
                 end = init.end
-            return self.node("array_creation_expression", new_tok.start, end,
-                             children)
-        if self.tokens[self.pos].text == "[":
+            return SyntaxNode("array_creation_expression", start, end,
+                              children, None, self.text)
+        if self.texts[self.pos] == "[":
             children = [type_node]
             end = type_node.end
-            while self.tokens[self.pos].text == "[":
+            while self.texts[self.pos] == "[":
                 self.pos += 1
-                if self.tokens[self.pos].text != "]":
+                if self.texts[self.pos] != "]":
                     children.append(self.parse_expression())
-                end = self.expect("]").end
-            if self.tokens[self.pos].text == "{":
+                end = self.ends[self.expect("]")]
+            if self.texts[self.pos] == "{":
                 init = self._array_initializer()
                 children.append(init)
                 end = init.end
-            return self.node("array_creation_expression", new_tok.start, end,
-                             children)
-        args = self.parse_argument_list() if self.tokens[self.pos].text == "(" \
-            else self.node("argument_list", type_node.end, type_node.end)
+            return SyntaxNode("array_creation_expression", start, end,
+                              children, None, self.text)
+        args = self.parse_argument_list() if self.texts[self.pos] == "(" \
+            else SyntaxNode("argument_list", type_node.end, type_node.end,
+                            None, None, self.text)
         children = [type_node, args]
         end = args.end
-        if self.tokens[self.pos].text == "{":  # anonymous class body
+        if self.texts[self.pos] == "{":  # anonymous class body
             body = self.parse_class_body()
             children.append(body)
             end = body.end
-        return self.node("object_creation_expression", new_tok.start, end,
-                         children)
+        return SyntaxNode("object_creation_expression", start, end, children,
+                          None, self.text)
 
     def _array_initializer(self) -> SyntaxNode:
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         children: list[SyntaxNode] = []
-        while (tok := self.tokens[self.pos]).text not in ("}", ""):
-            if tok.text != "{":
+        while (text := self.texts[self.pos]) not in ("}", ""):
+            if text != "{":
                 children.append(self.parse_expression())
             elif self.expression_depth >= MAX_EXPRESSION_DEPTH:
                 # Skipped whole: a ParseError would leave recovery inside
                 # its braces.
                 children.append(self._recover(
-                    tok.start, _TOO_DEEP,
+                    self.starts[self.pos], _TOO_DEEP,
                     lambda: self._skip_balanced("{", "}")))
             else:
                 children.append(self._nested(self._array_initializer))
-            if self.tokens[self.pos].text == ",":
+            if self.texts[self.pos] == ",":
                 self.pos += 1
-        end = self.expect("}").end
-        return self.node("array_initializer", start, end, children)
+        end = self.ends[self.expect("}")]
+        return SyntaxNode("array_initializer", start, end, children, None,
+                          self.text)
 
 
 def parse_unit(path: str, text: str) -> SourceUnit:

@@ -8,11 +8,13 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcascan.ingest import extract_sites
 from jcascan.javaparse import (MAX_EXPRESSION_DEPTH, MAX_STATEMENT_DEPTH,
-                               Parser, parse_unit, tokenize)
+                               Parser, Token, parse_unit, tokenize)
 
+import conftest
 from conftest import (CHARAT_SRC, TERNARY_SRC, TRUST_EMPTY_SRC, parse,
-                      string_literals)
+                      pipeline, string_literals)
 
 # Kinds that must never appear in a tree: the named-node discipline.
 ANONYMOUS_KINDS = frozenset(
@@ -47,16 +49,34 @@ class TestTokenizer:
     def test_one_eof_and_lookahead_past_both_ends(self):
         assert [t.kind for t in tokenize("x")] == ["ident", "eof"]
         parser = Parser("A.java", "x")
-        assert parser.tokens[parser.pos - 1].kind == "eof"
+        assert parser.kinds[parser.pos - 1] == "eof"
         parser.advance()
-        assert parser.advance().kind == "eof"
-        assert parser.tokens[parser.pos].kind \
-            == parser.tokens[parser.pos + 2].kind == "eof"
+        assert parser.kinds[parser.advance()] == "eof"
+        assert parser.kinds[parser.pos] \
+            == parser.kinds[parser.pos + 2] == "eof"
 
     def test_numeric_literals(self):
         toks = tokenize("0x1F 12 3.5f 1_000")
         values = [t.value for t in toks if t.kind in ("int", "float")]
         assert 31 in values and 12 in values and 1000 in values
+
+    def test_parser_builds_no_token(self, monkeypatch):
+        """The parser reads the lexer's lists in place: parsing every
+        conftest source builds no ``Token``; ``tokenize`` builds them."""
+        built = []
+        init = Token.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Token, "__init__", counted)
+        for name, text in sorted(vars(conftest).items()):
+            if name.endswith("_SRC") and isinstance(text, str):
+                parse_unit(f"{name}.java", text)
+        assert built == []
+        tokenize("x")
+        assert built == [("ident", "x", 0, 1, None), ("eof", "", 1, 1, None)]
 
 
 class TestTreeShape:
@@ -311,6 +331,46 @@ _PINNED = {
               identifier 'b'
             variable_declarator 'c[][]'
               identifier 'c'"""),
+    # JLS §15.16: a signed operand follows a primitive type's cast only.
+    "signed-casts": (
+        "j = (short) -i; k = (long) ++i; n = (T) -x;", """
+        block '{ j = (short) -i; k = (long) ++i; n = (T) -x; }'
+          expression_statement 'j = (short) -i;'
+            assignment_expression 'j = (short) -i' = '='
+              identifier 'j'
+              cast_expression '(short) -i' = 'short'
+                type_identifier 'short'
+                unary_expression '-i' = '-'
+                  identifier 'i'
+          expression_statement 'k = (long) ++i;'
+            assignment_expression 'k = (long) ++i' = '='
+              identifier 'k'
+              cast_expression '(long) ++i' = 'long'
+                type_identifier 'long'
+                update_expression '++i' = '++'
+                  identifier 'i'
+          expression_statement 'n = (T) -x;'
+            assignment_expression 'n = (T) -x' = '='
+              identifier 'n'
+              binary_expression '(T) -x' = '-'
+                parenthesized_expression '(T)'
+                  identifier 'T'
+                identifier 'x'"""),
+    "class-literals": (
+        "f(int.class, void.class, byte[].class, String[].class);", """
+        block '{ f(int.class, void.class, byte[].class, String[].class); }'
+          expression_statement 'f(int.class, void.class, byte[].class, String[].class);'
+            method_invocation 'f(int.class, void.class, byte[].class, String[].class)' = 'f'
+              identifier 'f'
+              argument_list '(int.class, void.class, byte[].class, String[].class)'
+                class_literal 'int.class'
+                  type_identifier 'int'
+                class_literal 'void.class'
+                  type_identifier 'void'
+                class_literal 'byte[].class'
+                  type_identifier 'byte[]'
+                class_literal 'String[].class'
+                  type_identifier 'String[]'"""),
 }
 
 _PINNED_TYPES = {
@@ -365,6 +425,38 @@ _PINNED_TYPES = {
                     identifier 'q'
                 block '{ }'"""),
 }
+
+
+class TestDecompiledShapes:
+    """Casts of a signed operand to a primitive type, as decompilers write
+    key bytes: java 17 prints each value, and javac counts each site."""
+
+    @pytest.mark.parametrize("statements, argument, value", [
+        ("int i = 3; int j = (short) -i;", '"" + j', "-3"),
+        ("long a = (int) +1;", '"" + a', "1"),
+        ("int i = 3; int b = (int) ++i;", '"" + b + i', "44"),
+        ("char c = (char) -1;", '"" + (int) c', "65535"),
+        ("long d = (long) -1;", '"" + d', "-1"),
+    ])
+    def test_signed_primitive_cast_values(self, statements, argument, value):
+        _, resolved, _, _ = pipeline(
+            "import javax.crypto.Cipher;\nclass A { void m() throws Exception"
+            f" {{ {statements} Cipher.getInstance({argument}); }} }}\n")
+        assert resolved.candidates == {value}
+        assert not resolved.residuals
+
+    @pytest.mark.parametrize("members, statements, sites", [
+        ("static final byte[] K = {(byte) -86, 12};",
+         'Cipher.getInstance("AES");', 1),
+        ("", "SecretKeySpec k = new SecretKeySpec("
+         'new byte[]{(byte) -86, 12}, "AES"); Cipher.getInstance("AES");', 2),
+    ])
+    def test_signed_byte_keys_keep_their_sites(self, members, statements,
+                                               sites):
+        unit = parse(f"class A {{ {members} void m() throws Exception"
+                     f" {{ {statements} }} }}")
+        assert unit.warnings == []
+        assert len(extract_sites(unit)) == sites
 
 
 class TestPinnedShapes:

@@ -416,7 +416,7 @@ def test_bytecode_profile_counts_repeat_exactly(tmp_path, capsys):
     calls, opcodes, module = profiler.profile(paths)
     assert profiler.profile(paths)[:2] == (calls, opcodes)
     ran = {(module[code], code.co_name) for code in opcodes}
-    assert {("jcascan.javaparse", "tokenize"),
+    assert {("jcascan.javaparse", "_lex"),
             ("jcascan.syntax", "__init__"),
             ("jcascan.report", "analyze_site"),
             ("jcascan.report", "write_rendered")} <= ran
