@@ -170,8 +170,7 @@ class _Interp:
         # The unit's closures, shared by all its sites: id(node) →
         # closure; (id(initializer), elem) → array builder; (id(block),)
         # → the block's statements without its own tick; (id(decl),
-        # "params") → `_parameters`; (id(node), "char") →
-        # `_declared_char`.
+        # "params") → `_parameters`.
         self.compiled: dict = self.index.compiled
         # The ids of the nodes `lifted` reads from ``env``.
         self.operands: frozenset = frozenset()
@@ -194,8 +193,10 @@ class _Interp:
                 compiled[id(item)] = compile_fn(self, item)
                 continue
             stack.append((item, True))
-            stack.extend((part, False) for part in _parts(item)
-                         if id(part) not in compiled)
+            if item.kind in _COMPILERS:
+                stack += [(part, False) for part
+                          in _PARTS.get(item.kind, _children)(item)
+                          if id(part) not in compiled]
         return compiled[id(node)]
 
     def eval(self, node: SyntaxNode, env: dict, fields: dict):
@@ -569,37 +570,10 @@ def _c_update(interp, node, pre=0):
 
 def _declared_char(interp, node: SyntaxNode, name: str) -> bool:
     """Whether the local ``name`` that ``node`` updates is declared
-    ``char``. Java lets no local hide another of its method, so the one in
-    scope is the last declaration of ``name`` before ``node`` in the
-    method, a parameter or loop variable included and a nested class body
-    that does not hold ``node`` left out. Read once per node."""
-    key = (id(node), "char")
-    if key in interp.compiled:
-        return interp.compiled[key]
+    ``char`` (`WriteFacts.declared_type`)."""
     method = interp.index.enclosing_method(node)
-    declared = None
-    stack = [] if method is None else [method]
-    while stack:
-        item = stack.pop()
-        if item.start >= node.start:
-            break
-        kind = item.kind
-        if kind == "class_body" and item.end <= node.start:
-            continue
-        if kind == "local_variable_declaration":
-            if any(d.kind == "variable_declarator"
-                   and d.children[0].value == name
-                   for d in item.children[1:]):
-                declared = item.children[0].value
-        elif kind in ("formal_parameter", "enhanced_for_statement"):
-            if item.children[1].value == name:
-                declared = item.children[0].value
-        elif kind == "lambda_expression":
-            if any(p.value == name for p in item.children[:-1]):
-                declared = None
-        stack += reversed(item.children)
-    interp.compiled[key] = char = declared == "char"
-    return char
+    return method is not None and interp.index.write_facts(method) \
+        .declared_type(name, node.start) == "char"
 
 
 def _element(array, index, interp, env, fields) -> tuple[JArray, int]:

@@ -1192,6 +1192,12 @@ class Parser:
                                   [expr, name], None, self.text)
                 continue
             if text == "[":
+                if self.texts[pos + 1] == "]" \
+                        and (name := _dotted(expr)) is not None \
+                        and (literal := self._class_literal(
+                            expr.start, name, pos - 1)) is not None:
+                    expr = literal
+                    continue
                 self.pos += 1
                 index = self.parse_expression()
                 end = self.ends[self.expect("]")]
@@ -1266,7 +1272,8 @@ class Parser:
         text = self.texts[pos]
         if kind == "ident" and text not in KEYWORDS:
             nxt = self.texts[pos + 1]
-            if nxt == "[" and (literal := self._class_literal()) is not None:
+            if nxt == "[" and (literal := self._class_literal(
+                    self.starts[pos], text, pos)) is not None:
                 return literal
             self.pos += 1
             ident = SyntaxNode("identifier", self.starts[pos], self.ends[pos],
@@ -1301,28 +1308,34 @@ class Parser:
             end = self.ends[self.expect(")")]
             return SyntaxNode("parenthesized_expression", self.starts[pos],
                               end, [inner], None, self.text)
-        if text in PRIMITIVE_TYPES \
-                and (literal := self._class_literal()) is not None:
+        if text in PRIMITIVE_TYPES and (literal := self._class_literal(
+                self.starts[pos], text, pos)) is not None:
             return literal
         raise ParseError(f"unexpected token {text!r}", self.starts[pos])
 
-    def _class_literal(self) -> SyntaxNode | None:
-        """The class literal ``T.class`` or ``T[]….class`` (JLS §15.8.2)
-        from the simple or primitive type name ``T`` at hand, or None
-        where none follows. ``Name.class`` is read as a postfix."""
+    def _class_literal(self, start: int, name: str,
+                       last: int) -> SyntaxNode | None:
+        """The class literal ``T.class`` or ``T[]….class`` (JLS §15.8.2),
+        or the array type ``T[]…`` of a reference ``T[]…::new`` (JLS
+        §15.13), of the type name ``name`` at offset ``start`` whose last
+        token is at ``last``; None where neither follows. ``Name.class``
+        is read as a postfix."""
         texts = self.texts
-        pos = last = self.pos
+        dims = 0
         while texts[last + 1] == "[" and texts[last + 2] == "]":
             last += 2
-        if texts[last + 1] != "." or texts[last + 2] != "class":
+            dims += 1
+        literal = texts[last + 1] == "." and texts[last + 2] == "class"
+        if not literal and (texts[last + 1] != "::" or not dims):
             return None
+        type_node = SyntaxNode("type_identifier", start, self.ends[last],
+                               None, name + "[]" * dims, self.text)
+        if not literal:
+            self.pos = last + 1
+            return type_node
         self.pos = last + 3
-        type_node = SyntaxNode("type_identifier", self.starts[pos],
-                               self.ends[last], None,
-                               texts[pos] + "[]" * ((last - pos) // 2),
-                               self.text)
-        return SyntaxNode("class_literal", self.starts[pos],
-                          self.ends[last + 2], [type_node], None, self.text)
+        return SyntaxNode("class_literal", start, self.ends[last + 2],
+                          [type_node], None, self.text)
 
     def _try_lambda_params(self) -> SyntaxNode | None:
         # Lookahead for ')' then '->' with only idents/commas/types between.
@@ -1412,6 +1425,19 @@ class Parser:
         end = self.ends[self.expect("}")]
         return SyntaxNode("array_initializer", start, end, children, None,
                           self.text)
+
+
+def _dotted(node: SyntaxNode) -> str | None:
+    """The name ``a.b.c`` an identifier or a field access of identifiers
+    spells, or None."""
+    names = []
+    while node.kind == "field_access":
+        names.append(node.value)
+        node = node.children[0]
+    if node.kind != "identifier":
+        return None
+    names.append(node.value)
+    return ".".join(reversed(names))
 
 
 def parse_unit(path: str, text: str) -> SourceUnit:

@@ -29,10 +29,10 @@ import re
 from .ingest import InvocationSite
 from .interp import (ENUM_CONSTANT, _LITERALS, TraceStep, _BudgetExhausted,
                      _Break, _Continue, _Ctx, _Interp, _JavaThrow, _Return,
-                     _literal)
+                     _converts, _literal)
 from .javamodel import (Builder, CharArray, EnumConst, JArray, SBuf,
                         _MISSING, _NotConcrete, _android_base64, _as_int,
-                        _frozen, _object_parts, _preview, library_call,
+                        _cast, _frozen, _object_parts, _preview, library_call,
                         library_new)
 # Re-exported: classification reads BASE64_DECODE from here.
 from .javamodel import BASE64_DECODE  # noqa: F401
@@ -573,10 +573,13 @@ class _Abstract:
                        facts: WriteFacts, use: SyntaxNode,
                        depth: int) -> _VS:
         """The local ``name`` at ``use``: the union of the definitions
-        that may reach it (`_reaching_defs`), the latest first, and
-        ``UNKNOWN`` for a value not followed."""
+        that may reach it (`_reaching_defs`), the latest first, each
+        converted to the local's declared primitive type, and ``UNKNOWN``
+        for a value not followed."""
         reaching = _reaching_defs(method_body(method), facts.defs[name],
                                   facts.jumps, use)
+        convert, elem = _converts(str(
+            facts.declared_type(name, use.start) or ""))
         value = _VS(set(), set())
         for _, holder in sorted({d.start: d for d in reaching
                                  if d is not None}.items(), reverse=True):
@@ -591,6 +594,10 @@ class _Abstract:
                 found = _VS.residual(UNKNOWN)
             else:
                 found = self.resolve(definition, depth + 1, {})
+                if convert is not None:
+                    found = _VS({_cast(elem, v) if type(v) is convert
+                                 else v for v in found.values},
+                                found.residuals)
             value = self._cap(value.union(found), definition)
         if any(d is None for d in reaching):
             value = value.union(_VS.residual(UNKNOWN))
@@ -817,12 +824,16 @@ _ENCRYPTED_CALL = re.compile(
     r")\s*\(")
 
 
+def _may_encrypt(text: str) -> bool:
+    """Whether ``text`` holds ``ecrypt``, ``doFinal`` or ``decode``, as
+    every `_ENCRYPTED_CALL` match does."""
+    return "ecrypt" in text or "doFinal" in text or "decode" in text
+
+
 def _encrypted_call(text: str) -> bool:
-    """Whether ``text`` holds an `_ENCRYPTED_CALL`. Every match holds
-    ``ecrypt``, ``doFinal`` or ``decode``, so text with none of them skips
-    the search."""
-    return ("ecrypt" in text or "doFinal" in text or "decode" in text) \
-        and _ENCRYPTED_CALL.search(text) is not None
+    """Whether ``text`` holds an `_ENCRYPTED_CALL`; text that cannot hold
+    one (`_may_encrypt`) skips the search."""
+    return _may_encrypt(text) and _ENCRYPTED_CALL.search(text) is not None
 
 
 def _feeds_encrypted(facts: WriteFacts, arg_ids: set[str]) -> bool:
@@ -856,6 +867,9 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
     True when a decrypt-style call (``decrypt*`` / ``doFinal``) appears in
     the argument itself or in a definition feeding one of its identifiers,
     in the enclosing method or a field declaration of the site's class.
+    Every right-hand side searched is inside its declaration, so a
+    declaration whose text cannot hold a match (`_may_encrypt`) builds no
+    `WriteFacts`.
     """
     if _encrypted_call(site.subtree.text):
         return True
@@ -864,8 +878,8 @@ def has_encrypted_param_pattern(site: InvocationSite) -> bool:
     if not arg_ids:
         return False
     index = unit_index(site.unit)
-    if site.method is not None \
-            and _feeds_encrypted(index.write_facts(site.method), arg_ids):
-        return True
-    return any(_feeds_encrypted(index.write_facts(member), arg_ids)
-               for member in index.member_facts(site.type_body).fields)
+    decls = index.member_facts(site.type_body).fields
+    if site.method is not None:
+        decls = (site.method, *decls)
+    return any(_feeds_encrypted(index.write_facts(decl), arg_ids)
+               for decl in decls if _may_encrypt(decl.text))

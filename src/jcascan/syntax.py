@@ -398,7 +398,9 @@ class MemberFacts(Record):
     ``declarators`` and ``methods`` read its own members first, then those
     of each direct same-unit supertype in turn, then the table of the
     enclosing type body, and keep the first match: a nested class sees
-    the members of the classes around it.
+    the members of the classes around it. A table built by `of` gathers
+    those two on first read (`__getattr__`), since most bodies are read
+    only for their own fields.
     """
 
     _fields = ("fields", "field_modifiers", "declarators", "methods")
@@ -418,32 +420,40 @@ class MemberFacts(Record):
     @staticmethod
     def of(own: list[SyntaxNode], inherited: list[SyntaxNode] = (),
            enclosing: MemberFacts | None = None) -> MemberFacts:
-        declarators: dict[str, tuple[SyntaxNode, SyntaxNode]] = {}
-        methods: dict[tuple[str | None, int], SyntaxNode] = {}
+        facts = MemberFacts.__new__(MemberFacts)
+        facts.fields = tuple(m for m in own if m.kind == "field_declaration")
+        facts.field_modifiers = {}
+        for member in facts.fields:
+            for decl in member.children:
+                if decl.kind == "variable_declarator":
+                    facts.field_modifiers.setdefault(
+                        str(decl.children[0].value), modifier_words(member))
+        facts._members = (own, inherited, enclosing)
+        return facts
 
-        def add(members) -> None:
-            for member in members:
-                if member.kind == "method_declaration":
-                    methods.setdefault(
-                        (decl_name(member), len(method_params(member))),
-                        member)
-                elif member.kind == "field_declaration":
-                    for decl in member.children:
-                        if decl.kind == "variable_declarator":
-                            declarators.setdefault(
-                                str(decl.children[0].value), (member, decl))
-        add(own)
-        modifiers = {name: modifier_words(member)
-                     for name, (member, _) in declarators.items()}
-        add(inherited)
+    def __getattr__(self, name: str):
+        """``declarators`` and ``methods`` of a table built by `of`, both
+        gathered on the first read of either."""
+        if name not in ("declarators", "methods") \
+                or "_members" not in self.__dict__:
+            raise AttributeError(name)
+        own, inherited, enclosing = self._members
+        declarators, methods = self.declarators, self.methods = {}, {}
+        for member in (*own, *inherited):
+            if member.kind == "method_declaration":
+                methods.setdefault(
+                    (decl_name(member), len(method_params(member))), member)
+            elif member.kind == "field_declaration":
+                for decl in member.children:
+                    if decl.kind == "variable_declarator":
+                        declarators.setdefault(
+                            str(decl.children[0].value), (member, decl))
         if enclosing is not None:
-            for name, found in enclosing.declarators.items():
-                declarators.setdefault(name, found)
+            for field, found in enclosing.declarators.items():
+                declarators.setdefault(field, found)
             for key, method in enclosing.methods.items():
                 methods.setdefault(key, method)
-        return MemberFacts(
-            tuple(m for m in own if m.kind == "field_declaration"),
-            modifiers, declarators, methods)
+        return self.__dict__[name]
 
     def initializer(self, name: str) -> tuple[SyntaxNode, SyntaxNode] | None:
         """(declaration, initializer) of the first field ``name``, or None
@@ -455,6 +465,14 @@ class MemberFacts(Record):
 
 
 _NO_MEMBERS = MemberFacts((), {}, {}, {})
+
+# The tables `WriteFacts._writes` gathers, and the kinds of node
+# `WriteFacts._declarations` reads.
+_WRITE_TABLES = frozenset({"defs", "jumps", "element_writes", "mentions",
+                           "writes", "reads", "rhs_of"})
+_DECLARING_KINDS = frozenset({
+    "class_body", "local_variable_declaration", "formal_parameter",
+    "enhanced_for_statement", "lambda_expression"})
 
 _start = attrgetter("start")
 
@@ -473,9 +491,61 @@ class WriteFacts:
       for the innermost right-hand side holding it.
     - ``writes``: (start, name) of each declarator, assignment or update
       target (an array's name for an element) and identifier receiver.
+    - ``declared``, per name: (start, type or None, end of the innermost
+      nested class body holding it or None) of each local declaration,
+      parameter, enhanced-``for`` variable and lambda parameter (no type)
+      naming it (`declared_type`).
+
+    The tables are gathered on first read (`__getattr__`): ``declared``
+    by a walk of its own, since the interpreter reads only it, and the
+    others by one walk together.
     """
 
     def __init__(self, decl: SyntaxNode) -> None:
+        self.decl = decl
+
+    def __getattr__(self, name: str):
+        if name == "declared":
+            self._declarations()
+        elif name in _WRITE_TABLES:
+            self._writes()
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def _declarations(self) -> None:
+        declared = self.declared = {}
+        # The ends of the nested class bodies open at the node at hand.
+        bodies: list[int] = []
+        stack = [self.decl]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if children:
+                stack += reversed(children)
+            kind = node.kind
+            if kind not in _DECLARING_KINDS:
+                continue
+            while bodies and bodies[-1] <= node.start:
+                bodies.pop()
+            nested = bodies[-1] if bodies else None
+            if kind == "class_body":
+                bodies.append(node.end)
+            elif kind == "lambda_expression":
+                for child in children[:-1]:
+                    declared.setdefault(child.value, []).append(
+                        (node.start, None, nested))
+            elif kind == "local_variable_declaration":
+                entry = (node.start, children[0].value, nested)
+                for child in children[1:]:
+                    if child.kind == "variable_declarator":
+                        declared.setdefault(child.children[0].value,
+                                            []).append(entry)
+            elif len(children) > 1:  # a parameter or enhanced-for variable
+                declared.setdefault(children[1].value, []).append(
+                    (node.start, children[0].value, nested))
+
+    def _writes(self) -> None:
         defs = self.defs = {}
         jumps = self.jumps = []
         element_writes = self.element_writes = {}
@@ -485,7 +555,7 @@ class WriteFacts:
         rhs_of = self.rhs_of = {}
         # (node, the name of the innermost right-hand side holding it,
         # whether a nested class body holds it), in pre-order.
-        stack: list = [(decl, None, False)]
+        stack: list = [(self.decl, None, False)]
         while stack:
             node, owner, nested = stack.pop()
             kind = node.kind
@@ -540,6 +610,21 @@ class WriteFacts:
         nodes = table.get(name, [])
         return nodes[bisect_left(nodes, start, key=_start):
                      bisect_left(nodes, end, key=_start)]
+
+    def declared_type(self, name: str, at: int):
+        """The type the local, parameter or loop variable ``name`` in scope
+        at offset ``at`` is declared with, or None (a lambda parameter, or
+        no declaration). Java lets no local hide another of its method, so
+        that is the last declaration of ``name`` before ``at``, one in a
+        nested class body that ends by ``at`` left out."""
+        entries = self.declared.get(name, ())
+        i = bisect_left(entries, (at,))
+        while i:
+            i -= 1
+            _, type_name, nested = entries[i]
+            if nested is None or nested > at:
+                return type_name
+        return None
 
     def written_in(self, node: SyntaxNode) -> set[str]:
         """The names the nodes that start within ``node`` may write."""

@@ -4,15 +4,23 @@ and its cost as a chain of nested definitions grows."""
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
+
+import pytest
 
 import conftest
 import interp_snippets
 from jcascan import bench, resolve
 from jcascan.ingest import RESTRICTIVE, extract_sites
 from jcascan.javaparse import parse_unit
+from jcascan.report import analyze_site
 from jcascan.resolve import (_ENCRYPTED_CALL, _encrypted_call,
                              has_encrypted_param_pattern)
-from jcascan.syntax import SyntaxNode, unit_index
+from jcascan.syntax import SyntaxNode, UnitIndex, unit_index
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpora  # noqa: E402
 
 
 def ref_has_encrypted_param_pattern(site) -> bool:
@@ -152,6 +160,63 @@ def test_work_grows_linearly_with_nested_definitions(monkeypatch):
     # Linear growth gives 4x; a walk and a search per nested right-hand
     # side gives ~16x.
     assert large_work <= 5 * small_work, (small_work, large_work)
+
+
+def test_work_stays_linear_when_the_method_may_decrypt(monkeypatch):
+    """A chain that ends in ``decode`` is searched, once: its cost still
+    grows linearly."""
+    small_work = _search_work(_chain(500, "Base64.decode(k)"), monkeypatch)
+    large_work = _search_work(_chain(2000, "Base64.decode(k)"), monkeypatch)
+    assert 500 < small_work and large_work <= 5 * small_work, \
+        (small_work, large_work)
+
+
+def _built_write_facts(source: str, monkeypatch) -> tuple[list, list]:
+    """(the sites of ``source``, the declarations whose `WriteFacts` its
+    full analysis builds)."""
+    built = []
+    original = UnitIndex.write_facts
+
+    def spy(self, decl):
+        if id(decl) not in self._write_facts:
+            built.append(decl)
+        return original(self, decl)
+
+    monkeypatch.setattr(UnitIndex, "write_facts", spy)
+    sites = extract_sites(parse_unit("Enc.java", source))
+    for site in sites:
+        analyze_site(site)
+    return sites, built
+
+
+def test_no_write_facts_for_a_method_that_cannot_decrypt(tmp_path,
+                                                         monkeypatch):
+    """A string-encryption unit's site methods hold no ``ecrypt``,
+    ``doFinal`` or ``decode``, so the rules build none of their
+    `WriteFacts`; only the interpreter's decoder helper gets one."""
+    corpora.generate("string-encryption", tmp_path, 1)
+    path = sorted(tmp_path.rglob("*.java"))[0]
+    sites, built = _built_write_facts(path.read_text(encoding="utf-8"),
+                                      monkeypatch)
+    methods = {id(site.method) for site in sites}
+    assert len(methods) == len(sites) == 5
+    assert not any(id(decl) in methods for decl in built)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("members, statements", [
+    ("", "String k = decrypt(p);"),
+    ('static String k = decrypt("x");', ""),
+], ids=["local", "field"])
+def test_a_decrypted_definition_is_r8(members, statements):
+    _, _, _, findings = conftest.pipeline(
+        "import javax.crypto.Cipher;\n"
+        f"class A {{ {members} static String decrypt(String s) {{ return s; }}"
+        f" void m(String p) throws Exception {{ {statements}"
+        " Cipher.getInstance(k); } }\n")
+    assert any(f.rule_id == "R8"
+               and f.evidence == ["pattern:ENCRYPTED-PARAM"]
+               for f in findings), findings
 
 
 _POSITIVE = ("decrypt(k)", "AesUtil.decrypt (k)", "c.doFinal(k)",

@@ -25,7 +25,8 @@ from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_corpus, analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _Ctx, resolve_site,
                              visible_literals)
-from jcascan.syntax import SyntaxNode, WriteFacts, unit_index
+from jcascan.syntax import (MemberFacts, SyntaxNode, WriteFacts, decl_name,
+                            method_params, modifier_words, unit_index)
 from test_fuzz import mutants
 from test_tokenize import _sources
 
@@ -472,6 +473,49 @@ def test_member_table_matches_linear_scans(unit):
         for name, count in sorted(keys | {("missing", 0)}, key=str):
             assert facts.methods.get((name, count)) \
                 is ref_method(members, name, count)
+
+
+def _eager_member_facts(own, inherited, enclosing) -> MemberFacts:
+    """The table of a body built with every entry at once."""
+    declarators: dict = {}
+    methods: dict = {}
+
+    def add(members) -> None:
+        for member in members:
+            if member.kind == "method_declaration":
+                methods.setdefault(
+                    (decl_name(member), len(method_params(member))), member)
+            elif member.kind == "field_declaration":
+                for decl in member.children:
+                    if decl.kind == "variable_declarator":
+                        declarators.setdefault(
+                            str(decl.children[0].value), (member, decl))
+    add(own)
+    modifiers = {name: modifier_words(member)
+                 for name, (member, _) in declarators.items()}
+    add(inherited)
+    if enclosing is not None:
+        for name, found in enclosing.declarators.items():
+            declarators.setdefault(name, found)
+        for key, method in enclosing.methods.items():
+            methods.setdefault(key, method)
+    return MemberFacts(tuple(m for m in own if m.kind == "field_declaration"),
+                       modifiers, declarators, methods)
+
+
+@pytest.mark.parametrize("unit", _units())
+def test_lazy_member_table_equals_an_eager_one(unit):
+    """A body's table gives its own fields without gathering its methods
+    or its inherited and enclosing fields, and equals the table built with
+    every entry at once."""
+    index = unit_index(unit)
+    for _, _, body in ref_class_stack(unit.root):
+        facts = index.member_facts(body)
+        assert facts.fields is not None and facts.field_modifiers is not None
+        assert "declarators" not in vars(facts) \
+            and "methods" not in vars(facts)
+        assert facts == _eager_member_facts(*facts._members)
+        assert "declarators" in vars(facts) and "methods" in vars(facts)
 
 
 @pytest.mark.parametrize("unit", _units())

@@ -371,6 +371,24 @@ _PINNED = {
                   type_identifier 'byte[]'
                 class_literal 'String[].class'
                   type_identifier 'String[]'"""),
+    "array-type-literals": (
+        "f(java.lang.String[].class, Map.Entry[].class, int[]::new,"
+        " String[][]::new);", """
+        block '{ f(java.lang.String[].class, Map.Entry[].class, int[]::new, String[][]::new); }'
+          expression_statement 'f(java.lang.String[].class, Map.Entry[].class, int[]::new, String[][]::new);'
+            method_invocation 'f(java.lang.String[].class, Map.Entry[].class, int[]::new, String[][]::new)' = 'f'
+              identifier 'f'
+              argument_list '(java.lang.String[].class, Map.Entry[].class, int[]::new, String[][]::new)'
+                class_literal 'java.lang.String[].class'
+                  type_identifier 'java.lang.String[]'
+                class_literal 'Map.Entry[].class'
+                  type_identifier 'Map.Entry[]'
+                method_reference 'int[]::new'
+                  type_identifier 'int[]'
+                  identifier 'new'
+                method_reference 'String[][]::new'
+                  type_identifier 'String[][]'
+                  identifier 'new'"""),
 }
 
 _PINNED_TYPES = {
@@ -429,7 +447,8 @@ _PINNED_TYPES = {
 
 class TestDecompiledShapes:
     """Casts of a signed operand to a primitive type, as decompilers write
-    key bytes: java 17 prints each value, and javac counts each site."""
+    key bytes, and array types in class literals and constructor
+    references: java 17 prints each value, and javac counts each site."""
 
     @pytest.mark.parametrize("statements, argument, value", [
         ("int i = 3; int j = (short) -i;", '"" + j', "-3"),
@@ -457,6 +476,19 @@ class TestDecompiledShapes:
                      f" {{ {statements} }} }}")
         assert unit.warnings == []
         assert len(extract_sites(unit)) == sites
+
+
+    @pytest.mark.parametrize("statement", [
+        'h(java.lang.String[].class, Cipher.getInstance("DES"));',
+        'h(Map.Entry[].class, Cipher.getInstance("AES"));',
+        'g(int[]::new, Cipher.getInstance("DES"));',
+        'g(String[]::new, Cipher.getInstance("AES"));',
+    ])
+    def test_array_type_literals_keep_their_sites(self, statement):
+        unit = parse("class A { void m() throws Exception"
+                     f" {{ {statement} }} }}")
+        assert unit.warnings == []
+        assert len(extract_sites(unit)) == 1
 
 
 class TestPinnedShapes:

@@ -4,6 +4,7 @@ and soundness against an independent brute-force evaluator."""
 from __future__ import annotations
 
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -643,6 +644,63 @@ class TestDeclaredType:
             f" {{ {statements} Cipher.getInstance({argument}); }} }}\n")
         assert resolved.candidates == {value}
         assert not resolved.residuals
+
+
+    @pytest.mark.parametrize("statements, argument, values", [
+        ("int i = 'B';", "i", {"A66", "A66x"}),
+        ("char c = 'A'; int i = 0; i = c;", "i", {"A65", "A65x"}),
+        ("char c = 66;", "c", {"AB", "ABx"}),
+        ("long n = 'C';", "n", {"A67", "A67x"}),
+    ])
+    def test_a_reaching_definition_takes_the_declared_type(
+            self, statements, argument, values):
+        """The ternary leaves the argument to the set-valued resolver,
+        whose definition of the local takes the local's type."""
+        _, resolved, _, _ = pipeline(
+            "import javax.crypto.Cipher;\nclass A { void m(boolean d)"
+            f" throws Exception {{ {statements} Cipher.getInstance("
+            f'"A" + {argument} + (d ? "" : "x")); }} }}\n')
+        assert resolved.candidates == values
+        assert not resolved.residuals
+
+
+def _update_bytecodes(updates: int) -> int:
+    """Bytecodes jcascan runs to resolve a site after ``updates`` lines
+    of ``i++;``, each of which asks the declared type of ``i``."""
+    site = site_of("import javax.crypto.Cipher;\nclass A {"
+                   " void m() throws Exception { int i = 0; "
+                   + "i++; " * updates
+                   + 'Cipher.getInstance("AES" + i); } }\n')
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if "jcascan" not in frame.f_code.co_filename:
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    tracer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        resolved = resolve_site(site)
+    finally:
+        sys.settrace(tracer)
+    assert resolved.candidates == {f"AES{updates}"}
+    return count
+
+
+def test_declared_types_grow_linearly():
+    """Each update reads the method's one declared-type table; walking
+    the method's prefix per update grows quadratically (~16x)."""
+    small = _update_bytecodes(100)
+    large = _update_bytecodes(400)
+    assert large <= 5 * small, (small, large)
 
 
 def _member_src(argument: str, outer: str = "", members: str = "") -> str:

@@ -152,6 +152,35 @@ def ref_feeds_encrypted(scope: SyntaxNode, arg_ids: set[str]) -> bool:
     return False
 
 
+def ref_declared_type(method: SyntaxNode, name: str, at: int):
+    """The type of the last declaration of ``name`` before offset ``at``
+    in ``method``, in pre-order: a local, parameter or enhanced-``for``
+    variable, or a lambda parameter (None); one in a nested class body
+    that ends by ``at`` is left out."""
+    declared = None
+    stack = [method]
+    while stack:
+        item = stack.pop()
+        if item.start >= at:
+            break
+        kind = item.kind
+        if kind == "class_body" and item.end <= at:
+            continue
+        if kind == "local_variable_declaration":
+            if any(d.kind == "variable_declarator"
+                   and d.children[0].value == name
+                   for d in item.children[1:]):
+                declared = item.children[0].value
+        elif kind in ("formal_parameter", "enhanced_for_statement"):
+            if item.children[1].value == name:
+                declared = item.children[0].value
+        elif kind == "lambda_expression":
+            if any(p.value == name for p in item.children[:-1]):
+                declared = None
+        stack += reversed(item.children)
+    return declared
+
+
 # -- the table against the references ---------------------------------------
 
 def _same(nodes, expected) -> bool:
@@ -176,6 +205,10 @@ def check_write_facts(unit) -> None:
         body = method_body(decl)
         if decl.kind == "field_declaration" or body is None:
             continue
+        for name, nodes in facts.mentions.items():
+            for node in nodes:
+                assert facts.declared_type(name, node.start) \
+                    == ref_declared_type(decl, name, node.start), (decl, node)
         for stmt in body.children:
             assert facts.written_in(stmt) == ref_written_names(stmt), stmt
         for name in names:
@@ -233,10 +266,30 @@ class Nested {
 """
 
 
+# Declarations of one name in a nested class body, a lambda and loops.
+DECLARED_SRC = """
+class Declared {
+    void m(char p, int[] a) {
+        int i = 0; p++; i++;
+        Runnable r = new Runnable() {
+            public void run() { char i = 'A'; i++; p++; }
+        };
+        Object f = (Runnable) () -> { char q = 'B'; q++; };
+        java.util.function.IntUnaryOperator g = i2 -> i2 + 1;
+        for (char c : "AB".toCharArray()) { c++; i += c; }
+        for (int k = 0; k < 2; k++) { char c = 'C'; c += k; }
+        Object h = new Object() { int i = 'D'; void n() { i++; } };
+        i--; p += 2;
+    }
+}
+"""
+
+
 def test_matches_reference_on_test_sources():
-    """The conftest and ``interp_snippets`` sources, the bench corpus and
-    ``NESTED_SRC``."""
-    for name, text in _sources() + [("Nested", NESTED_SRC)]:
+    """The conftest and ``interp_snippets`` sources, the bench corpus,
+    ``NESTED_SRC`` and ``DECLARED_SRC``."""
+    for name, text in _sources() + [("Nested", NESTED_SRC),
+                                    ("Declared", DECLARED_SRC)]:
         check_write_facts(parse_unit(f"{name}.java", text))
 
 
