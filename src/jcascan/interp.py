@@ -22,8 +22,8 @@ and gives up. Parentheses, an expression statement and a cast count their
 own tick in the first tick of their child and take no call of their own,
 and a loop runs its block's statements itself.
 
-A ``for`` loop whose condition, updates and body statements are
-straight-line work over int, char, String and StringBuilder locals runs
+A ``for`` or ``while`` loop whose condition, updates and body statements
+are straight-line work over int, char, String and StringBuilder locals runs
 whole iterations in one generated function, its kernel (`_kernel`), and
 counts each iteration's steps at once: the only count besides
 `_Ctx.tick`'s. The closures measure those steps on an iteration of their
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .javamodel import (Builder, Char, CharArray, EnumConst, JArray, UNARY,
+from .javamodel import (Builder, Char, EnumConst, JArray, UNARY,
                         _BUILTINS, _FEWEST_ARGS, _INT_ARITH, _MAX_LENGTH,
                         _MISSING, _NotConcrete, _arith, _as_int, _binary_op,
                         _cast, _elem_of, _length, _load, _object_parts,
@@ -1057,44 +1057,62 @@ def _loop_body(compiled: dict, body: list[SyntaxNode]):
     return ticks, [compiled[id(stmt)] for stmt in _body_parts(body)]
 
 
-def _for_parts(node: SyntaxNode) -> list[SyntaxNode]:
-    has_body = node.value[3]
-    head = node.children[:-1] if has_body else node.children
-    return head + _body_parts(node.children[-1:] if has_body else [])
-
-
-def _c_for(interp, node):
-    """Each iteration runs the loop's kernel (`_kernel`) if it has one, and
-    otherwise, or where the kernel hands it back, its closures."""
-    compiled = interp.compiled
-    n_init, has_cond, n_upd, has_body = node.value
+def _loop(node: SyntaxNode):
+    """(inits, condition or None, updates, body: empty or one node, whether
+    the body runs once before the first test) of a ``for``, ``while`` or
+    ``do`` loop."""
     children = node.children
-    inits = [compiled[id(c)] for c in children[:n_init]]
-    cond = compiled[id(children[n_init])] if has_cond else None
-    upd_start = n_init + (1 if has_cond else 0)
-    updates = [compiled[id(c)] for c in children[upd_start:upd_start + n_upd]]
-    ticks, body = _loop_body(compiled, children[-1:] if has_body else [])
+    if node.kind == "while_statement":
+        return [], children[0], [], children[1:2], False
+    if node.kind == "do_statement":
+        return [], children[-1], [], children[:-1], True
+    n_init, has_cond, n_upd, has_body = node.value
+    upd = n_init + has_cond
+    return (children[:n_init], children[n_init] if has_cond else None,
+            children[upd:upd + n_upd], children[-1:] if has_body else [],
+            False)
+
+
+def _loop_parts(node: SyntaxNode) -> list[SyntaxNode]:
+    inits, cond, updates, body, _ = _loop(node)
+    return inits + ([cond] if cond is not None else []) + updates \
+        + _body_parts(body)
+
+
+def _c_loop(interp, node):
+    """A ``for``, ``while`` or ``do`` loop. Each tested iteration runs the
+    loop's kernel (`_kernel`) if it has one, and otherwise, or where the
+    kernel hands it back, its closures; a ``do`` loop's first iteration
+    runs untested, through its closures."""
+    compiled = interp.compiled
+    inits, cond, updates, body, do = _loop(node)
+    inits = [compiled[id(c)] for c in inits]
+    cond = compiled[id(cond)] if cond is not None else None
+    updates = [compiled[id(c)] for c in updates]
+    ticks, body = _loop_body(compiled, body)
     kernel = _kernel(interp, node)
 
-    def for_statement(interp, env, fields):
+    def loop(interp, env, fields):
         ctx = interp.ctx
         ctx.tick()
         for init in inits:
             init(interp, env, fields)
+        test = None if do else cond
         while True:
             start = None
-            if kernel is not None and kernel.run is not None:
+            if kernel is not None and test is not None \
+                    and kernel.run is not None:
                 done = kernel.run(env, ctx)
                 if done:
                     return
                 if done is None:
                     start = ctx.steps
             ctx.tick()
-            if cond is not None:
-                test = cond(interp, env, fields)
-                if not isinstance(test, bool):
+            if test is not None:
+                value = test(interp, env, fields)
+                if not isinstance(value, bool):
                     raise _NotConcrete
-                if not test:
+                if not value:
                     return
             head = ctx.steps
             ctx.tick(ticks)
@@ -1111,10 +1129,12 @@ def _c_for(interp, node):
                 kernel.measured(head - start, ctx.steps - start)
             if cond is None and not updates:
                 raise _NotConcrete
-    return for_statement
+            test = cond
+    return loop
 
 
 def _c_enhanced_for(interp, node):
+    """Reads the elements as ``.length`` and ``a[i]`` do."""
     compiled = interp.compiled
     convert, elem = _converts(str(node.children[0].value or ""))
     name = str(node.children[1].value)
@@ -1125,18 +1145,12 @@ def _c_enhanced_for(interp, node):
         ctx = interp.ctx
         ctx.tick()
         seq = iterable(interp, env, fields)
-        if isinstance(seq, JArray):
-            items = list(seq.items)
-        elif isinstance(seq, (tuple, bytes)):
-            items = list(seq)
-        elif isinstance(seq, CharArray):
-            items = [Char(ord(c)) for c in seq.text]
-        elif isinstance(seq, str):
-            items = [Char(ord(c)) for c in seq]
-        else:
+        length = _length(seq)
+        if length is None:
             raise _NotConcrete
-        for item in items:
+        for i in range(length):
             ctx.tick()
+            item = _load(seq, i)
             env[name] = _cast(elem, item) if type(item) is convert else item
             ctx.tick(ticks)
             try:
@@ -1147,48 +1161,6 @@ def _c_enhanced_for(interp, node):
             except _Continue:
                 continue
     return enhanced_for
-
-
-def _while_parts(node: SyntaxNode) -> list[SyntaxNode]:
-    children = node.children
-    if node.kind == "do_statement":
-        return children[-1:] + _body_parts(children[:-1][:1])
-    return children[:1] + _body_parts(children[1:2])
-
-
-def _c_while(interp, node):
-    compiled = interp.compiled
-    do = node.kind == "do_statement"
-    children = node.children
-    cond = compiled[id(children[-1] if do else children[0])]
-    ticks, body = _loop_body(compiled, children[:-1][:1] if do
-                             else children[1:2])
-
-    def test(interp, env, fields) -> bool:
-        value = cond(interp, env, fields)
-        if not isinstance(value, bool):
-            raise _NotConcrete
-        return value
-
-    def loop(interp, env, fields):
-        ctx = interp.ctx
-        ctx.tick()
-        # A do loop runs its body once before the first test.
-        tested = not do
-        while True:
-            ctx.tick()
-            if tested and not test(interp, env, fields):
-                return
-            tested = True
-            ctx.tick(ticks)
-            try:
-                for stmt in body:
-                    stmt(interp, env, fields)
-            except _Break:
-                return
-            except _Continue:
-                pass
-    return loop
 
 
 def _c_return(interp, node):
@@ -1267,12 +1239,13 @@ def _c_assert(interp, node):
 
 # -- loop kernels ----------------------------------------------------------
 #
-# A ``for`` loop whose condition, updates and body statements are straight-
-# line work over int, char, String and StringBuilder locals runs its
-# iterations in one generated Python function, its kernel, and not in its
-# closures. `_kernel` reads the loop's shape when the loop is compiled. The
-# kernel's source is written from fixed templates (`_KernelSource`) on the
-# loop's first entry whose locals all hold values of a kind a kernel takes:
+# A ``for`` or ``while`` loop (or a ``do`` loop past its first iteration)
+# whose condition, updates and body statements are straight-line work over
+# int, char, String and StringBuilder locals runs its tested iterations in
+# one generated Python function, its kernel, and not in its closures.
+# `_kernel` reads the loop's shape when the loop is compiled. The kernel's
+# source is written from fixed templates (`_KernelSource`) on the loop's
+# first entry whose locals all hold values of a kind a kernel takes:
 # each local is a positional name (``v0``, ``v1``, …) and each literal an
 # argument (``c0``, …), so nothing of the scanned file reaches `compile()`,
 # and loops of one shape share one code object. The kernel reads its locals
@@ -1330,21 +1303,19 @@ _KERNEL_SCOPE = {
 
 
 def _kernel(interp, node: SyntaxNode):
-    """The `_Kernel` of ``for`` loop ``node``, or None when a part of the
+    """The `_Kernel` of loop ``node`` (`_loop`), or None when a part of the
     loop is not straight-line work over locals and literals: a condition,
     updates and body expression statements of identifiers, int, char and
     string literals, the operators and casts above, ``r.length()``,
     ``r.charAt(i)``, ``b.append(x)``, ``x = …``, compound assignments and
-    ``++``/``--`` of a local. `_c_for` reaches kernels through this
+    ``++``/``--`` of a local. `_c_loop` reaches kernels through this
     function alone."""
-    n_init, has_cond, n_upd, has_body = node.value
-    statements = _body_parts(node.children[-1:] if has_body else [])
-    if not has_cond or any(stmt.kind != "expression_statement"
+    _, cond, updates, body, _ = _loop(node)
+    statements = _body_parts(body)
+    if cond is None or any(stmt.kind != "expression_statement"
                            for stmt in statements):
         return None
-    cond = node.children[n_init]
-    parts = [cond] + [stmt.children[0] for stmt in statements] \
-        + node.children[n_init + 1:n_init + 1 + n_upd]
+    parts = [cond] + [stmt.children[0] for stmt in statements] + updates
     nodes = [item for part in parts for item in part.walk()]
     if len(nodes) > _KERNEL_NODES \
             or any(id(item) in interp.operands for item in nodes):
@@ -1400,12 +1371,12 @@ def _kernel(interp, node: SyntaxNode):
 
 
 class _Kernel:
-    """A ``for`` loop's kernel: its parts (condition, statement
+    """A loop's kernel: its parts (condition, statement
     expressions, updates), its locals (``slots``: name → slot), its
     literals (``consts``: id(node) → slot, ``values`` by slot), which of
     its updates and compound assignments keep a char (``chars``), its
     ``shape``, which holds the rest of what its source is written from,
-    and ``run(env, ctx)``, which `_c_for` calls before each iteration:
+    and ``run(env, ctx)``, which `_c_loop` calls before each iteration:
     True when the kernel ran the loop to its end, False when the next
     iteration is the closures', None when it is theirs and they are to
     measure its steps (`measured`). ``run`` is None once no kernel can be
@@ -1657,10 +1628,9 @@ _COMPILERS = {
     "expression_statement": _c_expression_statement,
     "block": _c_block,
     "if_statement": _c_if,
-    "for_statement": _c_for,
+    **dict.fromkeys(("for_statement", "while_statement", "do_statement"),
+                    _c_loop),
     "enhanced_for_statement": _c_enhanced_for,
-    "while_statement": _c_while,
-    "do_statement": _c_while,
     "return_statement": _c_return,
     "break_statement": _c_raise(_Break),
     "continue_statement": _c_raise(_Continue),
@@ -1685,11 +1655,10 @@ _PARTS = {
     "local_variable_declaration": _declaration_parts,
     "expression_statement": lambda node: _parts(node.children[0]),
     "if_statement": _if_parts,
-    "for_statement": _for_parts,
+    **dict.fromkeys(("for_statement", "while_statement", "do_statement"),
+                    _loop_parts),
     "enhanced_for_statement":
         lambda node: node.children[2:3] + _body_parts(node.children[3:4]),
-    "while_statement": _while_parts,
-    "do_statement": _while_parts,
     "try_statement": _try_parts,
     "synchronized_statement": lambda node: node.children[-1:],
     "throw_statement": lambda node: [],

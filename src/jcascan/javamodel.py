@@ -118,9 +118,7 @@ def _jstr(value) -> str:
         return str(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, CharArray):
-        return value.text
-    if isinstance(value, SBuf):
+    if isinstance(value, (CharArray, Builder, SBuf)):
         return value.text
     if isinstance(value, EnumConst):
         return value.const_name
@@ -451,7 +449,7 @@ def _new_builder(args: list) -> Builder:
     first = args[0] if args else None
     if isinstance(first, str):
         return Builder(first)
-    if isinstance(first, (Builder, SBuf)):
+    if isinstance(first, Builder):
         return Builder(first.text)
     return Builder("")
 
@@ -519,13 +517,6 @@ def _builder_set_length(base: Builder, args: list):
     return base
 
 
-def _sbuf_append(base: SBuf, args: list):
-    arg = args[0]
-    if isinstance(arg, JArray):
-        arg = arg.freeze()
-    return SBuf(base.text + _jstr(arg))
-
-
 def _substring(base: str, args: list):
     start = _as_int(args[0])
     end = _as_int(args[1]) if len(args) > 1 else len(base)
@@ -563,11 +554,6 @@ _BUILDER_OPS = {
     "deleteCharAt": _builder_delete_char_at,
     "setLength": _builder_set_length,
 }
-_SBUF_OPS = {
-    "append": _sbuf_append,
-    "toString": lambda base, args: base.text,
-    "reverse": lambda base, args: SBuf(base.text[::-1]),
-}
 _STR_OPS = {
     "charAt": _char_at,
     "length": lambda base, args: len(base),
@@ -598,13 +584,12 @@ _STR_OPS = {
         re.split(_jstr(args[0]), base), "object")),
     "valueOf": lambda base, args: _jstr(args[0]) if args else base,
 }
-_BUILTINS = {Builder: _BUILDER_OPS, SBuf: _SBUF_OPS, str: _STR_OPS}
+_BUILTINS = {Builder: _BUILDER_OPS, str: _STR_OPS}
 # The fewest arguments of each built-in that reads any, by (receiver type,
 # name); a call with fewer is not one of the built-ins.
 _FEWEST_ARGS = {
     **{(Builder, name): 1 for name in ("charAt", "deleteCharAt",
                                        "setLength")},
-    (SBuf, "append"): 1,
     **{(str, name): 1 for name in (
         "charAt", "substring", "concat", "indexOf", "lastIndexOf", "equals",
         "equalsIgnoreCase", "contains", "startsWith", "endsWith", "split")},

@@ -138,6 +138,12 @@ def _snapshot(value):
     return SBuf(value.text) if isinstance(value, Builder) else _frozen(value)
 
 
+def _thawed(value):
+    """A candidate as a value the interpreter runs on: a builder snapshot
+    as a fresh builder of its text."""
+    return Builder(value.text) if isinstance(value, SBuf) else value
+
+
 _LOOPS = ("while_statement", "for_statement", "enhanced_for_statement")
 
 
@@ -504,7 +510,7 @@ class _Abstract:
                                       self.ctx.budget.max_candidates ** 2):
             scope = {}
             for (key, name), value in zip(keys, combo):
-                scope[key] = value
+                scope[key] = value = _thawed(value)
                 if name is not None:
                     scope[name] = value
             mark = len(trace)
@@ -733,7 +739,7 @@ class _Abstract:
         # consume the step/call-depth budget rather than indirection hops,
         # so nested concrete helpers still resolve under the default budget.
         if all(len(vs.values) == 1 and not vs.residuals for vs in arg_sets):
-            args = [next(iter(vs.values)) for vs in arg_sets]
+            args = [_thawed(next(iter(vs.values))) for vs in arg_sets]
             saved = self.ctx.steps
             try:
                 value = _snapshot(self.interp.call_method(decl, args,

@@ -425,7 +425,8 @@ class TestBuilderLocal:
 
     def test_builder_under_a_ternary_is_not_its_declaration(self):
         """A ternary in the argument skips the interpreter's region run;
-        the builder's statements before the site still count."""
+        the builder's statements before the site still count, and java 17
+        prints AES and AES/GCM/NoPadding."""
         src = ('import javax.crypto.Cipher;\n'
                'class B { void m(boolean c) throws Exception {\n'
                '    StringBuilder sb = new StringBuilder("DES");\n'
@@ -433,9 +434,9 @@ class TestBuilderLocal:
                '    Cipher.getInstance(sb.toString()'
                ' + (c ? "" : "/GCM/NoPadding")); } }\n')
         _, resolved, _, findings = pipeline(src)
-        assert resolved.candidates == set()
-        assert resolved.residuals == {UNKNOWN}
-        assert findings == []
+        assert resolved.candidates == {"AES", "AES/GCM/NoPadding"}
+        assert not resolved.residuals
+        assert [f.rule_id for f in findings] == ["R4"]
 
     def test_appends_under_a_ternary_fold(self):
         r = resolve_site(site_of(
