@@ -1127,8 +1127,6 @@ def _c_loop(interp, node):
                 update(interp, env, fields)
             if start is not None:
                 kernel.measured(head - start, ctx.steps - start)
-            if cond is None and not updates:
-                raise _NotConcrete
             test = cond
     return loop
 

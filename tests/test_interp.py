@@ -27,6 +27,7 @@ from jcascan.javaparse import parse_unit
 from jcascan.report import analyze_site
 from jcascan.resolve import (ResolutionBudget, _Abstract, _BudgetExhausted,
                              _Ctx, resolve_site)
+from jcascan.syntax import decl_name
 
 GOLDEN = Path(__file__).with_name("interp_golden.json")
 
@@ -316,6 +317,20 @@ def test_assignment_and_call_chains_nest(statements, candidates):
     assert analysis.candidates == candidates
     assert analysis.residuals == []
     assert [f.rule_id for f in analysis.findings] == ["R1"]
+
+
+@pytest.mark.parametrize("snippet,method,value", [
+    ("Loops.java", "infiniteFor", "AES5"),
+])
+def test_snippet_sites_give_java_17_values(snippet, method, value):
+    """java 17 prints ``value`` at the site of ``method``: a ``for (;;)``
+    loop runs as ``while (true)`` does."""
+    unit = parse_unit(snippet, interp_snippets.SNIPPETS[snippet])
+    (site,) = [s for s in extract_sites(unit)
+               if s.method is not None and decl_name(s.method) == method]
+    resolved = resolve_site(site)
+    assert resolved.candidates == {value}
+    assert not resolved.residuals
 
 
 @pytest.mark.parametrize("path,text", [
