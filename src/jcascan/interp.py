@@ -1180,45 +1180,49 @@ def _c_raise(exc: type[Exception]):
     return compile_raise
 
 
-def _try_parts(node: SyntaxNode) -> list[SyntaxNode]:
-    decls = [c for c in node.children
-             if c.kind == "local_variable_declaration"]
-    block = child_of_kind(node, "block")
+def _try(node: SyntaxNode):
+    """(resource declarations, try block, first catch's block, finally
+    block) of a ``try`` statement, each block None when absent."""
     catch = child_of_kind(node, "catch_clause")
     final = child_of_kind(node, "finally_clause")
-    return decls + [b for b in (block,
-                                catch and child_of_kind(catch, "block"),
-                                final and final.children[0]) if b]
+    return ([c for c in node.children
+             if c.kind == "local_variable_declaration"],
+            child_of_kind(node, "block"),
+            catch and child_of_kind(catch, "block"),
+            final and final.children[0])
+
+
+def _try_parts(node: SyntaxNode) -> list[SyntaxNode]:
+    decls, *blocks = _try(node)
+    return decls + [b for b in blocks if b is not None]
 
 
 def _c_try(interp, node):
     """Runs the try block, the first catch block on a Java throw, and the
-    finally block on normal completion or an uncaught throw."""
+    finally block however they complete but by giving up (JLS 14.20.2):
+    normally, by a throw, or by a ``break``, ``continue`` or ``return``."""
     compiled = interp.compiled
-    decls = [compiled[id(c)] for c in node.children
-             if c.kind == "local_variable_declaration"]
-    block = child_of_kind(node, "block")
-    catch = child_of_kind(node, "catch_clause")
-    final = child_of_kind(node, "finally_clause")
-    block = _sequence(compiled, block) if block is not None else None
-    catch = _sequence(compiled, child_of_kind(catch, "block")) \
-        if catch is not None else None
-    final = _sequence(compiled, final.children[0]) \
-        if final is not None else None
+    decls, block, catch, final = _try(node)
+    decls = [compiled[id(c)] for c in decls]
+    block, catch, final = (None if b is None else _sequence(compiled, b)
+                           for b in (block, catch, final))
 
     def try_statement(interp, env, fields):
         interp.ctx.tick()
         try:
-            for decl in decls:
-                decl(interp, env, fields)
-            if block is not None:
-                block(interp, env, fields)
-        except _JavaThrow:
-            if catch is None:
-                if final is not None:
-                    final(interp, env, fields)
-                raise
-            catch(interp, env, fields)
+            try:
+                for decl in decls:
+                    decl(interp, env, fields)
+                if block is not None:
+                    block(interp, env, fields)
+            except _JavaThrow:
+                if catch is None:
+                    raise
+                catch(interp, env, fields)
+        except (_JavaThrow, _Break, _Continue, _Return):
+            if final is not None:
+                final(interp, env, fields)
+            raise
         if final is not None:
             final(interp, env, fields)
     return try_statement

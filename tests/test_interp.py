@@ -321,10 +321,12 @@ def test_assignment_and_call_chains_nest(statements, candidates):
 
 @pytest.mark.parametrize("snippet,method,value", [
     ("Loops.java", "infiniteFor", "AES5"),
+    ("Exceptions.java", "breakInTry", "RC40-1-2--"),
 ])
 def test_snippet_sites_give_java_17_values(snippet, method, value):
     """java 17 prints ``value`` at the site of ``method``: a ``for (;;)``
-    loop runs as ``while (true)`` does."""
+    loop runs as ``while (true)`` does, and ``finally`` runs on a
+    ``break``."""
     unit = parse_unit(snippet, interp_snippets.SNIPPETS[snippet])
     (site,) = [s for s in extract_sites(unit)
                if s.method is not None and decl_name(s.method) == method]

@@ -665,6 +665,34 @@ class TestDeclaredType:
         assert not resolved.residuals
 
 
+class TestFinally:
+    """``finally`` runs however its ``try`` completes: on a ``continue``,
+    a ``return`` and a throw from a ``catch`` too (JLS 14.20.2). java 17
+    prints each expected value."""
+
+    @pytest.mark.parametrize("members, statements, argument, value", [
+        ("", 'String s = ""; for (int i = 0; i < 3; i++) { try {'
+         ' if (i == 1) continue; s += i; } finally { s += "-"; } }',
+         '"RC4" + s', "RC40--2-"),
+        ('static String f(StringBuilder b) { try { return "A"; }'
+         ' finally { b.append("ES"); } }',
+         "StringBuilder b = new StringBuilder(); String t = f(b);",
+         "t + b", "AES"),
+        ("", 'String s = "A"; try { try { throw new RuntimeException(); }'
+         " catch (RuntimeException e) { throw new IllegalStateException(); }"
+         ' finally { s += "E"; } } catch (IllegalStateException e)'
+         ' { s += "S"; }', "s", "AES"),
+    ])
+    def test_finally_runs_on_a_jump(self, members, statements, argument,
+                                    value):
+        _, resolved, _, _ = pipeline(
+            f"import javax.crypto.Cipher;\nclass A {{ {members}\n"
+            "void m() throws Exception"
+            f" {{ {statements} Cipher.getInstance({argument}); }} }}\n")
+        assert resolved.candidates == {value}
+        assert not resolved.residuals
+
+
 def _update_bytecodes(updates: int) -> int:
     """Bytecodes jcascan runs to resolve a site after ``updates`` lines
     of ``i++;``, each of which asks the declared type of ``i``."""
