@@ -105,56 +105,35 @@ class ParseError(Exception):
         self.offset = offset
 
 
-_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    "'": "'", '"': '"', "\\": "\\", "s": " "}
+# An escape: a ``\\u`` escape, an octal one (up to three digits when its
+# first is 0–3, else up to two, JLS §3.10.7), any other character, or a
+# backslash that ends the body.
+_ESCAPE = re.compile(r"\\(?:u+([0-9a-fA-F]{4})|([0-3][0-7]{0,2}|[4-7][0-7]?)"
+                     r"|(.)|\Z)", re.S)
 
 
 def _decode_escapes(body: str) -> tuple[str, bool]:
     """The value of a literal's body, and whether every escape in it is
-    valid. An octal escape reads up to three digits when its first is 0–3,
-    else up to two (JLS §3.10.7). A ``\\u`` without four hex digits, a
-    digit escape without an octal digit (a backslash and ``8``) and an
-    unknown escape are invalid, and stand for the character after the
-    backslash."""
-    out = []
-    valid = True
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        i += 1
-        if i >= len(body):
-            out.append("\\")
-            break
-        e = body[i]
-        if e in _SIMPLE_ESCAPES:
-            out.append(_SIMPLE_ESCAPES[e])
-            i += 1
-            continue
-        if e == "u":
-            j = i + 1
-            while j < len(body) and body[j] == "u":
-                j += 1
-            if _HEX4.match(body, j):
-                out.append(chr(int(body[j:j + 4], 16)))
-                i = j + 4
-                continue
-        elif e in "01234567":
-            j = i + 1
-            last = i + (3 if e in "0123" else 2)
-            while j < min(last, len(body)) and body[j] in "01234567":
-                j += 1
-            out.append(chr(int(body[i:j], 8)))
-            i = j
-            continue
-        valid = False
-        out.append(e)
-        i += 1
-    return "".join(out), valid
+    valid. A ``\\u`` without four hex digits, a digit escape without an
+    octal digit (a backslash and ``8``) and an unknown escape are invalid,
+    and stand for the character after the backslash."""
+    invalid = []
+
+    def decode(m: re.Match) -> str:
+        hex4, octal, other = m.groups()
+        if hex4 is not None:
+            return chr(int(hex4, 16))
+        if octal is not None:
+            return chr(int(octal, 8))
+        if other is None:
+            return "\\"
+        if other not in _SIMPLE_ESCAPES:
+            invalid.append(other)
+            return other
+        return _SIMPLE_ESCAPES[other]
+    return _ESCAPE.sub(decode, body), not invalid
 
 
 def _lex(text: str, problems: list[tuple[int, str]]
