@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -112,4 +113,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as ``| head -1`` does once it has its
+        # line: end quietly, with stdout on devnull so that the flush at
+        # exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
