@@ -2,7 +2,8 @@
 kernel runs its iterations is, at every budget, what its closures give,
 and a kernel iteration takes no Python call.
 
-`interp._kernel` is the one function `_c_for` asks for a loop's kernel.
+`interp._kernel` is the one function `_c_loop` asks for the kernel of a
+``for``, ``while`` or ``do`` loop.
 `_closures_only` replaces it with one that declines every loop, so every
 iteration runs through the closures. This is a test seam, not an option.
 """
@@ -92,6 +93,24 @@ class Groups {
         }
         return b.toString();
     }
+    static String whileLoop(String s) {
+        StringBuilder b = new StringBuilder();
+        int i = 0;
+        while (i < s.length()) {
+            b.append((char) (s.charAt(i) + 1));
+            i++;
+        }
+        return b.toString();
+    }
+    static String doLoop(String s) {
+        StringBuilder b = new StringBuilder();
+        int i = 0;
+        do {
+            b.append((char) (s.charAt(i) - 1));
+            i++;
+        } while (i < s.length());
+        return b.toString();
+    }
     void sites() throws Exception {
         Cipher.getInstance(minus("DHV"));
         Cipher.getInstance(keyed("\\u0005\\u0007\\u0012", "AB"));
@@ -102,6 +121,8 @@ class Groups {
         Cipher.getInstance(builderLength("@DR"));
         Cipher.getInstance(fieldSpine(";r\\u0083"));
         Cipher.getInstance(charCounter("CGQ"));
+        Cipher.getInstance(whileLoop("@DR"));
+        Cipher.getInstance(doLoop("BFT"));
     }
 }
 """
@@ -189,10 +210,31 @@ class Kernels {
 """
 
 
+def _keystream_loop(loop: str) -> str:
+    """`_keystream_source` at two rounds, its inner loop a ``while`` or a
+    ``do`` loop."""
+    source = _keystream_source(rounds=2)
+    inner = ("            for (int i = 0; i < s.length(); i++) {\n"
+             "                k = (k * 31 + 7) & 0xFF;\n"
+             "                b.append((char) (s.charAt(i) ^ k));\n"
+             "            }\n")
+    step = ("                k = (k * 31 + 7) & 0xFF;\n"
+            "                b.append((char) (s.charAt(i) ^ k));\n"
+            "                i++;\n")
+    test = "(i < s.length())"
+    assert inner in source
+    return source.replace(inner, "            int i = 0;\n" + (
+        f"            while {test} {{\n{step}            }}\n"
+        if loop == "while" else
+        f"            do {{\n{step}            }} while {test};\n"))
+
+
 INPUTS = [("groups/Groups.java", GROUPS_SRC),
           ("kernels/Kernels.java", KERNEL_SRC),
           ("keystream/Enc1.java", _keystream_source(rounds=1)),
-          ("keystream/Enc2.java", _keystream_source(rounds=2))]
+          ("keystream/Enc2.java", _keystream_source(rounds=2)),
+          ("keystream/While.java", _keystream_loop("while")),
+          ("keystream/Do.java", _keystream_loop("do"))]
 
 
 def _closures_only(monkeypatch) -> None:
@@ -232,9 +274,10 @@ def test_group_inputs_resolve_as_java_would():
     got = [sorted(resolve_site(site).candidates)
            for path, text in INPUTS for site in _restrictive(path, text)]
     assert got == [["AES"], ["DES"], [], [], [], ["DES"], ["AES"], ["AES"],
-                   ["AES"], ["BRLCZF"], ["T-F-C-"], ["QKTYELSYF3939"], [],
-                   ["A-E-S-"], [], ["DESede"], ["AES/CBC"], ["DESede"],
-                   ["AES/CBC"]]
+                   ["AES"], ["AES"], ["AES"], ["BRLCZF"], ["T-F-C-"],
+                   ["QKTYELSYF3939"], [], ["A-E-S-"], [], ["DESede"],
+                   ["AES/CBC"], ["DESede"], ["AES/CBC"], ["DESede"],
+                   ["AES/CBC"], ["DESede"], ["AES/CBC"]]
 
 
 @pytest.mark.parametrize("inputs,most,fresh", [
@@ -285,12 +328,15 @@ def test_every_loop_that_completes_an_iteration_runs_as_a_kernel():
     (``keyed("AES", "")``, a remainder by zero), ``stringKey``, which XORs
     a String and completes no iteration, and ``alias``. ``pastEnd``,
     ``divZero`` and ``pastStart`` run their loop twice, and hand the
-    iteration that fails a guard to the closures each time; ``fieldSpine`` runs its first
-    iteration through the closures, as its field is not a local until the
-    loop stores it."""
+    iteration that fails a guard to the closures each time;
+    ``fieldSpine`` runs its first iteration through the closures, as its
+    field is not a local until the loop stores it, and so does ``doLoop``,
+    as a ``do`` loop's first iteration runs untested. ``whileLoop`` runs
+    as a ``for`` loop does."""
     iterations = [[_profiled(site)[1] for site in _restrictive(path, text)]
                   for path, text in INPUTS[:2]]
-    assert iterations == [[3, 3, 0, 6, 0, 3, 3, 2, 3], [6, 3, 8, 4, 0, 6]]
+    assert iterations == [[3, 3, 0, 6, 0, 3, 3, 2, 3, 3, 2],
+                          [6, 3, 8, 4, 0, 6]]
 
 
 def _decoder_calls(blob_length: int) -> Counter:

@@ -438,6 +438,29 @@ class TestBuilderLocal:
         assert not resolved.residuals
         assert [f.rule_id for f in findings] == ["R4"]
 
+    @pytest.mark.parametrize("statements, argument, values", [
+        ('StringBuilder sb = new StringBuilder("ES"); sb.insert(0, "D");',
+         'sb.toString() + (c ? "" : "x")', {"DES", "DESx"}),
+        ('StringBuilder sb = new StringBuilder("AES");',
+         'sb.length() + (c ? "" : "x")', {"3", "3x"}),
+        ('StringBuilder sb = new StringBuilder("DESx"); sb.deleteCharAt(3);',
+         'sb.toString() + (c ? "" : "/ECB")', {"DES", "DES/ECB"}),
+        ('StringBuilder sb = new StringBuilder("DES");',
+         'sb.charAt(0) + (c ? "" : "x")', {"D", "Dx"}),
+    ], ids=["insert", "length", "deleteCharAt", "charAt"])
+    def test_builder_methods_under_a_ternary(self, statements, argument,
+                                             values):
+        """Under an argument ternary a builder's candidate runs through
+        the builder methods the interpreter runs. java 17 prints each
+        value."""
+        r = resolve_site(site_of(
+            'import javax.crypto.Cipher;\n'
+            'class B { void m(boolean c) throws Exception {\n'
+            f'    {statements}\n'
+            f'    Cipher.getInstance({argument}); }} }}\n'))
+        assert r.candidates == values
+        assert not r.residuals
+
     def test_appends_under_a_ternary_fold(self):
         r = resolve_site(site_of(
             'import javax.crypto.Cipher;\n'
@@ -682,7 +705,7 @@ class TestFinally:
          " catch (RuntimeException e) { throw new IllegalStateException(); }"
          ' finally { s += "E"; } } catch (IllegalStateException e)'
          ' { s += "S"; }', "s", "AES"),
-    ])
+    ], ids=["continue", "return", "throw-from-catch"])
     def test_finally_runs_on_a_jump(self, members, statements, argument,
                                     value):
         _, resolved, _, _ = pipeline(
