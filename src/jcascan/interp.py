@@ -1373,9 +1373,9 @@ def _kernel(interp, node: SyntaxNode):
 
 
 class _Kernel:
-    """A loop's kernel: its parts (condition, statement
-    expressions, updates), its locals (``slots``: name → slot), its
-    literals (``consts``: id(node) → slot, ``values`` by slot), which of
+    """A loop's kernel: its parts (condition, statement expressions,
+    updates), its locals (``slots``: name → slot), its literals
+    (``consts``: id(node) → slot, ``values`` by slot), which of
     its updates and compound assignments keep a char (``chars``), its
     ``shape``, which holds the rest of what its source is written from,
     and ``run(env, ctx)``, which `_c_loop` calls before each iteration:

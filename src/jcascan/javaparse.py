@@ -108,10 +108,10 @@ class ParseError(Exception):
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    "'": "'", '"': '"', "\\": "\\", "s": " "}
 # An escape: a ``\\u`` escape, an octal one (up to three digits when its
-# first is 0–3, else up to two, JLS §3.10.7), any other character, or a
-# backslash that ends the body.
+# first is 0–3, else up to two, JLS §3.10.7) or any other character. A
+# backslash that ends the body matches nothing and stays.
 _ESCAPE = re.compile(r"\\(?:u+([0-9a-fA-F]{4})|([0-3][0-7]{0,2}|[4-7][0-7]?)"
-                     r"|(.)|\Z)", re.S)
+                     r"|(.))", re.S)
 
 
 def _decode_escapes(body: str) -> tuple[str, bool]:
@@ -127,8 +127,6 @@ def _decode_escapes(body: str) -> tuple[str, bool]:
             return chr(int(hex4, 16))
         if octal is not None:
             return chr(int(octal, 8))
-        if other is None:
-            return "\\"
         if other not in _SIMPLE_ESCAPES:
             invalid.append(other)
             return other

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +30,7 @@ import conftest
 import interp_snippets
 from jcascan import bench
 from jcascan.ingest import DEFAULT_APIS, extract_sites
-from jcascan.javaparse import parse_unit, tokenize
+from jcascan.javaparse import _decode_escapes, parse_unit, tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpora  # noqa: E402
@@ -281,6 +282,57 @@ def test_escapes_decode_to_java_values(literal, value, warned):
     assert [(w.offset, w.message)
             for w in parse_unit("B.java", text).warnings] == (
         [(text.index(literal), "invalid escape sequence")] if warned else [])
+
+
+_SIMPLE = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "'": "'",
+           '"': '"', "\\": "\\", "s": " "}
+
+
+def _decode_by_character(body: str) -> tuple[str, bool]:
+    """A literal's value and the validity of its escapes, read one
+    character at a time: the reference `_decode_escapes` is held to."""
+    out, valid, i = [], True, 0
+    while i < len(body):
+        c = body[i]
+        i += 1
+        if c != "\\":
+            out.append(c)
+            continue
+        if i == len(body):
+            out.append("\\")
+            break
+        e = body[i]
+        j = i + 1
+        while e == "u" and j < len(body) and body[j] == "u":
+            j += 1
+        if e in _SIMPLE:
+            out.append(_SIMPLE[e])
+            i += 1
+        elif e == "u" and re.fullmatch("[0-9a-fA-F]{4}", body[j:j + 4]):
+            out.append(chr(int(body[j:j + 4], 16)))
+            i = j + 4
+        elif e in "01234567":
+            last = min(i + (3 if e in "0123" else 2), len(body))
+            while j < last and body[j] in "01234567":
+                j += 1
+            out.append(chr(int(body[i:j], 8)))
+            i = j
+        else:
+            valid = False
+            out.append(e)
+            i += 1
+    return "".join(out), valid
+
+
+def test_escapes_decode_as_read_one_character_at_a_time():
+    """`_decode_escapes` agrees with `_decode_by_character` on seeded
+    random bodies of backslashes, ``u``s, hex and octal digits, escape
+    letters, quotes, newlines and non-ASCII letters and digits."""
+    pieces = list("\\\\\\uu0123456789abcdefABCDEF8xnrtbfs'\"\n é٣")
+    rng = random.Random(7)
+    for _ in range(20000):
+        body = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert _decode_escapes(body) == _decode_by_character(body), body
 
 
 @pytest.mark.parametrize("quote", ["'", '"'])
